@@ -10,8 +10,8 @@
 //! * [`BehaviouralBackend`] wraps the out-of-order core models,
 //!   bit-for-bit identical to the old direct call (the pipeline
 //!   determinism tests of `tests/pipeline.rs` hold unchanged);
-//! * [`NetlistBackend`] drives the DIFT-instrumented netlist interpreter
-//!   [`dejavuzz_rtl::sim::NetlistSim`] over the `synthetic_core` scales
+//! * [`NetlistBackend`] drives the DIFT-instrumented compiled netlist
+//!   simulator [`dejavuzz_rtl::sim::NetlistSim`] over the `synthetic_core` scales
 //!   (or any custom netlist, e.g. the Figure 2 RoB-entry circuit),
 //!   mapping [`SwapPacket`] stimulus onto netlist input ports and the
 //!   per-cycle [`dejavuzz_ift::Census`] / final
@@ -36,7 +36,7 @@ use dejavuzz_isa::instr::{Instr, Reg};
 use dejavuzz_rtl::examples::{
     rob_entry_circuit, synthetic_core, CoreScale, BOOM_SCALE, SMALL_SCALE, XIANGSHAN_SCALE,
 };
-use dejavuzz_rtl::ir::Netlist;
+use dejavuzz_rtl::ir::{Netlist, NetlistError};
 use dejavuzz_rtl::sim::NetlistSim;
 use dejavuzz_swapmem::{PacketKind, SwapPacket};
 use dejavuzz_uarch::core::{Core, RunResult, TimingEvent};
@@ -55,10 +55,17 @@ use crate::phases::{build_mem, DEFAULT_SECRET};
 /// simulator backend will bring process/protocol errors of its own.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BackendError {
-    /// The netlist failed SSA validation; carries the offending cell.
+    /// The netlist failed validation at a cell; carries the offending
+    /// cell.
     InvalidNetlist {
         /// Index of the first invalid cell.
         cell: usize,
+    },
+    /// The netlist failed validation at a memory (no words, or a write
+    /// port or liveness signal that does not exist).
+    InvalidMemory {
+        /// Index of the first invalid memory.
+        mem: usize,
     },
     /// An I/O mapping names an input port the netlist does not have.
     NoSuchInput {
@@ -83,7 +90,10 @@ impl fmt::Display for BackendError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BackendError::InvalidNetlist { cell } => {
-                write!(f, "netlist fails SSA validation at cell {cell}")
+                write!(f, "netlist fails validation at cell {cell}")
+            }
+            BackendError::InvalidMemory { mem } => {
+                write!(f, "netlist fails validation at memory {mem}")
             }
             BackendError::NoSuchInput {
                 role,
@@ -101,6 +111,15 @@ impl fmt::Display for BackendError {
 }
 
 impl std::error::Error for BackendError {}
+
+impl From<NetlistError> for BackendError {
+    fn from(e: NetlistError) -> Self {
+        match e {
+            NetlistError::Cell(cell) => BackendError::InvalidNetlist { cell },
+            NetlistError::Mem(mem) => BackendError::InvalidMemory { mem: mem.0 },
+        }
+    }
+}
 
 /// Backend-neutral result of one simulation: everything the three phases
 /// consume, with no reference to which simulator produced it.
@@ -257,6 +276,62 @@ pub struct NetlistIo {
     pub aux: Vec<usize>,
 }
 
+impl NetlistIo {
+    /// Drives derived, untainted background stimulus for one instruction.
+    fn drive_background(&self, sim: &mut NetlistSim, word: u32, cycle: u64) {
+        for (k, &a) in self.aux.iter().enumerate() {
+            sim.set_input(a, TWord::lit(mix(word, cycle ^ ((k as u64) << 8))));
+        }
+        sim.set_input(self.data, TWord::lit(mix(word, 0xDA7A)));
+        sim.set_input(self.control, TWord::lit(0));
+        sim.set_input(self.index, TWord::lit(mix(word, 0x1D) % 8));
+    }
+
+    /// Drives one speculative window instruction. Returns whether this
+    /// instruction injected the secret (the access block).
+    fn drive_window(&self, sim: &mut NetlistSim, instr: Instr, word: u32, injected: &mut bool) {
+        for &a in &self.aux {
+            sim.set_input(a, TWord::lit(mix(word, 0x77)));
+        }
+        let (sa, sb) = (secret_a(), !secret_a());
+        match instr {
+            // The first load of the window is the secret access: the
+            // two-plane secret enters the design at index 0.
+            Instr::Load { .. } | Instr::FLoad { .. } if !*injected => {
+                *injected = true;
+                sim.set_input(self.data, TWord::secret(sa, sb));
+                sim.set_input(self.control, TWord::lit(1));
+                sim.set_input(self.index, TWord::lit(0));
+            }
+            // Encode stores persist secret-derived data at index 1 (kept
+            // distinct from the access slot so sanitization can tell the
+            // two apart).
+            Instr::Store { .. } | Instr::FStore { .. } => {
+                let m = mix(word, 0xEC0D);
+                sim.set_input(self.data, TWord::with_taint(sa ^ m, sb ^ m, u64::MAX));
+                sim.set_input(self.control, TWord::lit(1));
+                sim.set_input(self.index, TWord::lit(1));
+            }
+            _ => {
+                sim.set_input(self.data, TWord::lit(mix(word, 0xDA7A)));
+                sim.set_input(self.control, TWord::lit(0));
+                sim.set_input(self.index, TWord::lit(mix(word, 0x1D) % 8));
+            }
+        }
+    }
+
+    /// Drives the Figure 2 rollback cycle: control signals tainted but
+    /// equal across variants, fresh untainted data.
+    fn drive_rollback(&self, sim: &mut NetlistSim) {
+        for &a in &self.aux {
+            sim.set_input(a, TWord::lit(0));
+        }
+        sim.set_input(self.data, TWord::lit(0x55));
+        sim.set_input(self.control, TWord::with_taint(1, 1, 1));
+        sim.set_input(self.index, TWord::with_taint(2, 2, u64::MAX));
+    }
+}
+
 /// Variant-1 plane of the planted secret.
 fn secret_a() -> u64 {
     u64::from_le_bytes(DEFAULT_SECRET)
@@ -303,24 +378,35 @@ fn mix(word: u32, salt: u64) -> u64 {
 ///
 /// The per-cycle [`NetlistSim::census`] forms the taint log (coverage),
 /// and the final [`NetlistSim::sink_reports`] sweep forms the sinks. The
+/// first run compiles the netlist into a [`NetlistSim`]; every later run
+/// resets that simulator in place instead of rebuilding it. The
 /// netlist simulator has no two-plane timing model, so `total_cycles` is
 /// equal per plane and `timing_events` stays empty (no Phase 3 timing
 /// violations — leakage on this backend is found through encoded sinks).
 #[derive(Clone, Debug)]
 pub struct NetlistBackend {
     dut: &'static str,
-    netlist: Netlist,
     io: NetlistIo,
+    /// The design until the first run moves it into `sim`.
+    netlist: Netlist,
+    /// The compiled simulator, reset before every run after the first.
+    sim: Option<NetlistSim>,
 }
 
 impl NetlistBackend {
     /// A backend over an arbitrary netlist with an explicit I/O mapping.
     ///
-    /// The mapping is validated lazily at [`SimBackend::run`], so a
-    /// misconfiguration fails runs (reported per-iteration) rather than
-    /// construction.
+    /// The netlist and the mapping are validated lazily at
+    /// [`SimBackend::run`], so a misconfiguration fails runs (reported
+    /// per-iteration) rather than construction, and construction does no
+    /// work: the netlist is compiled on the first run.
     pub fn new(dut: &'static str, netlist: Netlist, io: NetlistIo) -> Self {
-        NetlistBackend { dut, netlist, io }
+        NetlistBackend {
+            dut,
+            io,
+            netlist,
+            sim: None,
+        }
     }
 
     /// A backend over a [`synthetic_core`] scale: `data`→`wdata`,
@@ -355,7 +441,7 @@ impl NetlistBackend {
 
     /// The wrapped netlist.
     pub fn netlist(&self) -> &Netlist {
-        &self.netlist
+        self.sim.as_ref().map_or(&self.netlist, NetlistSim::netlist)
     }
 
     /// Decodes the instruction at `addr` in a packet, if it is in range.
@@ -402,60 +488,6 @@ impl NetlistBackend {
             .iter()
             .any(|p| p.kind == PacketKind::TriggerTraining && Self::trains(plan, p))
     }
-
-    /// Drives derived, untainted background stimulus for one instruction.
-    fn drive_background(&self, sim: &mut NetlistSim, word: u32, cycle: u64) {
-        for (k, &a) in self.io.aux.iter().enumerate() {
-            sim.set_input(a, TWord::lit(mix(word, cycle ^ ((k as u64) << 8))));
-        }
-        sim.set_input(self.io.data, TWord::lit(mix(word, 0xDA7A)));
-        sim.set_input(self.io.control, TWord::lit(0));
-        sim.set_input(self.io.index, TWord::lit(mix(word, 0x1D) % 8));
-    }
-
-    /// Drives one speculative window instruction. Returns whether this
-    /// instruction injected the secret (the access block).
-    fn drive_window(&self, sim: &mut NetlistSim, instr: Instr, word: u32, injected: &mut bool) {
-        for &a in &self.io.aux {
-            sim.set_input(a, TWord::lit(mix(word, 0x77)));
-        }
-        let (sa, sb) = (secret_a(), !secret_a());
-        match instr {
-            // The first load of the window is the secret access: the
-            // two-plane secret enters the design at index 0.
-            Instr::Load { .. } | Instr::FLoad { .. } if !*injected => {
-                *injected = true;
-                sim.set_input(self.io.data, TWord::secret(sa, sb));
-                sim.set_input(self.io.control, TWord::lit(1));
-                sim.set_input(self.io.index, TWord::lit(0));
-            }
-            // Encode stores persist secret-derived data at index 1 (kept
-            // distinct from the access slot so sanitization can tell the
-            // two apart).
-            Instr::Store { .. } | Instr::FStore { .. } => {
-                let m = mix(word, 0xEC0D);
-                sim.set_input(self.io.data, TWord::with_taint(sa ^ m, sb ^ m, u64::MAX));
-                sim.set_input(self.io.control, TWord::lit(1));
-                sim.set_input(self.io.index, TWord::lit(1));
-            }
-            _ => {
-                sim.set_input(self.io.data, TWord::lit(mix(word, 0xDA7A)));
-                sim.set_input(self.io.control, TWord::lit(0));
-                sim.set_input(self.io.index, TWord::lit(mix(word, 0x1D) % 8));
-            }
-        }
-    }
-
-    /// Drives the Figure 2 rollback cycle: control signals tainted but
-    /// equal across variants, fresh untainted data.
-    fn drive_rollback(&self, sim: &mut NetlistSim) {
-        for &a in &self.io.aux {
-            sim.set_input(a, TWord::lit(0));
-        }
-        sim.set_input(self.io.data, TWord::lit(0x55));
-        sim.set_input(self.io.control, TWord::with_taint(1, 1, 1));
-        sim.set_input(self.io.index, TWord::with_taint(2, 2, u64::MAX));
-    }
 }
 
 impl SimBackend for NetlistBackend {
@@ -479,7 +511,10 @@ impl SimBackend for NetlistBackend {
         max_cycles: u64,
     ) -> Result<RunOutcome, BackendError> {
         // Fail a misconfigured backend per-run, not per-campaign.
-        let inputs = self.netlist.input_count();
+        let inputs = match &self.sim {
+            Some(sim) => sim.input_count(),
+            None => self.netlist.input_count(),
+        };
         for (role, index) in [
             ("data", self.io.data),
             ("control", self.io.control),
@@ -496,8 +531,20 @@ impl SimBackend for NetlistBackend {
                 });
             }
         }
-        let mut sim = NetlistSim::try_new(self.netlist.clone(), mode)
-            .map_err(|cell| BackendError::InvalidNetlist { cell })?;
+        let NetlistBackend {
+            io, netlist, sim, ..
+        } = self;
+        let sim = match sim {
+            Some(sim) => {
+                sim.reset(mode);
+                sim
+            }
+            None => {
+                // A netlist that fails stays put, so every run fails alike.
+                netlist.validate()?;
+                sim.insert(NetlistSim::try_new(std::mem::take(netlist), mode)?)
+            }
+        };
 
         let mut trace = Trace::new();
         let mut taint_log = TaintLog::new();
@@ -536,7 +583,7 @@ impl SimBackend for NetlistBackend {
                     if window_after_idx.is_none() {
                         window_after_idx = Some(idx.saturating_sub(1));
                     }
-                    self.drive_window(&mut sim, instr, word, &mut injected);
+                    io.drive_window(sim, instr, word, &mut injected);
                     trace.push(RobEvent::Enq {
                         cycle,
                         skew_b: 0,
@@ -546,7 +593,7 @@ impl SimBackend for NetlistBackend {
                     });
                     window_enqueued += 1;
                 } else {
-                    self.drive_background(&mut sim, word, cycle);
+                    io.drive_background(sim, word, cycle);
                     trace.push(RobEvent::Enq {
                         cycle,
                         skew_b: 0,
@@ -570,7 +617,7 @@ impl SimBackend for NetlistBackend {
             // Close a triggered window with the rollback + squash.
             if let Some(after_idx) = window_after_idx {
                 if window_enqueued > 0 && cycle < max_cycles {
-                    self.drive_rollback(&mut sim);
+                    io.drive_rollback(sim);
                     sim.step();
                     if mode != IftMode::Base {
                         taint_log.push(sim.census());
@@ -609,7 +656,8 @@ impl SimBackend for NetlistBackend {
 pub enum BackendSpec {
     /// Behavioural out-of-order core model.
     Behavioural(CoreConfig),
-    /// DIFT-instrumented netlist interpreter over a synthetic core scale.
+    /// DIFT-instrumented compiled netlist simulator over a synthetic core
+    /// scale.
     Netlist(CoreScale),
     /// A registered extension backend, by id (labelled `ext:<id>`); see
     /// [`crate::registry::register_backend`]. Snapshots echo the label,
@@ -905,6 +953,35 @@ mod tests {
             .taint_log
             .taint_increased_in(w.start_cycle as usize, w.end_cycle as usize + 1));
         assert!(!out.timing_diverged(), "no two-plane timing model");
+    }
+
+    #[test]
+    fn netlist_backend_reuse_matches_fresh_backends() {
+        let seed = Seed::new(WindowType::MemPageFault, 2);
+        let plan = gen::plan(&seed);
+        let body = gen::complete_window(&seed, &plan);
+        let schedule = vec![gen::build_transient(&plan, &WindowFill::Body(body.full()))];
+        let mut reused = NetlistBackend::synthetic(SMALL_SCALE);
+        for mode in [
+            IftMode::Base,
+            IftMode::DiffIft,
+            IftMode::Base,
+            IftMode::CellIft,
+        ] {
+            let a = reused.run(&plan, &schedule, mode, 20_000).unwrap();
+            let b = NetlistBackend::synthetic(SMALL_SCALE)
+                .run(&plan, &schedule, mode, 20_000)
+                .unwrap();
+            assert_eq!(a.trace.events(), b.trace.events(), "{mode:?}");
+            assert!(a.taint_log.iter().eq(b.taint_log.iter()), "{mode:?}");
+            assert_eq!(a.sinks, b.sinks, "{mode:?}");
+            assert_eq!(a.total_cycles, b.total_cycles, "{mode:?}");
+        }
+        assert_eq!(
+            reused.netlist().cell_count(),
+            synthetic_core(SMALL_SCALE).cell_count(),
+            "the compiled simulator still exposes its netlist"
+        );
     }
 
     #[test]

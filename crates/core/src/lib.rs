@@ -21,8 +21,8 @@
 //!
 //! The phases are generic over a pluggable simulation backend
 //! ([`backend::SimBackend`]): the behavioural out-of-order cores
-//! ([`backend::BehaviouralBackend`]) or the DIFT-instrumented netlist
-//! interpreter ([`backend::NetlistBackend`] over `dejavuzz-rtl`), selected
+//! ([`backend::BehaviouralBackend`]) or the DIFT-instrumented compiled
+//! netlist simulator ([`backend::NetlistBackend`] over `dejavuzz-rtl`), selected
 //! by a cloneable [`backend::BackendSpec`]. Around the phases sits the
 //! fuzzing pipeline of §5:
 //!

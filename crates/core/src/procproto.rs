@@ -14,8 +14,10 @@
 //! * **Run** ([`RunRequest`] → `RunResponse`): one simulation. The
 //!   request is a full serialization of [`crate::backend::SimBackend::run`]'s arguments;
 //!   the response is its `Result<RunOutcome, BackendError>`. Requests
-//!   are pure — the worker holds no state across requests — which is
-//!   what makes the pool's respawn-and-retry crash recovery sound.
+//!   are pure — every run starts from the same state (a netlist
+//!   backend keeps only its compiled simulator, reset before each run)
+//!   — which is what makes the pool's respawn-and-retry crash recovery
+//!   sound.
 //!
 //! Everything here is hand-rolled free functions over the
 //! [`dejavuzz_persist`] codec rather than `Persist` impls: most of the
@@ -39,8 +41,9 @@ use crate::gen::TransientPlan;
 /// envelope's own version byte, which guards the *framing*). Bump on any
 /// change to the message encodings below — v2: [`crate::gen::
 /// WindowType`] gained the variable-length scenario encoding, which
-/// rides in every [`TransientPlan`] crossing the pipe.
-pub const PROTO_VERSION: u32 = 2;
+/// rides in every [`TransientPlan`] crossing the pipe; v3:
+/// [`BackendError`] gained `InvalidMemory` (tag 3).
+pub const PROTO_VERSION: u32 = 3;
 
 /// The handshake request: who the embedder is and what it wants served.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -499,6 +502,10 @@ fn encode_backend_error(enc: &mut Encoder, e: &BackendError) {
             enc.u8(2);
             enc.str(detail);
         }
+        BackendError::InvalidMemory { mem } => {
+            enc.u8(3);
+            enc.usize(*mem);
+        }
     }
 }
 
@@ -513,6 +520,7 @@ fn decode_backend_error(dec: &mut Decoder<'_>) -> Result<BackendError, DecodeErr
         2 => BackendError::Worker {
             detail: dec.string()?,
         },
+        3 => BackendError::InvalidMemory { mem: dec.usize()? },
         tag => {
             return Err(DecodeError::InvalidTag {
                 what: "BackendError",
@@ -707,6 +715,7 @@ mod tests {
     fn run_response_round_trips_every_error() {
         for err in [
             BackendError::InvalidNetlist { cell: 7 },
+            BackendError::InvalidMemory { mem: 3 },
             BackendError::NoSuchInput {
                 role: "trigger",
                 index: 9,

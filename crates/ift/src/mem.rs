@@ -56,6 +56,14 @@ impl TMem {
         self.t[idx] = w.t;
     }
 
+    /// Zeroes every slot in both value planes and the taint plane,
+    /// restoring the state of [`TMem::new`] without reallocating.
+    pub fn reset(&mut self) {
+        self.a.fill(0);
+        self.b.fill(0);
+        self.t.fill(0);
+    }
+
     /// Clears every taint bit, leaving values intact.
     pub fn clear_taint(&mut self) {
         self.t.iter_mut().for_each(|t| *t = 0);
@@ -281,6 +289,15 @@ mod tests {
         assert_eq!(m.tainted_slots(), 0);
         assert_eq!(m.peek(1).a, 0);
         assert_eq!(m.peek(1).b, 1, "values survive taint clearing");
+    }
+
+    #[test]
+    fn reset_restores_a_fresh_memory() {
+        let mut m = TMem::new(8);
+        m.poke(1, TWord::secret(3, 4));
+        m.write(DIFF, TWord::lit(1), TWord::secret(2, 5), TWord::lit(9));
+        m.reset();
+        assert_eq!(m, TMem::new(8));
     }
 
     #[test]

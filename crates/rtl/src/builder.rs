@@ -1,6 +1,6 @@
 //! "Chisel-lite": a fluent construction API for netlists.
 
-use crate::ir::{Cell, CellKind, MemDecl, MemId, Netlist, SignalId};
+use crate::ir::{Cell, CellKind, MemDecl, MemId, Netlist, NetlistError, SignalId};
 
 /// Builds a [`Netlist`] with SSA discipline enforced at construction time.
 ///
@@ -198,16 +198,18 @@ impl NetlistBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if SSA validation fails (a builder bug, since the API enforces
-    /// ordering) — the panic message names the offending cell.
+    /// Panics if validation fails: a cell or connection names a missing
+    /// signal, or a memory has no words. The panic message names the
+    /// offending cell or memory.
     pub fn finish(self) -> Netlist {
-        if let Err(i) = self.netlist.validate() {
-            panic!(
+        match self.netlist.validate() {
+            Ok(()) => self.netlist,
+            Err(NetlistError::Cell(i)) => panic!(
                 "netlist validation failed at cell {i}: {:?}",
                 self.netlist.cells[i].kind
-            );
+            ),
+            Err(e) => panic!("netlist validation failed at {e}"),
         }
-        self.netlist
     }
 }
 
@@ -273,6 +275,14 @@ mod tests {
         assert_eq!(n.mem_count(), 1);
         assert_eq!(n.mems[0].liveness.len(), 1);
         assert!(n.mems[0].write_port.is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "validation failed at memory 0")]
+    fn zero_word_memory_panics_naming_it() {
+        let mut b = NetlistBuilder::new();
+        b.mem(0, "empty");
+        b.finish();
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! discipline). Every signal is one 64-bit word — word-level cells are
 //! exactly what the paper's RTL-IR instrumentation operates on.
 
+use std::fmt;
+
 /// Index of a signal (one cell output) within a netlist.
 pub type SignalId = usize;
 
@@ -126,7 +128,7 @@ impl Netlist {
         self.cells
             .iter()
             .filter_map(|c| match c.kind {
-                CellKind::Input(i) => Some(i + 1),
+                CellKind::Input(i) => Some(i.saturating_add(1)),
                 _ => None,
             })
             .max()
@@ -141,17 +143,37 @@ impl Netlist {
             .map(|&(_, s)| s)
     }
 
-    /// Validates SSA discipline: combinational cells may only reference
-    /// earlier signals or register outputs; register/memory connections may
-    /// reference any signal.
+    /// Validates everything a simulator indexes:
     ///
-    /// Returns the offending cell index on failure.
-    pub fn validate(&self) -> Result<(), usize> {
-        let is_reg = |s: SignalId| matches!(self.cells[s].kind, CellKind::Reg { .. });
+    /// * SSA discipline: combinational cells may only reference earlier
+    ///   signals or register outputs;
+    /// * register `d`/`en` connections, memory write ports and
+    ///   `liveness_mask` signals may reference any signal, but it must
+    ///   exist;
+    /// * memory reads name a declared memory, and every memory has at
+    ///   least one word (addresses wrap modulo its size);
+    /// * signals, memories and input ports fit the simulator's 32-bit
+    ///   operand indices.
+    ///
+    /// Returns the first offending cell (checked in order) or, when every
+    /// cell is valid, the first offending memory.
+    pub fn validate(&self) -> Result<(), NetlistError> {
+        let n = self.cells.len();
+        if n > MAX_INDEX {
+            return Err(NetlistError::Cell(MAX_INDEX));
+        }
+        if self.mems.len() > MAX_INDEX {
+            return Err(NetlistError::Mem(MemId(MAX_INDEX)));
+        }
+        let is_reg = |s: SignalId| s < n && self.cells[s].kind.is_sequential();
         let ok = |i: usize, s: SignalId| s < i || is_reg(s);
         for (i, c) in self.cells.iter().enumerate() {
             let valid = match c.kind {
-                CellKind::Const(_) | CellKind::Input(_) | CellKind::Reg { .. } => true,
+                CellKind::Const(_) => true,
+                CellKind::Input(port) => port < MAX_INDEX,
+                CellKind::Reg { d, en, .. } => {
+                    d.is_none_or(|d| d < n) && en.is_none_or(|en| en < n)
+                }
                 CellKind::Not(a) => ok(i, a),
                 CellKind::And(a, b)
                 | CellKind::Or(a, b)
@@ -168,12 +190,49 @@ impl Netlist {
                 CellKind::MemRead { mem, addr } => mem.0 < self.mems.len() && ok(i, addr),
             };
             if !valid {
-                return Err(i);
+                return Err(NetlistError::Cell(i));
+            }
+        }
+        for (m, decl) in self.mems.iter().enumerate() {
+            let ports = decl
+                .write_port
+                .iter()
+                .flat_map(|&(wen, addr, data)| [wen, addr, data]);
+            if decl.words == 0 || !ports.chain(decl.liveness.iter().copied()).all(|s| s < n) {
+                return Err(NetlistError::Mem(MemId(m)));
             }
         }
         Ok(())
     }
 }
+
+/// Largest signal, memory or input-port count a netlist may declare: the
+/// simulator compiles every index to a `u32`.
+const MAX_INDEX: usize = u32::MAX as usize;
+
+/// Why a netlist fails [`Netlist::validate`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NetlistError {
+    /// A cell reads a signal it may not (a missing signal, or a later
+    /// combinational one), names a missing memory or an out-of-range
+    /// input port, or is a register whose `d`/`en` names a missing
+    /// signal.
+    Cell(SignalId),
+    /// A memory has no words, or its write port or `liveness_mask` names a
+    /// missing signal.
+    Mem(MemId),
+}
+
+impl fmt::Display for NetlistError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NetlistError::Cell(i) => write!(f, "cell {i}"),
+            NetlistError::Mem(MemId(m)) => write!(f, "memory {m}"),
+        }
+    }
+}
+
+impl std::error::Error for NetlistError {}
 
 #[cfg(test)]
 mod tests {
@@ -242,7 +301,7 @@ mod tests {
             mems: vec![],
             outputs: vec![],
         };
-        assert_eq!(n.validate(), Err(0));
+        assert_eq!(n.validate(), Err(NetlistError::Cell(0)));
     }
 
     #[test]
@@ -258,6 +317,93 @@ mod tests {
             mems: vec![],
             outputs: vec![],
         };
-        assert_eq!(n.validate(), Err(1));
+        assert_eq!(n.validate(), Err(NetlistError::Cell(1)));
+    }
+
+    fn reg(d: Option<SignalId>, en: Option<SignalId>) -> Cell {
+        cell(CellKind::Reg { d, en, init: 0 })
+    }
+
+    fn mem(
+        words: usize,
+        write_port: Option<(SignalId, SignalId, SignalId)>,
+        liveness: Vec<SignalId>,
+    ) -> MemDecl {
+        MemDecl {
+            words,
+            name: None,
+            module: "top",
+            write_port,
+            liveness,
+        }
+    }
+
+    fn netlist(cells: Vec<Cell>, mems: Vec<MemDecl>) -> Netlist {
+        Netlist {
+            cells,
+            mems,
+            outputs: vec![],
+        }
+    }
+
+    #[test]
+    fn validate_rejects_reference_past_the_end() {
+        // A forward reference beyond the last cell is neither earlier nor
+        // a register; validation must say so rather than index past the
+        // end itself.
+        let n = netlist(vec![cell(CellKind::Not(9))], vec![]);
+        assert_eq!(n.validate(), Err(NetlistError::Cell(0)));
+    }
+
+    #[test]
+    fn validate_range_checks_register_connections() {
+        let n = netlist(vec![cell(CellKind::Const(0)), reg(Some(5), None)], vec![]);
+        assert_eq!(n.validate(), Err(NetlistError::Cell(1)), "d out of range");
+        let n = netlist(
+            vec![cell(CellKind::Const(0)), reg(Some(0), Some(2))],
+            vec![],
+        );
+        assert_eq!(n.validate(), Err(NetlistError::Cell(1)), "en out of range");
+        let n = netlist(vec![reg(Some(1), Some(1)), cell(CellKind::Not(0))], vec![]);
+        assert_eq!(n.validate(), Ok(()), "a register may read any later signal");
+    }
+
+    #[test]
+    fn validate_range_checks_memory_signals() {
+        let cells = || vec![cell(CellKind::Input(0)), cell(CellKind::Input(1))];
+        let n = netlist(cells(), vec![mem(4, Some((0, 1, 1)), vec![0, 1])]);
+        assert_eq!(n.validate(), Ok(()));
+        let n = netlist(
+            cells(),
+            vec![mem(4, None, vec![]), mem(4, Some((0, 2, 1)), vec![])],
+        );
+        assert_eq!(n.validate(), Err(NetlistError::Mem(MemId(1))), "write port");
+        let n = netlist(cells(), vec![mem(4, None, vec![0, 7])]);
+        assert_eq!(n.validate(), Err(NetlistError::Mem(MemId(0))), "liveness");
+    }
+
+    #[test]
+    fn validate_rejects_zero_word_memory() {
+        let n = netlist(vec![cell(CellKind::Input(0))], vec![mem(0, None, vec![])]);
+        assert_eq!(n.validate(), Err(NetlistError::Mem(MemId(0))));
+        let n = netlist(vec![cell(CellKind::Not(3))], vec![mem(0, None, vec![])]);
+        assert_eq!(n.validate(), Err(NetlistError::Cell(0)), "cells first");
+    }
+
+    #[test]
+    fn validate_rejects_input_ports_beyond_u32() {
+        let n = netlist(vec![cell(CellKind::Input(u32::MAX as usize))], vec![]);
+        assert_eq!(n.validate(), Err(NetlistError::Cell(0)));
+        assert_eq!(
+            n.input_count(),
+            u32::MAX as usize + 1,
+            "counting never overflows"
+        );
+    }
+
+    #[test]
+    fn errors_name_the_offender() {
+        assert_eq!(NetlistError::Cell(4).to_string(), "cell 4");
+        assert_eq!(NetlistError::Mem(MemId(2)).to_string(), "memory 2");
     }
 }

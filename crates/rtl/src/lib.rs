@@ -1,5 +1,6 @@
 //! Netlist-level substrate: the RTL IR the paper's Yosys passes operate on,
-//! a cycle simulator, and the CellIFT / diffIFT instrumentation passes.
+//! a compiled cycle simulator, and the CellIFT / diffIFT instrumentation
+//! passes.
 //!
 //! The paper instruments the DUT "at the RTL IR level and thus supports
 //! word-level cells and non-flattened memories", whereas CellIFT
@@ -14,9 +15,10 @@
 //!   word-for-word; the CellIFT pass first *flattens every memory* into
 //!   per-slot registers with address-decode mux trees, exactly the cost
 //!   blow-up the paper measures,
-//! * [`sim`] — a two-phase cycle simulator over (instrumented) netlists
-//!   whose signals carry [`dejavuzz_ift::TWord`] two-plane values, making
-//!   the same simulator serve as the paper's differential testbench,
+//! * [`sim`] — a compiled two-phase cycle simulator over (instrumented)
+//!   netlists whose signals carry [`dejavuzz_ift::TWord`] two-plane
+//!   values, making the same simulator serve as the paper's differential
+//!   testbench,
 //! * [`examples`] — the Figure 2 RoB-entry circuit and synthetic
 //!   BOOM/XiangShan-scale netlists for the Table 4 compile-time rows.
 
@@ -29,5 +31,5 @@ pub mod sim;
 
 pub use builder::NetlistBuilder;
 pub use instrument::{instrument, InstrumentReport};
-pub use ir::{CellKind, MemId, Netlist, SignalId};
+pub use ir::{CellKind, MemId, Netlist, NetlistError, SignalId};
 pub use sim::NetlistSim;

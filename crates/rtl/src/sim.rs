@@ -1,20 +1,207 @@
-//! Two-phase cycle simulator over (instrumented) netlists.
+//! Compiled two-phase cycle simulator over (instrumented) netlists.
 //!
 //! Signals carry [`TWord`] two-plane values, so a single simulation run *is*
 //! the paper's differential testbench: plane `a` is DUT variant 1, plane `b`
 //! variant 2, and the policy's control-taint gates see cross-instance
 //! differences immediately.
+//!
+//! Each cycle has two phases: [`NetlistSim::eval_comb`] settles the
+//! combinational cells, then the clock edge commits every register at
+//! once, then every memory write port.
+//!
+//! * **Compile.** [`NetlistSim::try_new`] validates the netlist once and
+//!   lowers it. The combinational cells become a flat op tape with dense
+//!   `u32` operands; the cells are already in SSA order, so the tape runs
+//!   front to back with no levelization. The connected registers become a
+//!   `(q, d, en, module)` list and the write ports a `(mem, wen, addr,
+//!   data)` list. Every phase runs one loop monomorphised per IFT mode, so
+//!   the policy's mode checks fold away instead of running per cell.
+//! * **Census.** Register modules get dense ids in first-seen order. The
+//!   clock edge computes all next states into a reused buffer, then
+//!   commits them, adjusting a module's tainted-register count whenever
+//!   one of its registers gains or loses taint. [`NetlistSim::census`]
+//!   reads those counts, then scans each memory's taint plane.
+//! * **Reset.** [`NetlistSim::reset`] restores the initial state in place
+//!   (registers at their init values, all other signals, memories and
+//!   inputs zero, cycle 0) in any mode, so one compiled simulator serves
+//!   every run of a campaign.
+
+use std::collections::HashMap;
 
 use dejavuzz_ift::{Census, IftMode, Policy, SinkReport, TMem, TWord};
 
-use crate::ir::{CellKind, Netlist};
+use crate::ir::{CellKind, Netlist, NetlistError, SignalId};
+
+/// One combinational cell, lowered: the operands are dense signal
+/// indices, in [`CellKind`]'s order. The tape pairs each op with the
+/// signal it drives.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    /// A constant, split into low and high halves to keep ops 4-byte
+    /// aligned.
+    Const(u32, u32),
+    Input(u32),
+    And(u32, u32),
+    Or(u32, u32),
+    Xor(u32, u32),
+    Not(u32),
+    Add(u32, u32),
+    Sub(u32, u32),
+    Eq(u32, u32),
+    Lt(u32, u32),
+    Mux(u32, u32, u32),
+    MemRead(u32, u32),
+}
+
+/// A connected register: its output `q`, next-state inputs and module id.
+#[derive(Clone, Copy, Debug)]
+struct RegEdge {
+    q: u32,
+    d: u32,
+    en: Option<u32>,
+    module: u32,
+}
+
+/// A memory write port.
+#[derive(Clone, Copy, Debug)]
+struct WritePort {
+    mem: u32,
+    wen: u32,
+    addr: u32,
+    data: u32,
+}
+
+/// Everything [`NetlistSim`] precomputes from a validated netlist.
+#[derive(Clone, Debug, Default)]
+struct Program {
+    /// The combinational cells in SSA order, each with its signal.
+    tape: Vec<(u32, Op)>,
+    /// Registers with a `d` connection (unconnected ones hold forever).
+    edges: Vec<RegEdge>,
+    /// Every register with a non-zero initial value.
+    inits: Vec<(u32, u64)>,
+    writes: Vec<WritePort>,
+    /// Register modules in first-seen order.
+    modules: Vec<&'static str>,
+    /// Registers per module.
+    totals: Vec<usize>,
+    /// Input ports the netlist declares.
+    inputs: usize,
+}
+
+impl Program {
+    /// Lowers a netlist that passed [`Netlist::validate`], which bounds
+    /// every index by `u32::MAX`.
+    fn compile(netlist: &Netlist) -> Program {
+        let ix = |s: SignalId| s as u32;
+        let mut p = Program {
+            inputs: netlist.input_count(),
+            ..Program::default()
+        };
+        let mut module_ids: HashMap<&'static str, u32> = HashMap::new();
+        for (i, cell) in netlist.cells.iter().enumerate() {
+            let dst = ix(i);
+            let op = match cell.kind {
+                CellKind::Const(v) => Op::Const(v as u32, (v >> 32) as u32),
+                CellKind::Input(port) => Op::Input(ix(port)),
+                CellKind::And(a, b) => Op::And(ix(a), ix(b)),
+                CellKind::Or(a, b) => Op::Or(ix(a), ix(b)),
+                CellKind::Xor(a, b) => Op::Xor(ix(a), ix(b)),
+                CellKind::Not(a) => Op::Not(ix(a)),
+                CellKind::Add(a, b) => Op::Add(ix(a), ix(b)),
+                CellKind::Sub(a, b) => Op::Sub(ix(a), ix(b)),
+                CellKind::Eq(a, b) => Op::Eq(ix(a), ix(b)),
+                CellKind::Lt(a, b) => Op::Lt(ix(a), ix(b)),
+                CellKind::Mux {
+                    sel,
+                    then_v,
+                    else_v,
+                } => Op::Mux(ix(sel), ix(then_v), ix(else_v)),
+                CellKind::MemRead { mem, addr } => Op::MemRead(ix(mem.0), ix(addr)),
+                CellKind::Reg { d, en, init } => {
+                    let module = *module_ids.entry(cell.module).or_insert_with(|| {
+                        p.modules.push(cell.module);
+                        p.totals.push(0);
+                        (p.modules.len() - 1) as u32
+                    });
+                    p.totals[module as usize] += 1;
+                    if init != 0 {
+                        p.inits.push((dst, init));
+                    }
+                    if let Some(d) = d {
+                        p.edges.push(RegEdge {
+                            q: dst,
+                            d: ix(d),
+                            en: en.map(ix),
+                            module,
+                        });
+                    }
+                    continue; // a register holds Q through the comb phase
+                }
+            };
+            p.tape.push((dst, op));
+        }
+        p.writes = netlist
+            .mems
+            .iter()
+            .enumerate()
+            .filter_map(|(m, decl)| {
+                let (wen, addr, data) = decl.write_port?;
+                Some(WritePort {
+                    mem: ix(m),
+                    wen: ix(wen),
+                    addr: ix(addr),
+                    data: ix(data),
+                })
+            })
+            .collect();
+        p
+    }
+}
+
+/// An IFT mode fixed at compile time, so each phase loop is
+/// monomorphised with the policy's mode checks folded away.
+trait Regime {
+    const POLICY: Policy;
+
+    /// Data-flow cells always compute taint; Base mode strips it.
+    #[inline(always)]
+    fn data(w: TWord) -> TWord {
+        if Self::POLICY.mode() == IftMode::Base {
+            w.untainted()
+        } else {
+            w
+        }
+    }
+}
+
+struct BaseRegime;
+struct CellIftRegime;
+struct DiffIftRegime;
+
+impl Regime for BaseRegime {
+    const POLICY: Policy = Policy::new(IftMode::Base);
+}
+
+impl Regime for CellIftRegime {
+    const POLICY: Policy = Policy::new(IftMode::CellIft);
+}
+
+impl Regime for DiffIftRegime {
+    const POLICY: Policy = Policy::new(IftMode::DiffIft);
+}
 
 /// Simulates a netlist cycle by cycle.
 #[derive(Clone, Debug)]
 pub struct NetlistSim {
     netlist: Netlist,
+    program: Program,
     policy: Policy,
     values: Vec<TWord>,
+    /// The clock edge's next-state buffer, one slot per [`RegEdge`].
+    next: Vec<TWord>,
+    /// Tainted registers per module, kept current by every register write.
+    tainted: Vec<usize>,
     mems: Vec<TMem>,
     inputs: Vec<TWord>,
     cycle: u64,
@@ -29,31 +216,55 @@ impl NetlistSim {
     /// callers that must survive a bad netlist use
     /// [`NetlistSim::try_new`].
     pub fn new(netlist: Netlist, mode: IftMode) -> Self {
-        Self::try_new(netlist, mode).unwrap_or_else(|cell| panic!("invalid netlist (cell {cell})"))
+        Self::try_new(netlist, mode).unwrap_or_else(|e| panic!("invalid netlist ({e})"))
     }
 
-    /// Creates a simulator, returning the offending cell index instead of
-    /// panicking when the netlist fails [`Netlist::validate`].
-    pub fn try_new(netlist: Netlist, mode: IftMode) -> Result<Self, usize> {
+    /// Validates and compiles the netlist into a simulator, returning the
+    /// offending cell or memory instead of panicking when the netlist
+    /// fails [`Netlist::validate`].
+    pub fn try_new(netlist: Netlist, mode: IftMode) -> Result<Self, NetlistError> {
         netlist.validate()?;
-        let values = netlist
-            .cells
-            .iter()
-            .map(|c| match c.kind {
-                CellKind::Reg { init, .. } => TWord::lit(init),
-                _ => TWord::lit(0),
-            })
-            .collect();
-        let mems = netlist.mems.iter().map(|m| TMem::new(m.words)).collect();
-        let n_inputs = netlist.input_count();
-        Ok(NetlistSim {
+        let program = Program::compile(&netlist);
+        let mut sim = NetlistSim {
+            values: vec![TWord::lit(0); netlist.cells.len()],
+            next: Vec::with_capacity(program.edges.len()),
+            tainted: vec![0; program.modules.len()],
+            mems: netlist.mems.iter().map(|m| TMem::new(m.words)).collect(),
+            inputs: vec![TWord::lit(0); program.inputs],
             netlist,
+            program,
             policy: Policy::new(mode),
-            values,
-            mems,
-            inputs: vec![TWord::lit(0); n_inputs],
             cycle: 0,
-        })
+        };
+        sim.reset(mode);
+        Ok(sim)
+    }
+
+    /// Restores the state [`NetlistSim::try_new`] starts from, in place
+    /// and in `mode`: registers at their initial values, every other
+    /// signal, memory slot and input zero, cycle 0. The compiled program
+    /// is kept, so a simulator serves any number of runs.
+    pub fn reset(&mut self, mode: IftMode) {
+        self.policy = Policy::new(mode);
+        self.values.fill(TWord::lit(0));
+        for &(q, init) in &self.program.inits {
+            self.values[q as usize] = TWord::lit(init);
+        }
+        self.tainted.fill(0);
+        self.mems.iter_mut().for_each(TMem::reset);
+        self.inputs.clear();
+        self.inputs.resize(self.program.inputs, TWord::lit(0));
+        self.cycle = 0;
+    }
+
+    /// The simulated netlist.
+    pub fn netlist(&self) -> &Netlist {
+        &self.netlist
+    }
+
+    /// Number of input ports the netlist declares.
+    pub fn input_count(&self) -> usize {
+        self.program.inputs
     }
 
     /// The IFT mode in force.
@@ -135,120 +346,100 @@ impl NetlistSim {
 
     /// Directly taints a register (marks it as holding sensitive data).
     pub fn taint_reg(&mut self, sig: usize) {
+        let cell = &self.netlist.cells[sig];
         assert!(
-            matches!(self.netlist.cells[sig].kind, CellKind::Reg { .. }),
+            cell.kind.is_sequential(),
             "taint_reg target must be a register"
         );
+        if !self.values[sig].is_tainted() {
+            let module = self.program.modules.iter().position(|m| *m == cell.module);
+            self.tainted[module.expect("every register has a module id")] += 1;
+        }
         self.values[sig] = self.values[sig].fully_tainted();
     }
 
     /// Evaluates combinational logic, then advances the clock one edge.
     pub fn step(&mut self) {
         self.eval_comb();
-        self.clock_edge();
+        match self.policy.mode() {
+            IftMode::Base => self.clock_edge::<BaseRegime>(),
+            IftMode::CellIft => self.clock_edge::<CellIftRegime>(),
+            IftMode::DiffIft => self.clock_edge::<DiffIftRegime>(),
+        }
         self.cycle += 1;
     }
 
     /// Evaluates combinational logic without clocking (for inspecting
     /// same-cycle outputs).
     pub fn eval_comb(&mut self) {
-        let p = self.policy;
-        for i in 0..self.netlist.cells.len() {
-            let out = match self.netlist.cells[i].kind {
-                CellKind::Const(v) => TWord::lit(v),
-                CellKind::Input(idx) => self.inputs.get(idx).copied().unwrap_or(TWord::lit(0)),
-                CellKind::And(a, b) => self.gate(self.values[a].and(self.values[b])),
-                CellKind::Or(a, b) => self.gate(self.values[a].or(self.values[b])),
-                CellKind::Xor(a, b) => self.gate(self.values[a].xor(self.values[b])),
-                CellKind::Not(a) => self.gate(self.values[a].not()),
-                CellKind::Add(a, b) => self.gate(self.values[a].add(self.values[b])),
-                CellKind::Sub(a, b) => self.gate(self.values[a].sub(self.values[b])),
-                CellKind::Eq(a, b) => p.eq(self.values[a], self.values[b]),
-                CellKind::Lt(a, b) => p.lt(self.values[a], self.values[b]),
-                CellKind::Mux {
-                    sel,
-                    then_v,
-                    else_v,
-                } => p.mux(self.values[sel], self.values[then_v], self.values[else_v]),
-                CellKind::Reg { .. } => continue, // holds Q
-                CellKind::MemRead { mem, addr } => self.mems[mem.0].read(p, self.values[addr]),
+        match self.policy.mode() {
+            IftMode::Base => self.run_tape::<BaseRegime>(),
+            IftMode::CellIft => self.run_tape::<CellIftRegime>(),
+            IftMode::DiffIft => self.run_tape::<DiffIftRegime>(),
+        }
+    }
+
+    fn run_tape<R: Regime>(&mut self) {
+        let p = R::POLICY;
+        let v = &mut self.values;
+        for &(dst, op) in &self.program.tape {
+            let x = |i: u32| v[i as usize];
+            v[dst as usize] = match op {
+                Op::Const(lo, hi) => TWord::lit((hi as u64) << 32 | lo as u64),
+                Op::Input(port) => self.inputs[port as usize],
+                Op::And(a, b) => R::data(x(a).and(x(b))),
+                Op::Or(a, b) => R::data(x(a).or(x(b))),
+                Op::Xor(a, b) => R::data(x(a).xor(x(b))),
+                Op::Not(a) => R::data(x(a).not()),
+                Op::Add(a, b) => R::data(x(a).add(x(b))),
+                Op::Sub(a, b) => R::data(x(a).sub(x(b))),
+                Op::Eq(a, b) => p.eq(x(a), x(b)),
+                Op::Lt(a, b) => p.lt(x(a), x(b)),
+                Op::Mux(sel, then_v, else_v) => p.mux(x(sel), x(then_v), x(else_v)),
+                Op::MemRead(mem, addr) => self.mems[mem as usize].read(p, x(addr)),
             };
-            self.values[i] = out;
         }
     }
 
-    /// Strips taints in Base mode (data-flow ops always compute taint).
-    #[inline]
-    fn gate(&self, w: TWord) -> TWord {
-        if self.policy.mode() == IftMode::Base {
-            w.untainted()
-        } else {
-            w
+    /// Registers: compute all next states, then commit (no intra-cycle
+    /// ordering artefacts), keeping the census counts current. Write ports
+    /// then see the committed register values.
+    fn clock_edge<R: Regime>(&mut self) {
+        let p = R::POLICY;
+        let v = &mut self.values;
+        self.next.clear();
+        for r in &self.program.edges {
+            let d = v[r.d as usize];
+            self.next.push(match r.en {
+                Some(en) => p.reg_en(v[en as usize], d, v[r.q as usize]),
+                None => R::data(d),
+            });
         }
-    }
-
-    fn clock_edge(&mut self) {
-        let p = self.policy;
-        // Registers: compute all next states, then commit (no intra-cycle
-        // ordering artefacts).
-        let mut next: Vec<(usize, TWord)> = Vec::new();
-        for (i, c) in self.netlist.cells.iter().enumerate() {
-            if let CellKind::Reg { d: Some(d), en, .. } = c.kind {
-                let q = self.values[i];
-                let dv = self.values[d];
-                let nv = match en {
-                    Some(en) => p.reg_en(self.values[en], dv, q),
-                    None => {
-                        if p.mode() == IftMode::Base {
-                            dv.untainted()
-                        } else {
-                            dv
-                        }
-                    }
-                };
-                next.push((i, nv));
+        for (r, &nv) in self.program.edges.iter().zip(&self.next) {
+            let q = &mut v[r.q as usize];
+            match (q.is_tainted(), nv.is_tainted()) {
+                (false, true) => self.tainted[r.module as usize] += 1,
+                (true, false) => self.tainted[r.module as usize] -= 1,
+                _ => {}
             }
+            *q = nv;
         }
-        for (i, v) in next {
-            self.values[i] = v;
-        }
-        // Memory write ports.
-        for (mi, m) in self.netlist.mems.iter().enumerate() {
-            if let Some((wen, addr, data)) = m.write_port {
-                let (wen, addr, data) = (self.values[wen], self.values[addr], self.values[data]);
-                self.mems[mi].write(p, wen, addr, data);
-            }
+        for w in &self.program.writes {
+            let (wen, addr, data) = (v[w.wen as usize], v[w.addr as usize], v[w.data as usize]);
+            self.mems[w.mem as usize].write(p, wen, addr, data);
         }
     }
 
-    /// Taint census over all registers and memory slots, grouped by module.
+    /// Taint census over all registers and memory slots, grouped by module:
+    /// register modules in first-seen order, then one entry per memory.
     pub fn census(&self) -> Census {
         let mut census = Census::new();
-        // Group register taints by module, preserving first-seen order.
-        let mut order: Vec<&'static str> = Vec::new();
-        let mut counts: Vec<(usize, usize)> = Vec::new();
-        for (i, c) in self.netlist.cells.iter().enumerate() {
-            if !matches!(c.kind, CellKind::Reg { .. }) {
-                continue;
-            }
-            let pos = match order.iter().position(|m| *m == c.module) {
-                Some(p) => p,
-                None => {
-                    order.push(c.module);
-                    counts.push((0, 0));
-                    order.len() - 1
-                }
-            };
-            counts[pos].1 += 1;
-            if self.values[i].is_tainted() {
-                counts[pos].0 += 1;
-            }
+        let regs = self.program.modules.iter().zip(&self.program.totals);
+        for ((module, &total), &tainted) in regs.zip(&self.tainted) {
+            census.report_counts(module, tainted, total);
         }
-        for (m, (tainted, total)) in order.iter().zip(&counts) {
-            census.report_counts(m, *tainted, *total);
-        }
-        for (mi, m) in self.netlist.mems.iter().enumerate() {
-            census.report_counts(m.module, self.mems[mi].tainted_slots(), self.mems[mi].len());
+        for (decl, mem) in self.netlist.mems.iter().zip(&self.mems) {
+            census.report_counts(decl.module, mem.tainted_slots(), mem.len());
         }
         census
     }
@@ -455,6 +646,73 @@ mod tests {
             mems: vec![],
             outputs: vec![],
         };
-        assert_eq!(NetlistSim::try_new(bad, IftMode::Base).err(), Some(0));
+        assert_eq!(
+            NetlistSim::try_new(bad, IftMode::Base).err(),
+            Some(NetlistError::Cell(0))
+        );
+
+        // A memory with no words used to validate, then panic on `% 0`
+        // in the first step that read it.
+        let mut b = NetlistBuilder::new();
+        let m = b.mem(4, "buf");
+        let addr = b.input(0);
+        b.mem_read(m, addr);
+        let mut empty = b.finish();
+        empty.mems[0].words = 0;
+        assert_eq!(
+            NetlistSim::try_new(empty, IftMode::DiffIft).err(),
+            Some(NetlistError::Mem(m))
+        );
+    }
+
+    #[test]
+    fn census_counts_follow_register_writes() {
+        let mut b = NetlistBuilder::new();
+        b.module("rob");
+        let r1 = b.reg(0);
+        let r2 = b.reg(0);
+        let x = b.input(0);
+        b.connect_reg(r1, x, None);
+        b.connect_reg(r2, r1, None);
+        let mut sim = NetlistSim::new(b.finish(), IftMode::DiffIft);
+        let tainted = |sim: &NetlistSim| sim.census().module_tainted("rob");
+        sim.set_input(0, TWord::secret(1, 2));
+        sim.step();
+        assert_eq!(tainted(&sim), Some(1), "the secret reaches r1");
+        sim.set_input(0, TWord::lit(0));
+        sim.step();
+        assert_eq!(tainted(&sim), Some(1), "r1 clears as r2 picks it up");
+        sim.step();
+        assert_eq!(tainted(&sim), Some(0), "both clean again");
+        sim.taint_reg(r2);
+        sim.taint_reg(r2);
+        assert_eq!(tainted(&sim), Some(1), "re-tainting counts once");
+    }
+
+    #[test]
+    fn reset_restores_the_initial_state() {
+        let mut b = NetlistBuilder::new();
+        let m = b.mem(4, "buf");
+        let r = b.reg(7);
+        let wen = b.input(0);
+        let addr = b.input(1);
+        let data = b.input(2);
+        b.connect_reg(r, data, None);
+        b.connect_mem_write(m, wen, addr, data);
+        let mut sim = NetlistSim::new(b.finish(), IftMode::DiffIft);
+        sim.set_input(0, TWord::lit(1));
+        sim.set_input(1, TWord::lit(2));
+        sim.set_input(2, TWord::secret(5, 6));
+        sim.set_input(9, TWord::lit(1));
+        sim.step();
+        sim.reset(IftMode::Base);
+        assert_eq!(sim.mode(), IftMode::Base);
+        assert_eq!(sim.cycle(), 0);
+        assert_eq!(sim.signal(r), TWord::lit(7));
+        assert_eq!(sim.mem_peek(0, 2), TWord::lit(0));
+        assert_eq!(sim.census().taint_sum(), 0);
+        assert_eq!(sim.input_count(), 3);
+        sim.eval_comb();
+        assert_eq!(sim.signal(data), TWord::lit(0), "inputs are undriven");
     }
 }

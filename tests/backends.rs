@@ -7,16 +7,20 @@
 //!   taint split (unit-tested in `crates/rtl/src/examples.rs` against the
 //!   raw circuit) through the *full `phase2` path*, and complete
 //!   campaigns end-to-end with nonzero taint coverage,
-//! * a misconfigured backend must fail its runs, not the campaign.
+//! * the netlist backend's campaign reports must stay those recorded
+//!   with the per-cell interpreter the compiled simulator replaced,
+//! * a misconfigured backend or an invalid netlist must fail its runs,
+//!   not the campaign.
 
-use dejavuzz::backend::{BackendSpec, NetlistBackend, NetlistIo};
+use dejavuzz::backend::{BackendError, BackendSpec, NetlistBackend, NetlistIo};
 use dejavuzz::campaign::{Campaign, FuzzerOptions};
 use dejavuzz::executor;
 use dejavuzz::gen::WindowType;
 use dejavuzz::phases::{phase1, phase2, PhaseOptions};
 use dejavuzz::Seed;
 use dejavuzz_ift::{CoverageMatrix, IftMode};
-use dejavuzz_rtl::examples::{synthetic_core, SMALL_SCALE};
+use dejavuzz_rtl::examples::{synthetic_core, BOOM_SCALE, SMALL_SCALE};
+use dejavuzz_rtl::ir::{CellKind, Netlist};
 use dejavuzz_uarch::boom_small;
 
 /// (a) The explicit behavioural spec and the historical
@@ -162,6 +166,72 @@ fn misconfigured_backend_fails_runs_not_the_campaign() {
     assert_eq!(stats.coverage(), 0);
 }
 
+/// Netlists that pass the I/O mapping but fail validation, one per gap
+/// the simulator would otherwise trip on mid-step: a register `d`, a
+/// write-port signal and a liveness signal naming missing signals, and a
+/// memory with no words. Each fails every run with a structured error;
+/// the campaign completes.
+#[test]
+fn invalid_netlists_fail_runs_not_the_campaign() {
+    let io = NetlistIo {
+        data: 4,
+        control: 2,
+        index: 3,
+        aux: vec![0, 1],
+    };
+    let base = synthetic_core(SMALL_SCALE);
+    let missing = base.cell_count() + 7;
+    let reg = base
+        .cells
+        .iter()
+        .position(|c| c.kind.is_sequential())
+        .expect("synthetic cores have registers");
+    let broken = |edit: &dyn Fn(&mut Netlist)| {
+        let mut n = base.clone();
+        edit(&mut n);
+        n
+    };
+    let cases = [
+        (
+            broken(&|n| {
+                n.cells[reg].kind = CellKind::Reg {
+                    d: Some(missing),
+                    en: None,
+                    init: 0,
+                }
+            }),
+            BackendError::InvalidNetlist { cell: reg },
+        ),
+        (
+            broken(&|n| n.mems[1].write_port = Some((2, missing, 4))),
+            BackendError::InvalidMemory { mem: 1 },
+        ),
+        (
+            broken(&|n| n.mems[2].liveness = vec![0, missing]),
+            BackendError::InvalidMemory { mem: 2 },
+        ),
+        (
+            broken(&|n| n.mems[3].words = 0),
+            BackendError::InvalidMemory { mem: 3 },
+        ),
+    ];
+    for (netlist, expected) in cases {
+        let mut backend = NetlistBackend::new("broken", netlist, io.clone());
+        let seed = Seed::new(WindowType::MemPageFault, 1);
+        let err = phase1(&mut backend, &seed, &PhaseOptions::default()).unwrap_err();
+        assert_eq!(err, expected);
+        // The failed netlist stays put, so every later run fails alike.
+        let mut campaign =
+            Campaign::with_boxed_backend(Box::new(backend), FuzzerOptions::default(), 3);
+        let stats = campaign.run(4);
+        assert_eq!(
+            stats.iterations, 4,
+            "{expected}: the campaign keeps running"
+        );
+        assert_eq!(stats.failed_runs, 4, "{expected}: every run failed cleanly");
+    }
+}
+
 /// Capability flags of the in-tree backends.
 #[test]
 fn backend_capability_flags() {
@@ -174,4 +244,97 @@ fn backend_capability_flags() {
     assert_eq!(netlist.name(), "netlist");
     assert_eq!(netlist.dut_name(), "SynthSmall");
     assert!(netlist.supports_taint());
+}
+
+/// What a campaign report pins: the work done, the coverage curve (as
+/// the iterations where it steps), the bugs with the iteration that
+/// found each, and corpus retention.
+#[derive(Debug, PartialEq, Eq)]
+struct ReportPin {
+    iterations: usize,
+    sim_runs: usize,
+    sim_cycles: u64,
+    curve_steps: Vec<(usize, usize)>,
+    bugs: Vec<String>,
+    corpus: (usize, usize),
+}
+
+fn pin_of(r: &executor::ExecutorReport) -> ReportPin {
+    let mut curve_steps = Vec::new();
+    let mut last = 0;
+    for (i, &points) in r.stats.coverage_curve.iter().enumerate() {
+        if points != last {
+            curve_steps.push((i, points));
+            last = points;
+        }
+    }
+    ReportPin {
+        iterations: r.stats.iterations,
+        sim_runs: r.stats.sim_runs,
+        sim_cycles: r.stats.sim_cycles,
+        curve_steps,
+        bugs: r
+            .stats
+            .bugs
+            .iter()
+            .map(|b| format!("{b} @{}", b.iteration))
+            .collect(),
+        corpus: (r.corpus_retained, r.corpus_evicted),
+    }
+}
+
+/// Netlist campaign reports recorded with the per-cell interpreter that
+/// the compiled simulator replaced: `netlist:small` at 300 iterations x
+/// 2 workers (seed 1) and `netlist:boom` at 12 iterations (seed 3), the
+/// `dejavuzz-fuzz` defaults otherwise.
+#[test]
+fn netlist_campaign_reports_are_pinned() {
+    let small = executor::run(
+        BackendSpec::netlist(SMALL_SCALE),
+        FuzzerOptions::default(),
+        2,
+        600,
+        1,
+    );
+    let boom = executor::run(
+        BackendSpec::netlist(BOOM_SCALE),
+        FuzzerOptions::default(),
+        1,
+        12,
+        3,
+    );
+    assert_eq!(small.stats.failed_runs, 0);
+    assert_eq!(boom.stats.failed_runs, 0);
+    assert_eq!(
+        pin_of(&small),
+        ReportPin {
+            iterations: 600,
+            sim_runs: 4991,
+            sim_cycles: 70519,
+            curve_steps: vec![(0, 2), (1, 3)],
+            bugs: vec![
+                "[SynthSmall] Spectre via illegal window -> core @0".into(),
+                "[SynthSmall] Spectre via mispred window -> core @7".into(),
+                "[SynthSmall] Spectre via mem-disamb window -> core @9".into(),
+                "[SynthSmall] Spectre via mem-excp window -> core @17".into(),
+                "[SynthSmall] Meltdown via mem-excp window -> core @20".into(),
+            ],
+            corpus: (4, 0),
+        }
+    );
+    assert_eq!(
+        pin_of(&boom),
+        ReportPin {
+            iterations: 12,
+            sim_runs: 99,
+            sim_cycles: 1223,
+            curve_steps: vec![(0, 2), (1, 5), (2, 7), (6, 9), (9, 12)],
+            bugs: vec![
+                "[BOOM] Meltdown via mem-excp window -> core @0".into(),
+                "[BOOM] Spectre via illegal window -> core @6".into(),
+                "[BOOM] Spectre via mispred window -> core @10".into(),
+            ],
+            corpus: (4, 0),
+        }
+    );
 }
