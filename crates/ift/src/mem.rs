@@ -12,11 +12,30 @@ use crate::tword::TWord;
 /// * write: `(Wen ? Wdata_t : mem_t[addr]) | {WIDTH{Wen_diff | (addr_diff & Wen)}}`
 ///
 /// Under CellIFT the `*_diff` gates are replaced by "the signal is tainted".
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct TMem {
     a: Vec<u64>,
     b: Vec<u64>,
     t: Vec<u64>,
+}
+
+impl Clone for TMem {
+    fn clone(&self) -> Self {
+        TMem {
+            a: self.a.clone(),
+            b: self.b.clone(),
+            t: self.t.clone(),
+        }
+    }
+
+    /// Copies `source` in place, reusing this memory's planes, so a
+    /// simulator checkpoint of the same geometry is saved and restored
+    /// without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.a.clone_from(&source.a);
+        self.b.clone_from(&source.b);
+        self.t.clone_from(&source.t);
+    }
 }
 
 impl TMem {
@@ -298,6 +317,26 @@ mod tests {
         m.write(DIFF, TWord::lit(1), TWord::secret(2, 5), TWord::lit(9));
         m.reset();
         assert_eq!(m, TMem::new(8));
+    }
+
+    #[test]
+    fn clone_from_copies_in_place() {
+        let mut src = TMem::new(8);
+        src.poke(1, TWord::secret(3, 4));
+        src.write(DIFF, TWord::lit(1), TWord::secret(2, 5), TWord::lit(9));
+        let mut dst = TMem::new(8);
+        dst.poke(7, TWord::lit(70));
+        let planes = [dst.a.as_ptr(), dst.b.as_ptr(), dst.t.as_ptr()];
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(
+            [dst.a.as_ptr(), dst.b.as_ptr(), dst.t.as_ptr()],
+            planes,
+            "same geometry: every plane keeps its buffer"
+        );
+        let mut shorter = TMem::new(2);
+        shorter.clone_from(&src);
+        assert_eq!(shorter, src, "a different geometry still copies exactly");
     }
 
     #[test]

@@ -32,4 +32,4 @@ pub mod sim;
 pub use builder::NetlistBuilder;
 pub use instrument::{instrument, InstrumentReport};
 pub use ir::{CellKind, MemId, Netlist, NetlistError, SignalId};
-pub use sim::NetlistSim;
+pub use sim::{NetlistSim, SimState};

@@ -25,6 +25,17 @@
 //!   (registers at their init values, all other signals, memories and
 //!   inputs zero, cycle 0) in any mode, so one compiled simulator serves
 //!   every run of a campaign.
+//! * **Checkpoint.** [`NetlistSim::save`] copies the sequential state
+//!   into a reusable [`SimState`]: every register, every memory (through
+//!   [`TMem`]'s buffer-reusing `clone_from`), the per-module taint
+//!   counts, the inputs, the cycle and the IFT mode.
+//!   [`NetlistSim::restore`] copies it back. Combinational values are not
+//!   saved, because the next [`NetlistSim::eval_comb`] recomputes every
+//!   one of them: a tape op reads only constants, inputs, memories,
+//!   registers and cells earlier on the tape. Between a restore and that
+//!   evaluation they read stale, left over from whatever the simulator
+//!   evaluated last, and so do [`NetlistSim::signal`], the outputs and
+//!   the liveness bits of [`NetlistSim::sink_reports`].
 
 use std::collections::HashMap;
 
@@ -78,6 +89,8 @@ struct Program {
     tape: Vec<(u32, Op)>,
     /// Registers with a `d` connection (unconnected ones hold forever).
     edges: Vec<RegEdge>,
+    /// Every register, connected or not: the signals a [`SimState`] saves.
+    regs: Vec<u32>,
     /// Every register with a non-zero initial value.
     inits: Vec<(u32, u64)>,
     writes: Vec<WritePort>,
@@ -125,6 +138,7 @@ impl Program {
                         (p.modules.len() - 1) as u32
                     });
                     p.totals[module as usize] += 1;
+                    p.regs.push(dst);
                     if init != 0 {
                         p.inits.push((dst, init));
                     }
@@ -191,6 +205,33 @@ impl Regime for DiffIftRegime {
     const POLICY: Policy = Policy::new(IftMode::DiffIft);
 }
 
+/// A saved copy of a [`NetlistSim`]'s sequential state; see
+/// [`NetlistSim::save`]. Saving into the same `SimState` again reuses its
+/// buffers, so one state can be overwritten any number of times without
+/// allocating.
+#[derive(Clone, Debug, Default)]
+pub struct SimState {
+    /// Register values, in the compiled program's register order.
+    regs: Vec<TWord>,
+    mems: Vec<TMem>,
+    tainted: Vec<usize>,
+    inputs: Vec<TWord>,
+    cycle: u64,
+    mode: IftMode,
+}
+
+impl SimState {
+    /// The cycle count at which the state was saved.
+    pub fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    /// The IFT mode the state was saved in.
+    pub fn mode(&self) -> IftMode {
+        self.mode
+    }
+}
+
 /// Simulates a netlist cycle by cycle.
 #[derive(Clone, Debug)]
 pub struct NetlistSim {
@@ -255,6 +296,50 @@ impl NetlistSim {
         self.inputs.clear();
         self.inputs.resize(self.program.inputs, TWord::lit(0));
         self.cycle = 0;
+    }
+
+    /// Copies the sequential state into `state`, overwriting it in place:
+    /// every register, every memory, the per-module taint counts, the
+    /// inputs, the cycle and the IFT mode. Combinational values are left
+    /// out; see [`NetlistSim::restore`].
+    pub fn save(&self, state: &mut SimState) {
+        state.regs.clear();
+        let regs = self.program.regs.iter().map(|&q| self.values[q as usize]);
+        state.regs.extend(regs);
+        state.mems.clone_from(&self.mems);
+        state.tainted.clone_from(&self.tainted);
+        state.inputs.clone_from(&self.inputs);
+        state.cycle = self.cycle;
+        state.mode = self.policy.mode();
+    }
+
+    /// Returns to a state [`NetlistSim::save`] took from a simulator of
+    /// the same netlist. Combinational signals are stale until the next
+    /// [`NetlistSim::eval_comb`] or [`NetlistSim::step`] recomputes them
+    /// from the restored state, so evaluate at least once before reading
+    /// a signal, an output or [`NetlistSim::sink_reports`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` does not match this netlist's registers and
+    /// memories (it was saved from another netlist, or never saved).
+    pub fn restore(&mut self, state: &SimState) {
+        let fits = state.regs.len() == self.program.regs.len()
+            && state.mems.len() == self.mems.len()
+            && state
+                .mems
+                .iter()
+                .zip(&self.mems)
+                .all(|(s, m)| s.len() == m.len());
+        assert!(fits, "state was not saved from this netlist");
+        for (&q, &w) in self.program.regs.iter().zip(&state.regs) {
+            self.values[q as usize] = w;
+        }
+        self.mems.clone_from(&state.mems);
+        self.tainted.clone_from(&state.tainted);
+        self.inputs.clone_from(&state.inputs);
+        self.cycle = state.cycle;
+        self.policy = Policy::new(state.mode);
     }
 
     /// The simulated netlist.
@@ -714,5 +799,53 @@ mod tests {
         assert_eq!(sim.input_count(), 3);
         sim.eval_comb();
         assert_eq!(sim.signal(data), TWord::lit(0), "inputs are undriven");
+    }
+
+    #[test]
+    fn restore_returns_to_the_saved_state() {
+        let mut b = NetlistBuilder::new();
+        b.module("rob");
+        let m = b.mem(4, "buf");
+        let r = b.reg(7);
+        let held = b.reg(4); // unconnected: only the testbench changes it
+        let wen = b.input(0);
+        let addr = b.input(1);
+        let data = b.input(2);
+        b.connect_reg(r, data, None);
+        b.connect_mem_write(m, wen, addr, data);
+        let mut sim = NetlistSim::new(b.finish(), IftMode::DiffIft);
+        sim.set_input(0, TWord::lit(1));
+        sim.set_input(1, TWord::lit(2));
+        sim.set_input(2, TWord::secret(5, 6));
+        sim.step();
+        let mut state = SimState::default();
+        sim.save(&mut state);
+        let census = sim.census();
+
+        sim.set_input(1, TWord::lit(3));
+        sim.set_input(2, TWord::lit(9));
+        sim.step();
+        sim.reset(IftMode::Base);
+        sim.taint_reg(held);
+        sim.restore(&state);
+        assert_eq!((sim.cycle(), sim.mode()), (1, IftMode::DiffIft));
+        assert_eq!(sim.signal(r), TWord::secret(5, 6));
+        assert_eq!(sim.signal(held), TWord::lit(4));
+        assert_eq!(sim.mem_peek(0, 2), TWord::secret(5, 6));
+        assert_eq!(sim.mem_peek(0, 3), TWord::lit(0));
+        assert_eq!(sim.census(), census);
+        sim.eval_comb();
+        assert_eq!(sim.signal(data), TWord::secret(5, 6), "inputs are restored");
+    }
+
+    #[test]
+    #[should_panic(expected = "not saved from this netlist")]
+    fn restore_rejects_a_foreign_state() {
+        let mut b = NetlistBuilder::new();
+        let r = b.reg(0);
+        let c = b.constant(0);
+        b.connect_reg(r, c, None);
+        let mut sim = NetlistSim::new(b.finish(), IftMode::DiffIft);
+        sim.restore(&SimState::default());
     }
 }

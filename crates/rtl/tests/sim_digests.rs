@@ -7,15 +7,24 @@
 //! signal and every memory slot, plus the final sink sweep, are folded
 //! into FNV-1a digests. The constants were recorded with the per-cell
 //! interpreter the compiled simulator replaced, so they pin the compiled
-//! form to the old semantics bit for bit.
+//! form to the old semantics bit for bit. A run interrupted by a saved
+//! state, a detour and a restore must digest exactly like one that was
+//! not.
 
 use dejavuzz_ift::{IftMode, TWord};
 use dejavuzz_rtl::examples::{rob_entry_circuit, synthetic_core, BOOM_SCALE, SMALL_SCALE};
 use dejavuzz_rtl::ir::{CellKind, Netlist};
-use dejavuzz_rtl::NetlistSim;
+use dejavuzz_rtl::{NetlistSim, SimState};
 
 /// Cycles each run simulates.
 const CYCLES: u64 = 24;
+
+/// Cycles after which a run saves its state and takes a detour: after
+/// cycle 1, mid-run, and one cycle before the end.
+const SPLITS: [u64; 3] = [1, CYCLES / 2, CYCLES - 1];
+
+/// Cycles of different, tainted input a detour drives before restoring.
+const DETOUR: u64 = 3;
 
 /// FNV-1a over little-endian words.
 struct Fnv(u64);
@@ -118,8 +127,27 @@ fn drive(sim: &mut NetlistSim, io: &Io, cycle: u64) {
     sim.set_input(io.index, index);
 }
 
+/// Drives cycle `k` of a detour: every role secret-dependent, so the
+/// detour leaves taint and plane differences everywhere it reaches.
+fn drive_detour(sim: &mut NetlistSim, io: &Io, k: u64) {
+    let word = (k + 1).wrapping_mul(0xD1B5_4A32_D192_ED03);
+    for (j, &a) in io.aux.iter().enumerate() {
+        sim.set_input(a, TWord::secret(word >> j, !word >> j));
+    }
+    sim.set_input(io.data, TWord::secret(word, word.rotate_left(7)));
+    sim.set_input(io.control, TWord::with_taint(1, k & 1, 1));
+    sim.set_input(io.index, TWord::secret(k, k + 3));
+}
+
 /// Runs the stimulus on `sim` (fresh or freshly reset) and digests it.
 fn run(sim: &mut NetlistSim, netlist: &Netlist, io: &Io) -> Digest {
+    run_with_detour(sim, netlist, io, None)
+}
+
+/// [`run`], except that with `split = Some(c)` the run saves its state
+/// after cycle `c`, resets into another mode, drives [`DETOUR`] cycles of
+/// tainted input, then restores and finishes the stimulus.
+fn run_with_detour(sim: &mut NetlistSim, netlist: &Netlist, io: &Io, split: Option<u64>) -> Digest {
     let (mut census, mut signals, mut mems, mut sinks) =
         (Fnv::new(), Fnv::new(), Fnv::new(), Fnv::new());
     // Testbench-side taint sources: a planted secret in the first memory
@@ -134,7 +162,22 @@ fn run(sim: &mut NetlistSim, netlist: &Netlist, io: &Io) -> Digest {
     {
         sim.taint_reg(r);
     }
+    let mut state = SimState::default();
     for cycle in 0..CYCLES {
+        if split == Some(cycle) {
+            sim.save(&mut state);
+            sim.reset(match sim.mode() {
+                IftMode::Base => IftMode::CellIft,
+                IftMode::CellIft => IftMode::DiffIft,
+                IftMode::DiffIft => IftMode::Base,
+            });
+            for k in 0..DETOUR {
+                drive_detour(sim, io, k);
+                sim.step();
+            }
+            sim.restore(&state);
+            assert_eq!(sim.cycle(), cycle, "the cycle count is restored");
+        }
         drive(sim, io, cycle);
         sim.step();
         census.u64(sim.cycle());
@@ -309,6 +352,27 @@ fn reset_simulators_match_fresh_ones() {
                 fresh,
                 "{name} in {mode:?} after reset"
             );
+        }
+    }
+}
+
+/// A run that saves after cycle `c`, takes a detour through another mode
+/// and tainted input, then restores, must digest exactly like the pinned
+/// uninterrupted run: census, every signal, every memory slot and the
+/// final sink sweep.
+#[test]
+fn restored_simulators_match_pinned_digests() {
+    for (name, netlist, io) in circuits() {
+        for mode in IftMode::ALL {
+            let mut sim = NetlistSim::new(netlist.clone(), mode);
+            for split in SPLITS {
+                sim.reset(mode);
+                assert_eq!(
+                    run_with_detour(&mut sim, &netlist, io, Some(split)),
+                    pinned(name, mode),
+                    "{name} in {mode:?}, restored after cycle {split}"
+                );
+            }
         }
     }
 }

@@ -155,3 +155,53 @@ proptest! {
         prop_assert!(r.trace.committed() > 0);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One netlist backend serving a random sequence of runs gives each
+    /// run exactly a fresh backend's outcome, whether or not the run
+    /// restored the backend's checkpoint. Every run draws a window type
+    /// and entropy (usually the previous run's, so runs share clean
+    /// prefixes), a mutation, a window fill, an IFT mode and a cycle
+    /// budget.
+    #[test]
+    fn netlist_checkpoint_reuse_matches_fresh_backends(draws in any::<u64>(), runs in 4usize..10) {
+        use dejavuzz::backend::{NetlistBackend, SimBackend};
+        use dejavuzz::gen::{self, Seed, WindowFill, WindowType};
+        use dejavuzz::rand::rngs::StdRng;
+        use dejavuzz::rand::{Rng, SeedableRng};
+        use dejavuzz_rtl::examples::SMALL_SCALE;
+
+        let mut rng = StdRng::seed_from_u64(draws);
+        let mut reused = NetlistBackend::synthetic(SMALL_SCALE);
+        let mut seed = Seed::new(WindowType::BranchMispredict, 0);
+        for _ in 0..runs {
+            if rng.gen_range(0..3) == 0 {
+                seed = Seed::new(WindowType::ALL[rng.gen_range(0..8)], rng.gen_range(0..4));
+            }
+            let seed = Seed { mutation: rng.gen_range(0..3), ..seed };
+            let plan = gen::plan(&seed);
+            let body = gen::complete_window(&seed, &plan);
+            let fill = match rng.gen_range(0..3) {
+                0 => WindowFill::Dummy,
+                1 => WindowFill::Body(body.full()),
+                _ => WindowFill::Sanitized(body.sanitized()),
+            };
+            let mut schedule = gen::derive_trainings(&seed, &plan, 1);
+            schedule.push(gen::build_transient(&plan, &fill));
+            let mode = IftMode::ALL[rng.gen_range(0..3)];
+            let max_cycles = if rng.gen() { 20_000 } else { rng.gen_range(0..64) };
+
+            let a = reused.run(&plan, &schedule, mode, max_cycles).unwrap();
+            let b = NetlistBackend::synthetic(SMALL_SCALE)
+                .run(&plan, &schedule, mode, max_cycles)
+                .unwrap();
+            prop_assert_eq!(a.trace.events(), b.trace.events());
+            prop_assert!(a.taint_log.iter().eq(b.taint_log.iter()));
+            prop_assert_eq!(a.sinks, b.sinks);
+            prop_assert_eq!(a.total_cycles, b.total_cycles);
+            prop_assert_eq!(a.packets_run, b.packets_run);
+        }
+    }
+}
