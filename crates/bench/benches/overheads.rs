@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks backing Table 4's per-mode costs: attack
 //! simulation under Base / CellIFT / diffIFT, instrumentation passes, and
-//! one fuzzing iteration end to end.
+//! a short single-worker campaign end to end.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dejavuzz::campaign::{Campaign, FuzzerOptions};
+use dejavuzz::builder::CampaignBuilder;
 use dejavuzz_ift::IftMode;
 use dejavuzz_rtl::examples::{synthetic_core, CoreScale};
 use dejavuzz_rtl::instrument;
@@ -40,14 +40,17 @@ fn instrument_passes(c: &mut Criterion) {
     g.finish();
 }
 
+/// Eight iterations of a prebuilt single-worker campaign per sample: the
+/// run spawns its worker thread and simulator, so per-iteration cost is
+/// the sample over 8.
 fn fuzz_iteration(c: &mut Criterion) {
     c.bench_function("fuzz_iteration", |b| {
-        let mut campaign = Campaign::with_backend(
-            dejavuzz::BackendSpec::behavioural(boom_small()),
-            FuzzerOptions::default(),
-            1,
-        );
-        b.iter(|| campaign.iteration())
+        let orch = CampaignBuilder::new()
+            .backend(dejavuzz::BackendSpec::behavioural(boom_small()))
+            .seed(1)
+            .build()
+            .expect("a valid bench configuration");
+        b.iter(|| orch.run(8))
     });
 }
 

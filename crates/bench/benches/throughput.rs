@@ -12,8 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dejavuzz::backend::{BackendSpec, BehaviouralBackend, SimBackend};
-use dejavuzz::campaign::FuzzerOptions;
-use dejavuzz::executor;
+use dejavuzz::builder::CampaignBuilder;
 use dejavuzz::gen::WindowType;
 use dejavuzz::phases::{phase1, PhaseOptions};
 use dejavuzz::Seed;
@@ -39,13 +38,13 @@ fn pool_scaling(c: &mut Criterion) {
         }
         g.bench_function(&format!("{ITERATIONS}_iters_{workers}_workers"), |b| {
             b.iter(|| {
-                executor::run(
-                    BackendSpec::behavioural(boom_small()),
-                    FuzzerOptions::default(),
-                    workers,
-                    ITERATIONS,
-                    7,
-                )
+                CampaignBuilder::new()
+                    .backend(BackendSpec::behavioural(boom_small()))
+                    .workers(workers)
+                    .seed(7)
+                    .build()
+                    .expect("a valid bench configuration")
+                    .run(ITERATIONS)
             })
         });
     }
@@ -65,7 +64,7 @@ fn schedulers(c: &mut Criterion) {
     ] {
         g.bench_function(&format!("{ITERATIONS}_iters_2_workers_{name}"), |b| {
             b.iter(|| {
-                dejavuzz::CampaignBuilder::new()
+                CampaignBuilder::new()
                     .workers(2)
                     .seed(7)
                     .scheduler(spec.clone())
@@ -89,7 +88,7 @@ fn backends(c: &mut Criterion) {
         let mut backend = BehaviouralBackend::new(boom_small());
         b.iter(|| phase1(&mut backend, &seed, &opts).unwrap())
     });
-    // Dyn dispatch: what Campaign/Worker actually do.
+    // Dyn dispatch: what a pool worker actually does.
     g.bench_function("phase1_behavioural_dyn", |b| {
         let mut backend: Box<dyn SimBackend> = BackendSpec::default().build();
         b.iter(|| phase1(backend.as_mut(), &seed, &opts).unwrap())
@@ -97,13 +96,12 @@ fn backends(c: &mut Criterion) {
     // One netlist-backend campaign round (the CI bench-smoke netlist run).
     g.bench_function("campaign_netlist_small", |b| {
         b.iter(|| {
-            executor::run(
-                BackendSpec::netlist(SMALL_SCALE),
-                FuzzerOptions::default(),
-                1,
-                8,
-                7,
-            )
+            CampaignBuilder::new()
+                .backend(BackendSpec::netlist(SMALL_SCALE))
+                .seed(7)
+                .build()
+                .expect("a valid bench configuration")
+                .run(8)
         })
     });
     g.finish();

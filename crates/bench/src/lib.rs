@@ -9,14 +9,33 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
+use dejavuzz::builder::CampaignBuilder;
 use dejavuzz::campaign::{CampaignStats, FuzzerOptions};
-use dejavuzz::executor;
+use dejavuzz::executor::ExecutorReport;
 use dejavuzz::gen::WindowType;
 use dejavuzz::observer::json_str;
 use dejavuzz_ift::{CoverageMatrix, IftMode};
 use dejavuzz_specdoctor::{SpecDoctor, SpecDoctorOptions};
 use dejavuzz_uarch::core::Core;
 use dejavuzz_uarch::{attacks, boom_small, xiangshan_minimal, CoreConfig};
+
+/// A default-geometry campaign of `iterations` on `workers` threads.
+fn campaign(
+    backend: dejavuzz::BackendSpec,
+    opts: FuzzerOptions,
+    workers: usize,
+    iterations: usize,
+    seed: u64,
+) -> ExecutorReport {
+    CampaignBuilder::new()
+        .backend(backend)
+        .options(opts)
+        .workers(workers)
+        .seed(seed)
+        .build()
+        .expect("a valid campaign configuration")
+        .run(iterations)
+}
 
 /// Table 2: the core-summary rows.
 pub fn table2() -> String {
@@ -267,7 +286,7 @@ pub fn figure7(iterations: usize, trials: u64) -> String {
         ] {
             // Single-worker pool: the exact per-iteration union curve with
             // sequential-iteration semantics, comparable to SpecDoctor's.
-            let stats = executor::run(
+            let stats = campaign(
                 dejavuzz::BackendSpec::behavioural(boom_small()),
                 opts,
                 1,
@@ -301,7 +320,7 @@ pub fn figure7(iterations: usize, trials: u64) -> String {
 pub fn figure7_summary(iterations: usize, trials: u64) -> String {
     let mut totals: BTreeMap<&str, f64> = BTreeMap::new();
     for trial in 0..trials {
-        let dv = executor::run(
+        let dv = campaign(
             dejavuzz::BackendSpec::behavioural(boom_small()),
             FuzzerOptions::default(),
             1,
@@ -310,7 +329,7 @@ pub fn figure7_summary(iterations: usize, trials: u64) -> String {
         )
         .stats
         .coverage() as f64;
-        let minus = executor::run(
+        let minus = campaign(
             dejavuzz::BackendSpec::behavioural(boom_small()),
             FuzzerOptions::dejavuzz_minus(),
             1,
@@ -399,7 +418,7 @@ pub fn table5(iterations: usize) -> String {
     let mut out = String::from("Table 5: Summary of discovered transient execution bugs\n\n");
     for cfg in [boom_small(), xiangshan_minimal()] {
         let start = Instant::now();
-        let stats = executor::run(
+        let stats = campaign(
             dejavuzz::BackendSpec::behavioural(cfg),
             FuzzerOptions::default(),
             2,
@@ -514,7 +533,7 @@ pub fn throughput_with(
     seed: u64,
 ) -> (Duration, f64) {
     let start = Instant::now();
-    let report = executor::run(
+    let report = campaign(
         backend.clone(),
         FuzzerOptions::default(),
         workers,

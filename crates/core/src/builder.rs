@@ -360,12 +360,13 @@ impl CampaignBuilder {
         self
     }
 
-    /// Feedback lag of the cross-round steal pipeline (default 0 =
-    /// barriered rounds, the exact historical behaviour). Any `lag >= 1`
-    /// lets the orchestrator pre-draw the next round while the current
-    /// one's stragglers finish: round `k` is planned from the state
-    /// committed through round `k - 2`, killing the end-of-round barrier
-    /// idle. Requires a scheduler whose
+    /// Feedback lag of the cross-round steal pipeline. The executor's one
+    /// commit loop runs at depth 0 (barriered rounds) for the default lag
+    /// 0 and at depth 1 for any `lag >= 1`: the orchestrator then
+    /// pre-draws the next round while the current one's stragglers
+    /// finish, so round `k` is planned from the state committed through
+    /// round `k - 2`, killing the end-of-round barrier idle. Requires a
+    /// scheduler whose
     /// [`Scheduler::supports_pipelining`] is true (the built-in
     /// [`SchedulerSpec::WorkStealing`]); anything else is a
     /// [`BuildError::PipelineLagUnsupported`]. Part of the campaign's

@@ -1,34 +1,26 @@
-//! The fuzzing campaign: the single-worker façade over the pipeline
-//! (corpus scheduling + coverage-guided loop), the ablation variants, and
-//! the parallel entry point (now backed by [`crate::executor`]).
+//! Campaign configuration and results: [`FuzzerOptions`] with the
+//! ablation variants of the evaluation, and the [`CampaignStats`] a run
+//! reports. Campaigns themselves run through
+//! [`crate::builder::CampaignBuilder`] and the [`crate::executor`]'s one
+//! commit loop, single-worker ones (the paper's sequential Figure 7
+//! curves) included.
 
 use std::collections::BTreeMap;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dejavuzz_ift::IftMode;
 
-use dejavuzz_ift::{CoverageMatrix, IftMode};
-
-use crate::backend::{BackendSpec, SimBackend};
-use crate::builder::BuildError;
-use crate::corpus::Corpus;
-use crate::executor::{self, GainAverage};
 use crate::gen::WindowType;
 use crate::phases::PhaseOptions;
 use crate::report::BugReport;
-use crate::scheduler::{PolicySpec, SeedPolicy, SlotFeedback};
 
 /// Campaign-level configuration. The ablation variants of the evaluation
 /// are spelled as constructors: [`FuzzerOptions::dejavuzz_star`] (random
 /// training, §6.2), [`FuzzerOptions::dejavuzz_minus`] (no coverage
-/// feedback, §6.3) and [`FuzzerOptions::no_liveness`] (§6.3).
+/// feedback, §6.3) and [`FuzzerOptions::no_liveness`] (§6.3); run one
+/// through [`crate::builder::CampaignBuilder::options`].
 ///
 /// The system under test is *not* part of these options: pass a
-/// [`BackendSpec`] to [`Campaign::with_backend`] /
-/// [`crate::builder::CampaignBuilder::backend`]. (Historically a
-/// `CoreConfig` was plumbed positionally next to `FuzzerOptions`
-/// everywhere; the last compatibility shims for that spelling were
-/// removed when [`crate::builder::CampaignBuilder`] landed.)
+/// [`crate::BackendSpec`] to [`crate::builder::CampaignBuilder::backend`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FuzzerOptions {
     /// Phase tunables.
@@ -162,9 +154,9 @@ impl CampaignStats {
     /// over-reports. (An earlier revision documented a pointwise *sum*
     /// but never implemented any curve merge at all, leaving
     /// `coverage_curve` empty after a parallel merge.) For the **exact**
-    /// union curve, run through [`crate::executor::run`], which maintains
-    /// shared coverage while the workers execute instead of approximating
-    /// afterwards.
+    /// union curve, run one multi-worker campaign, whose executor
+    /// maintains shared coverage while the workers execute instead of
+    /// approximating afterwards.
     pub fn merge(&mut self, other: &CampaignStats) {
         self.iterations += other.iterations;
         self.sim_runs += other.sim_runs;
@@ -196,197 +188,27 @@ impl CampaignStats {
     }
 }
 
-/// A fuzzing campaign against one system under test: the thin
-/// single-worker façade over the pipeline machinery ([`Corpus`]
-/// scheduling plus the shared per-iteration engine of
-/// [`crate::executor`]). Multi-worker runs go through
-/// [`crate::executor::run`]; this type exists for the paper's sequential
-/// curves (Figure 7), the ablation variants, and as the simplest entry
-/// point.
-#[derive(Debug)]
-pub struct Campaign {
-    backend: Box<dyn SimBackend>,
-    opts: FuzzerOptions,
-    rng: StdRng,
-    corpus: Corpus,
-    policy: Box<dyn SeedPolicy>,
-    coverage: CoverageMatrix,
-    stats: CampaignStats,
-    /// Running average of coverage gain (the mutation threshold of §4.2.2).
-    gain: GainAverage,
-    /// Active scenario-instance indices for fresh-seed draws (sorted by
-    /// canonical spec; empty by default).
-    scenarios: Vec<u16>,
-}
-
-impl Campaign {
-    /// A new campaign over any backend spec with deterministic RNG
-    /// seeding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backend` is an unregistered
-    /// [`BackendSpec::Extension`]; build custom-backend campaigns
-    /// through [`crate::builder::CampaignBuilder`] (structured errors) or
-    /// pass the instance directly to [`Campaign::with_boxed_backend`].
-    pub fn with_backend(backend: BackendSpec, opts: FuzzerOptions, rng_seed: u64) -> Self {
-        Self::with_boxed_backend(backend.build(), opts, rng_seed)
-    }
-
-    /// A new campaign over a caller-constructed backend instance (custom
-    /// netlists, future external simulators).
-    pub fn with_boxed_backend(
-        backend: Box<dyn SimBackend>,
-        opts: FuzzerOptions,
-        rng_seed: u64,
-    ) -> Self {
-        // Corpus retention/scheduling is coverage feedback, so DejaVuzz⁻
-        // runs with the corpus disabled (always explore, never retain).
-        let corpus = if opts.coverage_feedback {
-            Corpus::default()
-        } else {
-            Corpus::default().with_exploit_probability(0.0)
-        };
-        Campaign {
-            backend,
-            opts,
-            rng: StdRng::seed_from_u64(rng_seed),
-            corpus,
-            policy: PolicySpec::default()
-                .build(None)
-                .expect("the default policy is built-in"),
-            coverage: CoverageMatrix::new(),
-            stats: CampaignStats::default(),
-            gain: GainAverage::default(),
-            scenarios: Vec::new(),
-        }
-    }
-
-    /// Enables scenario-template window families for fresh-seed draws:
-    /// each spec is `family` or `family:param=val`, parsed and interned
-    /// through [`dejavuzz_scenarios::intern_spec`]. Call before the
-    /// first iteration (the scenario pool is part of the campaign's
-    /// replay identity, like the RNG seed).
-    pub fn with_scenarios<S: AsRef<str>>(mut self, specs: &[S]) -> Result<Self, BuildError> {
-        self.scenarios = crate::builder::intern_scenarios(specs)?.1;
-        Ok(self)
-    }
-
-    /// Swaps the corpus seed policy (default
-    /// [`PolicySpec::EnergyDecay`], the historical behaviour). Call
-    /// before the first iteration: mid-campaign swaps would mix two
-    /// policies' scheduling state. [`PolicySpec::Extension`] ids that
-    /// are not registered are a [`BuildError::UnknownSeedPolicy`].
-    pub fn with_seed_policy(mut self, policy: PolicySpec) -> Result<Self, BuildError> {
-        self.policy = policy.build(None)?;
-        Ok(self)
-    }
-
-    /// The simulation backend driving this campaign.
-    pub fn backend(&self) -> &dyn SimBackend {
-        self.backend.as_ref()
-    }
-
-    /// The coverage matrix accumulated so far.
-    pub fn coverage(&self) -> &CoverageMatrix {
-        &self.coverage
-    }
-
-    /// The stats accumulated so far.
-    pub fn stats(&self) -> &CampaignStats {
-        &self.stats
-    }
-
-    /// The seed corpus accumulated so far.
-    pub fn corpus(&self) -> &Corpus {
-        &self.corpus
-    }
-
-    /// Runs `iterations` fuzzing iterations, returning the final stats.
-    pub fn run(&mut self, iterations: usize) -> CampaignStats {
-        for _ in 0..iterations {
-            self.iteration();
-        }
-        self.stats.clone()
-    }
-
-    /// One fuzzing iteration: corpus scheduling → Phase 1 → Phase 2 (with
-    /// coverage-guided mutation) → Phase 3 → retention.
-    pub fn iteration(&mut self) {
-        let slot = self.stats.iterations;
-        let scheduled = self.policy.schedule(&mut self.corpus, &mut self.rng);
-        let outcome = executor::run_iteration(
-            self.backend.as_mut(),
-            &self.opts,
-            slot,
-            scheduled.as_ref(),
-            &self.scenarios,
-            &mut self.rng,
-            &mut self.coverage,
-            None, // the view IS the only matrix — no separate accounting
-            None, // no concurrent union in the single-worker façade
-            &mut self.gain,
-        );
-        executor::fold_outcome(&mut self.stats, &outcome);
-        self.stats.coverage_curve.push(self.coverage.points());
-        if self.opts.coverage_feedback {
-            // Single worker: the view is the global union, so the
-            // outcome's view-fresh points are exactly its global
-            // contribution.
-            self.policy.record(
-                &mut self.corpus,
-                &SlotFeedback {
-                    seed: &outcome.seed,
-                    window_type: outcome.window_type,
-                    gain: outcome.final_gain,
-                    global_fresh: &outcome.fresh_points,
-                    cost: outcome.to as u64,
-                },
-            );
-        }
-    }
-}
-
-/// The parallel fuzzing entry point ("allowing multiple RTL simulation
-/// instances to run in parallel", §5), kept under its historical name.
-///
-/// Formerly each thread ran a fully independent campaign whose disjoint
-/// stats were approximately merged at the end; now this is a thin wrapper
-/// over [`crate::executor::run`]: one shared corpus, one shared gain
-/// threshold, and an exact concurrent coverage union. `iterations_per_
-/// thread` is kept as the historical unit of work — the pool executes
-/// `threads * iterations_per_thread` iterations in total.
-pub fn parallel_run(
-    backend: BackendSpec,
-    opts: FuzzerOptions,
-    threads: usize,
-    iterations_per_thread: usize,
-    rng_seed: u64,
-) -> CampaignStats {
-    let threads = threads.max(1);
-    executor::run(
-        backend,
-        opts,
-        threads,
-        threads * iterations_per_thread,
-        rng_seed,
-    )
-    .stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::CampaignBuilder;
+    use crate::BackendSpec;
     use dejavuzz_uarch::boom_small;
+
+    /// A single-worker campaign on behavioural BOOM.
+    fn campaign(seed: u64, iterations: usize) -> CampaignStats {
+        CampaignBuilder::new()
+            .backend(BackendSpec::behavioural(boom_small()))
+            .seed(seed)
+            .build()
+            .unwrap()
+            .run(iterations)
+            .stats
+    }
 
     #[test]
     fn campaign_accumulates_coverage_monotonically() {
-        let mut c = Campaign::with_backend(
-            BackendSpec::behavioural(boom_small()),
-            FuzzerOptions::default(),
-            1,
-        );
-        let stats = c.run(15);
+        let stats = campaign(1, 15);
         assert_eq!(stats.iterations, 15);
         assert_eq!(stats.coverage_curve.len(), 15);
         assert!(
@@ -398,12 +220,7 @@ mod tests {
 
     #[test]
     fn campaign_finds_bugs_on_vulnerable_boom() {
-        let mut c = Campaign::with_backend(
-            BackendSpec::behavioural(boom_small()),
-            FuzzerOptions::default(),
-            3,
-        );
-        let stats = c.run(30);
+        let stats = campaign(3, 30);
         assert!(
             !stats.bugs.is_empty(),
             "30 iterations must surface at least one leak"
@@ -413,18 +230,8 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic_per_rng_seed() {
-        let s1 = Campaign::with_backend(
-            BackendSpec::behavioural(boom_small()),
-            FuzzerOptions::default(),
-            9,
-        )
-        .run(8);
-        let s2 = Campaign::with_backend(
-            BackendSpec::behavioural(boom_small()),
-            FuzzerOptions::default(),
-            9,
-        )
-        .run(8);
+        let s1 = campaign(9, 8);
+        let s2 = campaign(9, 8);
         assert_eq!(s1.coverage_curve, s2.coverage_curve);
         assert_eq!(s1.bugs, s2.bugs);
     }
@@ -445,26 +252,15 @@ mod tests {
 
     #[test]
     fn stats_merge_is_consistent() {
-        let a = Campaign::with_backend(
-            BackendSpec::behavioural(boom_small()),
-            FuzzerOptions::default(),
-            1,
-        )
-        .run(5);
-        let b = Campaign::with_backend(
-            BackendSpec::behavioural(boom_small()),
-            FuzzerOptions::default(),
-            2,
-        )
-        .run(5);
+        let a = campaign(1, 5);
+        let b = campaign(2, 5);
         let mut m = a.clone();
         m.merge(&b);
         assert_eq!(m.iterations, 10);
         assert!(m.sim_runs >= a.sim_runs + b.sim_runs);
         assert!(m.bugs.len() <= a.bugs.len() + b.bugs.len(), "dedup applies");
-        // The curve merge (the old implementation dropped curves entirely,
-        // leaving `parallel_run` with an empty one): pointwise max over
-        // the overlap — never the inflated sum.
+        // The curve merge: pointwise max over the overlap — never the
+        // inflated sum.
         assert_eq!(m.coverage_curve.len(), 5);
         for (i, &c) in m.coverage_curve.iter().enumerate() {
             assert_eq!(c, a.coverage_curve[i].max(b.coverage_curve[i]));
@@ -474,34 +270,12 @@ mod tests {
 
     #[test]
     fn merge_keeps_longer_curve_tail() {
-        let a = Campaign::with_backend(
-            BackendSpec::behavioural(boom_small()),
-            FuzzerOptions::default(),
-            1,
-        )
-        .run(3);
-        let b = Campaign::with_backend(
-            BackendSpec::behavioural(boom_small()),
-            FuzzerOptions::default(),
-            2,
-        )
-        .run(6);
+        let a = campaign(1, 3);
+        let b = campaign(2, 6);
         let mut m = a.clone();
         m.merge(&b);
         assert_eq!(m.coverage_curve.len(), 6, "longer tail survives");
         assert_eq!(m.coverage_curve[5], b.coverage_curve[5]);
-    }
-
-    #[test]
-    fn parallel_manager_merges_threads() {
-        let stats = parallel_run(
-            BackendSpec::behavioural(boom_small()),
-            FuzzerOptions::default(),
-            2,
-            4,
-            77,
-        );
-        assert_eq!(stats.iterations, 8);
     }
 
     #[test]

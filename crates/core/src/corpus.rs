@@ -11,10 +11,9 @@
 //! every reschedule, so a once-interesting seed cannot monopolise the
 //! pipeline; capacity eviction drops the lowest-energy entry first.
 //!
-//! Scheduling draws all randomness from a caller-supplied RNG, so a
-//! single-worker [`crate::Campaign`] and the multi-worker
-//! [`crate::executor`] (which schedules centrally from the orchestrator)
-//! are both exactly reproducible.
+//! Scheduling draws all randomness from a caller-supplied RNG — the
+//! [`crate::executor`] schedules centrally from the orchestrator — so
+//! campaigns are exactly reproducible at any worker count.
 //!
 //! # Plan-time vs. commit-time reads under the cross-round pipeline
 //!

@@ -34,12 +34,26 @@
 //!    union is the live, lock-free-readable view of the same set (progress
 //!    monitoring, future work-stealing donors) and a runtime cross-check
 //!    that the two accounting paths agree.
-//! 3. Workers flush one batched result message per round — outcomes plus
-//!    their post-round RNG stream position and observed-matrix delta, so
-//!    the orchestrator mirrors every worker's full stream state. The
-//!    orchestrator folds outcomes back in global slot order: stats, the
-//!    per-iteration exact coverage curve, bug dedup, gain-threshold
-//!    samples and corpus retention all replay deterministically.
+//! 3. Workers send one reply per slot the moment it finishes — the
+//!    outcome with its observed-matrix delta, plus the worker's RNG
+//!    stream position after a batch slot — so the orchestrator mirrors
+//!    every worker's full stream state. The orchestrator commits outcomes
+//!    in global slot order: stats, the per-iteration exact coverage
+//!    curve, bug dedup, gain-threshold samples and corpus retention all
+//!    replay deterministically.
+//!
+//! # One commit loop
+//!
+//! [`Orchestrator::run_observed`] is the only loop that dispatches
+//! rounds. It keeps `depth` rounds in flight ahead of the round it is
+//! committing: depth 0 is the barrier (a round is planned only once its
+//! predecessor fully committed), depth 1 the cross-round steal pipeline
+//! that any `pipeline_lag >= 1` selects (the next round is already
+//! dispatched while the current one's stragglers finish; see the
+//! [`crate::scheduler`] docs for its feedback lag). The moment a round's
+//! last slot commits, its boundary runs: gossip, checkpoint, halt check,
+//! then the next dispatch. Every blocking wait for the next contiguous
+//! slot is timed as a commit stall — at depth 0 that is the barrier wait.
 //!
 //! The consequence is the property the old end-of-run merge could not
 //! offer: a campaign is **deterministic for a fixed worker count**
@@ -83,6 +97,7 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -99,7 +114,6 @@ use dejavuzz_ift::{
 };
 
 use crate::backend::{BackendSpec, SimBackend};
-use crate::builder::CampaignBuilder;
 use crate::campaign::{CampaignStats, FuzzerOptions};
 use crate::corpus::{Corpus, CorpusEntry};
 use crate::gen::{Seed, WindowType};
@@ -124,7 +138,7 @@ pub const DEFAULT_BATCH: usize = 4;
 /// The running-average mutation-gain threshold of §4.2.2, shared across
 /// all workers of a pool.
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct GainAverage {
+struct GainAverage {
     pub avg: f64,
     pub samples: usize,
 }
@@ -137,10 +151,10 @@ impl GainAverage {
     }
 }
 
-/// Everything one pipeline iteration produced, flushed to the
-/// orchestrator in per-round batches.
+/// Everything one pipeline iteration produced, sent to the orchestrator
+/// the moment its slot finishes.
 #[derive(Clone, Debug)]
-pub(crate) struct IterationOutcome {
+struct IterationOutcome {
     /// Global iteration index.
     pub slot: usize,
     /// Logical worker stream this slot is accounted to (the physical
@@ -181,64 +195,81 @@ pub(crate) struct IterationOutcome {
     pub error: Option<String>,
 }
 
-/// Models one round's wall-clock on `workers` dedicated cores from the
-/// measured per-slot costs: fixed per-stream chunks for round robin (the
-/// round ends when the slowest chunk does), greedy claim-order list
-/// scheduling for work stealing (each slot goes to the earliest-free
-/// core). Purely a reporting model — scheduling decisions never read it.
-fn round_makespan(outcomes: &[IterationOutcome], workers: usize, stealing: bool) -> u64 {
-    let mut clocks = vec![0u64; workers];
-    for o in outcomes {
-        let core = if stealing {
-            // Greedy: the earliest-free core claims the next slot.
-            (0..workers)
-                .min_by_key(|&w| clocks[w])
-                .expect("workers >= 1")
-        } else {
-            o.stream
-        };
-        clocks[core] += o.elapsed_nanos;
-    }
-    clocks.into_iter().max().unwrap_or(0)
-}
-
-/// Models the pipelined run's wall-clock on `workers` dedicated cores:
-/// per-core clocks persist across rounds (no barrier), and a round's slots
-/// are gated only on the modelled finish of the round two behind it (when
-/// its dispatch happened). Compare [`round_makespan`], which resets the
-/// clocks — i.e. barriers — every round.
+/// Models the run's wall-clock on dedicated cores from the measured
+/// per-slot costs, folded one committed slot at a time. Purely a
+/// reporting model — scheduling decisions never read it.
 ///
-/// Two invariants the scheduling-model tests rely on carry over: every
-/// greedy start time is bounded by the current maximum clock (the gate is
-/// itself an earlier clock value), so the makespan never exceeds the
-/// serial sum of costs; and `workers x makespan >= busy` since each core's
-/// clock bounds its own work.
-fn pipelined_makespan(round_costs: &[Vec<u64>], workers: usize) -> u64 {
-    let mut clocks = vec![0u64; workers];
-    let mut finishes: Vec<u64> = Vec::with_capacity(round_costs.len());
-    for (k, costs) in round_costs.iter().enumerate() {
-        // Round k was dispatched the moment round k-2 fully committed
-        // (the first two rounds are dispatched at start of run).
-        let gate = if k >= 2 { finishes[k - 2] } else { 0 };
-        let mut round_finish = 0u64;
-        for &cost in costs {
-            let core = (0..workers)
-                .min_by_key(|&w| clocks[w])
-                .expect("workers >= 1");
-            clocks[core] = clocks[core].max(gate) + cost;
-            round_finish = round_finish.max(clocks[core]);
-        }
-        finishes.push(round_finish);
-    }
-    clocks.into_iter().max().unwrap_or(0)
+/// Per-core clocks persist across rounds, and a round's slots may not
+/// start before the modelled finish of the round `depth + 1` behind it
+/// (the commit that dispatched it): at depth 0 each round waits for its
+/// predecessor, the barrier; at depth 1 consecutive rounds overlap.
+/// Stolen slots go to the earliest-free core (greedy claim order), batch
+/// slots to their stream's core. The state is O(workers): the clocks
+/// plus the last `depth + 1` round finishes.
+///
+/// Two invariants the scheduling-model tests rely on: every start time
+/// is bounded by the current maximum clock (the gate is itself an
+/// earlier clock value), so the makespan never exceeds the serial sum of
+/// costs; and `workers x makespan >= busy`, since each core's clock
+/// bounds its own work.
+struct MakespanModel {
+    clocks: Vec<u64>,
+    depth: usize,
+    /// Modelled finishes of the last `depth + 1` folded rounds, oldest
+    /// first.
+    finishes: VecDeque<u64>,
+    /// Modelled finish of the round being folded, so far.
+    round_finish: u64,
 }
 
-/// One three-phase pipeline iteration. Shared by [`Worker`] and the
-/// single-worker [`crate::Campaign`] façade. Dyn-dispatched on the
-/// backend: one virtual call per *simulation*, noise against the
-/// simulation itself (measured by the `backends` Criterion group).
+impl MakespanModel {
+    fn new(workers: usize, depth: usize) -> Self {
+        MakespanModel {
+            clocks: vec![0; workers],
+            depth,
+            finishes: VecDeque::with_capacity(depth + 2),
+            round_finish: 0,
+        }
+    }
+
+    /// Folds one slot: `stream` pins a batch slot to its core, `None`
+    /// is a stolen slot.
+    fn slot(&mut self, stream: Option<usize>, cost: u64) {
+        // Rounds dispatched at the start of the run wait for nothing.
+        let gate = if self.finishes.len() > self.depth {
+            self.finishes[0]
+        } else {
+            0
+        };
+        let core = stream.unwrap_or_else(|| {
+            (0..self.clocks.len())
+                .min_by_key(|&w| self.clocks[w])
+                .expect("workers >= 1")
+        });
+        self.clocks[core] = self.clocks[core].max(gate) + cost;
+        self.round_finish = self.round_finish.max(self.clocks[core]);
+    }
+
+    /// Closes the round being folded.
+    fn end_round(&mut self) {
+        self.finishes
+            .push_back(std::mem::take(&mut self.round_finish));
+        if self.finishes.len() > self.depth + 1 {
+            self.finishes.pop_front();
+        }
+    }
+
+    fn makespan(&self) -> u64 {
+        self.clocks.iter().copied().max().unwrap_or(0)
+    }
+}
+
+/// One three-phase pipeline iteration, as a [`Worker`] runs it for a
+/// slot. Dyn-dispatched on the backend: one virtual call per
+/// *simulation*, noise against the simulation itself (measured by the
+/// `backends` Criterion group).
 #[allow(clippy::too_many_arguments)] // the iteration's full context, spelled out
-pub(crate) fn run_iteration<V: CoverageView>(
+fn run_iteration<V: CoverageView>(
     backend: &mut dyn SimBackend,
     opts: &FuzzerOptions,
     slot: usize,
@@ -246,8 +277,8 @@ pub(crate) fn run_iteration<V: CoverageView>(
     scenarios: &[u16],
     rng: &mut StdRng,
     view: &mut V,
-    mut observed: Option<&mut CoverageMatrix>,
-    shared: Option<&SharedCoverage>,
+    observed: &mut CoverageMatrix,
+    shared: &SharedCoverage,
     gain: &mut GainAverage,
 ) -> IterationOutcome {
     // A scheduled seed is borrowed for as long as it stays unmutated, so
@@ -302,14 +333,13 @@ pub(crate) fn run_iteration<V: CoverageView>(
 
     // Phase 2 with coverage feedback: mutate the window section while the
     // gain stays below the shared running average.
-    let track_observed = observed.is_some();
     let mut best = None;
     for attempt in 0..=opts.mutation_attempts {
         let mut sink = RecordingCoverage {
             view: &mut *view,
             recorded: &mut out.fresh_points,
-            observed: observed.as_deref_mut(),
-            observed_recorded: track_observed.then_some(&mut out.observed_fresh),
+            observed: &mut *observed,
+            observed_recorded: &mut out.observed_fresh,
             shared,
         };
         let p2 = match phase2(backend, &seed, &p1, &mut sink, &opts.phases) {
@@ -357,7 +387,7 @@ pub(crate) fn run_iteration<V: CoverageView>(
 
 /// Folds an outcome's counters into campaign stats (curve, bugs, gain and
 /// corpus handling stay with the caller, which knows the global ordering).
-pub(crate) fn fold_outcome(stats: &mut CampaignStats, o: &IterationOutcome) {
+fn fold_outcome(stats: &mut CampaignStats, o: &IterationOutcome) {
     stats.iterations += 1;
     stats.sim_runs += o.sim_runs;
     stats.sim_cycles += o.sim_cycles;
@@ -383,9 +413,7 @@ pub(crate) fn fold_outcome(stats: &mut CampaignStats, o: &IterationOutcome) {
 
 /// Commits one outcome into the session, in global slot order: threshold,
 /// corpus, curve, worker mirrors and observer events all update
-/// deterministically regardless of arrival or claim order. Shared by the
-/// barriered and pipelined orchestrator loops — the commit semantics are
-/// identical, only the moment of commit differs.
+/// deterministically regardless of arrival or claim order.
 #[allow(clippy::too_many_arguments)] // the commit's full context, spelled out
 fn commit_outcome(
     s: &mut Session,
@@ -508,11 +536,6 @@ struct StealRound {
     samples: usize,
     /// Globally fresh points discovered since this worker's last round.
     delta: Vec<CoveragePoint>,
-    /// Pipelined dispatch: ship each outcome the moment it finishes (one
-    /// [`RoundReply`] per slot) instead of batching the round's results,
-    /// so the orchestrator can commit a contiguous prefix and pre-draw
-    /// the next round while stragglers are still running.
-    streamed: bool,
 }
 
 enum ToWorker {
@@ -521,14 +544,17 @@ enum ToWorker {
     Stop,
 }
 
-/// One round's results from one worker: the outcomes plus the stream
-/// state the orchestrator mirrors for snapshots.
-struct RoundReply {
+/// One slot's result, sent the moment the slot finishes, so the
+/// orchestrator commits the contiguous slot prefix while later slots
+/// still run. The outcome is boxed: the channel and the commit buffer
+/// allocate per-message space in blocks, which then stay small.
+struct SlotReply {
     worker: usize,
-    outcomes: Vec<IterationOutcome>,
-    /// The worker's RNG position after finishing the round. `None` for
-    /// work-stealing rounds, where workers never draw (the orchestrator's
-    /// plan-time mirrors are authoritative).
+    outcome: Box<IterationOutcome>,
+    /// The worker's RNG position after a batch slot, which the
+    /// orchestrator mirrors for snapshots. `None` for work-stealing
+    /// slots, where workers never draw (the orchestrator's plan-time
+    /// mirrors are authoritative).
     rng: Option<[u64; 4]>,
 }
 
@@ -562,26 +588,24 @@ struct Worker {
 }
 
 impl Worker {
-    fn run(mut self, rx: mpsc::Receiver<ToWorker>, tx: mpsc::Sender<RoundReply>) {
+    fn run(mut self, rx: mpsc::Receiver<ToWorker>, tx: mpsc::Sender<SlotReply>) {
         while let Ok(msg) = rx.recv() {
-            let reply = match msg {
+            let delivered = match msg {
                 ToWorker::Stop => return,
-                ToWorker::Batch(b) => Some(self.run_batch(b)),
-                // Streamed steal rounds send per-slot replies themselves.
+                ToWorker::Batch(b) => self.run_batch(b, &tx),
                 ToWorker::Steal(r) => self.run_steal(r, &tx),
             };
-            if let Some(reply) = reply {
-                if tx.send(reply).is_err() {
-                    return; // orchestrator went away
-                }
+            if !delivered {
+                return; // orchestrator went away
             }
         }
     }
 
     /// One fixed-batch round: the classic chained protocol — this
     /// worker's RNG stream, its long-lived coverage view and its in-round
-    /// gain samples thread through the batch's slots in order.
-    fn run_batch(&mut self, batch: WorkBatch) -> RoundReply {
+    /// gain samples thread through the batch's slots in order. False once
+    /// the orchestrator hung up.
+    fn run_batch(&mut self, batch: WorkBatch, tx: &mpsc::Sender<SlotReply>) -> bool {
         for p in &batch.delta {
             self.view.insert(*p);
         }
@@ -592,7 +616,6 @@ impl Worker {
             avg: batch.avg,
             samples: batch.samples,
         };
-        let mut outcomes = Vec::with_capacity(batch.items.len());
         for item in batch.items {
             let start = Instant::now();
             let mut out = run_iteration(
@@ -603,19 +626,22 @@ impl Worker {
                 &self.scenarios,
                 &mut self.rng,
                 &mut self.view,
-                Some(&mut self.observed),
-                Some(&self.shared),
+                &mut self.observed,
+                &self.shared,
                 &mut gain,
             );
             out.stream = self.id;
             out.elapsed_nanos = start.elapsed().as_nanos() as u64;
-            outcomes.push(out);
+            let reply = SlotReply {
+                worker: self.id,
+                outcome: Box::new(out),
+                rng: Some(self.rng.state()),
+            };
+            if tx.send(reply).is_err() {
+                return false;
+            }
         }
-        RoundReply {
-            worker: self.id,
-            outcomes,
-            rng: Some(self.rng.state()),
-        }
+        true
     }
 
     /// One work-stealing round: claim pre-drawn slots from the shared
@@ -623,7 +649,8 @@ impl Worker {
     /// the round-start state and a per-slot gain threshold, so its
     /// outcome is independent of what any concurrent slot — on this
     /// worker or another — is doing (see the `scheduler` module docs for
-    /// the determinism argument).
+    /// the determinism argument). False once the orchestrator hung up
+    /// (the worker then stops claiming).
     ///
     /// The per-slot view used to be a full `CoverageMatrix` clone — an
     /// O(coverage-space) setup cost per slot. The round-start view is now
@@ -631,20 +658,11 @@ impl Worker {
     /// [`OverlayCoverage`] over it, costing O(points that slot finds).
     /// The freeze is free: `mem::take` out, `Arc::try_unwrap` back in
     /// (no slot view outlives the loop).
-    ///
-    /// When `round.streamed` each outcome is sent on `tx` as its own
-    /// single-slot [`RoundReply`] and the return is `None`; otherwise the
-    /// classic one-reply-per-round barrier protocol applies.
-    fn run_steal(
-        &mut self,
-        round: StealRound,
-        tx: &mpsc::Sender<RoundReply>,
-    ) -> Option<RoundReply> {
+    fn run_steal(&mut self, round: StealRound, tx: &mpsc::Sender<SlotReply>) -> bool {
         for p in &round.delta {
             self.view.insert(*p);
         }
         let base = Arc::new(std::mem::take(&mut self.view));
-        let mut outcomes = Vec::new();
         loop {
             let claim = round.queue.next.fetch_add(1, Ordering::Relaxed);
             let Some(item) = round.queue.slots.get(claim) else {
@@ -672,37 +690,24 @@ impl Worker {
                 &self.scenarios,
                 &mut self.rng, // never drawn from: the seed is pre-drawn
                 &mut slot_view,
-                Some(&mut slot_observed),
-                Some(&self.shared),
+                &mut slot_observed,
+                &self.shared,
                 &mut gain,
             );
             out.stream = item.stream;
             out.elapsed_nanos = start.elapsed().as_nanos() as u64;
             out.view_setup_nanos = view_setup_nanos;
-            if round.streamed {
-                if tx
-                    .send(RoundReply {
-                        worker: self.id,
-                        outcomes: vec![out],
-                        rng: None,
-                    })
-                    .is_err()
-                {
-                    break; // orchestrator went away; stop claiming
-                }
-            } else {
-                outcomes.push(out);
+            let reply = SlotReply {
+                worker: self.id,
+                outcome: Box::new(out),
+                rng: None,
+            };
+            if tx.send(reply).is_err() {
+                return false;
             }
         }
         self.view = Arc::try_unwrap(base).unwrap_or_else(|a| (*a).clone());
-        if round.streamed {
-            return None;
-        }
-        Some(RoundReply {
-            worker: self.id,
-            outcomes,
-            rng: None,
-        })
+        true
     }
 }
 
@@ -726,11 +731,11 @@ pub struct ExecutorReport {
     /// Sum of per-iteration wall-clock across all workers (the run's
     /// total simulation work).
     pub busy_nanos: u64,
-    /// Modelled wall-clock of the run on `workers` dedicated cores: per
-    /// round, the makespan of the scheduler's slot distribution over the
-    /// measured per-slot costs (fixed chunks for round robin, greedy
-    /// claim order for work stealing; with pipelining, rounds overlap —
-    /// round k's slots are gated only on round k-2's modelled finish).
+    /// Modelled wall-clock of the run on `workers` dedicated cores: the
+    /// makespan of the scheduler's slot distribution over the measured
+    /// per-slot costs (fixed chunks for round robin, greedy claim order
+    /// for work stealing), with round k's slots gated on round k-1's
+    /// modelled finish when barriered and on round k-2's when pipelined.
     /// Machine-load-independent — this is the number the scheduler
     /// comparison benches report, since on an oversubscribed host the
     /// wall clock cannot show barrier idling.
@@ -765,16 +770,70 @@ struct Session {
 /// up to which this shard has already published, plus the set of points
 /// that arrived *from* peers — exported deltas filter those out, so a
 /// point never echoes back to the mesh that delivered it.
-#[derive(Default)]
 struct GossipState {
     published: usize,
     imported: HashSet<CoveragePoint>,
 }
 
+/// One run's worker threads and their channels.
+struct Pool {
+    to_workers: Vec<mpsc::Sender<ToWorker>>,
+    from_rx: mpsc::Receiver<SlotReply>,
+    handles: Vec<thread::JoinHandle<()>>,
+    /// Per-thread cursors into the global discovery log: how much of it
+    /// each thread's coverage view has been sent.
+    synced: Vec<usize>,
+}
+
+impl Pool {
+    /// Sends `worker` a round built around the discovery-log points its
+    /// view still lacks, marking them sent.
+    fn ship(
+        &mut self,
+        worker: usize,
+        log: &CoverageLog,
+        round: impl FnOnce(Vec<CoveragePoint>) -> ToWorker,
+    ) {
+        let delta = log.delta_since(self.synced[worker]).to_vec();
+        self.synced[worker] = log.watermark();
+        self.to_workers[worker]
+            .send(round(delta))
+            .expect("worker hung up mid-run");
+    }
+}
+
+/// One dispatched round, not yet fully committed.
+struct InFlight {
+    first_slot: usize,
+    len: usize,
+    /// The dispatch-time gain threshold.
+    gain: GainAverage,
+    /// The claim queue of a queue-shaped round; `None` for batch rounds,
+    /// which only run barriered and so are never pending.
+    queue: Option<Arc<StealQueue>>,
+    /// The global log watermark at dispatch: the delta from here is what
+    /// a checkpoint must record as `view_behind`.
+    log_mark: usize,
+}
+
+impl InFlight {
+    /// The snapshot form of this round, if it can be pending.
+    fn pending(&self, log: &CoverageLog) -> Option<PendingRound> {
+        let queue = self.queue.as_ref()?;
+        Some(PendingRound {
+            first_slot: self.first_slot,
+            slots: queue.slots.clone(),
+            avg: self.gain.avg,
+            samples: self.gain.samples,
+            view_behind: log.delta_since(self.log_mark).to_vec(),
+        })
+    }
+}
+
 /// The pool coordinator: a fully validated campaign, ready to run. Built
-/// exclusively by [`CampaignBuilder`] (which owns all configuration and
-/// validation); see the module docs for the round protocol and the
-/// determinism/resume contracts.
+/// exclusively by [`crate::builder::CampaignBuilder`] (which owns all
+/// configuration and validation); see the module docs for the round
+/// protocol and the determinism/resume contracts.
 ///
 /// Cloneable: the persistence tests re-run one configuration with
 /// different halt points by cloning the orchestrator (captured extension
@@ -1175,26 +1234,209 @@ impl Orchestrator {
     /// concatenates seamlessly across a halt/resume boundary (asserted
     /// by `tests/observer.rs`). Wall-clock appears only in
     /// [`CampaignFinished::elapsed`].
+    ///
+    /// This is the one commit loop of the module docs, at depth 1 when
+    /// pipelining and 0 otherwise. At either depth results are a pure
+    /// function of `(seed, workers, batch, lag)`: commit order is slot
+    /// order, plans are drawn from committed state only, and claim
+    /// interleavings never leak (asserted by `tests/scheduler.rs`).
+    /// Pipelined checkpoints carry the in-flight round's pre-drawn plan
+    /// ([`PendingRound`]), so a resume re-dispatches exactly that plan
+    /// and splices bit-identically (asserted by `tests/persist.rs`).
     pub fn run_observed(
         &self,
         iterations: usize,
         observers: &mut [Box<dyn CampaignObserver>],
     ) -> (ExecutorReport, CampaignSnapshot) {
-        if self.pipeline_lag > 0 {
-            // Pipelining on: the cross-round steal pipeline. The builder
-            // guarantees the scheduler supports it.
-            return self.run_pipelined(iterations, observers);
-        }
         let run_start = Instant::now();
         let (mut s, start) = self.session();
+        // Every positive lag runs the depth-one pipeline: one round of lag
+        // is the minimum that removes the barrier, so deeper requested
+        // lags are satisfied a fortiori.
+        let depth = usize::from(self.pipeline_lag > 0);
+        let resumed_pending = self.resume.as_ref().and_then(|snap| snap.pending.clone());
 
         // The live concurrent union starts from the restored global so
         // the cross-check invariant (shared == canonical) spans resumes.
+        // Write-only from the workers' perspective, so over-seeding it
+        // with points a pending round has not observed yet is harmless.
         let shared = Arc::new(SharedCoverage::default());
         for p in s.global.iter() {
             shared.observe_point(*p);
         }
 
+        // At a round boundary every worker's view equals the global union
+        // (see the module docs), so seeding the views with it restores
+        // the exact mid-campaign state. A pending round was dispatched
+        // before the last commits, so its views lack the points committed
+        // after its dispatch (`view_behind`).
+        let mut view = Cow::Borrowed(s.global.matrix());
+        if let Some(p) = &resumed_pending {
+            let view = view.to_mut();
+            for point in &p.view_behind {
+                view.remove(point);
+            }
+        }
+        let mut pool = self.spawn_pool(&s, &view, &shared);
+        drop(view);
+
+        let mut in_flight: VecDeque<InFlight> = VecDeque::new();
+        let mut next_slot = start;
+        if let Some(p) = resumed_pending {
+            debug_assert_eq!(p.first_slot, next_slot, "pending resumes at the frontier");
+            next_slot += p.slots.len();
+            // Re-dispatch verbatim: same pre-drawn slots, same
+            // dispatch-time threshold. The restored log is still empty,
+            // so the round ships with no view delta; replaying
+            // `view_behind` afterwards hands those points to the next
+            // round's broadcast, as the uninterrupted run did.
+            let gain = GainAverage {
+                avg: p.avg,
+                samples: p.samples,
+            };
+            let plan = RoundPlan::Queue(p.slots);
+            in_flight.push_back(self.dispatch(
+                &mut pool,
+                &s.global,
+                p.first_slot,
+                plan,
+                gain,
+                observers,
+            ));
+            s.global.replay(&p.view_behind);
+        }
+        let mut gossip_state = GossipState {
+            // Replayed points were already published before the halt;
+            // start the export cursor past them.
+            published: s.global.watermark(),
+            imported: HashSet::new(),
+        };
+        let metrics = crate::metrics::handles();
+        let halt = self.halt_after.unwrap_or(usize::MAX);
+        let feedback = self.opts.coverage_feedback;
+        let mut model = MakespanModel::new(self.workers, depth);
+        let mut busy_nanos = 0u64;
+        let mut view_setup_nanos = 0u64;
+        let mut buffered: BTreeMap<usize, Box<IterationOutcome>> = BTreeMap::new();
+        let mut committed = start;
+        let mut rounds = 0usize;
+        // The barrier checks the halt before it plans each round, the
+        // first included. The pipeline fills first and checks at each
+        // commit boundary, so a pipelined halt always leaves the next
+        // round pending.
+        let mut halted = depth == 0 && s.stats.iterations >= halt;
+        while !halted {
+            // Keep `depth` rounds in flight ahead of the one committing.
+            while in_flight.len() <= depth && next_slot < iterations {
+                let span = s
+                    .scheduler
+                    .round_span(self.workers, self.batch, iterations - next_slot);
+                let plan = self.plan(&mut s, next_slot..next_slot + span);
+                let round = self.dispatch(&mut pool, &s.global, next_slot, plan, s.gain, observers);
+                assert_eq!(round.len, span, "a plan must cover every slot of its round");
+                in_flight.push_back(round);
+                next_slot += span;
+            }
+            let Some(front) = in_flight.front() else {
+                break;
+            };
+            // Commit the front round in slot order; outcomes of the round
+            // behind it buffer until the front's boundary has run.
+            let (end, stolen) = (front.first_slot + front.len, front.queue.is_some());
+            while committed < end {
+                if let Some(o) = buffered.remove(&committed) {
+                    model.slot((!stolen).then_some(o.stream), o.elapsed_nanos);
+                    commit_outcome(
+                        &mut s,
+                        &mut busy_nanos,
+                        &mut view_setup_nanos,
+                        feedback,
+                        *o,
+                        observers,
+                    );
+                    committed += 1;
+                    continue;
+                }
+                // Commit cannot pass a gap in the slot order: this wait is
+                // the barrier at depth 0 and the pipeline's stall at 1.
+                let stall = dejavuzz_telemetry::Timer::start(&metrics.commit_stall_nanos);
+                let reply = pool.from_rx.recv().expect("worker hung up mid-run");
+                stall.finish();
+                if let Some(rng) = reply.rng {
+                    s.worker_rngs[reply.worker] = rng;
+                }
+                buffered.insert(reply.outcome.slot, reply.outcome);
+                metrics.commit_queue_depth.set(buffered.len() as u64);
+            }
+
+            // Boundary: the front round is fully committed, in order.
+            in_flight.pop_front();
+            model.end_round();
+            rounds += 1;
+            if self.gossip_every > 0 && rounds.is_multiple_of(self.gossip_every) {
+                self.gossip_exchange(&mut s, &shared, &mut gossip_state, feedback, observers);
+            }
+            if self.snapshot_every > 0 && rounds.is_multiple_of(self.snapshot_every) {
+                let pending = in_flight.front().and_then(|f| f.pending(&s.global));
+                self.write_checkpoint(&s, pending, true, observers);
+            }
+            halted = s.stats.iterations >= halt;
+        }
+
+        // Stop the workers. Dropping the receiver cuts a halted run's
+        // in-flight round short: its outcomes are discarded anyway, since
+        // its pre-drawn plan rides in the snapshot and a resume
+        // re-executes it deterministically.
+        for to_worker in &pool.to_workers {
+            let _ = to_worker.send(ToWorker::Stop);
+        }
+        drop(pool.from_rx);
+        for h in pool.handles {
+            h.join().expect("worker panicked");
+        }
+
+        if in_flight.is_empty() {
+            debug_assert_eq!(shared.points(), s.global.points(), "both unions must agree");
+        }
+        let pending = in_flight.front().and_then(|f| f.pending(&s.global));
+        // Always leave a final checkpoint behind: a halted run's snapshot
+        // is exactly what `--resume` continues from.
+        self.write_checkpoint(&s, pending.clone(), false, observers);
+        let snapshot = self.snapshot_of(&s, pending);
+
+        let makespan_nanos = model.makespan();
+        let workers = (0..self.workers)
+            .map(|i| WorkerSummary {
+                worker: i,
+                iterations: s.worker_iterations[i],
+                observed: s.worker_observed[i].clone(),
+            })
+            .collect();
+        let report = ExecutorReport {
+            stats: s.stats,
+            coverage: s.global.into_matrix(),
+            shared_points: shared.points(),
+            workers,
+            corpus_retained: s.corpus.retained(),
+            corpus_evicted: s.corpus.evicted(),
+            busy_nanos,
+            modelled_makespan_nanos: makespan_nanos,
+            barrier_idle_nanos: (self.workers as u64 * makespan_nanos).saturating_sub(busy_nanos),
+            view_setup_nanos,
+        };
+        crate::metrics::record_report(&report);
+        let finished = CampaignFinished {
+            report: &report,
+            elapsed: run_start.elapsed(),
+        };
+        for obs in observers.iter_mut() {
+            obs.campaign_finished(&finished);
+        }
+        (report, snapshot)
+    }
+
+    /// Spawns the run's worker threads, every view seeded with `view`.
+    fn spawn_pool(&self, s: &Session, view: &CoverageMatrix, shared: &Arc<SharedCoverage>) -> Pool {
         let (from_tx, from_rx) = mpsc::channel();
         let physical = self.physical_workers();
         let mut to_workers = Vec::with_capacity(physical);
@@ -1214,607 +1456,147 @@ impl Orchestrator {
                 } else {
                     StdRng::seed_from_u64(self.stream_seed(1 + id as u64))
                 },
-                // At a round boundary every worker's view equals the
-                // global union (see the module docs), so seeding the view
-                // with it restores the exact mid-campaign state.
-                view: s.global.matrix().clone(),
+                view: view.clone(),
                 observed: if id < self.workers {
                     s.worker_observed[id].clone()
                 } else {
                     CoverageMatrix::new()
                 },
-                shared: Arc::clone(&shared),
+                shared: Arc::clone(shared),
                 scenarios: self.scenarios.clone(),
             };
             let from_tx = from_tx.clone();
             handles.push(thread::spawn(move || worker.run(to_rx, from_tx)));
             to_workers.push(to_tx);
         }
-        drop(from_tx);
-
-        // Per-worker cursors into the global discovery log drive the
-        // round-start view broadcasts. On resume the log starts empty
-        // (`CoverageLog::seeded`): every worker's view already holds the
-        // full restored union, so only post-resume points need
-        // broadcasting.
-        let mut synced = vec![0usize; physical];
-        let mut gossip_state = GossipState::default();
-        let halt = self.halt_after.unwrap_or(usize::MAX);
-        let feedback = self.opts.coverage_feedback;
-        let mut busy_nanos = 0u64;
-        let mut view_setup_nanos = 0u64;
-        let mut makespan_nanos = 0u64;
-
-        let mut next_slot = start;
-        let mut rounds = 0usize;
-        while next_slot < iterations && s.stats.iterations < halt {
-            let span = s
-                .scheduler
-                .round_span(self.workers, self.batch, iterations - next_slot);
-            let plan = {
-                let _plan_span =
-                    dejavuzz_telemetry::Timer::start(&crate::metrics::handles().plan_nanos);
-                // Disjoint field borrows: the scheduler plans over the
-                // rest of the session state.
-                let Session {
-                    scheduler,
-                    corpus,
-                    policy,
-                    sched_rng,
-                    worker_rngs,
-                    ..
-                } = &mut s;
-                let mut ctx = PlanCtx {
-                    corpus,
-                    policy: policy.as_mut(),
-                    sched_rng,
-                    worker_rngs,
-                    workers: self.workers,
-                    batch: self.batch,
-                    lag: 0,
-                    scenarios: &self.scenarios,
-                };
-                scheduler.plan_round(next_slot..next_slot + span, &mut ctx)
-            };
-            let round_ev = RoundStarted {
-                first_slot: next_slot,
-                slots: span,
-                gain_threshold_samples: s.gain.samples,
-            };
-            for obs in observers.iter_mut() {
-                obs.round_started(&round_ev);
-            }
-            next_slot += span;
-
-            let mut expected = 0;
-            let stealing = matches!(plan, RoundPlan::Queue(_));
-            match plan {
-                RoundPlan::Batches(batches) => {
-                    for (w, items) in batches.into_iter().enumerate() {
-                        if items.is_empty() {
-                            continue;
-                        }
-                        let delta = s.global.delta_since(synced[w]).to_vec();
-                        synced[w] = s.global.watermark();
-                        to_workers[w]
-                            .send(ToWorker::Batch(WorkBatch {
-                                items,
-                                avg: s.gain.avg,
-                                samples: s.gain.samples,
-                                delta,
-                            }))
-                            .expect("worker hung up mid-run");
-                        expected += 1;
-                    }
-                }
-                RoundPlan::Queue(slots) => {
-                    let queue = Arc::new(StealQueue {
-                        slots,
-                        next: AtomicUsize::new(0),
-                    });
-                    for (w, to_worker) in to_workers.iter().enumerate() {
-                        let delta = s.global.delta_since(synced[w]).to_vec();
-                        synced[w] = s.global.watermark();
-                        to_worker
-                            .send(ToWorker::Steal(StealRound {
-                                queue: Arc::clone(&queue),
-                                avg: s.gain.avg,
-                                samples: s.gain.samples,
-                                delta,
-                                streamed: false,
-                            }))
-                            .expect("worker hung up mid-run");
-                        expected += 1;
-                    }
-                }
-            }
-
-            let mut outcomes = Vec::new();
-            for _ in 0..expected {
-                let reply: RoundReply = from_rx.recv().expect("worker hung up mid-run");
-                if let Some(rng) = reply.rng {
-                    s.worker_rngs[reply.worker] = rng;
-                }
-                outcomes.extend(reply.outcomes);
-            }
-            // Replay in global slot order: every piece of feedback state
-            // (threshold, corpus, curve, worker mirrors) updates
-            // deterministically regardless of arrival or claim order.
-            outcomes.sort_by_key(|o| o.slot);
-            makespan_nanos += round_makespan(&outcomes, self.workers, stealing);
-            for o in outcomes {
-                commit_outcome(
-                    &mut s,
-                    &mut busy_nanos,
-                    &mut view_setup_nanos,
-                    feedback,
-                    o,
-                    observers,
-                );
-            }
-
-            rounds += 1;
-            if self.gossip_every > 0 && rounds.is_multiple_of(self.gossip_every) {
-                self.gossip_exchange(&mut s, &shared, &mut gossip_state, feedback, observers);
-            }
-            if self.snapshot_every > 0 && rounds.is_multiple_of(self.snapshot_every) {
-                self.write_checkpoint(&s, None, true, observers);
-            }
+        Pool {
+            to_workers,
+            from_rx,
+            handles,
+            // On resume the log starts empty (`CoverageLog::seeded`):
+            // every view already holds the restored union, so only
+            // post-resume points need broadcasting.
+            synced: vec![0; physical],
         }
-
-        for to_worker in &to_workers {
-            let _ = to_worker.send(ToWorker::Stop);
-        }
-        for h in handles {
-            h.join().expect("worker panicked");
-        }
-
-        // Always leave a final checkpoint behind: a halted run's snapshot
-        // is exactly what `--resume` continues from.
-        self.write_checkpoint(&s, None, false, observers);
-        let snapshot = self.snapshot_of(&s, None);
-
-        debug_assert_eq!(shared.points(), s.global.points(), "both unions must agree");
-        let workers = (0..self.workers)
-            .map(|i| WorkerSummary {
-                worker: i,
-                iterations: s.worker_iterations[i],
-                observed: s.worker_observed[i].clone(),
-            })
-            .collect();
-        let report = ExecutorReport {
-            stats: s.stats,
-            coverage: s.global.into_matrix(),
-            shared_points: shared.points(),
-            workers,
-            corpus_retained: s.corpus.retained(),
-            corpus_evicted: s.corpus.evicted(),
-            busy_nanos,
-            modelled_makespan_nanos: makespan_nanos,
-            barrier_idle_nanos: (self.workers as u64 * makespan_nanos).saturating_sub(busy_nanos),
-            view_setup_nanos,
-        };
-        crate::metrics::record_report(&report);
-        let finished = CampaignFinished {
-            report: &report,
-            elapsed: run_start.elapsed(),
-        };
-        for obs in observers.iter_mut() {
-            obs.campaign_finished(&finished);
-        }
-        (report, snapshot)
     }
 
-    /// The cross-round steal pipeline (`pipeline_lag >= 1`): the
-    /// orchestrator keeps **two** rounds in flight. Workers stream every
-    /// outcome the moment it finishes; the orchestrator commits the
-    /// contiguous slot prefix, and at the instant round k is fully
-    /// committed it plans and dispatches round k+2 — while round k+1's
-    /// stragglers are still running. No worker ever waits at a barrier:
-    /// the next round's queue is already sitting in its channel when it
-    /// drains the current one.
-    ///
-    /// The feedback-lag contract: round k's slots are planned from (and
-    /// their views broadcast) the committed coverage/corpus/threshold
-    /// state as of the end of round k-2 — one round of lag, against the
-    /// barriered mode's zero. Every `lag >= 1` behaves identically: the
-    /// pipeline is depth-quantized at one round, the minimum that removes
-    /// the barrier, so deeper requested lags are satisfied a fortiori
-    /// (`lag == 0` is pipelining off and runs the byte-identical
-    /// barriered path). Results remain a pure function of
-    /// `(seed, workers, lag)`: commit order is slot order, plans are
-    /// drawn from committed state only, and claim interleavings never
-    /// leak (asserted by `tests/scheduler.rs`).
-    ///
-    /// Checkpoints land at commit boundaries with the in-flight round's
-    /// pre-drawn plan attached ([`PendingRound`]), so a resume
-    /// re-dispatches exactly that plan and splices bit-identically
-    /// (asserted by `tests/persist.rs`).
-    fn run_pipelined(
-        &self,
-        iterations: usize,
-        observers: &mut [Box<dyn CampaignObserver>],
-    ) -> (ExecutorReport, CampaignSnapshot) {
-        let run_start = Instant::now();
-        let (mut s, start) = self.session();
-        let resumed_pending = self.resume.as_ref().and_then(|snap| snap.pending.clone());
-
-        // The live concurrent union starts from the restored global so
-        // the cross-check invariant (shared == canonical) spans resumes.
-        // Write-only from the workers' perspective, so over-seeding it
-        // with points the pending round has not observed yet is harmless.
-        let shared = Arc::new(SharedCoverage::default());
-        for p in s.global.iter() {
-            shared.observe_point(*p);
-        }
-
-        // When a pending round is in flight, worker views must match
-        // their state at its dispatch: the snapshot coverage *minus* the
-        // points committed after that dispatch (`view_behind`), which are
-        // instead replayed through the broadcast log below.
-        let mut spawn_view = s.global.matrix().clone();
-        if let Some(p) = &resumed_pending {
-            for point in &p.view_behind {
-                spawn_view.remove(point);
-            }
-        }
-
-        let (from_tx, from_rx) = mpsc::channel();
-        let physical = self.physical_workers();
-        let mut to_workers = Vec::with_capacity(physical);
-        let mut handles = Vec::with_capacity(physical);
-        for id in 0..physical {
-            let (to_tx, to_rx) = mpsc::channel();
-            let worker = Worker {
-                id,
-                backend: self.build_backend(),
-                opts: self.opts,
-                // Extra proc-pool claimer threads (id >= workers): see
-                // `run_observed` — the stream is never drawn, pipelined
-                // rounds are queue-shaped pre-drawn slots.
-                rng: if id < self.workers {
-                    StdRng::from_raw_state(s.worker_rngs[id])
-                } else {
-                    StdRng::seed_from_u64(self.stream_seed(1 + id as u64))
-                },
-                view: spawn_view.clone(),
-                observed: if id < self.workers {
-                    s.worker_observed[id].clone()
-                } else {
-                    CoverageMatrix::new()
-                },
-                shared: Arc::clone(&shared),
-                scenarios: self.scenarios.clone(),
-            };
-            let from_tx = from_tx.clone();
-            handles.push(thread::spawn(move || worker.run(to_rx, from_tx)));
-            to_workers.push(to_tx);
-        }
-        drop(from_tx);
-
-        // Per-worker cursors into the global discovery log drive the
-        // dispatch-time view broadcasts. On a resume with a pending round
-        // the log is pre-seeded (replayed) with `view_behind` and the
-        // cursors stay at zero: the pending round itself re-ships with an
-        // empty delta (its views were already current at its original
-        // dispatch), while the *next* planned round picks the replayed
-        // points up — exactly the delta the uninterrupted run broadcast
-        // at that boundary.
-        if let Some(p) = &resumed_pending {
-            s.global.replay(&p.view_behind);
-        }
-        let mut synced = vec![0usize; physical];
-        let mut gossip_state = GossipState {
-            // Replayed points were already published before the halt;
-            // start the export cursor past them.
-            published: s.global.watermark(),
-            imported: HashSet::new(),
+    /// Plans the round over `slots` from the committed session state.
+    fn plan(&self, s: &mut Session, slots: Range<usize>) -> RoundPlan {
+        let _plan_span = dejavuzz_telemetry::Timer::start(&crate::metrics::handles().plan_nanos);
+        // Disjoint field borrows: the scheduler plans over the rest of
+        // the session state.
+        let Session {
+            scheduler,
+            corpus,
+            policy,
+            sched_rng,
+            worker_rngs,
+            ..
+        } = s;
+        let mut ctx = PlanCtx {
+            corpus,
+            policy: policy.as_mut(),
+            sched_rng,
+            worker_rngs,
+            workers: self.workers,
+            batch: self.batch,
+            lag: self.pipeline_lag,
+            scenarios: &self.scenarios,
         };
-        let halt = self.halt_after.unwrap_or(usize::MAX);
-        let feedback = self.opts.coverage_feedback;
-        let mut busy_nanos = 0u64;
-        let mut view_setup_nanos = 0u64;
+        scheduler.plan_round(slots, &mut ctx)
+    }
 
-        /// One dispatched-but-not-fully-committed round.
-        struct InFlight {
-            first_slot: usize,
-            len: usize,
-            avg: f64,
-            samples: usize,
-            slots: Vec<PlannedSlot>,
-            /// The global log watermark at dispatch: the delta from here
-            /// is what a checkpoint must record as `view_behind`.
-            log_mark: usize,
+    /// Announces a planned round and ships it, with the view delta each
+    /// receiving thread still lacks: batches to their workers, a queue to
+    /// every thread.
+    fn dispatch(
+        &self,
+        pool: &mut Pool,
+        log: &CoverageLog,
+        first_slot: usize,
+        plan: RoundPlan,
+        gain: GainAverage,
+        observers: &mut [Box<dyn CampaignObserver>],
+    ) -> InFlight {
+        let len = match &plan {
+            RoundPlan::Batches(batches) => batches.iter().map(Vec::len).sum(),
+            RoundPlan::Queue(slots) => slots.len(),
+        };
+        let round_ev = RoundStarted {
+            first_slot,
+            slots: len,
+            gain_threshold_samples: gain.samples,
+        };
+        for obs in observers.iter_mut() {
+            obs.round_started(&round_ev);
         }
-
-        /// The snapshot form of an in-flight round.
-        fn to_pending(f: &InFlight, log: &CoverageLog) -> PendingRound {
-            PendingRound {
-                first_slot: f.first_slot,
-                slots: f.slots.clone(),
-                avg: f.avg,
-                samples: f.samples,
-                view_behind: log.delta_since(f.log_mark).to_vec(),
-            }
-        }
-
-        let mut next_slot = start;
-        let mut rounds = 0usize;
-        let mut in_flight: VecDeque<InFlight> = VecDeque::new();
-        // Modelled per-slot costs of each round, in commit order, for the
-        // pipelined makespan model below.
-        let mut round_costs: Vec<Vec<u64>> = Vec::new();
-        let mut current_costs: Vec<u64> = Vec::new();
-
-        // Re-dispatch the resumed pending round verbatim: same pre-drawn
-        // slots, same dispatch-time gain threshold, empty view delta.
-        if let Some(p) = resumed_pending {
-            let queue = Arc::new(StealQueue {
-                slots: p.slots.clone(),
-                next: AtomicUsize::new(0),
-            });
-            let round_ev = RoundStarted {
-                first_slot: p.first_slot,
-                slots: p.slots.len(),
-                gain_threshold_samples: p.samples,
-            };
-            for obs in observers.iter_mut() {
-                obs.round_started(&round_ev);
-            }
-            for to_worker in &to_workers {
-                to_worker
-                    .send(ToWorker::Steal(StealRound {
-                        queue: Arc::clone(&queue),
-                        avg: p.avg,
-                        samples: p.samples,
-                        delta: Vec::new(),
-                        streamed: true,
-                    }))
-                    .expect("worker hung up mid-run");
-            }
-            debug_assert_eq!(p.first_slot, next_slot, "pending resumes at the frontier");
-            next_slot = p.first_slot + p.slots.len();
-            in_flight.push_back(InFlight {
-                first_slot: p.first_slot,
-                len: p.slots.len(),
-                avg: p.avg,
-                samples: p.samples,
-                slots: p.slots,
-                log_mark: s.global.watermark(),
-            });
-        }
-
-        // Plans and dispatches the round starting at the frontier from
-        // the current committed state. Macro rather than closure: it
-        // borrows half the locals mutably.
-        macro_rules! dispatch_next {
-            () => {{
-                let span = s
-                    .scheduler
-                    .round_span(self.workers, self.batch, iterations - next_slot);
-                let plan = {
-                    let _plan_span =
-                        dejavuzz_telemetry::Timer::start(&crate::metrics::handles().plan_nanos);
-                    let Session {
-                        scheduler,
-                        corpus,
-                        policy,
-                        sched_rng,
-                        worker_rngs,
-                        ..
-                    } = &mut s;
-                    let mut ctx = PlanCtx {
-                        corpus,
-                        policy: policy.as_mut(),
-                        sched_rng,
-                        worker_rngs,
-                        workers: self.workers,
-                        batch: self.batch,
-                        lag: self.pipeline_lag,
-                        scenarios: &self.scenarios,
-                    };
-                    scheduler.plan_round(next_slot..next_slot + span, &mut ctx)
-                };
-                let RoundPlan::Queue(slots) = plan else {
-                    unreachable!(
-                        "pipelining requires a queue-planning scheduler (enforced at build)"
-                    )
-                };
-                let round_ev = RoundStarted {
-                    first_slot: next_slot,
-                    slots: span,
-                    gain_threshold_samples: s.gain.samples,
-                };
-                for obs in observers.iter_mut() {
-                    obs.round_started(&round_ev);
+        let queue = match plan {
+            RoundPlan::Batches(batches) => {
+                for (w, items) in batches.into_iter().enumerate() {
+                    if items.is_empty() {
+                        continue;
+                    }
+                    pool.ship(w, log, |delta| {
+                        ToWorker::Batch(WorkBatch {
+                            items,
+                            avg: gain.avg,
+                            samples: gain.samples,
+                            delta,
+                        })
+                    });
                 }
+                None
+            }
+            RoundPlan::Queue(slots) => {
                 let queue = Arc::new(StealQueue {
-                    slots: slots.clone(),
+                    slots,
                     next: AtomicUsize::new(0),
                 });
-                for (w, to_worker) in to_workers.iter().enumerate() {
-                    let delta = s.global.delta_since(synced[w]).to_vec();
-                    synced[w] = s.global.watermark();
-                    to_worker
-                        .send(ToWorker::Steal(StealRound {
+                for w in 0..pool.to_workers.len() {
+                    pool.ship(w, log, |delta| {
+                        ToWorker::Steal(StealRound {
                             queue: Arc::clone(&queue),
-                            avg: s.gain.avg,
-                            samples: s.gain.samples,
+                            avg: gain.avg,
+                            samples: gain.samples,
                             delta,
-                            streamed: true,
-                        }))
-                        .expect("worker hung up mid-run");
+                        })
+                    });
                 }
-                in_flight.push_back(InFlight {
-                    first_slot: next_slot,
-                    len: span,
-                    avg: s.gain.avg,
-                    samples: s.gain.samples,
-                    slots,
-                    log_mark: s.global.watermark(),
-                });
-                next_slot += span;
-            }};
-        }
-
-        // Fill the pipeline: two rounds in flight from the word go (both
-        // planned from the same start-of-run committed state, in order).
-        while in_flight.len() < 2 && next_slot < iterations {
-            dispatch_next!();
-        }
-
-        let mut buffered: BTreeMap<usize, IterationOutcome> = BTreeMap::new();
-        let mut committed_through = start;
-        let mut halted = false;
-        while let Some(front) = in_flight.front() {
-            let end_of_front = front.first_slot + front.len;
-            // Commit the front round to completion; outcomes from the
-            // round behind it buffer until the boundary actions ran.
-            while committed_through < end_of_front {
-                if let Some(o) = buffered.remove(&committed_through) {
-                    current_costs.push(o.elapsed_nanos);
-                    commit_outcome(
-                        &mut s,
-                        &mut busy_nanos,
-                        &mut view_setup_nanos,
-                        feedback,
-                        o,
-                        observers,
-                    );
-                    committed_through += 1;
-                    continue;
-                }
-                // The wait for the next contiguous slot is the
-                // pipeline's stall: outcomes may be buffered out of
-                // order, but commit cannot proceed past a gap.
-                let stall =
-                    dejavuzz_telemetry::Timer::start(&crate::metrics::handles().commit_stall_nanos);
-                let reply: RoundReply = from_rx.recv().expect("worker hung up mid-run");
-                stall.finish();
-                debug_assert!(reply.rng.is_none(), "steal workers never draw");
-                for o in reply.outcomes {
-                    buffered.insert(o.slot, o);
-                }
-                crate::metrics::handles()
-                    .commit_queue_depth
-                    .set(buffered.len() as u64);
+                Some(queue)
             }
-
-            // Boundary: the front round is fully committed, in order.
-            in_flight.pop_front();
-            round_costs.push(std::mem::take(&mut current_costs));
-            rounds += 1;
-            if self.gossip_every > 0 && rounds.is_multiple_of(self.gossip_every) {
-                self.gossip_exchange(&mut s, &shared, &mut gossip_state, feedback, observers);
-            }
-            if self.snapshot_every > 0 && rounds.is_multiple_of(self.snapshot_every) {
-                let pending = in_flight.front().map(|f| to_pending(f, &s.global));
-                self.write_checkpoint(&s, pending, true, observers);
-            }
-            if s.stats.iterations >= halt {
-                halted = true;
-                break;
-            }
-            if next_slot < iterations {
-                dispatch_next!();
-            }
-        }
-
-        for to_worker in &to_workers {
-            let _ = to_worker.send(ToWorker::Stop);
-        }
-        if halted {
-            // Discard the in-flight round's outcomes: its pre-drawn plan
-            // rides in the snapshot and a resume re-executes it
-            // deterministically. Drain the channel so workers never block
-            // on a full buffer (unbounded channels never do, but be
-            // explicit about intent: these results are dropped).
-            while from_rx.try_recv().is_ok() {}
-        }
-        for h in handles {
-            h.join().expect("worker panicked");
-        }
-
-        let pending = in_flight.front().map(|f| to_pending(f, &s.global));
-        // Always leave a final checkpoint behind: a halted run's snapshot
-        // is exactly what `--resume` continues from.
-        self.write_checkpoint(&s, pending.clone(), false, observers);
-        let snapshot = self.snapshot_of(&s, pending);
-
-        let makespan_nanos = pipelined_makespan(&round_costs, self.workers);
-        let workers = (0..self.workers)
-            .map(|i| WorkerSummary {
-                worker: i,
-                iterations: s.worker_iterations[i],
-                observed: s.worker_observed[i].clone(),
-            })
-            .collect();
-        let report = ExecutorReport {
-            stats: s.stats,
-            coverage: s.global.into_matrix(),
-            shared_points: shared.points(),
-            workers,
-            corpus_retained: s.corpus.retained(),
-            corpus_evicted: s.corpus.evicted(),
-            busy_nanos,
-            modelled_makespan_nanos: makespan_nanos,
-            barrier_idle_nanos: (self.workers as u64 * makespan_nanos).saturating_sub(busy_nanos),
-            view_setup_nanos,
         };
-        crate::metrics::record_report(&report);
-        let finished = CampaignFinished {
-            report: &report,
-            elapsed: run_start.elapsed(),
-        };
-        for obs in observers.iter_mut() {
-            obs.campaign_finished(&finished);
+        InFlight {
+            first_slot,
+            len,
+            gain,
+            queue,
+            log_mark: log.watermark(),
         }
-        (report, snapshot)
     }
-}
-
-/// Runs `iterations` fuzzing iterations on a pool of `workers` threads
-/// (clamped to at least 1) sharing one corpus, one gain threshold and
-/// one exact coverage union — the one-call convenience over
-/// [`CampaignBuilder`] for defaults-everywhere campaigns.
-///
-/// Deterministic for a fixed `(workers, seed)` pair; see the module docs.
-///
-/// # Panics
-///
-/// Panics if `backend` is an unregistered
-/// [`BackendSpec::Extension`] — configurations that can fail belong on
-/// [`CampaignBuilder`], whose `build` reports a structured
-/// [`crate::builder::BuildError`] instead.
-pub fn run(
-    backend: BackendSpec,
-    opts: FuzzerOptions,
-    workers: usize,
-    iterations: usize,
-    seed: u64,
-) -> ExecutorReport {
-    CampaignBuilder::new()
-        .backend(backend)
-        .options(opts)
-        .workers(workers.max(1))
-        .seed(seed)
-        .build()
-        .unwrap_or_else(|e| panic!("{e}"))
-        .run(iterations)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::CampaignBuilder;
     use dejavuzz_uarch::boom_small;
 
     fn boom() -> BackendSpec {
         BackendSpec::behavioural(boom_small())
     }
 
+    fn pool(workers: usize, seed: u64) -> Orchestrator {
+        CampaignBuilder::new()
+            .backend(boom())
+            .workers(workers)
+            .seed(seed)
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn pool_runs_exactly_the_requested_iterations() {
-        let r = run(boom(), FuzzerOptions::default(), 3, 10, 7);
+        let r = pool(3, 7).run(10);
         assert_eq!(r.stats.iterations, 10);
         assert_eq!(r.stats.coverage_curve.len(), 10);
         assert_eq!(r.workers.iter().map(|w| w.iterations).sum::<usize>(), 10);
@@ -1823,25 +1605,56 @@ mod tests {
 
     #[test]
     fn curve_is_monotone_and_exact() {
-        let r = run(boom(), FuzzerOptions::default(), 2, 12, 3);
+        let r = pool(2, 3).run(12);
         assert!(r.stats.coverage_curve.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(r.stats.coverage(), r.coverage.points());
         assert_eq!(r.coverage.points(), r.shared_points);
     }
 
     #[test]
-    fn zero_workers_clamps_to_one_in_the_convenience_entry() {
-        let r = run(boom(), FuzzerOptions::default(), 0, 4, 1);
-        assert_eq!(r.workers.len(), 1);
-        assert_eq!(r.stats.iterations, 4);
-    }
-
-    #[test]
     fn zero_iterations_is_a_clean_noop() {
-        let r = run(boom(), FuzzerOptions::default(), 2, 0, 1);
+        let r = pool(2, 1).run(0);
         assert_eq!(r.stats.iterations, 0);
         assert_eq!(r.coverage.points(), 0);
         assert_eq!(r.workers.len(), 2);
+    }
+
+    /// Folds a table of per-round slots, `(Some(stream), cost)` for a
+    /// batch slot and `(None, cost)` for a stolen one, on 2 cores.
+    fn modelled(depth: usize, rounds: &[&[(Option<usize>, u64)]]) -> u64 {
+        let mut model = MakespanModel::new(2, depth);
+        for round in rounds {
+            for &(stream, cost) in *round {
+                model.slot(stream, cost);
+            }
+            model.end_round();
+        }
+        model.makespan()
+    }
+
+    /// The makespan model at exact values on a hand-built cost table.
+    /// Barriered, a round costs its own makespan (fixed chunks for
+    /// batches, greedy claims for stolen slots) and the run their sum;
+    /// pipelined, round k waits only for round k-2.
+    #[test]
+    fn makespan_model_pins_exact_values() {
+        const S: Option<usize> = None;
+        let mixed: [&[(Option<usize>, u64)]; 4] = [
+            &[(Some(0), 5), (Some(0), 3), (Some(1), 2), (Some(1), 9)],
+            &[(S, 7), (S, 1), (S, 4), (S, 6)],
+            &[(Some(0), 10), (Some(1), 2), (Some(1), 2)],
+            &[(S, 3), (S, 3), (S, 8)],
+        ];
+        assert_eq!(modelled(0, &mixed), 11 + 11 + 10 + 11);
+        let stolen: [&[(Option<usize>, u64)]; 5] = [
+            &[(S, 5), (S, 3), (S, 2), (S, 9)],
+            &[(S, 7), (S, 1), (S, 4), (S, 6)],
+            &[(S, 10), (S, 2), (S, 2)],
+            &[(S, 3), (S, 3), (S, 8)],
+            &[(S, 1), (S, 12)],
+        ];
+        assert_eq!(modelled(0, &stolen), 14 + 11 + 10 + 11 + 12);
+        assert_eq!(modelled(1, &stolen), 43);
     }
 
     #[test]

@@ -41,10 +41,11 @@
 //!   one exact concurrent coverage union
 //!   ([`dejavuzz_ift::SharedCoverage`]), one global mutation-gain
 //!   threshold, and deterministic per-worker RNG streams,
-//! * [`campaign::Campaign`] — the thin single-worker façade over the same
-//!   per-iteration engine, carrying the ablation variants used in the
-//!   evaluation: `DejaVuzz*` (random training, no derivation), `DejaVuzz⁻`
-//!   (no coverage feedback) and the no-liveness variant of §6.3,
+//! * [`campaign`] — campaign options and results; the ablation variants
+//!   used in the evaluation are [`campaign::FuzzerOptions`] constructors
+//!   run through [`builder::CampaignBuilder::options`]: `DejaVuzz*`
+//!   (random training, no derivation), `DejaVuzz⁻` (no coverage feedback)
+//!   and the no-liveness variant of §6.3,
 //! * [`snapshot`] — campaign persistence over the `dejavuzz-persist`
 //!   codec: [`snapshot::CampaignSnapshot`] checkpoints a run at any round
 //!   boundary (corpus, exact coverage, gain threshold, every RNG stream
@@ -193,7 +194,7 @@ pub use backend::{
     BackendError, BackendSpec, BehaviouralBackend, NetlistBackend, ProcSpec, RunOutcome, SimBackend,
 };
 pub use builder::{BuildError, CampaignBuilder};
-pub use campaign::{Campaign, CampaignStats, FuzzerOptions};
+pub use campaign::{CampaignStats, FuzzerOptions};
 pub use corpus::Corpus;
 pub use executor::{ExecutorReport, Orchestrator, WorkerSummary};
 pub use gen::{Seed, TransientPlan, WindowType};

@@ -33,8 +33,9 @@ pub struct CoreMetrics {
     /// DIFT taint-census time: folding a run's taint log into the
     /// coverage matrix in phase 2.
     pub census_nanos: Arc<Histogram>,
-    /// Time the pipelined orchestrator spent blocked on `recv` waiting
-    /// for the next contiguous slot — the contiguous-prefix stall.
+    /// Time the commit loop spent blocked on `recv` waiting for the next
+    /// contiguous slot — the contiguous-prefix stall, which in barriered
+    /// runs is the barrier wait.
     pub commit_stall_nanos: Arc<Histogram>,
     /// Out-of-order outcomes buffered ahead of the contiguous commit
     /// prefix, sampled after each arrival.
@@ -106,7 +107,7 @@ pub fn handles() -> &'static CoreMetrics {
             ),
             commit_stall_nanos: r.histogram(
                 "dejavuzz_commit_stall_nanos",
-                "Pipelined commit loop blocked waiting for the next contiguous slot, nanoseconds",
+                "Commit loop blocked waiting for the next contiguous slot (the barrier wait when barriered), nanoseconds",
             ),
             commit_queue_depth: r.gauge(
                 "dejavuzz_commit_queue_depth",

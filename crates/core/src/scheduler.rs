@@ -72,13 +72,15 @@
 //! deterministic **feedback lag**: a pipelined round is planned from (and
 //! its view broadcasts carry) the committed coverage/corpus/threshold
 //! state as of one round behind the frontier, rather than the immediately
-//! preceding round. `--pipeline-lag 0` (the default) keeps the barriered
-//! protocol byte-identically; any `lag >= 1` selects the depth-one
-//! pipeline (the minimum that removes the barrier — deeper requested lags
-//! are satisfied a fortiori and all behave identically). Results remain a
-//! pure function of `(seed, workers, lag)`; [`Scheduler::supports_pipelining`]
-//! gates which schedulers may opt in, and [`PlanCtx::lag`] tells a plan
-//! how stale its feedback may be.
+//! preceding round. Both schedules are the executor's one commit loop:
+//! it keeps `depth` rounds in flight ahead of the round it commits, and
+//! `--pipeline-lag 0` (the default) runs it at depth 0, the barrier. Any
+//! `lag >= 1` runs it at depth 1 (the minimum that removes the barrier —
+//! deeper requested lags are satisfied a fortiori and all behave
+//! identically). Results remain a pure function of `(seed, workers,
+//! lag)`; [`Scheduler::supports_pipelining`] gates which schedulers may
+//! opt in, and [`PlanCtx::lag`] tells a plan how stale its feedback may
+//! be.
 //!
 //! # Seed policies
 //!
@@ -210,7 +212,8 @@ pub trait Scheduler: std::fmt::Debug + Send {
     }
 
     /// Plans one round over `slots`, drawing per-slot scheduling
-    /// decisions in global slot order.
+    /// decisions in global slot order. The plan covers every slot of the
+    /// range exactly once.
     fn plan_round(&mut self, slots: Range<usize>, ctx: &mut PlanCtx<'_>) -> RoundPlan;
 
     /// The scheduler's persistable state: an opaque blob the snapshot

@@ -1,8 +1,11 @@
 //! CLI contract tests for `dejavuzz-fuzz`: strict flag parsing exits 2
 //! with an error naming the flag (never a silent fall-through to the
-//! default), and configuration errors surface the builder's structured
-//! message. Pinned here because scripts and CI parse this output.
+//! default), configuration errors surface the builder's structured
+//! message, and the scheduler and pipeline determinism contracts hold on
+//! the report stdout. Pinned here because scripts and CI parse this
+//! output.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn fuzz(args: &[&str]) -> (Option<i32>, String, String) {
@@ -15,6 +18,215 @@ fn fuzz(args: &[&str]) -> (Option<i32>, String, String) {
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
+}
+
+/// Runs `dejavuzz-fuzz` in `dir` and returns its report stdout without
+/// the wall-clock lines (`elapsed`, `throughput`): the stream the
+/// determinism contracts are stated over. The run must succeed.
+fn report(dir: &Path, args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_dejavuzz-fuzz"))
+        .current_dir(dir)
+        .args(args)
+        .output()
+        .expect("spawn dejavuzz-fuzz");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter(|l| !l.contains("elapsed") && !l.contains("throughput"))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// A fresh, empty working directory for one test's snapshot files.
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("djvz-cli-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Runs `args` for `--iters 12` to completion, then again halted after 10
+/// iterations with a checkpoint every round, and asserts that resuming
+/// the checkpoint prints the uninterrupted report.
+fn assert_resume_matches_uninterrupted(name: &str, args: &[&str]) {
+    let dir = scratch(name);
+    let args = [&["--iters", "12"], args].concat();
+    let full = report(&dir, &args);
+    let mut halted = args.clone();
+    halted.extend(["--snapshot", "camp.snap", "--snapshot-every", "1"]);
+    halted.extend(["--halt-after", "10"]);
+    report(&dir, &halted);
+    let resumed = report(&dir, &["--resume", "camp.snap", "--iters", "12"]);
+    assert_eq!(full, resumed, "{args:?}: resumed report differs");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// At `--batch 1` work stealing computes exactly what round robin does:
+/// the two reports are identical.
+#[test]
+fn batch_one_steal_report_equals_round_robin() {
+    let dir = std::env::temp_dir();
+    let run = |scheduler| {
+        report(
+            &dir,
+            &[
+                "--iters",
+                "12",
+                "--workers",
+                "3",
+                "--seed",
+                "5",
+                "--batch",
+                "1",
+                "--scheduler",
+                scheduler,
+            ],
+        )
+    };
+    assert_eq!(run("round"), run("steal"));
+}
+
+/// Two work-stealing runs print identical reports despite claim racing.
+#[test]
+fn steal_report_is_deterministic() {
+    let dir = std::env::temp_dir();
+    let args = [
+        "--iters",
+        "12",
+        "--workers",
+        "4",
+        "--seed",
+        "9",
+        "--scheduler",
+        "steal",
+    ];
+    assert_eq!(report(&dir, &args), report(&dir, &args));
+}
+
+/// A halted work-stealing campaign with the favoured policy resumes to
+/// the uninterrupted report (the resume adopts scheduler and policy from
+/// the snapshot).
+#[test]
+fn steal_resume_report_equals_uninterrupted_run() {
+    assert_resume_matches_uninterrupted(
+        "steal-resume",
+        &[
+            "--workers",
+            "2",
+            "--seed",
+            "7",
+            "--scheduler",
+            "steal",
+            "--policy",
+            "favoured",
+        ],
+    );
+}
+
+/// Periodic checkpoints rotate into numbered siblings pruned to
+/// `--snapshot-keep`, and the oldest kept one resumes.
+#[test]
+fn snapshot_rotation_keeps_two_resumable_checkpoints() {
+    let dir = scratch("rotation");
+    report(
+        &dir,
+        &[
+            "--iters",
+            "16",
+            "--workers",
+            "2",
+            "--seed",
+            "3",
+            "--snapshot",
+            "rot.snap",
+            "--snapshot-every",
+            "1",
+            "--snapshot-keep",
+            "2",
+        ],
+    );
+    let mut rotated: Vec<u64> = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(|e| {
+            let name = e.unwrap().file_name().into_string().unwrap();
+            name.strip_prefix("rot.snap.")?.parse().ok()
+        })
+        .collect();
+    rotated.sort_unstable();
+    assert_eq!(rotated.len(), 2, "pruned to the keep budget: {rotated:?}");
+    let oldest = format!("rot.snap.{}", rotated[0]);
+    report(&dir, &["--resume", &oldest, "--iters", "16"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--pipeline-lag 0` is plain work stealing: identical reports.
+#[test]
+fn lag_zero_report_equals_plain_steal() {
+    let dir = std::env::temp_dir();
+    let args = [
+        "--iters",
+        "12",
+        "--workers",
+        "3",
+        "--seed",
+        "5",
+        "--scheduler",
+        "steal",
+    ];
+    let mut lag0 = args.to_vec();
+    lag0.extend(["--pipeline-lag", "0"]);
+    assert_eq!(report(&dir, &args), report(&dir, &lag0));
+}
+
+/// Pipelined runs print identical reports run over run, and every lag
+/// from 1 up agrees.
+#[test]
+fn pipelined_report_is_deterministic_across_lags() {
+    let dir = std::env::temp_dir();
+    let run = |lag| {
+        report(
+            &dir,
+            &[
+                "--iters",
+                "12",
+                "--workers",
+                "4",
+                "--seed",
+                "9",
+                "--scheduler",
+                "steal",
+                "--pipeline-lag",
+                lag,
+            ],
+        )
+    };
+    let a = run("1");
+    assert_eq!(a, run("1"), "two runs at lag 1");
+    assert_eq!(a, run("4096"), "lag 1 against lag 4096");
+}
+
+/// A halted pipelined campaign, snapshotted with its pending round,
+/// resumes to the uninterrupted report.
+#[test]
+fn pipelined_resume_report_equals_uninterrupted_run() {
+    assert_resume_matches_uninterrupted(
+        "pipelined-resume",
+        &[
+            "--workers",
+            "2",
+            "--seed",
+            "7",
+            "--scheduler",
+            "steal",
+            "--pipeline-lag",
+            "1",
+        ],
+    );
 }
 
 /// A malformed proc backend spec is an exit-2 error naming the spec and

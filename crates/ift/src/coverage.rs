@@ -30,8 +30,8 @@ pub struct CoveragePoint {
 /// [`CoverageMatrix`], the concurrent [`crate::SharedCoverage`] (through a
 /// shared reference), or composition wrappers like
 /// [`crate::RecordingCoverage`]. Phase 2 of the fuzzing pipeline is generic
-/// over this trait so single-worker and pooled executors share one code
-/// path.
+/// over this trait, so the same code path runs on a plain matrix or on the
+/// executor's fan-out.
 pub trait TaintCoverage {
     /// Observes one cycle's census; returns the number of *new* points.
     fn observe(&mut self, census: &Census) -> usize;

@@ -170,33 +170,33 @@ impl TaintCoverage for &SharedCoverage {
 ///   state plus its own in-round observations). *Freshness against the
 ///   view* is what drives mutation-gain feedback, so worker decisions
 ///   never race on shared state.
-/// * `observed` — optionally, everything this worker ever saw (the
-///   per-worker matrices whose union the orchestrator's exactness
-///   invariant is stated over).
-/// * `shared` — optionally, the live concurrent union.
+/// * `observed` — everything this worker ever saw (the per-worker
+///   matrices whose union the orchestrator's exactness invariant is
+///   stated over).
+/// * `shared` — the live concurrent union.
 ///
 /// Points that are fresh against the view are appended to `recorded`, in
 /// observation order, so the orchestrator can replay them into the global
 /// matrix deterministically. Points fresh against `observed` are likewise
-/// appended to `observed_recorded` (when attached): the orchestrator
-/// mirrors each worker's lifetime observation matrix from these deltas,
-/// which is what lets a campaign snapshot carry exact per-worker state
-/// without ever shipping whole matrices over the channel.
+/// appended to `observed_recorded`: the orchestrator mirrors each worker's
+/// lifetime observation matrix from these deltas, which is what lets a
+/// campaign snapshot carry exact per-worker state without ever shipping
+/// whole matrices over the channel.
 /// The view is generic over [`CoverageView`] so a work-stealing slot can
 /// plug in a cheap [`crate::OverlayCoverage`] (frozen round-start base +
-/// per-slot overlay) where single-worker paths keep the plain matrix; the
-/// default type parameter keeps existing struct literals compiling.
+/// per-slot overlay) where a batch worker keeps its plain long-lived
+/// matrix (the default).
 pub struct RecordingCoverage<'a, V: CoverageView = CoverageMatrix> {
     /// Worker-local deterministic view.
     pub view: &'a mut V,
     /// Fresh-against-view points, in observation order.
     pub recorded: &'a mut Vec<CoveragePoint>,
-    /// Everything observed (exactness accounting), if tracked.
-    pub observed: Option<&'a mut CoverageMatrix>,
-    /// Fresh-against-`observed` points, in observation order, if tracked.
-    pub observed_recorded: Option<&'a mut Vec<CoveragePoint>>,
-    /// Live concurrent union, if attached.
-    pub shared: Option<&'a SharedCoverage>,
+    /// Everything observed (exactness accounting).
+    pub observed: &'a mut CoverageMatrix,
+    /// Fresh-against-`observed` points, in observation order.
+    pub observed_recorded: &'a mut Vec<CoveragePoint>,
+    /// Live concurrent union.
+    pub shared: &'a SharedCoverage,
 }
 
 impl<V: CoverageView> TaintCoverage for RecordingCoverage<'_, V> {
@@ -210,12 +210,8 @@ impl<V: CoverageView> TaintCoverage for RecordingCoverage<'_, V> {
                 module: m.module,
                 index: m.tainted,
             };
-            if let Some(observed) = self.observed.as_deref_mut() {
-                if observed.insert(p) {
-                    if let Some(rec) = self.observed_recorded.as_deref_mut() {
-                        rec.push(p);
-                    }
-                }
+            if self.observed.insert(p) {
+                self.observed_recorded.push(p);
             }
             if self.view.insert_point(p) {
                 // Commit to the shared union only on view-freshness: a
@@ -224,9 +220,7 @@ impl<V: CoverageView> TaintCoverage for RecordingCoverage<'_, V> {
                 // observation, broadcast points by their discoverer), so
                 // the union stays exact while the phase-2 hot loop skips
                 // a shard lock round-trip per duplicate census point.
-                if let Some(shared) = self.shared {
-                    shared.observe_point(p);
-                }
+                self.shared.observe_point(p);
                 self.recorded.push(p);
                 fresh += 1;
             }
@@ -385,9 +379,9 @@ mod tests {
         let mut rec = RecordingCoverage {
             view: &mut view,
             recorded: &mut recorded,
-            observed: Some(&mut observed),
-            observed_recorded: Some(&mut observed_recorded),
-            shared: Some(&shared),
+            observed: &mut observed,
+            observed_recorded: &mut observed_recorded,
+            shared: &shared,
         };
         let fresh = rec.observe(&census(&[("rob", 3), ("lsu", 1)]));
         assert_eq!(fresh, 1, "rob/3 was already in the view");

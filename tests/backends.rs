@@ -12,9 +12,10 @@
 //! * a misconfigured backend or an invalid netlist must fail its runs,
 //!   not the campaign.
 
-use dejavuzz::backend::{BackendError, BackendSpec, NetlistBackend, NetlistIo};
-use dejavuzz::campaign::{Campaign, FuzzerOptions};
-use dejavuzz::executor;
+use dejavuzz::backend::{BackendError, BackendSpec, NetlistBackend, NetlistIo, SimBackend};
+use dejavuzz::builder::CampaignBuilder;
+use dejavuzz::campaign::CampaignStats;
+use dejavuzz::executor::ExecutorReport;
 use dejavuzz::gen::WindowType;
 use dejavuzz::phases::{phase1, phase2, PhaseOptions};
 use dejavuzz::Seed;
@@ -23,25 +24,41 @@ use dejavuzz_rtl::examples::{synthetic_core, BOOM_SCALE, SMALL_SCALE};
 use dejavuzz_rtl::ir::{CellKind, Netlist};
 use dejavuzz_uarch::boom_small;
 
+/// A default-options campaign of `iterations` on `workers` threads.
+fn run(backend: BackendSpec, workers: usize, iterations: usize, seed: u64) -> ExecutorReport {
+    CampaignBuilder::new()
+        .backend(backend)
+        .workers(workers)
+        .seed(seed)
+        .build()
+        .unwrap()
+        .run(iterations)
+}
+
+/// A single-worker campaign (seed 3) over backend instances from `ctor`,
+/// registered under `id`: ids are process-global and tests run
+/// concurrently, so every caller passes its own.
+fn run_instances(
+    id: &str,
+    ctor: impl Fn() -> Box<dyn SimBackend> + Send + Sync + 'static,
+    iterations: usize,
+) -> CampaignStats {
+    CampaignBuilder::new()
+        .backend_ctor(id, ctor)
+        .seed(3)
+        .build()
+        .unwrap()
+        .run(iterations)
+        .stats
+}
+
 /// (a) The explicit behavioural spec and the historical
 /// `CoreConfig`-positional entry points are the same campaign, bit for
 /// bit: bugs, exact coverage curve, per-worker observations, corpus.
 #[test]
 fn behavioural_backend_reproduces_pipeline_determinism() {
-    let legacy = executor::run(
-        BackendSpec::behavioural(boom_small()),
-        FuzzerOptions::default(),
-        2,
-        20,
-        0xD15C0,
-    );
-    let spec = executor::run(
-        BackendSpec::behavioural(boom_small()),
-        FuzzerOptions::default(),
-        2,
-        20,
-        0xD15C0,
-    );
+    let legacy = run(BackendSpec::behavioural(boom_small()), 2, 20, 0xD15C0);
+    let spec = run(BackendSpec::behavioural(boom_small()), 2, 20, 0xD15C0);
     assert_eq!(legacy.stats.bugs, spec.stats.bugs);
     assert_eq!(legacy.stats.coverage_curve, spec.stats.coverage_curve);
     assert_eq!(legacy.stats.sim_runs, spec.stats.sim_runs);
@@ -58,19 +75,9 @@ fn behavioural_backend_reproduces_pipeline_determinism() {
         assert_eq!(a.observed.sorted_points(), b.observed.sorted_points());
     }
 
-    // The single-worker façade agrees with itself run over run too.
-    let old = Campaign::with_backend(
-        BackendSpec::behavioural(boom_small()),
-        FuzzerOptions::default(),
-        9,
-    )
-    .run(10);
-    let new = Campaign::with_backend(
-        BackendSpec::behavioural(boom_small()),
-        FuzzerOptions::default(),
-        9,
-    )
-    .run(10);
+    // A single-worker campaign agrees with itself run over run too.
+    let old = run(BackendSpec::behavioural(boom_small()), 1, 10, 9).stats;
+    let new = run(BackendSpec::behavioural(boom_small()), 1, 10, 9).stats;
     assert_eq!(old.coverage_curve, new.coverage_curve);
     assert_eq!(old.bugs, new.bugs);
 }
@@ -120,7 +127,7 @@ fn netlist_rob_entry_reproduces_figure2_split_through_phase2() {
 #[test]
 fn netlist_backend_campaign_end_to_end() {
     let spec = BackendSpec::netlist(SMALL_SCALE);
-    let a = executor::run(spec.clone(), FuzzerOptions::default(), 2, 16, 11);
+    let a = run(spec.clone(), 2, 16, 11);
     assert_eq!(a.stats.iterations, 16);
     assert_eq!(a.stats.failed_runs, 0);
     assert!(
@@ -138,7 +145,7 @@ fn netlist_backend_campaign_end_to_end() {
         "windows trigger on the netlist backend"
     );
 
-    let b = executor::run(spec, FuzzerOptions::default(), 2, 16, 11);
+    let b = run(spec, 2, 16, 11);
     assert_eq!(a.stats.coverage_curve, b.stats.coverage_curve);
     assert_eq!(a.stats.bugs, b.stats.bugs);
 }
@@ -148,18 +155,20 @@ fn netlist_backend_campaign_end_to_end() {
 /// counted, nothing panics.
 #[test]
 fn misconfigured_backend_fails_runs_not_the_campaign() {
-    let broken = NetlistBackend::new(
-        "broken",
-        synthetic_core(SMALL_SCALE),
-        NetlistIo {
+    let broken = || {
+        let io = NetlistIo {
             data: 640,
             control: 2,
             index: 3,
             aux: vec![],
-        },
-    );
-    let mut campaign = Campaign::with_boxed_backend(Box::new(broken), FuzzerOptions::default(), 3);
-    let stats = campaign.run(6);
+        };
+        Box::new(NetlistBackend::new(
+            "broken",
+            synthetic_core(SMALL_SCALE),
+            io,
+        )) as Box<_>
+    };
+    let stats = run_instances("misconfigured-io", broken, 6);
     assert_eq!(stats.iterations, 6, "the campaign keeps running");
     assert_eq!(stats.failed_runs, 6, "every run failed cleanly");
     assert!(stats.bugs.is_empty());
@@ -215,15 +224,16 @@ fn invalid_netlists_fail_runs_not_the_campaign() {
             BackendError::InvalidMemory { mem: 3 },
         ),
     ];
-    for (netlist, expected) in cases {
-        let mut backend = NetlistBackend::new("broken", netlist, io.clone());
+    for (i, (netlist, expected)) in cases.into_iter().enumerate() {
+        let mut backend = NetlistBackend::new("broken", netlist.clone(), io.clone());
         let seed = Seed::new(WindowType::MemPageFault, 1);
         let err = phase1(&mut backend, &seed, &PhaseOptions::default()).unwrap_err();
         assert_eq!(err, expected);
-        // The failed netlist stays put, so every later run fails alike.
-        let mut campaign =
-            Campaign::with_boxed_backend(Box::new(backend), FuzzerOptions::default(), 3);
-        let stats = campaign.run(4);
+        // A campaign over the same netlist fails every run alike.
+        let io = io.clone();
+        let broken =
+            move || Box::new(NetlistBackend::new("broken", netlist.clone(), io.clone())) as Box<_>;
+        let stats = run_instances(&format!("invalid-netlist-{i}"), broken, 4);
         assert_eq!(
             stats.iterations, 4,
             "{expected}: the campaign keeps running"
@@ -259,7 +269,7 @@ struct ReportPin {
     corpus: (usize, usize),
 }
 
-fn pin_of(r: &executor::ExecutorReport) -> ReportPin {
+fn pin_of(r: &ExecutorReport) -> ReportPin {
     let mut curve_steps = Vec::new();
     let mut last = 0;
     for (i, &points) in r.stats.coverage_curve.iter().enumerate() {
@@ -289,20 +299,8 @@ fn pin_of(r: &executor::ExecutorReport) -> ReportPin {
 /// `dejavuzz-fuzz` defaults otherwise.
 #[test]
 fn netlist_campaign_reports_are_pinned() {
-    let small = executor::run(
-        BackendSpec::netlist(SMALL_SCALE),
-        FuzzerOptions::default(),
-        2,
-        600,
-        1,
-    );
-    let boom = executor::run(
-        BackendSpec::netlist(BOOM_SCALE),
-        FuzzerOptions::default(),
-        1,
-        12,
-        3,
-    );
+    let small = run(BackendSpec::netlist(SMALL_SCALE), 2, 600, 1);
+    let boom = run(BackendSpec::netlist(BOOM_SCALE), 1, 12, 3);
     assert_eq!(small.stats.failed_runs, 0);
     assert_eq!(boom.stats.failed_runs, 0);
     assert_eq!(

@@ -1,13 +1,26 @@
 //! Cross-crate integration tests: the full stack from assembler through
 //! swapMem, the core models, IFT and the three fuzzing phases.
 
-use dejavuzz::campaign::{Campaign, FuzzerOptions};
+use dejavuzz::builder::CampaignBuilder;
+use dejavuzz::campaign::{CampaignStats, FuzzerOptions};
 use dejavuzz::gen::WindowType;
 use dejavuzz::phases::{phase1, phase2, phase3, PhaseOptions};
 use dejavuzz::Seed;
 use dejavuzz_ift::{CoverageMatrix, IftMode};
 use dejavuzz_uarch::core::Core;
-use dejavuzz_uarch::{attacks, boom_small, xiangshan_minimal};
+use dejavuzz_uarch::{attacks, boom_small, xiangshan_minimal, CoreConfig};
+
+/// A single-worker campaign on a behavioural core.
+fn campaign(cfg: CoreConfig, opts: FuzzerOptions, seed: u64, iterations: usize) -> CampaignStats {
+    CampaignBuilder::new()
+        .backend(dejavuzz::BackendSpec::behavioural(cfg))
+        .options(opts)
+        .seed(seed)
+        .build()
+        .unwrap()
+        .run(iterations)
+        .stats
+}
 
 #[test]
 fn all_five_attack_benchmarks_leak_on_boom() {
@@ -92,12 +105,7 @@ fn pipeline_finds_meltdown_leak_end_to_end() {
 #[test]
 fn campaigns_on_both_cores_find_bugs() {
     for cfg in [boom_small(), xiangshan_minimal()] {
-        let mut campaign = Campaign::with_backend(
-            dejavuzz::BackendSpec::behavioural(cfg),
-            FuzzerOptions::default(),
-            0xABCD,
-        );
-        let stats = campaign.run(40);
+        let stats = campaign(cfg, FuzzerOptions::default(), 0xABCD, 40);
         assert!(
             !stats.bugs.is_empty(),
             "{}: 40 iterations must surface a leak",
@@ -112,12 +120,7 @@ fn fixed_hardware_survives_the_same_campaign() {
     // forwarding) yields no Meltdown-class encoded leaks.
     let mut cfg = boom_small();
     cfg.bugs = dejavuzz_uarch::BugSet::NONE;
-    let mut campaign = Campaign::with_backend(
-        dejavuzz::BackendSpec::behavioural(cfg),
-        FuzzerOptions::default(),
-        0xABCD,
-    );
-    let stats = campaign.run(30);
+    let stats = campaign(cfg, FuzzerOptions::default(), 0xABCD, 30);
     let meltdown_encoded = stats
         .bugs
         .iter()
@@ -224,18 +227,8 @@ fn liveness_ablation_reclassifies_residue() {
     // §6.3: without liveness annotations, RoB/regfile residue turns into
     // reported "leaks".
     let cfg = boom_small();
-    let with = Campaign::with_backend(
-        dejavuzz::BackendSpec::behavioural(cfg),
-        FuzzerOptions::default(),
-        0x5151,
-    )
-    .run(25);
-    let without = Campaign::with_backend(
-        dejavuzz::BackendSpec::behavioural(cfg),
-        FuzzerOptions::no_liveness(),
-        0x5151,
-    )
-    .run(25);
+    let with = campaign(cfg, FuzzerOptions::default(), 0x5151, 25);
+    let without = campaign(cfg, FuzzerOptions::no_liveness(), 0x5151, 25);
     assert!(
         without.bugs.len() >= with.bugs.len(),
         "removing the filter can only add classifications: {} vs {}",

@@ -383,3 +383,77 @@ fn v2_snapshot_files_still_load_and_resume() {
     let resumed = orch.resume(loaded).build().unwrap().run(TOTAL);
     assert_reports_identical(&full, &resumed);
 }
+
+/// Halting at or below the run's start point, at both depths of the
+/// commit loop. The barrier (lag 0) checks the halt before it plans each
+/// round, the first included, so it runs no round. The pipeline (lag 1)
+/// dispatches its first two rounds (or the resumed pending round plus
+/// one) before its first halt check, so it commits exactly one round
+/// and snapshots the next as pending. Every halted snapshot resumes to
+/// the uninterrupted run.
+#[test]
+fn halt_at_or_below_the_start_point() {
+    use dejavuzz::scheduler::SchedulerSpec;
+
+    // 2 workers x batch 4 = 8 slots per round; four rounds in the budget.
+    const TOTAL: usize = 32;
+    for lag in [0, 1] {
+        let orch = campaign(FuzzerOptions::default(), 2, 0x4A17)
+            .scheduler(SchedulerSpec::WorkStealing)
+            .pipeline_lag(lag);
+        let full = orch.clone().build().unwrap().run(TOTAL);
+        let resumes_to_full = |snap: CampaignSnapshot| {
+            let snap = CampaignSnapshot::from_bytes(&snap.to_bytes()).unwrap();
+            let resumed = orch.clone().resume(snap).build().unwrap().run(TOTAL);
+            assert_reports_identical(&full, &resumed);
+        };
+
+        // A fresh campaign halted at 0.
+        let (report, snap) = orch
+            .clone()
+            .halt_after(0)
+            .build()
+            .unwrap()
+            .run_snapshotting(TOTAL);
+        let (iterations, pending) = if lag == 0 { (0, None) } else { (8, Some(8)) };
+        assert_eq!(report.stats.iterations, iterations, "lag {lag}, fresh");
+        assert_eq!(snap.completed, iterations, "lag {lag}, fresh");
+        assert_eq!(
+            snap.pending.as_ref().map(|p| p.first_slot),
+            pending,
+            "lag {lag}, fresh"
+        );
+        resumes_to_full(snap);
+
+        // A resumed campaign whose halt is at, then below, its
+        // snapshot's `completed` (8, with three rounds left).
+        let (_, mid) = orch
+            .clone()
+            .halt_after(8)
+            .build()
+            .unwrap()
+            .run_snapshotting(TOTAL);
+        assert_eq!(mid.completed, 8);
+        for halt in [8, 3] {
+            let (report, snap) = orch
+                .clone()
+                .resume(mid.clone())
+                .halt_after(halt)
+                .build()
+                .unwrap()
+                .run_snapshotting(TOTAL);
+            let (iterations, pending) = if lag == 0 { (8, None) } else { (16, Some(16)) };
+            assert_eq!(
+                report.stats.iterations, iterations,
+                "lag {lag}, halt {halt}"
+            );
+            assert_eq!(snap.completed, iterations, "lag {lag}, halt {halt}");
+            assert_eq!(
+                snap.pending.as_ref().map(|p| p.first_slot),
+                pending,
+                "lag {lag}, halt {halt}"
+            );
+            resumes_to_full(snap);
+        }
+    }
+}

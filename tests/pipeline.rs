@@ -1,15 +1,24 @@
 //! Integration tests for the shared-corpus pipeline executor: the
-//! determinism, exact-union and façade-compatibility guarantees the
+//! determinism, exact-union and public-behaviour guarantees the
 //! refactor is specified against.
 
 use dejavuzz::backend::BackendSpec;
-use dejavuzz::campaign::{parallel_run, Campaign, FuzzerOptions};
-use dejavuzz::executor;
+use dejavuzz::builder::CampaignBuilder;
+use dejavuzz::campaign::FuzzerOptions;
+use dejavuzz::executor::ExecutorReport;
 use dejavuzz_ift::CoverageMatrix;
 use dejavuzz_uarch::boom_small;
 
-fn boom() -> BackendSpec {
-    BackendSpec::behavioural(boom_small())
+/// A behavioural-BOOM campaign of `iterations` on `workers` threads.
+fn run(opts: FuzzerOptions, workers: usize, iterations: usize, seed: u64) -> ExecutorReport {
+    CampaignBuilder::new()
+        .backend(BackendSpec::behavioural(boom_small()))
+        .options(opts)
+        .workers(workers)
+        .seed(seed)
+        .build()
+        .unwrap()
+        .run(iterations)
 }
 
 /// Same seed + same worker count ⇒ identical bug set (and identical
@@ -17,8 +26,8 @@ fn boom() -> BackendSpec {
 /// results.
 #[test]
 fn executor_is_deterministic_per_seed_and_worker_count() {
-    let a = executor::run(boom(), FuzzerOptions::default(), 2, 20, 0xD15C0);
-    let b = executor::run(boom(), FuzzerOptions::default(), 2, 20, 0xD15C0);
+    let a = run(FuzzerOptions::default(), 2, 20, 0xD15C0);
+    let b = run(FuzzerOptions::default(), 2, 20, 0xD15C0);
     assert_eq!(a.stats.bugs, b.stats.bugs, "identical bug set");
     assert_eq!(
         a.stats.coverage_curve, b.stats.coverage_curve,
@@ -39,7 +48,7 @@ fn executor_is_deterministic_per_seed_and_worker_count() {
 /// approximated.
 #[test]
 fn parallel_coverage_is_exact_union_of_worker_observations() {
-    let report = executor::run(boom(), FuzzerOptions::default(), 3, 24, 42);
+    let report = run(FuzzerOptions::default(), 3, 24, 42);
 
     let mut union = CoverageMatrix::new();
     let mut inflated_sum = 0;
@@ -72,7 +81,7 @@ fn parallel_coverage_is_exact_union_of_worker_observations() {
 /// oracle).
 #[test]
 fn pool_still_finds_bugs_on_vulnerable_boom() {
-    let report = executor::run(boom(), FuzzerOptions::default(), 4, 40, 3);
+    let report = run(FuzzerOptions::default(), 4, 40, 3);
     assert!(
         !report.stats.bugs.is_empty(),
         "40 pooled iterations must surface a leak"
@@ -80,43 +89,22 @@ fn pool_still_finds_bugs_on_vulnerable_boom() {
     assert!(report.stats.first_bug_iteration.is_some());
 }
 
-/// The historical `parallel_run` signature survives as a façade over the
-/// executor: `threads * iterations_per_thread` total iterations, exact
-/// curve included (the old implementation returned an *empty* curve).
-#[test]
-fn parallel_run_facade_matches_executor() {
-    let stats = parallel_run(boom(), FuzzerOptions::default(), 2, 5, 77);
-    assert_eq!(stats.iterations, 10);
-    assert_eq!(
-        stats.coverage_curve.len(),
-        10,
-        "exact curve, one point per iteration"
-    );
-    assert!(
-        stats.coverage_curve.windows(2).all(|w| w[0] <= w[1]),
-        "monotone"
-    );
-    let direct = executor::run(boom(), FuzzerOptions::default(), 2, 10, 77);
-    assert_eq!(stats.bugs, direct.stats.bugs);
-    assert_eq!(stats.coverage_curve, direct.stats.coverage_curve);
-}
-
-/// The single-worker `Campaign` façade and the ablation constructors keep
-/// their public behaviour on top of the new pipeline internals.
+/// A single-worker campaign and the ablation constructors keep their
+/// public behaviour through the builder.
 #[test]
 fn campaign_facade_keeps_public_behaviour() {
-    let mut campaign = Campaign::with_backend(boom(), FuzzerOptions::default(), 9);
-    let stats = campaign.run(12);
+    let report = run(FuzzerOptions::default(), 1, 12, 9);
+    let stats = &report.stats;
     assert_eq!(stats.iterations, 12);
     assert_eq!(stats.coverage_curve.len(), 12);
-    assert_eq!(stats.coverage(), campaign.coverage().points());
+    assert_eq!(stats.coverage(), report.coverage.points());
 
     for opts in [
         FuzzerOptions::dejavuzz_star(),
         FuzzerOptions::dejavuzz_minus(),
         FuzzerOptions::no_liveness(),
     ] {
-        let stats = Campaign::with_backend(boom(), opts, 9).run(6);
+        let stats = run(opts, 1, 6, 9).stats;
         assert_eq!(stats.iterations, 6, "ablation variants run unchanged");
     }
 }
@@ -126,11 +114,10 @@ fn campaign_facade_keeps_public_behaviour() {
 /// Figure 7's middle curve stops isolating the mutation feedback.
 #[test]
 fn dejavuzz_minus_runs_without_coverage_driven_scheduling() {
-    let mut campaign = Campaign::with_backend(boom(), FuzzerOptions::dejavuzz_minus(), 5);
-    campaign.run(20);
-    assert!(campaign.corpus().is_empty(), "the ablation retains nothing");
+    let report = run(FuzzerOptions::dejavuzz_minus(), 1, 20, 5);
+    assert_eq!(report.corpus_retained, 0, "the ablation retains nothing");
 
-    let report = executor::run(boom(), FuzzerOptions::dejavuzz_minus(), 2, 16, 5);
+    let report = run(FuzzerOptions::dejavuzz_minus(), 2, 16, 5);
     assert_eq!(report.corpus_retained, 0, "pooled ablation retains nothing");
 }
 
@@ -138,10 +125,9 @@ fn dejavuzz_minus_runs_without_coverage_driven_scheduling() {
 /// retained and rescheduled.
 #[test]
 fn campaign_retains_interesting_seeds() {
-    let mut campaign = Campaign::with_backend(boom(), FuzzerOptions::default(), 5);
-    campaign.run(25);
+    let report = run(FuzzerOptions::default(), 1, 25, 5);
     assert!(
-        !campaign.corpus().is_empty(),
+        report.corpus_retained > 0,
         "25 iterations on vulnerable BOOM must retain at least one gaining seed"
     );
 }
