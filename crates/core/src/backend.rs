@@ -203,7 +203,28 @@ pub trait SimBackend: Send + fmt::Debug {
     /// not).
     fn supports_taint(&self) -> bool;
 
+    /// Whether the executor may answer a run a corpus pick repeats from
+    /// a digest of an earlier answer instead of calling [`Self::run`]
+    /// again. Returning true promises that a successful `run` is a pure
+    /// function of `(plan, schedule, mode, max_cycles)`: it may not
+    /// depend on which runs this or any other instance served before, on
+    /// their order or on the host (a backend error is never reused).
+    /// State an implementation keeps between runs, such as
+    /// [`NetlistBackend`]'s checkpoint, must be invisible in its answers;
+    /// `tests/backends.rs` checks this on the in-tree backends, which all
+    /// return true.
+    ///
+    /// The default is false: every simulation the pipeline consumes then
+    /// calls `run`, which a backend that is not pure, or that counts or
+    /// times its calls, relies on.
+    fn replayable(&self) -> bool {
+        false
+    }
+
     /// Simulates one schedule under `mode` with a `max_cycles` budget.
+    /// A backend that is [`Self::replayable`] must answer as a pure
+    /// function of `(plan, schedule, mode, max_cycles)`: the executor may
+    /// answer a repeated request from a digest of its first answer.
     fn run(
         &mut self,
         plan: &TransientPlan,
@@ -243,6 +264,10 @@ impl SimBackend for BehaviouralBackend {
     }
 
     fn supports_taint(&self) -> bool {
+        true
+    }
+
+    fn replayable(&self) -> bool {
         true
     }
 
@@ -717,6 +742,10 @@ impl SimBackend for NetlistBackend {
     }
 
     fn supports_taint(&self) -> bool {
+        true
+    }
+
+    fn replayable(&self) -> bool {
         true
     }
 

@@ -129,9 +129,14 @@ pub struct CampaignStats {
     pub bugs: Vec<BugReport>,
     /// Iteration of the first bug, if any.
     pub first_bug_iteration: Option<usize>,
-    /// Total RTL simulations spent.
+    /// Simulations the pipeline consumed: Phase 1's trigger and
+    /// reduction runs, every Phase-2 attempt and Phase 3's sanitized
+    /// re-run. A run the executor replayed from its lineage memo counts
+    /// like a simulated one.
     pub sim_runs: usize,
-    /// Total simulated cycles (proxy for simulation wall-clock).
+    /// Simulated cycles (first plane) of the Phase-2 attempts the
+    /// pipeline consumed, replays included; Phase-1 and Phase-3 runs are
+    /// not counted. A proxy for simulation work.
     pub sim_cycles: u64,
     /// Iterations aborted by a backend failure
     /// ([`crate::backend::BackendError`]); always 0 on the in-tree

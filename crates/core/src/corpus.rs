@@ -5,10 +5,14 @@
 //! threw it away afterwards, so a window that uncovered new taint coverage
 //! contributed nothing beyond its own run. The corpus closes that loop:
 //! seeds whose Phase-2 exploration gained coverage are *retained*, carry
-//! *energy* proportional to their gain, and are rescheduled (as mutations
-//! — same trigger configuration, re-rolled window section) with
-//! probability proportional to their remaining energy. Energy decays with
-//! every reschedule, so a once-interesting seed cannot monopolise the
+//! *energy* proportional to their gain, and are rescheduled with
+//! probability proportional to their remaining energy. A pick keeps the
+//! entry's trigger configuration and starts one mutation past the
+//! entry's window: every pick of an entry returns that same mutated
+//! seed until a higher gain replaces the entry, so picks repeat their
+//! lineage's Phase 1 and Phase-2 mutation chain (which the executor
+//! replays rather than re-simulates). Energy decays with every
+//! reschedule, so a once-interesting seed cannot monopolise the
 //! pipeline; capacity eviction drops the lowest-energy entry first.
 //!
 //! Scheduling draws all randomness from a caller-supplied RNG — the
@@ -41,7 +45,7 @@ pub const DEFAULT_CAPACITY: usize = 256;
 
 /// Probability of scheduling a retained seed instead of generating a
 /// fresh one. Exploration-heavy on purpose: the window/trigger space is
-/// enormous and retained seeds only re-roll their window section.
+/// enormous and a retained seed only varies its window section.
 pub const EXPLOIT_PROBABILITY: f64 = 0.35;
 
 /// One retained seed plus its scheduling state.
@@ -227,8 +231,9 @@ impl Corpus {
     /// Draws the next seed to run, or `None` when the scheduler chooses
     /// exploration (the caller then generates a fresh random seed).
     ///
-    /// A retained pick is returned *mutated*: the trigger configuration
-    /// that proved interesting is kept, the window section re-rolls.
+    /// A retained pick is returned as [`Corpus::schedule_entry`] returns
+    /// it: the entry's seed mutated once, the same seed on every pick of
+    /// the entry until the entry is replaced.
     pub fn schedule(&mut self, rng: &mut StdRng) -> Option<Seed> {
         if self.entries.is_empty()
             || self.exploit_probability <= 0.0
@@ -254,10 +259,13 @@ impl Corpus {
     }
 
     /// Schedules the entry at `index` directly: bumps its reschedule
-    /// count (decaying its energy) and returns the mutated seed. This is
-    /// the primitive custom [`crate::scheduler::SeedPolicy`]
-    /// implementations build on after making their own pick over
-    /// [`Corpus::entries`].
+    /// count (decaying its energy) and returns its seed mutated once,
+    /// which keeps the trigger configuration and moves the window one
+    /// mutation on. The result depends only on the entry's seed, so every
+    /// pick of an entry returns the same seed until [`Corpus::record`]
+    /// replaces the entry. This is the primitive custom
+    /// [`crate::scheduler::SeedPolicy`] implementations build on after
+    /// making their own pick over [`Corpus::entries`].
     ///
     /// # Panics
     ///

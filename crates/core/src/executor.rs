@@ -42,6 +42,19 @@
 //!    curve, bug dedup, gain-threshold samples and corpus retention all
 //!    replay deterministically.
 //!
+//! # Replayed runs
+//!
+//! Every pick of a corpus entry repeats its lineage's Phase 1, the
+//! Phase-2 attempts earlier picks of the entry ran and, when it stops at
+//! the same attempt, their Phase-3 run. The workers of a run share one
+//! lineage memo that answers those repeats from compact run digests
+//! instead of calling the backend, when the backend promises pure runs
+//! ([`crate::backend::SimBackend::replayable`]); the orchestrator prunes
+//! it at every round boundary to the lineages the corpus holds. A
+//! replay is accounted exactly like the simulation it stands for, so no
+//! report, event or snapshot can tell the two apart, and a resumed run
+//! starting with an empty memo only simulates more.
+//!
 //! # One commit loop
 //!
 //! [`Orchestrator::run_observed`] is the only loop that dispatches
@@ -118,11 +131,11 @@ use crate::campaign::{CampaignStats, FuzzerOptions};
 use crate::corpus::{Corpus, CorpusEntry};
 use crate::gen::{Seed, WindowType};
 use crate::gossip::{GossipFrame, SharedGossipLink, FAVOURED_PER_FRAME};
+use crate::memo::{LineageMemo, Replays};
 use crate::observer::{
     BugFound, CampaignFinished, CampaignObserver, CoverageGained, PeerDeltaImported, RoundStarted,
     SeedImported, SlotCommitted, SnapshotWritten,
 };
-use crate::phases::{phase1, phase2, phase3};
 use crate::registry::{BackendCtor, PolicyCtor, SchedulerCtor};
 use crate::scheduler::{
     PlanCtx, PlannedSlot, PolicySpec, PolicyState, RoundPlan, Scheduler, SchedulerSpec, SeedPolicy,
@@ -177,6 +190,8 @@ struct IterationOutcome {
     pub eto: usize,
     pub sim_runs: usize,
     pub sim_cycles: u64,
+    /// The part of `sim_runs` the lineage memo answered, by phase.
+    pub replays: Replays,
     /// Per-mutation-attempt coverage gains, in execution order (the
     /// orchestrator replays these into the global threshold).
     pub gains: Vec<f64>,
@@ -267,7 +282,9 @@ impl MakespanModel {
 /// One three-phase pipeline iteration, as a [`Worker`] runs it for a
 /// slot. Dyn-dispatched on the backend: one virtual call per
 /// *simulation*, noise against the simulation itself (measured by the
-/// `backends` Criterion group).
+/// `backends` Criterion group). Every simulation goes through the
+/// campaign's [`LineageMemo`], which answers the ones a corpus pick
+/// repeats without calling a replayable backend.
 #[allow(clippy::too_many_arguments)] // the iteration's full context, spelled out
 fn run_iteration<V: CoverageView>(
     backend: &mut dyn SimBackend,
@@ -280,6 +297,7 @@ fn run_iteration<V: CoverageView>(
     observed: &mut CoverageMatrix,
     shared: &SharedCoverage,
     gain: &mut GainAverage,
+    memo: &LineageMemo,
 ) -> IterationOutcome {
     // A scheduled seed is borrowed for as long as it stays unmutated, so
     // the per-slot clone that used to sit in this hot path is gone: the
@@ -306,6 +324,7 @@ fn run_iteration<V: CoverageView>(
         eto: 0,
         sim_runs: 0,
         sim_cycles: 0,
+        replays: Replays::default(),
         gains: Vec::new(),
         final_gain: 0,
         fresh_points: Vec::new(),
@@ -314,7 +333,7 @@ fn run_iteration<V: CoverageView>(
         error: None,
     };
 
-    let p1 = match phase1(backend, &seed, &opts.phases) {
+    let p1 = match memo.phase1(backend, &seed, &opts.phases, &mut out.replays) {
         Ok(p1) => p1,
         Err(e) => {
             out.error = Some(e.to_string());
@@ -332,8 +351,12 @@ fn run_iteration<V: CoverageView>(
     out.eto = p1.eto;
 
     // Phase 2 with coverage feedback: mutate the window section while the
-    // gain stays below the shared running average.
-    let mut best = None;
+    // gain stays below the shared running average. Only a corpus pick
+    // (whose mutation counter starts above 0) has runs worth digesting:
+    // a fresh seed's attempts end at the mutation its corpus entry would
+    // keep, and every pick of that entry starts one past it.
+    let pick = seed.mutation > 0;
+    let mut last = None;
     for attempt in 0..=opts.mutation_attempts {
         let mut sink = RecordingCoverage {
             view: &mut *view,
@@ -342,7 +365,16 @@ fn run_iteration<V: CoverageView>(
             observed_recorded: &mut out.observed_fresh,
             shared,
         };
-        let p2 = match phase2(backend, &seed, &p1, &mut sink, &opts.phases) {
+        let answer = memo.phase2(
+            backend,
+            &seed,
+            &p1,
+            &mut sink,
+            &opts.phases,
+            pick,
+            &mut out.replays,
+        );
+        let p2 = match answer {
             Ok(p2) => p2,
             Err(e) => {
                 out.error = Some(e.to_string());
@@ -351,14 +383,14 @@ fn run_iteration<V: CoverageView>(
             }
         };
         out.sim_runs += 1;
-        out.sim_cycles += p2.run.total_cycles.0;
-        let g = p2.coverage_gain as f64;
+        out.sim_cycles += p2.cycles;
+        let g = p2.gain as f64;
         let below_avg = g < gain.avg;
         let propagated = p2.taints_increased;
         gain.push(g);
         out.gains.push(g);
-        out.final_gain = p2.coverage_gain;
-        best = Some(p2);
+        out.final_gain = p2.gain;
+        last = Some(p2);
         if !opts.coverage_feedback {
             break; // DejaVuzz⁻ takes whatever the first roll produced
         }
@@ -369,15 +401,24 @@ fn run_iteration<V: CoverageView>(
             seed = Cow::Owned(seed.mutate());
         }
     }
-    let p2 = best.expect("at least one phase-2 attempt ran");
+    let p2 = last.expect("at least one phase-2 attempt ran");
     out.seed = seed.into_owned();
 
     // Phase 3 only for cases that accessed and propagated the secret.
     if p2.taints_increased || opts.phases.mode == IftMode::Base {
-        match phase3(backend, &p1, &p2, slot, &opts.phases) {
-            Ok(p3) => {
+        let leaks = memo.phase3(
+            backend,
+            &out.seed,
+            &p1,
+            p2,
+            &opts.phases,
+            slot,
+            &mut out.replays,
+        );
+        match leaks {
+            Ok(leaks) => {
                 out.sim_runs += 1;
-                out.bugs = p3.leaks;
+                out.bugs = leaks;
             }
             Err(e) => out.error = Some(e.to_string()),
         }
@@ -435,6 +476,9 @@ fn commit_outcome(
     }
     metrics.iterations_total.inc();
     metrics.sim_runs_total.add(o.sim_runs as u64);
+    for (counter, replays) in metrics.sim_replays_total.iter().zip(o.replays) {
+        counter.add(replays);
+    }
     if matches!(o.window_type, WindowType::Scenario(_)) {
         metrics.scenario_slots_total.inc();
     }
@@ -582,6 +626,8 @@ struct Worker {
     view: CoverageMatrix,
     observed: CoverageMatrix,
     shared: Arc<SharedCoverage>,
+    /// The campaign's lineage memo, shared by every worker.
+    memo: Arc<LineageMemo>,
     /// Active scenario-instance indices for fresh-seed draws (sorted by
     /// canonical spec; empty without `--scenarios`).
     scenarios: Vec<u16>,
@@ -629,6 +675,7 @@ impl Worker {
                 &mut self.observed,
                 &self.shared,
                 &mut gain,
+                &self.memo,
             );
             out.stream = self.id;
             out.elapsed_nanos = start.elapsed().as_nanos() as u64;
@@ -693,6 +740,7 @@ impl Worker {
                 &mut slot_observed,
                 &self.shared,
                 &mut gain,
+                &self.memo,
             );
             out.stream = item.stream;
             out.elapsed_nanos = start.elapsed().as_nanos() as u64;
@@ -1277,7 +1325,8 @@ impl Orchestrator {
                 view.remove(point);
             }
         }
-        let mut pool = self.spawn_pool(&s, &view, &shared);
+        let memo = Arc::new(LineageMemo::default());
+        let mut pool = self.spawn_pool(&s, &view, &shared, &memo);
         drop(view);
 
         let mut in_flight: VecDeque<InFlight> = VecDeque::new();
@@ -1376,6 +1425,7 @@ impl Orchestrator {
             if self.gossip_every > 0 && rounds.is_multiple_of(self.gossip_every) {
                 self.gossip_exchange(&mut s, &shared, &mut gossip_state, feedback, observers);
             }
+            memo.prune(&s.corpus);
             if self.snapshot_every > 0 && rounds.is_multiple_of(self.snapshot_every) {
                 let pending = in_flight.front().and_then(|f| f.pending(&s.global));
                 self.write_checkpoint(&s, pending, true, observers);
@@ -1394,6 +1444,7 @@ impl Orchestrator {
         for h in pool.handles {
             h.join().expect("worker panicked");
         }
+        drop(memo);
 
         if in_flight.is_empty() {
             debug_assert_eq!(shared.points(), s.global.points(), "both unions must agree");
@@ -1436,7 +1487,13 @@ impl Orchestrator {
     }
 
     /// Spawns the run's worker threads, every view seeded with `view`.
-    fn spawn_pool(&self, s: &Session, view: &CoverageMatrix, shared: &Arc<SharedCoverage>) -> Pool {
+    fn spawn_pool(
+        &self,
+        s: &Session,
+        view: &CoverageMatrix,
+        shared: &Arc<SharedCoverage>,
+        memo: &Arc<LineageMemo>,
+    ) -> Pool {
         let (from_tx, from_rx) = mpsc::channel();
         let physical = self.physical_workers();
         let mut to_workers = Vec::with_capacity(physical);
@@ -1463,6 +1520,7 @@ impl Orchestrator {
                     CoverageMatrix::new()
                 },
                 shared: Arc::clone(shared),
+                memo: Arc::clone(memo),
                 scenarios: self.scenarios.clone(),
             };
             let from_tx = from_tx.clone();
@@ -1665,6 +1723,59 @@ mod tests {
             assert_eq!(g.samples, i + 1);
         }
         assert!((g.avg - 4.0).abs() < 1e-12);
+    }
+
+    /// Backend calls plus the replays a slot reports equal the
+    /// simulations it consumed in a release build; a debug build also
+    /// simulates every replay. Four picks of one lineage: the first two
+    /// face a threshold no gain reaches, so they run every attempt and
+    /// analyse the last; the next two stop at the first attempt, which
+    /// the third must simulate again because no pick analysed it yet.
+    #[test]
+    fn backend_calls_plus_replays_equal_consumed_sims() {
+        use crate::memo::tests::{skipped, triggering, Counting};
+
+        let opts = FuzzerOptions::default();
+        let mut b = Counting::new(true);
+        let pick = triggering(&mut b, &opts.phases).mutate();
+        let memo = LineageMemo::default();
+        let shared = SharedCoverage::default();
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut replays = Vec::new();
+        for (slot, avg) in [1e9, 1e9, 0.0, 0.0].into_iter().enumerate() {
+            b.calls = 0;
+            let mut gain = GainAverage {
+                avg,
+                samples: 1 << 20,
+            };
+            let out = run_iteration(
+                &mut b,
+                &opts,
+                slot,
+                Some(&pick),
+                &[],
+                &mut rng,
+                &mut CoverageMatrix::new(),
+                &mut CoverageMatrix::new(),
+                &shared,
+                &mut gain,
+                &memo,
+            );
+            assert!(out.error.is_none() && out.triggered);
+            let attempts = if avg > 0.0 {
+                opts.mutation_attempts + 1
+            } else {
+                1
+            };
+            assert_eq!(out.gains.len(), attempts, "slot {slot}");
+            let saved = skipped(out.replays.iter().sum());
+            assert_eq!(b.calls as u64 + saved, out.sim_runs as u64, "slot {slot}");
+            replays.push(out.replays);
+        }
+        let p1 = replays[1][0];
+        assert!(p1 > 0);
+        let every = opts.mutation_attempts as u64 + 1;
+        assert_eq!(replays, [[0, 0, 0], [p1, every, 1], [p1, 0, 0], [p1, 1, 1]]);
     }
 
     #[test]

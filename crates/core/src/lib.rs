@@ -27,8 +27,8 @@
 //! fuzzing pipeline of §5:
 //!
 //! * [`corpus::Corpus`] — interesting-seed retention with energy-based
-//!   scheduling (retained seeds re-roll their window section; energy
-//!   decays per reschedule),
+//!   scheduling (a pick keeps the entry's trigger configuration and runs
+//!   the next window mutation; energy decays per reschedule),
 //! * [`scheduler`] — the pluggable scheduling layer: a
 //!   [`scheduler::Scheduler`] decides how iteration slots are
 //!   partitioned/claimed across workers per round (fixed round-robin
@@ -40,7 +40,10 @@
 //!   schedules round batches over channels to `Worker` threads that share
 //!   one exact concurrent coverage union
 //!   ([`dejavuzz_ift::SharedCoverage`]), one global mutation-gain
-//!   threshold, and deterministic per-worker RNG streams,
+//!   threshold, deterministic per-worker RNG streams, and one lineage
+//!   memo that answers the simulations corpus picks repeat from compact
+//!   run digests when the backend is
+//!   [`backend::SimBackend::replayable`],
 //! * [`campaign`] — campaign options and results; the ablation variants
 //!   used in the evaluation are [`campaign::FuzzerOptions`] constructors
 //!   run through [`builder::CampaignBuilder::options`]: `DejaVuzz*`
@@ -180,6 +183,7 @@ pub mod corpus;
 pub mod executor;
 pub mod gen;
 pub mod gossip;
+mod memo;
 pub mod metrics;
 pub mod observer;
 pub mod phases;

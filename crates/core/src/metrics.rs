@@ -30,8 +30,9 @@ pub struct CoreMetrics {
     pub slot_run_nanos: Arc<Histogram>,
     /// Per-slot overlay view construction time (steal rounds only).
     pub view_setup_nanos: Arc<Histogram>,
-    /// DIFT taint-census time: folding a run's taint log into the
-    /// coverage matrix in phase 2.
+    /// DIFT taint-census time in phase 2: digesting a simulated run's
+    /// taint log into its distinct points and folding them into the
+    /// coverage sink, or folding a replayed digest's points.
     pub census_nanos: Arc<Histogram>,
     /// Time the commit loop spent blocked on `recv` waiting for the next
     /// contiguous slot — the contiguous-prefix stall, which in barriered
@@ -58,8 +59,18 @@ pub struct CoreMetrics {
     pub scenario_slots_total: Arc<Counter>,
     /// Slots committed.
     pub iterations_total: Arc<Counter>,
-    /// Backend simulator invocations (a slot runs several).
+    /// Simulations the slots consumed (a slot runs several), replays
+    /// included.
     pub sim_runs_total: Arc<Counter>,
+    /// `dejavuzz_sim_replays_total{phase="1"|"2"|"3"}`: consumed
+    /// simulations the executor answered from its lineage memo instead
+    /// of calling the backend, by phase (index 0 is phase 1), added when
+    /// their slot commits, like `sim_runs_total`. Phase 1 counts every
+    /// trigger and reduction run a replayed verdict stands for. In a
+    /// release build without backend errors, backend calls plus replays
+    /// equal `sim_runs_total`; debug builds also simulate every replay,
+    /// to check it.
+    pub sim_replays_total: [Arc<Counter>; 3],
     /// Current global coverage points (last committing run wins).
     pub coverage_points: Arc<Gauge>,
     /// Sum of per-slot backend run time across completed runs — the
@@ -103,7 +114,7 @@ pub fn handles() -> &'static CoreMetrics {
             ),
             census_nanos: r.histogram(
                 "dejavuzz_census_nanos",
-                "DIFT taint census (coverage fold of one taint log) time in nanoseconds",
+                "DIFT taint census (digest and coverage fold of one phase-2 run) time in nanoseconds",
             ),
             commit_stall_nanos: r.histogram(
                 "dejavuzz_commit_stall_nanos",
@@ -139,7 +150,18 @@ pub fn handles() -> &'static CoreMetrics {
                 "Slots committed under a scenario-template window family",
             ),
             iterations_total: r.counter("dejavuzz_iterations_total", "Slots committed"),
-            sim_runs_total: r.counter("dejavuzz_sim_runs_total", "Backend simulator invocations"),
+            sim_runs_total: r.counter(
+                "dejavuzz_sim_runs_total",
+                "Simulations consumed by committed slots, replays included",
+            ),
+            sim_replays_total: ["1", "2", "3"].map(|phase| {
+                r.labelled_counter(
+                    "dejavuzz_sim_replays_total",
+                    "Consumed simulations answered from the lineage memo instead of the backend, by phase",
+                    "phase",
+                    phase,
+                )
+            }),
             coverage_points: r.gauge(
                 "dejavuzz_coverage_points",
                 "Global coverage points (last committing run wins)",
@@ -215,5 +237,7 @@ mod tests {
         assert!(text.contains("# TYPE dejavuzz_plan_nanos histogram"));
         assert!(text.contains("# TYPE dejavuzz_iterations_total counter"));
         assert!(text.contains("# TYPE dejavuzz_busy_nanos gauge"));
+        assert!(text.contains("# TYPE dejavuzz_sim_replays_total counter"));
+        assert!(text.contains("dejavuzz_sim_replays_total{phase=\"3\"} "));
     }
 }

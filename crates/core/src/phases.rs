@@ -6,7 +6,7 @@
 //! [`BackendError`] so a misconfigured backend fails the *run* (the
 //! executor records it and keeps fuzzing), never the campaign.
 
-use dejavuzz_ift::{IftMode, TaintCoverage};
+use dejavuzz_ift::{CoveragePoint, IftMode, TaintCoverage};
 use dejavuzz_swapmem::{SwapMem, SwapPacket, DEFAULT_LAYOUT};
 
 use crate::backend::{BackendError, RunOutcome, SimBackend};
@@ -92,21 +92,39 @@ pub struct Phase1Result {
     pub sim_runs: usize,
 }
 
-/// Phase 1: transient window triggering (§4.1).
-pub fn phase1<B: SimBackend + ?Sized>(
-    backend: &mut B,
-    seed: &Seed,
-    opts: &PhaseOptions,
-) -> Result<Phase1Result, BackendError> {
+/// The plan and candidate training packets Phase 1 starts from: a pure
+/// function of the seed's trigger configuration.
+fn phase1_candidates(seed: &Seed, opts: &PhaseOptions) -> (TransientPlan, Vec<SwapPacket>) {
     let plan = gen::plan(seed);
     let trainings = if opts.training_derivation {
         gen::derive_trainings(seed, &plan, opts.decoy_trainings)
     } else {
         gen::random_trainings(seed, opts.decoy_trainings + 2)
     };
-    let transient = gen::build_transient(&plan, &WindowFill::Dummy);
+    (plan, trainings)
+}
+
+/// Phase 1: transient window triggering (§4.1).
+pub fn phase1<B: SimBackend + ?Sized>(
+    backend: &mut B,
+    seed: &Seed,
+    opts: &PhaseOptions,
+) -> Result<Phase1Result, BackendError> {
+    phase1_kept(backend, seed, opts).map(|(p1, _)| p1)
+}
+
+/// [`phase1`], also returning the indices of the candidate trainings
+/// that survived reduction: with them, [`phase1_rebuild`] restores the
+/// result without simulating.
+pub(crate) fn phase1_kept<B: SimBackend + ?Sized>(
+    backend: &mut B,
+    seed: &Seed,
+    opts: &PhaseOptions,
+) -> Result<(Phase1Result, Vec<usize>), BackendError> {
+    let (plan, trainings) = phase1_candidates(seed, opts);
+    let mut kept: Vec<usize> = (0..trainings.len()).collect();
     let mut schedule: Vec<SwapPacket> = trainings;
-    schedule.push(transient);
+    schedule.push(gen::build_transient(&plan, &WindowFill::Dummy));
     let mut sim_runs = 0;
 
     let expected = plan.window_type.expected_cause();
@@ -129,20 +147,45 @@ pub fn phase1<B: SimBackend + ?Sized>(
             trial.remove(i);
             if triggers(&trial, &mut sim_runs)? {
                 schedule = trial;
+                kept.remove(i);
             } else {
                 i += 1;
             }
         }
     }
     let (to, eto) = gen::training_overhead(&schedule[..schedule.len() - 1]);
-    Ok(Phase1Result {
+    let p1 = Phase1Result {
         plan,
         schedule,
         triggered,
         to,
         eto,
         sim_runs,
-    })
+    };
+    Ok((p1, kept))
+}
+
+/// The [`phase1`] result of a `seed` that triggered after `sim_runs`
+/// simulations with its candidate trainings `kept`, rebuilt without
+/// simulating.
+pub(crate) fn phase1_rebuild(
+    seed: &Seed,
+    opts: &PhaseOptions,
+    kept: &[usize],
+    sim_runs: usize,
+) -> Phase1Result {
+    let (plan, trainings) = phase1_candidates(seed, opts);
+    let mut schedule: Vec<SwapPacket> = kept.iter().map(|&i| trainings[i].clone()).collect();
+    let (to, eto) = gen::training_overhead(&schedule);
+    schedule.push(gen::build_transient(&plan, &WindowFill::Dummy));
+    Phase1Result {
+        plan,
+        schedule,
+        triggered: true,
+        to,
+        eto,
+        sim_runs,
+    }
 }
 
 /// Phase 2 output.
@@ -154,6 +197,10 @@ pub struct Phase2Result {
     pub schedule: Vec<SwapPacket>,
     /// The diffIFT simulation.
     pub run: RunOutcome,
+    /// The run's distinct coverage points in first-seen order
+    /// ([`dejavuzz_ift::TaintLog::distinct_points`]): what the census
+    /// folded. Empty on a backend without taint tracking.
+    pub points: Vec<CoveragePoint>,
     /// New coverage points this run contributed.
     pub coverage_gain: usize,
     /// Whether taints increased inside the transient window (Phase 2's
@@ -176,6 +223,31 @@ pub fn phase2<B: SimBackend + ?Sized, C: TaintCoverage + ?Sized>(
     coverage: &mut C,
     opts: &PhaseOptions,
 ) -> Result<Phase2Result, BackendError> {
+    let mut p2 = explore(backend, seed, p1, opts)?;
+    if backend.supports_taint() {
+        // The DIFT census: the run's distinct points, folded into the
+        // coverage matrix. Timed off the commit path — the gain value
+        // itself never depends on the instrument.
+        let _census_span =
+            dejavuzz_telemetry::Timer::start(&crate::metrics::handles().census_nanos);
+        p2.points = p2.run.taint_log.distinct_points();
+        p2.coverage_gain = coverage.observe_points(&p2.points);
+    } else if opts.mode != IftMode::Base {
+        // A backend without taint tracking produces an empty log; folding
+        // it would silently report zero gain forever, so say why once.
+        warn_taintless(backend.name());
+    }
+    Ok(p2)
+}
+
+/// Simulates Phase 2's run for one window body, folding no coverage
+/// (`points` empty, `coverage_gain` 0).
+pub(crate) fn explore<B: SimBackend + ?Sized>(
+    backend: &mut B,
+    seed: &Seed,
+    p1: &Phase1Result,
+    opts: &PhaseOptions,
+) -> Result<Phase2Result, BackendError> {
     let body = gen::complete_window(seed, &p1.plan);
     let transient = gen::build_transient(&p1.plan, &WindowFill::Body(body.full()));
     // Window training packets are scheduled *before* the trigger trainings
@@ -195,26 +267,12 @@ pub fn phase2<B: SimBackend + ?Sized, C: TaintCoverage + ?Sized>(
                 .taint_increased_in(w.start_cycle as usize, w.end_cycle as usize + 1)
         })
         .unwrap_or(false);
-    let coverage_gain = if backend.supports_taint() {
-        // The DIFT census: folding the run's taint log into the coverage
-        // matrix. Timed off the commit path — the gain value itself never
-        // depends on the instrument.
-        let _census_span =
-            dejavuzz_telemetry::Timer::start(&crate::metrics::handles().census_nanos);
-        coverage.observe_log(&run.taint_log)
-    } else {
-        // A backend without taint tracking produces an empty log; folding
-        // it would silently report zero gain forever, so say why once.
-        if opts.mode != IftMode::Base {
-            warn_taintless(backend.name());
-        }
-        0
-    };
     Ok(Phase2Result {
         body,
         schedule,
         run,
-        coverage_gain,
+        points: Vec::new(),
+        coverage_gain: 0,
         taints_increased,
     })
 }

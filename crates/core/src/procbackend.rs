@@ -195,6 +195,11 @@ impl SimBackend for ProcBackend {
         self.shared.supports_taint
     }
 
+    /// The worker processes run in-tree backends, which are pure.
+    fn replayable(&self) -> bool {
+        true
+    }
+
     fn run(
         &mut self,
         plan: &TransientPlan,

@@ -1,6 +1,8 @@
 //! Per-cycle taint observation: the census (who is tainted, per module) and
 //! the taint log (Figure 6's "taint sum over cycles").
 
+use crate::coverage::CoveragePoint;
+
 /// Tainted-register statistics for one hardware module in one cycle.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ModuleCensus {
@@ -58,6 +60,21 @@ impl Census {
     /// The modules reported this cycle, in report order.
     pub fn modules(&self) -> &[ModuleCensus] {
         &self.modules
+    }
+
+    /// This cycle's coverage points, in report order: one
+    /// `(module, tainted-count)` per module with a tainted register. A
+    /// count of zero is no point (see [`CoverageMatrix::observe`]).
+    ///
+    /// [`CoverageMatrix::observe`]: crate::coverage::CoverageMatrix::observe
+    pub fn points(&self) -> impl Iterator<Item = CoveragePoint> + '_ {
+        self.modules
+            .iter()
+            .filter(|m| m.tainted != 0)
+            .map(|m| CoveragePoint {
+                module: m.module,
+                index: m.tainted,
+            })
     }
 
     /// Total number of tainted registers across all modules — the y-axis of
@@ -119,6 +136,41 @@ impl TaintLog {
     /// Iterates over (cycle, census).
     pub fn iter(&self) -> impl Iterator<Item = (usize, &Census)> {
         self.cycles.iter().enumerate()
+    }
+
+    /// Every distinct coverage point of the log, in the order a cycle-by-
+    /// cycle fold first meets it. Folding these through
+    /// [`TaintCoverage::observe_points`] has exactly the effect of folding
+    /// the whole log, at the cost of its distinct points: a diffIFT log
+    /// runs to hundreds of cycles but holds a handful of distinct points.
+    ///
+    /// A module reporting the same count as it did at the same position
+    /// the cycle before cannot be a first occurrence, so only changed
+    /// modules are looked up among the points found so far.
+    ///
+    /// [`TaintCoverage::observe_points`]: crate::coverage::TaintCoverage::observe_points
+    pub fn distinct_points(&self) -> Vec<CoveragePoint> {
+        let mut points: Vec<CoveragePoint> = Vec::new();
+        let mut prev: &[ModuleCensus] = &[];
+        for census in &self.cycles {
+            for (i, m) in census.modules.iter().enumerate() {
+                let unchanged = prev
+                    .get(i)
+                    .is_some_and(|p| p.tainted == m.tainted && p.module == m.module);
+                if m.tainted == 0 || unchanged {
+                    continue;
+                }
+                let point = CoveragePoint {
+                    module: m.module,
+                    index: m.tainted,
+                };
+                if !points.contains(&point) {
+                    points.push(point);
+                }
+            }
+            prev = &census.modules;
+        }
+        points
     }
 
     /// The taint-sum series (Figure 6 curve).
@@ -215,6 +267,27 @@ mod tests {
         assert!(!log.taint_increased_in(4, 5), "flat tail shows no increase");
         assert!(!log.taint_increased_in(4, 4), "empty range");
         assert!(!log.taint_increased_in(10, 20), "out of range");
+    }
+
+    #[test]
+    fn distinct_points_keep_first_seen_order() {
+        let mut log = TaintLog::new();
+        for counts in [
+            &[("rob", 0, 8), ("lsu", 2, 8)][..],
+            &[("rob", 1, 8), ("lsu", 2, 8)],
+            &[("rob", 1, 8), ("lsu", 2, 8)],
+            &[("rob", 3, 8), ("lsu", 0, 8)],
+            &[("lsu", 1, 8)],
+            &[("rob", 1, 8), ("lsu", 2, 8)],
+        ] {
+            log.push(census(counts));
+        }
+        let pt = |module, index| CoveragePoint { module, index };
+        assert_eq!(
+            log.distinct_points(),
+            vec![pt("lsu", 2), pt("rob", 1), pt("rob", 3), pt("lsu", 1)]
+        );
+        assert!(TaintLog::new().distinct_points().is_empty());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use crate::census::Census;
+use crate::census::{Census, TaintLog};
 
 /// One coverage point: a (module, tainted-count) tuple.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -33,12 +33,27 @@ pub struct CoveragePoint {
 /// over this trait, so the same code path runs on a plain matrix or on the
 /// executor's fan-out.
 pub trait TaintCoverage {
+    /// Observes one coverage point; true if it was new.
+    fn observe_point(&mut self, point: CoveragePoint) -> bool;
+
     /// Observes one cycle's census; returns the number of *new* points.
-    fn observe(&mut self, census: &Census) -> usize;
+    fn observe(&mut self, census: &Census) -> usize {
+        census.points().filter(|&p| self.observe_point(p)).count()
+    }
 
     /// Observes every cycle of a taint log, returning the new points found.
-    fn observe_log(&mut self, log: &crate::census::TaintLog) -> usize {
+    fn observe_log(&mut self, log: &TaintLog) -> usize {
         log.iter().map(|(_, c)| self.observe(c)).sum()
+    }
+
+    /// Observes a run's distinct points, as [`TaintLog::distinct_points`]
+    /// lists them, returning the new points found. Observing a point
+    /// again changes nothing, so this has exactly the effect of
+    /// [`TaintCoverage::observe_log`] on the log the points came from:
+    /// the same count, and the same points newly observed, in the same
+    /// order.
+    fn observe_points(&mut self, points: &[CoveragePoint]) -> usize {
+        points.iter().filter(|&&p| self.observe_point(p)).count()
     }
 }
 
@@ -92,23 +107,11 @@ impl CoverageMatrix {
     /// indexes the bitmap by the number of taints explored, and "no taint"
     /// carries no information about propagation.
     pub fn observe(&mut self, census: &Census) -> usize {
-        let mut fresh = 0;
-        for m in census.modules() {
-            if m.tainted == 0 {
-                continue;
-            }
-            if self.points.insert(CoveragePoint {
-                module: m.module,
-                index: m.tainted,
-            }) {
-                fresh += 1;
-            }
-        }
-        fresh
+        census.points().filter(|&p| self.points.insert(p)).count()
     }
 
     /// Observes every cycle of a taint log, returning the new points found.
-    pub fn observe_log(&mut self, log: &crate::census::TaintLog) -> usize {
+    pub fn observe_log(&mut self, log: &TaintLog) -> usize {
         log.iter().map(|(_, c)| self.observe(c)).sum()
     }
 
@@ -127,17 +130,7 @@ impl CoverageMatrix {
 
     /// How many new points a census *would* add, without committing them.
     pub fn gain(&self, census: &Census) -> usize {
-        census
-            .modules()
-            .iter()
-            .filter(|m| {
-                m.tainted != 0
-                    && !self.points.contains(&CoveragePoint {
-                        module: m.module,
-                        index: m.tainted,
-                    })
-            })
-            .count()
+        census.points().filter(|p| !self.points.contains(p)).count()
     }
 
     /// Merges another matrix into this one (multi-threaded campaigns).
@@ -172,8 +165,8 @@ impl CoverageMatrix {
 }
 
 impl TaintCoverage for CoverageMatrix {
-    fn observe(&mut self, census: &Census) -> usize {
-        CoverageMatrix::observe(self, census)
+    fn observe_point(&mut self, point: CoveragePoint) -> bool {
+        self.insert(point)
     }
 }
 
@@ -346,20 +339,8 @@ impl CoverageView for OverlayCoverage {
 }
 
 impl TaintCoverage for OverlayCoverage {
-    fn observe(&mut self, census: &Census) -> usize {
-        let mut fresh = 0;
-        for m in census.modules() {
-            if m.tainted == 0 {
-                continue;
-            }
-            if self.insert_point(CoveragePoint {
-                module: m.module,
-                index: m.tainted,
-            }) {
-                fresh += 1;
-            }
-        }
-        fresh
+    fn observe_point(&mut self, point: CoveragePoint) -> bool {
+        self.insert_point(point)
     }
 }
 

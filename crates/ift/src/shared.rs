@@ -93,17 +93,7 @@ impl SharedCoverage {
     /// may commit the same point first — the *union* is exact, the
     /// attribution of freshness is first-come-first-served.
     pub fn observe(&self, census: &Census) -> usize {
-        census
-            .modules()
-            .iter()
-            .filter(|m| m.tainted != 0)
-            .filter(|m| {
-                self.observe_point(CoveragePoint {
-                    module: m.module,
-                    index: m.tainted,
-                })
-            })
-            .count()
+        census.points().filter(|&p| self.observe_point(p)).count()
     }
 
     /// Commits every cycle of a taint log.
@@ -157,8 +147,8 @@ impl SharedCoverage {
 /// A shared reference observes concurrently, so the `&mut self` of the
 /// trait is trivially satisfiable from many workers at once.
 impl TaintCoverage for &SharedCoverage {
-    fn observe(&mut self, census: &Census) -> usize {
-        SharedCoverage::observe(self, census)
+    fn observe_point(&mut self, point: CoveragePoint) -> bool {
+        SharedCoverage::observe_point(self, point)
     }
 }
 
@@ -200,32 +190,22 @@ pub struct RecordingCoverage<'a, V: CoverageView = CoverageMatrix> {
 }
 
 impl<V: CoverageView> TaintCoverage for RecordingCoverage<'_, V> {
-    fn observe(&mut self, census: &Census) -> usize {
-        let mut fresh = 0;
-        for m in census.modules() {
-            if m.tainted == 0 {
-                continue;
-            }
-            let p = CoveragePoint {
-                module: m.module,
-                index: m.tainted,
-            };
-            if self.observed.insert(p) {
-                self.observed_recorded.push(p);
-            }
-            if self.view.insert_point(p) {
-                // Commit to the shared union only on view-freshness: a
-                // point already in the view was committed by whichever
-                // worker first recorded it (own points on their fresh
-                // observation, broadcast points by their discoverer), so
-                // the union stays exact while the phase-2 hot loop skips
-                // a shard lock round-trip per duplicate census point.
-                self.shared.observe_point(p);
-                self.recorded.push(p);
-                fresh += 1;
-            }
+    fn observe_point(&mut self, p: CoveragePoint) -> bool {
+        if self.observed.insert(p) {
+            self.observed_recorded.push(p);
         }
-        fresh
+        if !self.view.insert_point(p) {
+            return false;
+        }
+        // Commit to the shared union only on view-freshness: a point
+        // already in the view was committed by whichever worker first
+        // recorded it (own points on their fresh observation, broadcast
+        // points by their discoverer), so the union stays exact while the
+        // phase-2 hot loop skips a shard lock round-trip per duplicate
+        // point.
+        self.shared.observe_point(p);
+        self.recorded.push(p);
+        true
     }
 }
 

@@ -99,6 +99,22 @@ impl Registry {
         }
     }
 
+    /// One labelled series of the counter family `family`: the counter
+    /// registered under `family{label="value"}`, created with `help` on
+    /// first use. The Prometheus exposition declares the family once and
+    /// renders each series as its own sample line; the JSON dump keys
+    /// each series by its full labelled name. Panics on a kind mismatch,
+    /// like [`Registry::counter`].
+    pub fn labelled_counter(
+        &self,
+        family: &str,
+        help: &str,
+        label: &str,
+        value: &str,
+    ) -> Arc<Counter> {
+        self.counter(&format!("{family}{{{label}=\"{value}\"}}"), help)
+    }
+
     /// The gauge registered under `name`, creating it with `help` on
     /// first use. Panics on a kind mismatch, like [`Registry::counter`].
     pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
@@ -154,17 +170,29 @@ impl Registry {
         // rendering reads atomics only, and holding the table lock across
         // it would stall concurrent first-use registrations for no
         // consistency gain (samples are racy reads by design).
-        let snapshot: Vec<(String, String, Instrument)> = {
+        let mut snapshot: Vec<(String, String, Instrument)> = {
             let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
             entries
                 .iter()
                 .map(|(name, e)| (name.clone(), e.help.clone(), e.instrument.clone()))
                 .collect()
         };
+        // Labelled series sort next to their family, which is declared
+        // once, before its first series.
+        snapshot.sort_by(|a, b| family(&a.0).cmp(family(&b.0)).then(a.0.cmp(&b.0)));
         let mut out = String::new();
+        let mut declared = None;
         for (name, help, instrument) in &snapshot {
-            let _ = writeln!(out, "# HELP {name} {}", escape_help(help));
-            let _ = writeln!(out, "# TYPE {name} {}", instrument.kind().prometheus_type());
+            let family = family(name);
+            if declared != Some(family) {
+                declared = Some(family);
+                let _ = writeln!(out, "# HELP {family} {}", escape_help(help));
+                let _ = writeln!(
+                    out,
+                    "# TYPE {family} {}",
+                    instrument.kind().prometheus_type()
+                );
+            }
             match instrument {
                 Instrument::Counter(c) => {
                     let _ = writeln!(out, "{name} {}", c.get());
@@ -265,6 +293,11 @@ impl Registry {
     }
 }
 
+/// The metric family of a registered name: the name up to its label set.
+fn family(name: &str) -> &str {
+    name.split('{').next().unwrap_or(name)
+}
+
 /// Escapes a help string for a `# HELP` line: Prometheus requires `\\`
 /// and newline escaping there (and our help strings are single-line
 /// ASCII anyway — this is belt and braces).
@@ -351,6 +384,34 @@ mod tests {
         assert!(text.contains("c_lat_nanos_count 3\n"));
         // No duplicate families.
         assert_eq!(text.matches("# TYPE c_lat_nanos ").count(), 1);
+    }
+
+    #[test]
+    fn labelled_series_share_one_family_declaration() {
+        let _serial = recording_test_lock();
+        let r = Registry::new();
+        r.labelled_counter("b_total", "per phase", "phase", "2")
+            .add(5);
+        r.labelled_counter("b_total", "per phase", "phase", "1")
+            .inc();
+        r.counter("b_total_extra", "another family").add(2);
+        r.counter("a_total", "before").inc();
+        let text = r.render_prometheus();
+        assert_eq!(
+            text.matches("# TYPE b_total counter\n").count(),
+            1,
+            "{text}"
+        );
+        assert!(
+            text.contains(
+                "# HELP b_total per phase\n# TYPE b_total counter\n\
+                 b_total{phase=\"1\"} 1\nb_total{phase=\"2\"} 5\n"
+            ),
+            "{text}"
+        );
+        assert!(text.contains("# TYPE b_total_extra counter\nb_total_extra 2\n"));
+        let json = r.render_json();
+        assert!(json.contains("\"b_total{phase=\\\"2\\\"}\":5"), "{json}");
     }
 
     #[test]

@@ -10,18 +10,24 @@
 //! * the netlist backend's campaign reports must stay those recorded
 //!   with the per-cell interpreter the compiled simulator replaced,
 //! * a misconfigured backend or an invalid netlist must fail its runs,
-//!   not the campaign.
+//!   not the campaign,
+//! * every in-tree backend is replayable: a run answers as a pure
+//!   function of its request, the contract the executor's lineage memo
+//!   replays on.
 
 use dejavuzz::backend::{BackendError, BackendSpec, NetlistBackend, NetlistIo, SimBackend};
 use dejavuzz::builder::CampaignBuilder;
 use dejavuzz::campaign::CampaignStats;
 use dejavuzz::executor::ExecutorReport;
-use dejavuzz::gen::WindowType;
+use dejavuzz::gen::{self, WindowFill, WindowType};
 use dejavuzz::phases::{phase1, phase2, PhaseOptions};
-use dejavuzz::Seed;
+use dejavuzz::rand::rngs::StdRng;
+use dejavuzz::rand::{Rng, SeedableRng};
+use dejavuzz::{Seed, TransientPlan};
 use dejavuzz_ift::{CoverageMatrix, IftMode};
 use dejavuzz_rtl::examples::{synthetic_core, BOOM_SCALE, SMALL_SCALE};
 use dejavuzz_rtl::ir::{CellKind, Netlist};
+use dejavuzz_swapmem::SwapPacket;
 use dejavuzz_uarch::boom_small;
 
 /// A default-options campaign of `iterations` on `workers` threads.
@@ -335,4 +341,86 @@ fn netlist_campaign_reports_are_pinned() {
             corpus: (4, 0),
         }
     );
+}
+
+/// One backend request, as the phases send them.
+struct Request {
+    plan: TransientPlan,
+    schedule: Vec<SwapPacket>,
+    mode: IftMode,
+    max_cycles: u64,
+}
+
+/// Every request shape the phases send, over three window types (two
+/// exceptions and an indirect misprediction): a phase-1 trigger schedule, a
+/// phase-2 window roll (window training first) and its phase-3
+/// sanitized re-run, each in every IFT mode, at the default budget and
+/// at one that cuts the run short.
+fn phase_requests() -> Vec<Request> {
+    let mut out = Vec::new();
+    for (i, wt) in WindowType::ALL.into_iter().enumerate().step_by(3) {
+        let seed = Seed::new(wt, i as u64);
+        let plan = gen::plan(&seed);
+        let trainings = gen::derive_trainings(&seed, &plan, 2);
+        let body = gen::complete_window(&seed.mutate(), &plan);
+        for fill in [
+            WindowFill::Dummy,
+            WindowFill::Body(body.full()),
+            WindowFill::Sanitized(body.sanitized()),
+        ] {
+            let mut schedule: Vec<SwapPacket> = gen::derive_window_training(&plan)
+                .filter(|_| fill != WindowFill::Dummy)
+                .into_iter()
+                .collect();
+            schedule.extend(trainings.iter().cloned());
+            schedule.push(gen::build_transient(&plan, &fill));
+            for mode in IftMode::ALL {
+                for max_cycles in [20_000, 40] {
+                    out.push(Request {
+                        plan: plan.clone(),
+                        schedule: schedule.clone(),
+                        mode,
+                        max_cycles,
+                    });
+                }
+            }
+        }
+    }
+    out
+}
+
+/// A `SimBackend::replayable` backend's `run` must be a pure function of
+/// `(plan, schedule, mode, max_cycles)`: the executor answers a corpus
+/// pick's repeated runs from digests of the first ones. One backend
+/// instance serves every phase request once, then twice more each in a
+/// shuffled order that mixes modes and shapes; every repeat must answer
+/// exactly as the first time did.
+#[test]
+fn repeated_requests_get_identical_answers() {
+    let requests = phase_requests();
+    for spec in ["behavioural", "netlist:small", "proc:netlist:small:2"] {
+        let mut backend = BackendSpec::parse(spec, boom_small()).unwrap().build();
+        assert!(backend.replayable(), "{spec}");
+        let mut answer = |r: &Request| {
+            let outcome = backend
+                .run(&r.plan, &r.schedule, r.mode, r.max_cycles)
+                .unwrap_or_else(|e| panic!("{spec}: {e}"));
+            format!("{outcome:?}")
+        };
+        let first: Vec<String> = requests.iter().map(&mut answer).collect();
+        let mut order: Vec<usize> = (0..2).flat_map(|_| 0..requests.len()).collect();
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..i + 1));
+        }
+        for i in order {
+            let r = &requests[i];
+            assert!(
+                answer(r) == first[i],
+                "{spec}: request {i} ({:?}, {} cycles) answered differently on repeat",
+                r.mode,
+                r.max_cycles
+            );
+        }
+    }
 }

@@ -172,6 +172,36 @@ fn recorded_campaign_populates_the_registry() {
     assert!(json.contains("\"dejavuzz_iterations_total\""), "{json}");
 }
 
+/// Corpus picks repeat their lineage's runs, and the executor answers
+/// the repeats from its lineage memo: a 200-iteration, 2-worker stealing
+/// campaign replays some, and says so on the replay counters. (Debug
+/// builds simulate every replay too and assert both answers agree.)
+#[test]
+fn stealing_campaign_replays_repeated_runs() {
+    let _serial = recording_serial();
+    let _restore = RecordingGuard;
+    dejavuzz_telemetry::set_recording(true);
+    let m = dejavuzz::metrics::handles();
+    let replays = || m.sim_replays_total.iter().map(|c| c.get()).sum::<u64>();
+    let (replays_before, runs_before) = (replays(), m.sim_runs_total.get());
+    let report = CampaignBuilder::new()
+        .backend(BackendSpec::behavioural(boom_small()))
+        .workers(2)
+        .seed(11)
+        .scheduler(SchedulerSpec::WorkStealing)
+        .build()
+        .unwrap()
+        .run(200);
+    let replayed = replays() - replays_before;
+    assert_eq!(
+        m.sim_runs_total.get() - runs_before,
+        report.stats.sim_runs as u64,
+        "sim_runs counts consumed runs, replays included"
+    );
+    assert!(replayed > 0, "no repeated run was replayed");
+    assert!(replayed < report.stats.sim_runs as u64);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -205,3 +205,86 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Folding a taint log's distinct points, as the executor's run
+    /// digests do, has exactly the effect of folding the log census by
+    /// census. The log repeats whole censuses, reports zero counts,
+    /// reorders and drops modules, and brings points back cycles later;
+    /// both folds start from the same partly populated view and observed
+    /// matrix, and must agree on the fresh count, the `recorded` and
+    /// `observed_recorded` sequences and the view, observed and shared
+    /// sets.
+    #[test]
+    fn digest_fold_equals_census_fold(draws in any::<u64>(), cycles in 0usize..48) {
+        use dejavuzz::rand::rngs::StdRng;
+        use dejavuzz::rand::{Rng, SeedableRng};
+        use dejavuzz_ift::{
+            Census, CoverageMatrix, CoveragePoint, RecordingCoverage, SharedCoverage,
+            TaintCoverage, TaintLog,
+        };
+
+        const MODULES: [&str; 4] = ["rob", "lsu", "dcache", "bht"];
+        let mut rng = StdRng::seed_from_u64(draws);
+        let mut log = TaintLog::new();
+        let mut prev = Census::new();
+        for _ in 0..cycles {
+            if rng.gen_range(0..3) != 0 {
+                let mut modules = MODULES;
+                if rng.gen_range(0..4) == 0 {
+                    modules.reverse();
+                }
+                prev = Census::new();
+                for m in modules {
+                    if rng.gen_range(0..8) != 0 {
+                        prev.report_counts(m, rng.gen_range(0..4), 8);
+                    }
+                }
+            }
+            log.push(prev.clone());
+        }
+        let start: Vec<CoveragePoint> = (0..rng.gen_range(0..6))
+            .map(|_| CoveragePoint {
+                module: MODULES[rng.gen_range(0..4)],
+                index: rng.gen_range(1..4),
+            })
+            .collect();
+
+        let fold = |by_digest: bool| {
+            let mut view = CoverageMatrix::new();
+            let mut observed = CoverageMatrix::new();
+            for (i, p) in start.iter().enumerate() {
+                if i % 2 == 0 {
+                    view.insert(*p);
+                } else {
+                    observed.insert(*p);
+                }
+            }
+            let shared = SharedCoverage::default();
+            let (mut recorded, mut observed_recorded) = (Vec::new(), Vec::new());
+            let mut sink = RecordingCoverage {
+                view: &mut view,
+                recorded: &mut recorded,
+                observed: &mut observed,
+                observed_recorded: &mut observed_recorded,
+                shared: &shared,
+            };
+            let fresh = if by_digest {
+                sink.observe_points(&log.distinct_points())
+            } else {
+                sink.observe_log(&log)
+            };
+            (
+                fresh,
+                recorded,
+                observed_recorded,
+                view.sorted_points(),
+                observed.sorted_points(),
+                shared.snapshot().sorted_points(),
+            )
+        };
+        prop_assert_eq!(fold(true), fold(false));
+    }
+}
