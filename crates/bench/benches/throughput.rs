@@ -51,32 +51,6 @@ fn pool_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-/// Round robin vs. work stealing on the same campaign: wall-clock here,
-/// with the machine-independent modelled-makespan comparison living in
-/// the `throughput_json` bin (one-core CI runners serialise both
-/// schedulers, so wall-clock alone cannot show the barrier idling that
-/// stealing removes).
-fn schedulers(c: &mut Criterion) {
-    let mut g = c.benchmark_group("schedulers");
-    for (name, spec) in [
-        ("round_robin", dejavuzz::SchedulerSpec::RoundRobin),
-        ("work_stealing", dejavuzz::SchedulerSpec::WorkStealing),
-    ] {
-        g.bench_function(&format!("{ITERATIONS}_iters_2_workers_{name}"), |b| {
-            b.iter(|| {
-                CampaignBuilder::new()
-                    .workers(2)
-                    .seed(7)
-                    .scheduler(spec.clone())
-                    .build()
-                    .expect("a valid bench configuration")
-                    .run(ITERATIONS)
-            })
-        });
-    }
-    g.finish();
-}
-
 fn backends(c: &mut Criterion) {
     let mut g = c.benchmark_group("backends");
     let seed = Seed::new(WindowType::BranchMispredict, 7);
@@ -110,6 +84,6 @@ fn backends(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = pool_scaling, schedulers, backends
+    targets = pool_scaling, backends
 }
 criterion_main!(benches);

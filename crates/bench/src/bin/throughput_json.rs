@@ -1,20 +1,19 @@
-//! Emits `BENCH_throughput.json`: seeds/s per backend × scheduler, wall
-//! clock and modelled dedicated-core makespan, for the CI artifact that
-//! tracks the perf trajectory across PRs.
+//! Emits `BENCH_throughput.json`: seeds/s per backend, barriered and
+//! pipelined, wall clock and modelled dedicated-core makespan, for the CI
+//! artifact that tracks the perf trajectory across PRs.
 //!
 //! ```sh
 //! cargo run --release -p dejavuzz-bench --bin throughput_json -- \
 //!     --iters 48 --workers 4 --out BENCH_throughput.json
 //! ```
 //!
-//! The modelled makespan is the comparison number for schedulers: it
+//! The modelled makespan is the comparison number for the pipeline: it
 //! replays each round's measured per-slot costs over `workers` dedicated
-//! cores (fixed chunks for `round`, greedy claiming for `steal`), so the
-//! work-stealing win on skewed seed costs shows even on a one-core CI
-//! runner where wall clock is work-bound either way.
+//! cores with greedy claiming, so the barrier idle the pipeline removes
+//! shows even on a one-core CI runner where wall clock is work-bound
+//! either way.
 
-use dejavuzz::SchedulerSpec;
-use dejavuzz_bench::{arg_or, throughput_json, throughput_sample_lagged};
+use dejavuzz_bench::{arg_or, throughput_json, throughput_sample};
 use dejavuzz_rtl::examples::SMALL_SCALE;
 use dejavuzz_uarch::boom_small;
 
@@ -34,20 +33,10 @@ fn main() {
         dejavuzz::BackendSpec::behavioural(boom_small()),
         dejavuzz::BackendSpec::netlist(SMALL_SCALE),
     ];
-    // Barriered round-robin and steal, plus the cross-round steal
-    // pipeline (every lag >= 1 computes identical results, so one lag
-    // row captures the pipelined makespan/idle numbers).
-    let configs = [
-        (SchedulerSpec::RoundRobin, 0usize),
-        (SchedulerSpec::WorkStealing, 0),
-        (SchedulerSpec::WorkStealing, 1),
-    ];
-
-    // Process-pool rows (steal scheduling — pool scaling needs claiming
-    // threads): pool sizes 1/2/4 against the same inner backend, so the
-    // artifact tracks protocol overhead (M=1 vs in-process) and scaling
-    // (M=2, M=4). Skipped with a note when the worker binary is not
-    // built alongside (`cargo build --release` first).
+    // Process-pool rows: pool sizes 1/2/4 against the same inner backend,
+    // so the artifact tracks protocol overhead (M=1 vs in-process) and
+    // scaling (M=2, M=4). Skipped with a note when the worker binary is
+    // not built alongside (`cargo build --release` first).
     let pool_backends: Vec<dejavuzz::BackendSpec> =
         if dejavuzz::procbackend::worker_binary().is_some() {
             [1usize, 2, 4]
@@ -67,15 +56,14 @@ fn main() {
 
     let mut samples = Vec::new();
     for backend in backends.iter().chain(&pool_backends) {
-        for (scheduler, lag) in &configs {
-            let s =
-                throughput_sample_lagged(backend, scheduler.clone(), workers, iters, seed, *lag);
+        // Barriered rounds, then the cross-round pipeline.
+        for pipelined in [false, true] {
+            let s = throughput_sample(backend, workers, iters, seed, pipelined);
             eprintln!(
-                "{:<24} {:<6} lag {} {} workers: {:>8.1} seeds/s wall, {:>8.1} seeds/s modelled \
+                "{:<24} lag {} {} workers: {:>8.1} seeds/s wall, {:>8.1} seeds/s modelled \
                  ({:.3}s busy over {:.3}s modelled makespan, {:.3}s barrier idle)",
                 s.backend,
-                s.scheduler,
-                s.pipeline_lag,
+                u8::from(s.pipelined),
                 s.workers,
                 s.seeds_per_sec,
                 s.modelled_seeds_per_sec,

@@ -284,8 +284,10 @@ pub fn figure7(iterations: usize, trials: u64) -> String {
             ("DejaVuzz", FuzzerOptions::default()),
             ("DejaVuzz-", FuzzerOptions::dejavuzz_minus()),
         ] {
-            // Single-worker pool: the exact per-iteration union curve with
-            // sequential-iteration semantics, comparable to SpecDoctor's.
+            // Single-worker pool: the exact per-iteration union curve. Not
+            // slot-sequential: the slots of a round share its round-start
+            // coverage view and gain threshold, so a slot's feedback
+            // reaches the next round, not the next slot.
             let stats = campaign(
                 dejavuzz::BackendSpec::behavioural(boom_small()),
                 opts,
@@ -545,7 +547,7 @@ pub fn throughput_with(
     (elapsed, iterations as f64 / elapsed.as_secs_f64().max(1e-9))
 }
 
-/// One scheduler-throughput measurement: wall-clock plus the modelled
+/// One throughput measurement: wall-clock plus the modelled
 /// dedicated-core makespan (see
 /// [`dejavuzz::ExecutorReport::modelled_makespan_nanos`] — on an
 /// oversubscribed CI host the wall clock cannot show barrier idling, so
@@ -554,8 +556,6 @@ pub fn throughput_with(
 pub struct ThroughputSample {
     /// Backend label ([`dejavuzz::BackendSpec::label`]).
     pub backend: String,
-    /// Scheduler label (`round` / `steal` / `ext:<id>`).
-    pub scheduler: String,
     /// Worker count.
     pub workers: usize,
     /// Total iterations executed.
@@ -570,8 +570,9 @@ pub struct ThroughputSample {
     pub modelled_seeds_per_sec: f64,
     /// Sum of per-iteration busy time across workers.
     pub busy: Duration,
-    /// Cross-round pipeline feedback lag (0 = barriered rounds).
-    pub pipeline_lag: usize,
+    /// Whether the campaign ran the cross-round pipeline (emitted as
+    /// `pipeline_lag` 1, barriered rounds as 0).
+    pub pipelined: bool,
     /// Modelled worker-time the pool spent idle at round barriers
     /// (`workers x makespan - busy`) — the number pipelining attacks.
     pub barrier_idle_nanos: u64,
@@ -580,34 +581,21 @@ pub struct ThroughputSample {
     pub view_setup_nanos: u64,
 }
 
-/// Runs one campaign under the given backend × scheduler and measures it.
+/// Runs one campaign on the given backend, barriered or pipelined, and
+/// measures it.
 pub fn throughput_sample(
     backend: &dejavuzz::BackendSpec,
-    scheduler: dejavuzz::SchedulerSpec,
     workers: usize,
     iterations: usize,
     seed: u64,
-) -> ThroughputSample {
-    throughput_sample_lagged(backend, scheduler, workers, iterations, seed, 0)
-}
-
-/// [`throughput_sample`] with a cross-round pipeline feedback lag
-/// (requires a queue-planning scheduler when `lag > 0`).
-pub fn throughput_sample_lagged(
-    backend: &dejavuzz::BackendSpec,
-    scheduler: dejavuzz::SchedulerSpec,
-    workers: usize,
-    iterations: usize,
-    seed: u64,
-    lag: usize,
+    pipelined: bool,
 ) -> ThroughputSample {
     let start = Instant::now();
     let report = dejavuzz::CampaignBuilder::new()
         .backend(backend.clone())
         .workers(workers)
         .seed(seed)
-        .scheduler(scheduler.clone())
-        .pipeline_lag(lag)
+        .pipelined(pipelined)
         .build()
         .expect("a valid bench configuration")
         .run(iterations);
@@ -616,7 +604,6 @@ pub fn throughput_sample_lagged(
     let modelled = Duration::from_nanos(report.modelled_makespan_nanos);
     ThroughputSample {
         backend: backend.label(),
-        scheduler: scheduler.label(),
         workers,
         iterations,
         wall,
@@ -624,7 +611,7 @@ pub fn throughput_sample_lagged(
         modelled_makespan: modelled,
         modelled_seeds_per_sec: iterations as f64 / modelled.as_secs_f64().max(1e-9),
         busy: Duration::from_nanos(report.busy_nanos),
-        pipeline_lag: lag,
+        pipelined,
         barrier_idle_nanos: report.barrier_idle_nanos,
         view_setup_nanos: report.view_setup_nanos,
     }
@@ -651,10 +638,10 @@ pub fn throughput_json(samples: &[ThroughputSample]) -> String {
              \"busy_seconds\": {:.6}, \"barrier_idle_nanos\": {}, \
              \"view_setup_nanos\": {}}}{}\n",
             json_str(&s.backend),
-            json_str(&s.scheduler),
+            json_str(&dejavuzz::SchedulerSpec::default().label()),
             s.workers,
             s.iterations,
-            s.pipeline_lag,
+            u8::from(s.pipelined),
             s.wall.as_secs_f64(),
             s.seeds_per_sec,
             s.modelled_makespan.as_secs_f64(),

@@ -66,18 +66,19 @@ fn main() {
              \u{20}                        netlist:boom) in a crash-isolated pool of M\n\
              \u{20}                        dejavuzz-simd worker processes; results stay\n\
              \u{20}                        byte-identical to in-process per (seed,\n\
-             \u{20}                        workers, batch, lag), and a worker crash\n\
-             \u{20}                        fails one run, never the campaign\n\
+             \u{20}                        workers, batch, pipelining), and a worker\n\
+             \u{20}                        crash fails one run, never the campaign\n\
              --iters N               iterations per worker (default 50)\n\
              --workers N             pipeline workers sharing one corpus (default 1)\n\
              --threads N             alias for --workers (historical name)\n\
              --seed N                RNG seed (default 42)\n\
              --variant full|star|minus|noliveness\n\n\
              scheduling (see EXPERIMENTS.md \"Schedulers & seed policies\"):\n\
-             --scheduler round|steal round = fixed per-worker batches (default);\n\
-             \u{20}                        steal = idle workers claim pre-drawn slots\n\
-             \u{20}                        from a shared queue — deterministic per\n\
-             \u{20}                        (seed, workers) regardless of interleaving\n\
+             --scheduler steal|ext:<id>\n\
+             \u{20}                        steal (default) = idle workers claim pre-drawn\n\
+             \u{20}                        slots from a shared queue — deterministic per\n\
+             \u{20}                        (seed, workers, batch) regardless of\n\
+             \u{20}                        interleaving; ext:<id> = a registered extension\n\
              --policy energy|favoured\n\
              \u{20}                        corpus pick policy: energy-decay roulette\n\
              \u{20}                        (default) or AFL-style favoured culling with\n\
@@ -92,15 +93,13 @@ fn main() {
              \u{20}                        snapshots and adopted on --resume\n\
              --list-extensions       print every selectable scheduler, seed policy,\n\
              \u{20}                        backend and scenario family, then exit\n\
-             --batch N               iteration slots per worker per round (default 4;\n\
-             \u{20}                        at --batch 1 both schedulers are bit-identical)\n\
-             --pipeline-lag N        cross-round steal pipeline (default 0 = barriered\n\
-             \u{20}                        rounds, byte-identical to the classic steal\n\
-             \u{20}                        mode). Any N >= 1 pre-draws the next round\n\
+             --batch N               iteration slots per worker per round (default 4)\n\
+             --pipeline-lag N        cross-round pipeline (default 0 = barriered\n\
+             \u{20}                        rounds). Any N >= 1 pre-draws the next round\n\
              \u{20}                        from feedback lagging one round behind, so\n\
-             \u{20}                        stragglers never idle the pool; results are\n\
-             \u{20}                        identical per (seed, workers, batch, lag) and\n\
-             \u{20}                        for every lag >= 1. Requires --scheduler steal\n\n\
+             \u{20}                        stragglers never idle the pool; every N >= 1\n\
+             \u{20}                        gives the same results, deterministic per\n\
+             \u{20}                        (seed, workers, batch)\n\n\
              checkpointing & sharding (see EXPERIMENTS.md):\n\
              --snapshot PATH         write campaign checkpoints to PATH (atomic\n\
              \u{20}                        write-rename; always written at run end)\n\
@@ -204,7 +203,7 @@ fn main() {
     let mut workers = arg(&args, "--workers", arg(&args, "--threads", 1usize)).max(1);
     let mut seed = arg(&args, "--seed", 42u64);
     let batch = arg(&args, "--batch", 4usize);
-    let scheduler = match SchedulerSpec::parse(&arg::<String>(&args, "--scheduler", "round".into()))
+    let scheduler = match SchedulerSpec::parse(&arg::<String>(&args, "--scheduler", "steal".into()))
     {
         Ok(s) => s,
         Err(e) => die(format_args!("{e}")),
@@ -229,7 +228,8 @@ fn main() {
         }
         None => Vec::new(),
     };
-    let pipeline_lag = arg(&args, "--pipeline-lag", 0usize);
+    // Any positive lag is the one-round pipeline.
+    let pipelined = arg(&args, "--pipeline-lag", 0usize) > 0;
     let shard = arg(&args, "--shard", 0u32);
     let gossip_every = opt_arg::<usize>(&args, "--gossip-every");
     let peers = opt_arg::<String>(&args, "--peers");
@@ -302,11 +302,11 @@ fn main() {
                 snap.batch
             );
         }
-        if explicit("--pipeline-lag") && pipeline_lag != snap.pipeline_lag {
+        if explicit("--pipeline-lag") && pipelined != snap.pipelined {
             eprintln!(
-                "dejavuzz-fuzz: warning: --pipeline-lag {pipeline_lag} ignored; resume \
-                 adopts the snapshot's pipeline lag ({})",
-                snap.pipeline_lag
+                "dejavuzz-fuzz: warning: --pipeline-lag ignored; resume adopts the \
+                 snapshot's pipeline lag ({})",
+                u8::from(snap.pipelined)
             );
         }
         if explicit("--scenarios") && scenarios != snap.scenarios {
@@ -321,12 +321,9 @@ fn main() {
                 }
             );
         }
-    } else if scheduler != SchedulerSpec::RoundRobin || policy != PolicySpec::EnergyDecay {
-        let lag_note = if pipeline_lag > 0 {
-            format!(", pipeline lag {pipeline_lag}")
-        } else {
-            String::new()
-        };
+    } else if scheduler != SchedulerSpec::default() || policy != PolicySpec::default() || pipelined
+    {
+        let lag_note = if pipelined { ", pipeline lag 1" } else { "" };
         eprintln!(
             "dejavuzz-fuzz: scheduler {}, seed policy {}{lag_note}",
             scheduler.label(),
@@ -382,7 +379,7 @@ fn main() {
         .workers(workers)
         .seed(seed)
         .batch(batch)
-        .pipeline_lag(pipeline_lag)
+        .pipelined(pipelined)
         .scheduler(scheduler)
         .seed_policy(policy)
         .shard_id(shard)

@@ -26,7 +26,6 @@
 //! ```
 //! use dejavuzz::builder::CampaignBuilder;
 //! use dejavuzz::observer::{CampaignObserver, BugFound};
-//! use dejavuzz::scheduler::SchedulerSpec;
 //!
 //! // An observer that collects bug reports as they are committed.
 //! #[derive(Default)]
@@ -40,7 +39,7 @@
 //! let orch = CampaignBuilder::new() // behavioural SmallBOOM by default
 //!     .workers(2)
 //!     .seed(7)
-//!     .scheduler(SchedulerSpec::WorkStealing)
+//!     .pipelined(true)
 //!     .build()
 //!     .expect("a valid configuration");
 //! let mut observers: Vec<Box<dyn CampaignObserver>> = vec![Box::new(BugLog::default())];
@@ -93,14 +92,6 @@ pub enum BuildError {
     UnknownBackend {
         /// The unresolvable id.
         id: String,
-    },
-    /// Cross-round pipelining (`pipeline_lag > 0`) was requested under a
-    /// scheduler that does not promise queue-shaped plans
-    /// ([`Scheduler::supports_pipelining`] is false) — the orchestrator
-    /// cannot pre-draw a round it cannot represent as independent slots.
-    PipelineLagUnsupported {
-        /// The offending scheduler's label (`SchedulerSpec::label`).
-        scheduler: String,
     },
     /// A gossip link was attached ([`CampaignBuilder::gossip`]) without a
     /// positive exchange cadence ([`CampaignBuilder::gossip_every`]) — a
@@ -157,13 +148,6 @@ impl fmt::Display for BuildError {
             }
             BuildError::UnknownBackend { id } => {
                 write!(f, "no backend extension registered under id {id:?}")
-            }
-            BuildError::PipelineLagUnsupported { scheduler } => {
-                write!(
-                    f,
-                    "pipeline lag requires a queue-planning scheduler, \
-                     but {scheduler:?} does not support pipelining"
-                )
             }
             BuildError::GossipLinkWithoutInterval => {
                 write!(f, "a gossip link requires gossip_every of at least 1 round")
@@ -235,7 +219,7 @@ pub struct CampaignBuilder {
     workers: usize,
     seed: u64,
     batch: Option<usize>,
-    pipeline_lag: usize,
+    pipelined: bool,
     scheduler: SchedulerSpec,
     policy: PolicySpec,
     corpus_capacity: usize,
@@ -265,7 +249,7 @@ impl fmt::Debug for CampaignBuilder {
             .field("workers", &self.workers)
             .field("seed", &self.seed)
             .field("batch", &self.batch)
-            .field("pipeline_lag", &self.pipeline_lag)
+            .field("pipelined", &self.pipelined)
             .field("scheduler", &self.scheduler)
             .field("policy", &self.policy)
             .field("shard_id", &self.shard_id)
@@ -279,7 +263,7 @@ impl fmt::Debug for CampaignBuilder {
 impl CampaignBuilder {
     /// A fresh builder with the library defaults: the behavioural
     /// SmallBOOM backend, default [`FuzzerOptions`], one worker, seed 0,
-    /// round-robin scheduling, energy-decay corpus picks.
+    /// barriered work-stealing rounds, energy-decay corpus picks.
     pub fn new() -> Self {
         CampaignBuilder {
             backend: BackendSpec::default(),
@@ -287,7 +271,7 @@ impl CampaignBuilder {
             workers: 1,
             seed: 0,
             batch: None,
-            pipeline_lag: 0,
+            pipelined: false,
             scheduler: SchedulerSpec::default(),
             policy: PolicySpec::default(),
             corpus_capacity: crate::corpus::DEFAULT_CAPACITY,
@@ -350,35 +334,30 @@ impl CampaignBuilder {
         self
     }
 
-    /// Iteration slots per worker per round (default
+    /// Iteration slots per logical stream per round (default
     /// [`crate::executor::DEFAULT_BATCH`]; zero is a
-    /// [`BuildError::ZeroBatch`]). Part of the replay identity — at
-    /// `batch == 1` the two built-in schedulers are bit-identical (see
-    /// the [`crate::scheduler`] docs).
+    /// [`BuildError::ZeroBatch`]). Part of the replay identity: a round
+    /// spans `workers x batch` slots.
     pub fn batch(mut self, batch: usize) -> Self {
         self.batch = Some(batch);
         self
     }
 
-    /// Feedback lag of the cross-round steal pipeline. The executor's one
-    /// commit loop runs at depth 0 (barriered rounds) for the default lag
-    /// 0 and at depth 1 for any `lag >= 1`: the orchestrator then
-    /// pre-draws the next round while the current one's stragglers
-    /// finish, so round `k` is planned from the state committed through
-    /// round `k - 2`, killing the end-of-round barrier idle. Requires a
-    /// scheduler whose
-    /// [`Scheduler::supports_pipelining`] is true (the built-in
-    /// [`SchedulerSpec::WorkStealing`]); anything else is a
-    /// [`BuildError::PipelineLagUnsupported`]. Part of the campaign's
+    /// Runs the cross-round pipeline (default `false`: barriered rounds).
+    /// The executor's one commit loop then keeps one round in flight
+    /// ahead of the round it commits: the orchestrator pre-draws the
+    /// next round while the current one's stragglers finish, so round
+    /// `k` is planned from the state committed through round `k - 2`,
+    /// killing the end-of-round barrier idle. Part of the campaign's
     /// replay identity: results are identical per `(seed, workers,
-    /// batch, lag)`, and every `lag >= 1` yields the same results.
-    pub fn pipeline_lag(mut self, lag: usize) -> Self {
-        self.pipeline_lag = lag;
+    /// batch, pipelined)`.
+    pub fn pipelined(mut self, pipelined: bool) -> Self {
+        self.pipelined = pipelined;
         self
     }
 
     /// Selects the slot scheduler (default
-    /// [`SchedulerSpec::RoundRobin`]). Pass
+    /// [`SchedulerSpec::WorkStealing`]). Pass
     /// [`SchedulerSpec::Extension`] for an implementation registered with
     /// [`crate::registry::register_scheduler`].
     pub fn scheduler(mut self, scheduler: SchedulerSpec) -> Self {
@@ -589,7 +568,7 @@ impl CampaignBuilder {
             self.shard_id = snap.shard_id;
             self.scheduler = snap.scheduler.clone();
             self.policy = snap.policy.clone();
-            self.pipeline_lag = snap.pipeline_lag;
+            self.pipelined = snap.pipelined;
             self.scenarios = snap.scenarios.clone();
         }
         let (scenario_specs, scenarios) = intern_scenarios(&self.scenarios)?;
@@ -641,23 +620,6 @@ impl CampaignBuilder {
             ),
             _ => None,
         };
-        if self.pipeline_lag > 0 {
-            // Probe an instance: pipelining needs the scheduler's promise
-            // that every plan is queue-shaped (independent pre-drawn
-            // slots), and extensions can only answer from an instance.
-            let probe = match &scheduler_ctor {
-                Some(ctor) => ctor(None),
-                None => self
-                    .scheduler
-                    .build(None)
-                    .expect("built-in scheduler specs build infallibly"),
-            };
-            if !probe.supports_pipelining() {
-                return Err(BuildError::PipelineLagUnsupported {
-                    scheduler: self.scheduler.label(),
-                });
-            }
-        }
         // Spawn (and handshake) the worker-process pool last, after all
         // cheap validation: every other misconfiguration is reported
         // without ever forking. The one pool is shared by every executor
@@ -681,7 +643,7 @@ impl CampaignBuilder {
             workers: self.workers,
             seed: self.seed,
             batch,
-            pipeline_lag: self.pipeline_lag,
+            pipelined: self.pipelined,
             scheduler: self.scheduler,
             scheduler_ctor,
             policy: self.policy,
@@ -705,7 +667,7 @@ impl CampaignBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::RoundRobin;
+    use crate::scheduler::WorkStealing;
     use dejavuzz_uarch::boom_small;
 
     fn base() -> CampaignBuilder {
@@ -780,49 +742,20 @@ mod tests {
         );
     }
 
-    /// The pipelining gate: any positive lag under a scheduler that
-    /// plans per-worker batches (round-robin, the default) is refused
-    /// with a pinned message, while the queue-planning built-in accepts
-    /// every lag.
-    #[test]
-    fn pipeline_lag_under_a_batch_scheduler_is_a_build_error() {
-        let err = base().pipeline_lag(2).build().unwrap_err();
-        assert_eq!(
-            err,
-            BuildError::PipelineLagUnsupported {
-                scheduler: "round".into()
-            }
-        );
-        assert_eq!(
-            err.to_string(),
-            "pipeline lag requires a queue-planning scheduler, \
-             but \"round\" does not support pipelining"
-        );
-        for lag in [1, 2, usize::MAX] {
-            assert!(base()
-                .scheduler(SchedulerSpec::WorkStealing)
-                .pipeline_lag(lag)
-                .build()
-                .is_ok());
-        }
-        // Lag 0 is "pipelining off" and valid under every scheduler.
-        assert!(base().pipeline_lag(0).build().is_ok());
-    }
-
-    /// The pipeline lag is replay identity, so a resume adopts the
-    /// snapshot's lag over whatever the builder was configured with.
+    /// Pipelining is replay identity, so a resume adopts the snapshot's
+    /// setting over whatever the builder was configured with.
     #[test]
     fn resume_adopts_the_snapshot_pipeline_lag() {
         let (_, snap) = base()
             .workers(2)
             .scheduler(SchedulerSpec::WorkStealing)
-            .pipeline_lag(3)
+            .pipelined(true)
             .build()
             .unwrap()
             .run_snapshotting(8);
-        assert_eq!(snap.pipeline_lag, 3);
+        assert!(snap.pipelined);
         let orch = base().resume(snap).build().unwrap();
-        assert_eq!(orch.pipeline_lag, 3, "snapshot lag overrides the default");
+        assert!(orch.pipelined, "snapshot setting overrides the default");
     }
 
     /// Gossip is all-or-nothing: a link without a cadence (and a cadence
@@ -856,7 +789,7 @@ mod tests {
     #[test]
     fn bad_ctor_ids_surface_at_build_not_registration() {
         let err = base()
-            .scheduler_ctor("bad id", |_| Box::new(RoundRobin))
+            .scheduler_ctor("bad id", |_| Box::new(WorkStealing))
             .build()
             .unwrap_err();
         assert!(matches!(err, BuildError::InvalidExtensionId(_)));

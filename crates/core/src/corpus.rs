@@ -25,13 +25,13 @@
 //! when a scheduler pre-draws a round's slots — and written at **commit
 //! time**, when outcomes retire in slot order. Under the barriered
 //! executor the two coincide at every round boundary. Under the
-//! cross-round steal pipeline (`pipeline_lag >= 1`) they deliberately do
+//! cross-round pipeline (a `pipelined` campaign) they deliberately do
 //! not: round `k` is planned after round `k-1` has fully committed but
 //! while round `k`'s predecessor may still be executing elsewhere in the
 //! pipe, so every energy read a plan makes is *exactly one round* of
 //! feedback behind execution — never a torn or interleaving-dependent
 //! view. That lag-consistency is what keeps pipelined campaigns
-//! deterministic per `(seed, workers, batch, lag)`: the corpus state a
+//! deterministic per `(seed, workers, batch)`: the corpus state a
 //! plan observes is a pure function of committed rounds, not of worker
 //! timing.
 

@@ -6,41 +6,35 @@
 //!
 //! An [`Orchestrator`] owns the [`Corpus`], the scheduling RNG, the
 //! running-average mutation-gain threshold and the exact global coverage;
-//! `Worker` threads own the simulators. Work flows in *rounds*, and how
-//! a round's slots are partitioned and claimed is pluggable — see the
-//! [`crate::scheduler`] module for the [`crate::scheduler::Scheduler`]
-//! trait (fixed round-robin batches vs. deterministic work stealing) and
-//! the [`crate::scheduler::SeedPolicy`] trait (energy decay vs.
-//! favoured-quota corpus picks). Under the default round-robin scheduler:
+//! `Worker` threads own the simulators. Work flows in *rounds* of
+//! pre-drawn slots — see the [`crate::scheduler`] module for the
+//! [`crate::scheduler::Scheduler`] trait (the built-in deterministic work
+//! stealing, or an extension) and the [`crate::scheduler::SeedPolicy`]
+//! trait (energy decay vs. favoured-quota corpus picks):
 //!
-//! 1. The orchestrator plans a batch of iteration slots per worker,
-//!    consulting the seed policy (energy-weighted retained seeds vs.
-//!    fresh exploration) for each slot, and ships each worker its batch
-//!    together with the current gain threshold and the coverage points
-//!    discovered globally since the worker's last batch. (Under the
-//!    work-stealing scheduler the whole round is instead pre-drawn into
-//!    one shared claim queue — slots become mutually independent, idle
-//!    workers claim the next slot instead of waiting behind a slow
-//!    sibling, and commit order still makes the campaign deterministic.)
+//! 1. The orchestrator plans a round: for each slot the seed policy
+//!    decides between a retained corpus seed and fresh exploration, and
+//!    fresh seeds are drawn from the slot's logical stream. The round
+//!    ships to every worker thread as one shared claim queue, together
+//!    with the round-start gain threshold and the coverage points
+//!    discovered globally since that thread's last round.
 //! 2. Each worker folds the broadcast delta into its local *view* of the
-//!    global coverage, then runs the three-phase pipeline for its slots.
-//!    Every observation fans out through [`RecordingCoverage`]: into the
-//!    worker's private `observed` matrix (for the exactness invariant)
-//!    and — when fresh against the view — into the outcome's recorded
-//!    delta and the live [`SharedCoverage`] union (concurrent,
-//!    lock-striped, exact). Mutation-gain feedback reads only the view,
-//!    so worker decisions never race on shared state. The *canonical*
-//!    union is the orchestrator's deterministic replay below; the shared
-//!    union is the live, lock-free-readable view of the same set (progress
-//!    monitoring, future work-stealing donors) and a runtime cross-check
-//!    that the two accounting paths agree.
-//! 3. Workers send one reply per slot the moment it finishes — the
-//!    outcome with its observed-matrix delta, plus the worker's RNG
-//!    stream position after a batch slot — so the orchestrator mirrors
-//!    every worker's full stream state. The orchestrator commits outcomes
-//!    in global slot order: stats, the per-iteration exact coverage
-//!    curve, bug dedup, gain-threshold samples and corpus retention all
-//!    replay deterministically.
+//!    global coverage, then claims slots until the queue drains, running
+//!    the three-phase pipeline for each against a private overlay of the
+//!    round-start view. Every observation fans out through
+//!    [`RecordingCoverage`]: into the slot's `observed` matrix (for the
+//!    exactness invariant) and — when fresh against the view — into the
+//!    outcome's recorded delta and the live [`SharedCoverage`] union
+//!    (concurrent, lock-striped, exact). Mutation-gain feedback reads
+//!    only the view, so worker decisions never race on shared state. The
+//!    *canonical* union is the orchestrator's deterministic replay below;
+//!    the shared union is the live, lock-free-readable view of the same
+//!    set and a runtime cross-check that the two accounting paths agree.
+//! 3. Workers send one reply per slot the moment it finishes. The
+//!    orchestrator commits outcomes in global slot order: stats, the
+//!    per-iteration exact coverage curve, bug dedup, gain-threshold
+//!    samples, per-stream accounting and corpus retention all replay
+//!    deterministically, whichever thread claimed which slot.
 //!
 //! # Replayed runs
 //!
@@ -60,13 +54,13 @@
 //! [`Orchestrator::run_observed`] is the only loop that dispatches
 //! rounds. It keeps `depth` rounds in flight ahead of the round it is
 //! committing: depth 0 is the barrier (a round is planned only once its
-//! predecessor fully committed), depth 1 the cross-round steal pipeline
-//! that any `pipeline_lag >= 1` selects (the next round is already
-//! dispatched while the current one's stragglers finish; see the
-//! [`crate::scheduler`] docs for its feedback lag). The moment a round's
-//! last slot commits, its boundary runs: gossip, checkpoint, halt check,
-//! then the next dispatch. Every blocking wait for the next contiguous
-//! slot is timed as a commit stall — at depth 0 that is the barrier wait.
+//! predecessor fully committed), depth 1 the cross-round pipeline a
+//! `pipelined` campaign runs (the next round is already dispatched while
+//! the current one's stragglers finish; see the [`crate::scheduler`]
+//! docs for its feedback lag). The moment a round's last slot commits,
+//! its boundary runs: gossip, checkpoint, halt check, then the next
+//! dispatch. Every blocking wait for the next contiguous slot is timed
+//! as a commit stall — at depth 0 that is the barrier wait.
 //!
 //! The consequence is the property the old end-of-run merge could not
 //! offer: a campaign is **deterministic for a fixed worker count**
@@ -90,16 +84,16 @@
 //!
 //! # Checkpointing and resume
 //!
-//! Because the orchestrator mirrors every piece of worker state, the
+//! Workers keep no campaign state beyond their coverage view, so the
 //! campaign serialises at any round boundary into a
 //! [`CampaignSnapshot`]: corpus, global coverage, gain threshold,
-//! scheduler RNG position and per-worker `(RNG position, iteration
+//! scheduler RNG position and per-stream `(RNG position, iteration
 //! count, observed matrix)`. At a round boundary each worker's coverage
 //! view coincides with the global union (the round-start delta broadcast
 //! converges them), so restoring `view = global` is exact, and a run
 //! resumed via [`crate::builder::CampaignBuilder::resume`] replays the
 //! remaining rounds **bit-identically** to one that never stopped — same
-//! curve, same bugs, same corpus, same per-worker accounting (asserted
+//! curve, same bugs, same corpus, same per-stream accounting (asserted
 //! by `tests/persist.rs` and the CI resume smoke).
 //! [`crate::builder::CampaignBuilder::snapshot_every`] +
 //! [`crate::builder::CampaignBuilder::snapshot_path`] write periodic
@@ -119,7 +113,7 @@ use std::thread;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use dejavuzz_ift::{
     CoverageLog, CoverageMatrix, CoveragePoint, CoverageView, IftMode, OverlayCoverage,
@@ -138,14 +132,15 @@ use crate::observer::{
 };
 use crate::registry::{BackendCtor, PolicyCtor, SchedulerCtor};
 use crate::scheduler::{
-    PlanCtx, PlannedSlot, PolicySpec, PolicyState, RoundPlan, Scheduler, SchedulerSpec, SeedPolicy,
-    SlotFeedback,
+    check_plan, PlanCtx, PlannedSlot, PolicySpec, PolicyState, Scheduler, SchedulerSpec,
+    SeedPolicy, SlotFeedback,
 };
 use crate::snapshot::{CampaignSnapshot, PendingRound, WorkerState};
 
-/// Iteration slots shipped to a worker per round. Large enough to
-/// amortise the channel round-trip, small enough that corpus feedback and
-/// the gain threshold stay fresh.
+/// Iteration slots per logical stream per round: a round spans
+/// `workers x batch` slots. Large enough to amortise the channel
+/// round-trip, small enough that corpus feedback and the gain threshold
+/// stay fresh.
 pub const DEFAULT_BATCH: usize = 4;
 
 /// The running-average mutation-gain threshold of §4.2.2, shared across
@@ -170,19 +165,16 @@ impl GainAverage {
 struct IterationOutcome {
     /// Global iteration index.
     pub slot: usize,
-    /// Logical worker stream this slot is accounted to (the physical
-    /// worker under [`crate::scheduler::RoundRobin`]; the planned stream
-    /// under [`crate::scheduler::WorkStealing`], independent of which
-    /// thread claimed the slot).
+    /// Logical stream this slot is accounted to: the planned stream,
+    /// independent of which thread claimed the slot.
     pub stream: usize,
     /// Wall-clock the iteration took, for scheduling models and
     /// throughput reporting only — never fed back into decisions.
     pub elapsed_nanos: u64,
     /// Wall-clock spent building this slot's coverage view (the overlay
-    /// construction in steal mode; zero for batch rounds, whose workers
-    /// reuse their long-lived view). Reporting only, like `elapsed_nanos`.
+    /// construction). Reporting only, like `elapsed_nanos`.
     pub view_setup_nanos: u64,
-    /// The executed seed (after fresh generation and window mutations).
+    /// The executed seed (after window mutations).
     pub seed: Seed,
     pub window_type: WindowType,
     pub triggered: bool,
@@ -199,9 +191,8 @@ struct IterationOutcome {
     pub final_gain: usize,
     /// Points fresh against the worker's view, in observation order.
     pub fresh_points: Vec<CoveragePoint>,
-    /// Points fresh against the worker's lifetime `observed` matrix: the
-    /// delta the orchestrator replays into its per-worker mirror (which
-    /// is what snapshots persist).
+    /// The slot's distinct observed points: what the orchestrator folds
+    /// into its stream's `observed` matrix (which snapshots persist).
     pub observed_fresh: Vec<CoveragePoint>,
     pub bugs: Vec<crate::report::BugReport>,
     /// A backend failure that aborted this iteration
@@ -218,9 +209,8 @@ struct IterationOutcome {
 /// start before the modelled finish of the round `depth + 1` behind it
 /// (the commit that dispatched it): at depth 0 each round waits for its
 /// predecessor, the barrier; at depth 1 consecutive rounds overlap.
-/// Stolen slots go to the earliest-free core (greedy claim order), batch
-/// slots to their stream's core. The state is O(workers): the clocks
-/// plus the last `depth + 1` round finishes.
+/// Slots go to the earliest-free core (greedy claim order). The state is
+/// O(workers): the clocks plus the last `depth + 1` round finishes.
 ///
 /// Two invariants the scheduling-model tests rely on: every start time
 /// is bounded by the current maximum clock (the gate is itself an
@@ -247,20 +237,17 @@ impl MakespanModel {
         }
     }
 
-    /// Folds one slot: `stream` pins a batch slot to its core, `None`
-    /// is a stolen slot.
-    fn slot(&mut self, stream: Option<usize>, cost: u64) {
+    /// Folds one slot, claimed by the earliest-free core.
+    fn slot(&mut self, cost: u64) {
         // Rounds dispatched at the start of the run wait for nothing.
         let gate = if self.finishes.len() > self.depth {
             self.finishes[0]
         } else {
             0
         };
-        let core = stream.unwrap_or_else(|| {
-            (0..self.clocks.len())
-                .min_by_key(|&w| self.clocks[w])
-                .expect("workers >= 1")
-        });
+        let core = (0..self.clocks.len())
+            .min_by_key(|&w| self.clocks[w])
+            .expect("workers >= 1");
         self.clocks[core] = self.clocks[core].max(gate) + cost;
         self.round_finish = self.round_finish.max(self.clocks[core]);
     }
@@ -290,26 +277,18 @@ fn run_iteration<V: CoverageView>(
     backend: &mut dyn SimBackend,
     opts: &FuzzerOptions,
     slot: usize,
-    scheduled: Option<&Seed>,
-    scenarios: &[u16],
-    rng: &mut StdRng,
+    planned: &Seed,
     view: &mut V,
     observed: &mut CoverageMatrix,
     shared: &SharedCoverage,
     gain: &mut GainAverage,
     memo: &LineageMemo,
 ) -> IterationOutcome {
-    // A scheduled seed is borrowed for as long as it stays unmutated, so
-    // the per-slot clone that used to sit in this hot path is gone: the
-    // outcome takes ownership exactly once, at whichever return point it
-    // leaves through.
-    let mut seed: Cow<'_, Seed> = match scheduled {
-        Some(s) => Cow::Borrowed(s),
-        None => {
-            let window_type = crate::gen::draw_window_type(rng, scenarios);
-            Cow::Owned(Seed::new(window_type, rng.gen()))
-        }
-    };
+    // The planned seed is borrowed for as long as it stays unmutated,
+    // keeping a per-slot clone off this hot path: the outcome takes
+    // ownership exactly once, at whichever return point it leaves
+    // through.
+    let mut seed = Cow::Borrowed(planned);
     let mut out = IterationOutcome {
         slot,
         stream: 0,
@@ -553,26 +532,14 @@ fn commit_outcome(
     }
 }
 
-/// A round's worth of fixed-batch work for one worker
-/// ([`crate::scheduler::RoundPlan::Batches`]).
-struct WorkBatch {
-    items: Vec<crate::scheduler::WorkItem>,
-    /// Round-start global gain threshold.
-    avg: f64,
-    samples: usize,
-    /// Globally fresh points discovered since this worker's last batch.
-    delta: Vec<CoveragePoint>,
-}
-
-/// The shared claim queue of a work-stealing round: pre-drawn slots,
-/// claimed in index order by whichever worker is idle.
+/// The shared claim queue of a round: pre-drawn slots, claimed in index
+/// order by whichever worker is idle.
 struct StealQueue {
     slots: Vec<PlannedSlot>,
     next: AtomicUsize,
 }
 
-/// A work-stealing round as shipped to every worker
-/// ([`crate::scheduler::RoundPlan::Queue`]).
+/// A round as shipped to every worker thread.
 struct StealRound {
     queue: Arc<StealQueue>,
     /// Round-start global gain threshold (per-slot frozen).
@@ -582,130 +549,62 @@ struct StealRound {
     delta: Vec<CoveragePoint>,
 }
 
-enum ToWorker {
-    Batch(WorkBatch),
-    Steal(StealRound),
-    Stop,
-}
-
 /// One slot's result, sent the moment the slot finishes, so the
 /// orchestrator commits the contiguous slot prefix while later slots
-/// still run. The outcome is boxed: the channel and the commit buffer
-/// allocate per-message space in blocks, which then stay small.
-struct SlotReply {
-    worker: usize,
-    outcome: Box<IterationOutcome>,
-    /// The worker's RNG position after a batch slot, which the
-    /// orchestrator mirrors for snapshots. `None` for work-stealing
-    /// slots, where workers never draw (the orchestrator's plan-time
-    /// mirrors are authoritative).
-    rng: Option<[u64; 4]>,
-}
+/// still run. Boxed: the channel and the commit buffer allocate
+/// per-message space in blocks, which then stay small.
+type SlotReply = Box<IterationOutcome>;
 
-/// A worker's end-of-run accounting.
+/// A logical worker stream's end-of-run accounting.
 #[derive(Clone, Debug)]
 pub struct WorkerSummary {
-    /// Worker index within the pool.
+    /// Stream index within the pool.
     pub worker: usize,
-    /// Iterations this worker executed (including, on resumed runs, the
-    /// iterations it executed before the snapshot).
+    /// Iterations committed to this stream (including, on resumed runs,
+    /// the iterations committed before the snapshot).
     pub iterations: usize,
-    /// Every coverage point this worker itself observed (the union of
-    /// these matrices across workers is exactly the pool's final
+    /// Every coverage point this stream's slots observed (the union of
+    /// these matrices across streams is exactly the pool's final
     /// coverage — asserted by the pipeline tests).
     pub observed: CoverageMatrix,
 }
 
-/// A pipeline worker: owns its simulator backend, its RNG stream and its
+/// A pipeline worker thread: owns its simulator backend and its
 /// deterministic view of the global coverage.
 struct Worker {
-    id: usize,
     backend: Box<dyn SimBackend>,
     opts: FuzzerOptions,
-    rng: StdRng,
     view: CoverageMatrix,
-    observed: CoverageMatrix,
     shared: Arc<SharedCoverage>,
     /// The campaign's lineage memo, shared by every worker.
     memo: Arc<LineageMemo>,
-    /// Active scenario-instance indices for fresh-seed draws (sorted by
-    /// canonical spec; empty without `--scenarios`).
-    scenarios: Vec<u16>,
 }
 
 impl Worker {
-    fn run(mut self, rx: mpsc::Receiver<ToWorker>, tx: mpsc::Sender<SlotReply>) {
-        while let Ok(msg) = rx.recv() {
-            let delivered = match msg {
-                ToWorker::Stop => return,
-                ToWorker::Batch(b) => self.run_batch(b, &tx),
-                ToWorker::Steal(r) => self.run_steal(r, &tx),
-            };
-            if !delivered {
+    /// Runs rounds until the orchestrator closes the channel or stops
+    /// listening.
+    fn run(mut self, rx: mpsc::Receiver<StealRound>, tx: mpsc::Sender<SlotReply>) {
+        while let Ok(round) = rx.recv() {
+            if !self.run_round(round, &tx) {
                 return; // orchestrator went away
             }
         }
     }
 
-    /// One fixed-batch round: the classic chained protocol — this
-    /// worker's RNG stream, its long-lived coverage view and its in-round
-    /// gain samples thread through the batch's slots in order. False once
-    /// the orchestrator hung up.
-    fn run_batch(&mut self, batch: WorkBatch, tx: &mpsc::Sender<SlotReply>) -> bool {
-        for p in &batch.delta {
-            self.view.insert(*p);
-        }
-        // The worker's threshold starts from the global round-start
-        // average and folds in its own in-round samples; the
-        // orchestrator recomputes the exact global sequence afterwards.
-        let mut gain = GainAverage {
-            avg: batch.avg,
-            samples: batch.samples,
-        };
-        for item in batch.items {
-            let start = Instant::now();
-            let mut out = run_iteration(
-                self.backend.as_mut(),
-                &self.opts,
-                item.slot,
-                item.scheduled.as_ref(),
-                &self.scenarios,
-                &mut self.rng,
-                &mut self.view,
-                &mut self.observed,
-                &self.shared,
-                &mut gain,
-                &self.memo,
-            );
-            out.stream = self.id;
-            out.elapsed_nanos = start.elapsed().as_nanos() as u64;
-            let reply = SlotReply {
-                worker: self.id,
-                outcome: Box::new(out),
-                rng: Some(self.rng.state()),
-            };
-            if tx.send(reply).is_err() {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// One work-stealing round: claim pre-drawn slots from the shared
-    /// queue until it drains. Every slot runs against a private view of
-    /// the round-start state and a per-slot gain threshold, so its
-    /// outcome is independent of what any concurrent slot — on this
-    /// worker or another — is doing (see the `scheduler` module docs for
-    /// the determinism argument). False once the orchestrator hung up
-    /// (the worker then stops claiming).
+    /// One round: claim pre-drawn slots from the shared queue until it
+    /// drains. Every slot runs against a private view of the round-start
+    /// state and a per-slot gain threshold, so its outcome is independent
+    /// of what any concurrent slot — on this worker or another — is doing
+    /// (see the `scheduler` module docs for the determinism argument).
+    /// False once the orchestrator hung up (the worker then stops
+    /// claiming).
     ///
-    /// The per-slot view used to be a full `CoverageMatrix` clone — an
-    /// O(coverage-space) setup cost per slot. The round-start view is now
-    /// frozen once into an `Arc` base and each slot gets an
-    /// [`OverlayCoverage`] over it, costing O(points that slot finds).
-    /// The freeze is free: `mem::take` out, `Arc::try_unwrap` back in
-    /// (no slot view outlives the loop).
-    fn run_steal(&mut self, round: StealRound, tx: &mpsc::Sender<SlotReply>) -> bool {
+    /// The round-start view is frozen once into an `Arc` base and each
+    /// slot gets an [`OverlayCoverage`] over it, costing O(points that
+    /// slot finds) instead of a full matrix clone. The freeze is free:
+    /// `mem::take` out, `Arc::try_unwrap` back in (no slot view outlives
+    /// the loop).
+    fn run_round(&mut self, round: StealRound, tx: &mpsc::Sender<SlotReply>) -> bool {
         for p in &round.delta {
             self.view.insert(*p);
         }
@@ -720,7 +619,7 @@ impl Worker {
             let view_setup_nanos = setup.elapsed().as_nanos() as u64;
             // A fresh per-slot observed matrix: `observed_fresh` then
             // carries the slot's full distinct point set, which the
-            // orchestrator replays into the *logical* stream's mirror
+            // orchestrator replays into the *logical* stream's matrix
             // (physical claim attribution is timing-dependent and must
             // not leak into any persisted or reported state).
             let mut slot_observed = CoverageMatrix::new();
@@ -733,9 +632,7 @@ impl Worker {
                 self.backend.as_mut(),
                 &self.opts,
                 item.slot,
-                Some(&item.seed),
-                &self.scenarios,
-                &mut self.rng, // never drawn from: the seed is pre-drawn
+                &item.seed,
                 &mut slot_view,
                 &mut slot_observed,
                 &self.shared,
@@ -745,12 +642,7 @@ impl Worker {
             out.stream = item.stream;
             out.elapsed_nanos = start.elapsed().as_nanos() as u64;
             out.view_setup_nanos = view_setup_nanos;
-            let reply = SlotReply {
-                worker: self.id,
-                outcome: Box::new(out),
-                rng: None,
-            };
-            if tx.send(reply).is_err() {
+            if tx.send(Box::new(out)).is_err() {
                 return false;
             }
         }
@@ -770,7 +662,7 @@ pub struct ExecutorReport {
     /// equal to `coverage.points()`; reported separately so tests can
     /// assert the two accounting paths agree.
     pub shared_points: usize,
-    /// Per-worker accounting.
+    /// Per-stream accounting.
     pub workers: Vec<WorkerSummary>,
     /// Seeds the corpus retained over the run.
     pub corpus_retained: usize,
@@ -780,13 +672,12 @@ pub struct ExecutorReport {
     /// total simulation work).
     pub busy_nanos: u64,
     /// Modelled wall-clock of the run on `workers` dedicated cores: the
-    /// makespan of the scheduler's slot distribution over the measured
-    /// per-slot costs (fixed chunks for round robin, greedy claim order
-    /// for work stealing), with round k's slots gated on round k-1's
-    /// modelled finish when barriered and on round k-2's when pipelined.
-    /// Machine-load-independent — this is the number the scheduler
-    /// comparison benches report, since on an oversubscribed host the
-    /// wall clock cannot show barrier idling.
+    /// makespan of greedy slot claiming over the measured per-slot costs,
+    /// with round k's slots gated on round k-1's modelled finish when
+    /// barriered and on round k-2's when pipelined.
+    /// Machine-load-independent — this is the number `throughput_json`
+    /// compares, since on an oversubscribed host the wall clock cannot
+    /// show barrier idling.
     pub modelled_makespan_nanos: u64,
     /// Modelled core-idle time: `workers x modelled_makespan - busy`.
     /// Under barriered rounds this is dominated by workers waiting at the
@@ -794,8 +685,8 @@ pub struct ExecutorReport {
     /// exists to drive it towards zero.
     pub barrier_idle_nanos: u64,
     /// Total wall-clock spent constructing per-slot coverage views (the
-    /// steal-mode overlay setup). With the two-level view this stays
-    /// O(points found), independent of total coverage-space size.
+    /// overlay setup). With the two-level view this stays O(points
+    /// found), independent of total coverage-space size.
     pub view_setup_nanos: u64,
 }
 
@@ -825,7 +716,7 @@ struct GossipState {
 
 /// One run's worker threads and their channels.
 struct Pool {
-    to_workers: Vec<mpsc::Sender<ToWorker>>,
+    to_workers: Vec<mpsc::Sender<StealRound>>,
     from_rx: mpsc::Receiver<SlotReply>,
     handles: Vec<thread::JoinHandle<()>>,
     /// Per-thread cursors into the global discovery log: how much of it
@@ -840,7 +731,7 @@ impl Pool {
         &mut self,
         worker: usize,
         log: &CoverageLog,
-        round: impl FnOnce(Vec<CoveragePoint>) -> ToWorker,
+        round: impl FnOnce(Vec<CoveragePoint>) -> StealRound,
     ) {
         let delta = log.delta_since(self.synced[worker]).to_vec();
         self.synced[worker] = log.watermark();
@@ -853,28 +744,25 @@ impl Pool {
 /// One dispatched round, not yet fully committed.
 struct InFlight {
     first_slot: usize,
-    len: usize,
     /// The dispatch-time gain threshold.
     gain: GainAverage,
-    /// The claim queue of a queue-shaped round; `None` for batch rounds,
-    /// which only run barriered and so are never pending.
-    queue: Option<Arc<StealQueue>>,
+    /// The round's claim queue.
+    queue: Arc<StealQueue>,
     /// The global log watermark at dispatch: the delta from here is what
     /// a checkpoint must record as `view_behind`.
     log_mark: usize,
 }
 
 impl InFlight {
-    /// The snapshot form of this round, if it can be pending.
-    fn pending(&self, log: &CoverageLog) -> Option<PendingRound> {
-        let queue = self.queue.as_ref()?;
-        Some(PendingRound {
+    /// The snapshot form of this round.
+    fn pending(&self, log: &CoverageLog) -> PendingRound {
+        PendingRound {
             first_slot: self.first_slot,
-            slots: queue.slots.clone(),
+            slots: self.queue.slots.clone(),
             avg: self.gain.avg,
             samples: self.gain.samples,
             view_behind: log.delta_since(self.log_mark).to_vec(),
-        })
+        }
     }
 }
 
@@ -898,7 +786,7 @@ pub struct Orchestrator {
     pub(crate) workers: usize,
     pub(crate) seed: u64,
     pub(crate) batch: usize,
-    pub(crate) pipeline_lag: usize,
+    pub(crate) pipelined: bool,
     pub(crate) scheduler: SchedulerSpec,
     pub(crate) scheduler_ctor: Option<SchedulerCtor>,
     pub(crate) policy: PolicySpec,
@@ -932,7 +820,7 @@ impl fmt::Debug for Orchestrator {
             .field("workers", &self.workers)
             .field("seed", &self.seed)
             .field("batch", &self.batch)
-            .field("pipeline_lag", &self.pipeline_lag)
+            .field("pipelined", &self.pipelined)
             .field("scheduler", &self.scheduler)
             .field("policy", &self.policy)
             .field("shard_id", &self.shard_id)
@@ -968,10 +856,8 @@ impl Orchestrator {
     /// How many executor threads to spawn: at least the logical worker
     /// count, and for a proc backend at least the pool size, so `M`
     /// worker processes all get a claiming thread even when the campaign
-    /// geometry says fewer logical workers. The extra threads never draw
-    /// from a logical RNG stream and never commit under their own id —
-    /// under steal scheduling they only claim pre-drawn slots, so
-    /// results stay those of the *logical* geometry.
+    /// geometry says fewer logical workers. Threads only claim pre-drawn
+    /// slots, so results stay those of the *logical* geometry.
     fn physical_workers(&self) -> usize {
         match &self.backend {
             BackendSpec::Proc(spec) => self.workers.max(spec.pool),
@@ -1070,7 +956,7 @@ impl Orchestrator {
             workers: self.workers,
             seed: self.seed,
             batch: self.batch,
-            pipeline_lag: self.pipeline_lag,
+            pipelined: self.pipelined,
             pending,
             scenarios: self.scenario_specs.clone(),
             scheduler: self.scheduler.clone(),
@@ -1284,8 +1170,8 @@ impl Orchestrator {
     /// [`CampaignFinished::elapsed`].
     ///
     /// This is the one commit loop of the module docs, at depth 1 when
-    /// pipelining and 0 otherwise. At either depth results are a pure
-    /// function of `(seed, workers, batch, lag)`: commit order is slot
+    /// pipelined and 0 otherwise. At either depth results are a pure
+    /// function of `(seed, workers, batch, pipelined)`: commit order is slot
     /// order, plans are drawn from committed state only, and claim
     /// interleavings never leak (asserted by `tests/scheduler.rs`).
     /// Pipelined checkpoints carry the in-flight round's pre-drawn plan
@@ -1298,10 +1184,9 @@ impl Orchestrator {
     ) -> (ExecutorReport, CampaignSnapshot) {
         let run_start = Instant::now();
         let (mut s, start) = self.session();
-        // Every positive lag runs the depth-one pipeline: one round of lag
-        // is the minimum that removes the barrier, so deeper requested
-        // lags are satisfied a fortiori.
-        let depth = usize::from(self.pipeline_lag > 0);
+        // One round in flight ahead of the committing one is the minimum
+        // that removes the barrier.
+        let depth = usize::from(self.pipelined);
         let resumed_pending = self.resume.as_ref().and_then(|snap| snap.pending.clone());
 
         // The live concurrent union starts from the restored global so
@@ -1326,7 +1211,7 @@ impl Orchestrator {
             }
         }
         let memo = Arc::new(LineageMemo::default());
-        let mut pool = self.spawn_pool(&s, &view, &shared, &memo);
+        let mut pool = self.spawn_pool(&view, &shared, &memo);
         drop(view);
 
         let mut in_flight: VecDeque<InFlight> = VecDeque::new();
@@ -1343,12 +1228,11 @@ impl Orchestrator {
                 avg: p.avg,
                 samples: p.samples,
             };
-            let plan = RoundPlan::Queue(p.slots);
             in_flight.push_back(self.dispatch(
                 &mut pool,
                 &s.global,
                 p.first_slot,
-                plan,
+                p.slots,
                 gain,
                 observers,
             ));
@@ -1382,7 +1266,6 @@ impl Orchestrator {
                     .round_span(self.workers, self.batch, iterations - next_slot);
                 let plan = self.plan(&mut s, next_slot..next_slot + span);
                 let round = self.dispatch(&mut pool, &s.global, next_slot, plan, s.gain, observers);
-                assert_eq!(round.len, span, "a plan must cover every slot of its round");
                 in_flight.push_back(round);
                 next_slot += span;
             }
@@ -1391,10 +1274,10 @@ impl Orchestrator {
             };
             // Commit the front round in slot order; outcomes of the round
             // behind it buffer until the front's boundary has run.
-            let (end, stolen) = (front.first_slot + front.len, front.queue.is_some());
+            let end = front.first_slot + front.queue.slots.len();
             while committed < end {
                 if let Some(o) = buffered.remove(&committed) {
-                    model.slot((!stolen).then_some(o.stream), o.elapsed_nanos);
+                    model.slot(o.elapsed_nanos);
                     commit_outcome(
                         &mut s,
                         &mut busy_nanos,
@@ -1411,10 +1294,7 @@ impl Orchestrator {
                 let stall = dejavuzz_telemetry::Timer::start(&metrics.commit_stall_nanos);
                 let reply = pool.from_rx.recv().expect("worker hung up mid-run");
                 stall.finish();
-                if let Some(rng) = reply.rng {
-                    s.worker_rngs[reply.worker] = rng;
-                }
-                buffered.insert(reply.outcome.slot, reply.outcome);
+                buffered.insert(reply.slot, reply);
                 metrics.commit_queue_depth.set(buffered.len() as u64);
             }
 
@@ -1427,19 +1307,18 @@ impl Orchestrator {
             }
             memo.prune(&s.corpus);
             if self.snapshot_every > 0 && rounds.is_multiple_of(self.snapshot_every) {
-                let pending = in_flight.front().and_then(|f| f.pending(&s.global));
+                let pending = in_flight.front().map(|f| f.pending(&s.global));
                 self.write_checkpoint(&s, pending, true, observers);
             }
             halted = s.stats.iterations >= halt;
         }
 
-        // Stop the workers. Dropping the receiver cuts a halted run's
-        // in-flight round short: its outcomes are discarded anyway, since
-        // its pre-drawn plan rides in the snapshot and a resume
-        // re-executes it deterministically.
-        for to_worker in &pool.to_workers {
-            let _ = to_worker.send(ToWorker::Stop);
-        }
+        // Stop the workers: closing their channels ends their loops, and
+        // dropping the receiver cuts a halted run's in-flight round
+        // short. Its outcomes are discarded anyway, since its pre-drawn
+        // plan rides in the snapshot and a resume re-executes it
+        // deterministically.
+        drop(pool.to_workers);
         drop(pool.from_rx);
         for h in pool.handles {
             h.join().expect("worker panicked");
@@ -1449,7 +1328,7 @@ impl Orchestrator {
         if in_flight.is_empty() {
             debug_assert_eq!(shared.points(), s.global.points(), "both unions must agree");
         }
-        let pending = in_flight.front().and_then(|f| f.pending(&s.global));
+        let pending = in_flight.front().map(|f| f.pending(&s.global));
         // Always leave a final checkpoint behind: a halted run's snapshot
         // is exactly what `--resume` continues from.
         self.write_checkpoint(&s, pending.clone(), false, observers);
@@ -1489,7 +1368,6 @@ impl Orchestrator {
     /// Spawns the run's worker threads, every view seeded with `view`.
     fn spawn_pool(
         &self,
-        s: &Session,
         view: &CoverageMatrix,
         shared: &Arc<SharedCoverage>,
         memo: &Arc<LineageMemo>,
@@ -1498,30 +1376,14 @@ impl Orchestrator {
         let physical = self.physical_workers();
         let mut to_workers = Vec::with_capacity(physical);
         let mut handles = Vec::with_capacity(physical);
-        for id in 0..physical {
+        for _ in 0..physical {
             let (to_tx, to_rx) = mpsc::channel();
             let worker = Worker {
-                id,
                 backend: self.build_backend(),
                 opts: self.opts,
-                // Extra proc-pool claimer threads (id >= workers) get a
-                // decorrelated stream of their own; it is never drawn —
-                // steal work runs entirely on pre-drawn slot state — so
-                // it exists only to satisfy the Worker shape.
-                rng: if id < self.workers {
-                    StdRng::from_raw_state(s.worker_rngs[id])
-                } else {
-                    StdRng::seed_from_u64(self.stream_seed(1 + id as u64))
-                },
                 view: view.clone(),
-                observed: if id < self.workers {
-                    s.worker_observed[id].clone()
-                } else {
-                    CoverageMatrix::new()
-                },
                 shared: Arc::clone(shared),
                 memo: Arc::clone(memo),
-                scenarios: self.scenarios.clone(),
             };
             let from_tx = from_tx.clone();
             handles.push(thread::spawn(move || worker.run(to_rx, from_tx)));
@@ -1539,7 +1401,10 @@ impl Orchestrator {
     }
 
     /// Plans the round over `slots` from the committed session state.
-    fn plan(&self, s: &mut Session, slots: Range<usize>) -> RoundPlan {
+    /// A plan that is not exactly the range, in order, on the pool's
+    /// streams is a scheduler bug: committing it would wait forever for
+    /// a missing slot or index past the stream accounting.
+    fn plan(&self, s: &mut Session, slots: Range<usize>) -> Vec<PlannedSlot> {
         let _plan_span = dejavuzz_telemetry::Timer::start(&crate::metrics::handles().plan_nanos);
         // Disjoint field borrows: the scheduler plans over the rest of
         // the session state.
@@ -1558,74 +1423,52 @@ impl Orchestrator {
             worker_rngs,
             workers: self.workers,
             batch: self.batch,
-            lag: self.pipeline_lag,
             scenarios: &self.scenarios,
         };
-        scheduler.plan_round(slots, &mut ctx)
+        let plan = scheduler.plan_round(slots.clone(), &mut ctx);
+        if let Err(e) = check_plan(&plan, slots.start, self.workers) {
+            panic!(
+                "scheduler {} planned an invalid round: {e}",
+                scheduler.name()
+            );
+        }
+        assert_eq!(plan.len(), slots.len(), "a plan must cover its whole round");
+        plan
     }
 
-    /// Announces a planned round and ships it, with the view delta each
-    /// receiving thread still lacks: batches to their workers, a queue to
-    /// every thread.
+    /// Announces a planned round and ships its claim queue to every
+    /// thread, with the view delta each thread still lacks.
     fn dispatch(
         &self,
         pool: &mut Pool,
         log: &CoverageLog,
         first_slot: usize,
-        plan: RoundPlan,
+        slots: Vec<PlannedSlot>,
         gain: GainAverage,
         observers: &mut [Box<dyn CampaignObserver>],
     ) -> InFlight {
-        let len = match &plan {
-            RoundPlan::Batches(batches) => batches.iter().map(Vec::len).sum(),
-            RoundPlan::Queue(slots) => slots.len(),
-        };
         let round_ev = RoundStarted {
             first_slot,
-            slots: len,
+            slots: slots.len(),
             gain_threshold_samples: gain.samples,
         };
         for obs in observers.iter_mut() {
             obs.round_started(&round_ev);
         }
-        let queue = match plan {
-            RoundPlan::Batches(batches) => {
-                for (w, items) in batches.into_iter().enumerate() {
-                    if items.is_empty() {
-                        continue;
-                    }
-                    pool.ship(w, log, |delta| {
-                        ToWorker::Batch(WorkBatch {
-                            items,
-                            avg: gain.avg,
-                            samples: gain.samples,
-                            delta,
-                        })
-                    });
-                }
-                None
-            }
-            RoundPlan::Queue(slots) => {
-                let queue = Arc::new(StealQueue {
-                    slots,
-                    next: AtomicUsize::new(0),
-                });
-                for w in 0..pool.to_workers.len() {
-                    pool.ship(w, log, |delta| {
-                        ToWorker::Steal(StealRound {
-                            queue: Arc::clone(&queue),
-                            avg: gain.avg,
-                            samples: gain.samples,
-                            delta,
-                        })
-                    });
-                }
-                Some(queue)
-            }
-        };
+        let queue = Arc::new(StealQueue {
+            slots,
+            next: AtomicUsize::new(0),
+        });
+        for w in 0..pool.to_workers.len() {
+            pool.ship(w, log, |delta| StealRound {
+                queue: Arc::clone(&queue),
+                avg: gain.avg,
+                samples: gain.samples,
+                delta,
+            });
+        }
         InFlight {
             first_slot,
-            len,
             gain,
             queue,
             log_mark: log.watermark(),
@@ -1677,13 +1520,12 @@ mod tests {
         assert_eq!(r.workers.len(), 2);
     }
 
-    /// Folds a table of per-round slots, `(Some(stream), cost)` for a
-    /// batch slot and `(None, cost)` for a stolen one, on 2 cores.
-    fn modelled(depth: usize, rounds: &[&[(Option<usize>, u64)]]) -> u64 {
+    /// Folds a table of per-round slot costs on 2 cores.
+    fn modelled(depth: usize, rounds: &[&[u64]]) -> u64 {
         let mut model = MakespanModel::new(2, depth);
         for round in rounds {
-            for &(stream, cost) in *round {
-                model.slot(stream, cost);
+            for &cost in *round {
+                model.slot(cost);
             }
             model.end_round();
         }
@@ -1691,25 +1533,16 @@ mod tests {
     }
 
     /// The makespan model at exact values on a hand-built cost table.
-    /// Barriered, a round costs its own makespan (fixed chunks for
-    /// batches, greedy claims for stolen slots) and the run their sum;
-    /// pipelined, round k waits only for round k-2.
+    /// Barriered, a round costs its own greedy-claim makespan and the run
+    /// their sum; pipelined, round k waits only for round k-2.
     #[test]
     fn makespan_model_pins_exact_values() {
-        const S: Option<usize> = None;
-        let mixed: [&[(Option<usize>, u64)]; 4] = [
-            &[(Some(0), 5), (Some(0), 3), (Some(1), 2), (Some(1), 9)],
-            &[(S, 7), (S, 1), (S, 4), (S, 6)],
-            &[(Some(0), 10), (Some(1), 2), (Some(1), 2)],
-            &[(S, 3), (S, 3), (S, 8)],
-        ];
-        assert_eq!(modelled(0, &mixed), 11 + 11 + 10 + 11);
-        let stolen: [&[(Option<usize>, u64)]; 5] = [
-            &[(S, 5), (S, 3), (S, 2), (S, 9)],
-            &[(S, 7), (S, 1), (S, 4), (S, 6)],
-            &[(S, 10), (S, 2), (S, 2)],
-            &[(S, 3), (S, 3), (S, 8)],
-            &[(S, 1), (S, 12)],
+        let stolen: [&[u64]; 5] = [
+            &[5, 3, 2, 9],
+            &[7, 1, 4, 6],
+            &[10, 2, 2],
+            &[3, 3, 8],
+            &[1, 12],
         ];
         assert_eq!(modelled(0, &stolen), 14 + 11 + 10 + 11 + 12);
         assert_eq!(modelled(1, &stolen), 43);
@@ -1740,7 +1573,6 @@ mod tests {
         let pick = triggering(&mut b, &opts.phases).mutate();
         let memo = LineageMemo::default();
         let shared = SharedCoverage::default();
-        let mut rng = StdRng::seed_from_u64(1);
         let mut replays = Vec::new();
         for (slot, avg) in [1e9, 1e9, 0.0, 0.0].into_iter().enumerate() {
             b.calls = 0;
@@ -1752,9 +1584,7 @@ mod tests {
                 &mut b,
                 &opts,
                 slot,
-                Some(&pick),
-                &[],
-                &mut rng,
+                &pick,
                 &mut CoverageMatrix::new(),
                 &mut CoverageMatrix::new(),
                 &shared,
@@ -1805,6 +1635,6 @@ mod tests {
             .unwrap();
         let dbg = format!("{orch:?}");
         assert!(dbg.contains("behavioural:BOOM"), "{dbg}");
-        assert!(dbg.contains("RoundRobin"), "{dbg}");
+        assert!(dbg.contains("WorkStealing"), "{dbg}");
     }
 }

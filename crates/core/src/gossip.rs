@@ -33,13 +33,15 @@
 //! cross-process fleets (`dejavuzz-fuzz --peers unix:PATH`). The wire
 //! format rides the `dejavuzz-persist` envelope — framed, checksummed,
 //! versioned ([`dejavuzz_persist::GOSSIP_MAGIC`]) — so a truncated or
-//! corrupted frame is a structured decode error, never a misparse.
+//! corrupted frame is a structured decode error, never a misparse, and a
+//! header declaring more than [`dejavuzz_persist::MAX_FRAME`] bytes
+//! fails the link instead of growing its buffer.
 
 use std::sync::{Arc, Mutex};
 
 use dejavuzz_ift::CoveragePoint;
 use dejavuzz_persist::{
-    frame, DecodeError, Decoder, Encoder, Persist, GOSSIP_MAGIC, GOSSIP_MIN_VERSION, GOSSIP_VERSION,
+    frame, DecodeError, Decoder, Encoder, Persist, GOSSIP_MAGIC, GOSSIP_VERSION,
 };
 
 use crate::corpus::CorpusEntry;
@@ -93,12 +95,7 @@ impl GossipFrame {
 
     /// Validates and decodes one complete wire frame.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let (_, payload) =
-            frame::open_versioned(GOSSIP_MAGIC, GOSSIP_MIN_VERSION..=GOSSIP_VERSION, bytes)?;
-        let mut dec = Decoder::new(payload);
-        let frame = GossipFrame::decode(&mut dec)?;
-        dec.finish()?;
-        Ok(frame)
+        dejavuzz_persist::from_bytes(frame::open(GOSSIP_MAGIC, GOSSIP_VERSION, bytes)?)
     }
 }
 
@@ -178,6 +175,8 @@ mod unix {
     use std::os::unix::net::UnixStream;
     use std::path::Path;
 
+    use dejavuzz_persist::MAX_FRAME;
+
     use super::{GossipFrame, GossipLink};
 
     /// The client side of a cross-process gossip mesh: dials a
@@ -186,9 +185,10 @@ mod unix {
     /// blocking (frames are small), reads are drained non-blockingly at
     /// each boundary with partial frames buffered across drains.
     ///
-    /// A broken hub never kills the campaign: on the first socket error
-    /// the link warns on stderr and goes silent, degrading the shard to
-    /// a solo run.
+    /// A broken hub never kills the campaign: on the first socket error,
+    /// undecodable frame or frame header declaring more than
+    /// [`dejavuzz_persist::MAX_FRAME`] bytes, the link warns on stderr
+    /// and goes silent, degrading the shard to a solo run.
     pub struct UnixGossipLink {
         stream: UnixStream,
         /// Bytes read but not yet forming a complete frame.
@@ -231,11 +231,22 @@ mod unix {
             }
         }
 
-        /// Pulls every complete frame out of the reassembly buffer.
-        fn complete_frames(&mut self) -> Vec<GossipFrame> {
-            let mut frames = Vec::new();
+        /// Moves every complete frame out of the reassembly buffer into
+        /// `frames`. Fails the link on an undecodable frame, and on a
+        /// header declaring more than [`MAX_FRAME`] bytes as soon as the
+        /// header is complete: waiting for such a body would buffer
+        /// without bound.
+        fn complete_frames(&mut self, frames: &mut Vec<GossipFrame>) {
             let mut consumed = 0;
             while let Some(len) = dejavuzz_persist::framed_len(&self.buf[consumed..]) {
+                if len > MAX_FRAME {
+                    self.fail(
+                        "read",
+                        &format_args!("frame of {len} bytes exceeds the {MAX_FRAME}-byte limit"),
+                    );
+                    self.buf.clear();
+                    return;
+                }
                 if self.buf.len() - consumed < len {
                     break;
                 }
@@ -244,13 +255,12 @@ mod unix {
                     Err(e) => {
                         self.fail("decode", &e);
                         self.buf.clear();
-                        return frames;
+                        return;
                     }
                 }
                 consumed += len;
             }
             self.buf.drain(..consumed);
-            frames
         }
     }
 
@@ -272,14 +282,20 @@ mod unix {
                 self.fail("drain", &e);
                 return Vec::new();
             }
+            let mut frames = Vec::new();
             let mut chunk = [0u8; 4096];
-            loop {
+            while !self.dead {
                 match self.stream.read(&mut chunk) {
                     Ok(0) => {
                         self.fail("read", &"peer closed the socket");
                         break;
                     }
-                    Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                    Ok(n) => {
+                        // Split as bytes arrive, so an oversized header
+                        // is refused before its body is buffered.
+                        self.buf.extend_from_slice(&chunk[..n]);
+                        self.complete_frames(&mut frames);
+                    }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                     Err(e) => {
@@ -289,7 +305,7 @@ mod unix {
                 }
             }
             let _ = self.stream.set_nonblocking(false);
-            self.complete_frames()
+            frames
         }
     }
 }
@@ -422,5 +438,22 @@ mod tests {
             GossipFrame::from_bytes(&received).unwrap(),
             frame_with(5, 1)
         );
+    }
+
+    /// A header declaring a 2^40-byte frame kills the link at the drain
+    /// that completes the header, instead of buffering towards it.
+    #[cfg(unix)]
+    #[test]
+    fn unix_link_dies_on_an_oversized_frame_header() {
+        use std::io::Write;
+        use std::os::unix::net::UnixStream;
+
+        let (left, mut raw) = UnixStream::pair().unwrap();
+        let mut link = UnixGossipLink::from_stream(left);
+        let mut header = frame_with(1, 1).to_bytes()[..dejavuzz_persist::HEADER_LEN].to_vec();
+        header[12..20].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        raw.write_all(&header).unwrap();
+        assert!(link.drain().is_empty(), "no frame comes out of it");
+        assert!(link.is_dead());
     }
 }

@@ -30,17 +30,16 @@
 //!   scheduling (a pick keeps the entry's trigger configuration and runs
 //!   the next window mutation; energy decays per reschedule),
 //! * [`scheduler`] — the pluggable scheduling layer: a
-//!   [`scheduler::Scheduler`] decides how iteration slots are
-//!   partitioned/claimed across workers per round (fixed round-robin
-//!   batches, or deterministic work stealing over a shared claim queue),
+//!   [`scheduler::Scheduler`] pre-draws each round's slots into a claim
+//!   queue (the built-in deterministic work stealing, or an extension),
 //!   and a [`scheduler::SeedPolicy`] decides which corpus entry each slot
 //!   mutates (energy decay, or AFL-style favoured culling with
 //!   per-window-type quotas),
 //! * [`executor`] — the shared-corpus worker pool: an `Orchestrator`
-//!   schedules round batches over channels to `Worker` threads that share
-//!   one exact concurrent coverage union
+//!   ships each round's claim queue over channels to `Worker` threads
+//!   that share one exact concurrent coverage union
 //!   ([`dejavuzz_ift::SharedCoverage`]), one global mutation-gain
-//!   threshold, deterministic per-worker RNG streams, and one lineage
+//!   threshold, and one lineage
 //!   memo that answers the simulations corpus picks repeat from compact
 //!   run digests when the backend is
 //!   [`backend::SimBackend::replayable`],
@@ -126,7 +125,7 @@
 //! ```
 //! use dejavuzz::builder::CampaignBuilder;
 //!
-//! // Defaults: behavioural SmallBOOM, 1 worker, round-robin scheduling.
+//! // Defaults: behavioural SmallBOOM, 1 worker, barriered work stealing.
 //! let orch = CampaignBuilder::new().seed(42).build().expect("valid config");
 //! let report = orch.run(25);
 //! assert!(report.stats.iterations == 25);
@@ -211,7 +210,7 @@ pub use procbackend::ProcBackend;
 pub use registry::{BackendCtor, PolicyCtor, RegistryError, SchedulerCtor};
 pub use report::{AttackType, BugReport, LeakChannel};
 pub use scheduler::{
-    EnergyDecay, FavouredQuota, PolicySpec, PolicyState, RoundRobin, Scheduler, SchedulerSpec,
-    SeedPolicy, SlotFeedback, WorkStealing,
+    EnergyDecay, FavouredQuota, PolicySpec, PolicyState, Scheduler, SchedulerSpec, SeedPolicy,
+    SlotFeedback, WorkStealing,
 };
 pub use snapshot::{merge_snapshots, CampaignSnapshot, MergeReport, ResumeError, WorkerState};

@@ -16,10 +16,10 @@
 //!   Requests are pure — a run's reply is a function of its request
 //!   bytes — so out-of-order completion across processes cannot change
 //!   any result, and campaign output stays byte-deterministic per
-//!   `(seed, workers, batch, lag, pool)`.
+//!   `(seed, workers, batch, pipelined, pool)`.
 //!
-//! Note the two levels of "in flight" here: the executor's steal
-//! schedulers track *slots*, while the pool tracks *RPCs* — one slot
+//! Note the two levels of "in flight" here: the executor's claim
+//! queues track *slots*, while the pool tracks *RPCs* — one slot
 //! issues many RPCs (phase 1 trigger evaluation, the phase 2 mutation
 //! loop, phase 3 sanitization each call [`SimBackend::run`]). The
 //! `dejavuzz_pool_in_flight` gauge counts RPCs.

@@ -15,7 +15,7 @@
 //!   [`register_backend`]),
 //! * the `Extension(id)` variants of the spec enums select it (directly,
 //!   or via [`crate::builder::CampaignBuilder`]'s `*_ctor` conveniences),
-//! * snapshots (format v3) persist the id plus an *opaque state blob*
+//! * snapshots persist the id plus an *opaque state blob*
 //!   ([`crate::scheduler::Scheduler::state`] /
 //!   [`crate::scheduler::PolicyState::Opaque`]), and resume hands the
 //!   blob back to the registered constructor.
@@ -38,12 +38,12 @@
 //!
 //! ```
 //! use dejavuzz::registry;
-//! use dejavuzz::scheduler::RoundRobin;
+//! use dejavuzz::scheduler::WorkStealing;
 //!
-//! // A (trivial) custom scheduler: the built-in round robin under a
+//! // A (trivial) custom scheduler: the built-in work stealing under a
 //! // custom id. Real extensions parse `state` to restore themselves.
-//! registry::register_scheduler("docs-rr", |_state| Box::new(RoundRobin)).unwrap();
-//! assert!(registry::scheduler_ctor("docs-rr").is_some());
+//! registry::register_scheduler("docs-ws", |_state| Box::new(WorkStealing)).unwrap();
+//! assert!(registry::scheduler_ctor("docs-ws").is_some());
 //! assert!(registry::scheduler_ctor("never-registered").is_none());
 //! ```
 
@@ -239,11 +239,10 @@ fn catalogue(builtins: &[&str], registered: Vec<String>) -> Vec<ExtensionInfo> {
     out
 }
 
-/// Every selectable slot scheduler: the built-ins (`round`, `steal`)
-/// followed by the registered extensions as `ext:<id>`, sorted within
-/// each group.
+/// Every selectable slot scheduler: the built-in `steal` followed by the
+/// registered extensions as `ext:<id>`, sorted.
 pub fn list_schedulers() -> Vec<ExtensionInfo> {
-    catalogue(&["round", "steal"], registered_schedulers())
+    catalogue(&["steal"], registered_schedulers())
 }
 
 /// Every selectable corpus seed policy: the built-ins (`energy`,
@@ -278,7 +277,7 @@ pub fn list_scenarios() -> Vec<dejavuzz_scenarios::TemplateInfo> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{EnergyDecay, RoundRobin};
+    use crate::scheduler::{EnergyDecay, WorkStealing};
 
     #[test]
     fn invalid_ids_are_refused_with_reasons() {
@@ -289,7 +288,7 @@ mod tests {
             ("colon:id", "reserved"),
             ("ünïcode", "printable ASCII"),
         ] {
-            let err = register_scheduler(id, |_| Box::new(RoundRobin)).unwrap_err();
+            let err = register_scheduler(id, |_| Box::new(WorkStealing)).unwrap_err();
             assert!(
                 err.to_string().contains(needle),
                 "{id:?} gave {err}, wanted {needle:?}"
@@ -299,11 +298,11 @@ mod tests {
 
     #[test]
     fn registration_resolves_and_replaces() {
-        register_scheduler("reg-test-sched", |_| Box::new(RoundRobin)).unwrap();
+        register_scheduler("reg-test-sched", |_| Box::new(WorkStealing)).unwrap();
         assert!(scheduler_ctor("reg-test-sched").is_some());
         assert!(scheduler_ctor("reg-test-sched-missing").is_none());
         // Re-registration replaces (the registry is open, not append-only).
-        register_scheduler("reg-test-sched", |_| Box::new(RoundRobin)).unwrap();
+        register_scheduler("reg-test-sched", |_| Box::new(WorkStealing)).unwrap();
         assert!(registered_schedulers().contains(&"reg-test-sched".to_string()));
 
         register_seed_policy("reg-test-pol", |_| Box::new(EnergyDecay)).unwrap();

@@ -1,32 +1,27 @@
-//! Pluggable campaign scheduling: how iteration slots are partitioned
-//! and claimed across pipeline workers ([`Scheduler`]), and which corpus
-//! entry each slot mutates ([`SeedPolicy`]).
+//! Pluggable campaign scheduling: which pre-drawn slots a round holds
+//! ([`Scheduler`]), and which corpus entry each slot mutates
+//! ([`SeedPolicy`]).
 //!
 //! # Why a scheduling layer
 //!
 //! The executor's round protocol used to hardwire both decisions: fixed
 //! per-worker batches (a slow seed — e.g. a long mispredict
-//! training-reduction loop — idles every sibling at the round barrier)
-//! and bare energy-decay corpus picks. This module extracts them behind
-//! two traits so the load-balancing strategy and the corpus
-//! cross-pollination policy evolve independently of the executor's
-//! transport.
+//! training-reduction loop — idled every sibling at the round barrier)
+//! and bare energy-decay corpus picks. This module keeps them behind two
+//! traits so the planning strategy and the corpus cross-pollination
+//! policy evolve independently of the executor's transport.
 //!
-//! # Schedulers
+//! # Rounds are queues of pre-drawn slots
 //!
-//! * [`RoundRobin`] — the classic protocol, bit-identical to the
-//!   pre-refactor executor: each worker receives a contiguous batch of
-//!   slots per round and runs them with *chained* state (its own RNG
-//!   stream for fresh seeds, its long-lived coverage view, its in-round
-//!   gain samples). Deterministic for fixed `(seed, workers)`.
-//! * [`WorkStealing`] — every slot of the round is fully pre-drawn at
-//!   planning time (corpus picks and fresh seeds alike), so slots are
-//!   mutually independent; idle workers claim the next unclaimed slot
-//!   from a shared queue instead of idling behind a slow sibling.
-//!   Results are committed in slot order, so the final coverage, corpus,
-//!   bug list and coverage curve are deterministic for fixed `(seed,
-//!   workers)` **regardless of steal interleaving** — which physical
-//!   thread ran a slot can never change what the slot computed.
+//! [`WorkStealing`], the one built-in scheduler, fully pre-draws every
+//! slot of a round at planning time (corpus picks and fresh seeds
+//! alike), so slots are mutually independent: idle workers claim the
+//! next unclaimed slot from a shared queue instead of idling behind a
+//! slow sibling. Results are committed in slot order, so the final
+//! coverage, corpus, bug list and coverage curve are deterministic for
+//! fixed `(seed, workers, batch)` **regardless of steal interleaving** —
+//! which physical thread ran a slot can never change what the slot
+//! computed. Extensions plan through the same [`PlannedSlot`] queue.
 //!
 //! # Work-stealing determinism, precisely
 //!
@@ -34,53 +29,31 @@
 //!
 //! 1. its seed, pre-drawn by [`WorkStealing::plan_round`] in global slot
 //!    order — corpus picks from the scheduler RNG via the
-//!    [`SeedPolicy`], fresh seeds from the owning *logical stream*'s RNG
-//!    (the same per-worker streams, consumed in the same order, as
-//!    [`RoundRobin`] workers would draw themselves);
+//!    [`SeedPolicy`], fresh seeds from the RNG of the slot's logical
+//!    *stream* (`batch` consecutive slots share a stream);
 //! 2. the round-start coverage view (every worker's view equals the
 //!    committed global union at a round boundary) — each slot runs
-//!    against a private copy, so no slot sees a concurrent slot's
+//!    against a private overlay, so no slot sees a concurrent slot's
 //!    observations;
 //! 3. the round-start gain threshold — each slot folds only its own
 //!    mutation-attempt gains.
 //!
-//! The orchestrator then replays outcomes in slot order exactly as it
-//! does for [`RoundRobin`], so the campaign state evolution is a pure
-//! function of `(seed, workers, batch)`.
-//!
-//! # Equivalence with [`RoundRobin`]
-//!
-//! The two schedulers differ *only* in intra-batch state chaining: a
-//! [`RoundRobin`] worker threads its view and gain samples through the
-//! slots of its batch, while [`WorkStealing`] freezes both at round
-//! start. With `batch == 1` there is nothing to chain — each worker runs
-//! exactly one slot per round — and the two schedulers are **provably
-//! bit-identical**: same seeds, same gains, same coverage, same bugs,
-//! same snapshots (asserted by `tests/scheduler.rs` across worker counts
-//! and across halt/resume boundaries). At larger batch sizes the
-//! schedulers are each deterministic but may explore different seeds
-//! once a worker's earlier in-batch observation would have changed a
-//! later slot's measured gain.
+//! The orchestrator then replays outcomes in slot order, so the campaign
+//! state evolution is a pure function of `(seed, workers, batch,
+//! pipelined)`.
 //!
 //! # Cross-round pipelining
 //!
-//! [`WorkStealing`]'s pre-drawn rounds admit a stronger schedule: since
-//! every slot of a round reads only round-start state, the orchestrator
-//! can plan and dispatch round k+2 the moment round k's last slot
-//! *commits* — while round k+1's stragglers are still running — instead
-//! of idling every worker at a barrier. The price is an explicit,
-//! deterministic **feedback lag**: a pipelined round is planned from (and
-//! its view broadcasts carry) the committed coverage/corpus/threshold
-//! state as of one round behind the frontier, rather than the immediately
-//! preceding round. Both schedules are the executor's one commit loop:
-//! it keeps `depth` rounds in flight ahead of the round it commits, and
-//! `--pipeline-lag 0` (the default) runs it at depth 0, the barrier. Any
-//! `lag >= 1` runs it at depth 1 (the minimum that removes the barrier —
-//! deeper requested lags are satisfied a fortiori and all behave
-//! identically). Results remain a pure function of `(seed, workers,
-//! lag)`; [`Scheduler::supports_pipelining`] gates which schedulers may
-//! opt in, and [`PlanCtx::lag`] tells a plan how stale its feedback may
-//! be.
+//! Because every slot of a round reads only round-start state, the
+//! orchestrator can plan and dispatch round k+2 the moment round k's
+//! last slot *commits* — while round k+1's stragglers are still running
+//! — instead of idling every worker at a barrier. The price is an
+//! explicit, deterministic **feedback lag** of one round: a pipelined
+//! round is planned from (and its view broadcasts carry) the committed
+//! coverage/corpus/threshold state as of one round behind the frontier.
+//! Both schedules are the executor's one commit loop: it keeps one round
+//! in flight ahead of the round it commits when the campaign is
+//! pipelined, and none — the barrier, the default — otherwise.
 //!
 //! # Seed policies
 //!
@@ -117,47 +90,58 @@ use crate::gen::{Seed, WindowType};
 /// non-favoured entries are culled to a quarter of theirs.
 pub const FAVOURED_CULL: f64 = 0.25;
 
-/// One iteration slot of a round, as assigned to a specific worker by a
-/// batch-shaped plan ([`RoundPlan::Batches`]).
-#[derive(Clone, Debug)]
-pub struct WorkItem {
-    /// Global iteration index.
-    pub slot: usize,
-    /// A corpus pick to mutate, or `None` for fresh exploration (the
-    /// worker draws the fresh seed from its own RNG stream).
-    pub scheduled: Option<Seed>,
-}
-
-/// One fully pre-drawn iteration slot of a queue-shaped plan
-/// ([`RoundPlan::Queue`]): any worker may claim it, and the outcome is
-/// attributed to its logical `stream` for deterministic accounting.
+/// One fully pre-drawn iteration slot of a round: any worker may claim
+/// it, and the outcome is attributed to its logical `stream` for
+/// deterministic accounting.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlannedSlot {
     /// Global iteration index.
     pub slot: usize,
-    /// Logical worker stream this slot's fresh entropy was drawn from
-    /// (the same contiguous-chunk mapping [`RoundRobin`] uses), and the
-    /// stream its observations are attributed to.
+    /// Logical stream this slot's fresh entropy was drawn from (slot
+    /// position in the round divided by the batch size), and the stream
+    /// its observations are attributed to.
     pub stream: usize,
     /// The concrete seed to run: a policy pick's mutation or a
     /// pre-drawn fresh seed.
     pub seed: Seed,
 }
 
-/// A planned round: how its slots are distributed over the worker pool.
-#[derive(Clone, Debug)]
-pub enum RoundPlan {
-    /// Fixed per-worker batches (`batches[w]` runs on worker `w`, with
-    /// chained worker state). Empty batches are skipped.
-    Batches(Vec<Vec<WorkItem>>),
-    /// Mutually independent pre-drawn slots, claimed dynamically from a
-    /// shared queue by whichever worker is idle.
-    Queue(Vec<PlannedSlot>),
+/// Checks that `slots` is a committable round for a pool of `workers`
+/// streams: numbered exactly `first_slot..first_slot + slots.len()`, in
+/// order, each on a stream below `workers`. The commit loop waits for
+/// every slot number in turn and indexes its stream accounting by
+/// `stream`, so any other plan would hang or panic it.
+pub(crate) fn check_plan(
+    slots: &[PlannedSlot],
+    first_slot: usize,
+    workers: usize,
+) -> Result<(), String> {
+    if first_slot.checked_add(slots.len()).is_none() {
+        return Err(format!(
+            "a round of {} slots at {first_slot} overflows",
+            slots.len()
+        ));
+    }
+    for (i, p) in slots.iter().enumerate() {
+        if p.slot != first_slot + i {
+            return Err(format!(
+                "slot {} at position {i} of a round starting at {first_slot}",
+                p.slot
+            ));
+        }
+        if p.stream >= workers {
+            return Err(format!(
+                "slot {} on stream {} of {workers} workers",
+                p.slot, p.stream
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Everything a scheduler consults while planning a round. All
-/// randomness flows through the scheduler RNG and the per-worker stream
-/// mirrors, so planning is deterministic and snapshot-restorable.
+/// randomness flows through the scheduler RNG and the per-stream RNGs,
+/// so planning is deterministic and snapshot-restorable.
 pub struct PlanCtx<'a> {
     /// The shared seed corpus.
     pub corpus: &'a mut Corpus,
@@ -165,23 +149,13 @@ pub struct PlanCtx<'a> {
     pub policy: &'a mut dyn SeedPolicy,
     /// The central scheduling RNG stream.
     pub sched_rng: &'a mut StdRng,
-    /// Raw per-worker RNG stream positions (the orchestrator's mirrors;
-    /// queue-shaped plans draw fresh seeds from these and advance them).
+    /// Raw per-stream RNG positions: plans draw fresh seeds from these
+    /// and advance them.
     pub worker_rngs: &'a mut [[u64; 4]],
     /// Pool size.
     pub workers: usize,
-    /// Per-worker batch size.
+    /// Slots per stream per round.
     pub batch: usize,
-    /// The feedback lag this plan may rely on, in slots: `0` means the
-    /// plan observes state committed through the immediately preceding
-    /// round (barriered rounds); a positive lag means the orchestrator is
-    /// pipelining and the plan observes coverage/corpus/threshold state
-    /// that trails the frontier by up to one round (see the module docs'
-    /// pipelining section). Informational for the built-ins — they draw
-    /// from whatever committed state the context holds — but lag-aware
-    /// extensions may use it to, e.g., widen exploration under stale
-    /// feedback.
-    pub lag: usize,
     /// Active scenario-instance indices (sorted by canonical spec,
     /// deduped). Fresh-seed draws sample uniformly over
     /// `WindowType::ALL` plus these; empty keeps the historical
@@ -189,17 +163,17 @@ pub struct PlanCtx<'a> {
     pub scenarios: &'a [u16],
 }
 
-/// How iteration slots are partitioned and claimed across workers, round
-/// by round. Implementations must be deterministic: a plan may depend
-/// only on the [`PlanCtx`] state, never on wall-clock or thread timing.
+/// How each round's iteration slots are pre-drawn. Implementations must
+/// be deterministic: a plan may depend only on the [`PlanCtx`] state,
+/// never on wall-clock or thread timing.
 ///
 /// Custom implementations plug in through the extension registry
 /// ([`crate::registry::register_scheduler`] or
 /// [`crate::builder::CampaignBuilder::scheduler_ctor`]) and are selected
 /// by [`SchedulerSpec::Extension`]. A stateful custom scheduler persists
 /// whatever influences future plans through [`Scheduler::state`]; the
-/// blob is stored in campaign snapshots (format v3) and handed back to
-/// the registered constructor on resume, so custom scheduling replays
+/// blob is stored in campaign snapshots and handed back to the
+/// registered constructor on resume, so custom scheduling replays
 /// bit-identically across a halt/resume boundary.
 pub trait Scheduler: std::fmt::Debug + Send {
     /// Human-readable scheduler name.
@@ -212,56 +186,16 @@ pub trait Scheduler: std::fmt::Debug + Send {
     }
 
     /// Plans one round over `slots`, drawing per-slot scheduling
-    /// decisions in global slot order. The plan covers every slot of the
-    /// range exactly once.
-    fn plan_round(&mut self, slots: Range<usize>, ctx: &mut PlanCtx<'_>) -> RoundPlan;
+    /// decisions in global slot order. The plan lists every slot of the
+    /// range exactly once, in order, each on a stream below
+    /// `ctx.workers`.
+    fn plan_round(&mut self, slots: Range<usize>, ctx: &mut PlanCtx<'_>) -> Vec<PlannedSlot>;
 
     /// The scheduler's persistable state: an opaque blob the snapshot
     /// stores and the extension constructor restores on resume. Stateless
-    /// schedulers (both built-ins) return an empty blob.
+    /// schedulers (the built-in included) return an empty blob.
     fn state(&self) -> Vec<u8> {
         Vec::new()
-    }
-
-    /// Whether this scheduler's plans tolerate the cross-round pipeline
-    /// (`--pipeline-lag >= 1`): the orchestrator pre-draws round k+2 the
-    /// moment round k commits, so a plan must consist of mutually
-    /// independent pre-drawn slots ([`RoundPlan::Queue`]) whose outcomes
-    /// commit in slot order regardless of claim timing. Returning `true`
-    /// is a promise that `plan_round` always produces queue-shaped plans;
-    /// batch-shaped schedulers (chained worker state assumes a barrier)
-    /// must keep the default `false`, which makes the builder reject the
-    /// lag with a structured error.
-    fn supports_pipelining(&self) -> bool {
-        false
-    }
-}
-
-/// The classic fixed-batch protocol (see the module docs).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RoundRobin;
-
-impl Scheduler for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn plan_round(&mut self, slots: Range<usize>, ctx: &mut PlanCtx<'_>) -> RoundPlan {
-        let mut batches = vec![Vec::new(); ctx.workers];
-        let mut slot = slots.start;
-        for batch in batches.iter_mut() {
-            for _ in 0..ctx.batch {
-                if slot == slots.end {
-                    break;
-                }
-                batch.push(WorkItem {
-                    slot,
-                    scheduled: ctx.policy.schedule(ctx.corpus, ctx.sched_rng),
-                });
-                slot += 1;
-            }
-        }
-        RoundPlan::Batches(batches)
     }
 }
 
@@ -274,23 +208,16 @@ impl Scheduler for WorkStealing {
         "work-stealing"
     }
 
-    fn supports_pipelining(&self) -> bool {
-        true // every plan is a queue of mutually independent slots
-    }
-
-    fn plan_round(&mut self, slots: Range<usize>, ctx: &mut PlanCtx<'_>) -> RoundPlan {
+    fn plan_round(&mut self, slots: Range<usize>, ctx: &mut PlanCtx<'_>) -> Vec<PlannedSlot> {
         let mut queue = Vec::with_capacity(slots.len());
         for (pos, slot) in slots.enumerate() {
-            // Contiguous-chunk stream mapping — the same slot→worker map
-            // RoundRobin uses, so fresh entropy comes from the same
-            // stream positions either way.
+            // Contiguous-chunk stream mapping: `batch` consecutive slots
+            // draw their fresh entropy from one stream.
             let stream = pos / ctx.batch;
             let seed = match ctx.policy.schedule(ctx.corpus, ctx.sched_rng) {
                 Some(seed) => seed,
                 None => {
-                    // Pre-draw the fresh seed exactly as the worker
-                    // itself would (`executor::run_iteration`'s fresh
-                    // path), from the stream's mirrored position.
+                    // Fresh seeds are drawn here and nowhere else.
                     let mut rng = StdRng::from_raw_state(ctx.worker_rngs[stream]);
                     let window_type = crate::gen::draw_window_type(&mut rng, ctx.scenarios);
                     let seed = Seed::new(window_type, rng.gen());
@@ -300,7 +227,7 @@ impl Scheduler for WorkStealing {
             };
             queue.push(PlannedSlot { slot, stream, seed });
         }
-        RoundPlan::Queue(queue)
+        queue
     }
 }
 
@@ -316,24 +243,21 @@ impl Scheduler for WorkStealing {
 /// scheduler — provided the resuming process registered it too.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum SchedulerSpec {
-    /// [`RoundRobin`] (the default).
+    /// [`WorkStealing`] (the default).
     #[default]
-    RoundRobin,
-    /// [`WorkStealing`].
     WorkStealing,
     /// A registered extension, by id (labelled `ext:<id>`).
     Extension(String),
 }
 
 impl SchedulerSpec {
-    /// Parses a CLI-style scheduler name (`round`, `steal`, or
-    /// `ext:<id>` for a registered extension). Extension ids are
+    /// Parses a CLI-style scheduler name (`steal`, or `ext:<id>` for a
+    /// registered extension). Extension ids are
     /// validated here against the registry's id rules, so a structurally
     /// unregistrable id (empty, whitespace, embedded `:`) is diagnosed
     /// as invalid rather than later as "not registered".
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
-            "round" | "round-robin" => Ok(SchedulerSpec::RoundRobin),
             "steal" | "work-stealing" => Ok(SchedulerSpec::WorkStealing),
             other => match other.strip_prefix("ext:") {
                 Some(id) => match crate::registry::validate_id(id) {
@@ -341,16 +265,15 @@ impl SchedulerSpec {
                     Err(e) => Err(e.to_string()),
                 },
                 None => Err(format!(
-                    "unknown scheduler {other:?} (expected round|steal|ext:<id>)"
+                    "unknown scheduler {other:?} (expected steal|ext:<id>)"
                 )),
             },
         }
     }
 
-    /// Short CLI-facing label (`round`, `steal`, `ext:<id>`).
+    /// Short CLI-facing label (`steal`, `ext:<id>`).
     pub fn label(&self) -> String {
         match self {
-            SchedulerSpec::RoundRobin => "round".into(),
             SchedulerSpec::WorkStealing => "steal".into(),
             SchedulerSpec::Extension(id) => format!("ext:{id}"),
         }
@@ -364,7 +287,6 @@ impl SchedulerSpec {
     /// before any campaign work starts).
     pub fn build(&self, state: Option<&[u8]>) -> Result<Box<dyn Scheduler>, BuildError> {
         match self {
-            SchedulerSpec::RoundRobin => Ok(Box::new(RoundRobin)),
             SchedulerSpec::WorkStealing => Ok(Box::new(WorkStealing)),
             SchedulerSpec::Extension(id) => match crate::registry::scheduler_ctor(id) {
                 Some(ctor) => Ok(ctor(state)),
@@ -705,10 +627,7 @@ mod tests {
 
     #[test]
     fn specs_parse_and_label() {
-        assert_eq!(
-            SchedulerSpec::parse("round").unwrap(),
-            SchedulerSpec::RoundRobin
-        );
+        assert!(SchedulerSpec::parse("round").is_err());
         assert_eq!(
             SchedulerSpec::parse("steal").unwrap(),
             SchedulerSpec::WorkStealing
@@ -746,7 +665,7 @@ mod tests {
         );
         assert!(PolicySpec::parse("rarest").is_err());
         assert_eq!(PolicySpec::FavouredQuota.label(), "favoured");
-        assert_eq!(SchedulerSpec::default(), SchedulerSpec::RoundRobin);
+        assert_eq!(SchedulerSpec::default(), SchedulerSpec::WorkStealing);
         assert_eq!(PolicySpec::default(), PolicySpec::EnergyDecay);
     }
 
@@ -771,38 +690,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_plans_contiguous_batches_in_slot_order() {
-        let mut corpus = Corpus::new(8);
-        let mut policy = EnergyDecay;
-        let mut sched_rng = StdRng::seed_from_u64(3);
-        let mut worker_rngs = [[1, 2, 3, 4], [5, 6, 7, 8]];
-        let mut ctx = PlanCtx {
-            corpus: &mut corpus,
-            policy: &mut policy,
-            sched_rng: &mut sched_rng,
-            worker_rngs: &mut worker_rngs,
-            workers: 2,
-            batch: 3,
-            lag: 0,
-            scenarios: &[],
-        };
-        let RoundPlan::Batches(batches) = RoundRobin.plan_round(10..15, &mut ctx) else {
-            panic!("round robin plans batches");
-        };
-        assert_eq!(batches.len(), 2);
-        let slots: Vec<Vec<usize>> = batches
-            .iter()
-            .map(|b| b.iter().map(|i| i.slot).collect())
-            .collect();
-        assert_eq!(slots, vec![vec![10, 11, 12], vec![13, 14]]);
-        assert_eq!(
-            worker_rngs,
-            [[1, 2, 3, 4], [5, 6, 7, 8]],
-            "streams untouched"
-        );
-    }
-
-    #[test]
     fn work_stealing_predraws_fresh_seeds_from_the_owning_stream() {
         let mut corpus = Corpus::new(8); // empty: every slot is fresh
         let mut policy = EnergyDecay;
@@ -817,20 +704,16 @@ mod tests {
             worker_rngs: &mut worker_rngs,
             workers: 2,
             batch: 2,
-            lag: 0,
             scenarios: &[],
         };
-        let RoundPlan::Queue(queue) = WorkStealing.plan_round(0..4, &mut ctx) else {
-            panic!("work stealing plans a queue");
-        };
+        let queue = WorkStealing.plan_round(0..4, &mut ctx);
         assert_eq!(queue.len(), 4);
         assert_eq!(
             queue.iter().map(|s| s.stream).collect::<Vec<_>>(),
             vec![0, 0, 1, 1],
-            "contiguous-chunk stream map, as round robin partitions"
+            "contiguous-chunk stream map"
         );
-        // The pre-drawn seeds must be exactly what a worker drawing from
-        // the same stream would have generated.
+        // The pre-drawn seeds are consecutive draws from the stream.
         let mut expect = StdRng::seed_from_u64(100);
         for planned in &queue[..2] {
             let wt = WindowType::ALL[expect.gen_range(0..WindowType::ALL.len())];
@@ -839,15 +722,6 @@ mod tests {
         }
         assert_eq!(worker_rngs[0], expect.state(), "stream mirror advanced");
         assert_ne!(worker_rngs[1], stream1, "second stream advanced too");
-    }
-
-    #[test]
-    fn only_queue_planning_schedulers_support_pipelining() {
-        assert!(WorkStealing.supports_pipelining());
-        assert!(
-            !RoundRobin.supports_pipelining(),
-            "chained batch state assumes a barrier"
-        );
     }
 
     #[test]

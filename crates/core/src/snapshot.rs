@@ -8,15 +8,31 @@
 //! executor module docs). That alignment is what makes the restored state
 //! small and the resume *exact*: the snapshot stores one global coverage
 //! matrix, the corpus, the running gain threshold, the scheduler RNG
-//! position and per-worker `(rng position, iteration count, observed
+//! position and per-stream `(rng position, iteration count, observed
 //! matrix)` triples — and a resumed run replays the remaining rounds
 //! bit-identically to an uninterrupted one (asserted by
 //! `tests/persist.rs`).
 //!
 //! On disk a snapshot is a [`dejavuzz_persist::frame`] envelope
 //! ([`SNAPSHOT_MAGIC`], [`SNAPSHOT_VERSION`], FNV-1a checksum) around the
-//! [`Persist`]-encoded state; truncated, corrupted or wrong-version files
-//! fail decoding with a structured [`DecodeError`], never a panic.
+//! [`Persist`]-encoded state; truncated, corrupted, internally
+//! inconsistent or wrong-version files fail decoding with a structured
+//! [`DecodeError`], never a panic. This build reads and writes v6 only.
+//! The v6 payload is, in order: the campaign's replay identity (shard
+//! id, backend label, workers, seed, batch, the pipelined flag, enabled
+//! scenario specs, scheduler and seed-policy selectors with their
+//! persisted state, campaign options), then its progress (completed
+//! iterations, gain threshold, scheduler RNG, corpus and its scheduling
+//! mass, global coverage, stats, per-stream states), then the pending
+//! round, if any.
+//!
+//! A pipelined campaign's checkpoint lands while the next round is
+//! already dispatched, so the snapshot carries that round's pre-drawn
+//! plan, its dispatch-time gain threshold and the coverage points
+//! committed since its dispatch ([`PendingRound`]): a resume
+//! re-dispatches it verbatim and splices bit-identically, where
+//! re-planning would double-draw the scheduler RNG and double-decay the
+//! corpus.
 //!
 //! [`merge_snapshots`] is the multi-machine story: shards run
 //! independently with disjoint seeds, snapshot locally, and merge into
@@ -34,53 +50,14 @@ use crate::corpus::{Corpus, CorpusEntry};
 use crate::gen::{Seed, WindowType};
 use crate::phases::PhaseOptions;
 use crate::report::{AttackType, BugReport, LeakChannel};
-use crate::scheduler::{Favour, PlannedSlot, PolicySpec, PolicyState, SchedulerSpec};
+use crate::scheduler::{check_plan, Favour, PlannedSlot, PolicySpec, PolicyState, SchedulerSpec};
 
 /// Snapshot file magic.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DJVZSNAP";
 
-/// Snapshot format version this build writes.
-///
-/// * **v1** — through the snapshot/resume PR: geometry, options, corpus,
-///   coverage, stats, RNG streams, per-worker states.
-/// * **v2** — adds the scheduling layer: scheduler and seed-policy
-///   selectors, the policy's persistable state (favoured map + quota
-///   counters), and the corpus's cached scheduling mass (so resumed
-///   roulette draws replay bit-identically against the incrementally
-///   maintained total).
-/// * **v3** — opens the closed v2 enums to the extension registry:
-///   scheduler/policy selectors gain an `Extension(id)` tag, policy
-///   state gains an opaque blob variant, and the snapshot carries the
-///   scheduler's own opaque state blob — so campaigns running
-///   *user-supplied* scheduler/policy implementations round-trip through
-///   persistence by id ([`crate::registry`] rehydrates them on resume).
-/// * **v4** — the cross-round steal pipeline: the configured
-///   `pipeline_lag` plus, when a checkpoint lands while a pipelined
-///   round is still in flight, that round's pre-drawn plan and the
-///   coverage points committed since its dispatch ([`PendingRound`]) —
-///   enough for a resume to re-dispatch it verbatim and splice
-///   bit-identically instead of re-planning (which would double-draw the
-///   scheduler RNG and double-decay the corpus). Barriered campaigns
-///   write `lag = 0` and no pending round, so their v4 files carry nine
-///   extra bytes and decode exactly as before.
-/// * **v5** — the scenario library: the campaign's enabled scenario
-///   specs (canonical `family:param=value` strings, part of the replay
-///   identity and adopted on resume), and [`WindowType`] gains a
-///   variable-length tag-8 encoding for [`WindowType::Scenario`]
-///   windows carrying the instance's canonical spec — cross-process
-///   identity is the spec *string*, never the process-local intern
-///   index. Campaigns with no scenarios enabled write an empty list, so
-///   their v5 files carry eight extra bytes and decode exactly as
-///   before; pre-v5 files decode with no scenarios (none existed).
-pub const SNAPSHOT_VERSION: u32 = 5;
-
-/// Oldest snapshot version this build still reads. v1 files decode with
-/// scheduling defaults (round-robin, energy decay, stateless policy, a
-/// re-scanned energy cache) — exactly the configuration every v1
-/// campaign ran with; v2 files decode with an empty scheduler state blob
-/// (no v2 scheduler had one); v1–v3 files all decode with pipelining off
-/// and no pending round (no earlier campaign pipelined).
-pub const SNAPSHOT_MIN_VERSION: u32 = 1;
+/// Snapshot format version this build writes, and the only one it
+/// reads.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 impl Persist for WindowType {
     fn encode(&self, enc: &mut Encoder) {
@@ -178,9 +155,8 @@ impl Persist for Corpus {
         let retained = dec.usize()?;
         let evicted = dec.usize()?;
         let entries = Vec::<CorpusEntry>::decode(dec)?;
-        // The energy cache travels as a separate v2 snapshot field (the
-        // corpus wire format itself is version-agnostic); a fresh scan
-        // here keeps bare round trips and v1 files correct.
+        // The energy cache travels as a separate snapshot field; a fresh
+        // scan here keeps bare round trips correct.
         Ok(Corpus::restore(
             entries, capacity, exploit, retained, evicted, None,
         ))
@@ -190,10 +166,9 @@ impl Persist for Corpus {
 impl Persist for SchedulerSpec {
     fn encode(&self, enc: &mut Encoder) {
         match self {
-            SchedulerSpec::RoundRobin => enc.u32(0),
-            SchedulerSpec::WorkStealing => enc.u32(1),
+            SchedulerSpec::WorkStealing => enc.u32(0),
             SchedulerSpec::Extension(id) => {
-                enc.u32(2);
+                enc.u32(1);
                 enc.str(id);
             }
         }
@@ -201,9 +176,8 @@ impl Persist for SchedulerSpec {
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         match dec.u32()? {
-            0 => Ok(SchedulerSpec::RoundRobin),
-            1 => Ok(SchedulerSpec::WorkStealing),
-            2 => Ok(SchedulerSpec::Extension(dec.string()?)),
+            0 => Ok(SchedulerSpec::WorkStealing),
+            1 => Ok(SchedulerSpec::Extension(dec.string()?)),
             tag => Err(DecodeError::InvalidTag {
                 what: "SchedulerSpec",
                 tag,
@@ -442,14 +416,15 @@ impl Persist for FuzzerOptions {
     }
 }
 
-/// One worker's persisted stream state.
+/// One logical stream's persisted state.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkerState {
-    /// Raw RNG stream position (xoshiro state, see the vendored `rand`).
+    /// Raw RNG stream position (xoshiro state, see the vendored `rand`)
+    /// that fresh seeds of this stream are drawn from.
     pub rng: [u64; 4],
-    /// Iterations this worker has executed so far.
+    /// Iterations committed to this stream so far.
     pub iterations: usize,
-    /// Everything this worker ever observed (the exactness-invariant
+    /// Everything this stream's slots observed (the exactness-invariant
     /// matrices of [`crate::executor::WorkerSummary`]).
     pub observed: CoverageMatrix,
 }
@@ -487,7 +462,7 @@ impl Persist for PlannedSlot {
 }
 
 /// A pipelined round that was dispatched but not fully committed when the
-/// checkpoint landed (format v4): its pre-drawn plan, the gain threshold
+/// checkpoint landed: its pre-drawn plan, the gain threshold
 /// it was dispatched with, and the coverage points committed *after* its
 /// dispatch (`view_behind`) — the delta the resumed orchestrator replays
 /// into the broadcast log so worker views and the next plan see exactly
@@ -530,6 +505,7 @@ impl Persist for PendingRound {
 
 /// The complete persisted state of a fuzzing campaign at a round
 /// boundary. See the module docs for the resume-equivalence contract.
+/// Fields are declared in wire order.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CampaignSnapshot {
     /// Which shard of a multi-machine campaign this is (0 for unsharded
@@ -545,14 +521,22 @@ pub struct CampaignSnapshot {
     pub seed: u64,
     /// Per-round batch size.
     pub batch: usize,
+    /// Whether the campaign runs the cross-round pipeline (part of the
+    /// replay identity like the scheduler; resume adopts it).
+    pub pipelined: bool,
+    /// The campaign's enabled scenario-template specs, canonical and
+    /// sorted (part of the replay identity — resume adopts them and
+    /// fails the build if a named family is not registered). Empty for
+    /// campaigns that never enabled scenarios.
+    pub scenarios: Vec<String>,
     /// Slot scheduler the campaign ran (and must resume) with — part of
     /// its replay identity; resume adopts it. Extension ids require the
     /// resuming process to have registered the same id
     /// ([`crate::registry`]).
     pub scheduler: SchedulerSpec,
     /// The scheduler's opaque state blob ([`crate::scheduler::
-    /// Scheduler::state`]); empty for the stateless built-ins, handed
-    /// back to the extension constructor on resume (v3).
+    /// Scheduler::state`]); empty for the stateless built-in, handed
+    /// back to the extension constructor on resume.
     pub scheduler_state: Vec<u8>,
     /// Corpus seed policy — likewise adopted on resume.
     pub policy: PolicySpec,
@@ -570,26 +554,25 @@ pub struct CampaignSnapshot {
     pub gain_samples: usize,
     /// Scheduler RNG stream position.
     pub sched_rng: [u64; 4],
-    /// The seed corpus.
+    /// The seed corpus. Its cached scheduling mass travels right after
+    /// it, so resumed roulette draws replay bit-identically against the
+    /// incrementally maintained total.
     pub corpus: Corpus,
     /// The exact global coverage union.
     pub coverage: CoverageMatrix,
     /// Campaign statistics, including the exact coverage curve and
     /// deduplicated bug reports.
     pub stats: CampaignStats,
-    /// Per-worker stream state, indexed by worker id.
+    /// Per-stream state, indexed by stream.
     pub worker_states: Vec<WorkerState>,
-    /// Cross-round pipeline depth the campaign ran (and must resume)
-    /// with: 0 = barriered rounds, >= 1 = the depth-one steal pipeline
-    /// (v4; part of the replay identity like the scheduler).
-    pub pipeline_lag: usize,
-    /// The in-flight pipelined round at checkpoint time, if any (v4).
+    /// The in-flight pipelined round at checkpoint time, if any.
     pub pending: Option<PendingRound>,
-    /// The campaign's enabled scenario-template specs, canonical and
-    /// sorted (v5; part of the replay identity — resume adopts them and
-    /// fails the build if a named family is not registered). Empty for
-    /// campaigns that never enabled scenarios.
-    pub scenarios: Vec<String>,
+}
+
+/// A structured rejection of a snapshot field that decoded but
+/// contradicts the rest of the file.
+fn invalid(what: &'static str, detail: String) -> DecodeError {
+    DecodeError::InvalidValue { what, detail }
 }
 
 impl Persist for CampaignSnapshot {
@@ -599,146 +582,119 @@ impl Persist for CampaignSnapshot {
         enc.usize(self.workers);
         enc.u64(self.seed);
         enc.usize(self.batch);
+        enc.bool(self.pipelined);
+        self.scenarios.encode(enc);
+        self.scheduler.encode(enc);
+        enc.bytes(&self.scheduler_state);
+        self.policy.encode(enc);
+        self.policy_state.encode(enc);
         self.opts.encode(enc);
         enc.usize(self.completed);
         enc.f64(self.gain_avg);
         enc.usize(self.gain_samples);
         self.sched_rng.encode(enc);
         self.corpus.encode(enc);
+        enc.f64(self.corpus.energy_cache());
         self.coverage.encode(enc);
         self.stats.encode(enc);
         self.worker_states.encode(enc);
-        // v2 tail: the scheduling layer.
-        self.scheduler.encode(enc);
-        self.policy.encode(enc);
-        self.policy_state.encode(enc);
-        enc.f64(self.corpus.energy_cache());
-        // v3 tail: the scheduler's opaque extension state.
-        enc.bytes(&self.scheduler_state);
-        // v4 tail: the cross-round pipeline.
-        enc.usize(self.pipeline_lag);
         self.pending.encode(enc);
-        // v5 tail: the enabled scenario specs.
-        self.scenarios.encode(enc);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        CampaignSnapshot::decode_versioned(dec, SNAPSHOT_VERSION)
-    }
-}
-
-impl CampaignSnapshot {
-    /// Decodes a snapshot payload of a specific format version: the v1
-    /// prefix is shared, the v2 tail carries the scheduling layer (v1
-    /// files get the defaults every v1 campaign ran with), the v3 tail
-    /// carries the scheduler's opaque extension state (empty for v1/v2
-    /// files — no earlier scheduler had any), the v4 tail carries the
-    /// pipeline lag and any in-flight pipelined round (v1–v3 files all
-    /// ran barriered).
-    fn decode_versioned(dec: &mut Decoder<'_>, version: u32) -> Result<Self, DecodeError> {
-        let mut snap = CampaignSnapshot {
+        // Struct fields evaluate in the order written: wire order.
+        let snap = CampaignSnapshot {
             shard_id: dec.u32()?,
             backend: dec.string()?,
             workers: dec.usize()?,
             seed: dec.u64()?,
             batch: dec.usize()?,
-            scheduler: SchedulerSpec::RoundRobin,
-            scheduler_state: Vec::new(),
-            policy: PolicySpec::EnergyDecay,
-            policy_state: PolicyState::Stateless,
+            pipelined: dec.bool()?,
+            scenarios: Vec::<String>::decode(dec)?,
+            scheduler: SchedulerSpec::decode(dec)?,
+            scheduler_state: dec.bytes()?.to_vec(),
+            policy: PolicySpec::decode(dec)?,
+            policy_state: PolicyState::decode(dec)?,
             opts: FuzzerOptions::decode(dec)?,
             completed: dec.usize()?,
             gain_avg: dec.f64()?,
             gain_samples: dec.usize()?,
             sched_rng: <[u64; 4]>::decode(dec)?,
-            corpus: Corpus::decode(dec)?,
+            corpus: {
+                let mut corpus = Corpus::decode(dec)?;
+                let energy = dec.f64()?;
+                // `Corpus::decode` restored the cache from a fresh scan;
+                // the persisted value may differ from it only by the
+                // incremental-update float drift the cache exists to make
+                // reproducible. Anything further off is a corrupt or
+                // crafted file — accepting it would skew every roulette
+                // pick (and trip the debug cross-check as a panic instead
+                // of a structured error).
+                let scan = corpus.energy_cache();
+                if !energy.is_finite()
+                    || energy < 0.0
+                    || (energy - scan).abs() > 1e-6 * scan.abs().max(1.0)
+                {
+                    return Err(invalid(
+                        "CampaignSnapshot::corpus_energy",
+                        format!(
+                            "{energy} is not a valid scheduling mass for entries summing to {scan}"
+                        ),
+                    ));
+                }
+                corpus.set_energy_cache(energy);
+                corpus
+            },
             coverage: CoverageMatrix::decode(dec)?,
             stats: CampaignStats::decode(dec)?,
             worker_states: Vec::<WorkerState>::decode(dec)?,
-            pipeline_lag: 0,
-            pending: None,
-            scenarios: Vec::new(),
+            pending: Option::<PendingRound>::decode(dec)?,
         };
-        if version >= 2 {
-            snap.scheduler = SchedulerSpec::decode(dec)?;
-            snap.policy = PolicySpec::decode(dec)?;
-            snap.policy_state = PolicyState::decode(dec)?;
-            let energy = dec.f64()?;
-            // `Corpus::decode` above restored the cache from a fresh
-            // scan; the persisted value may differ from it only by the
-            // incremental-update float drift the cache exists to make
-            // reproducible. Anything further off is a corrupt or crafted
-            // file — accepting it would skew every roulette pick (and
-            // trip the debug cross-check as a panic instead of a
-            // structured error).
-            let scan = snap.corpus.energy_cache();
-            if !energy.is_finite()
-                || energy < 0.0
-                || (energy - scan).abs() > 1e-6 * scan.abs().max(1.0)
-            {
-                return Err(DecodeError::InvalidValue {
-                    what: "CampaignSnapshot::corpus_energy",
-                    detail: format!(
-                        "{energy} is not a valid scheduling mass for entries summing to {scan}"
-                    ),
-                });
-            }
-            snap.corpus.set_energy_cache(energy);
-        }
-        if version >= 3 {
-            snap.scheduler_state = dec.bytes()?.to_vec();
-        }
-        if version >= 4 {
-            snap.pipeline_lag = dec.usize()?;
-            snap.pending = Option::<PendingRound>::decode(dec)?;
-        }
-        if version >= 5 {
-            snap.scenarios = Vec::<String>::decode(dec)?;
-        }
-        if let Some(p) = &snap.pending {
-            // A pending round is the in-flight round at the committed
-            // frontier: its first slot must be exactly `completed`, and a
-            // barriered campaign can never have one.
-            if snap.pipeline_lag == 0 {
-                return Err(DecodeError::InvalidValue {
-                    what: "CampaignSnapshot::pending",
-                    detail: "a pending round without pipelining".into(),
-                });
-            }
-            if p.first_slot != snap.completed {
-                return Err(DecodeError::InvalidValue {
-                    what: "CampaignSnapshot::pending",
-                    detail: format!(
-                        "pending round starts at {} but the snapshot completed {}",
-                        p.first_slot, snap.completed
-                    ),
-                });
-            }
-        }
         if snap.workers == 0 {
-            return Err(DecodeError::InvalidValue {
-                what: "CampaignSnapshot::workers",
-                detail: "zero workers".into(),
-            });
+            return Err(invalid("CampaignSnapshot::workers", "zero workers".into()));
         }
         if snap.worker_states.len() != snap.workers {
-            return Err(DecodeError::InvalidValue {
-                what: "CampaignSnapshot::worker_states",
-                detail: format!(
+            return Err(invalid(
+                "CampaignSnapshot::worker_states",
+                format!(
                     "{} states for {} workers",
                     snap.worker_states.len(),
                     snap.workers
                 ),
-            });
+            ));
         }
         if snap.completed != snap.stats.iterations {
-            return Err(DecodeError::InvalidValue {
-                what: "CampaignSnapshot::completed",
-                detail: format!(
+            return Err(invalid(
+                "CampaignSnapshot::completed",
+                format!(
                     "completed {} != stats.iterations {}",
                     snap.completed, snap.stats.iterations
                 ),
-            });
+            ));
+        }
+        if let Some(p) = &snap.pending {
+            // A pending round is the in-flight round at the committed
+            // frontier, a plan the commit loop can finish: a barriered
+            // campaign can never have one, its first slot must be exactly
+            // `completed`, and its slots must follow on, in order, on the
+            // campaign's streams.
+            if !snap.pipelined {
+                return Err(invalid(
+                    "CampaignSnapshot::pending",
+                    "a pending round without pipelining".into(),
+                ));
+            }
+            if p.first_slot != snap.completed {
+                return Err(invalid(
+                    "CampaignSnapshot::pending",
+                    format!(
+                        "pending round starts at {} but the snapshot completed {}",
+                        p.first_slot, snap.completed
+                    ),
+                ));
+            }
+            check_plan(&p.slots, p.first_slot, snap.workers)
+                .map_err(|detail| invalid("CampaignSnapshot::pending", detail))?;
         }
         Ok(snap)
     }
@@ -756,19 +712,10 @@ impl CampaignSnapshot {
     }
 
     /// Decodes a framed snapshot, validating magic, version and checksum
-    /// before any state decoding. Reads every version in
-    /// [`SNAPSHOT_MIN_VERSION`]`..=`[`SNAPSHOT_VERSION`]; writing always
-    /// produces the current version.
+    /// before any state decoding. Any version but [`SNAPSHOT_VERSION`] is
+    /// a [`DecodeError::UnsupportedVersion`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let (version, payload) = frame::open_versioned(
-            SNAPSHOT_MAGIC,
-            SNAPSHOT_MIN_VERSION..=SNAPSHOT_VERSION,
-            bytes,
-        )?;
-        let mut dec = Decoder::new(payload);
-        let snap = CampaignSnapshot::decode_versioned(&mut dec, version)?;
-        dec.finish()?;
-        Ok(snap)
+        dejavuzz_persist::from_bytes(frame::open(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, bytes)?)
     }
 
     /// Writes the snapshot to `path` atomically (write-rename).
@@ -1001,160 +948,10 @@ mod tests {
                     observed: CoverageMatrix::new(),
                 },
             ],
-            pipeline_lag: 0,
+            pipelined: false,
             pending: None,
             scenarios: Vec::new(),
         }
-    }
-
-    /// Version skew: a v1 file (no scheduling tail) must decode with the
-    /// defaults every v1 campaign actually ran with, and versions below
-    /// the supported floor must still fail structurally.
-    #[test]
-    fn v1_snapshots_decode_with_scheduling_defaults() {
-        let mut snap = sample_snapshot();
-        // Exactly what the v1 writer produced: the shared prefix, no tail.
-        let mut enc = Encoder::new();
-        enc.u32(snap.shard_id);
-        enc.str(&snap.backend);
-        enc.usize(snap.workers);
-        enc.u64(snap.seed);
-        enc.usize(snap.batch);
-        snap.opts.encode(&mut enc);
-        enc.usize(snap.completed);
-        enc.f64(snap.gain_avg);
-        enc.usize(snap.gain_samples);
-        snap.sched_rng.encode(&mut enc);
-        snap.corpus.encode(&mut enc);
-        snap.coverage.encode(&mut enc);
-        snap.stats.encode(&mut enc);
-        snap.worker_states.encode(&mut enc);
-        let bytes = frame::seal(SNAPSHOT_MAGIC, 1, &enc.into_bytes());
-
-        let decoded = CampaignSnapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(decoded.scheduler, SchedulerSpec::RoundRobin);
-        assert_eq!(decoded.policy, PolicySpec::EnergyDecay);
-        assert_eq!(decoded.policy_state, PolicyState::Stateless);
-        assert!(decoded.scheduler_state.is_empty());
-        snap.scheduler = SchedulerSpec::RoundRobin;
-        snap.scheduler_state = Vec::new();
-        snap.policy = PolicySpec::EnergyDecay;
-        snap.policy_state = PolicyState::Stateless;
-        assert_eq!(decoded, snap, "every v1 prefix field survives");
-
-        let too_old = frame::seal(SNAPSHOT_MAGIC, 0, &[]);
-        assert!(matches!(
-            CampaignSnapshot::from_bytes(&too_old),
-            Err(DecodeError::UnsupportedVersion { found: 0, .. })
-        ));
-    }
-
-    /// Version skew one step back: a v2 file (scheduling tail, no
-    /// scheduler-state blob) decodes with an empty blob and everything
-    /// else intact — the backward-load guarantee the extension registry
-    /// upgrade must not break.
-    #[test]
-    fn v2_snapshots_decode_with_an_empty_scheduler_state() {
-        let mut snap = sample_snapshot();
-        // Exactly what the v2 writer produced: prefix + v2 tail.
-        let mut enc = Encoder::new();
-        enc.u32(snap.shard_id);
-        enc.str(&snap.backend);
-        enc.usize(snap.workers);
-        enc.u64(snap.seed);
-        enc.usize(snap.batch);
-        snap.opts.encode(&mut enc);
-        enc.usize(snap.completed);
-        enc.f64(snap.gain_avg);
-        enc.usize(snap.gain_samples);
-        snap.sched_rng.encode(&mut enc);
-        snap.corpus.encode(&mut enc);
-        snap.coverage.encode(&mut enc);
-        snap.stats.encode(&mut enc);
-        snap.worker_states.encode(&mut enc);
-        snap.scheduler.encode(&mut enc);
-        snap.policy.encode(&mut enc);
-        snap.policy_state.encode(&mut enc);
-        enc.f64(snap.corpus.energy_cache());
-        let bytes = frame::seal(SNAPSHOT_MAGIC, 2, &enc.into_bytes());
-
-        let decoded = CampaignSnapshot::from_bytes(&bytes).unwrap();
-        assert!(decoded.scheduler_state.is_empty());
-        snap.scheduler_state = Vec::new();
-        assert_eq!(decoded, snap, "every v2 field survives");
-    }
-
-    /// Version skew one more step back: a v3 file (full scheduling tail,
-    /// no pipelining tail) decodes with pipelining off and no pending
-    /// round — no pre-v4 campaign ever pipelined.
-    #[test]
-    fn v3_snapshots_decode_with_pipelining_off() {
-        let snap = sample_snapshot();
-        // Exactly what the v3 writer produced: prefix + v2 tail +
-        // scheduler-state blob, and nothing after.
-        let mut enc = Encoder::new();
-        enc.u32(snap.shard_id);
-        enc.str(&snap.backend);
-        enc.usize(snap.workers);
-        enc.u64(snap.seed);
-        enc.usize(snap.batch);
-        snap.opts.encode(&mut enc);
-        enc.usize(snap.completed);
-        enc.f64(snap.gain_avg);
-        enc.usize(snap.gain_samples);
-        snap.sched_rng.encode(&mut enc);
-        snap.corpus.encode(&mut enc);
-        snap.coverage.encode(&mut enc);
-        snap.stats.encode(&mut enc);
-        snap.worker_states.encode(&mut enc);
-        snap.scheduler.encode(&mut enc);
-        snap.policy.encode(&mut enc);
-        snap.policy_state.encode(&mut enc);
-        enc.f64(snap.corpus.energy_cache());
-        enc.bytes(&snap.scheduler_state);
-        let bytes = frame::seal(SNAPSHOT_MAGIC, 3, &enc.into_bytes());
-
-        let decoded = CampaignSnapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(decoded.pipeline_lag, 0);
-        assert_eq!(decoded.pending, None);
-        assert_eq!(decoded, snap, "every v3 field survives");
-    }
-
-    /// Version skew one more step back: a v4 file (pipelining tail, no
-    /// scenario tail) decodes with an empty scenario list — no pre-v5
-    /// campaign ever enabled scenarios.
-    #[test]
-    fn v4_snapshots_decode_with_no_scenarios() {
-        let snap = sample_snapshot();
-        // Exactly what the v4 writer produced: everything through the
-        // pipelining tail, and nothing after.
-        let mut enc = Encoder::new();
-        enc.u32(snap.shard_id);
-        enc.str(&snap.backend);
-        enc.usize(snap.workers);
-        enc.u64(snap.seed);
-        enc.usize(snap.batch);
-        snap.opts.encode(&mut enc);
-        enc.usize(snap.completed);
-        enc.f64(snap.gain_avg);
-        enc.usize(snap.gain_samples);
-        snap.sched_rng.encode(&mut enc);
-        snap.corpus.encode(&mut enc);
-        snap.coverage.encode(&mut enc);
-        snap.stats.encode(&mut enc);
-        snap.worker_states.encode(&mut enc);
-        snap.scheduler.encode(&mut enc);
-        snap.policy.encode(&mut enc);
-        snap.policy_state.encode(&mut enc);
-        enc.f64(snap.corpus.energy_cache());
-        enc.bytes(&snap.scheduler_state);
-        enc.usize(snap.pipeline_lag);
-        snap.pending.encode(&mut enc);
-        let bytes = frame::seal(SNAPSHOT_MAGIC, 4, &enc.into_bytes());
-
-        let decoded = CampaignSnapshot::from_bytes(&bytes).unwrap();
-        assert!(decoded.scenarios.is_empty());
-        assert_eq!(decoded, snap, "every v4 field survives");
     }
 
     /// Scenario windows round-trip by canonical spec string: the decoded
@@ -1199,9 +996,8 @@ mod tests {
         }
     }
 
-    /// The v5 tail round-trips: enabled scenario specs survive the wire
-    /// format, and a snapshot whose corpus carries scenario seeds
-    /// round-trips value-equal.
+    /// Enabled scenario specs survive the wire format, and a snapshot
+    /// whose corpus carries scenario seeds round-trips value-equal.
     #[test]
     fn v5_scenarios_survive_a_round_trip() {
         let mut snap = sample_snapshot();
@@ -1240,20 +1036,20 @@ mod tests {
         }
     }
 
-    /// The v4 tail round-trips: an in-flight pipelined round (its
-    /// pre-drawn plan, dispatch-time gain state and the points committed
-    /// behind it) survives the wire format exactly.
+    /// An in-flight pipelined round (its pre-drawn plan, dispatch-time
+    /// gain state and the points committed behind it) survives the wire
+    /// format exactly.
     #[test]
     fn v4_pending_round_survives_a_round_trip() {
         let mut snap = sample_snapshot();
-        snap.pipeline_lag = 2;
+        snap.pipelined = true;
         snap.pending = Some(sample_pending(snap.completed));
         let decoded = CampaignSnapshot::from_bytes(&snap.to_bytes()).unwrap();
-        assert_eq!(decoded, snap, "lag and pending round survive");
+        assert_eq!(decoded, snap, "pipelining and pending round survive");
     }
 
-    /// A pending round in a barriered (`lag == 0`) snapshot is
-    /// self-contradictory and must fail decode structurally.
+    /// A pending round in a barriered snapshot is self-contradictory and
+    /// must fail decode structurally.
     #[test]
     fn pending_round_without_pipelining_fails_decode() {
         let mut snap = sample_snapshot();
@@ -1272,7 +1068,7 @@ mod tests {
     #[test]
     fn pending_round_off_the_committed_frontier_fails_decode() {
         let mut snap = sample_snapshot();
-        snap.pipeline_lag = 1;
+        snap.pipelined = true;
         snap.pending = Some(sample_pending(snap.completed + 2));
         assert!(matches!(
             CampaignSnapshot::from_bytes(&snap.to_bytes()),
@@ -1283,9 +1079,62 @@ mod tests {
         ));
     }
 
-    /// A checksum-valid v2 file whose persisted energy disagrees with
-    /// its own corpus entries must fail decode structurally — not panic
-    /// the debug cross-check or silently skew release-build scheduling.
+    /// A pending round that skips a slot number would hang the resumed
+    /// commit loop, which waits for every slot in turn: decode refuses it.
+    #[test]
+    fn pending_round_skipping_a_slot_fails_decode() {
+        let mut snap = sample_snapshot();
+        snap.pipelined = true;
+        let mut pending = sample_pending(snap.completed);
+        pending.slots[1].slot += 1;
+        snap.pending = Some(pending);
+        assert_eq!(
+            CampaignSnapshot::from_bytes(&snap.to_bytes()),
+            Err(DecodeError::InvalidValue {
+                what: "CampaignSnapshot::pending",
+                detail: "slot 7 at position 1 of a round starting at 5".into(),
+            })
+        );
+    }
+
+    /// A pending slot on a stream past the worker count would index past
+    /// the resumed run's stream accounting: decode refuses it.
+    #[test]
+    fn pending_round_on_a_missing_stream_fails_decode() {
+        let mut snap = sample_snapshot();
+        snap.pipelined = true;
+        let mut pending = sample_pending(snap.completed);
+        pending.slots[1].stream = 9;
+        snap.pending = Some(pending);
+        assert_eq!(
+            CampaignSnapshot::from_bytes(&snap.to_bytes()),
+            Err(DecodeError::InvalidValue {
+                what: "CampaignSnapshot::pending",
+                detail: "slot 6 on stream 9 of 2 workers".into(),
+            })
+        );
+    }
+
+    /// Every other format version fails before any payload decoding —
+    /// v1 to v5 included — with the version named.
+    #[test]
+    fn other_snapshot_versions_are_unsupported() {
+        let payload = dejavuzz_persist::to_bytes(&sample_snapshot());
+        for found in [0, 1, 5, 7] {
+            let bytes = frame::seal(SNAPSHOT_MAGIC, found, &payload);
+            assert_eq!(
+                CampaignSnapshot::from_bytes(&bytes),
+                Err(DecodeError::UnsupportedVersion {
+                    found,
+                    supported: SNAPSHOT_VERSION
+                })
+            );
+        }
+    }
+
+    /// A checksum-valid file whose persisted energy disagrees with its
+    /// own corpus entries must fail decode structurally — not panic the
+    /// debug cross-check or silently skew release-build scheduling.
     #[test]
     fn inconsistent_corpus_energy_fails_decode_not_panic() {
         let mut snap = sample_snapshot();
@@ -1294,16 +1143,16 @@ mod tests {
         let honest = snap.to_bytes();
         assert_eq!(CampaignSnapshot::from_bytes(&honest).unwrap(), snap);
 
-        // Re-encode with a bogus energy (the f64 sits right before the
-        // length-prefixed v3 scheduler-state blob, which is followed only
-        // by the v4 tail — the lag u64 plus the pending-round Option tag,
-        // a lone byte here since the sample has no pending round — and
-        // the v5 tail, an empty scenario-spec list).
+        // Re-encode with a bogus energy (the f64 right after the corpus,
+        // followed by the coverage, stats, per-stream states and pending
+        // round).
         let payload_start = 8 + 4 + 8 + 8; // magic + version + len + checksum
         let mut payload = honest[payload_start..].to_vec();
-        let v4_tail = 8 + 1; // usize lag + None tag
-        let v5_tail = 8; // empty Vec<String> length prefix
-        let energy_at = payload.len() - v5_tail - v4_tail - 8 - (8 + snap.scheduler_state.len());
+        let tail = dejavuzz_persist::to_bytes(&snap.coverage).len()
+            + dejavuzz_persist::to_bytes(&snap.stats).len()
+            + dejavuzz_persist::to_bytes(&snap.worker_states).len()
+            + dejavuzz_persist::to_bytes(&snap.pending).len();
+        let energy_at = payload.len() - tail - 8;
         payload[energy_at..energy_at + 8].copy_from_slice(&1e9f64.to_bits().to_le_bytes());
         let forged = frame::seal(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &payload);
         assert!(matches!(
@@ -1318,7 +1167,6 @@ mod tests {
     #[test]
     fn scheduling_specs_and_state_round_trip() {
         for spec in [
-            SchedulerSpec::RoundRobin,
             SchedulerSpec::WorkStealing,
             SchedulerSpec::Extension("my-sched".into()),
         ] {

@@ -66,31 +66,6 @@ fn assert_resume_matches_uninterrupted(name: &str, args: &[&str]) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// At `--batch 1` work stealing computes exactly what round robin does:
-/// the two reports are identical.
-#[test]
-fn batch_one_steal_report_equals_round_robin() {
-    let dir = std::env::temp_dir();
-    let run = |scheduler| {
-        report(
-            &dir,
-            &[
-                "--iters",
-                "12",
-                "--workers",
-                "3",
-                "--seed",
-                "5",
-                "--batch",
-                "1",
-                "--scheduler",
-                scheduler,
-            ],
-        )
-    };
-    assert_eq!(run("round"), run("steal"));
-}
-
 /// Two work-stealing runs print identical reports despite claim racing.
 #[test]
 fn steal_report_is_deterministic() {
@@ -320,19 +295,51 @@ fn pipeline_lag_requires_a_value() {
     );
 }
 
-/// Pipelining under the default (round-robin) scheduler is refused with
-/// the builder's structured message, pinned verbatim.
+/// `round` is no longer a scheduler: it is the ordinary exit-2 parse
+/// error naming the accepted spellings.
 #[test]
-fn pipeline_lag_with_round_robin_is_a_structured_build_error() {
-    let (code, _, stderr) = fuzz(&["--pipeline-lag", "2", "--iters", "1"]);
+fn round_scheduler_is_a_parse_error() {
+    let (code, _, stderr) = fuzz(&["--scheduler", "round", "--iters", "1"]);
     assert_eq!(code, Some(2));
     assert!(
-        stderr.contains(
-            "pipeline lag requires a queue-planning scheduler, \
-             but \"round\" does not support pipelining"
-        ),
-        "stderr carries the builder's message: {stderr}"
+        stderr.contains("unknown scheduler \"round\" (expected steal|ext:<id>)"),
+        "stderr: {stderr}"
     );
+}
+
+/// A snapshot of an older format version is refused by `--resume` and by
+/// `dejavuzz-merge` with exit 2 and the version named, never a panic.
+#[test]
+fn old_snapshot_versions_exit_two_naming_the_version() {
+    let dir = scratch("old-version");
+    report(&dir, &["--iters", "2", "--snapshot", "new.snap"]);
+    let current = std::fs::read(dir.join("new.snap")).unwrap();
+    let payload = &current[dejavuzz_persist::HEADER_LEN..];
+    let old = dejavuzz_persist::seal(dejavuzz::snapshot::SNAPSHOT_MAGIC, 5, payload);
+    let path = dir.join("v5.snap");
+    std::fs::write(&path, old).unwrap();
+    let path = path.to_str().unwrap();
+    let merge = Command::new(env!("CARGO_BIN_EXE_dejavuzz-merge"))
+        .arg(path)
+        .output()
+        .expect("spawn dejavuzz-merge");
+    let resume = fuzz(&["--resume", path, "--iters", "2"]);
+    for (bin, code, stderr) in [
+        (
+            "merge",
+            merge.status.code(),
+            String::from_utf8_lossy(&merge.stderr).into_owned(),
+        ),
+        ("resume", resume.0, resume.2),
+    ] {
+        assert_eq!(code, Some(2), "{bin}: {stderr}");
+        assert!(
+            stderr.contains("unsupported snapshot version 5 (this build reads version 6)"),
+            "{bin}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A malformed `--gossip-every` value is an exit-2 error naming both the
@@ -564,7 +571,6 @@ fn list_extensions_output_is_pinned() {
     assert_eq!(code, Some(0));
     let expected = "\
 schedulers:
-  round
   steal
 seed policies:
   energy

@@ -41,7 +41,7 @@ pub enum DecodeError {
     UnsupportedVersion {
         /// Version stored in the frame.
         found: u32,
-        /// Newest version this build reads.
+        /// The version this build reads.
         supported: u32,
     },
     /// The payload checksum does not match the stored one (bit rot,
@@ -101,7 +101,7 @@ impl fmt::Display for DecodeError {
             ),
             DecodeError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "unsupported snapshot version {found} (this build reads up to {supported})"
+                "unsupported snapshot version {found} (this build reads version {supported})"
             ),
             DecodeError::ChecksumMismatch { stored, computed } => write!(
                 f,

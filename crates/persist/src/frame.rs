@@ -27,25 +27,31 @@ pub const HEADER_LEN: usize = 28;
 /// [`DecodeError::BadMagic`] instead of misparsing.
 pub const GOSSIP_MAGIC: [u8; 8] = *b"DJVZGOSP";
 
-/// Current gossip frame payload version.
+/// Gossip frame payload version: the only one this build reads.
 pub const GOSSIP_VERSION: u32 = 1;
 
-/// Oldest gossip frame payload version this build still reads.
-pub const GOSSIP_MIN_VERSION: u32 = 1;
+/// Upper bound on one frame (header + payload) a stream reader accepts:
+/// the worker-process RPC stream and gossip links. Their frames are far
+/// smaller; a larger declared length is a corrupt or hostile length
+/// field, and rejecting it beats allocating, or waiting for, its body.
+pub const MAX_FRAME: usize = 256 << 20;
 
 /// Stream reassembly: the total size of the frame starting at `bytes[0]`,
 /// or `None` while the header is still incomplete. Lets a socket reader
 /// split a byte stream into whole frames before handing each to [`open`]
 /// (which rejects trailing bytes by design). Performs no validation
 /// beyond reading the length field — [`open`] still checks magic,
-/// version and checksum on the complete frame.
+/// version and checksum on the complete frame — and saturates at
+/// `usize::MAX` instead of overflowing on a hostile length, so a reader
+/// comparing against [`MAX_FRAME`] rejects it.
 pub fn framed_len(bytes: &[u8]) -> Option<usize> {
     if bytes.len() < HEADER_LEN {
         return None;
     }
     let mut len = [0u8; 8];
     len.copy_from_slice(&bytes[12..20]);
-    Some(HEADER_LEN + u64::from_le_bytes(len) as usize)
+    let payload = usize::try_from(u64::from_le_bytes(len)).unwrap_or(usize::MAX);
+    Some(HEADER_LEN.saturating_add(payload))
 }
 
 /// FNV-1a 64-bit over a byte slice: cheap, dependency-free, and stable
@@ -123,11 +129,9 @@ pub fn seal_with(
 
 /// Validates an envelope and returns the payload slice. `supported` is
 /// the single version this build reads; older or newer frames fail with
-/// [`DecodeError::UnsupportedVersion`]. For formats that read a range of
-/// versions (migrating decoders), use [`open_versioned`].
+/// [`DecodeError::UnsupportedVersion`].
 pub fn open(magic: [u8; 8], supported: u32, bytes: &[u8]) -> Result<&[u8], DecodeError> {
-    let (_, payload) = open_checked(magic, supported..=supported, bytes, fnv1a64)?;
-    Ok(payload)
+    open_with(magic, supported, bytes, fnv1a64)
 }
 
 /// [`open`] for frames sealed with [`seal_with`]: validates with the
@@ -138,30 +142,6 @@ pub fn open_with(
     bytes: &[u8],
     checksum: fn(&[u8]) -> u64,
 ) -> Result<&[u8], DecodeError> {
-    let (_, payload) = open_checked(magic, supported..=supported, bytes, checksum)?;
-    Ok(payload)
-}
-
-/// [`open`] for formats whose decoder understands a contiguous range of
-/// versions: validates the envelope and returns `(version, payload)` so
-/// the caller can branch its payload decoding on the version it actually
-/// found. Frames outside `supported` fail with
-/// [`DecodeError::UnsupportedVersion`] (reporting the newest supported
-/// version).
-pub fn open_versioned(
-    magic: [u8; 8],
-    supported: std::ops::RangeInclusive<u32>,
-    bytes: &[u8],
-) -> Result<(u32, &[u8]), DecodeError> {
-    open_checked(magic, supported, bytes, fnv1a64)
-}
-
-fn open_checked(
-    magic: [u8; 8],
-    supported: std::ops::RangeInclusive<u32>,
-    bytes: &[u8],
-    checksum: fn(&[u8]) -> u64,
-) -> Result<(u32, &[u8]), DecodeError> {
     let mut dec = Decoder::new(bytes);
     let mut found = [0u8; 8];
     for slot in &mut found {
@@ -174,10 +154,10 @@ fn open_checked(
         });
     }
     let version = dec.u32()?;
-    if !supported.contains(&version) {
+    if version != supported {
         return Err(DecodeError::UnsupportedVersion {
             found: version,
-            supported: *supported.end(),
+            supported,
         });
     }
     let len = dec.u64()?;
@@ -201,7 +181,7 @@ fn open_checked(
     if computed != stored {
         return Err(DecodeError::ChecksumMismatch { stored, computed });
     }
-    Ok((version, payload))
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -244,27 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn versioned_open_accepts_the_range_and_reports_the_version() {
-        for v in 1..=3 {
-            let framed = seal(MAGIC, v, b"hi");
-            assert_eq!(
-                open_versioned(MAGIC, 1..=3, &framed).unwrap(),
-                (v, &b"hi"[..])
-            );
-        }
-        for v in [0, 4] {
-            let framed = seal(MAGIC, v, b"hi");
-            assert_eq!(
-                open_versioned(MAGIC, 1..=3, &framed),
-                Err(DecodeError::UnsupportedVersion {
-                    found: v,
-                    supported: 3
-                })
-            );
-        }
-    }
-
-    #[test]
     fn every_truncation_point_is_a_structured_error() {
         let framed = seal(MAGIC, 1, b"payload bytes");
         for cut in 0..framed.len() {
@@ -295,6 +254,15 @@ mod tests {
                     "flip at byte {byte} bit {bit} slipped through"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn framed_len_saturates_on_hostile_lengths() {
+        for len in [u64::MAX, u64::MAX - 3] {
+            let mut header = seal(MAGIC, 1, b"");
+            header[12..20].copy_from_slice(&len.to_le_bytes());
+            assert_eq!(framed_len(&header), Some(usize::MAX), "length {len}");
         }
     }
 

@@ -31,8 +31,7 @@ pub mod io;
 
 pub use codec::{DecodeError, Decoder, Encoder, Persist};
 pub use frame::{
-    fnv1a64, framed_len, open, open_versioned, seal, GOSSIP_MAGIC, GOSSIP_MIN_VERSION,
-    GOSSIP_VERSION, HEADER_LEN,
+    fnv1a64, framed_len, open, seal, GOSSIP_MAGIC, GOSSIP_VERSION, HEADER_LEN, MAX_FRAME,
 };
 pub use intern::intern;
 pub use io::{load_bytes, prune_rotated, rotated_path, save_atomic, LoadError};

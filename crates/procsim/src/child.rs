@@ -3,14 +3,9 @@
 use std::io::{BufReader, Read, Write};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 
-use dejavuzz_persist::frame::{self, HEADER_LEN};
+use dejavuzz_persist::frame::{self, HEADER_LEN, MAX_FRAME};
 
 use crate::{ProcError, PROC_MAGIC, PROC_VERSION};
-
-/// Upper bound on a single frame (header + payload). Campaign requests
-/// and replies are far smaller; anything bigger is a corrupt length
-/// field, and rejecting it beats allocating it.
-const MAX_FRAME: usize = 256 << 20;
 
 /// Reads one framed payload from `r`. Returns `Ok(None)` on a clean EOF
 /// *before* any header byte (the peer closed the stream between

@@ -480,4 +480,15 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), Some(b"payload".to_vec()));
         assert_eq!(read_frame(&mut r).unwrap(), None);
     }
+
+    /// A valid header declaring a `u64::MAX`-byte body is refused before
+    /// any body byte is read or allocated.
+    #[test]
+    fn hostile_frame_length_is_a_bad_frame() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"").unwrap();
+        buf[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = read_frame(&mut std::io::Cursor::new(buf)).unwrap_err();
+        assert!(matches!(err, ProcError::BadFrame { .. }), "{err:?}");
+    }
 }

@@ -1,8 +1,8 @@
 //! Custom extensions end to end: a user-supplied `Scheduler`,
 //! `SeedPolicy` *and* `SimBackend` plugged into the campaign through the
 //! extension registry, snapshotted mid-run, and resumed bit-identically
-//! — the round trip that closed persistence to custom implementations
-//! before snapshot v3.
+//! — persistence is open to custom implementations, not only the
+//! built-ins.
 //!
 //! ```sh
 //! cargo run --release --example custom_extension -- --mode full   > a.txt
@@ -24,7 +24,7 @@ use dejavuzz::corpus::Corpus;
 use dejavuzz::executor::ExecutorReport;
 use dejavuzz::rand::rngs::StdRng;
 use dejavuzz::scheduler::{
-    PlanCtx, PolicyState, RoundPlan, RoundRobin, Scheduler, SeedPolicy, SlotFeedback,
+    PlanCtx, PlannedSlot, PolicyState, Scheduler, SeedPolicy, SlotFeedback, WorkStealing,
 };
 use dejavuzz::Seed;
 use dejavuzz_uarch::boom_small;
@@ -64,11 +64,11 @@ impl Scheduler for PulseScheduler {
         remaining.min(span.max(1))
     }
 
-    fn plan_round(&mut self, slots: Range<usize>, ctx: &mut PlanCtx<'_>) -> RoundPlan {
+    fn plan_round(&mut self, slots: Range<usize>, ctx: &mut PlanCtx<'_>) -> Vec<PlannedSlot> {
         self.rounds += 1;
-        // The slot distribution itself is the classic round robin; only
-        // the pulse-shaped span is custom.
-        RoundRobin.plan_round(slots, ctx)
+        // The slots themselves are drawn by the built-in work stealing;
+        // only the pulse-shaped span is custom.
+        WorkStealing.plan_round(slots, ctx)
     }
 
     fn state(&self) -> Vec<u8> {

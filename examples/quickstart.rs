@@ -45,7 +45,7 @@ fn main() {
     );
 
     // The builder validates the whole configuration up front; defaults
-    // are the behavioural SmallBOOM backend and round-robin scheduling.
+    // are the behavioural SmallBOOM backend and barriered work stealing.
     let orch = CampaignBuilder::new()
         .workers(workers)
         .seed(0xC0FFEE)

@@ -299,10 +299,11 @@ fn pin_of(r: &ExecutorReport) -> ReportPin {
     }
 }
 
-/// Netlist campaign reports recorded with the per-cell interpreter that
-/// the compiled simulator replaced: `netlist:small` at 300 iterations x
-/// 2 workers (seed 1) and `netlist:boom` at 12 iterations (seed 3), the
-/// `dejavuzz-fuzz` defaults otherwise.
+/// Netlist campaign reports of `netlist:small` at 300 iterations x 2
+/// workers (seed 1) and `netlist:boom` at 12 iterations (seed 3), the
+/// `dejavuzz-fuzz` defaults otherwise. Recorded with the per-cell
+/// interpreter that the compiled simulator replaced, under the
+/// work-stealing scheduler that became the only one.
 #[test]
 fn netlist_campaign_reports_are_pinned() {
     let small = run(BackendSpec::netlist(SMALL_SCALE), 2, 600, 1);
@@ -313,32 +314,32 @@ fn netlist_campaign_reports_are_pinned() {
         pin_of(&small),
         ReportPin {
             iterations: 600,
-            sim_runs: 4991,
-            sim_cycles: 70519,
-            curve_steps: vec![(0, 2), (1, 3)],
+            sim_runs: 5098,
+            sim_cycles: 69829,
+            curve_steps: vec![(0, 2), (6, 3)],
             bugs: vec![
                 "[SynthSmall] Spectre via illegal window -> core @0".into(),
-                "[SynthSmall] Spectre via mispred window -> core @7".into(),
-                "[SynthSmall] Spectre via mem-disamb window -> core @9".into(),
+                "[SynthSmall] Spectre via mispred window -> core @3".into(),
+                "[SynthSmall] Spectre via mem-disamb window -> core @5".into(),
                 "[SynthSmall] Spectre via mem-excp window -> core @17".into(),
                 "[SynthSmall] Meltdown via mem-excp window -> core @20".into(),
             ],
-            corpus: (4, 0),
+            corpus: (8, 0),
         }
     );
     assert_eq!(
         pin_of(&boom),
         ReportPin {
             iterations: 12,
-            sim_runs: 99,
-            sim_cycles: 1223,
-            curve_steps: vec![(0, 2), (1, 5), (2, 7), (6, 9), (9, 12)],
+            sim_runs: 88,
+            sim_cycles: 832,
+            curve_steps: vec![(0, 2), (1, 5), (2, 6), (6, 8), (9, 12)],
             bugs: vec![
                 "[BOOM] Meltdown via mem-excp window -> core @0".into(),
+                "[BOOM] Spectre via mispred window -> core @2".into(),
                 "[BOOM] Spectre via illegal window -> core @6".into(),
-                "[BOOM] Spectre via mispred window -> core @10".into(),
             ],
-            corpus: (4, 0),
+            corpus: (7, 0),
         }
     );
 }

@@ -12,8 +12,8 @@ use dejavuzz::corpus::Corpus;
 use dejavuzz::executor::ExecutorReport;
 use dejavuzz::rand::rngs::StdRng;
 use dejavuzz::scheduler::{
-    PlanCtx, PolicySpec, PolicyState, RoundPlan, RoundRobin, Scheduler, SchedulerSpec, SeedPolicy,
-    SlotFeedback,
+    PlanCtx, PlannedSlot, PolicySpec, PolicyState, Scheduler, SchedulerSpec, SeedPolicy,
+    SlotFeedback, WorkStealing,
 };
 use dejavuzz::snapshot::CampaignSnapshot;
 use dejavuzz::Seed;
@@ -53,9 +53,9 @@ impl Scheduler for Pulse {
         remaining.min(span.max(1))
     }
 
-    fn plan_round(&mut self, slots: Range<usize>, ctx: &mut PlanCtx<'_>) -> RoundPlan {
+    fn plan_round(&mut self, slots: Range<usize>, ctx: &mut PlanCtx<'_>) -> Vec<PlannedSlot> {
         self.rounds += 1;
-        RoundRobin.plan_round(slots, ctx)
+        WorkStealing.plan_round(slots, ctx)
     }
 
     fn state(&self) -> Vec<u8> {
@@ -166,7 +166,7 @@ fn custom_campaign_is_deterministic_and_snapshots_extension_identity() {
 /// The headline acceptance property: a campaign on registered custom
 /// implementations, halted at any boundary and resumed through the wire
 /// format, replays bit-identically to the uninterrupted run — the
-/// custom state blobs round-trip through snapshot v3.
+/// custom state blobs round-trip through the snapshot.
 #[test]
 fn custom_extensions_survive_snapshot_resume_bit_identically() {
     const TOTAL: usize = 24;

@@ -1,11 +1,11 @@
 //! The observability determinism contract (ISSUE 8's hard constraint):
 //! metrics live entirely off the commit path, so a campaign's stdout
 //! telemetry and final snapshot bytes are identical per
-//! `(seed, workers, batch, lag)` whether metric recording is on, off,
+//! `(seed, workers, batch, pipelined)` whether metric recording is on, off,
 //! or being scraped concurrently from another thread mid-run.
 //!
-//! The exhaustive matrix covers workers 1–4 × {round-robin, steal,
-//! steal+lag}; the property test then samples seeds across the same
+//! The exhaustive matrix covers workers 1–4 × {barriered, pipelined};
+//! the property test then samples seeds across the same
 //! geometry space. Everything asserts on *campaign output bytes* only —
 //! instrument contents are wall-clock derived and legitimately differ
 //! run over run.
@@ -50,32 +50,18 @@ impl std::io::Write for Shared {
     }
 }
 
-/// One campaign mode of the matrix: scheduler plus pipeline lag.
-#[derive(Clone, Debug)]
-struct Mode {
-    scheduler: SchedulerSpec,
-    lag: usize,
-}
-
-const MODES: [Mode; 3] = [
-    Mode {
-        scheduler: SchedulerSpec::RoundRobin,
-        lag: 0,
-    },
-    Mode {
-        scheduler: SchedulerSpec::WorkStealing,
-        lag: 0,
-    },
-    Mode {
-        scheduler: SchedulerSpec::WorkStealing,
-        lag: 1,
-    },
-];
+/// The campaign modes of the matrix: barriered and pipelined rounds.
+const MODES: [bool; 2] = [false, true];
 
 /// Runs one campaign and returns the bytes that must be invariant under
 /// recording state: the full JSON telemetry stream and the final
 /// snapshot encoding.
-fn run_campaign(seed: u64, workers: usize, mode: Mode, iterations: usize) -> (Vec<u8>, Vec<u8>) {
+fn run_campaign(
+    seed: u64,
+    workers: usize,
+    pipelined: bool,
+    iterations: usize,
+) -> (Vec<u8>, Vec<u8>) {
     let sink = Shared::default();
     let mut observers: Vec<Box<dyn CampaignObserver>> =
         vec![Box::new(JsonLinesObserver::new(sink.clone()))];
@@ -83,8 +69,7 @@ fn run_campaign(seed: u64, workers: usize, mode: Mode, iterations: usize) -> (Ve
         .backend(BackendSpec::behavioural(boom_small()))
         .workers(workers)
         .seed(seed)
-        .scheduler(mode.scheduler)
-        .pipeline_lag(mode.lag)
+        .pipelined(pipelined)
         .build()
         .unwrap()
         .run_observed(iterations, &mut observers);
@@ -102,16 +87,16 @@ fn recording_on_off_and_scraped_runs_are_byte_identical() {
     let _serial = recording_serial();
     let _restore = RecordingGuard;
     for workers in 1..=4usize {
-        for mode in MODES {
+        for pipelined in MODES {
             let iterations = 6 * workers;
             dejavuzz_telemetry::set_recording(true);
-            let baseline = run_campaign(0xDECAF, workers, mode.clone(), iterations);
+            let baseline = run_campaign(0xDECAF, workers, pipelined, iterations);
 
             dejavuzz_telemetry::set_recording(false);
-            let disabled = run_campaign(0xDECAF, workers, mode.clone(), iterations);
+            let disabled = run_campaign(0xDECAF, workers, pipelined, iterations);
             assert_eq!(
                 baseline, disabled,
-                "recording off perturbed {workers} worker(s), {mode:?}"
+                "recording off perturbed {workers} worker(s), pipelined {pipelined}"
             );
 
             // Scrape mid-run: a thread hammering both expositions while
@@ -134,13 +119,13 @@ fn recording_on_off_and_scraped_runs_are_byte_identical() {
                     scrapes
                 })
             };
-            let scraped = run_campaign(0xDECAF, workers, mode.clone(), iterations);
+            let scraped = run_campaign(0xDECAF, workers, pipelined, iterations);
             stop.store(true, Ordering::Relaxed);
             let scrapes = scraper.join().expect("scraper panicked");
             assert!(scrapes > 0, "the scraper actually ran mid-campaign");
             assert_eq!(
                 baseline, scraped,
-                "concurrent scraping perturbed {workers} worker(s), {mode:?}"
+                "concurrent scraping perturbed {workers} worker(s), pipelined {pipelined}"
             );
         }
     }
@@ -159,11 +144,7 @@ fn recorded_campaign_populates_the_registry() {
     let iters_before = m.iterations_total.get();
     let slots_before = m.slot_run_nanos.count();
     let runs_before = m.runs_total.get();
-    let mode = Mode {
-        scheduler: SchedulerSpec::WorkStealing,
-        lag: 1,
-    };
-    run_campaign(7, 2, mode, 12);
+    run_campaign(7, 2, true, 12);
     assert_eq!(m.iterations_total.get(), iters_before + 12);
     assert_eq!(m.slot_run_nanos.count(), slots_before + 12);
     assert_eq!(m.runs_total.get(), runs_before + 1);
@@ -211,15 +192,15 @@ proptest! {
     fn recording_toggle_never_perturbs_results(
         seed in 0u64..1024,
         workers in 1usize..4,
-        mode_ix in 0usize..3,
+        mode_ix in 0usize..2,
     ) {
         let _serial = recording_serial();
         let _restore = RecordingGuard;
-        let mode = MODES[mode_ix].clone();
+        let pipelined = MODES[mode_ix];
         dejavuzz_telemetry::set_recording(true);
-        let on = run_campaign(seed, workers, mode.clone(), 4 * workers);
+        let on = run_campaign(seed, workers, pipelined, 4 * workers);
         dejavuzz_telemetry::set_recording(false);
-        let off = run_campaign(seed, workers, mode, 4 * workers);
+        let off = run_campaign(seed, workers, pipelined, 4 * workers);
         prop_assert_eq!(on, off);
     }
 }

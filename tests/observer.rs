@@ -1,10 +1,9 @@
 //! Observer-stream determinism: the acceptance properties of the
 //! `CampaignObserver` event stream.
 //!
-//! * For a fixed `(seed, workers, scheduler)` the full event sequence —
+//! * For a fixed `(seed, workers)` the full event sequence —
 //!   kinds *and* payloads — is identical run over run, for every worker
-//!   count 1–4 and both built-in schedulers (thread timing must never
-//!   leak into events).
+//!   count 1–4 (thread timing must never leak into events).
 //! * Across a halt/resume boundary the streams concatenate: the halted
 //!   run's events followed by the resumed run's events are exactly the
 //!   uninterrupted run's events (`campaign_finished` aside, which fires
@@ -20,7 +19,6 @@ use dejavuzz::observer::{
     BugFound, CampaignFinished, CampaignObserver, CoverageGained, JsonLinesObserver, RoundStarted,
     SlotCommitted, SnapshotWritten,
 };
-use dejavuzz::scheduler::SchedulerSpec;
 use dejavuzz_ift::CoveragePoint;
 use dejavuzz_uarch::boom_small;
 
@@ -96,12 +94,11 @@ impl CampaignObserver for Recorder {
     }
 }
 
-fn campaign(workers: usize, seed: u64, scheduler: SchedulerSpec) -> CampaignBuilder {
+fn campaign(workers: usize, seed: u64) -> CampaignBuilder {
     CampaignBuilder::new()
         .backend(BackendSpec::behavioural(boom_small()))
         .workers(workers)
         .seed(seed)
-        .scheduler(scheduler)
 }
 
 fn record(builder: CampaignBuilder, iterations: usize) -> Vec<Event> {
@@ -115,32 +112,27 @@ fn record(builder: CampaignBuilder, iterations: usize) -> Vec<Event> {
 }
 
 /// The headline property: the full event sequence (kinds + payloads) is
-/// identical across repeated runs for worker counts 1–4 under both
-/// built-in schedulers — events fire on the orchestrator's deterministic
+/// identical across repeated runs for worker counts 1–4 under the
+/// built-in scheduler — events fire on the orchestrator's deterministic
 /// commit path, so claim racing and thread timing cannot reach them.
 #[test]
 fn event_stream_is_deterministic_per_seed_and_workers() {
-    for scheduler in [SchedulerSpec::RoundRobin, SchedulerSpec::WorkStealing] {
-        for workers in 1..=4 {
-            let a = record(campaign(workers, 0x0B5E, scheduler.clone()), 16);
-            let b = record(campaign(workers, 0x0B5E, scheduler.clone()), 16);
-            assert_eq!(
-                a, b,
-                "{scheduler:?} x {workers} workers: streams must be identical"
-            );
-            assert!(
-                a.iter().any(|e| matches!(e, Event::Slot(_))),
-                "slots were committed"
-            );
-            assert!(
-                a.iter().any(|e| matches!(e, Event::Coverage { .. })),
-                "coverage was gained"
-            );
-            assert!(
-                matches!(a.last(), Some(Event::Finished { .. })),
-                "the stream ends with campaign_finished"
-            );
-        }
+    for workers in 1..=4 {
+        let a = record(campaign(workers, 0x0B5E), 16);
+        let b = record(campaign(workers, 0x0B5E), 16);
+        assert_eq!(a, b, "{workers} workers: streams must be identical");
+        assert!(
+            a.iter().any(|e| matches!(e, Event::Slot(_))),
+            "slots were committed"
+        );
+        assert!(
+            a.iter().any(|e| matches!(e, Event::Coverage { .. })),
+            "coverage was gained"
+        );
+        assert!(
+            matches!(a.last(), Some(Event::Finished { .. })),
+            "the stream ends with campaign_finished"
+        );
     }
 }
 
@@ -149,64 +141,62 @@ fn event_stream_is_deterministic_per_seed_and_workers() {
 /// `(seed, workers)`, not magic seed-only reproducibility.
 #[test]
 fn event_stream_depends_on_worker_count() {
-    let one = record(campaign(1, 0x0B5E, SchedulerSpec::RoundRobin), 16);
-    let four = record(campaign(4, 0x0B5E, SchedulerSpec::RoundRobin), 16);
+    let one = record(campaign(1, 0x0B5E), 16);
+    let four = record(campaign(4, 0x0B5E), 16);
     assert_ne!(one, four);
 }
 
 /// Halt/resume: the halted stream plus the resumed stream equals the
 /// uninterrupted stream (minus the per-run `campaign_finished`), and the
-/// resumed run's final event equals the uninterrupted one's — for both
-/// schedulers, through the on-disk wire format.
+/// resumed run's final event equals the uninterrupted one's, through the
+/// on-disk wire format.
 #[test]
 fn event_stream_concatenates_across_a_halt_resume_boundary() {
     const TOTAL: usize = 24;
     let not_finished = |e: &Event| !matches!(e, Event::Finished { .. });
-    for scheduler in [SchedulerSpec::RoundRobin, SchedulerSpec::WorkStealing] {
-        let base = campaign(2, 0xCAFE, scheduler.clone());
-        let full = record(base.clone(), TOTAL);
+    let base = campaign(2, 0xCAFE);
+    let full = record(base.clone(), TOTAL);
 
-        let halted_rec = Recorder::default();
-        let mut observers: Vec<Box<dyn CampaignObserver>> = vec![Box::new(halted_rec.clone())];
-        let (partial, snap) = base
-            .clone()
-            .halt_after(9)
-            .build()
-            .unwrap()
-            .run_observed(TOTAL, &mut observers);
-        assert!(partial.stats.iterations < TOTAL, "the halt must interrupt");
-        let snap = dejavuzz::snapshot::CampaignSnapshot::from_bytes(&snap.to_bytes()).unwrap();
+    let halted_rec = Recorder::default();
+    let mut observers: Vec<Box<dyn CampaignObserver>> = vec![Box::new(halted_rec.clone())];
+    let (partial, snap) = base
+        .clone()
+        .halt_after(9)
+        .build()
+        .unwrap()
+        .run_observed(TOTAL, &mut observers);
+    assert!(partial.stats.iterations < TOTAL, "the halt must interrupt");
+    let snap = dejavuzz::snapshot::CampaignSnapshot::from_bytes(&snap.to_bytes()).unwrap();
 
-        let resumed_rec = Recorder::default();
-        let mut observers: Vec<Box<dyn CampaignObserver>> = vec![Box::new(resumed_rec.clone())];
-        base.resume(snap)
-            .build()
-            .unwrap()
-            .run_observed(TOTAL, &mut observers);
+    let resumed_rec = Recorder::default();
+    let mut observers: Vec<Box<dyn CampaignObserver>> = vec![Box::new(resumed_rec.clone())];
+    base.resume(snap)
+        .build()
+        .unwrap()
+        .run_observed(TOTAL, &mut observers);
 
-        let mut spliced: Vec<Event> = halted_rec
+    let mut spliced: Vec<Event> = halted_rec
+        .events()
+        .into_iter()
+        .filter(not_finished)
+        .collect();
+    spliced.extend(
+        resumed_rec
             .events()
-            .into_iter()
-            .filter(not_finished)
-            .collect();
-        spliced.extend(
-            resumed_rec
-                .events()
-                .iter()
-                .filter(|e| not_finished(e))
-                .cloned(),
-        );
-        let full_body: Vec<Event> = full.iter().filter(|e| not_finished(e)).cloned().collect();
-        assert_eq!(
-            spliced, full_body,
-            "{scheduler:?}: halted + resumed events splice into the uninterrupted stream"
-        );
-        assert_eq!(
-            resumed_rec.events().last(),
-            full.last(),
-            "{scheduler:?}: the resumed finale equals the uninterrupted one"
-        );
-    }
+            .iter()
+            .filter(|e| not_finished(e))
+            .cloned(),
+    );
+    let full_body: Vec<Event> = full.iter().filter(|e| not_finished(e)).cloned().collect();
+    assert_eq!(
+        spliced, full_body,
+        "halted + resumed events splice into the uninterrupted stream"
+    );
+    assert_eq!(
+        resumed_rec.events().last(),
+        full.last(),
+        "the resumed finale equals the uninterrupted one"
+    );
 }
 
 /// A permissive-enough JSON well-formedness check (no serde in the build
@@ -261,7 +251,7 @@ fn json_lines_telemetry_is_wellformed_and_byte_deterministic() {
         let shared = Shared::default();
         let mut observers: Vec<Box<dyn CampaignObserver>> =
             vec![Box::new(JsonLinesObserver::new(shared.clone()))];
-        campaign(2, 7, SchedulerSpec::WorkStealing)
+        campaign(2, 7)
             .build()
             .unwrap()
             .run_observed(12, &mut observers);

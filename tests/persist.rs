@@ -265,7 +265,7 @@ fn pipelined_halt_resume_splices_bit_identically() {
     for workers in [1, 3] {
         let orch = campaign(FuzzerOptions::default(), workers, 0x717E)
             .scheduler(SchedulerSpec::WorkStealing)
-            .pipeline_lag(1);
+            .pipelined(true);
         let full = orch.clone().build().unwrap().run(TOTAL);
         let mut interrupted = 0;
         let mut pending_seen = 0;
@@ -314,7 +314,7 @@ fn chained_pipelined_resumes_compose() {
 
     let orch = campaign(FuzzerOptions::default(), 2, 0xC4A1)
         .scheduler(SchedulerSpec::WorkStealing)
-        .pipeline_lag(2);
+        .pipelined(true);
     let full = orch.clone().build().unwrap().run(24);
 
     let (_, snap1) = orch
@@ -336,54 +336,6 @@ fn chained_pipelined_resumes_compose() {
     assert_reports_identical(&full, &resumed);
 }
 
-/// Backward compatibility with v2 snapshot files: a real campaign's
-/// snapshot re-encoded exactly as the v2 writer produced it (scheduling
-/// tail, no scheduler-state blob) must load under the v3 reader and
-/// resume bit-identically to the uninterrupted run.
-#[test]
-fn v2_snapshot_files_still_load_and_resume() {
-    use dejavuzz_persist::{frame, Encoder, Persist};
-
-    const TOTAL: usize = 24;
-    let orch = campaign(FuzzerOptions::default(), 2, 0x2BAC);
-    let full = orch.clone().build().unwrap().run(TOTAL);
-    let (_, snap) = orch
-        .clone()
-        .halt_after(9)
-        .build()
-        .unwrap()
-        .run_snapshotting(TOTAL);
-    assert!(snap.completed < TOTAL, "the halt must truly interrupt");
-    assert!(snap.scheduler_state.is_empty(), "built-ins are stateless");
-
-    // Exactly the v2 wire layout: v1 prefix + v2 scheduling tail.
-    let mut enc = Encoder::new();
-    enc.u32(snap.shard_id);
-    enc.str(&snap.backend);
-    enc.usize(snap.workers);
-    enc.u64(snap.seed);
-    enc.usize(snap.batch);
-    snap.opts.encode(&mut enc);
-    enc.usize(snap.completed);
-    enc.f64(snap.gain_avg);
-    enc.usize(snap.gain_samples);
-    snap.sched_rng.encode(&mut enc);
-    snap.corpus.encode(&mut enc);
-    snap.coverage.encode(&mut enc);
-    snap.stats.encode(&mut enc);
-    snap.worker_states.encode(&mut enc);
-    snap.scheduler.encode(&mut enc);
-    snap.policy.encode(&mut enc);
-    snap.policy_state.encode(&mut enc);
-    enc.f64(snap.corpus.energy_cache());
-    let v2_bytes = frame::seal(dejavuzz::snapshot::SNAPSHOT_MAGIC, 2, &enc.into_bytes());
-
-    let loaded = CampaignSnapshot::from_bytes(&v2_bytes).unwrap();
-    assert_eq!(loaded, snap, "every v2 field survives the version skew");
-    let resumed = orch.resume(loaded).build().unwrap().run(TOTAL);
-    assert_reports_identical(&full, &resumed);
-}
-
 /// Halting at or below the run's start point, at both depths of the
 /// commit loop. The barrier (lag 0) checks the halt before it plans each
 /// round, the first included, so it runs no round. The pipeline (lag 1)
@@ -400,7 +352,7 @@ fn halt_at_or_below_the_start_point() {
     for lag in [0, 1] {
         let orch = campaign(FuzzerOptions::default(), 2, 0x4A17)
             .scheduler(SchedulerSpec::WorkStealing)
-            .pipeline_lag(lag);
+            .pipelined(lag > 0);
         let full = orch.clone().build().unwrap().run(TOTAL);
         let resumes_to_full = |snap: CampaignSnapshot| {
             let snap = CampaignSnapshot::from_bytes(&snap.to_bytes()).unwrap();

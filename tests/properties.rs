@@ -288,3 +288,110 @@ proptest! {
         prop_assert_eq!(fold(true), fold(false));
     }
 }
+
+/// A real pipelined campaign's halted snapshot and one of its gossip
+/// frames, framed. Favoured picks, one scenario family and a halt inside
+/// the pipeline populate every snapshot field the decoder checks: policy
+/// state, scenario specs, corpus, coverage, per-stream states and the
+/// pending round.
+fn decoder_fixtures() -> &'static (Vec<u8>, Vec<u8>) {
+    use std::sync::{Arc, Mutex, OnceLock};
+
+    use dejavuzz::builder::CampaignBuilder;
+    use dejavuzz::gossip::{shared_link, GossipFrame, GossipLink};
+    use dejavuzz::scheduler::{PolicySpec, PolicyState};
+
+    /// Keeps every published frame and delivers none, which leaves the
+    /// campaign exactly as it runs without gossip.
+    struct Capture(Arc<Mutex<Vec<GossipFrame>>>);
+    impl GossipLink for Capture {
+        fn publish(&mut self, frame: &GossipFrame) {
+            self.0.lock().unwrap().push(frame.clone());
+        }
+        fn drain(&mut self) -> Vec<GossipFrame> {
+            Vec::new()
+        }
+    }
+
+    static FIXTURES: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+    FIXTURES.get_or_init(|| {
+        let published = Arc::new(Mutex::new(Vec::new()));
+        let (_, snap) = CampaignBuilder::new()
+            .workers(2)
+            .seed(0xF022)
+            .seed_policy(PolicySpec::FavouredQuota)
+            .scenarios(&["zenbleed"])
+            .pipelined(true)
+            .gossip(shared_link(Capture(Arc::clone(&published))))
+            .gossip_every(1)
+            .halt_after(16)
+            .build()
+            .unwrap()
+            .run_snapshotting(48);
+        assert!(snap.pending.is_some(), "a pipelined halt leaves a round pending");
+        assert!(!snap.scenarios.is_empty());
+        assert!(matches!(&snap.policy_state, PolicyState::Favoured { favours, .. } if !favours.is_empty()));
+        assert!(!snap.corpus.is_empty() && snap.coverage.points() > 0);
+        let frame = published
+            .lock()
+            .unwrap()
+            .iter()
+            .rev()
+            .find(|f| !f.delta.is_empty() && !f.favoured.is_empty())
+            .cloned()
+            .expect("a frame with a delta and favoured seeds");
+        (snap.to_bytes(), frame.to_bytes())
+    })
+}
+
+/// One random edit of a payload: a bit flip, a byte overwrite, an
+/// insertion or a deletion of up to eight bytes.
+fn mutate_payload(payload: &mut Vec<u8>, rng: &mut dejavuzz::rand::rngs::StdRng) {
+    use dejavuzz::rand::Rng;
+
+    let at = rng.gen_range(0..payload.len() + 1);
+    let n = rng.gen_range(1..9);
+    match (rng.gen_range(0..4), at < payload.len()) {
+        (0, true) => payload[at] ^= 1 << rng.gen_range(0..8),
+        (1, true) => payload[at] = rng.gen(),
+        (2, _) => {
+            for _ in 0..n {
+                payload.insert(at, rng.gen());
+            }
+        }
+        (_, true) => {
+            payload.drain(at..(at + n).min(payload.len()));
+        }
+        _ => {}
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Random edits of a real snapshot's and a real gossip frame's
+    /// payload, re-sealed with a valid checksum so the payload decoders
+    /// run: decoding returns, with a value or a structured error, and
+    /// never panics.
+    #[test]
+    fn mutated_payloads_never_panic_the_decoders(draws in any::<u64>(), edits in 1usize..6) {
+        use dejavuzz::gossip::GossipFrame;
+        use dejavuzz::rand::SeedableRng;
+        use dejavuzz::snapshot::{CampaignSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+        use dejavuzz_persist::{seal, GOSSIP_MAGIC, GOSSIP_VERSION, HEADER_LEN};
+
+        let (snapshot, gossip) = decoder_fixtures();
+        let mut rng = dejavuzz::rand::rngs::StdRng::seed_from_u64(draws);
+        let mut edited = |framed: &[u8]| {
+            let mut payload = framed[HEADER_LEN..].to_vec();
+            for _ in 0..edits {
+                mutate_payload(&mut payload, &mut rng);
+            }
+            payload
+        };
+        let payload = edited(snapshot);
+        let _ = CampaignSnapshot::from_bytes(&seal(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &payload));
+        let payload = edited(gossip);
+        let _ = GossipFrame::from_bytes(&seal(GOSSIP_MAGIC, GOSSIP_VERSION, &payload));
+    }
+}

@@ -1,7 +1,6 @@
 //! Integration tests for the pluggable scheduling layer: the
-//! work-stealing determinism contract, the batch=1 round-robin
-//! equivalence proof obligation, steal-mode snapshot/resume, and the
-//! favoured-quota seed policy end to end.
+//! work-stealing determinism contract, steal-mode snapshot/resume, the
+//! cross-round pipeline, and the favoured-quota seed policy end to end.
 
 use dejavuzz::backend::BackendSpec;
 use dejavuzz::builder::CampaignBuilder;
@@ -38,40 +37,6 @@ fn assert_reports_identical(a: &ExecutorReport, b: &ExecutorReport) {
     }
 }
 
-/// The schedulers differ only in intra-batch state chaining, so at
-/// `batch == 1` they must be **bit-identical** — same curve, bugs,
-/// corpus, per-worker accounting and snapshots — across worker counts.
-/// This is the strongest true form of "work stealing computes what round
-/// robin computes"; see the `dejavuzz::scheduler` module docs for why
-/// larger batches can diverge (and why each stays deterministic).
-#[test]
-fn steal_equals_round_robin_at_batch_one_across_worker_counts() {
-    for workers in 1..=4 {
-        let round = orch(workers, 0x5EED)
-            .batch(1)
-            .scheduler(SchedulerSpec::RoundRobin)
-            .build()
-            .unwrap();
-        let steal = orch(workers, 0x5EED)
-            .batch(1)
-            .scheduler(SchedulerSpec::WorkStealing)
-            .build()
-            .unwrap();
-        let (round_report, round_snap) = round.run_snapshotting(16);
-        let (steal_report, steal_snap) = steal.run_snapshotting(16);
-        assert_reports_identical(&round_report, &steal_report);
-        // Snapshots agree on everything but the scheduler tag itself.
-        assert_eq!(round_snap.scheduler, SchedulerSpec::RoundRobin);
-        assert_eq!(steal_snap.scheduler, SchedulerSpec::WorkStealing);
-        let mut retagged = steal_snap.clone();
-        retagged.scheduler = SchedulerSpec::RoundRobin;
-        assert_eq!(
-            retagged, round_snap,
-            "{workers} workers: identical state, RNG streams included"
-        );
-    }
-}
-
 /// The headline work-stealing contract: thread timing (who claimed which
 /// slot) must never leak into results. Two runs at the default batch
 /// size, with real claim contention, must agree exactly.
@@ -93,22 +58,14 @@ fn work_stealing_is_deterministic_regardless_of_interleaving() {
 }
 
 /// Work stealing under halt/resume: a snapshot taken at any boundary
-/// resumes bit-identically, and at batch=1 the resumed steal run still
-/// equals the uninterrupted *round-robin* run — equivalence survives the
-/// halt/resume boundary.
+/// resumes bit-identically.
 #[test]
-fn steal_resume_is_bit_identical_and_batch_one_equivalence_survives_it() {
+fn steal_resume_is_bit_identical() {
     const TOTAL: usize = 24;
     let steal = orch(2, 0xCAFE)
         .batch(1)
         .scheduler(SchedulerSpec::WorkStealing);
     let full_steal = steal.clone().build().unwrap().run(TOTAL);
-    let full_round = orch(2, 0xCAFE)
-        .batch(1)
-        .scheduler(SchedulerSpec::RoundRobin)
-        .build()
-        .unwrap()
-        .run(TOTAL);
 
     let mut interrupted = 0;
     for halt in [1, 9, 14] {
@@ -131,14 +88,13 @@ fn steal_resume_is_bit_identical_and_batch_one_equivalence_survives_it() {
             .expect("same backend + options")
             .run(TOTAL);
         assert_reports_identical(&full_steal, &resumed);
-        assert_reports_identical(&full_round, &resumed);
     }
     assert!(interrupted >= 2, "most halt points must truly interrupt");
 }
 
 /// Resuming adopts the snapshot's scheduler and policy: a default
-/// (round-robin) orchestrator handed a steal-mode snapshot continues the
-/// steal campaign, not a mixed one.
+/// (energy-decay) orchestrator handed a favoured-policy snapshot
+/// continues the favoured campaign, not a mixed one.
 #[test]
 fn resume_adopts_scheduler_and_policy_from_the_snapshot() {
     let steal = orch(2, 0xA207)
@@ -254,10 +210,10 @@ fn snapshot_rotation_keeps_a_bounded_resumable_trail() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Pipelining off (`--pipeline-lag 0`, the default) IS the historical
-/// barriered steal mode: same code path, same results, and the
-/// snapshots agree **byte for byte** on the wire — the strongest form
-/// of the "lag 0 changes nothing" acceptance gate.
+/// Pipelining off (`--pipeline-lag 0`, the default) IS the barriered
+/// steal mode: same code path, same results, and the snapshots agree
+/// **byte for byte** on the wire — the strongest form of the "lag 0
+/// changes nothing" acceptance gate.
 #[test]
 fn lag_zero_is_byte_identical_to_plain_steal() {
     for workers in 1..=3 {
@@ -267,7 +223,7 @@ fn lag_zero_is_byte_identical_to_plain_steal() {
             .unwrap();
         let lagged = orch(workers, 0x1A60)
             .scheduler(SchedulerSpec::WorkStealing)
-            .pipeline_lag(0)
+            .pipelined(false)
             .build()
             .unwrap();
         let (plain_report, plain_snap) = plain.run_snapshotting(16);
@@ -281,32 +237,28 @@ fn lag_zero_is_byte_identical_to_plain_steal() {
     }
 }
 
-/// The lag-insensitivity contract: every positive lag runs the same
-/// depth-1 round-quantized pipeline, so for a fixed `(seed, workers,
-/// batch)` all of them — including an unbounded lag — compute identical
-/// results and identical snapshots (modulo the recorded lag itself),
-/// and repeated runs at each lag agree despite real claim contention.
+/// The pipelined determinism contract: for a fixed `(seed, workers,
+/// batch)` repeated pipelined runs compute identical results and
+/// identical snapshots despite real claim contention.
 #[test]
-fn all_positive_lags_compute_identical_results() {
+fn pipelined_runs_compute_identical_results() {
     for workers in [2, 3] {
-        let run = |lag: usize| {
+        let run = || {
             orch(workers, 0x9199)
                 .scheduler(SchedulerSpec::WorkStealing)
-                .pipeline_lag(lag)
+                .pipelined(true)
                 .build()
                 .unwrap()
                 .run_snapshotting(24)
         };
-        let (base_report, base_snap) = run(1);
+        let (base_report, base_snap) = run();
         assert!(base_report.stats.coverage() > 0, "the campaign fuzzes");
-        for lag in [1, 4, usize::MAX] {
-            let (report, snap) = run(lag);
+        for run_index in 1..3 {
+            let (report, snap) = run();
             assert_reports_identical(&base_report, &report);
-            let mut retagged = snap.clone();
-            retagged.pipeline_lag = base_snap.pipeline_lag;
             assert_eq!(
-                retagged, base_snap,
-                "{workers} workers, lag {lag}: identical state"
+                snap, base_snap,
+                "{workers} workers, run {run_index}: identical state"
             );
         }
     }
@@ -320,7 +272,7 @@ fn pipelined_scheduling_model_bounds_hold() {
     for lag in [0, 2] {
         let r = orch(3, 1)
             .scheduler(SchedulerSpec::WorkStealing)
-            .pipeline_lag(lag)
+            .pipelined(lag > 0)
             .build()
             .unwrap()
             .run(18);
@@ -348,17 +300,15 @@ fn pipelined_scheduling_model_bounds_hold() {
 /// makespan itself (the model cannot beat serial work).
 #[test]
 fn scheduling_model_bounds_hold() {
-    for spec in [SchedulerSpec::RoundRobin, SchedulerSpec::WorkStealing] {
-        let r = orch(3, 1).scheduler(spec.clone()).build().unwrap().run(18);
-        assert!(r.busy_nanos > 0, "{spec:?}: iterations were timed");
-        assert!(r.modelled_makespan_nanos > 0);
-        assert!(
-            r.modelled_makespan_nanos <= r.busy_nanos,
-            "{spec:?}: makespan can never exceed the serial sum"
-        );
-        assert!(
-            3 * r.modelled_makespan_nanos >= r.busy_nanos,
-            "{spec:?}: three workers cannot beat 3x parallelism"
-        );
-    }
+    let r = orch(3, 1).build().unwrap().run(18);
+    assert!(r.busy_nanos > 0, "iterations were timed");
+    assert!(r.modelled_makespan_nanos > 0);
+    assert!(
+        r.modelled_makespan_nanos <= r.busy_nanos,
+        "makespan can never exceed the serial sum"
+    );
+    assert!(
+        3 * r.modelled_makespan_nanos >= r.busy_nanos,
+        "three workers cannot beat 3x parallelism"
+    );
 }
