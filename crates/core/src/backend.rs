@@ -31,7 +31,7 @@
 use std::fmt;
 use std::ops::Range;
 
-use dejavuzz_ift::{IftMode, SinkReport, TWord, TaintLog};
+use dejavuzz_ift::{Census, IftMode, SinkReport, TWord, TaintLog};
 use dejavuzz_isa::decode;
 use dejavuzz_isa::instr::{Instr, Reg};
 use dejavuzz_rtl::examples::{
@@ -39,13 +39,13 @@ use dejavuzz_rtl::examples::{
 };
 use dejavuzz_rtl::ir::{Netlist, NetlistError};
 use dejavuzz_rtl::sim::{NetlistSim, SimState};
-use dejavuzz_swapmem::{PacketKind, SwapPacket};
+use dejavuzz_swapmem::{PacketKind, SwapMem, SwapPacket};
 use dejavuzz_uarch::core::{Core, RunResult, TimingEvent};
 use dejavuzz_uarch::trace::{RobEvent, Trace, WindowInfo};
 use dejavuzz_uarch::{boom_small, CoreConfig};
 
 use crate::gen::{TransientPlan, WindowType};
-use crate::phases::{build_mem, DEFAULT_SECRET};
+use crate::phases::{build_mem, load_mem, DEFAULT_SECRET};
 
 /// Why a backend could not simulate a run.
 ///
@@ -237,20 +237,49 @@ pub trait SimBackend: Send + fmt::Debug {
 /// The behavioural backend: the out-of-order core models of
 /// `dejavuzz-uarch`, exactly as the phases called them before the seam
 /// existed.
-#[derive(Clone, Debug)]
+///
+/// The backend builds its swap memory on its first run and resets and
+/// reloads that one memory before every later run, which leaves each
+/// run's answer exactly what a fresh [`build_mem`] gives.
+#[derive(Clone)]
 pub struct BehaviouralBackend {
     cfg: CoreConfig,
+    /// The memory of the last run, if any ran.
+    mem: Option<SwapMem>,
+}
+
+impl fmt::Debug for BehaviouralBackend {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BehaviouralBackend")
+            .field("cfg", &self.cfg)
+            .finish_non_exhaustive()
+    }
 }
 
 impl BehaviouralBackend {
-    /// A backend over one core configuration.
+    /// A backend over one core configuration. Construction does no work:
+    /// the swap memory is built on the first run.
     pub fn new(cfg: CoreConfig) -> Self {
-        BehaviouralBackend { cfg }
+        BehaviouralBackend { cfg, mem: None }
     }
 
     /// The wrapped core configuration.
     pub fn config(&self) -> &CoreConfig {
         &self.cfg
+    }
+
+    /// The memory for a run of `schedule`: built on the first run, reset
+    /// and reloaded on every later one.
+    fn reload(&mut self, plan: &TransientPlan, schedule: &[SwapPacket]) -> &mut SwapMem {
+        let mem = match self.mem.take() {
+            Some(mut mem) => {
+                mem.reset();
+                load_mem(&mut mem, plan, schedule, &DEFAULT_SECRET);
+                mem
+            }
+            None => build_mem(plan, schedule, &DEFAULT_SECRET),
+        };
+        self.mem.insert(mem)
     }
 }
 
@@ -278,8 +307,9 @@ impl SimBackend for BehaviouralBackend {
         mode: IftMode,
         max_cycles: u64,
     ) -> Result<RunOutcome, BackendError> {
-        let mut mem = build_mem(plan, schedule, &DEFAULT_SECRET);
-        Ok(Core::new(self.cfg, mode).run(&mut mem, max_cycles).into())
+        let cfg = self.cfg;
+        let mem = self.reload(plan, schedule);
+        Ok(Core::new(cfg, mode).run(mem, max_cycles).into())
     }
 }
 
@@ -572,13 +602,15 @@ impl Stimulus {
     /// census outside Base mode.
     fn simulate(&self, sim: &mut NetlistSim, range: Range<usize>, taint_log: &mut TaintLog) {
         let mode = sim.mode();
+        let mut census = Census::new();
         for v in self.vectors(range).chunks_exact(self.width) {
             for (port, &w) in v.iter().enumerate() {
                 sim.set_input(port, w);
             }
             sim.step();
             if mode != IftMode::Base {
-                taint_log.push(sim.census());
+                sim.census_into(&mut census);
+                taint_log.push_ref(&census);
             }
         }
     }
@@ -1073,6 +1105,33 @@ mod tests {
         assert_eq!(backend.name(), "behavioural");
         assert_eq!(backend.dut_name(), "BOOM");
         assert!(backend.supports_taint());
+    }
+
+    /// After runs of every window type, each with a full window body that
+    /// stores, the backend's reloaded memory is exactly the memory
+    /// `build_mem` builds for the next request.
+    #[test]
+    fn behavioural_backend_reloads_a_fresh_memory() {
+        let requests: Vec<(TransientPlan, Vec<SwapPacket>)> = WindowType::ALL
+            .iter()
+            .map(|&window_type| {
+                let seed = Seed::new(window_type, 2);
+                let plan = gen::plan(&seed);
+                let body = gen::complete_window(&seed, &plan);
+                let mut schedule = gen::derive_trainings(&seed, &plan, 1);
+                schedule.push(gen::build_transient(&plan, &WindowFill::Body(body.full())));
+                (plan, schedule)
+            })
+            .collect();
+        let mut backend = BehaviouralBackend::new(boom_small());
+        for (i, (plan, schedule)) in requests.iter().enumerate() {
+            backend
+                .run(plan, schedule, IftMode::DiffIft, 20_000)
+                .unwrap();
+            let (plan, schedule) = &requests[(i + 1) % requests.len()];
+            let fresh = build_mem(plan, schedule, &DEFAULT_SECRET);
+            assert!(*backend.reload(plan, schedule) == fresh, "after run {i}");
+        }
     }
 
     #[test]

@@ -54,13 +54,24 @@ pub const DEFAULT_SECRET: [u8; 8] = [0x5A, 0xC3, 0x01, 0xFE, 0x77, 0x88, 0x10, 0
 /// Builds a ready-to-run [`SwapMem`] for a plan + schedule.
 pub fn build_mem(plan: &TransientPlan, schedule: &[SwapPacket], secret: &[u8]) -> SwapMem {
     let mut mem = SwapMem::new(DEFAULT_LAYOUT);
+    load_mem(&mut mem, plan, schedule, secret);
+    mem
+}
+
+/// Loads a plan + schedule into a fresh or freshly [`SwapMem::reset`]
+/// memory of the default layout, making it what [`build_mem`] returns.
+pub(crate) fn load_mem(
+    mem: &mut SwapMem,
+    plan: &TransientPlan,
+    schedule: &[SwapPacket],
+    secret: &[u8],
+) {
     for (addr, bytes) in gen::data_init() {
         mem.write_bytes(addr, &bytes);
     }
     mem.plant_secret(secret);
     mem.set_secret_policy(plan.secret_policy);
     mem.set_schedule(schedule.to_vec());
-    mem
 }
 
 /// Runs one simulation of a schedule on the given backend.

@@ -383,9 +383,14 @@ fn encode_census(enc: &mut Encoder, census: &Census, names: &[&'static str]) {
     }
 }
 
-fn decode_census(dec: &mut Decoder<'_>, names: &[&'static str]) -> Result<Census, DecodeError> {
+/// Decodes one cycle's census into `census`, reusing its buffer.
+fn decode_census(
+    dec: &mut Decoder<'_>,
+    names: &[&'static str],
+    census: &mut Census,
+) -> Result<(), DecodeError> {
     let n = dec.len_prefix("Census.modules", 8)?;
-    let mut census = Census::new();
+    census.clear();
     for _ in 0..n {
         let idx = dec.usize()?;
         let module = *names.get(idx).ok_or(DecodeError::InvalidTag {
@@ -396,7 +401,7 @@ fn decode_census(dec: &mut Decoder<'_>, names: &[&'static str]) -> Result<Census
         let total = dec.usize()?;
         census.report_counts(module, tainted, total);
     }
-    Ok(census)
+    Ok(())
 }
 
 fn encode_outcome(enc: &mut Encoder, out: &RunOutcome) {
@@ -410,8 +415,8 @@ fn encode_outcome(enc: &mut Encoder, out: &RunOutcome) {
         enc.str(n);
     }
     enc.usize(out.taint_log.len());
-    for c in 0..out.taint_log.len() {
-        encode_census(enc, out.taint_log.cycle(c).expect("c < len"), &names);
+    for (_, census) in out.taint_log.iter() {
+        encode_census(enc, census, &names);
     }
     enc.usize(out.sinks.len());
     for s in &out.sinks {
@@ -446,8 +451,10 @@ fn decode_outcome(dec: &mut Decoder<'_>) -> Result<RunOutcome, DecodeError> {
     }
     let n = dec.len_prefix("RunOutcome.taint_log", 8)?;
     let mut taint_log = TaintLog::new();
+    let mut census = Census::new();
     for _ in 0..n {
-        taint_log.push(decode_census(dec, &names)?);
+        decode_census(dec, &names, &mut census)?;
+        taint_log.push_ref(&census);
     }
     let n = dec.len_prefix("RunOutcome.sinks", 8)?;
     let mut sinks = Vec::with_capacity(n);

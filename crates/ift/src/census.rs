@@ -4,7 +4,7 @@
 use crate::coverage::CoveragePoint;
 
 /// Tainted-register statistics for one hardware module in one cycle.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Eq)]
 pub struct ModuleCensus {
     /// Module instance name (e.g. `"rob"`, `"dcache"`, `"ras"`).
     pub module: &'static str,
@@ -12,6 +12,17 @@ pub struct ModuleCensus {
     pub tainted: usize,
     /// Total number of registers the module reported.
     pub total: usize,
+}
+
+/// Compares the counts first, then the names: every cycle of a simulation
+/// reports the same `&'static str` names, so equal names are usually one
+/// pointer and need no byte comparison.
+impl PartialEq for ModuleCensus {
+    fn eq(&self, other: &Self) -> bool {
+        self.tainted == other.tainted
+            && self.total == other.total
+            && (std::ptr::eq(self.module, other.module) || self.module == other.module)
+    }
 }
 
 /// A single cycle's taint census across all modules of a DUT.
@@ -46,6 +57,12 @@ impl Census {
             tainted,
             total,
         });
+    }
+
+    /// Forgets every reported module, keeping the buffer, so one census
+    /// can be refilled cycle after cycle without allocating.
+    pub fn clear(&mut self) {
+        self.modules.clear();
     }
 
     /// Reports a module with precomputed counts.
@@ -102,9 +119,26 @@ impl Census {
 /// This is the paper's "taint log" artifact — Phase 2 reads taint increases
 /// inside the transient window from it, Phase 3 diffs it against the
 /// sanitized re-run, and Figure 6 plots its taint sums.
+///
+/// # Storage
+///
+/// A diffIFT log runs to hundreds of cycles, but taint state changes in a
+/// handful of them, so consecutive cycles mostly repeat the same census.
+/// The log is change-coded: each run of equal consecutive censuses is
+/// stored once, and every cycle holds a `u32` index into those runs. The
+/// accessors answer per cycle exactly as a plain `Vec<Census>` would; the
+/// ones that only need each distinct census once (the taint sum's peak,
+/// [`TaintLog::distinct_points`], the sum comparisons of
+/// [`TaintLog::taint_increased_in`]) look at each run once.
+/// [`TaintLog::push_ref`] lets a simulator fill one reused [`Census`] per
+/// cycle and have it cloned only when it differs from the last cycle's.
 #[derive(Clone, Debug, Default)]
 pub struct TaintLog {
-    cycles: Vec<Census>,
+    /// Each run of equal consecutive censuses, once, in cycle order.
+    /// Consecutive runs differ.
+    runs: Vec<Census>,
+    /// Per cycle, the index of its census in `runs`.
+    cycles: Vec<u32>,
 }
 
 impl TaintLog {
@@ -115,7 +149,24 @@ impl TaintLog {
 
     /// Appends the census for the next cycle.
     pub fn push(&mut self, census: Census) {
-        self.cycles.push(census);
+        if self.runs.last() != Some(&census) {
+            self.runs.push(census);
+        }
+        self.push_last_run();
+    }
+
+    /// Appends a copy of `census` for the next cycle, cloning it only when
+    /// it differs from the previous cycle's census.
+    pub fn push_ref(&mut self, census: &Census) {
+        if self.runs.last() != Some(census) {
+            self.runs.push(census.clone());
+        }
+        self.push_last_run();
+    }
+
+    fn push_last_run(&mut self) {
+        let run = u32::try_from(self.runs.len() - 1).expect("fewer than 2^32 taint-log runs");
+        self.cycles.push(run);
     }
 
     /// Number of recorded cycles.
@@ -130,12 +181,15 @@ impl TaintLog {
 
     /// The census of cycle `c`.
     pub fn cycle(&self, c: usize) -> Option<&Census> {
-        self.cycles.get(c)
+        self.cycles.get(c).map(|&run| &self.runs[run as usize])
     }
 
     /// Iterates over (cycle, census).
     pub fn iter(&self) -> impl Iterator<Item = (usize, &Census)> {
-        self.cycles.iter().enumerate()
+        self.cycles
+            .iter()
+            .map(|&run| &self.runs[run as usize])
+            .enumerate()
     }
 
     /// Every distinct coverage point of the log, in the order a cycle-by-
@@ -144,15 +198,16 @@ impl TaintLog {
     /// the whole log, at the cost of its distinct points: a diffIFT log
     /// runs to hundreds of cycles but holds a handful of distinct points.
     ///
-    /// A module reporting the same count as it did at the same position
-    /// the cycle before cannot be a first occurrence, so only changed
-    /// modules are looked up among the points found so far.
+    /// A repeated census adds nothing to the fold, so only the runs are
+    /// visited, and a module reporting the same count as it did at the
+    /// same position in the run before cannot be a first occurrence: only
+    /// changed modules are looked up among the points found so far.
     ///
     /// [`TaintCoverage::observe_points`]: crate::coverage::TaintCoverage::observe_points
     pub fn distinct_points(&self) -> Vec<CoveragePoint> {
         let mut points: Vec<CoveragePoint> = Vec::new();
         let mut prev: &[ModuleCensus] = &[];
-        for census in &self.cycles {
+        for census in &self.runs {
             for (i, m) in census.modules.iter().enumerate() {
                 let unchanged = prev
                     .get(i)
@@ -175,7 +230,8 @@ impl TaintLog {
 
     /// The taint-sum series (Figure 6 curve).
     pub fn taint_sums(&self) -> Vec<usize> {
-        self.cycles.iter().map(Census::taint_sum).collect()
+        let sums: Vec<usize> = self.runs.iter().map(Census::taint_sum).collect();
+        self.cycles.iter().map(|&run| sums[run as usize]).collect()
     }
 
     /// Whether the taint sum strictly increases anywhere inside
@@ -186,13 +242,15 @@ impl TaintLog {
         if from >= to {
             return false;
         }
-        let mut prev = if from == 0 {
-            0
-        } else {
-            self.cycles[from - 1].taint_sum()
-        };
-        for c in &self.cycles[from..to] {
-            let s = c.taint_sum();
+        // Cycles of one run share a sum, so only run changes can rise.
+        let mut run = from.checked_sub(1).map(|c| self.cycles[c]);
+        let mut prev = run.map_or(0, |r| self.runs[r as usize].taint_sum());
+        for &r in &self.cycles[from..to] {
+            if run == Some(r) {
+                continue;
+            }
+            run = Some(r);
+            let s = self.runs[r as usize].taint_sum();
             if s > prev {
                 return true;
             }
@@ -203,12 +261,12 @@ impl TaintLog {
 
     /// The maximum taint sum over the whole log.
     pub fn peak_taint(&self) -> usize {
-        self.cycles.iter().map(Census::taint_sum).max().unwrap_or(0)
+        self.runs.iter().map(Census::taint_sum).max().unwrap_or(0)
     }
 
     /// The final cycle's taint sum (0 for an empty log).
     pub fn final_taint(&self) -> usize {
-        self.cycles.last().map(Census::taint_sum).unwrap_or(0)
+        self.runs.last().map(Census::taint_sum).unwrap_or(0)
     }
 }
 

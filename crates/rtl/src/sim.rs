@@ -519,6 +519,13 @@ impl NetlistSim {
     /// register modules in first-seen order, then one entry per memory.
     pub fn census(&self) -> Census {
         let mut census = Census::new();
+        self.census_into(&mut census);
+        census
+    }
+
+    /// Refills `census` with [`NetlistSim::census`], reusing its buffer.
+    pub fn census_into(&self, census: &mut Census) {
+        census.clear();
         let regs = self.program.modules.iter().zip(&self.program.totals);
         for ((module, &total), &tainted) in regs.zip(&self.tainted) {
             census.report_counts(module, tainted, total);
@@ -526,7 +533,6 @@ impl NetlistSim {
         for (decl, mem) in self.netlist.mems.iter().zip(&self.mems) {
             census.report_counts(decl.module, mem.tainted_slots(), mem.len());
         }
-        census
     }
 
     /// Sweeps all `liveness_mask`-annotated memories, producing sink

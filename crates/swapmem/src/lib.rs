@@ -24,6 +24,14 @@
 //! plane `a` backs DUT variant 1, plane `b` variant 2, and a per-byte taint
 //! plane marks sensitive bytes. The single-plane [`MemoryIf`] view (plane
 //! `a`, taints ignored) serves the architectural golden simulator.
+//!
+//! ## Reuse
+//!
+//! A swapMem records which 4 KiB pages have been written since they were
+//! last all zeros, in any plane. [`SwapMem::reset`] zeroes only those
+//! pages and clears everything else `SwapMem::new` sets, so one memory can
+//! serve run after run without reallocating or re-zeroing its planes, and
+//! a packet swap zeroes only the written pages of the swappable region.
 
 pub mod migrate;
 
@@ -76,6 +84,9 @@ impl Default for Layout {
         DEFAULT_LAYOUT
     }
 }
+
+/// Granularity of a [`SwapMem`]'s written-page tracking, in bytes.
+const PAGE: usize = 4096;
 
 /// The default layout used throughout the reproduction.
 pub const DEFAULT_LAYOUT: Layout = Layout {
@@ -170,7 +181,10 @@ pub enum SecretPolicy {
 /// Implements [`MemoryIf`] (plane `a`) for the golden simulator and a
 /// two-plane, taint-carrying port (`load_t`/`store_t`/`fetch_t`) for the
 /// microarchitectural model.
-#[derive(Clone, Debug)]
+///
+/// Equality compares every field, the written-page marks included, so a
+/// [`SwapMem::reset`] memory equals a new one exactly.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SwapMem {
     layout: Layout,
     bytes_a: Vec<u8>,
@@ -183,6 +197,9 @@ pub struct SwapMem {
     secret_len: usize,
     icache_flush_pending: bool,
     swap_log: Vec<String>,
+    /// Per [`PAGE`]-byte page: whether it may have been written since it
+    /// was last zeroed. A page not marked is zero in all three planes.
+    written: Vec<bool>,
 }
 
 impl SwapMem {
@@ -200,6 +217,45 @@ impl SwapMem {
             secret_len: 0,
             icache_flush_pending: false,
             swap_log: Vec::new(),
+            written: vec![false; layout.size.div_ceil(PAGE)],
+        }
+    }
+
+    /// Restores exactly the state [`SwapMem::new`] builds for this layout,
+    /// keeping the allocations: only the written pages are zeroed.
+    pub fn reset(&mut self) {
+        self.zero_written(0, self.layout.size);
+        self.perms.clear();
+        self.schedule.clear();
+        self.next_packet = 0;
+        self.secret_policy = SecretPolicy::default();
+        self.secret_len = 0;
+        self.icache_flush_pending = false;
+        self.swap_log.clear();
+    }
+
+    /// Marks the pages holding the `len` bytes at offset `off` written.
+    fn mark_written(&mut self, off: usize, len: usize) {
+        if len > 0 {
+            self.written[off / PAGE..=(off + len - 1) / PAGE].fill(true);
+        }
+    }
+
+    /// Zeroes offsets `[start, end)` of all three planes, touching only
+    /// written pages; a page wholly inside the range is no longer written.
+    fn zero_written(&mut self, start: usize, end: usize) {
+        for page in start / PAGE..end.div_ceil(PAGE) {
+            if !self.written[page] {
+                continue;
+            }
+            let (page_start, page_end) = (page * PAGE, ((page + 1) * PAGE).min(self.layout.size));
+            let (lo, hi) = (page_start.max(start), page_end.min(end));
+            self.bytes_a[lo..hi].fill(0);
+            self.bytes_b[lo..hi].fill(0);
+            self.taint[lo..hi].fill(0);
+            if (lo, hi) == (page_start, page_end) {
+                self.written[page] = false;
+            }
         }
     }
 
@@ -225,6 +281,7 @@ impl SwapMem {
             self.bytes_b[off + i] = !b;
             self.taint[off + i] = 0xFF;
         }
+        self.mark_written(off, secret.len());
         self.secret_len = secret.len();
     }
 
@@ -255,6 +312,7 @@ impl SwapMem {
             self.bytes_b[off + i] = b;
             self.taint[off + i] = 0;
         }
+        self.mark_written(off, data.len());
     }
 
     /// Copies a program into memory without scheduling (firmware images,
@@ -327,16 +385,15 @@ impl SwapMem {
         let index = self.next_packet;
         self.next_packet += 1;
         // Flush the swappable region to zeros (which decode as illegal
-        // instructions — runaway execution traps immediately), then copy the
-        // packet image into both planes.
-        let (s, e) = (
+        // instructions — runaway execution traps immediately; only its
+        // written pages can hold anything else), then copy the packet image
+        // into both planes.
+        self.zero_written(
             (self.layout.swappable - self.layout.base) as usize,
             (self.layout.swappable_end - self.layout.base) as usize,
         );
-        self.bytes_a[s..e].fill(0);
-        self.bytes_b[s..e].fill(0);
-        self.taint[s..e].fill(0);
-        let packet = self.schedule[index].clone();
+        let schedule = std::mem::take(&mut self.schedule);
+        let packet = &schedule[index];
         self.write_program(&packet.program);
         self.icache_flush_pending = true;
         // "then updates sensitive data permissions, and finally executes
@@ -350,10 +407,9 @@ impl SwapMem {
         }
         self.swap_log
             .push(format!("swapped in packet {index} ({})", packet.name));
-        TrapAction::NextPacket {
-            entry: packet.entry,
-            index,
-        }
+        let entry = packet.entry;
+        self.schedule = schedule;
+        TrapAction::NextPacket { entry, index }
     }
 
     /// True once an icache flush has been requested and not yet consumed;
@@ -493,6 +549,8 @@ impl SwapMem {
                 self.taint[ob + i] = t;
             }
         }
+        self.mark_written(oa, size as usize);
+        self.mark_written(ob, size as usize);
         Ok(())
     }
 
@@ -790,6 +848,94 @@ mod tests {
             }
         }
         assert_eq!(sim.reg(Reg::A0), 7);
+    }
+
+    /// Writes every region and every piece of state a run can touch.
+    fn scribble(m: &mut SwapMem) {
+        let l = m.layout();
+        m.write_bytes(l.shared, &[1, 2, 3]);
+        m.plant_secret(&[0xAB; 8]);
+        m.plant_secret_identical(&[0xCD; 4]);
+        m.write_bytes(l.data + 8, &[7; 16]);
+        m.set_perms(l.data, l.data + 8, Perms::NONE);
+        m.set_schedule(vec![
+            packet(
+                "train",
+                PacketKind::TriggerTraining,
+                l.swappable,
+                &[Instr::NOP; 4],
+            ),
+            packet(
+                "transient",
+                PacketKind::Transient,
+                l.swappable + 0x1000,
+                &[Instr::NOP],
+            ),
+        ]);
+        m.begin();
+        // Plane addresses in different pages; nothing else writes the
+        // second one.
+        m.store_t(
+            TWord::secret(l.data + 0x100, l.data + 0x2000),
+            8,
+            TWord::secret(5, 6),
+        )
+        .unwrap();
+        // Next to the swappable region, on pages the next swap zeroes only
+        // in part when the region is not page-aligned.
+        m.store_t(TWord::lit(l.swappable - 8), 8, TWord::secret(1, 2))
+            .unwrap();
+        m.write_bytes(l.swappable_end, &[4; 8]);
+        m.handle_trap(Exception::Ecall);
+        m.handle_trap(Exception::Ecall);
+        m.set_secret_policy(SecretPolicy::AlwaysReadable);
+    }
+
+    #[test]
+    fn reset_equals_new() {
+        // The default layout, and one whose size, regions and secret do
+        // not fall on page boundaries.
+        let base = 0x10_0000;
+        let odd = Layout {
+            base,
+            size: 0x9100,
+            shared: base + 0x100,
+            shared_end: base + 0x900,
+            dedicated: base + 0xF00,
+            dedicated_end: base + 0x1100,
+            secret: base + 0xFFC,
+            swappable: base + 0x5800,
+            swappable_end: base + 0x9080,
+            data: base + 0x1100,
+            data_end: base + 0x5800,
+        };
+        for l in [DEFAULT_LAYOUT, odd] {
+            let mut m = SwapMem::new(l);
+            scribble(&mut m);
+            assert!(m.written.iter().any(|&w| w));
+            m.reset();
+            assert!(m == SwapMem::new(l), "{l:?}");
+            // And a reset memory serves the next run as a fresh one does.
+            let mut fresh = SwapMem::new(l);
+            scribble(&mut m);
+            scribble(&mut fresh);
+            assert!(m == fresh, "{l:?}");
+        }
+    }
+
+    #[test]
+    fn swap_zeroes_stores_into_the_swappable_region() {
+        let l = DEFAULT_LAYOUT;
+        let mut m = SwapMem::new(l);
+        m.set_schedule(vec![
+            packet("a", PacketKind::TriggerTraining, l.swappable, &[]),
+            packet("b", PacketKind::Transient, l.swappable, &[]),
+        ]);
+        m.begin();
+        let far = l.swappable_end - 8;
+        m.store_t(TWord::lit(far), 8, TWord::secret(9, 10)).unwrap();
+        m.handle_trap(Exception::Ecall);
+        assert_eq!(m.load_t(TWord::lit(far), 8), Ok(TWord::lit(0)));
     }
 
     #[test]

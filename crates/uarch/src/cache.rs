@@ -10,6 +10,12 @@
 //! the paper's flagship *unexploitable residue* example (§3.1): the stale
 //! secret is tainted but its `mshr_valid` liveness bit is low, so the
 //! liveness filter of §4.3.2 rejects it.
+//!
+//! Every structure here keeps its census count (how many entries hold a
+//! tainted value) current at the sites that write entry taints, so a
+//! per-cycle census reads a counter instead of scanning the entries.
+//! Debug builds check each count against a full scan whenever it is
+//! reported.
 
 use dejavuzz_ift::{Census, TWord};
 
@@ -45,6 +51,8 @@ pub struct Cache {
     /// Taint of the cached line's *data* (set when tainted data was filled
     /// or when the fill address was secret-dependent).
     line_taint: Vec<u64>,
+    /// Lines of `line_taint` that are non-zero.
+    tainted: usize,
     line_bytes: u64,
     hit_latency: u64,
     miss_latency: u64,
@@ -64,6 +72,7 @@ impl Cache {
             tags_a: vec![None; lines],
             tags_b: vec![None; lines],
             line_taint: vec![0; lines],
+            tainted: 0,
             line_bytes,
             hit_latency,
             miss_latency,
@@ -92,9 +101,9 @@ impl Cache {
             } else {
                 0
             };
-        self.line_taint[ia] |= line_taint;
+        self.taint_line(ia, line_taint);
         if ib != ia {
-            self.line_taint[ib] |= line_taint;
+            self.taint_line(ib, line_taint);
         }
         Probe {
             lat_a: if hit_a {
@@ -110,6 +119,14 @@ impl Cache {
             hit_a,
             hit_b,
         }
+    }
+
+    /// Ors `taint` into line `i`'s data taint: the one write site of
+    /// `line_taint` besides [`Cache::reset`].
+    fn taint_line(&mut self, i: usize, taint: u64) {
+        let old = self.line_taint[i];
+        self.line_taint[i] = old | taint;
+        self.tainted = recount(self.tainted, old, old | taint);
     }
 
     /// Probes without allocating (lookup only).
@@ -146,6 +163,7 @@ impl Cache {
     pub fn reset(&mut self) {
         self.flush();
         self.line_taint.iter_mut().for_each(|t| *t = 0);
+        self.tainted = 0;
     }
 
     /// Per-line validity (plane union) — the line liveness vector.
@@ -175,7 +193,8 @@ impl Cache {
 
     /// Reports into a census sweep.
     pub fn census(&self, census: &mut Census) {
-        census.report(self.module, self.taints());
+        debug_assert_eq!(self.tainted, scan(self.taints()), "{} count", self.module);
+        census.report_counts(self.module, self.tainted, self.line_taint.len());
     }
 
     /// FNV-style hash of one plane's residency state (SpecDoctor's
@@ -217,6 +236,8 @@ struct Mshr {
 pub struct LineFillBuffer {
     entries: Vec<Mshr>,
     next: usize,
+    /// Entries whose fill data is tainted.
+    tainted: usize,
 }
 
 impl LineFillBuffer {
@@ -225,6 +246,7 @@ impl LineFillBuffer {
         LineFillBuffer {
             entries: vec![Mshr::default(); entries],
             next: 0,
+            tainted: 0,
         }
     }
 
@@ -233,6 +255,7 @@ impl LineFillBuffer {
     pub fn allocate(&mut self, addr: u64, data: TWord, done_at: u64) {
         let slot = self.next;
         self.next = (self.next + 1) % self.entries.len();
+        self.tainted = recount(self.tainted, self.entries[slot].data.t, data.t);
         self.entries[slot] = Mshr {
             valid: true,
             addr,
@@ -290,11 +313,13 @@ impl LineFillBuffer {
     pub fn reset(&mut self) {
         self.entries.iter_mut().for_each(|e| *e = Mshr::default());
         self.next = 0;
+        self.tainted = 0;
     }
 
     /// Reports into a census sweep.
     pub fn census(&self, census: &mut Census) {
-        census.report("lfb", self.taints());
+        debug_assert_eq!(self.tainted, scan(self.taints()), "lfb count");
+        census.report_counts("lfb", self.tainted, self.entries.len());
     }
 }
 
@@ -370,6 +395,18 @@ impl Tlb {
         self.l1.census(census);
         self.l2.census(census);
     }
+}
+
+/// The number of non-zero taints: the full scan a maintained census count
+/// must always equal.
+pub(crate) fn scan(taints: impl Iterator<Item = u64>) -> usize {
+    taints.filter(|&t| t != 0).count()
+}
+
+/// A maintained census `count` after one entry's taint changed from `old`
+/// to `new`.
+pub(crate) fn recount(count: usize, old: u64, new: u64) -> usize {
+    count + usize::from(new != 0) - usize::from(old != 0)
 }
 
 #[cfg(test)]

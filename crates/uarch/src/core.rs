@@ -121,6 +121,61 @@ struct RobEntry {
     snapshot: Option<Box<Snapshot>>,
 }
 
+impl RobEntry {
+    /// Neither squashed nor committed.
+    fn in_flight(&self) -> bool {
+        !self.squashed && !self.committed
+    }
+
+    /// A store's address and data taint; `None` for any other entry.
+    fn store_taint(&self) -> Option<u64> {
+        self.store.map(|s| s.data.t | s.addr.t)
+    }
+}
+
+/// Counts over the in-flight RoB entries, kept current where entries
+/// enter and leave flight so neither the fetch stage nor the census has
+/// to scan the RoB for them: the entries, those with a tainted result,
+/// the stores and those with a tainted address or data.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct InFlight {
+    entries: usize,
+    tainted: usize,
+    stores: usize,
+    tainted_stores: usize,
+}
+
+impl InFlight {
+    /// The counts a scan of `rob` finds.
+    fn scan(rob: &[RobEntry]) -> InFlight {
+        let mut counts = InFlight::default();
+        for e in rob.iter().filter(|e| e.in_flight()) {
+            counts.enter(e);
+        }
+        counts
+    }
+
+    /// Counts `e` into flight.
+    fn enter(&mut self, e: &RobEntry) {
+        self.entries += 1;
+        self.tainted += usize::from(e.result.t != 0);
+        if let Some(t) = e.store_taint() {
+            self.stores += 1;
+            self.tainted_stores += usize::from(t != 0);
+        }
+    }
+
+    /// Counts `e` out of flight.
+    fn leave(&mut self, e: &RobEntry) {
+        self.entries -= 1;
+        self.tainted -= usize::from(e.result.t != 0);
+        if let Some(t) = e.store_taint() {
+            self.stores -= 1;
+            self.tainted_stores -= usize::from(t != 0);
+        }
+    }
+}
+
 /// A divergent-latency observation on a contended resource.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TimingEvent {
@@ -227,6 +282,9 @@ pub struct Core {
 
     rob: Vec<RobEntry>,
     head: usize,
+    /// Counts over `rob`'s in-flight entries, all of which sit at or
+    /// after `head`.
+    in_flight: InFlight,
     packet: usize,
 
     fpu_port: PortState,
@@ -235,6 +293,8 @@ pub struct Core {
 
     trace: Trace,
     taint_log: TaintLog,
+    /// The census buffer every cycle refills before logging it.
+    census: Census,
     timing_events: Vec<TimingEvent>,
     /// Indirect-jump correction that resolved this cycle (B3 race input).
     jump_resolved_this_cycle: Option<TWord>,
@@ -286,12 +346,14 @@ impl Core {
             freg_ready: [0; 32],
             rob: Vec::new(),
             head: 0,
+            in_flight: InFlight::default(),
             packet: 0,
             fpu_port: PortState::default(),
             lsu_port: PortState::default(),
             wb_port: PortState::default(),
             trace: Trace::new(),
             taint_log: TaintLog::new(),
+            census: Census::new(),
             timing_events: Vec::new(),
             jump_resolved_this_cycle: None,
             cellift_exploded: false,
@@ -318,11 +380,7 @@ impl Core {
     /// Runs the swap schedule already installed in `mem` to completion (or
     /// until `max_cycles`), consuming the core.
     pub fn run(mut self, mem: &mut SwapMem, max_cycles: u64) -> RunResult {
-        let entry = mem.begin();
-        if mem.take_icache_flush() {
-            self.icache.flush();
-        }
-        self.pc = TWord::lit(entry);
+        self.start(mem);
         while !self.done && self.cycle < max_cycles {
             self.step(mem);
         }
@@ -332,6 +390,15 @@ impl Core {
             EndReason::CycleLimit
         };
         self.finish(end)
+    }
+
+    /// Swaps in the schedule's first packet and points fetch at it.
+    fn start(&mut self, mem: &mut SwapMem) {
+        let entry = mem.begin();
+        if mem.take_icache_flush() {
+            self.icache.flush();
+        }
+        self.pc = TWord::lit(entry);
     }
 
     fn finish(self, end: EndReason) -> RunResult {
@@ -385,7 +452,8 @@ impl Core {
             self.fetch(mem);
         }
         if self.policy.mode().tracks_taint() {
-            let census = self.census(mem);
+            let mut census = std::mem::take(&mut self.census);
+            self.census_into(&mut census);
             if self.policy.mode() == IftMode::CellIft {
                 // CellIFT instruments at the cell (bit) level: its shadow
                 // circuit evaluates 64 shadow bits per word register every
@@ -399,7 +467,8 @@ impl Core {
                 }
                 std::hint::black_box(bit_work);
             }
-            self.taint_log.push(census);
+            self.taint_log.push_ref(&census);
+            self.census = census;
         }
         self.cycle += 1;
     }
@@ -457,7 +526,8 @@ impl Core {
         let mut killed_taint = 0u64;
         for j in start..self.rob.len() {
             let e = &mut self.rob[j];
-            if !e.squashed && !e.committed {
+            if e.in_flight() {
+                self.in_flight.leave(e);
                 e.squashed = true;
                 e.result = e.result.taint_union(TWord::lit(0)); // keep as-is
                 killed_taint |= e.result.t;
@@ -478,6 +548,7 @@ impl Core {
             for e in &mut self.rob {
                 e.result = e.result.fully_tainted();
             }
+            self.in_flight = InFlight::scan(&self.rob[self.head..]);
         }
         if let Some(snap) = snap {
             self.regs = snap.regs;
@@ -530,6 +601,7 @@ impl Core {
                 // at execute and recorded as exceptions.
                 let _ = mem.store_t(st.addr, st.size, st.data);
             }
+            self.in_flight.leave(&self.rob[i]);
             self.rob[i].committed = true;
             self.trace.push(RobEvent::Commit {
                 cycle: self.cycle,
@@ -558,6 +630,7 @@ impl Core {
         // snapshot holds pre-execution state, undoing forwarded values).
         let target = self.pc; // placeholder; the trap action sets the real PC
         self.squash_after(i, target, false, cause.mnemonic());
+        self.in_flight.leave(&self.rob[i]);
         self.rob[i].committed = true;
         self.head = i + 1;
         match mem.handle_trap(cause) {
@@ -577,10 +650,8 @@ impl Core {
     // ---- fetch + speculative execute ----
 
     fn in_flight(&self) -> usize {
-        self.rob[self.head..]
-            .iter()
-            .filter(|e| !e.squashed && !e.committed)
-            .count()
+        debug_assert_eq!(self.in_flight, InFlight::scan(&self.rob[self.head..]));
+        self.in_flight.entries
     }
 
     fn fetch(&mut self, mem: &mut SwapMem) {
@@ -654,6 +725,7 @@ impl Core {
             pc: e.pc.a,
             packet: e.packet,
         });
+        self.in_flight.enter(&e);
         self.rob.push(e);
     }
 
@@ -1258,9 +1330,19 @@ impl Core {
     // ---- observation ----
 
     /// Per-cycle taint census across every module (§4.2.2's per-module
-    /// bitmap source).
-    pub fn census(&self, mem: &SwapMem) -> Census {
+    /// bitmap source). (The backing memory is not a DUT module; its taints
+    /// surface via the dcache/LFB censuses, as on the RTL.)
+    pub fn census(&self, _mem: &SwapMem) -> Census {
         let mut c = Census::new();
+        self.census_into(&mut c);
+        c
+    }
+
+    /// Refills `c` with this cycle's census. The register files are
+    /// scanned; every other module reports a count kept current as it is
+    /// written.
+    fn census_into(&self, c: &mut Census) {
+        c.clear();
         if self.cellift_exploded {
             // Every register of every module is tainted — the taint
             // explosion plateau of Figure 6's CellIFT curve.
@@ -1283,49 +1365,42 @@ impl Core {
             ] {
                 c.report_counts(module, regs, regs);
             }
-            return c;
+            return;
         }
         c.report("frontend", [self.pc.t]);
         c.report("regfile", self.regs.iter().map(|r| r.t));
         c.report("fpregfile", self.fregs.iter().map(|r| r.t));
-        // In-flight RoB results; retired/squashed slots report as clean
-        // (the hardware reuses them, our append-only list models the
-        // occupancy window).
-        c.report(
-            "rob",
-            self.rob[self.head.min(self.rob.len())..]
-                .iter()
-                .map(|e| {
-                    if e.squashed || e.committed {
-                        0
-                    } else {
-                        e.result.t
-                    }
-                })
-                .chain(std::iter::repeat(0))
-                .take(self.cfg.rob_entries),
-        );
-        c.report(
-            "lsu",
-            self.rob[self.head.min(self.rob.len())..]
-                .iter()
-                .filter(|e| !e.squashed && !e.committed)
-                .filter_map(|e| e.store.map(|s| s.data.t | s.addr.t))
-                .chain(std::iter::repeat(0))
-                .take(self.cfg.sq_entries),
-        );
-        self.bht.census(&mut c);
-        self.btb.census(&mut c);
-        self.ras.census(&mut c);
-        self.loopp.census(&mut c);
-        self.icache.census(&mut c);
-        self.dcache.census(&mut c);
-        self.lfb.census(&mut c);
-        self.tlb.census(&mut c);
-        // (The backing memory is not a DUT module; its taints surface via
-        // the dcache/LFB censuses, as on the RTL.)
-        let _ = mem;
-        c
+        // In-flight RoB results in the first `rob_entries` slots from the
+        // head; retired/squashed slots report as clean (the hardware reuses
+        // them, our append-only list models the occupancy window). The
+        // store queue reports its oldest `sq_entries` in-flight stores.
+        // Every in-flight entry sits at or after the head, so the kept
+        // counts answer unless squashed entries push some past the RoB
+        // window or more stores are in flight than the queue shows.
+        let window = &self.rob[self.head.min(self.rob.len())..];
+        let (rob, sq) = (self.cfg.rob_entries, self.cfg.sq_entries);
+        let tainted = if window.len() <= rob {
+            self.in_flight.tainted
+        } else {
+            rob_census(window, rob)
+        };
+        debug_assert_eq!(tainted, rob_census(window, rob), "rob count");
+        c.report_counts("rob", tainted, rob);
+        let tainted = if self.in_flight.stores <= sq {
+            self.in_flight.tainted_stores
+        } else {
+            lsu_census(window, sq)
+        };
+        debug_assert_eq!(tainted, lsu_census(window, sq), "lsu count");
+        c.report_counts("lsu", tainted, sq);
+        self.bht.census(c);
+        self.btb.census(c);
+        self.ras.census(c);
+        self.loopp.census(c);
+        self.icache.census(c);
+        self.dcache.census(c);
+        self.lfb.census(c);
+        self.tlb.census(c);
     }
 
     /// Disassembles the reorder buffer for bug reports and debugging:
@@ -1446,6 +1521,28 @@ impl Core {
     }
 }
 
+/// The RoB census scan: in-flight entries with a tainted result among the
+/// first `slots` entries from the head.
+fn rob_census(window: &[RobEntry], slots: usize) -> usize {
+    window
+        .iter()
+        .take(slots)
+        .filter(|e| e.in_flight() && e.result.t != 0)
+        .count()
+}
+
+/// The LSU census scan: tainted stores among the oldest `slots` in-flight
+/// stores.
+fn lsu_census(window: &[RobEntry], slots: usize) -> usize {
+    window
+        .iter()
+        .filter(|e| e.in_flight())
+        .filter_map(RobEntry::store_taint)
+        .take(slots)
+        .filter(|&t| t != 0)
+        .count()
+}
+
 /// ALU evaluation routed through the taint policies: comparisons use the
 /// comparison-cell rule, everything else the data-flow rules.
 fn alu_eval(policy: Policy, op: AluOp, x: TWord, y: TWord) -> TWord {
@@ -1488,4 +1585,110 @@ fn branch_eval(policy: Policy, op: dejavuzz_isa::BranchOp, x: TWord, y: TWord) -
 
 fn ranges_overlap(a: u64, asz: u64, b: u64, bsz: u64) -> bool {
     a < b + bsz && b < a + asz
+}
+
+#[cfg(test)]
+mod tests {
+    use dejavuzz_isa::asm::ProgramBuilder;
+    use dejavuzz_isa::instr::{BranchOp, StoreOp};
+    use dejavuzz_swapmem::{PacketKind, SecretPolicy, SwapPacket, DEFAULT_LAYOUT};
+
+    use super::*;
+    use crate::{attacks, boom_small, xiangshan_minimal};
+
+    /// A packet that over-fills the RoB and the store queue: divides on
+    /// the secret block commit while 16 tainted stores and a branch
+    /// mispredicted behind a cache miss enter the RoB, so more stores are
+    /// in flight than the queue reports, and squashed entries push
+    /// in-flight ones past the RoB window.
+    fn pressure_mem() -> SwapMem {
+        let l = DEFAULT_LAYOUT;
+        let mut b = ProgramBuilder::new(l.swappable);
+        b.label_at("secret", l.secret);
+        b.label_at("data", l.data);
+        b.la(Reg::T0, "secret");
+        b.la(Reg::T1, "data");
+        b.push(Instr::ld(Reg::S1, Reg::T0, 0));
+        b.push(Instr::addi(Reg::A2, Reg::ZERO, 1));
+        for _ in 0..4 {
+            b.push(Instr::Op {
+                op: AluOp::Div,
+                rd: Reg::S1,
+                rs1: Reg::S1,
+                rs2: Reg::A2,
+            });
+        }
+        for i in 0..16 {
+            b.push(Instr::Store {
+                op: StoreOp::Sd,
+                rs2: Reg::S1,
+                rs1: Reg::T1,
+                offset: 8 * i,
+            });
+        }
+        // A cold, zero word: the branch is taken, predicted not taken.
+        b.push(Instr::ld(Reg::A3, Reg::T1, 0x400));
+        let beq = Instr::Branch {
+            op: BranchOp::Beq,
+            rs1: Reg::A3,
+            rs2: Reg::ZERO,
+            offset: 0,
+        };
+        b.branch_to(beq, "exit");
+        b.nops(48);
+        b.label("exit");
+        b.nops(48);
+        b.push(Instr::Ecall);
+        let mut mem = SwapMem::new(l);
+        mem.plant_secret(&[0x5A; 8]);
+        mem.set_secret_policy(SecretPolicy::AlwaysReadable);
+        let packet = SwapPacket::new("pressure", PacketKind::Transient, b.assemble());
+        mem.set_schedule(vec![packet]);
+        mem
+    }
+
+    /// After every cycle of every attack benchmark and of the pressure
+    /// packet, on both cores and in every IFT mode, the kept in-flight
+    /// counts equal a scan of the RoB, and the census reports what the RoB
+    /// and store-queue scans count, on the kept-count path and on the
+    /// fallback scans alike. Unlike the census's debug assertions, this
+    /// check also runs in a release build.
+    #[test]
+    fn in_flight_counts_equal_scans() {
+        let (mut rob_fallbacks, mut lsu_fallbacks) = (0, 0);
+        for cfg in [boom_small(), xiangshan_minimal()] {
+            let runs = attacks::all()
+                .into_iter()
+                .map(|case| (case.name, case.build_mem(&[0x5A])))
+                .chain([("pressure", pressure_mem())]);
+            for (name, mem) in runs {
+                for mode in IftMode::ALL {
+                    let mut mem = mem.clone();
+                    let mut core = Core::new(cfg, mode);
+                    core.start(&mut mem);
+                    while !core.done && core.cycle < 20_000 {
+                        core.step(&mut mem);
+                        let window = &core.rob[core.head..];
+                        let what = format!("{name} {mode:?} cycle {}", core.cycle);
+                        assert_eq!(core.in_flight, InFlight::scan(window), "{what}");
+                        if core.cellift_exploded {
+                            continue;
+                        }
+                        let census = core.census(&mem);
+                        let rob = rob_census(window, cfg.rob_entries);
+                        let lsu = lsu_census(window, cfg.sq_entries);
+                        assert_eq!(census.module_tainted("rob"), Some(rob), "{what}");
+                        assert_eq!(census.module_tainted("lsu"), Some(lsu), "{what}");
+                        rob_fallbacks += usize::from(window.len() > cfg.rob_entries && rob > 0);
+                        lsu_fallbacks +=
+                            usize::from(core.in_flight.stores > cfg.sq_entries && lsu > 0);
+                    }
+                }
+            }
+        }
+        assert!(
+            rob_fallbacks > 0 && lsu_fallbacks > 0,
+            "{rob_fallbacks} {lsu_fallbacks}"
+        );
+    }
 }

@@ -4,13 +4,21 @@
 //! control flow trains them *differently per DUT variant* — that divergence
 //! is both a taint source (diffIFT control rules) and a timing side channel
 //! (Table 5's `(fau)btb`, `ras`, `loop` components).
+//!
+//! Like the caches, every table keeps its census count current where it
+//! writes entry taints, and debug builds check the count against a full
+//! scan whenever it is reported.
 
 use dejavuzz_ift::{Census, Policy, TWord};
+
+use crate::cache::{recount, scan};
 
 /// A bimodal branch history table of 2-bit saturating counters.
 #[derive(Clone, Debug)]
 pub struct Bht {
     counters: Vec<TWord>,
+    /// Counters with a tainted value.
+    tainted: usize,
 }
 
 impl Bht {
@@ -18,6 +26,7 @@ impl Bht {
     pub fn new(entries: usize) -> Self {
         Bht {
             counters: vec![TWord::lit(1); entries],
+            tainted: 0,
         }
     }
 
@@ -50,7 +59,9 @@ impl Bht {
             b: c.b.saturating_sub(1),
             t: c.t,
         };
-        self.counters[i] = policy.mux(taken, inc, dec);
+        let next = policy.mux(taken, inc, dec);
+        self.tainted = recount(self.tainted, c.t, next.t);
+        self.counters[i] = next;
     }
 
     /// Whether a counter is away from its reset value (the "trained"
@@ -67,11 +78,13 @@ impl Bht {
     /// Resets every counter (new fuzzing iteration).
     pub fn reset(&mut self) {
         self.counters.iter_mut().for_each(|c| *c = TWord::lit(1));
+        self.tainted = 0;
     }
 
     /// Reports into a census sweep.
     pub fn census(&self, census: &mut Census) {
-        census.report("bht", self.taints());
+        debug_assert_eq!(self.tainted, scan(self.taints()), "bht count");
+        census.report_counts("bht", self.tainted, self.counters.len());
     }
 }
 
@@ -80,6 +93,8 @@ impl Bht {
 pub struct Btb {
     tags: Vec<Option<u64>>,
     targets: Vec<TWord>,
+    /// Entries with a tainted target.
+    tainted: usize,
 }
 
 impl Btb {
@@ -88,6 +103,7 @@ impl Btb {
         Btb {
             tags: vec![None; entries],
             targets: vec![TWord::lit(0); entries],
+            tainted: 0,
         }
     }
 
@@ -106,6 +122,7 @@ impl Btb {
     pub fn update(&mut self, pc: u64, target: TWord) {
         let i = self.index(pc);
         self.tags[i] = Some(pc);
+        self.tainted = recount(self.tainted, self.targets[i].t, target.t);
         self.targets[i] = target;
     }
 
@@ -128,11 +145,13 @@ impl Btb {
     pub fn reset(&mut self) {
         self.tags.iter_mut().for_each(|t| *t = None);
         self.targets.iter_mut().for_each(|t| *t = TWord::lit(0));
+        self.tainted = 0;
     }
 
     /// Reports into a census sweep.
     pub fn census(&self, census: &mut Census) {
-        census.report("btb", self.taints());
+        debug_assert_eq!(self.tainted, scan(self.taints()), "btb count");
+        census.report_counts("btb", self.tainted, self.targets.len());
     }
 }
 
@@ -157,6 +176,8 @@ pub struct Ras {
     /// When true (B2 fixed / XiangShan), checkpoints capture the whole
     /// stack; when false (BOOM), only TOS + top entry are restored.
     full_restore: bool,
+    /// Slots with a tainted value.
+    tainted: usize,
 }
 
 impl Ras {
@@ -167,18 +188,19 @@ impl Ras {
             stack: vec![TWord::lit(0); entries],
             tos: 0,
             full_restore,
+            tainted: 0,
         }
     }
 
     /// Pushes a return address (speculative, at fetch of a call).
     pub fn push(&mut self, ra: TWord) {
-        if self.tos < self.stack.len() {
-            self.stack[self.tos] = ra;
-            self.tos += 1;
-        } else {
-            // Saturating stack: overwrite the top (simple overflow policy).
-            *self.stack.last_mut().expect("RAS has at least one slot") = ra;
-        }
+        let top = self.stack.len().checked_sub(1);
+        // Saturating stack: a push onto a full stack overwrites the top
+        // (simple overflow policy).
+        let slot = self.tos.min(top.expect("RAS has at least one slot"));
+        self.tainted = recount(self.tainted, self.stack[slot].t, ra.t);
+        self.stack[slot] = ra;
+        self.tos = slot + 1;
     }
 
     /// Pops the predicted return address (speculative, at fetch of a ret).
@@ -223,6 +245,7 @@ impl Ras {
                 }
             }
         }
+        self.tainted = scan(self.taints());
     }
 
     /// In-stack liveness vector: entries below TOS will be consumed by
@@ -245,11 +268,13 @@ impl Ras {
     pub fn reset(&mut self) {
         self.tos = 0;
         self.stack.iter_mut().for_each(|e| *e = TWord::lit(0));
+        self.tainted = 0;
     }
 
     /// Reports into a census sweep.
     pub fn census(&self, census: &mut Census) {
-        census.report("ras", self.taints());
+        debug_assert_eq!(self.tainted, scan(self.taints()), "ras count");
+        census.report_counts("ras", self.tainted, self.stack.len());
     }
 }
 
@@ -266,6 +291,13 @@ struct LoopEntry {
     conf: u8,
 }
 
+impl LoopEntry {
+    /// The entry's census taint: its limit's or its count's.
+    fn taint(&self) -> u64 {
+        self.limit.t | self.count.t
+    }
+}
+
 /// A loop predictor: learns a branch's trip count and predicts the exit
 /// iteration. Training it takes *much longer* than training the bimodal
 /// table — the paper's "Training Preference" discussion (§7) notes the
@@ -273,6 +305,8 @@ struct LoopEntry {
 #[derive(Clone, Debug)]
 pub struct LoopPredictor {
     entries: Vec<LoopEntry>,
+    /// Entries whose limit or count is tainted.
+    tainted: usize,
 }
 
 /// Observations of the same trip count before the loop predictor engages.
@@ -283,6 +317,7 @@ impl LoopPredictor {
     pub fn new(entries: usize) -> Self {
         LoopPredictor {
             entries: vec![LoopEntry::default(); entries],
+            tainted: 0,
         }
     }
 
@@ -306,6 +341,7 @@ impl LoopPredictor {
     pub fn update(&mut self, pc: u64, taken: TWord) {
         let i = self.index(pc);
         let e = &mut self.entries[i];
+        let old = e.taint();
         if e.tag != Some(pc) {
             *e = LoopEntry {
                 tag: Some(pc),
@@ -324,6 +360,7 @@ impl LoopPredictor {
             }
             e.count = TWord::lit(0);
         }
+        self.tainted = recount(self.tainted, old, e.taint());
     }
 
     /// Confidence-based liveness vector.
@@ -333,7 +370,7 @@ impl LoopPredictor {
 
     /// Per-entry taints (limit or count tainted).
     pub fn taints(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.iter().map(|e| e.limit.t | e.count.t)
+        self.entries.iter().map(LoopEntry::taint)
     }
 
     /// Clears the table.
@@ -341,11 +378,13 @@ impl LoopPredictor {
         self.entries
             .iter_mut()
             .for_each(|e| *e = LoopEntry::default());
+        self.tainted = 0;
     }
 
     /// Reports into a census sweep.
     pub fn census(&self, census: &mut Census) {
-        census.report("loop", self.taints());
+        debug_assert_eq!(self.tainted, scan(self.taints()), "loop count");
+        census.report_counts("loop", self.tainted, self.entries.len());
     }
 }
 
