@@ -14,7 +14,7 @@ use dejavuzz::campaign::{CampaignStats, FuzzerOptions};
 use dejavuzz::executor::ExecutorReport;
 use dejavuzz::gen::WindowType;
 use dejavuzz::observer::json_str;
-use dejavuzz_ift::{CoverageMatrix, IftMode};
+use dejavuzz_ift::{CoverageMatrix, IftMode, Module};
 use dejavuzz_specdoctor::{SpecDoctor, SpecDoctorOptions};
 use dejavuzz_uarch::core::Core;
 use dejavuzz_uarch::{attacks, boom_small, xiangshan_minimal, CoreConfig};
@@ -393,11 +393,10 @@ pub fn liveness_eval(candidates: usize, max_iterations: usize) -> String {
         // be encoded into the microarchitecture but still remain in the
         // data cache" (§6.3).
         const TIMING: [&str; 7] = ["dcache", "icache", "tlb", "l2tlb", "btb", "ras", "loop"];
-        let encoded = it
-            .run
-            .sinks
-            .iter()
-            .any(|s| s.exploitable() && s.taint == u64::MAX && TIMING.contains(&s.module));
+        let encoded =
+            it.run.sinks.iter().any(|s| {
+                s.exploitable() && s.taint == u64::MAX && TIMING.contains(&s.module.name())
+            });
         if encoded {
             real += 1;
         } else {
@@ -439,7 +438,7 @@ pub fn table5(iterations: usize) -> String {
         for b in &stats.bugs {
             rows.entry((b.attack.name(), b.window_type.table5_class()))
                 .or_default()
-                .push(b.channel.component());
+                .push(b.component());
         }
         for ((attack, class), mut comps) in rows {
             comps.sort();
@@ -460,7 +459,7 @@ pub fn table5(iterations: usize) -> String {
         "B1 MeltDown-Sampling (XiangShan): {}\n",
         if r.sinks
             .iter()
-            .any(|s| s.module == "dcache" && s.exploitable())
+            .any(|s| s.module == Module::Dcache && s.exploitable())
         {
             "DETECTED"
         } else {
@@ -472,7 +471,10 @@ pub fn table5(iterations: usize) -> String {
     let r = Core::new(boom_small(), IftMode::DiffIft).run(&mut mem, 10_000);
     out.push_str(&format!(
         "B2 Phantom-RSB (BOOM):            {}\n",
-        if r.sinks.iter().any(|s| s.module == "ras" && s.exploitable()) {
+        if r.sinks
+            .iter()
+            .any(|s| s.module == Module::Ras && s.exploitable())
+        {
             "DETECTED"
         } else {
             "missed"

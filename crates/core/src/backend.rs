@@ -333,6 +333,9 @@ pub struct NetlistIo {
 }
 
 impl NetlistIo {
+    /// The roles, as [`BackendError::NoSuchInput`] names them.
+    pub const ROLES: [&'static str; 4] = ["data", "control", "index", "aux"];
+
     /// Drives derived, untainted background stimulus for one instruction
     /// into a cycle's input vector `v`.
     fn drive_background(&self, v: &mut [TWord], word: u32, cycle: u64) {
@@ -793,14 +796,9 @@ impl SimBackend for NetlistBackend {
             Some(sim) => sim.input_count(),
             None => self.netlist.input_count(),
         };
-        for (role, index) in [
-            ("data", self.io.data),
-            ("control", self.io.control),
-            ("index", self.io.index),
-        ]
-        .into_iter()
-        .chain(self.io.aux.iter().map(|&a| ("aux", a)))
-        {
+        let ports = [self.io.data, self.io.control, self.io.index];
+        let aux = self.io.aux.iter().map(|&a| (a, NetlistIo::ROLES[3]));
+        for (index, role) in ports.into_iter().zip(NetlistIo::ROLES).chain(aux) {
             if index >= inputs {
                 return Err(BackendError::NoSuchInput {
                     role,

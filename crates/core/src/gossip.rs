@@ -314,8 +314,9 @@ mod unix {
 mod tests {
     use super::*;
     use crate::gen::{Seed, WindowType};
+    use dejavuzz_ift::Module;
 
-    fn pt(module: &'static str, index: usize) -> CoveragePoint {
+    fn pt(module: Module, index: u32) -> CoveragePoint {
         CoveragePoint { module, index }
     }
 
@@ -323,7 +324,7 @@ mod tests {
         GossipFrame {
             shard,
             iterations: 10 * n,
-            delta: (1..=n).map(|i| pt("rob", i)).collect(),
+            delta: (1..=n).map(|i| pt(Module::Rob, i as u32)).collect(),
             favoured: vec![CorpusEntry {
                 seed: Seed::new(WindowType::ALL[0], 7),
                 gain: n,

@@ -25,6 +25,11 @@
 //! * [`CampaignObserver::campaign_finished`] — once, with the final
 //!   [`ExecutorReport`].
 //!
+//! [`CampaignEvent`] is the owned form of every event, and an
+//! [`EventSink`] consumes events in that form: a blanket impl makes every
+//! sink an observer, and [`CampaignEvent::to_json`] is the one JSON
+//! serialiser (of [`JsonLinesObserver`] and of the fleet transport).
+//!
 //! Two built-ins cover the CLI's needs: [`TextObserver`] reimplements
 //! the historical `dejavuzz-fuzz` stdout report (byte-identical for the
 //! default run — CI diffs it), and [`JsonLinesObserver`] emits one JSON
@@ -35,9 +40,12 @@
 //! byte-deterministic per `(seed, workers)`.
 
 use std::io::{self, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use dejavuzz_ift::CoveragePoint;
+
+use crate::campaign::CampaignStats;
 use crate::executor::ExecutorReport;
 use crate::gen::WindowType;
 use crate::report::BugReport;
@@ -188,6 +196,109 @@ pub trait CampaignObserver {
     fn seed_imported(&mut self, _ev: &SeedImported) {}
     /// See [`CampaignFinished`].
     fn campaign_finished(&mut self, _ev: &CampaignFinished<'_>) {}
+}
+
+/// An owned campaign event: every [`CampaignObserver`] callback's
+/// payload, detached from the executor's borrows so it can cross
+/// threads or be serialised later. The borrowed-slice events
+/// ([`CoverageGained`], [`SnapshotWritten`], [`CampaignFinished`]) are
+/// flattened to owned fields; the already-owned event structs embed
+/// directly.
+#[derive(Clone, Debug, PartialEq)]
+pub enum CampaignEvent {
+    /// See [`RoundStarted`].
+    RoundStarted(RoundStarted),
+    /// See [`SlotCommitted`].
+    SlotCommitted(SlotCommitted),
+    /// See [`CoverageGained`] — with the fresh points owned.
+    CoverageGained {
+        /// The contributing slot.
+        slot: usize,
+        /// The newly covered points, in commit order.
+        points: Vec<CoveragePoint>,
+        /// Global coverage after folding them in.
+        total_points: usize,
+    },
+    /// See [`BugFound`].
+    BugFound(BugFound),
+    /// See [`SnapshotWritten`] — with the path owned.
+    SnapshotWritten {
+        /// Where the checkpoint was written.
+        path: PathBuf,
+        /// Iterations completed at the checkpoint.
+        iterations: usize,
+        /// Periodic mid-run checkpoint or the end-of-run one.
+        periodic: bool,
+    },
+    /// See [`PeerDeltaImported`].
+    PeerDeltaImported(PeerDeltaImported),
+    /// See [`SeedImported`].
+    SeedImported(SeedImported),
+    /// See [`CampaignFinished`] — its report's stats and corpus counts,
+    /// without the wall-clock.
+    CampaignFinished {
+        /// The final campaign stats.
+        stats: CampaignStats,
+        /// Seeds the corpus retained.
+        corpus_retained: usize,
+        /// Seeds the corpus evicted for capacity.
+        corpus_evicted: usize,
+    },
+}
+
+/// A consumer of owned [`CampaignEvent`]s. Every sink is a
+/// [`CampaignObserver`]: the blanket impl below turns each borrowed
+/// event into one owned event, so a sink implements one method where an
+/// observer implements eight.
+pub trait EventSink {
+    /// Consumes one event.
+    fn event(&mut self, ev: CampaignEvent);
+}
+
+impl<S: EventSink> CampaignObserver for S {
+    fn round_started(&mut self, ev: &RoundStarted) {
+        self.event(CampaignEvent::RoundStarted(*ev));
+    }
+
+    fn slot_committed(&mut self, ev: &SlotCommitted) {
+        self.event(CampaignEvent::SlotCommitted(ev.clone()));
+    }
+
+    fn coverage_gained(&mut self, ev: &CoverageGained<'_>) {
+        self.event(CampaignEvent::CoverageGained {
+            slot: ev.slot,
+            points: ev.points.to_vec(),
+            total_points: ev.total_points,
+        });
+    }
+
+    fn bug_found(&mut self, ev: &BugFound) {
+        self.event(CampaignEvent::BugFound(ev.clone()));
+    }
+
+    fn snapshot_written(&mut self, ev: &SnapshotWritten<'_>) {
+        self.event(CampaignEvent::SnapshotWritten {
+            path: ev.path.to_path_buf(),
+            iterations: ev.iterations,
+            periodic: ev.periodic,
+        });
+    }
+
+    fn peer_delta_imported(&mut self, ev: &PeerDeltaImported) {
+        self.event(CampaignEvent::PeerDeltaImported(*ev));
+    }
+
+    fn seed_imported(&mut self, ev: &SeedImported) {
+        self.event(CampaignEvent::SeedImported(*ev));
+    }
+
+    fn campaign_finished(&mut self, ev: &CampaignFinished<'_>) {
+        self.event(CampaignEvent::CampaignFinished {
+            stats: ev.report.stats.clone(),
+            corpus_retained: ev.report.corpus_retained,
+            corpus_evicted: ev.report.corpus_evicted,
+        });
+    }
 }
 
 /// The historical `dejavuzz-fuzz` stdout report as an observer: an
@@ -346,121 +457,118 @@ impl<W: Write> JsonLinesObserver<W> {
     }
 }
 
-impl<W: Write> CampaignObserver for JsonLinesObserver<W> {
-    fn round_started(&mut self, ev: &RoundStarted) {
-        let _ = writeln!(
-            self.out,
-            "{{\"event\":\"round_started\",\"first_slot\":{},\"slots\":{},\"gain_samples\":{}}}",
-            ev.first_slot, ev.slots, ev.gain_threshold_samples
-        );
+impl<W: Write> EventSink for JsonLinesObserver<W> {
+    fn event(&mut self, ev: CampaignEvent) {
+        let _ = writeln!(self.out, "{}", ev.to_json());
+        if matches!(ev, CampaignEvent::CampaignFinished { .. }) {
+            let _ = self.out.flush();
+        }
     }
+}
 
-    fn slot_committed(&mut self, ev: &SlotCommitted) {
-        let error = match &ev.error {
-            Some(e) => json_str(e),
-            None => "null".to_string(),
-        };
-        let _ = writeln!(
-            self.out,
-            "{{\"event\":\"slot_committed\",\"slot\":{},\"stream\":{},\"window\":{},\
-             \"triggered\":{},\"to\":{},\"eto\":{},\"sim_runs\":{},\"final_gain\":{},\
-             \"fresh_points\":{},\"total_points\":{},\"error\":{}}}",
-            ev.slot,
-            ev.stream,
-            json_str(ev.window_type.name()),
-            ev.triggered,
-            ev.to,
-            ev.eto,
-            ev.sim_runs,
-            ev.final_gain,
-            ev.fresh_points,
-            ev.total_points,
-            error
-        );
-    }
-
-    fn coverage_gained(&mut self, ev: &CoverageGained<'_>) {
-        let _ = writeln!(
-            self.out,
-            "{{\"event\":\"coverage_gained\",\"slot\":{},\"gained\":{},\"total_points\":{}}}",
-            ev.slot,
-            ev.points.len(),
-            ev.total_points
-        );
-    }
-
-    fn bug_found(&mut self, ev: &BugFound) {
-        let _ = writeln!(
-            self.out,
-            "{{\"event\":\"bug_found\",\"slot\":{},\"core\":{},\"attack\":{},\
-             \"window_class\":{},\"component\":{},\"iteration\":{}}}",
-            ev.slot,
-            json_str(ev.bug.core),
-            json_str(ev.bug.attack.name()),
-            json_str(ev.bug.window_type.table5_class()),
-            json_str(ev.bug.channel.component()),
-            ev.bug.iteration
-        );
-    }
-
-    fn snapshot_written(&mut self, ev: &SnapshotWritten<'_>) {
-        let _ = writeln!(
-            self.out,
-            "{{\"event\":\"snapshot_written\",\"path\":{},\"iterations\":{},\"periodic\":{}}}",
-            json_str(&ev.path.display().to_string()),
-            ev.iterations,
-            ev.periodic
-        );
-    }
-
-    fn peer_delta_imported(&mut self, ev: &PeerDeltaImported) {
-        let _ = writeln!(
-            self.out,
-            "{{\"event\":\"peer_delta_imported\",\"from_shard\":{},\"peer_iterations\":{},\
-             \"boundary\":{},\"points\":{},\"fresh_points\":{},\"total_points\":{}}}",
-            ev.from_shard,
-            ev.peer_iterations,
-            ev.boundary,
-            ev.points,
-            ev.fresh_points,
-            ev.total_points
-        );
-    }
-
-    fn seed_imported(&mut self, ev: &SeedImported) {
-        let _ = writeln!(
-            self.out,
-            "{{\"event\":\"seed_imported\",\"from_shard\":{},\"boundary\":{},\"window\":{},\
-             \"entropy\":{},\"gain\":{}}}",
-            ev.from_shard,
-            ev.boundary,
-            json_str(ev.window_type.name()),
-            ev.entropy,
-            ev.gain
-        );
-    }
-
-    fn campaign_finished(&mut self, ev: &CampaignFinished<'_>) {
-        let stats = &ev.report.stats;
-        let _ = writeln!(
-            self.out,
-            "{{\"event\":\"campaign_finished\",\"iterations\":{},\"sim_runs\":{},\
-             \"sim_cycles\":{},\"coverage_points\":{},\"corpus_retained\":{},\
-             \"corpus_evicted\":{},\"failed_runs\":{},\"bugs\":{},\"first_bug\":{}}}",
-            stats.iterations,
-            stats.sim_runs,
-            stats.sim_cycles,
-            stats.coverage(),
-            ev.report.corpus_retained,
-            ev.report.corpus_evicted,
-            stats.failed_runs,
-            stats.bugs.len(),
-            match stats.first_bug_iteration {
-                Some(i) => i.to_string(),
-                None => "null".to_string(),
+impl CampaignEvent {
+    /// The event as one JSON object, without a newline: the line
+    /// [`JsonLinesObserver`] writes, and the one serialiser of every
+    /// JSON event stream.
+    pub fn to_json(&self) -> String {
+        match self {
+            CampaignEvent::RoundStarted(ev) => format!(
+                "{{\"event\":\"round_started\",\"first_slot\":{},\"slots\":{},\"gain_samples\":{}}}",
+                ev.first_slot, ev.slots, ev.gain_threshold_samples
+            ),
+            CampaignEvent::SlotCommitted(ev) => {
+                let error = match &ev.error {
+                    Some(e) => json_str(e),
+                    None => "null".to_string(),
+                };
+                format!(
+                    "{{\"event\":\"slot_committed\",\"slot\":{},\"stream\":{},\"window\":{},\
+                     \"triggered\":{},\"to\":{},\"eto\":{},\"sim_runs\":{},\"final_gain\":{},\
+                     \"fresh_points\":{},\"total_points\":{},\"error\":{}}}",
+                    ev.slot,
+                    ev.stream,
+                    json_str(ev.window_type.name()),
+                    ev.triggered,
+                    ev.to,
+                    ev.eto,
+                    ev.sim_runs,
+                    ev.final_gain,
+                    ev.fresh_points,
+                    ev.total_points,
+                    error
+                )
             }
-        );
-        let _ = self.out.flush();
+            CampaignEvent::CoverageGained {
+                slot,
+                points,
+                total_points,
+            } => format!(
+                "{{\"event\":\"coverage_gained\",\"slot\":{},\"gained\":{},\"total_points\":{}}}",
+                slot,
+                points.len(),
+                total_points
+            ),
+            CampaignEvent::BugFound(ev) => format!(
+                "{{\"event\":\"bug_found\",\"slot\":{},\"core\":{},\"attack\":{},\
+                 \"window_class\":{},\"component\":{},\"iteration\":{}}}",
+                ev.slot,
+                json_str(&ev.bug.core),
+                json_str(ev.bug.attack.name()),
+                json_str(ev.bug.window_type.table5_class()),
+                json_str(ev.bug.component()),
+                ev.bug.iteration
+            ),
+            CampaignEvent::SnapshotWritten {
+                path,
+                iterations,
+                periodic,
+            } => format!(
+                "{{\"event\":\"snapshot_written\",\"path\":{},\"iterations\":{},\"periodic\":{}}}",
+                json_str(&path.display().to_string()),
+                iterations,
+                periodic
+            ),
+            CampaignEvent::PeerDeltaImported(ev) => format!(
+                "{{\"event\":\"peer_delta_imported\",\"from_shard\":{},\"peer_iterations\":{},\
+                 \"boundary\":{},\"points\":{},\"fresh_points\":{},\"total_points\":{}}}",
+                ev.from_shard,
+                ev.peer_iterations,
+                ev.boundary,
+                ev.points,
+                ev.fresh_points,
+                ev.total_points
+            ),
+            CampaignEvent::SeedImported(ev) => format!(
+                "{{\"event\":\"seed_imported\",\"from_shard\":{},\"boundary\":{},\"window\":{},\
+                 \"entropy\":{},\"gain\":{}}}",
+                ev.from_shard,
+                ev.boundary,
+                json_str(ev.window_type.name()),
+                ev.entropy,
+                ev.gain
+            ),
+            CampaignEvent::CampaignFinished {
+                stats,
+                corpus_retained,
+                corpus_evicted,
+            } => format!(
+                "{{\"event\":\"campaign_finished\",\"iterations\":{},\"sim_runs\":{},\
+                 \"sim_cycles\":{},\"coverage_points\":{},\"corpus_retained\":{},\
+                 \"corpus_evicted\":{},\"failed_runs\":{},\"bugs\":{},\"first_bug\":{}}}",
+                stats.iterations,
+                stats.sim_runs,
+                stats.sim_cycles,
+                stats.coverage(),
+                corpus_retained,
+                corpus_evicted,
+                stats.failed_runs,
+                stats.bugs.len(),
+                match stats.first_bug_iteration {
+                    Some(i) => i.to_string(),
+                    None => "null".to_string(),
+                }
+            ),
+        }
     }
 }
 

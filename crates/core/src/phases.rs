@@ -6,7 +6,7 @@
 //! [`BackendError`] so a misconfigured backend fails the *run* (the
 //! executor records it and keeps fuzzing), never the campaign.
 
-use dejavuzz_ift::{CoveragePoint, IftMode, TaintCoverage};
+use dejavuzz_ift::{CoveragePoint, IftMode, Module, TaintCoverage};
 use dejavuzz_swapmem::{SwapMem, SwapPacket, DEFAULT_LAYOUT};
 
 use crate::backend::{BackendError, RunOutcome, SimBackend};
@@ -347,10 +347,9 @@ pub fn phase3<B: SimBackend + ?Sized>(
             .timing_events
             .iter()
             .max_by_key(|t| t.wait_a.abs_diff(t.wait_b))
-            .map(|t| t.resource)
-            .unwrap_or("pipeline");
+            .map(|t| t.resource);
         leaks.push(BugReport {
-            core,
+            core: core.into(),
             attack,
             window_type: p1.plan.window_type,
             channel: LeakChannel::Timing { resource },
@@ -365,7 +364,7 @@ pub fn phase3<B: SimBackend + ?Sized>(
     let last = schedule.len() - 1;
     schedule[last] = sanitized_pkt;
     let sanitized = simulate(backend, &p1.plan, &schedule, opts.mode, opts.max_cycles)?;
-    let sanitized_tainted: std::collections::HashSet<(&'static str, String, usize)> = sanitized
+    let sanitized_tainted: std::collections::HashSet<(Module, String, usize)> = sanitized
         .sinks
         .iter()
         .map(|s| (s.module, s.array.clone(), s.index))
@@ -383,21 +382,13 @@ pub fn phase3<B: SimBackend + ?Sized>(
             rejected_residue += 1;
             continue;
         }
-        // Scenario windows may refine the raw sink module into a
-        // family-specific channel label (e.g. `regfile` under the
-        // Zenbleed template is stale-register readout, not a generic
-        // regfile taint) — the template's classification hook decides.
-        let mut module = sink.module;
-        if let gen::WindowType::Scenario(i) = p1.plan.window_type {
-            if let Some(label) = dejavuzz_scenarios::instance_classify_sink(i, module) {
-                module = label;
-            }
-        }
         leaks.push(BugReport {
-            core,
+            core: core.into(),
             attack,
             window_type: p1.plan.window_type,
-            channel: LeakChannel::Encoded { module },
+            channel: LeakChannel::Encoded {
+                module: sink.module,
+            },
             iteration,
         });
     }

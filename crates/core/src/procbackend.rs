@@ -29,7 +29,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dejavuzz_ift::IftMode;
-use dejavuzz_persist::intern;
 use dejavuzz_procsim::{read_frame, write_frame, Pool, PoolOptions};
 use dejavuzz_swapmem::SwapPacket;
 use dejavuzz_telemetry::Timer;
@@ -87,7 +86,7 @@ pub fn worker_binary() -> Option<PathBuf> {
 }
 
 /// The pool-side state every [`ProcBackend`] clone shares: the process
-/// pool itself plus the identity the workers reported at handshake.
+/// pool itself plus the backend identity its handshake confirmed.
 #[derive(Clone, Debug)]
 pub struct ProcShared {
     pool: Arc<Pool>,
@@ -114,8 +113,16 @@ impl ProcShared {
 
 /// Spawns and handshakes the worker pool for `spec`. The error string is
 /// the human-readable reason (missing binary, spawn failure, worker
-/// refusal), which the builder wraps in `BuildError::ProcPool`.
+/// refusal or DUT mismatch), which the builder wraps in
+/// `BuildError::ProcPool`.
 pub fn spawn_shared(spec: &ProcSpec) -> Result<ProcShared, String> {
+    // The DUT is this process's own: an extension resolves through its
+    // registry, as it does in-process.
+    let dut = match &*spec.inner {
+        BackendSpec::Behavioural(cfg) => cfg.name,
+        BackendSpec::Netlist(scale) => scale.name,
+        inner => inner.try_build().map_err(|e| e.to_string())?.dut_name(),
+    };
     let program = worker_binary().ok_or_else(|| {
         format!(
             "worker binary dejavuzz-simd not found next to {} (set {WORKER_BIN_ENV} to its path)",
@@ -140,16 +147,29 @@ pub fn spawn_shared(spec: &ProcSpec) -> Result<ProcShared, String> {
         spec.pool,
     )
     .map_err(|e| e.to_string())?;
-    let ack = decode_hello_ack(&ack)
-        .map_err(|e| format!("undecodable handshake reply: {e}"))?
-        .map_err(|refusal| format!("worker refused the configuration: {refusal}"))?;
+    let ack = accept_ack(&ack, &spec.inner_arg, dut)?;
     Ok(ProcShared {
         pool: Arc::new(pool),
-        dut: intern(&ack.dut),
+        dut,
         supports_taint: ack.supports_taint,
         respawns_seen: Arc::new(AtomicU64::new(0)),
         active: Arc::new(AtomicU64::new(0)),
     })
+}
+
+/// Decodes a worker's handshake reply, refusing a worker that serves
+/// `inner` as a DUT other than `dut`, the one bug reports will name.
+fn accept_ack(bytes: &[u8], inner: &str, dut: &str) -> Result<HelloAck, String> {
+    let ack = decode_hello_ack(bytes)
+        .map_err(|e| format!("undecodable handshake reply: {e}"))?
+        .map_err(|refusal| format!("worker refused the configuration: {refusal}"))?;
+    if ack.dut != dut {
+        return Err(format!(
+            "the worker serves {inner:?} as DUT {:?}, but this process resolves it to DUT {dut:?}",
+            ack.dut
+        ));
+    }
+    Ok(ack)
 }
 
 /// A [`SimBackend`] that simulates by RPC to a shared pool of
@@ -416,6 +436,33 @@ mod tests {
         assert_eq!(ack.name, backend.name());
         assert_eq!(ack.dut, backend.dut_name());
         assert_eq!(ack.supports_taint, backend.supports_taint());
+    }
+
+    #[test]
+    fn an_ack_naming_another_dut_is_refused_naming_both() {
+        let dut = BackendSpec::parse("netlist:small", boom_small())
+            .unwrap()
+            .build()
+            .dut_name();
+        assert_eq!(dut, "SynthSmall");
+        let ack = |dut: &str| {
+            encode_hello_ack(&Ok(HelloAck {
+                name: "netlist".into(),
+                dut: dut.into(),
+                supports_taint: true,
+            }))
+        };
+        assert_eq!(
+            accept_ack(&ack(dut), "netlist:small", dut).unwrap().dut,
+            dut
+        );
+        let err = accept_ack(&ack("Rocket"), "netlist:small", dut).unwrap_err();
+        assert!(
+            err.contains("\"Rocket\"") && err.contains("\"SynthSmall\""),
+            "{err}"
+        );
+        let err = accept_ack(&encode_hello_ack(&Err("no".into())), "netlist:small", dut);
+        assert!(err.unwrap_err().contains("worker refused"));
     }
 
     #[test]

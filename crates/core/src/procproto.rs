@@ -10,7 +10,9 @@
 //!   worker-side backend's identity (`name`/`dut_name`/`supports_taint`)
 //!   or a configuration error. The pool layer requires every worker of a
 //!   pool — including respawns — to produce byte-identical acks, which
-//!   makes the handshake double as a protocol-purity check.
+//!   makes the handshake double as a protocol-purity check, and the
+//!   parent refuses an ack whose DUT differs from the one its own parse
+//!   of the inner spec names.
 //! * **Run** ([`RunRequest`] → `RunResponse`): one simulation. The
 //!   request is a full serialization of [`crate::backend::SimBackend::run`]'s arguments;
 //!   the response is its `Result<RunOutcome, BackendError>`. Requests
@@ -26,15 +28,25 @@
 //! of this one. The encodings are deterministic (field order is fixed,
 //! no maps), so equal values produce equal bytes — the property the
 //! pool-of-M determinism contract and the handshake pinning rely on.
+//!
+//! Names from closed vocabularies travel as one-byte tags, so a reply
+//! carries no strings for them and decoding one allocates nothing: a
+//! [`Module`] (census entries, sinks, timing resources) as its position
+//! in [`Module::ALL`], a squash or trap cause as its position in
+//! [`CAUSES`], and a [`BackendError::NoSuchInput`] role as its position
+//! in [`NetlistIo::ROLES`]. A tag past the end of its table is a
+//! [`DecodeError::InvalidTag`]; a worker encodes a cause or role its
+//! table lacks as `u8::MAX`, so such a reply fails the run instead of
+//! being misread.
 
-use dejavuzz_ift::{Census, IftMode, SinkReport, TaintLog};
+use dejavuzz_ift::{Census, IftMode, Module, SinkReport, TaintLog};
 use dejavuzz_isa::asm::Program;
-use dejavuzz_persist::{intern, DecodeError, Decoder, Encoder, Persist};
+use dejavuzz_persist::{DecodeError, Decoder, Encoder, Persist};
 use dejavuzz_swapmem::{PacketKind, SecretPolicy, SwapPacket};
 use dejavuzz_uarch::core::TimingEvent;
-use dejavuzz_uarch::trace::{RobEvent, Trace};
+use dejavuzz_uarch::trace::{RobEvent, Trace, CAUSES};
 
-use crate::backend::{BackendError, RunOutcome};
+use crate::backend::{BackendError, NetlistIo, RunOutcome};
 use crate::gen::TransientPlan;
 
 /// Wire protocol version, checked by the handshake (on top of the frame
@@ -42,8 +54,10 @@ use crate::gen::TransientPlan;
 /// change to the message encodings below — v2: [`crate::gen::
 /// WindowType`] gained the variable-length scenario encoding, which
 /// rides in every [`TransientPlan`] crossing the pipe; v3:
-/// [`BackendError`] gained `InvalidMemory` (tag 3).
-pub const PROTO_VERSION: u32 = 3;
+/// [`BackendError`] gained `InvalidMemory` (tag 3); v4: modules, causes
+/// and roles travel as one-byte tags, and a reply no longer leads its
+/// taint log with a module-name dictionary.
+pub const PROTO_VERSION: u32 = 4;
 
 /// The handshake request: who the embedder is and what it wants served.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -300,7 +314,7 @@ fn encode_rob_event(enc: &mut Encoder, e: &RobEvent) {
             enc.i64(*skew_b);
             enc.usize(*after_idx);
             enc.usize(*killed);
-            enc.str(cause);
+            encode_tag(enc, &CAUSES, cause);
         }
         RobEvent::Trap {
             cycle,
@@ -310,7 +324,7 @@ fn encode_rob_event(enc: &mut Encoder, e: &RobEvent) {
             enc.u8(3);
             enc.u64(*cycle);
             enc.i64(*skew_b);
-            enc.str(cause);
+            encode_tag(enc, &CAUSES, cause);
         }
     }
 }
@@ -334,12 +348,12 @@ fn decode_rob_event(dec: &mut Decoder<'_>) -> Result<RobEvent, DecodeError> {
             skew_b: dec.i64()?,
             after_idx: dec.usize()?,
             killed: dec.usize()?,
-            cause: intern(&dec.string()?),
+            cause: decode_tag(dec, &CAUSES, "squash cause")?,
         },
         3 => RobEvent::Trap {
             cycle: dec.u64()?,
             skew_b: dec.i64()?,
-            cause: intern(&dec.string()?),
+            cause: decode_tag(dec, &CAUSES, "trap cause")?,
         },
         tag => {
             return Err(DecodeError::InvalidTag {
@@ -350,53 +364,42 @@ fn decode_rob_event(dec: &mut Decoder<'_>) -> Result<RobEvent, DecodeError> {
     })
 }
 
-/// Census cycles repeat the same module hierarchy every simulated cycle,
-/// so the taint log is encoded against a per-outcome name dictionary:
-/// the distinct module names once, then each cycle's entries as
-/// `(name index, tainted, total)`. This is a size *and* time win — the
-/// log dominates a reply's bytes, and decoding indexes skips a string
-/// allocation per module per cycle on the RPC hot path.
-fn census_name_dict(log: &TaintLog) -> Vec<&'static str> {
-    let mut names: Vec<&'static str> = Vec::new();
-    for (_, census) in log.iter() {
-        for m in census.modules() {
-            // Linear scan: the vocabulary is the DUT's module list,
-            // a few dozen entries at most.
-            if !names.contains(&m.module) {
-                names.push(m.module);
-            }
-        }
-    }
-    names
+/// Writes `name`'s position in `table` as one byte, or `u8::MAX` (past
+/// the end of every table) for a name outside it.
+fn encode_tag(enc: &mut Encoder, table: &[&str], name: &str) {
+    let tag = table.iter().position(|t| *t == name);
+    enc.u8(tag.and_then(|i| u8::try_from(i).ok()).unwrap_or(u8::MAX));
 }
 
-fn encode_census(enc: &mut Encoder, census: &Census, names: &[&'static str]) {
+/// Reads a one-byte tag back into its `table` entry.
+fn decode_tag<T: Copy>(
+    dec: &mut Decoder<'_>,
+    table: &[T],
+    what: &'static str,
+) -> Result<T, DecodeError> {
+    let tag = dec.u8()?;
+    let invalid = DecodeError::InvalidTag {
+        what,
+        tag: tag.into(),
+    };
+    table.get(usize::from(tag)).copied().ok_or(invalid)
+}
+
+fn encode_census(enc: &mut Encoder, census: &Census) {
     enc.usize(census.modules().len());
     for m in census.modules() {
-        let idx = names
-            .iter()
-            .position(|n| *n == m.module)
-            .expect("dictionary built from this log");
-        enc.usize(idx);
+        enc.u8(m.module as u8);
         enc.usize(m.tainted);
         enc.usize(m.total);
     }
 }
 
 /// Decodes one cycle's census into `census`, reusing its buffer.
-fn decode_census(
-    dec: &mut Decoder<'_>,
-    names: &[&'static str],
-    census: &mut Census,
-) -> Result<(), DecodeError> {
-    let n = dec.len_prefix("Census.modules", 8)?;
+fn decode_census(dec: &mut Decoder<'_>, census: &mut Census) -> Result<(), DecodeError> {
+    let n = dec.len_prefix("Census.modules", 17)?;
     census.clear();
     for _ in 0..n {
-        let idx = dec.usize()?;
-        let module = *names.get(idx).ok_or(DecodeError::InvalidTag {
-            what: "Census module name index",
-            tag: idx as u32,
-        })?;
+        let module = decode_tag(dec, &Module::ALL, "Module")?;
         let tainted = dec.usize()?;
         let total = dec.usize()?;
         census.report_counts(module, tainted, total);
@@ -409,18 +412,13 @@ fn encode_outcome(enc: &mut Encoder, out: &RunOutcome) {
     for e in out.trace.events() {
         encode_rob_event(enc, e);
     }
-    let names = census_name_dict(&out.taint_log);
-    enc.usize(names.len());
-    for n in &names {
-        enc.str(n);
-    }
     enc.usize(out.taint_log.len());
     for (_, census) in out.taint_log.iter() {
-        encode_census(enc, census, &names);
+        encode_census(enc, census);
     }
     enc.usize(out.sinks.len());
     for s in &out.sinks {
-        enc.str(s.module);
+        enc.u8(s.module as u8);
         enc.str(&s.array);
         enc.usize(s.index);
         enc.u64(s.taint);
@@ -429,7 +427,7 @@ fn encode_outcome(enc: &mut Encoder, out: &RunOutcome) {
     enc.usize(out.timing_events.len());
     for t in &out.timing_events {
         enc.u64(t.cycle);
-        enc.str(t.resource);
+        enc.u8(t.resource as u8);
         enc.u64(t.wait_a);
         enc.u64(t.wait_b);
     }
@@ -444,23 +442,18 @@ fn decode_outcome(dec: &mut Decoder<'_>) -> Result<RunOutcome, DecodeError> {
     for _ in 0..n {
         trace.push(decode_rob_event(dec)?);
     }
-    let n = dec.len_prefix("RunOutcome.census_names", 8)?;
-    let mut names = Vec::with_capacity(n);
-    for _ in 0..n {
-        names.push(intern(&dec.string()?));
-    }
     let n = dec.len_prefix("RunOutcome.taint_log", 8)?;
     let mut taint_log = TaintLog::new();
     let mut census = Census::new();
     for _ in 0..n {
-        decode_census(dec, &names, &mut census)?;
+        decode_census(dec, &mut census)?;
         taint_log.push_ref(&census);
     }
     let n = dec.len_prefix("RunOutcome.sinks", 8)?;
     let mut sinks = Vec::with_capacity(n);
     for _ in 0..n {
         sinks.push(SinkReport {
-            module: intern(&dec.string()?),
+            module: decode_tag(dec, &Module::ALL, "Module")?,
             array: dec.string()?,
             index: dec.usize()?,
             taint: dec.u64()?,
@@ -472,7 +465,7 @@ fn decode_outcome(dec: &mut Decoder<'_>) -> Result<RunOutcome, DecodeError> {
     for _ in 0..n {
         timing_events.push(TimingEvent {
             cycle: dec.u64()?,
-            resource: intern(&dec.string()?),
+            resource: decode_tag(dec, &Module::ALL, "Module")?,
             wait_a: dec.u64()?,
             wait_b: dec.u64()?,
         });
@@ -501,7 +494,7 @@ fn encode_backend_error(enc: &mut Encoder, e: &BackendError) {
             inputs,
         } => {
             enc.u8(1);
-            enc.str(role);
+            encode_tag(enc, &NetlistIo::ROLES, role);
             enc.usize(*index);
             enc.usize(*inputs);
         }
@@ -520,7 +513,7 @@ fn decode_backend_error(dec: &mut Decoder<'_>) -> Result<BackendError, DecodeErr
     Ok(match dec.u8()? {
         0 => BackendError::InvalidNetlist { cell: dec.usize()? },
         1 => BackendError::NoSuchInput {
-            role: intern(&dec.string()?),
+            role: decode_tag(dec, &NetlistIo::ROLES, "NetlistIo role")?,
             index: dec.usize()?,
             inputs: dec.usize()?,
         },
@@ -678,14 +671,14 @@ mod tests {
         });
         let mut taint_log = TaintLog::new();
         let mut census = Census::new();
-        census.report_counts("rob", 3, 16);
-        census.report_counts("dcache", 0, 8);
+        census.report_counts(Module::Rob, 3, 16);
+        census.report_counts(Module::Dcache, 0, 8);
         taint_log.push(census);
         let out = RunOutcome {
             trace,
             taint_log,
             sinks: vec![SinkReport {
-                module: "dcache",
+                module: Module::Dcache,
                 array: "tag".into(),
                 index: 4,
                 taint: 0xff,
@@ -693,7 +686,7 @@ mod tests {
             }],
             timing_events: vec![TimingEvent {
                 cycle: 7,
-                resource: "dcache-port",
+                resource: Module::Dcache,
                 wait_a: 1,
                 wait_b: 3,
             }],
@@ -713,8 +706,6 @@ mod tests {
         assert_eq!(decoded.timing_events, out.timing_events);
         assert_eq!(decoded.total_cycles, out.total_cycles);
         assert_eq!(decoded.packets_run, out.packets_run);
-        // Interning restores pointer-comparable &'static strs.
-        assert_eq!(decoded.sinks[0].module, "dcache");
         let _: Option<WindowInfo> = decoded.window();
     }
 
@@ -724,7 +715,7 @@ mod tests {
             BackendError::InvalidNetlist { cell: 7 },
             BackendError::InvalidMemory { mem: 3 },
             BackendError::NoSuchInput {
-                role: "trigger",
+                role: "index",
                 index: 9,
                 inputs: 4,
             },
@@ -741,6 +732,41 @@ mod tests {
     fn encoding_is_deterministic() {
         let req = sample_request();
         assert_eq!(encode_run_request(&req), encode_run_request(&req));
+    }
+
+    /// A cause or role a worker's table lacks goes out as `u8::MAX`, and
+    /// the parent refuses the reply instead of misreading it.
+    #[test]
+    fn names_outside_their_tables_fail_the_reply() {
+        let mut trace = Trace::new();
+        trace.push(RobEvent::Trap {
+            cycle: 1,
+            skew_b: 0,
+            cause: "ext-cause",
+        });
+        let reply = encode_run_response(&Ok(RunOutcome {
+            trace,
+            ..RunOutcome::default()
+        }));
+        assert!(matches!(
+            decode_run_response(&reply),
+            Err(DecodeError::InvalidTag {
+                what: "trap cause",
+                tag: 255
+            })
+        ));
+        let reply = encode_run_response(&Err(BackendError::NoSuchInput {
+            role: "trigger",
+            index: 9,
+            inputs: 4,
+        }));
+        assert!(matches!(
+            decode_run_response(&reply),
+            Err(DecodeError::InvalidTag {
+                what: "NetlistIo role",
+                tag: 255
+            })
+        ));
     }
 
     #[test]

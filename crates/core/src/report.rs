@@ -1,5 +1,9 @@
 //! Bug reports: the classification scheme of Table 5.
 
+use std::borrow::Cow;
+
+use dejavuzz_ift::Module;
+
 use crate::gen::WindowType;
 
 /// Attack family (Table 5's first column).
@@ -25,37 +29,29 @@ impl AttackType {
 
 /// Where the leaked secret was observed (Table 5's "Encoded Timing
 /// Component" column).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LeakChannel {
     /// A live tainted sink in a microarchitectural component
     /// (dcache/icache/tlb/btb/ras/loop/lfb/…).
     Encoded {
-        /// Module owning the sink.
-        module: &'static str,
+        /// Module owning the sink, as the backend reported it.
+        module: Module,
     },
     /// A constant-time violation attributed to a contended resource
     /// (lsu/fpu/icache port contention).
     Timing {
-        /// The contended resource.
-        resource: &'static str,
+        /// The contended resource; `None` (reported as `pipeline`) when
+        /// no timing event explains the divergence.
+        resource: Option<Module>,
     },
-}
-
-impl LeakChannel {
-    /// The component mnemonic as Table 5 prints it.
-    pub fn component(&self) -> &'static str {
-        match self {
-            LeakChannel::Encoded { module } => module,
-            LeakChannel::Timing { resource } => resource,
-        }
-    }
 }
 
 /// One reported transient-execution vulnerability.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BugReport {
-    /// Core the bug was found on.
-    pub core: &'static str,
+    /// Core the bug was found on: borrowed from the backend while the
+    /// campaign runs, owned once decoded from a snapshot.
+    pub core: Cow<'static, str>,
     /// Attack family.
     pub attack: AttackType,
     /// The transient-window category that opened the window.
@@ -67,13 +63,29 @@ pub struct BugReport {
 }
 
 impl BugReport {
+    /// The component mnemonic as Table 5 prints it: a scenario window's
+    /// `classify_sink` hook may refine an encoded sink's module into a
+    /// family label (`regfile` under Zenbleed is `regfile-stale`).
+    pub fn component(&self) -> &'static str {
+        match self.channel {
+            LeakChannel::Encoded { module } => match self.window_type {
+                WindowType::Scenario(i) => {
+                    dejavuzz_scenarios::instance_classify_sink(i, module.name())
+                        .unwrap_or(module.name())
+                }
+                _ => module.name(),
+            },
+            LeakChannel::Timing { resource } => resource.map_or("pipeline", Module::name),
+        }
+    }
+
     /// A stable deduplication key: Table 5 aggregates by (attack, window
     /// class, component).
     pub fn dedup_key(&self) -> (AttackType, &'static str, &'static str) {
         (
             self.attack,
             self.window_type.table5_class(),
-            self.channel.component(),
+            self.component(),
         )
     }
 }
@@ -86,7 +98,7 @@ impl std::fmt::Display for BugReport {
             self.core,
             self.attack.name(),
             self.window_type.table5_class(),
-            self.channel.component()
+            self.component()
         )
     }
 }
@@ -95,21 +107,32 @@ impl std::fmt::Display for BugReport {
 mod tests {
     use super::*;
 
+    fn bug(window_type: WindowType, channel: LeakChannel) -> BugReport {
+        BugReport {
+            core: Cow::Borrowed("BOOM"),
+            attack: AttackType::Spectre,
+            window_type,
+            channel,
+            iteration: 1,
+        }
+    }
+
     #[test]
     fn dedup_key_aggregates_like_table5() {
         let a = BugReport {
-            core: "BOOM",
             attack: AttackType::Meltdown,
-            window_type: WindowType::MemPageFault,
-            channel: LeakChannel::Encoded { module: "dcache" },
             iteration: 3,
+            ..bug(
+                WindowType::MemPageFault,
+                LeakChannel::Encoded {
+                    module: Module::Dcache,
+                },
+            )
         };
         let b = BugReport {
-            core: "BOOM",
-            attack: AttackType::Meltdown,
             window_type: WindowType::MemMisalign, // same class: mem-excp
-            channel: LeakChannel::Encoded { module: "dcache" },
             iteration: 9,
+            ..a.clone()
         };
         assert_eq!(a.dedup_key(), b.dedup_key());
     }
@@ -117,13 +140,35 @@ mod tests {
     #[test]
     fn display_is_reportable() {
         let r = BugReport {
-            core: "XiangShan",
-            attack: AttackType::Spectre,
-            window_type: WindowType::BranchMispredict,
-            channel: LeakChannel::Timing { resource: "fpu" },
-            iteration: 1,
+            core: Cow::Owned("XiangShan".to_string()),
+            ..bug(
+                WindowType::BranchMispredict,
+                LeakChannel::Timing {
+                    resource: Some(Module::Fpu),
+                },
+            )
         };
         let s = r.to_string();
         assert!(s.contains("XiangShan") && s.contains("Spectre") && s.contains("fpu"));
+    }
+
+    /// The scenario label is applied when the component is read, so a
+    /// bug keeps the raw module its sink reported.
+    #[test]
+    fn components_apply_the_scenario_sink_label() {
+        let zenbleed = WindowType::Scenario(dejavuzz_scenarios::intern_spec("zenbleed").unwrap());
+        let encoded = |module| LeakChannel::Encoded { module };
+        let component = |w, c| bug(w, c).component();
+        assert_eq!(
+            component(zenbleed, encoded(Module::Regfile)),
+            "regfile-stale"
+        );
+        assert_eq!(component(zenbleed, encoded(Module::Dcache)), "dcache");
+        assert_eq!(
+            component(WindowType::BranchMispredict, encoded(Module::Regfile)),
+            "regfile"
+        );
+        let unattributed = LeakChannel::Timing { resource: None };
+        assert_eq!(component(zenbleed, unattributed), "pipeline");
     }
 }

@@ -615,6 +615,7 @@ impl PolicySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dejavuzz_ift::Module;
     use rand::SeedableRng;
 
     fn seeded_corpus(entries: &[(WindowType, u64, usize)]) -> Corpus {
@@ -759,7 +760,7 @@ mod tests {
         let mut corpus = Corpus::new(8);
         let mut policy = FavouredQuota::default();
         let point = CoveragePoint {
-            module: "rob",
+            module: Module::Rob,
             index: 3,
         };
         let expensive = Seed::new(WindowType::BranchMispredict, 1);
@@ -821,7 +822,7 @@ mod tests {
                 window_type: seed.window_type,
                 gain: 3,
                 global_fresh: &[CoveragePoint {
-                    module: "lsu",
+                    module: Module::Lsu,
                     index: 2,
                 }],
                 cost: 0,

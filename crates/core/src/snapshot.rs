@@ -17,14 +17,19 @@
 //! ([`SNAPSHOT_MAGIC`], [`SNAPSHOT_VERSION`], FNV-1a checksum) around the
 //! [`Persist`]-encoded state; truncated, corrupted, internally
 //! inconsistent or wrong-version files fail decoding with a structured
-//! [`DecodeError`], never a panic. This build reads and writes v6 only.
-//! The v6 payload is, in order: the campaign's replay identity (shard
+//! [`DecodeError`], never a panic. This build reads and writes v7 only.
+//! The v7 payload is, in order: the campaign's replay identity (shard
 //! id, backend label, workers, seed, batch, the pipelined flag, enabled
 //! scenario specs, scheduler and seed-policy selectors with their
 //! persisted state, campaign options), then its progress (completed
 //! iterations, gain threshold, scheduler RNG, corpus and its scheduling
 //! mass, global coverage, stats, per-stream states), then the pending
 //! round, if any.
+//!
+//! Modules travel as their names, and a name outside the vocabulary
+//! fails decoding. v7 differs from v6 only in bug reports: an encoded
+//! channel keeps its sink's raw module ([`BugReport::component`] applies
+//! the scenario label on read), and a timing resource is optional.
 //!
 //! A pipelined campaign's checkpoint lands while the next round is
 //! already dispatched, so the snapshot carries that round's pre-drawn
@@ -42,8 +47,8 @@
 
 use std::path::Path;
 
-use dejavuzz_ift::{CoverageMatrix, IftMode};
-use dejavuzz_persist::{frame, intern, DecodeError, Decoder, Encoder, LoadError, Persist};
+use dejavuzz_ift::{CoverageMatrix, IftMode, Module};
+use dejavuzz_persist::{frame, DecodeError, Decoder, Encoder, LoadError, Persist};
 
 use crate::campaign::{CampaignStats, FuzzerOptions, WindowStats};
 use crate::corpus::{Corpus, CorpusEntry};
@@ -57,7 +62,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DJVZSNAP";
 
 /// Snapshot format version this build writes, and the only one it
 /// reads.
-pub const SNAPSHOT_VERSION: u32 = 6;
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 impl Persist for WindowType {
     fn encode(&self, enc: &mut Encoder) {
@@ -284,11 +289,11 @@ impl Persist for LeakChannel {
         match self {
             LeakChannel::Encoded { module } => {
                 enc.u32(0);
-                enc.str(module);
+                module.encode(enc);
             }
             LeakChannel::Timing { resource } => {
                 enc.u32(1);
-                enc.str(resource);
+                resource.encode(enc);
             }
         }
     }
@@ -296,10 +301,10 @@ impl Persist for LeakChannel {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         match dec.u32()? {
             0 => Ok(LeakChannel::Encoded {
-                module: intern(&dec.string()?),
+                module: Module::decode(dec)?,
             }),
             1 => Ok(LeakChannel::Timing {
-                resource: intern(&dec.string()?),
+                resource: Option::decode(dec)?,
             }),
             tag => Err(DecodeError::InvalidTag {
                 what: "LeakChannel",
@@ -311,7 +316,7 @@ impl Persist for LeakChannel {
 
 impl Persist for BugReport {
     fn encode(&self, enc: &mut Encoder) {
-        enc.str(self.core);
+        enc.str(&self.core);
         self.attack.encode(enc);
         self.window_type.encode(enc);
         self.channel.encode(enc);
@@ -320,7 +325,7 @@ impl Persist for BugReport {
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         Ok(BugReport {
-            core: intern(&dec.string()?),
+            core: dec.string()?.into(),
             attack: AttackType::decode(dec)?,
             window_type: WindowType::decode(dec)?,
             channel: LeakChannel::decode(dec)?,
@@ -829,10 +834,12 @@ mod tests {
             },
         );
         stats.bugs.push(BugReport {
-            core: "BOOM",
+            core: "BOOM".into(),
             attack: AttackType::Spectre,
             window_type: WindowType::BranchMispredict,
-            channel: LeakChannel::Encoded { module: "dcache" },
+            channel: LeakChannel::Encoded {
+                module: Module::Dcache,
+            },
             iteration: 3,
         });
         stats
@@ -917,7 +924,7 @@ mod tests {
             policy_state: PolicyState::Favoured {
                 favours: vec![(
                     dejavuzz_ift::CoveragePoint {
-                        module: "rob",
+                        module: Module::Rob,
                         index: 3,
                     },
                     Favour {
@@ -1030,7 +1037,7 @@ mod tests {
             avg: 2.5,
             samples: 9,
             view_behind: vec![dejavuzz_ift::CoveragePoint {
-                module: "lsu",
+                module: Module::Lsu,
                 index: 3,
             }],
         }
@@ -1116,11 +1123,11 @@ mod tests {
     }
 
     /// Every other format version fails before any payload decoding —
-    /// v1 to v5 included — with the version named.
+    /// v1 to v6 included — with the version named.
     #[test]
     fn other_snapshot_versions_are_unsupported() {
         let payload = dejavuzz_persist::to_bytes(&sample_snapshot());
-        for found in [0, 1, 5, 7] {
+        for found in [0, 1, 6, 8] {
             let bytes = frame::seal(SNAPSHOT_MAGIC, found, &payload);
             assert_eq!(
                 CampaignSnapshot::from_bytes(&bytes),
@@ -1289,13 +1296,13 @@ mod tests {
         let mut b = sample_snapshot();
         b.shard_id = 3;
         use dejavuzz_ift::CoveragePoint;
-        for (m, i) in [("rob", 1), ("rob", 2), ("lsu", 1)] {
+        for (m, i) in [(Module::Rob, 1), (Module::Rob, 2), (Module::Lsu, 1)] {
             a.coverage.insert(CoveragePoint {
                 module: m,
                 index: i,
             });
         }
-        for (m, i) in [("rob", 2), ("dcache", 4)] {
+        for (m, i) in [(Module::Rob, 2), (Module::Dcache, 4)] {
             b.coverage.insert(CoveragePoint {
                 module: m,
                 index: i,

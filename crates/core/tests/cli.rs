@@ -315,8 +315,8 @@ fn old_snapshot_versions_exit_two_naming_the_version() {
     report(&dir, &["--iters", "2", "--snapshot", "new.snap"]);
     let current = std::fs::read(dir.join("new.snap")).unwrap();
     let payload = &current[dejavuzz_persist::HEADER_LEN..];
-    let old = dejavuzz_persist::seal(dejavuzz::snapshot::SNAPSHOT_MAGIC, 5, payload);
-    let path = dir.join("v5.snap");
+    let old = dejavuzz_persist::seal(dejavuzz::snapshot::SNAPSHOT_MAGIC, 6, payload);
+    let path = dir.join("v6.snap");
     std::fs::write(&path, old).unwrap();
     let path = path.to_str().unwrap();
     let merge = Command::new(env!("CARGO_BIN_EXE_dejavuzz-merge"))
@@ -334,7 +334,7 @@ fn old_snapshot_versions_exit_two_naming_the_version() {
     ] {
         assert_eq!(code, Some(2), "{bin}: {stderr}");
         assert!(
-            stderr.contains("unsupported snapshot version 5 (this build reads version 6)"),
+            stderr.contains("unsupported snapshot version 6 (this build reads version 7)"),
             "{bin}: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "{bin}: {stderr}");

@@ -120,7 +120,7 @@ mod tests {
     use super::*;
     use dejavuzz::corpus::CorpusEntry;
     use dejavuzz::gen::{Seed, WindowType};
-    use dejavuzz_ift::CoveragePoint;
+    use dejavuzz_ift::{CoveragePoint, Module};
 
     fn frame(shard: u32, n: usize) -> GossipFrame {
         GossipFrame {
@@ -128,8 +128,8 @@ mod tests {
             iterations: n,
             delta: (0..n)
                 .map(|i| CoveragePoint {
-                    module: "bus_test",
-                    index: i + 1,
+                    module: Module::Top,
+                    index: i as u32 + 1,
                 })
                 .collect(),
             favoured: vec![CorpusEntry {

@@ -134,20 +134,15 @@ impl FleetState {
                 status.points = e.total_points;
             }
             CampaignEvent::SeedImported(_) => status.seed_imports += 1,
-            CampaignEvent::CampaignFinished {
-                iterations,
-                coverage_points,
-                bugs,
-                ..
-            } => {
-                status.iterations = *iterations;
+            CampaignEvent::CampaignFinished { stats, .. } => {
+                status.iterations = stats.iterations;
                 // The finish summary reports the coverage *curve*'s last
                 // value, which a gossip import at the final round boundary
                 // postdates (imports raise the global union without
                 // committing a slot) — never let the summary walk an
                 // already-counted import back.
-                status.points = status.points.max(*coverage_points);
-                status.bugs = *bugs;
+                status.points = status.points.max(stats.coverage());
+                status.bugs = stats.bugs.len();
                 status.finished = true;
             }
         }
@@ -166,7 +161,7 @@ impl FleetState {
         let sample = match ev {
             CampaignEvent::SlotCommitted(e) => Some(e.slot as u64 + 1),
             CampaignEvent::PeerDeltaImported(e) => Some(e.boundary as u64),
-            CampaignEvent::CampaignFinished { iterations, .. } => Some(*iterations as u64),
+            CampaignEvent::CampaignFinished { stats, .. } => Some(stats.iterations as u64),
             _ => None,
         };
         if let Some(x) = sample {
@@ -516,13 +511,36 @@ fn relay(stream: UnixStream, bus: Bus, shutdown: Arc<AtomicBool>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dejavuzz::campaign::CampaignStats;
     use dejavuzz::gossip::GossipFrame;
     use dejavuzz::observer::{PeerDeltaImported, RoundStarted, SlotCommitted};
-    use dejavuzz::WindowType;
-    use dejavuzz_ift::CoveragePoint;
+    use dejavuzz::{AttackType, BugReport, LeakChannel, WindowType};
+    use dejavuzz_ift::{CoveragePoint, Module};
 
-    fn pt(module: &'static str, index: usize) -> CoveragePoint {
+    fn pt(module: Module, index: u32) -> CoveragePoint {
         CoveragePoint { module, index }
+    }
+
+    fn finished(iterations: usize, coverage: usize, bugs: usize) -> CampaignEvent {
+        let bug = BugReport {
+            core: "BOOM".into(),
+            attack: AttackType::Spectre,
+            window_type: WindowType::BranchMispredict,
+            channel: LeakChannel::Encoded {
+                module: Module::Dcache,
+            },
+            iteration: 1,
+        };
+        CampaignEvent::CampaignFinished {
+            stats: CampaignStats {
+                iterations,
+                coverage_curve: vec![coverage],
+                bugs: vec![bug; bugs],
+                ..CampaignStats::default()
+            },
+            corpus_retained: 3,
+            corpus_evicted: 0,
+        }
     }
 
     fn gained(slot: usize, points: Vec<CoveragePoint>, total: usize) -> CampaignEvent {
@@ -538,8 +556,14 @@ mod tests {
         let mut state = FleetState::new();
         state.register(0);
         state.register(1);
-        state.apply(0, &gained(0, vec![pt("rob", 1), pt("rob", 2)], 2));
-        state.apply(1, &gained(0, vec![pt("rob", 2), pt("lsu", 1)], 2));
+        state.apply(
+            0,
+            &gained(0, vec![pt(Module::Rob, 1), pt(Module::Rob, 2)], 2),
+        );
+        state.apply(
+            1,
+            &gained(0, vec![pt(Module::Rob, 2), pt(Module::Lsu, 1)], 2),
+        );
         assert_eq!(state.union().points(), 3, "shared points deduplicate");
         assert_eq!(
             state.render_coverage(),
@@ -582,20 +606,7 @@ mod tests {
         let s = &state.shards()[&0];
         assert_eq!((s.iterations, s.points, s.peer_imports), (4, 7, 1));
         assert!(!s.finished);
-        state.apply(
-            0,
-            &CampaignEvent::CampaignFinished {
-                iterations: 8,
-                sim_runs: 32,
-                sim_cycles: 1024,
-                coverage_points: 9,
-                corpus_retained: 3,
-                corpus_evicted: 0,
-                failed_runs: 0,
-                bugs: 2,
-                first_bug: Some(5),
-            },
-        );
+        state.apply(0, &finished(8, 9, 2));
         let s = &state.shards()[&0];
         assert!(s.finished);
         assert_eq!((s.iterations, s.points, s.bugs), (8, 9, 2));
@@ -626,17 +637,7 @@ mod tests {
         );
         state.apply(
             0,
-            &CampaignEvent::CampaignFinished {
-                iterations: 4,
-                sim_runs: 16,
-                sim_cycles: 512,
-                coverage_points: 5, // the curve's last value, pre-import
-                corpus_retained: 3,
-                corpus_evicted: 0,
-                failed_runs: 0,
-                bugs: 0,
-                first_bug: None,
-            },
+            &finished(4, 5, 0), // the curve's last value, pre-import
         );
         assert_eq!(state.shards()[&0].points, 7, "import is not walked back");
         assert!(
@@ -750,7 +751,7 @@ mod tests {
         let mut state = FleetState::new();
         state.register(0);
         state.register(3);
-        state.apply(0, &gained(0, vec![pt("rob", 1)], 1));
+        state.apply(0, &gained(0, vec![pt(Module::Rob, 1)], 1));
         // Touch the core engine's instruments so the registry section is
         // provably present alongside the fleet section.
         let _ = dejavuzz::metrics::handles();
@@ -835,7 +836,7 @@ mod tests {
         let frame = GossipFrame {
             shard: 7,
             iterations: 12,
-            delta: vec![pt("relay", 1)],
+            delta: vec![pt(Module::Top, 1)],
             favoured: Vec::new(),
         };
         external.publish(&frame);
@@ -848,7 +849,7 @@ mod tests {
         let reply = GossipFrame {
             shard: 0,
             iterations: 4,
-            delta: vec![pt("relay", 2)],
+            delta: vec![pt(Module::Top, 2)],
             favoured: Vec::new(),
         };
         local.publish(&reply);

@@ -15,188 +15,11 @@
 //! for the same event (asserted by the tests below) — over a Unix
 //! stream.
 
-use std::path::PathBuf;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, OnceLock};
 
-use dejavuzz::observer::{
-    json_str, BugFound, CampaignFinished, CampaignObserver, CoverageGained, PeerDeltaImported,
-    RoundStarted, SeedImported, SlotCommitted, SnapshotWritten,
-};
-use dejavuzz_ift::CoveragePoint;
-
-/// An owned campaign event: every [`CampaignObserver`] callback's
-/// payload, detached from the executor's borrows so it can cross
-/// threads. The borrowed-slice events ([`CoverageGained`],
-/// [`SnapshotWritten`], [`CampaignFinished`]) are flattened to owned
-/// fields; the already-owned event structs embed directly.
-#[derive(Clone, Debug, PartialEq)]
-pub enum CampaignEvent {
-    /// See [`RoundStarted`].
-    RoundStarted(RoundStarted),
-    /// See [`SlotCommitted`].
-    SlotCommitted(SlotCommitted),
-    /// See [`CoverageGained`] — with the fresh points owned.
-    CoverageGained {
-        /// The contributing slot.
-        slot: usize,
-        /// The newly covered points, in commit order.
-        points: Vec<CoveragePoint>,
-        /// Global coverage after folding them in.
-        total_points: usize,
-    },
-    /// See [`BugFound`].
-    BugFound(BugFound),
-    /// See [`SnapshotWritten`] — with the path owned.
-    SnapshotWritten {
-        /// Where the checkpoint was written.
-        path: PathBuf,
-        /// Iterations completed at the checkpoint.
-        iterations: usize,
-        /// Periodic mid-run checkpoint or the end-of-run one.
-        periodic: bool,
-    },
-    /// See [`PeerDeltaImported`].
-    PeerDeltaImported(PeerDeltaImported),
-    /// See [`SeedImported`].
-    SeedImported(SeedImported),
-    /// See [`CampaignFinished`] — flattened to the fields the JSON
-    /// telemetry stream reports (wall-clock deliberately excluded, like
-    /// the JSON observer).
-    CampaignFinished {
-        /// Iterations executed.
-        iterations: usize,
-        /// Total RTL simulations spent.
-        sim_runs: usize,
-        /// Total simulated cycles.
-        sim_cycles: u64,
-        /// Final coverage points.
-        coverage_points: usize,
-        /// Seeds the corpus retained.
-        corpus_retained: usize,
-        /// Seeds the corpus evicted for capacity.
-        corpus_evicted: usize,
-        /// Iterations aborted by a backend failure.
-        failed_runs: usize,
-        /// Deduplicated bug count.
-        bugs: usize,
-        /// Iteration of the first bug, if any.
-        first_bug: Option<usize>,
-    },
-}
-
-impl CampaignEvent {
-    /// The event as one JSON object — byte-identical to the line
-    /// [`dejavuzz::observer::JsonLinesObserver`] writes for the same
-    /// event (pinned by this module's tests, so the two serialisers
-    /// cannot drift apart silently).
-    pub fn to_json(&self) -> String {
-        match self {
-            CampaignEvent::RoundStarted(ev) => format!(
-                "{{\"event\":\"round_started\",\"first_slot\":{},\"slots\":{},\"gain_samples\":{}}}",
-                ev.first_slot, ev.slots, ev.gain_threshold_samples
-            ),
-            CampaignEvent::SlotCommitted(ev) => {
-                let error = match &ev.error {
-                    Some(e) => json_str(e),
-                    None => "null".to_string(),
-                };
-                format!(
-                    "{{\"event\":\"slot_committed\",\"slot\":{},\"stream\":{},\"window\":{},\
-                     \"triggered\":{},\"to\":{},\"eto\":{},\"sim_runs\":{},\"final_gain\":{},\
-                     \"fresh_points\":{},\"total_points\":{},\"error\":{}}}",
-                    ev.slot,
-                    ev.stream,
-                    json_str(ev.window_type.name()),
-                    ev.triggered,
-                    ev.to,
-                    ev.eto,
-                    ev.sim_runs,
-                    ev.final_gain,
-                    ev.fresh_points,
-                    ev.total_points,
-                    error
-                )
-            }
-            CampaignEvent::CoverageGained {
-                slot,
-                points,
-                total_points,
-            } => format!(
-                "{{\"event\":\"coverage_gained\",\"slot\":{},\"gained\":{},\"total_points\":{}}}",
-                slot,
-                points.len(),
-                total_points
-            ),
-            CampaignEvent::BugFound(ev) => format!(
-                "{{\"event\":\"bug_found\",\"slot\":{},\"core\":{},\"attack\":{},\
-                 \"window_class\":{},\"component\":{},\"iteration\":{}}}",
-                ev.slot,
-                json_str(ev.bug.core),
-                json_str(ev.bug.attack.name()),
-                json_str(ev.bug.window_type.table5_class()),
-                json_str(ev.bug.channel.component()),
-                ev.bug.iteration
-            ),
-            CampaignEvent::SnapshotWritten {
-                path,
-                iterations,
-                periodic,
-            } => format!(
-                "{{\"event\":\"snapshot_written\",\"path\":{},\"iterations\":{},\"periodic\":{}}}",
-                json_str(&path.display().to_string()),
-                iterations,
-                periodic
-            ),
-            CampaignEvent::PeerDeltaImported(ev) => format!(
-                "{{\"event\":\"peer_delta_imported\",\"from_shard\":{},\"peer_iterations\":{},\
-                 \"boundary\":{},\"points\":{},\"fresh_points\":{},\"total_points\":{}}}",
-                ev.from_shard,
-                ev.peer_iterations,
-                ev.boundary,
-                ev.points,
-                ev.fresh_points,
-                ev.total_points
-            ),
-            CampaignEvent::SeedImported(ev) => format!(
-                "{{\"event\":\"seed_imported\",\"from_shard\":{},\"boundary\":{},\"window\":{},\
-                 \"entropy\":{},\"gain\":{}}}",
-                ev.from_shard,
-                ev.boundary,
-                json_str(ev.window_type.name()),
-                ev.entropy,
-                ev.gain
-            ),
-            CampaignEvent::CampaignFinished {
-                iterations,
-                sim_runs,
-                sim_cycles,
-                coverage_points,
-                corpus_retained,
-                corpus_evicted,
-                failed_runs,
-                bugs,
-                first_bug,
-            } => format!(
-                "{{\"event\":\"campaign_finished\",\"iterations\":{},\"sim_runs\":{},\
-                 \"sim_cycles\":{},\"coverage_points\":{},\"corpus_retained\":{},\
-                 \"corpus_evicted\":{},\"failed_runs\":{},\"bugs\":{},\"first_bug\":{}}}",
-                iterations,
-                sim_runs,
-                sim_cycles,
-                coverage_points,
-                corpus_retained,
-                corpus_evicted,
-                failed_runs,
-                bugs,
-                match first_bug {
-                    Some(i) => i.to_string(),
-                    None => "null".to_string(),
-                }
-            ),
-        }
-    }
-}
+pub use dejavuzz::observer::CampaignEvent;
+use dejavuzz::observer::EventSink;
 
 /// Forwards every campaign event, owned, down a bounded channel. Create
 /// with [`ChannelObserver::channel`]; the receiving side drains on its
@@ -214,18 +37,6 @@ impl ChannelObserver {
     pub fn channel(capacity: usize) -> (Self, Receiver<CampaignEvent>) {
         let (tx, rx) = sync_channel(capacity);
         (ChannelObserver { tx }, rx)
-    }
-
-    fn forward(&self, ev: CampaignEvent) {
-        // The send blocks when the bounded channel is full, i.e. when
-        // the consumer lags the campaign — that blocked time *is* the
-        // observer fan-out lag, so time exactly it. Off the commit
-        // path's state: the instrument is write-only.
-        let (lag, events) = fanout_instruments();
-        let span = dejavuzz_telemetry::Timer::start(lag);
-        let _ = self.tx.send(ev);
-        span.finish();
-        events.inc();
     }
 }
 
@@ -256,56 +67,17 @@ fn fanout_instruments() -> (
     (lag, events)
 }
 
-impl CampaignObserver for ChannelObserver {
-    fn round_started(&mut self, ev: &RoundStarted) {
-        self.forward(CampaignEvent::RoundStarted(*ev));
-    }
-
-    fn slot_committed(&mut self, ev: &SlotCommitted) {
-        self.forward(CampaignEvent::SlotCommitted(ev.clone()));
-    }
-
-    fn coverage_gained(&mut self, ev: &CoverageGained<'_>) {
-        self.forward(CampaignEvent::CoverageGained {
-            slot: ev.slot,
-            points: ev.points.to_vec(),
-            total_points: ev.total_points,
-        });
-    }
-
-    fn bug_found(&mut self, ev: &BugFound) {
-        self.forward(CampaignEvent::BugFound(ev.clone()));
-    }
-
-    fn snapshot_written(&mut self, ev: &SnapshotWritten<'_>) {
-        self.forward(CampaignEvent::SnapshotWritten {
-            path: ev.path.to_path_buf(),
-            iterations: ev.iterations,
-            periodic: ev.periodic,
-        });
-    }
-
-    fn peer_delta_imported(&mut self, ev: &PeerDeltaImported) {
-        self.forward(CampaignEvent::PeerDeltaImported(*ev));
-    }
-
-    fn seed_imported(&mut self, ev: &SeedImported) {
-        self.forward(CampaignEvent::SeedImported(*ev));
-    }
-
-    fn campaign_finished(&mut self, ev: &CampaignFinished<'_>) {
-        let stats = &ev.report.stats;
-        self.forward(CampaignEvent::CampaignFinished {
-            iterations: stats.iterations,
-            sim_runs: stats.sim_runs,
-            sim_cycles: stats.sim_cycles,
-            coverage_points: stats.coverage(),
-            corpus_retained: ev.report.corpus_retained,
-            corpus_evicted: ev.report.corpus_evicted,
-            failed_runs: stats.failed_runs,
-            bugs: stats.bugs.len(),
-            first_bug: stats.first_bug_iteration,
-        });
+impl EventSink for ChannelObserver {
+    fn event(&mut self, ev: CampaignEvent) {
+        // The send blocks when the bounded channel is full, i.e. when
+        // the consumer lags the campaign — that blocked time *is* the
+        // observer fan-out lag, so time exactly it. Off the commit
+        // path's state: the instrument is write-only.
+        let (lag, events) = fanout_instruments();
+        let span = dejavuzz_telemetry::Timer::start(lag);
+        let _ = self.tx.send(ev);
+        span.finish();
+        events.inc();
     }
 }
 
@@ -325,12 +97,9 @@ mod unix {
     use std::path::Path;
     use std::thread::JoinHandle;
 
-    use dejavuzz::observer::{
-        BugFound, CampaignFinished, CampaignObserver, CoverageGained, PeerDeltaImported,
-        RoundStarted, SeedImported, SlotCommitted, SnapshotWritten,
-    };
+    use dejavuzz::observer::EventSink;
 
-    use super::ChannelObserver;
+    use super::{CampaignEvent, ChannelObserver};
 
     /// See the re-export's docs in [`super`].
     pub struct SocketObserver {
@@ -378,37 +147,9 @@ mod unix {
         }
     }
 
-    impl CampaignObserver for SocketObserver {
-        fn round_started(&mut self, ev: &RoundStarted) {
-            self.chan().round_started(ev);
-        }
-
-        fn slot_committed(&mut self, ev: &SlotCommitted) {
-            self.chan().slot_committed(ev);
-        }
-
-        fn coverage_gained(&mut self, ev: &CoverageGained<'_>) {
-            self.chan().coverage_gained(ev);
-        }
-
-        fn bug_found(&mut self, ev: &BugFound) {
-            self.chan().bug_found(ev);
-        }
-
-        fn snapshot_written(&mut self, ev: &SnapshotWritten<'_>) {
-            self.chan().snapshot_written(ev);
-        }
-
-        fn peer_delta_imported(&mut self, ev: &PeerDeltaImported) {
-            self.chan().peer_delta_imported(ev);
-        }
-
-        fn seed_imported(&mut self, ev: &SeedImported) {
-            self.chan().seed_imported(ev);
-        }
-
-        fn campaign_finished(&mut self, ev: &CampaignFinished<'_>) {
-            self.chan().campaign_finished(ev);
+    impl EventSink for SocketObserver {
+        fn event(&mut self, ev: CampaignEvent) {
+            self.chan().event(ev);
         }
     }
 
@@ -429,8 +170,14 @@ mod unix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dejavuzz::campaign::CampaignStats;
     use dejavuzz::gen::WindowType;
-    use dejavuzz::observer::JsonLinesObserver;
+    use dejavuzz::observer::{
+        CampaignObserver, CoverageGained, JsonLinesObserver, PeerDeltaImported, RoundStarted,
+        SeedImported, SlotCommitted, SnapshotWritten,
+    };
+    use dejavuzz_ift::{CoveragePoint, Module};
+    use std::path::PathBuf;
 
     fn sample_events() -> Vec<CampaignEvent> {
         vec![
@@ -456,11 +203,11 @@ mod tests {
                 slot: 0,
                 points: vec![
                     CoveragePoint {
-                        module: "rob",
+                        module: Module::Rob,
                         index: 1,
                     },
                     CoveragePoint {
-                        module: "lsu",
+                        module: Module::Lsu,
                         index: 2,
                     },
                 ],
@@ -538,15 +285,15 @@ mod tests {
     #[test]
     fn campaign_finished_json_renders_null_first_bug() {
         let ev = CampaignEvent::CampaignFinished {
-            iterations: 16,
-            sim_runs: 64,
-            sim_cycles: 4096,
-            coverage_points: 21,
+            stats: CampaignStats {
+                iterations: 16,
+                sim_runs: 64,
+                sim_cycles: 4096,
+                coverage_curve: vec![21],
+                ..CampaignStats::default()
+            },
             corpus_retained: 5,
             corpus_evicted: 1,
-            failed_runs: 0,
-            bugs: 0,
-            first_bug: None,
         };
         assert_eq!(
             ev.to_json(),

@@ -2,26 +2,27 @@
 //! the taint log (Figure 6's "taint sum over cycles").
 
 use crate::coverage::CoveragePoint;
+use crate::module::Module;
 
 /// Tainted-register statistics for one hardware module in one cycle.
-#[derive(Clone, Debug, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ModuleCensus {
-    /// Module instance name (e.g. `"rob"`, `"dcache"`, `"ras"`).
-    pub module: &'static str,
+    /// The module.
+    pub module: Module,
     /// Number of registers in the module with at least one tainted bit.
     pub tainted: usize,
     /// Total number of registers the module reported.
     pub total: usize,
 }
 
-/// Compares the counts first, then the names: every cycle of a simulation
-/// reports the same `&'static str` names, so equal names are usually one
-/// pointer and need no byte comparison.
-impl PartialEq for ModuleCensus {
-    fn eq(&self, other: &Self) -> bool {
-        self.tainted == other.tainted
-            && self.total == other.total
-            && (std::ptr::eq(self.module, other.module) || self.module == other.module)
+impl ModuleCensus {
+    /// This entry's coverage point, `(module, tainted)`. A count past
+    /// `u32::MAX` (which only a corrupt decode could carry) saturates.
+    pub fn point(&self) -> CoveragePoint {
+        CoveragePoint {
+            module: self.module,
+            index: u32::try_from(self.tainted).unwrap_or(u32::MAX),
+        }
     }
 }
 
@@ -43,7 +44,7 @@ impl Census {
 
     /// Reports one module's counts. `taints` yields the shadow mask of each
     /// register in the module.
-    pub fn report(&mut self, module: &'static str, taints: impl IntoIterator<Item = u64>) {
+    pub fn report(&mut self, module: Module, taints: impl IntoIterator<Item = u64>) {
         let mut tainted = 0;
         let mut total = 0;
         for t in taints {
@@ -66,7 +67,7 @@ impl Census {
     }
 
     /// Reports a module with precomputed counts.
-    pub fn report_counts(&mut self, module: &'static str, tainted: usize, total: usize) {
+    pub fn report_counts(&mut self, module: Module, tainted: usize, total: usize) {
         self.modules.push(ModuleCensus {
             module,
             tainted,
@@ -88,10 +89,7 @@ impl Census {
         self.modules
             .iter()
             .filter(|m| m.tainted != 0)
-            .map(|m| CoveragePoint {
-                module: m.module,
-                index: m.tainted,
-            })
+            .map(ModuleCensus::point)
     }
 
     /// Total number of tainted registers across all modules — the y-axis of
@@ -106,7 +104,7 @@ impl Census {
     }
 
     /// The tainted count for a specific module, if it reported.
-    pub fn module_tainted(&self, module: &str) -> Option<usize> {
+    pub fn module_tainted(&self, module: Module) -> Option<usize> {
         self.modules
             .iter()
             .find(|m| m.module == module)
@@ -215,10 +213,7 @@ impl TaintLog {
                 if m.tainted == 0 || unchanged {
                     continue;
                 }
-                let point = CoveragePoint {
-                    module: m.module,
-                    index: m.tainted,
-                };
+                let point = m.point();
                 if !points.contains(&point) {
                     points.push(point);
                 }
@@ -274,7 +269,7 @@ impl TaintLog {
 mod tests {
     use super::*;
 
-    fn census(counts: &[(&'static str, usize, usize)]) -> Census {
+    fn census(counts: &[(Module, usize, usize)]) -> Census {
         let mut c = Census::new();
         for &(m, tainted, total) in counts {
             c.report_counts(m, tainted, total);
@@ -285,16 +280,20 @@ mod tests {
     #[test]
     fn report_counts_tainted_registers() {
         let mut c = Census::new();
-        c.report("rob", [0u64, 3, 0, 7]);
+        c.report(Module::Rob, [0u64, 3, 0, 7]);
         assert_eq!(c.taint_sum(), 2);
         assert_eq!(c.register_count(), 4);
-        assert_eq!(c.module_tainted("rob"), Some(2));
-        assert_eq!(c.module_tainted("lsu"), None);
+        assert_eq!(c.module_tainted(Module::Rob), Some(2));
+        assert_eq!(c.module_tainted(Module::Lsu), None);
     }
 
     #[test]
     fn taint_sum_spans_modules() {
-        let c = census(&[("rob", 2, 10), ("lsu", 3, 8), ("dcache", 0, 64)]);
+        let c = census(&[
+            (Module::Rob, 2, 10),
+            (Module::Lsu, 3, 8),
+            (Module::Dcache, 0, 64),
+        ]);
         assert_eq!(c.taint_sum(), 5);
         assert_eq!(c.register_count(), 82);
         assert_eq!(c.modules().len(), 3);
@@ -304,7 +303,7 @@ mod tests {
     fn log_taint_sums_series() {
         let mut log = TaintLog::new();
         for s in [0usize, 0, 4, 9, 9] {
-            log.push(census(&[("rob", s, 10)]));
+            log.push(census(&[(Module::Rob, s, 10)]));
         }
         assert_eq!(log.taint_sums(), vec![0, 0, 4, 9, 9]);
         assert_eq!(log.peak_taint(), 9);
@@ -316,7 +315,7 @@ mod tests {
     fn taint_increase_detection() {
         let mut log = TaintLog::new();
         for s in [0usize, 0, 4, 9, 9] {
-            log.push(census(&[("rob", s, 10)]));
+            log.push(census(&[(Module::Rob, s, 10)]));
         }
         assert!(
             log.taint_increased_in(1, 4),
@@ -331,19 +330,24 @@ mod tests {
     fn distinct_points_keep_first_seen_order() {
         let mut log = TaintLog::new();
         for counts in [
-            &[("rob", 0, 8), ("lsu", 2, 8)][..],
-            &[("rob", 1, 8), ("lsu", 2, 8)],
-            &[("rob", 1, 8), ("lsu", 2, 8)],
-            &[("rob", 3, 8), ("lsu", 0, 8)],
-            &[("lsu", 1, 8)],
-            &[("rob", 1, 8), ("lsu", 2, 8)],
+            &[(Module::Rob, 0, 8), (Module::Lsu, 2, 8)][..],
+            &[(Module::Rob, 1, 8), (Module::Lsu, 2, 8)],
+            &[(Module::Rob, 1, 8), (Module::Lsu, 2, 8)],
+            &[(Module::Rob, 3, 8), (Module::Lsu, 0, 8)],
+            &[(Module::Lsu, 1, 8)],
+            &[(Module::Rob, 1, 8), (Module::Lsu, 2, 8)],
         ] {
             log.push(census(counts));
         }
         let pt = |module, index| CoveragePoint { module, index };
         assert_eq!(
             log.distinct_points(),
-            vec![pt("lsu", 2), pt("rob", 1), pt("rob", 3), pt("lsu", 1)]
+            vec![
+                pt(Module::Lsu, 2),
+                pt(Module::Rob, 1),
+                pt(Module::Rob, 3),
+                pt(Module::Lsu, 1)
+            ]
         );
         assert!(TaintLog::new().distinct_points().is_empty());
     }

@@ -16,14 +16,15 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::census::{Census, TaintLog};
+use crate::module::Module;
 
-/// One coverage point: a (module, tainted-count) tuple.
+/// One coverage point: a (module, tainted-count) tuple, in 8 bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CoveragePoint {
-    /// Module instance name.
-    pub module: &'static str,
+    /// The module.
+    pub module: Module,
     /// Number of simultaneously tainted registers observed in the module.
-    pub index: usize,
+    pub index: u32,
 }
 
 /// Anything that can accumulate taint-coverage observations: the plain
@@ -122,10 +123,8 @@ impl CoverageMatrix {
     }
 
     /// True if the (module, index) slot has been set.
-    pub fn contains(&self, module: &str, index: usize) -> bool {
-        self.points
-            .iter()
-            .any(|p| p.module == module && p.index == index)
+    pub fn contains(&self, module: Module, index: u32) -> bool {
+        self.points.contains(&CoveragePoint { module, index })
     }
 
     /// How many new points a census *would* add, without committing them.
@@ -348,7 +347,7 @@ impl TaintCoverage for OverlayCoverage {
 mod tests {
     use super::*;
 
-    fn census(counts: &[(&'static str, usize)]) -> Census {
+    fn census(counts: &[(Module, usize)]) -> Census {
         let mut c = Census::new();
         for &(m, tainted) in counts {
             c.report_counts(m, tainted, 64);
@@ -357,27 +356,32 @@ mod tests {
     }
 
     #[test]
+    fn a_point_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<CoveragePoint>(), 8);
+    }
+
+    #[test]
     fn observe_inserts_module_count_tuples() {
         let mut m = CoverageMatrix::new();
-        assert_eq!(m.observe(&census(&[("rob", 3), ("lsu", 1)])), 2);
-        assert!(m.contains("rob", 3));
-        assert!(m.contains("lsu", 1));
-        assert!(!m.contains("rob", 1));
+        assert_eq!(m.observe(&census(&[(Module::Rob, 3), (Module::Lsu, 1)])), 2);
+        assert!(m.contains(Module::Rob, 3));
+        assert!(m.contains(Module::Lsu, 1));
+        assert!(!m.contains(Module::Rob, 1));
         assert_eq!(m.points(), 2);
     }
 
     #[test]
     fn repeated_observation_adds_nothing() {
         let mut m = CoverageMatrix::new();
-        m.observe(&census(&[("rob", 3)]));
-        assert_eq!(m.observe(&census(&[("rob", 3)])), 0);
+        m.observe(&census(&[(Module::Rob, 3)]));
+        assert_eq!(m.observe(&census(&[(Module::Rob, 3)])), 0);
         assert_eq!(m.points(), 1);
     }
 
     #[test]
     fn zero_taint_is_not_coverage() {
         let mut m = CoverageMatrix::new();
-        assert_eq!(m.observe(&census(&[("rob", 0)])), 0);
+        assert_eq!(m.observe(&census(&[(Module::Rob, 0)])), 0);
         assert_eq!(m.points(), 0);
     }
 
@@ -386,15 +390,15 @@ mod tests {
         // Secret in cache slot 0 vs slot 7 produces the same tainted count,
         // hence the same coverage point — the paper's redundancy filter.
         let mut m = CoverageMatrix::new();
-        m.observe(&census(&[("dcache", 1)])); // slot 0 tainted
-        let gain = m.gain(&census(&[("dcache", 1)])); // slot 7 tainted
+        m.observe(&census(&[(Module::Dcache, 1)])); // slot 0 tainted
+        let gain = m.gain(&census(&[(Module::Dcache, 1)])); // slot 7 tainted
         assert_eq!(gain, 0);
     }
 
     #[test]
     fn gain_previews_without_commit() {
         let mut m = CoverageMatrix::new();
-        let c = census(&[("rob", 3), ("lsu", 1)]);
+        let c = census(&[(Module::Rob, 3), (Module::Lsu, 1)]);
         assert_eq!(m.gain(&c), 2);
         assert_eq!(m.points(), 0, "gain must not mutate");
         m.observe(&c);
@@ -404,9 +408,9 @@ mod tests {
     #[test]
     fn merge_unions_points() {
         let mut m1 = CoverageMatrix::new();
-        m1.observe(&census(&[("rob", 3)]));
+        m1.observe(&census(&[(Module::Rob, 3)]));
         let mut m2 = CoverageMatrix::new();
-        m2.observe(&census(&[("rob", 3), ("lsu", 2)]));
+        m2.observe(&census(&[(Module::Rob, 3), (Module::Lsu, 2)]));
         m1.merge(&m2);
         assert_eq!(m1.points(), 2);
     }
@@ -415,9 +419,9 @@ mod tests {
     fn observe_log_sums_new_points() {
         use crate::census::TaintLog;
         let mut log = TaintLog::new();
-        log.push(census(&[("rob", 1)]));
-        log.push(census(&[("rob", 2)]));
-        log.push(census(&[("rob", 2)]));
+        log.push(census(&[(Module::Rob, 1)]));
+        log.push(census(&[(Module::Rob, 2)]));
+        log.push(census(&[(Module::Rob, 2)]));
         let mut m = CoverageMatrix::new();
         assert_eq!(m.observe_log(&log), 2);
     }
@@ -425,7 +429,11 @@ mod tests {
     #[test]
     fn sorted_points_are_deterministic() {
         let mut m = CoverageMatrix::new();
-        m.observe(&census(&[("rob", 3), ("lsu", 1), ("dcache", 2)]));
+        m.observe(&census(&[
+            (Module::Rob, 3),
+            (Module::Lsu, 1),
+            (Module::Dcache, 2),
+        ]));
         let pts = m.sorted_points();
         assert_eq!(pts.len(), 3);
         assert!(pts.windows(2).all(|w| w[0] <= w[1]));
@@ -435,15 +443,15 @@ mod tests {
             pts,
             vec![
                 CoveragePoint {
-                    module: "dcache",
+                    module: Module::Dcache,
                     index: 2
                 },
                 CoveragePoint {
-                    module: "lsu",
+                    module: Module::Lsu,
                     index: 1
                 },
                 CoveragePoint {
-                    module: "rob",
+                    module: Module::Rob,
                     index: 3
                 },
             ]
@@ -454,7 +462,7 @@ mod tests {
     fn remove_round_trips_with_insert() {
         let mut m = CoverageMatrix::new();
         let p = CoveragePoint {
-            module: "rob",
+            module: Module::Rob,
             index: 3,
         };
         assert!(!m.remove(&p), "removing an absent point is a no-op");
@@ -466,7 +474,7 @@ mod tests {
         assert_eq!(m.points(), 0);
     }
 
-    fn pt(module: &'static str, index: usize) -> CoveragePoint {
+    fn pt(module: Module, index: u32) -> CoveragePoint {
         CoveragePoint { module, index }
     }
 
@@ -474,15 +482,21 @@ mod tests {
     fn coverage_log_deltas_are_ordered_and_watermarked() {
         let mut log = CoverageLog::new();
         assert_eq!(log.watermark(), 0);
-        assert!(log.insert(pt("rob", 3)));
-        assert!(log.insert(pt("lsu", 1)));
-        assert!(!log.insert(pt("rob", 3)), "duplicates never enter the log");
+        assert!(log.insert(pt(Module::Rob, 3)));
+        assert!(log.insert(pt(Module::Lsu, 1)));
+        assert!(
+            !log.insert(pt(Module::Rob, 3)),
+            "duplicates never enter the log"
+        );
         let mark = log.watermark();
         assert_eq!(mark, 2);
-        assert_eq!(log.delta_since(0), &[pt("rob", 3), pt("lsu", 1)]);
+        assert_eq!(
+            log.delta_since(0),
+            &[pt(Module::Rob, 3), pt(Module::Lsu, 1)]
+        );
         assert!(log.delta_since(mark).is_empty());
-        assert!(log.insert(pt("dcache", 7)));
-        assert_eq!(log.delta_since(mark), &[pt("dcache", 7)]);
+        assert!(log.insert(pt(Module::Dcache, 7)));
+        assert_eq!(log.delta_since(mark), &[pt(Module::Dcache, 7)]);
         assert_eq!(log.points(), 3);
         assert_eq!(log.matrix().points(), 3);
     }
@@ -490,58 +504,61 @@ mod tests {
     #[test]
     fn seeded_points_are_in_the_union_but_not_the_log() {
         let mut base = CoverageMatrix::new();
-        base.insert(pt("rob", 3));
+        base.insert(pt(Module::Rob, 3));
         let mut log = CoverageLog::seeded(base);
         assert_eq!(log.points(), 1);
         assert_eq!(log.watermark(), 0, "seeded points owe no delta");
         assert!(log.delta_since(0).is_empty());
-        assert!(!log.insert(pt("rob", 3)), "the union still dedups them");
-        assert!(log.insert(pt("lsu", 1)));
-        assert_eq!(log.delta_since(0), &[pt("lsu", 1)]);
+        assert!(
+            !log.insert(pt(Module::Rob, 3)),
+            "the union still dedups them"
+        );
+        assert!(log.insert(pt(Module::Lsu, 1)));
+        assert_eq!(log.delta_since(0), &[pt(Module::Lsu, 1)]);
     }
 
     #[test]
     fn replay_reappends_without_reinserting() {
         let mut base = CoverageMatrix::new();
-        base.insert(pt("rob", 3));
-        base.insert(pt("lsu", 1));
+        base.insert(pt(Module::Rob, 3));
+        base.insert(pt(Module::Lsu, 1));
         let mut log = CoverageLog::seeded(base);
-        log.replay(&[pt("lsu", 1)]);
+        log.replay(&[pt(Module::Lsu, 1)]);
         assert_eq!(log.points(), 2, "replay never grows the union");
-        assert_eq!(log.delta_since(0), &[pt("lsu", 1)]);
+        assert_eq!(log.delta_since(0), &[pt(Module::Lsu, 1)]);
         assert_eq!(log.watermark(), 1);
     }
 
     #[test]
     fn delta_since_a_future_watermark_is_empty() {
         let mut log = CoverageLog::new();
-        log.insert(pt("rob", 3));
+        log.insert(pt(Module::Rob, 3));
         assert!(log.delta_since(99).is_empty());
     }
 
     #[test]
     fn overlay_filters_points_the_base_already_holds() {
         let mut base = CoverageMatrix::new();
-        base.observe(&census(&[("rob", 3)]));
+        base.observe(&census(&[(Module::Rob, 3)]));
         let mut view = OverlayCoverage::new(Arc::new(base));
 
         // A base point is not fresh and never lands in the overlay.
-        assert_eq!(view.observe(&census(&[("rob", 3)])), 0);
+        assert_eq!(view.observe(&census(&[(Module::Rob, 3)])), 0);
         assert_eq!(view.overlay().points(), 0);
 
         // A genuinely new point is fresh exactly once.
-        assert_eq!(view.observe(&census(&[("lsu", 1)])), 1);
-        assert_eq!(view.observe(&census(&[("lsu", 1)])), 0);
+        assert_eq!(view.observe(&census(&[(Module::Lsu, 1)])), 1);
+        assert_eq!(view.observe(&census(&[(Module::Lsu, 1)])), 0);
         assert_eq!(view.overlay().points(), 1);
-        assert!(view.overlay().contains("lsu", 1));
+        assert!(view.overlay().contains(Module::Lsu, 1));
 
         // The combined view sees both levels.
         assert!(view.contains_point(&CoveragePoint {
-            module: "rob",
+            module: Module::Rob,
             index: 3
         }));
         assert!(view.contains_point(&CoveragePoint {
-            module: "lsu",
+            module: Module::Lsu,
             index: 1
         }));
         assert_eq!(view.points(), 2);
@@ -552,10 +569,10 @@ mod tests {
         // The overlay replaces steal-mode's per-slot full-view clone; the
         // freshness verdicts must be identical to observing into the clone.
         let mut start = CoverageMatrix::new();
-        start.observe(&census(&[("rob", 1), ("rob", 2)]));
+        start.observe(&census(&[(Module::Rob, 1), (Module::Rob, 2)]));
         let rounds = [
-            census(&[("rob", 1), ("lsu", 4)]),
-            census(&[("rob", 2), ("lsu", 4), ("dcache", 7)]),
+            census(&[(Module::Rob, 1), (Module::Lsu, 4)]),
+            census(&[(Module::Rob, 2), (Module::Lsu, 4), (Module::Dcache, 7)]),
         ];
 
         let mut cloned = start.clone();

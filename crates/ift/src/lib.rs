@@ -25,6 +25,8 @@
 //! On top of the operators the crate provides the observation machinery of
 //! §4.2–§4.3:
 //!
+//! * [`Module`] — the closed vocabulary of components (`rob`, `dcache`,
+//!   …) censuses, points, sinks and bugs name, and who reports which,
 //! * [`census::Census`] — per-module tainted-register counts and the global
 //!   taint sum (Figure 6's y-axis),
 //! * [`coverage::CoverageMatrix`] — the taint coverage matrix: one bitmap
@@ -56,6 +58,7 @@ pub mod census;
 pub mod coverage;
 pub mod liveness;
 pub mod mem;
+pub mod module;
 pub mod persist;
 pub mod policy;
 pub mod shared;
@@ -67,6 +70,7 @@ pub use coverage::{
 };
 pub use liveness::{LivenessMask, SinkReport};
 pub use mem::TMem;
+pub use module::Module;
 pub use policy::{IftMode, Policy};
 pub use shared::{RecordingCoverage, SharedCoverage};
 pub use tword::TWord;

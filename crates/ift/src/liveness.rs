@@ -11,6 +11,8 @@
 //! currently holds architecturally reachable data. A tainted sink is
 //! reported as exploitable only when its liveness bit is high.
 
+use crate::module::Module;
+
 /// A liveness annotation: binds a register array (the sink) to a liveness
 /// signal vector, one bit per slot.
 ///
@@ -23,7 +25,7 @@
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LivenessMask {
     /// Module that owns the sink array.
-    pub module: &'static str,
+    pub module: Module,
     /// Name of the annotated register array.
     pub array: &'static str,
     /// Name of the liveness signal the annotation references.
@@ -32,7 +34,7 @@ pub struct LivenessMask {
 
 impl LivenessMask {
     /// Creates an annotation binding `module.array` to `signal`.
-    pub const fn new(module: &'static str, array: &'static str, signal: &'static str) -> Self {
+    pub const fn new(module: Module, array: &'static str, signal: &'static str) -> Self {
         LivenessMask {
             module,
             array,
@@ -45,7 +47,7 @@ impl LivenessMask {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SinkReport {
     /// Module that owns the sink.
-    pub module: &'static str,
+    pub module: Module,
     /// Annotated array name.
     pub array: String,
     /// Slot index within the array.
@@ -78,7 +80,7 @@ impl SinkReport {
 /// truncates to the shorter one (mirroring a hardware vector width
 /// mismatch, which the annotation interface forbids but a sweep tolerates).
 pub fn sweep_sinks(
-    module: &'static str,
+    module: Module,
     array: impl Into<String>,
     taints: impl IntoIterator<Item = u64>,
     live: impl IntoIterator<Item = bool>,
@@ -109,8 +111,8 @@ mod tests {
 
     #[test]
     fn annotation_carries_binding() {
-        let a = LivenessMask::new("lfb", "lb", "mshr_valid_vec");
-        assert_eq!(a.module, "lfb");
+        let a = LivenessMask::new(Module::Lfb, "lb", "mshr_valid_vec");
+        assert_eq!(a.module, Module::Lfb);
         assert_eq!(a.signal, "mshr_valid_vec");
     }
 
@@ -118,7 +120,7 @@ mod tests {
     fn sweep_reports_only_tainted_slots() {
         let mut out = Vec::new();
         sweep_sinks(
-            "lfb",
+            Module::Lfb,
             "lb",
             [0u64, 0xFF, 0, 0x1],
             [true, true, true, false],
@@ -134,7 +136,7 @@ mod tests {
         // The paper's MSHR/LFB example: refill completed, MSHR switched to
         // invalid, secret bytes remain in the LFB. Tainted but dead.
         let mut out = Vec::new();
-        sweep_sinks("lfb", "lb", [0xDEAD_u64], [false], &mut out);
+        sweep_sinks(Module::Lfb, "lb", [0xDEAD_u64], [false], &mut out);
         assert_eq!(out.len(), 1);
         assert!(out[0].residue());
         assert!(!out[0].exploitable());
@@ -144,7 +146,13 @@ mod tests {
     #[test]
     fn live_tainted_sink_is_exploitable() {
         let mut out = Vec::new();
-        sweep_sinks("dcache", "data", [0u64, 0xBEEF], [true, true], &mut out);
+        sweep_sinks(
+            Module::Dcache,
+            "data",
+            [0u64, 0xBEEF],
+            [true, true],
+            &mut out,
+        );
         let ex = exploitable(&out);
         assert_eq!(ex.len(), 1);
         assert_eq!(ex[0].index, 1);
@@ -162,7 +170,7 @@ mod tests {
             .collect();
         let taints = vec![0xAAu64; 16];
         let mut out = Vec::new();
-        sweep_sinks("lfb", "lb", taints, live_vec, &mut out);
+        sweep_sinks(Module::Lfb, "lb", taints, live_vec, &mut out);
         assert_eq!(out.len(), 16);
         assert_eq!(out.iter().filter(|r| r.exploitable()).count(), 8);
         assert_eq!(out.iter().filter(|r| r.residue()).count(), 8);

@@ -1,16 +1,16 @@
 //! [`Persist`] wire formats for the coverage types.
 //!
-//! A [`CoveragePoint`] holds a `&'static str` module name; decoding goes
-//! through [`dejavuzz_persist::intern()`] so points read back from a
-//! snapshot compare (and hash) equal to the ones a live census produces.
-//! A [`CoverageMatrix`] encodes its points *sorted*, so equal sets
-//! produce byte-identical encodings regardless of `HashSet` iteration
-//! order — snapshot files are reproducible artifacts, diffable across
-//! runs.
+//! A [`Module`] travels as its name and decodes by lookup: an unknown
+//! name is a [`DecodeError::InvalidValue`], and nothing outlives the
+//! call. A [`CoverageMatrix`] encodes its points
+//! *sorted*, so equal sets produce byte-identical encodings regardless
+//! of `HashSet` iteration order — snapshot files are reproducible
+//! artifacts, diffable across runs.
 
-use dejavuzz_persist::{intern, DecodeError, Decoder, Encoder, Persist};
+use dejavuzz_persist::{DecodeError, Decoder, Encoder, Persist};
 
 use crate::coverage::{CoverageMatrix, CoveragePoint};
+use crate::module::Module;
 use crate::policy::IftMode;
 
 impl Persist for IftMode {
@@ -35,15 +35,36 @@ impl Persist for IftMode {
     }
 }
 
-impl Persist for CoveragePoint {
+impl Persist for Module {
     fn encode(&self, enc: &mut Encoder) {
-        enc.str(self.module);
-        enc.usize(self.index);
+        enc.str(self.name());
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let module = intern(&dec.string()?);
-        let index = dec.usize()?;
+        let name = dec.bytes()?;
+        let known = Module::ALL
+            .into_iter()
+            .find(|m| m.name().as_bytes() == name);
+        known.ok_or_else(|| DecodeError::InvalidValue {
+            what: "Module",
+            detail: format!("unknown module {:?}", String::from_utf8_lossy(name)),
+        })
+    }
+}
+
+impl Persist for CoveragePoint {
+    fn encode(&self, enc: &mut Encoder) {
+        self.module.encode(enc);
+        enc.u64(u64::from(self.index));
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let module = Module::decode(dec)?;
+        let index = dec.u64()?;
+        let index = u32::try_from(index).map_err(|_| DecodeError::InvalidValue {
+            what: "CoveragePoint.index",
+            detail: format!("{index} exceeds u32::MAX"),
+        })?;
         Ok(CoveragePoint { module, index })
     }
 }
@@ -68,7 +89,7 @@ mod tests {
     use super::*;
     use crate::census::Census;
 
-    fn matrix(counts: &[(&'static str, usize)]) -> CoverageMatrix {
+    fn matrix(counts: &[(Module, usize)]) -> CoverageMatrix {
         let mut c = Census::new();
         for &(m, tainted) in counts {
             c.report_counts(m, tainted, 64);
@@ -80,12 +101,12 @@ mod tests {
 
     #[test]
     fn coverage_matrix_round_trips_exactly() {
-        let m = matrix(&[("rob", 3), ("lsu", 1), ("dcache", 7)]);
+        let m = matrix(&[(Module::Rob, 3), (Module::Lsu, 1), (Module::Dcache, 7)]);
         let bytes = dejavuzz_persist::to_bytes(&m);
         let back: CoverageMatrix = dejavuzz_persist::from_bytes(&bytes).unwrap();
         assert_eq!(back, m);
         assert_eq!(back.sorted_points(), m.sorted_points());
-        assert!(back.contains("dcache", 7));
+        assert!(back.contains(Module::Dcache, 7));
     }
 
     #[test]
@@ -97,8 +118,8 @@ mod tests {
 
     #[test]
     fn encoding_is_canonical_regardless_of_insertion_order() {
-        let a = matrix(&[("rob", 3), ("lsu", 1), ("dcache", 7)]);
-        let b = matrix(&[("dcache", 7), ("rob", 3), ("lsu", 1)]);
+        let a = matrix(&[(Module::Rob, 3), (Module::Lsu, 1), (Module::Dcache, 7)]);
+        let b = matrix(&[(Module::Dcache, 7), (Module::Rob, 3), (Module::Lsu, 1)]);
         assert_eq!(
             dejavuzz_persist::to_bytes(&a),
             dejavuzz_persist::to_bytes(&b),
@@ -108,20 +129,46 @@ mod tests {
 
     #[test]
     fn decoded_points_interoperate_with_live_ones() {
-        let m = matrix(&[("rob", 2)]);
+        let m = matrix(&[(Module::Rob, 2)]);
         let bytes = dejavuzz_persist::to_bytes(&m);
         let back: CoverageMatrix = dejavuzz_persist::from_bytes(&bytes).unwrap();
         // A live observation of the same (module, count) must deduplicate
-        // against the decoded point — interning makes them one value.
+        // against the decoded point.
         let mut merged = back;
         let mut c = Census::new();
-        c.report_counts("rob", 2, 64);
+        c.report_counts(Module::Rob, 2, 64);
         assert_eq!(merged.observe(&c), 0, "decoded point dedups live census");
     }
 
     #[test]
+    fn unknown_modules_and_oversized_indices_are_invalid_values() {
+        let point = |module: &str, index: u64| {
+            let mut enc = Encoder::new();
+            enc.str(module);
+            enc.u64(index);
+            dejavuzz_persist::from_bytes::<CoveragePoint>(&enc.into_bytes())
+        };
+        for module in Module::ALL {
+            assert_eq!(
+                point(module.name(), 7),
+                Ok(CoveragePoint { module, index: 7 })
+            );
+        }
+        for (module, index, what) in [
+            ("pipeline", 1, "Module"),
+            ("\u{ff}rob", 1, "Module"),
+            ("rob", 1 << 32, "CoveragePoint.index"),
+        ] {
+            match point(module, index) {
+                Err(DecodeError::InvalidValue { what: w, .. }) => assert_eq!(w, what),
+                other => panic!("{module:?}/{index} decoded to {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn truncated_matrix_fails_structurally() {
-        let m = matrix(&[("rob", 3), ("lsu", 1)]);
+        let m = matrix(&[(Module::Rob, 3), (Module::Lsu, 1)]);
         let bytes = dejavuzz_persist::to_bytes(&m);
         for cut in 0..bytes.len() {
             assert!(

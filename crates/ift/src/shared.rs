@@ -21,6 +21,7 @@ use std::sync::Mutex;
 
 use crate::census::{Census, TaintLog};
 use crate::coverage::{CoverageMatrix, CoveragePoint, CoverageView, TaintCoverage};
+use crate::module::Module;
 
 /// Default shard count: enough stripes that 8–16 workers rarely collide,
 /// small enough that a snapshot stays cheap.
@@ -67,10 +68,10 @@ impl SharedCoverage {
         // independent of the HashMap hasher so the stripe distribution is
         // stable across runs.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in point.module.bytes() {
+        for b in point.module.name().bytes() {
             h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
         }
-        h = (h ^ point.index as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        h = (h ^ u64::from(point.index)).wrapping_mul(0x0000_0100_0000_01B3);
         (h as usize) & (self.shards.len() - 1)
     }
 
@@ -106,10 +107,9 @@ impl SharedCoverage {
         self.points.load(Ordering::Relaxed)
     }
 
-    /// True if the `(module, index)` slot has been committed. Requires a
-    /// `'static` module name (all census module names are) so the probe
+    /// True if the `(module, index)` slot has been committed. The probe
     /// hashes straight to its owning shard — one lock, one set probe.
-    pub fn contains(&self, module: &'static str, index: usize) -> bool {
+    pub fn contains(&self, module: Module, index: u32) -> bool {
         let p = CoveragePoint { module, index };
         self.shards[self.shard_of(&p)]
             .lock()
@@ -214,7 +214,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    fn census(counts: &[(&'static str, usize)]) -> Census {
+    fn census(counts: &[(Module, usize)]) -> Census {
         let mut c = Census::new();
         for &(m, tainted) in counts {
             c.report_counts(m, tainted, 64);
@@ -226,30 +226,34 @@ mod tests {
     fn observe_point_dedups_and_counts() {
         let s = SharedCoverage::new(4);
         assert!(s.observe_point(CoveragePoint {
-            module: "rob",
+            module: Module::Rob,
             index: 3
         }));
         assert!(!s.observe_point(CoveragePoint {
-            module: "rob",
+            module: Module::Rob,
             index: 3
         }));
         assert!(s.observe_point(CoveragePoint {
-            module: "rob",
+            module: Module::Rob,
             index: 4
         }));
         assert_eq!(s.points(), 2);
-        assert!(s.contains("rob", 3));
-        assert!(!s.contains("lsu", 1));
+        assert!(s.contains(Module::Rob, 3));
+        assert!(!s.contains(Module::Lsu, 1));
     }
 
     #[test]
     fn snapshot_equals_committed_set() {
         let s = SharedCoverage::new(8);
-        s.observe(&census(&[("rob", 3), ("lsu", 1), ("dcache", 7)]));
+        s.observe(&census(&[
+            (Module::Rob, 3),
+            (Module::Lsu, 1),
+            (Module::Dcache, 7),
+        ]));
         let snap = s.snapshot();
         assert_eq!(snap.points(), 3);
         assert_eq!(snap.points(), s.points());
-        assert!(snap.contains("dcache", 7));
+        assert!(snap.contains(Module::Dcache, 7));
     }
 
     #[test]
@@ -274,7 +278,7 @@ mod tests {
                         // are striped per thread.
                         if i <= 32 || i % 8 == t {
                             s.observe_point(CoveragePoint {
-                                module: "rob",
+                                module: Module::Rob,
                                 index: i,
                             });
                             mine += 1;
@@ -294,11 +298,11 @@ mod tests {
     fn watermark_deltas_track_commit_order() {
         let s = SharedCoverage::new(4);
         let rob3 = CoveragePoint {
-            module: "rob",
+            module: Module::Rob,
             index: 3,
         };
         let lsu1 = CoveragePoint {
-            module: "lsu",
+            module: Module::Lsu,
             index: 1,
         };
         assert_eq!(s.watermark(), 0);
@@ -324,7 +328,7 @@ mod tests {
                     for i in 1..=32 {
                         if i % 4 == t || i <= 16 {
                             s.observe_point(CoveragePoint {
-                                module: "rob",
+                                module: Module::Rob,
                                 index: i,
                             });
                         }
@@ -350,7 +354,7 @@ mod tests {
         let mut view = CoverageMatrix::new();
         // Pre-populate the view as if another worker had found rob/3.
         view.insert(CoveragePoint {
-            module: "rob",
+            module: Module::Rob,
             index: 3,
         });
         let mut observed = CoverageMatrix::new();
@@ -363,12 +367,12 @@ mod tests {
             observed_recorded: &mut observed_recorded,
             shared: &shared,
         };
-        let fresh = rec.observe(&census(&[("rob", 3), ("lsu", 1)]));
+        let fresh = rec.observe(&census(&[(Module::Rob, 3), (Module::Lsu, 1)]));
         assert_eq!(fresh, 1, "rob/3 was already in the view");
         assert_eq!(
             recorded,
             vec![CoveragePoint {
-                module: "lsu",
+                module: Module::Lsu,
                 index: 1
             }]
         );
@@ -392,8 +396,12 @@ mod tests {
     #[test]
     fn snapshot_restore_round_trip_is_faithful() {
         let original = SharedCoverage::new(8);
-        original.observe(&census(&[("rob", 3), ("lsu", 1), ("dcache", 7)]));
-        original.observe(&census(&[("rob", 5), ("btb", 2)]));
+        original.observe(&census(&[
+            (Module::Rob, 3),
+            (Module::Lsu, 1),
+            (Module::Dcache, 7),
+        ]));
+        original.observe(&census(&[(Module::Rob, 5), (Module::Btb, 2)]));
         let snap = original.snapshot();
 
         // Restore into a *differently sharded* set: the stripe layout is an
@@ -416,7 +424,7 @@ mod tests {
             "snapshot of the restore equals the original snapshot"
         );
         // And restored state dedups exactly like the original would.
-        assert_eq!(restored.observe(&census(&[("rob", 3)])), 0);
+        assert_eq!(restored.observe(&census(&[(Module::Rob, 3)])), 0);
         assert_eq!(restored.points(), original.points());
     }
 
@@ -424,7 +432,7 @@ mod tests {
     fn trait_impl_through_shared_ref() {
         let s = SharedCoverage::new(2);
         let mut sink: &SharedCoverage = &s;
-        let n = TaintCoverage::observe(&mut sink, &census(&[("rob", 2)]));
+        let n = TaintCoverage::observe(&mut sink, &census(&[(Module::Rob, 2)]));
         assert_eq!(n, 1);
         assert_eq!(s.points(), 1);
     }

@@ -18,22 +18,17 @@
 //! * [`frame`] — the snapshot envelope: magic, format version and an
 //!   FNV-1a checksum around an opaque payload, so a wrong-version or
 //!   bit-flipped file fails loudly *before* payload decoding starts.
-//! * [`mod@intern`] — a global leak-once string pool that lets types holding
-//!   `&'static str` (coverage-point module names, bug-report components)
-//!   round-trip through the codec.
 //! * [`io`] — atomic write-rename saves and a [`io::LoadError`] that
 //!   separates filesystem failures from decode failures.
 
 pub mod codec;
 pub mod frame;
-pub mod intern;
 pub mod io;
 
 pub use codec::{DecodeError, Decoder, Encoder, Persist};
 pub use frame::{
     fnv1a64, framed_len, open, seal, GOSSIP_MAGIC, GOSSIP_VERSION, HEADER_LEN, MAX_FRAME,
 };
-pub use intern::intern;
 pub use io::{load_bytes, prune_rotated, rotated_path, save_atomic, LoadError};
 
 /// Encodes a value to a bare (unframed) byte buffer.

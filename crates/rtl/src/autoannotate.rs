@@ -120,13 +120,13 @@ mod tests {
     use super::*;
     use crate::builder::NetlistBuilder;
     use crate::sim::NetlistSim;
-    use dejavuzz_ift::{IftMode, TWord};
+    use dejavuzz_ift::{IftMode, Module, TWord};
 
     /// An LFB-shaped design: a data memory guarded by an `mshr_valid`
     /// register.
     fn lfb_netlist(named: bool) -> Netlist {
         let mut b = NetlistBuilder::new();
-        b.module("lfb");
+        b.module(Module::Lfb);
         let valid = b.reg(0);
         if named {
             b.name(valid, "lfb_mshr_valid");

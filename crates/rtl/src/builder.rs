@@ -1,5 +1,7 @@
 //! "Chisel-lite": a fluent construction API for netlists.
 
+use dejavuzz_ift::Module;
+
 use crate::ir::{Cell, CellKind, MemDecl, MemId, Netlist, NetlistError, SignalId};
 
 /// Builds a [`Netlist`] with SSA discipline enforced at construction time.
@@ -20,20 +22,17 @@ use crate::ir::{Cell, CellKind, MemDecl, MemId, Netlist, NetlistError, SignalId}
 #[derive(Debug, Default)]
 pub struct NetlistBuilder {
     netlist: Netlist,
-    module: &'static str,
+    module: Module,
 }
 
 impl NetlistBuilder {
-    /// An empty builder rooted at module `"top"`.
+    /// An empty builder rooted at [`Module::Top`].
     pub fn new() -> Self {
-        NetlistBuilder {
-            netlist: Netlist::default(),
-            module: "top",
-        }
+        NetlistBuilder::default()
     }
 
-    /// Sets the module path attributed to subsequently created cells.
-    pub fn module(&mut self, module: &'static str) -> &mut Self {
+    /// Sets the module attributed to subsequently created cells.
+    pub fn module(&mut self, module: Module) -> &mut Self {
         self.module = module;
         self
     }
@@ -288,11 +287,11 @@ mod tests {
     #[test]
     fn module_attribution() {
         let mut b = NetlistBuilder::new();
-        b.module("rob");
+        b.module(Module::Rob);
         let r = b.reg(0);
         let c = b.constant(0);
         b.connect_reg(r, c, None);
         let n = b.finish();
-        assert_eq!(n.cells[r].module, "rob");
+        assert_eq!(n.cells[r].module, Module::Rob);
     }
 }

@@ -1,6 +1,8 @@
 //! Reference circuits: the Figure 2 RoB-entry circuit and synthetic
 //! core-scale netlists for the Table 4 compile-overhead rows.
 
+use dejavuzz_ift::Module;
+
 use crate::builder::NetlistBuilder;
 use crate::ir::{Netlist, SignalId};
 
@@ -30,7 +32,7 @@ pub struct RobEntryCircuit {
 /// clean when the variants agree on the control signals.
 pub fn rob_entry_circuit(entries: usize) -> RobEntryCircuit {
     let mut b = NetlistBuilder::new();
-    b.module("rob");
+    b.module(Module::Rob);
     let uopc_regs: Vec<SignalId> = (0..entries).map(|_| b.reg(0)).collect();
     let enq_uopc = b.input(0);
     let enq_valid = b.input(1);
@@ -109,7 +111,7 @@ pub const XIANGSHAN_SCALE: CoreScale = CoreScale {
 /// magnitude, which is all the Table 4 compile rows measure.
 pub fn synthetic_core(scale: CoreScale) -> Netlist {
     let mut b = NetlistBuilder::new();
-    b.module("core");
+    b.module(Module::Core);
     let x = b.input(0);
     let y = b.input(1);
     let wen = b.input(2);

@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use dejavuzz_ift::Module;
+
 /// Index of a signal (one cell output) within a netlist.
 pub type SignalId = usize;
 
@@ -69,9 +71,8 @@ pub struct Cell {
     pub kind: CellKind,
     /// Diagnostic name (register names appear in taint censuses).
     pub name: Option<String>,
-    /// Module instance path, e.g. `"rob"`; used for module-local taint
-    /// statistics.
-    pub module: &'static str,
+    /// Owning module; used for module-local taint statistics.
+    pub module: Module,
 }
 
 /// A word-addressed memory declaration.
@@ -81,8 +82,8 @@ pub struct MemDecl {
     pub words: usize,
     /// Diagnostic name.
     pub name: Option<String>,
-    /// Owning module path.
-    pub module: &'static str,
+    /// Owning module.
+    pub module: Module,
     /// Write port: `(wen, addr, data)` signals, connected after declaration.
     pub write_port: Option<(SignalId, SignalId, SignalId)>,
     /// `liveness_mask` attribute: one 1-bit liveness signal per slot
@@ -242,7 +243,7 @@ mod tests {
         Cell {
             kind,
             name: None,
-            module: "top",
+            module: Module::Top,
         }
     }
 
@@ -261,7 +262,7 @@ mod tests {
             mems: vec![MemDecl {
                 words: 8,
                 name: None,
-                module: "top",
+                module: Module::Top,
                 write_port: None,
                 liveness: vec![],
             }],
@@ -332,7 +333,7 @@ mod tests {
         MemDecl {
             words,
             name: None,
-            module: "top",
+            module: Module::Top,
             write_port,
             liveness,
         }

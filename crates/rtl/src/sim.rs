@@ -39,7 +39,7 @@
 
 use std::collections::HashMap;
 
-use dejavuzz_ift::{Census, IftMode, Policy, SinkReport, TMem, TWord};
+use dejavuzz_ift::{Census, IftMode, Module, Policy, SinkReport, TMem, TWord};
 
 use crate::ir::{CellKind, Netlist, NetlistError, SignalId};
 
@@ -95,7 +95,7 @@ struct Program {
     inits: Vec<(u32, u64)>,
     writes: Vec<WritePort>,
     /// Register modules in first-seen order.
-    modules: Vec<&'static str>,
+    modules: Vec<Module>,
     /// Registers per module.
     totals: Vec<usize>,
     /// Input ports the netlist declares.
@@ -111,7 +111,7 @@ impl Program {
             inputs: netlist.input_count(),
             ..Program::default()
         };
-        let mut module_ids: HashMap<&'static str, u32> = HashMap::new();
+        let mut module_ids: HashMap<Module, u32> = HashMap::new();
         for (i, cell) in netlist.cells.iter().enumerate() {
             let dst = ix(i);
             let op = match cell.kind {
@@ -528,7 +528,7 @@ impl NetlistSim {
         census.clear();
         let regs = self.program.modules.iter().zip(&self.program.totals);
         for ((module, &total), &tainted) in regs.zip(&self.tainted) {
-            census.report_counts(module, tainted, total);
+            census.report_counts(*module, tainted, total);
         }
         for (decl, mem) in self.netlist.mems.iter().zip(&self.mems) {
             census.report_counts(decl.module, mem.tainted_slots(), mem.len());
@@ -657,9 +657,9 @@ mod tests {
     #[test]
     fn census_groups_by_module() {
         let mut b = NetlistBuilder::new();
-        b.module("rob");
+        b.module(Module::Rob);
         let r1 = b.reg(0);
-        b.module("lsu");
+        b.module(Module::Lsu);
         let r2 = b.reg(0);
         let c = b.constant(0);
         b.connect_reg(r1, c, None);
@@ -667,8 +667,8 @@ mod tests {
         let mut sim = NetlistSim::new(b.finish(), IftMode::DiffIft);
         sim.taint_reg(r2);
         let census = sim.census();
-        assert_eq!(census.module_tainted("rob"), Some(0));
-        assert_eq!(census.module_tainted("lsu"), Some(1));
+        assert_eq!(census.module_tainted(Module::Rob), Some(0));
+        assert_eq!(census.module_tainted(Module::Lsu), Some(1));
         assert_eq!(census.taint_sum(), 1);
     }
 
@@ -726,12 +726,12 @@ mod tests {
                 Cell {
                     kind: CellKind::Not(1),
                     name: None,
-                    module: "top",
+                    module: Module::Top,
                 },
                 Cell {
                     kind: CellKind::Const(0),
                     name: None,
-                    module: "top",
+                    module: Module::Top,
                 },
             ],
             mems: vec![],
@@ -759,14 +759,14 @@ mod tests {
     #[test]
     fn census_counts_follow_register_writes() {
         let mut b = NetlistBuilder::new();
-        b.module("rob");
+        b.module(Module::Rob);
         let r1 = b.reg(0);
         let r2 = b.reg(0);
         let x = b.input(0);
         b.connect_reg(r1, x, None);
         b.connect_reg(r2, r1, None);
         let mut sim = NetlistSim::new(b.finish(), IftMode::DiffIft);
-        let tainted = |sim: &NetlistSim| sim.census().module_tainted("rob");
+        let tainted = |sim: &NetlistSim| sim.census().module_tainted(Module::Rob);
         sim.set_input(0, TWord::secret(1, 2));
         sim.step();
         assert_eq!(tainted(&sim), Some(1), "the secret reaches r1");
@@ -810,7 +810,7 @@ mod tests {
     #[test]
     fn restore_returns_to_the_saved_state() {
         let mut b = NetlistBuilder::new();
-        b.module("rob");
+        b.module(Module::Rob);
         let m = b.mem(4, "buf");
         let r = b.reg(7);
         let held = b.reg(4); // unconnected: only the testbench changes it

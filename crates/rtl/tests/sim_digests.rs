@@ -182,7 +182,7 @@ fn run_with_detour(sim: &mut NetlistSim, netlist: &Netlist, io: &Io, split: Opti
         sim.step();
         census.u64(sim.cycle());
         for m in sim.census().modules() {
-            census.str(m.module);
+            census.str(m.module.name());
             census.u64(m.tainted as u64);
             census.u64(m.total as u64);
         }
@@ -198,7 +198,7 @@ fn run_with_detour(sim: &mut NetlistSim, netlist: &Netlist, io: &Io, split: Opti
     // Same-cycle comb outputs feed the liveness bits of the final sweep.
     sim.eval_comb();
     for r in sim.sink_reports() {
-        sinks.str(r.module);
+        sinks.str(r.module.name());
         sinks.str(&r.array);
         sinks.u64(r.index as u64);
         sinks.u64(r.taint);

@@ -784,7 +784,7 @@ pub fn find_phantom_btb(
         let r = Core::new(*cfg, dejavuzz_ift::IftMode::DiffIft).run(&mut mem, 10_000);
         if r.sinks
             .iter()
-            .any(|s| s.module == "btb" && s.index == index && s.exploitable())
+            .any(|s| s.module == dejavuzz_ift::Module::Btb && s.index == index && s.exploitable())
         {
             return Some((nops, r));
         }
@@ -797,7 +797,7 @@ mod tests {
     use super::*;
     use crate::config::boom_small;
     use crate::core::Core;
-    use dejavuzz_ift::IftMode;
+    use dejavuzz_ift::{IftMode, Module};
 
     fn run(case: &AttackCase) -> crate::core::RunResult {
         let mut mem = case.build_mem(&[0x2A]);
@@ -815,7 +815,7 @@ mod tests {
         assert!(
             r.sinks
                 .iter()
-                .any(|s| s.module == "dcache" && s.exploitable()),
+                .any(|s| s.module == Module::Dcache && s.exploitable()),
             "dcache must hold a live tainted line: {:?}",
             r.sinks
         );
@@ -830,7 +830,7 @@ mod tests {
         assert!(r
             .sinks
             .iter()
-            .any(|s| s.module == "dcache" && s.exploitable()));
+            .any(|s| s.module == Module::Dcache && s.exploitable()));
     }
 
     #[test]
@@ -842,7 +842,7 @@ mod tests {
         assert!(r
             .sinks
             .iter()
-            .any(|s| s.module == "dcache" && s.exploitable()));
+            .any(|s| s.module == Module::Dcache && s.exploitable()));
     }
 
     #[test]
@@ -854,7 +854,7 @@ mod tests {
         assert!(r
             .sinks
             .iter()
-            .any(|s| s.module == "dcache" && s.exploitable()));
+            .any(|s| s.module == Module::Dcache && s.exploitable()));
     }
 
     #[test]
@@ -866,7 +866,7 @@ mod tests {
         assert!(r
             .sinks
             .iter()
-            .any(|s| s.module == "dcache" && s.exploitable()));
+            .any(|s| s.module == Module::Dcache && s.exploitable()));
     }
 
     #[test]
@@ -884,7 +884,7 @@ mod tests {
         let count = |r: &crate::core::RunResult| {
             r.sinks
                 .iter()
-                .filter(|s| s.module == "dcache" && s.exploitable())
+                .filter(|s| s.module == Module::Dcache && s.exploitable())
                 .count()
         };
         assert!(
@@ -925,7 +925,7 @@ mod tests {
         assert!(
             xs.sinks
                 .iter()
-                .any(|s| s.module == "dcache" && s.exploitable()),
+                .any(|s| s.module == Module::Dcache && s.exploitable()),
             "B1: truncated illegal address samples the secret on XiangShan"
         );
         let boom = run_on(&case, boom_small());
@@ -933,7 +933,7 @@ mod tests {
             !boom
                 .sinks
                 .iter()
-                .any(|s| s.module == "dcache" && s.exploitable()),
+                .any(|s| s.module == Module::Dcache && s.exploitable()),
             "BOOM's full-width wire blocks the illegal address outright"
         );
     }
@@ -945,7 +945,7 @@ mod tests {
         let ras_leak = boom
             .sinks
             .iter()
-            .any(|s| s.module == "ras" && s.exploitable());
+            .any(|s| s.module == Module::Ras && s.exploitable());
         assert!(
             ras_leak,
             "B2: BOOM leaves a secret-dependent RAS entry below TOS: {:?}",
@@ -956,7 +956,7 @@ mod tests {
         assert!(
             !xs.sinks
                 .iter()
-                .any(|s| s.module == "ras" && s.exploitable()),
+                .any(|s| s.module == Module::Ras && s.exploitable()),
             "full restore must fix B2: {:?}",
             xs.sinks
         );
@@ -981,7 +981,7 @@ mod tests {
         let case = spectre_refetch();
         let r = run_on(&case, boom_small());
         assert!(
-            r.timing_events.iter().any(|t| t.resource == "icache"),
+            r.timing_events.iter().any(|t| t.resource == Module::Icache),
             "B4: the secret-dependent transient fetch must diverge icache timing: {:?}",
             r.timing_events
         );
@@ -994,9 +994,9 @@ mod tests {
         let case = spectre_reload();
         let r = run_on(&case, xiangshan_minimal());
         assert!(
-            r.timing_events
-                .iter()
-                .any(|t| t.resource == "dcache" || t.resource == "lsu-wb" || t.resource == "lsu"),
+            r.timing_events.iter().any(|t| t.resource == Module::Dcache
+                || t.resource == Module::LsuWb
+                || t.resource == Module::Lsu),
             "B5: load-path timing must diverge: {:?}",
             r.timing_events
         );

@@ -17,7 +17,7 @@
 //! Debug builds check each count against a full scan whenever it is
 //! reported.
 
-use dejavuzz_ift::{Census, TWord};
+use dejavuzz_ift::{Census, Module, TWord};
 
 /// Per-plane hit/miss outcome of a cache probe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,7 +44,7 @@ impl Probe {
 /// store). Used for both the I-cache and the D-cache.
 #[derive(Clone, Debug)]
 pub struct Cache {
-    module: &'static str,
+    module: Module,
     /// Per-line tag, per plane (`None` = invalid).
     tags_a: Vec<Option<u64>>,
     tags_b: Vec<Option<u64>>,
@@ -61,7 +61,7 @@ pub struct Cache {
 impl Cache {
     /// A cache of `lines` lines of `line_bytes` bytes each.
     pub fn new(
-        module: &'static str,
+        module: Module,
         lines: usize,
         line_bytes: u64,
         hit_latency: u64,
@@ -319,7 +319,7 @@ impl LineFillBuffer {
     /// Reports into a census sweep.
     pub fn census(&self, census: &mut Census) {
         debug_assert_eq!(self.tainted, scan(self.taints()), "lfb count");
-        census.report_counts("lfb", self.tainted, self.entries.len());
+        census.report_counts(Module::Lfb, self.tainted, self.entries.len());
     }
 }
 
@@ -336,8 +336,8 @@ impl Tlb {
     /// A TLB with `l1_entries`/`l2_entries` page entries.
     pub fn new(l1_entries: usize, l2_entries: usize, page_bytes: u64, walk_latency: u64) -> Self {
         Tlb {
-            l1: Cache::new("tlb", l1_entries, page_bytes, 0, 1),
-            l2: Cache::new("l2tlb", l2_entries, page_bytes, 1, 4),
+            l1: Cache::new(Module::Tlb, l1_entries, page_bytes, 0, 1),
+            l2: Cache::new(Module::L2tlb, l2_entries, page_bytes, 1, 4),
             walk_latency,
         }
     }
@@ -414,7 +414,7 @@ mod tests {
     use super::*;
 
     fn cache() -> Cache {
-        Cache::new("dcache", 16, 64, 2, 20)
+        Cache::new(Module::Dcache, 16, 64, 2, 20)
     }
 
     #[test]
@@ -468,7 +468,7 @@ mod tests {
         c.access(TWord::lit(0x8000), 0xFF);
         let mut census = Census::new();
         c.census(&mut census);
-        assert_eq!(census.module_tainted("dcache"), Some(1));
+        assert_eq!(census.module_tainted(Module::Dcache), Some(1));
     }
 
     #[test]
@@ -533,7 +533,7 @@ mod tests {
         tlb.translate(TWord::secret(0x8000, 0x10_8000), u64::MAX);
         let mut census = Census::new();
         tlb.census(&mut census);
-        assert!(census.module_tainted("tlb").unwrap() >= 1);
-        assert!(census.module_tainted("l2tlb").unwrap() >= 1);
+        assert!(census.module_tainted(Module::Tlb).unwrap() >= 1);
+        assert!(census.module_tainted(Module::L2tlb).unwrap() >= 1);
     }
 }

@@ -229,23 +229,27 @@ pub fn xiangshan_minimal() -> CoreConfig {
 /// Every entry binds a sink array to its state-register liveness signal,
 /// mirroring the paper's `(* liveness_mask = "..." *)` attributes.
 pub fn annotations(cfg: &CoreConfig) -> Vec<dejavuzz_ift::LivenessMask> {
-    use dejavuzz_ift::LivenessMask;
+    use dejavuzz_ift::{LivenessMask, Module};
     let mut v = vec![
-        LivenessMask::new("lfb", "lb", "mshr_valid_vec"),
-        LivenessMask::new("dcache", "data_array", "dcache_line_valid_vec"),
-        LivenessMask::new("icache", "data_array", "icache_line_valid_vec"),
-        LivenessMask::new("ras", "stack", "ras_in_stack_vec"),
-        LivenessMask::new("btb", "targets", "btb_entry_valid_vec"),
-        LivenessMask::new("bht", "counters", "bht_trained_vec"),
-        LivenessMask::new("loop", "entries", "loop_conf_vec"),
-        LivenessMask::new("tlb", "entries", "tlb_valid_vec"),
-        LivenessMask::new("rob", "results", "rob_entry_valid_vec"),
-        LivenessMask::new("regfile", "regs", "prf_allocated_vec"),
-        LivenessMask::new("lsu", "lq_data", "lq_valid_vec"),
-        LivenessMask::new("lsu", "sq_data", "sq_valid_vec"),
+        LivenessMask::new(Module::Lfb, "lb", "mshr_valid_vec"),
+        LivenessMask::new(Module::Dcache, "data_array", "dcache_line_valid_vec"),
+        LivenessMask::new(Module::Icache, "data_array", "icache_line_valid_vec"),
+        LivenessMask::new(Module::Ras, "stack", "ras_in_stack_vec"),
+        LivenessMask::new(Module::Btb, "targets", "btb_entry_valid_vec"),
+        LivenessMask::new(Module::Bht, "counters", "bht_trained_vec"),
+        LivenessMask::new(Module::Loop, "entries", "loop_conf_vec"),
+        LivenessMask::new(Module::Tlb, "entries", "tlb_valid_vec"),
+        LivenessMask::new(Module::Rob, "results", "rob_entry_valid_vec"),
+        LivenessMask::new(Module::Regfile, "regs", "prf_allocated_vec"),
+        LivenessMask::new(Module::Lsu, "lq_data", "lq_valid_vec"),
+        LivenessMask::new(Module::Lsu, "sq_data", "sq_valid_vec"),
     ];
     if cfg.l2tlb_entries > 0 {
-        v.push(LivenessMask::new("l2tlb", "entries", "l2tlb_valid_vec"));
+        v.push(LivenessMask::new(
+            Module::L2tlb,
+            "entries",
+            "l2tlb_valid_vec",
+        ));
     }
     v
 }
@@ -253,6 +257,7 @@ pub fn annotations(cfg: &CoreConfig) -> Vec<dejavuzz_ift::LivenessMask> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dejavuzz_ift::Module;
 
     #[test]
     fn table2_rows_match_paper() {
@@ -296,9 +301,9 @@ mod tests {
         let anns = annotations(&boom_small());
         assert!(anns
             .iter()
-            .any(|a| a.module == "lfb" && a.signal == "mshr_valid_vec"));
-        assert!(anns.iter().any(|a| a.module == "rob"));
-        assert!(anns.iter().any(|a| a.module == "regfile"));
+            .any(|a| a.module == Module::Lfb && a.signal == "mshr_valid_vec"));
+        assert!(anns.iter().any(|a| a.module == Module::Rob));
+        assert!(anns.iter().any(|a| a.module == Module::Regfile));
         assert!(anns.len() >= 12);
     }
 

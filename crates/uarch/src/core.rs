@@ -19,7 +19,7 @@
 //! skew traces back to secret-dependent microarchitectural divergence —
 //! which is precisely what Phase 3's constant-time analysis looks for.
 
-use dejavuzz_ift::{Census, IftMode, Policy, SinkReport, TWord, TaintLog};
+use dejavuzz_ift::{Census, IftMode, Module, Policy, SinkReport, TWord, TaintLog};
 use dejavuzz_isa::instr::{AluOp, Instr, Reg};
 use dejavuzz_isa::{decode, Exception};
 use dejavuzz_swapmem::{SwapMem, TrapAction};
@@ -182,7 +182,7 @@ pub struct TimingEvent {
     /// Structural cycle of the access.
     pub cycle: u64,
     /// The contended resource (Table 5's "encoded timing component").
-    pub resource: &'static str,
+    pub resource: Module,
     /// Plane-1 stall cycles.
     pub wait_a: u64,
     /// Plane-2 stall cycles.
@@ -320,14 +320,14 @@ impl Core {
             ras: Ras::new(cfg.ras_entries, !cfg.bugs.phantom_rsb),
             loopp: LoopPredictor::new(cfg.loop_entries),
             icache: Cache::new(
-                "icache",
+                Module::Icache,
                 cfg.icache_lines,
                 cfg.line_bytes,
                 cfg.cache_hit_latency,
                 cfg.cache_miss_latency,
             ),
             dcache: Cache::new(
-                "dcache",
+                Module::Dcache,
                 cfg.dcache_lines,
                 cfg.line_bytes,
                 cfg.cache_hit_latency,
@@ -667,10 +667,10 @@ impl Core {
             let probe = self.icache.access(pc, 0);
             if !probe.hit_a {
                 self.fetch_stall_until = self.cycle + probe.lat_a;
-                self.bump_skew("icache", probe.lat_a, probe.lat_b);
+                self.bump_skew(Module::Icache, probe.lat_a, probe.lat_b);
                 return;
             } else if probe.lat_a != probe.lat_b {
-                self.bump_skew("icache", probe.lat_a, probe.lat_b);
+                self.bump_skew(Module::Icache, probe.lat_a, probe.lat_b);
             }
             let word = match mem.fetch_t(pc) {
                 Ok(w) => w,
@@ -729,7 +729,7 @@ impl Core {
         self.rob.push(e);
     }
 
-    fn bump_skew(&mut self, resource: &'static str, lat_a: u64, lat_b: u64) {
+    fn bump_skew(&mut self, resource: Module, lat_a: u64, lat_b: u64) {
         if lat_a != lat_b {
             self.skew_b += lat_b as i64 - lat_a as i64;
             self.timing_events.push(TimingEvent {
@@ -905,7 +905,7 @@ impl Core {
                 // (Spectre-Rewind's contention resource).
                 let (wait_a, wait_b) = self.claim_port(|c| &mut c.fpu_port, occ, occ);
                 if wait_a != wait_b {
-                    self.bump_skew("fpu", wait_a, wait_b);
+                    self.bump_skew(Module::Fpu, wait_a, wait_b);
                 }
                 entry.unit = Unit::Fpu;
                 entry.done_at = issue_at + wait_a + occ;
@@ -1234,16 +1234,16 @@ impl Core {
             self.lfb.allocate(addr.a, value, done_data);
         }
         if lat_a != lat_b {
-            self.bump_skew("dcache", lat_a, lat_b);
+            self.bump_skew(Module::Dcache, lat_a, lat_b);
         }
         if tprobe.lat_a != tprobe.lat_b {
-            self.bump_skew("tlb", tprobe.lat_a, tprobe.lat_b);
+            self.bump_skew(Module::Tlb, tprobe.lat_a, tprobe.lat_b);
         }
 
         // LSU + write-back port contention.
         let (lsu_wait_a, lsu_wait_b) = self.claim_port(|c| &mut c.lsu_port, 1, 1);
         if lsu_wait_a != lsu_wait_b {
-            self.bump_skew("lsu", lsu_wait_a, lsu_wait_b);
+            self.bump_skew(Module::Lsu, lsu_wait_a, lsu_wait_b);
         }
         let mut done_at = done_data + lsu_wait_a;
         if self.cfg.bugs.reload_contention {
@@ -1252,7 +1252,7 @@ impl Core {
             // port; the later writer waits.
             let (wb_a, wb_b) = self.claim_port(|c| &mut c.wb_port, 1, 1);
             if wb_a != wb_b {
-                self.bump_skew("lsu-wb", wb_a, wb_b);
+                self.bump_skew(Module::LsuWb, wb_a, wb_b);
             }
             done_at += wb_a;
         }
@@ -1306,12 +1306,12 @@ impl Core {
         let fault = mem.store_fault(addr, size);
         let tprobe = self.tlb.translate(addr, 0);
         if tprobe.lat_a != tprobe.lat_b {
-            self.bump_skew("tlb", tprobe.lat_a, tprobe.lat_b);
+            self.bump_skew(Module::Tlb, tprobe.lat_a, tprobe.lat_b);
         }
         // Stores touch the cache line (write-allocate) speculatively.
         let probe = self.dcache.access(addr, data.t);
         if probe.lat_a != probe.lat_b {
-            self.bump_skew("dcache", probe.lat_a, probe.lat_b);
+            self.bump_skew(Module::Dcache, probe.lat_a, probe.lat_b);
         }
         let resolve_at = issue_at + 1 + tprobe.lat_a;
         entry.done_at = resolve_at;
@@ -1347,29 +1347,29 @@ impl Core {
             // Every register of every module is tainted — the taint
             // explosion plateau of Figure 6's CellIFT curve.
             for (module, regs) in [
-                ("frontend", 1),
-                ("regfile", 32),
-                ("fpregfile", 32),
-                ("rob", self.cfg.rob_entries),
-                ("lsu", self.cfg.sq_entries),
-                ("bht", self.cfg.bht_entries),
-                ("btb", self.cfg.btb_entries),
-                ("ras", self.cfg.ras_entries),
-                ("loop", self.cfg.loop_entries),
-                ("icache", self.cfg.icache_lines),
-                ("dcache", self.cfg.dcache_lines),
-                ("lfb", self.cfg.mshr_entries),
-                ("tlb", self.cfg.tlb_entries),
-                ("l2tlb", self.cfg.l2tlb_entries),
-                ("mem", 64),
+                (Module::Frontend, 1),
+                (Module::Regfile, 32),
+                (Module::Fpregfile, 32),
+                (Module::Rob, self.cfg.rob_entries),
+                (Module::Lsu, self.cfg.sq_entries),
+                (Module::Bht, self.cfg.bht_entries),
+                (Module::Btb, self.cfg.btb_entries),
+                (Module::Ras, self.cfg.ras_entries),
+                (Module::Loop, self.cfg.loop_entries),
+                (Module::Icache, self.cfg.icache_lines),
+                (Module::Dcache, self.cfg.dcache_lines),
+                (Module::Lfb, self.cfg.mshr_entries),
+                (Module::Tlb, self.cfg.tlb_entries),
+                (Module::L2tlb, self.cfg.l2tlb_entries),
+                (Module::Mem, 64),
             ] {
                 c.report_counts(module, regs, regs);
             }
             return;
         }
-        c.report("frontend", [self.pc.t]);
-        c.report("regfile", self.regs.iter().map(|r| r.t));
-        c.report("fpregfile", self.fregs.iter().map(|r| r.t));
+        c.report(Module::Frontend, [self.pc.t]);
+        c.report(Module::Regfile, self.regs.iter().map(|r| r.t));
+        c.report(Module::Fpregfile, self.fregs.iter().map(|r| r.t));
         // In-flight RoB results in the first `rob_entries` slots from the
         // head; retired/squashed slots report as clean (the hardware reuses
         // them, our append-only list models the occupancy window). The
@@ -1385,14 +1385,14 @@ impl Core {
             rob_census(window, rob)
         };
         debug_assert_eq!(tainted, rob_census(window, rob), "rob count");
-        c.report_counts("rob", tainted, rob);
+        c.report_counts(Module::Rob, tainted, rob);
         let tainted = if self.in_flight.stores <= sq {
             self.in_flight.tainted_stores
         } else {
             lsu_census(window, sq)
         };
         debug_assert_eq!(tainted, lsu_census(window, sq), "lsu count");
-        c.report_counts("lsu", tainted, sq);
+        c.report_counts(Module::Lsu, tainted, sq);
         self.bht.census(c);
         self.btb.census(c);
         self.ras.census(c);
@@ -1437,63 +1437,63 @@ impl Core {
         use dejavuzz_ift::liveness::sweep_sinks;
         let mut out = Vec::new();
         sweep_sinks(
-            "lfb",
+            Module::Lfb,
             "lb",
             self.lfb.taints(),
             self.lfb.mshr_valid_vec(),
             &mut out,
         );
         sweep_sinks(
-            "dcache",
+            Module::Dcache,
             "data_array",
             self.dcache.taints(),
             self.dcache.valid_vec(),
             &mut out,
         );
         sweep_sinks(
-            "icache",
+            Module::Icache,
             "data_array",
             self.icache.taints(),
             self.icache.valid_vec(),
             &mut out,
         );
         sweep_sinks(
-            "ras",
+            Module::Ras,
             "stack",
             self.ras.taints(),
             self.ras.in_stack_vec(),
             &mut out,
         );
         sweep_sinks(
-            "btb",
+            Module::Btb,
             "targets",
             self.btb.taints(),
             self.btb.valid_vec(),
             &mut out,
         );
         sweep_sinks(
-            "bht",
+            Module::Bht,
             "counters",
             self.bht.taints(),
             self.bht.trained_vec(),
             &mut out,
         );
         sweep_sinks(
-            "loop",
+            Module::Loop,
             "entries",
             self.loopp.taints(),
             self.loopp.conf_vec(),
             &mut out,
         );
         sweep_sinks(
-            "tlb",
+            Module::Tlb,
             "entries",
             self.tlb.taints(),
             self.tlb.valid_vec(),
             &mut out,
         );
         sweep_sinks(
-            "l2tlb",
+            Module::L2tlb,
             "entries",
             self.tlb.l2_taints(),
             self.tlb.l2_valid_vec(),
@@ -1508,10 +1508,10 @@ impl Core {
             .iter()
             .map(|e| !e.squashed && !e.committed)
             .collect();
-        sweep_sinks("rob", "results", rob_taints, rob_live, &mut out);
+        sweep_sinks(Module::Rob, "results", rob_taints, rob_live, &mut out);
         // Architectural register file: always live.
         sweep_sinks(
-            "regfile",
+            Module::Regfile,
             "regs",
             self.regs.iter().map(|r| r.t),
             std::iter::repeat_n(true, 32),
@@ -1677,8 +1677,8 @@ mod tests {
                         let census = core.census(&mem);
                         let rob = rob_census(window, cfg.rob_entries);
                         let lsu = lsu_census(window, cfg.sq_entries);
-                        assert_eq!(census.module_tainted("rob"), Some(rob), "{what}");
-                        assert_eq!(census.module_tainted("lsu"), Some(lsu), "{what}");
+                        assert_eq!(census.module_tainted(Module::Rob), Some(rob), "{what}");
+                        assert_eq!(census.module_tainted(Module::Lsu), Some(lsu), "{what}");
                         rob_fallbacks += usize::from(window.len() > cfg.rob_entries && rob > 0);
                         lsu_fallbacks +=
                             usize::from(core.in_flight.stores > cfg.sq_entries && lsu > 0);

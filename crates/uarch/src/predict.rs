@@ -9,7 +9,7 @@
 //! writes entry taints, and debug builds check the count against a full
 //! scan whenever it is reported.
 
-use dejavuzz_ift::{Census, Policy, TWord};
+use dejavuzz_ift::{Census, Module, Policy, TWord};
 
 use crate::cache::{recount, scan};
 
@@ -84,7 +84,7 @@ impl Bht {
     /// Reports into a census sweep.
     pub fn census(&self, census: &mut Census) {
         debug_assert_eq!(self.tainted, scan(self.taints()), "bht count");
-        census.report_counts("bht", self.tainted, self.counters.len());
+        census.report_counts(Module::Bht, self.tainted, self.counters.len());
     }
 }
 
@@ -151,7 +151,7 @@ impl Btb {
     /// Reports into a census sweep.
     pub fn census(&self, census: &mut Census) {
         debug_assert_eq!(self.tainted, scan(self.taints()), "btb count");
-        census.report_counts("btb", self.tainted, self.targets.len());
+        census.report_counts(Module::Btb, self.tainted, self.targets.len());
     }
 }
 
@@ -274,7 +274,7 @@ impl Ras {
     /// Reports into a census sweep.
     pub fn census(&self, census: &mut Census) {
         debug_assert_eq!(self.tainted, scan(self.taints()), "ras count");
-        census.report_counts("ras", self.tainted, self.stack.len());
+        census.report_counts(Module::Ras, self.tainted, self.stack.len());
     }
 }
 
@@ -384,7 +384,7 @@ impl LoopPredictor {
     /// Reports into a census sweep.
     pub fn census(&self, census: &mut Census) {
         debug_assert_eq!(self.tainted, scan(self.taints()), "loop count");
-        census.report_counts("loop", self.tainted, self.entries.len());
+        census.report_counts(Module::Loop, self.tainted, self.entries.len());
     }
 }
 
@@ -435,7 +435,7 @@ mod tests {
         bht.update(DIFF, 0x20, TWord::with_taint(1, 0, 1));
         let mut c = Census::new();
         bht.census(&mut c);
-        assert_eq!(c.module_tainted("bht"), Some(1));
+        assert_eq!(c.module_tainted(Module::Bht), Some(1));
         let (pa, pb) = bht.predict(0x20);
         assert!(pa && !pb, "plane predictions diverge — a timing channel");
     }
@@ -450,7 +450,7 @@ mod tests {
         let mut c = Census::new();
         bht.census(&mut c);
         assert_eq!(
-            c.module_tainted("bht"),
+            c.module_tainted(Module::Bht),
             Some(0),
             "diffIFT: no divergence, no taint"
         );
@@ -464,7 +464,7 @@ mod tests {
         let mut c2 = Census::new();
         bht2.census(&mut c2);
         assert_eq!(
-            c2.module_tainted("bht"),
+            c2.module_tainted(Module::Bht),
             Some(1),
             "CellIFT over-taints the counter"
         );

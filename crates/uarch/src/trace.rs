@@ -5,6 +5,26 @@
 //! of its committed instructions, it indicates that the transient window
 //! has been successfully triggered."
 
+/// Every cause a [`RobEvent::Squash`] or [`RobEvent::Trap`] can name (the
+/// [`crate::core::RedirectKind`] then [`dejavuzz_isa::Exception`]
+/// mnemonics): wire formats send a cause as its position here.
+pub const CAUSES: [&str; 14] = [
+    "branch-mispredict",
+    "jump-mispredict",
+    "return-mispredict",
+    "mem-disambiguation",
+    "fetch-access-fault",
+    "load-access-fault",
+    "store-access-fault",
+    "load-page-fault",
+    "store-page-fault",
+    "load-misalign",
+    "store-misalign",
+    "illegal-instruction",
+    "ecall",
+    "ebreak",
+];
+
 /// One RoB IO event. `skew_b` snapshots the plane-2 clock skew at the
 /// event, letting analyses derive per-variant timings from one structural
 /// trace.
@@ -258,6 +278,34 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::RedirectKind;
+    use dejavuzz_isa::Exception;
+
+    #[test]
+    fn causes_name_every_redirect_and_trap() {
+        let redirects = [
+            RedirectKind::Branch,
+            RedirectKind::IndirectJump,
+            RedirectKind::Return,
+            RedirectKind::Disambiguation,
+        ]
+        .map(RedirectKind::mnemonic);
+        let traps = [
+            Exception::FetchAccessFault(0),
+            Exception::LoadAccessFault(0),
+            Exception::StoreAccessFault(0),
+            Exception::LoadPageFault(0),
+            Exception::StorePageFault(0),
+            Exception::LoadMisaligned(0),
+            Exception::StoreMisaligned(0),
+            Exception::IllegalInstruction(0),
+            Exception::Ecall,
+            Exception::Ebreak,
+        ]
+        .map(Exception::mnemonic);
+        assert_eq!(CAUSES[..4], redirects);
+        assert_eq!(CAUSES[4..], traps);
+    }
 
     fn enq(cycle: u64, idx: usize, packet: usize) -> RobEvent {
         RobEvent::Enq {

@@ -10,7 +10,7 @@
 
 use std::fmt::Write;
 
-use dejavuzz_ift::TaintLog;
+use dejavuzz_ift::{Module, TaintLog};
 
 use crate::trace::{RobEvent, Trace};
 
@@ -28,7 +28,7 @@ pub fn to_vcd(log: &TaintLog, trace: &Trace, design: &str) -> String {
     let _ = writeln!(out, "$scope module {design} $end");
 
     // Stable module list from the first census.
-    let modules: Vec<&'static str> = log
+    let modules: Vec<Module> = log
         .cycle(0)
         .map(|c| c.modules().iter().map(|m| m.module).collect())
         .unwrap_or_default();

@@ -6,7 +6,7 @@
 //! cargo run --release --example find_phantom_rsb
 //! ```
 
-use dejavuzz_ift::IftMode;
+use dejavuzz_ift::{IftMode, Module};
 use dejavuzz_uarch::core::Core;
 use dejavuzz_uarch::{attacks, boom_small, xiangshan_minimal};
 
@@ -20,7 +20,7 @@ fn main() {
         let ras_leaks: Vec<_> = r
             .sinks
             .iter()
-            .filter(|s| s.module == "ras" && s.exploitable())
+            .filter(|s| s.module == Module::Ras && s.exploitable())
             .collect();
         println!("{}:", cfg.name);
         match ras_leaks.first() {

@@ -6,7 +6,7 @@
 //! cargo run --release --example meltdown_sampling
 //! ```
 
-use dejavuzz_ift::IftMode;
+use dejavuzz_ift::{IftMode, Module};
 use dejavuzz_uarch::core::Core;
 use dejavuzz_uarch::{attacks, boom_small, xiangshan_minimal};
 
@@ -26,7 +26,7 @@ fn main() {
         let leaked = r
             .sinks
             .iter()
-            .any(|s| s.module == "dcache" && s.exploitable());
+            .any(|s| s.module == Module::Dcache && s.exploitable());
         println!(
             "{:<10} (paddr {} bits): {}",
             cfg.name,

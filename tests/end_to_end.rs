@@ -6,7 +6,7 @@ use dejavuzz::campaign::{CampaignStats, FuzzerOptions};
 use dejavuzz::gen::WindowType;
 use dejavuzz::phases::{phase1, phase2, phase3, PhaseOptions};
 use dejavuzz::Seed;
-use dejavuzz_ift::{CoverageMatrix, IftMode};
+use dejavuzz_ift::{CoverageMatrix, IftMode, Module};
 use dejavuzz_uarch::core::Core;
 use dejavuzz_uarch::{attacks, boom_small, xiangshan_minimal, CoreConfig};
 
@@ -31,7 +31,7 @@ fn all_five_attack_benchmarks_leak_on_boom() {
         assert!(
             r.sinks
                 .iter()
-                .any(|s| s.module == "dcache" && s.exploitable()),
+                .any(|s| s.module == Module::Dcache && s.exploitable()),
             "{}: dcache leak expected",
             case.name
         );

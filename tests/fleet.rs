@@ -25,7 +25,7 @@ use dejavuzz::gossip::{shared_link, GossipFrame, GossipLink, NullLink};
 use dejavuzz::observer::CampaignObserver;
 use dejavuzz_fleet::gossip::mesh;
 use dejavuzz_fleet::transport::{CampaignEvent, ChannelObserver};
-use dejavuzz_ift::CoveragePoint;
+use dejavuzz_ift::{CoveragePoint, Module};
 use dejavuzz_uarch::boom_small;
 use proptest::prelude::*;
 
@@ -156,7 +156,7 @@ fn imports_fire_exactly_at_round_boundaries() {
     const TOTAL: usize = 32;
     let peer_points: Vec<CoveragePoint> = (1..=6)
         .map(|index| CoveragePoint {
-            module: "scripted_peer",
+            module: Module::Top,
             index,
         })
         .collect();

@@ -3,7 +3,7 @@
 //! * a pool-of-1 campaign must equal the in-process campaign it wraps
 //!   (same stats, same coverage, same bugs),
 //! * a pool-of-M campaign must equal pool-of-1 regardless of how its
-//!   racing workers interleave,
+//!   racing workers interleave, and write byte-identical snapshots,
 //! * a worker crash mid-campaign (injected at several different request
 //!   ordinals) must never kill the campaign: with the retry landing on a
 //!   respawned worker the results are *identical* to the uncrashed run,
@@ -93,6 +93,30 @@ fn pool_of_m_is_deterministic_and_equals_pool_of_one() {
     assert_eq!(one, four_a, "pool size must not change results");
 }
 
+/// Two racing pool-of-4 campaigns write byte-identical snapshot files:
+/// nothing of the interleaving reaches the persisted state.
+#[test]
+fn pool_of_m_writes_byte_identical_snapshots() {
+    let _guard = env_lock();
+    let dir = std::env::temp_dir().join(format!("djvz-pool-snap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let snapshot = |name: &str| {
+        let path = dir.join(name);
+        CampaignBuilder::new()
+            .backend(spec("proc:netlist:small:4"))
+            .workers(2)
+            .seed(7)
+            .snapshot_path(&path)
+            .build()
+            .expect("a valid campaign configuration")
+            .run(12);
+        std::fs::read(&path).expect("the campaign wrote its snapshot")
+    };
+    let (a, b) = (snapshot("a.snap"), snapshot("b.snap"));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(a == b, "racing pools wrote different snapshots");
+}
+
 /// The crash-isolation property, swept across crash points: kill the
 /// worker before its N-th reply (first incarnation only), for several N.
 /// Every campaign must complete crash-free from the caller's view —
@@ -163,6 +187,25 @@ fn malformed_reply_frames_are_structured_worker_errors() {
     backend
         .run(&plan, &schedule, IftMode::DiffIft, 4096)
         .expect("a clean respawned worker serves the next run");
+}
+
+/// Every first-incarnation reply is corrupted, so only the very first
+/// run fails (both its attempts hit corrupting workers); the respawned
+/// worker serves the rest, and the campaign completes.
+#[test]
+fn corrupt_replies_fail_exactly_the_first_run() {
+    let _guard = env_lock();
+    let _corrupt = EnvKnob::set(CORRUPT_AFTER_ENV, 1);
+    let stats = CampaignBuilder::new()
+        .backend(spec("proc:netlist:small:1"))
+        .workers(1)
+        .seed(3)
+        .build()
+        .expect("a valid campaign configuration")
+        .run(4)
+        .stats;
+    assert_eq!(stats.iterations, 4);
+    assert_eq!(stats.failed_runs, 1);
 }
 
 /// The snapshot echo carries the pool geometry, and resuming under a

@@ -1,10 +1,74 @@
 //! Property-based tests over the core data structures and invariants.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
 use proptest::prelude::*;
 
-use dejavuzz_ift::{IftMode, Policy, TMem, TWord};
+use dejavuzz_ift::{IftMode, Module, Policy, TMem, TWord};
 use dejavuzz_isa::instr::{AluOp, BranchOp, Instr, LoadOp, Reg, StoreOp};
 use dejavuzz_isa::{decode, encode};
+
+/// This test binary's allocator: the system allocator, counting per
+/// thread the bytes allocated and not yet freed, so a test can measure
+/// what it leaves live while other tests run on other threads.
+struct ThreadCounting;
+
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+fn count(bytes: isize) {
+    let _ = LIVE.try_with(|live| live.set(live.get() + bytes));
+}
+
+/// Bytes this thread has allocated and not freed.
+fn live_heap() -> isize {
+    LIVE.with(Cell::get)
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System` and
+// returns its result unchanged, so `System` upholds the `GlobalAlloc`
+// contract; the counter only reads the sizes, and its const-initialised
+// thread-local never allocates.
+unsafe impl GlobalAlloc for ThreadCounting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's guarantees for `layout` are `System`'s.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            count(layout.size() as isize);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: as for `alloc`.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            count(layout.size() as isize);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, that is from `System`,
+        // with `layout`.
+        unsafe { System.dealloc(ptr, layout) };
+        count(-(layout.size() as isize));
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: as for `dealloc`; `new_size` meets the caller's contract.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            count(new_size as isize - layout.size() as isize);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOC: ThreadCounting = ThreadCounting;
 
 fn arb_tword() -> impl Strategy<Value = TWord> {
     (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(a, b, t)| TWord::with_taint(a, b, t))
@@ -212,7 +276,8 @@ fn assert_same_outcome(a: &dejavuzz::RunOutcome, b: &dejavuzz::RunOutcome) {
 /// Whether a behavioural taint log reached CellIFT's taint explosion:
 /// only the exploded census reports the `mem` module.
 fn exploded(log: &dejavuzz_ift::TaintLog) -> bool {
-    log.iter().any(|(_, c)| c.module_tainted("mem").is_some())
+    log.iter()
+        .any(|(_, c)| c.module_tainted(Module::Mem).is_some())
 }
 
 /// The first CellIFT request, over window types and entropies with the
@@ -316,25 +381,22 @@ proptest! {
     /// plain per-cycle `Vec<Census>` does. Sequences repeat the previous
     /// census in runs, bring back earlier ones, report zero counts and
     /// include empty censuses; some use one module only, and the empty
-    /// log is among them. Module names are the same text behind one of
-    /// two pointers, as decoded names are. Cycles are pushed by value or
-    /// by reference at random, and clones (`clone`, and `clone_from` into
-    /// a log that held other cycles) must answer alike.
+    /// log is among them. Cycles are pushed by value or by reference at
+    /// random, and clones (`clone`, and `clone_from` into a log that held
+    /// other cycles) must answer alike.
     #[test]
     fn change_coded_log_equals_per_cycle_log(draws in any::<u64>(), cycles in 0usize..40) {
         use dejavuzz::rand::rngs::StdRng;
         use dejavuzz::rand::{Rng, SeedableRng};
         use dejavuzz_ift::{Census, CoveragePoint, TaintLog};
 
-        const MODULES: [&str; 3] = ["rob", "lsu", "dcache"];
-        let copies: [&'static str; 3] = MODULES.map(|m| &*String::leak(m.to_owned()));
+        const MODULES: [Module; 3] = [Module::Rob, Module::Lsu, Module::Dcache];
         let mut rng = StdRng::seed_from_u64(draws);
         let modules = if rng.gen_range(0..4) == 0 { 1 } else { MODULES.len() };
         let fresh_census = |rng: &mut StdRng| {
             let mut census = Census::new();
-            for m in 0..rng.gen_range(0..modules + 1) {
-                let name = if rng.gen() { MODULES[m] } else { copies[m] };
-                census.report_counts(name, rng.gen_range(0..3), 4);
+            for module in &MODULES[..rng.gen_range(0..modules + 1)] {
+                census.report_counts(*module, rng.gen_range(0..3), 4);
             }
             census
         };
@@ -417,17 +479,17 @@ proptest! {
                 _ => TWord::with_taint(a, a, rng.gen_range(0..2u64) << rng.gen_range(0..64)),
             }
         }
-        fn scan(name: &'static str, taints: impl Iterator<Item = u64>) -> ModuleCensus {
+        fn scan(module: Module, taints: impl Iterator<Item = u64>) -> ModuleCensus {
             let taints: Vec<u64> = taints.collect();
             ModuleCensus {
-                module: name,
+                module,
                 tainted: taints.iter().filter(|&&t| t != 0).count(),
                 total: taints.len(),
             }
         }
 
         let mut rng = StdRng::seed_from_u64(draws);
-        let mut dcache = Cache::new("dcache", 4, 64, 2, 20);
+        let mut dcache = Cache::new(Module::Dcache, 4, 64, 2, 20);
         let mut tlb = Tlb::new(2, 4, 4096, 12);
         let mut lfb = LineFillBuffer::new(3);
         let mut bht = Bht::new(4);
@@ -478,14 +540,14 @@ proptest! {
             ras.census(&mut census);
             loopp.census(&mut census);
             let scans = [
-                scan("dcache", dcache.taints()),
-                scan("tlb", tlb.taints()),
-                scan("l2tlb", tlb.l2_taints()),
-                scan("lfb", lfb.taints()),
-                scan("bht", bht.taints()),
-                scan("btb", btb.taints()),
-                scan("ras", ras.taints()),
-                scan("loop", loopp.taints()),
+                scan(Module::Dcache, dcache.taints()),
+                scan(Module::Tlb, tlb.taints()),
+                scan(Module::L2tlb, tlb.l2_taints()),
+                scan(Module::Lfb, lfb.taints()),
+                scan(Module::Bht, bht.taints()),
+                scan(Module::Btb, btb.taints()),
+                scan(Module::Ras, ras.taints()),
+                scan(Module::Loop, loopp.taints()),
             ];
             prop_assert_eq!(census.modules(), &scans[..]);
         }
@@ -512,7 +574,7 @@ proptest! {
             TaintCoverage, TaintLog,
         };
 
-        const MODULES: [&str; 4] = ["rob", "lsu", "dcache", "bht"];
+        const MODULES: [Module; 4] = [Module::Rob, Module::Lsu, Module::Dcache, Module::Bht];
         let mut rng = StdRng::seed_from_u64(draws);
         let mut log = TaintLog::new();
         let mut prev = Census::new();
@@ -727,4 +789,121 @@ proptest! {
         let _ = decode_run_request(&edited(&fixtures.request));
         let _ = decode_run_response(&edited(&fixtures.reply));
     }
+}
+
+/// `bytes` with the first occurrence of `from` overwritten by `to`, which
+/// has the same length.
+fn overwritten(bytes: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
+    let at = bytes
+        .windows(from.len())
+        .position(|w| w == from)
+        .expect("the bytes hold the pattern");
+    let mut out = bytes.to_vec();
+    out[at..at + to.len()].copy_from_slice(to);
+    out
+}
+
+/// Hostile names cost nothing that outlives their decode: 100,000 gossip
+/// frames that each name a distinct unknown module, a snapshot naming an
+/// unknown module, and process-pool replies carrying an unknown module
+/// and an unknown squash cause each fail with a structured error, and
+/// once the errors are dropped this thread's live heap is back within
+/// 64 KiB of where it started.
+#[test]
+fn decoding_unknown_names_leaves_nothing_live() {
+    use dejavuzz::backend::RunOutcome;
+    use dejavuzz::gossip::GossipFrame;
+    use dejavuzz::procproto::{decode_run_response, encode_run_response};
+    use dejavuzz::snapshot::{CampaignSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+    use dejavuzz_ift::{Census, CoveragePoint, TaintLog};
+    use dejavuzz_persist::{seal, DecodeError, GOSSIP_MAGIC, GOSSIP_VERSION, HEADER_LEN};
+    use dejavuzz_uarch::trace::{RobEvent, Trace};
+
+    let frame = GossipFrame {
+        shard: 1,
+        iterations: 1,
+        delta: vec![CoveragePoint {
+            module: Module::Regfile,
+            index: 1,
+        }],
+        favoured: Vec::new(),
+    }
+    .to_bytes();
+    let gossip = |i: usize| {
+        let name = format!("m{i:06}");
+        let payload = overwritten(&frame[HEADER_LEN..], b"regfile", name.as_bytes());
+        seal(GOSSIP_MAGIC, GOSSIP_VERSION, &payload)
+    };
+    let payload = &decoder_fixtures().snapshot[HEADER_LEN..];
+    let snapshot = seal(
+        SNAPSHOT_MAGIC,
+        SNAPSHOT_VERSION,
+        &overwritten(payload, b"dcache", b"zcache"),
+    );
+    // A reply's tag bytes sit next to a marker field: the module tag
+    // right before its census entry's tainted count, the cause tag
+    // right after its squash's killed count.
+    const MARK: usize = 0x5EED_F00D;
+    let mark = (MARK as u64).to_le_bytes();
+    let mut taint_log = TaintLog::new();
+    let mut census = Census::new();
+    census.report_counts(Module::Top, MARK, MARK);
+    taint_log.push(census);
+    let mut module_reply = encode_run_response(&Ok(RunOutcome {
+        taint_log,
+        ..RunOutcome::default()
+    }));
+    let at = module_reply.windows(8).position(|w| w == mark).unwrap();
+    module_reply[at - 1] = 0xEE;
+    let mut trace = Trace::new();
+    trace.push(RobEvent::Squash {
+        cycle: 1,
+        skew_b: 0,
+        after_idx: 0,
+        killed: MARK,
+        cause: "branch-mispredict",
+    });
+    let mut cause_reply = encode_run_response(&Ok(RunOutcome {
+        trace,
+        ..RunOutcome::default()
+    }));
+    let at = cause_reply.windows(8).position(|w| w == mark).unwrap();
+    cause_reply[at + 8] = 0xEE;
+
+    let decode = |frames: usize| {
+        for i in 0..frames {
+            let err = GossipFrame::from_bytes(&gossip(i)).unwrap_err();
+            assert!(
+                matches!(err, DecodeError::InvalidValue { what: "Module", .. }),
+                "{err}"
+            );
+        }
+        let err = CampaignSnapshot::from_bytes(&snapshot).unwrap_err();
+        assert!(
+            matches!(err, DecodeError::InvalidValue { what: "Module", .. }),
+            "{err}"
+        );
+        let err = decode_run_response(&module_reply).unwrap_err();
+        assert!(
+            matches!(err, DecodeError::InvalidTag { what: "Module", .. }),
+            "{err}"
+        );
+        let err = decode_run_response(&cause_reply).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DecodeError::InvalidTag {
+                    what: "squash cause",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    };
+    // A first pass initialises whatever the decoders set up once.
+    decode(1);
+    let start = live_heap();
+    decode(100_000);
+    let grown = live_heap() - start;
+    assert!(grown <= 64 << 10, "decoding left {grown} bytes live");
 }
