@@ -15,8 +15,9 @@
 //!
 //! All persistence chatter (checkpoint/resume notes) goes to stderr;
 //! stdout carries only the campaign report — rendered by the library's
-//! [`TextObserver`] (byte-identical to the historical inline report; the
-//! CI resume smoke diffs exactly this) or, under `--telemetry json`, by
+//! [`TextObserver`] (byte-identical to the historical inline report;
+//! the resume tests of `tests/cli.rs` diff exactly this) or, under
+//! `--telemetry json`, by
 //! [`JsonLinesObserver`] as one JSON object per campaign event.
 
 use dejavuzz::backend::BackendSpec;

@@ -450,7 +450,11 @@ impl CampaignBuilder {
 
     /// Writes a checkpoint every `rounds` rounds (0 — the default —
     /// disables periodic checkpoints; the end-of-run snapshot is still
-    /// written when a [`CampaignBuilder::snapshot_path`] is set).
+    /// written when a [`CampaignBuilder::snapshot_path`] is set). A
+    /// periodic checkpoint holds the campaign as its round boundary left
+    /// it, but lands while the next round runs: the workers do not wait
+    /// for its fsync. A crash before it lands leaves the previous
+    /// checkpoint, which resumes just as deterministically.
     pub fn snapshot_every(mut self, rounds: usize) -> Self {
         self.snapshot_every = rounds;
         self

@@ -58,9 +58,13 @@
 //! `pipelined` campaign runs (the next round is already dispatched while
 //! the current one's stragglers finish; see the [`crate::scheduler`]
 //! docs for its feedback lag). The moment a round's last slot commits,
-//! its boundary runs: gossip, checkpoint, halt check, then the next
-//! dispatch. Every blocking wait for the next contiguous slot is timed
-//! as a commit stall — at depth 0 that is the barrier wait.
+//! its boundary runs: gossip, checkpoint capture, halt check, then the
+//! next round is planned and shipped. Only then is the captured
+//! checkpoint written, so its fsync overlaps the round the workers are
+//! already running; observers still hear `snapshot_written` before that
+//! round's `round_started`. Every blocking wait for the next contiguous
+//! slot is timed as a commit stall — at depth 0 that is the barrier
+//! wait.
 //!
 //! The consequence is the property the old end-of-run merge could not
 //! offer: a campaign is **deterministic for a fixed worker count**
@@ -94,7 +98,7 @@
 //! resumed via [`crate::builder::CampaignBuilder::resume`] replays the
 //! remaining rounds **bit-identically** to one that never stopped — same
 //! curve, same bugs, same corpus, same per-stream accounting (asserted
-//! by `tests/persist.rs` and the CI resume smoke).
+//! by `tests/persist.rs` and the resume tests of `tests/cli.rs`).
 //! [`crate::builder::CampaignBuilder::snapshot_every`] +
 //! [`crate::builder::CampaignBuilder::snapshot_path`] write periodic
 //! atomic checkpoints;
@@ -754,6 +758,19 @@ struct InFlight {
 }
 
 impl InFlight {
+    /// Tells every observer the round started (its slots may already be
+    /// running).
+    fn announce(&self, observers: &mut [Box<dyn CampaignObserver>]) {
+        let ev = RoundStarted {
+            first_slot: self.first_slot,
+            slots: self.queue.slots.len(),
+            gain_threshold_samples: self.gain.samples,
+        };
+        for obs in observers.iter_mut() {
+            obs.round_started(&ev);
+        }
+    }
+
     /// The snapshot form of this round.
     fn pending(&self, log: &CoverageLog) -> PendingRound {
         PendingRound {
@@ -764,6 +781,18 @@ impl InFlight {
             view_behind: log.delta_since(self.log_mark).to_vec(),
         }
     }
+}
+
+/// A checkpoint captured and encoded at a round boundary, not yet on
+/// disk.
+struct Checkpoint {
+    target: PathBuf,
+    bytes: Vec<u8>,
+    iterations: usize,
+    periodic: bool,
+    /// Encoding time, counted into the write's span (0 when telemetry is
+    /// not recording).
+    encode_nanos: u64,
 }
 
 /// The pool coordinator: a fully validated campaign, ready to run. Built
@@ -981,44 +1010,57 @@ impl Orchestrator {
         }
     }
 
-    /// Writes a checkpoint. Periodic checkpoints rotate into
+    /// Encodes `snap` as a checkpoint for the configured path (none
+    /// without one). Periodic checkpoints rotate into
     /// `<path>.<iterations>` siblings when [`Orchestrator::snapshot_keep`]
-    /// is set, pruning older rounds only after the new file landed
-    /// (atomically), so a multi-day campaign keeps a bounded trail of
-    /// resumable round checkpoints instead of one overwritten file or an
-    /// unbounded pile.
-    fn write_checkpoint(
-        &self,
-        s: &Session,
-        pending: Option<PendingRound>,
-        periodic: bool,
-        observers: &mut [Box<dyn CampaignObserver>],
-    ) {
-        let Some(path) = &self.snapshot_path else {
-            return;
-        };
-        let snap = self.snapshot_of(s, pending);
-        let rotate = periodic && self.snapshot_keep > 0;
-        let target = if rotate {
+    /// is set.
+    fn encode_checkpoint(&self, snap: &CampaignSnapshot, periodic: bool) -> Option<Checkpoint> {
+        let path = self.snapshot_path.as_ref()?;
+        let target = if periodic && self.snapshot_keep > 0 {
             dejavuzz_persist::rotated_path(path, snap.completed as u64)
         } else {
             path.clone()
         };
-        let write_span =
-            dejavuzz_telemetry::Timer::start(&crate::metrics::handles().snapshot_write_nanos);
-        if let Err(e) = snap.save(&target) {
-            write_span.finish();
+        let started = dejavuzz_telemetry::recording().then(Instant::now);
+        let bytes = snap.to_bytes();
+        Some(Checkpoint {
+            target,
+            bytes,
+            iterations: snap.completed,
+            periodic,
+            encode_nanos: started.map_or(0, |t| t.elapsed().as_nanos() as u64),
+        })
+    }
+
+    /// Writes an encoded checkpoint atomically, then prunes rotated
+    /// rounds past [`Orchestrator::snapshot_keep`] (only after the new
+    /// file landed), so a multi-day campaign keeps a bounded trail of
+    /// resumable round checkpoints instead of one overwritten file or an
+    /// unbounded pile.
+    fn write_checkpoint(&self, cp: Checkpoint, observers: &mut [Box<dyn CampaignObserver>]) {
+        let metrics = crate::metrics::handles();
+        let started = dejavuzz_telemetry::recording().then(Instant::now);
+        let written = dejavuzz_persist::save_atomic(&cp.target, &cp.bytes);
+        if let Some(t) = started {
+            metrics
+                .snapshot_write_nanos
+                .observe(cp.encode_nanos + t.elapsed().as_nanos() as u64);
+        }
+        if let Err(e) = written {
             // A failed checkpoint must not kill a running campaign:
             // warn and fuzz on; the next interval retries.
             eprintln!(
                 "dejavuzz: checkpoint write to {} failed: {e}",
-                target.display()
+                cp.target.display()
             );
             return;
         }
-        write_span.finish();
-        crate::metrics::handles().snapshots_total.inc();
-        if rotate {
+        metrics.snapshots_total.inc();
+        if cp.periodic && self.snapshot_keep > 0 {
+            let path = self
+                .snapshot_path
+                .as_ref()
+                .expect("a checkpoint has a path");
             if let Err(e) = dejavuzz_persist::prune_rotated(path, self.snapshot_keep) {
                 eprintln!(
                     "dejavuzz: pruning rotated checkpoints of {} failed: {e}",
@@ -1027,9 +1069,9 @@ impl Orchestrator {
             }
         }
         let ev = SnapshotWritten {
-            path: &target,
-            iterations: snap.completed,
-            periodic,
+            path: &cp.target,
+            iterations: cp.iterations,
+            periodic: cp.periodic,
         };
         for obs in observers.iter_mut() {
             obs.snapshot_written(&ev);
@@ -1228,14 +1270,9 @@ impl Orchestrator {
                 avg: p.avg,
                 samples: p.samples,
             };
-            in_flight.push_back(self.dispatch(
-                &mut pool,
-                &s.global,
-                p.first_slot,
-                p.slots,
-                gain,
-                observers,
-            ));
+            let round = self.ship(&mut pool, &s.global, p.first_slot, p.slots, gain);
+            round.announce(observers);
+            in_flight.push_back(round);
             s.global.replay(&p.view_behind);
         }
         let mut gossip_state = GossipState {
@@ -1258,16 +1295,28 @@ impl Orchestrator {
         // commit boundary, so a pipelined halt always leaves the next
         // round pending.
         let mut halted = depth == 0 && s.stats.iterations >= halt;
+        // The periodic checkpoint captured at the last boundary, written
+        // once the next round is on its way to the workers.
+        let mut checkpoint: Option<Checkpoint> = None;
         while !halted {
             // Keep `depth` rounds in flight ahead of the one committing.
+            let shipped = in_flight.len();
             while in_flight.len() <= depth && next_slot < iterations {
                 let span = s
                     .scheduler
                     .round_span(self.workers, self.batch, iterations - next_slot);
                 let plan = self.plan(&mut s, next_slot..next_slot + span);
-                let round = self.dispatch(&mut pool, &s.global, next_slot, plan, s.gain, observers);
+                let round = self.ship(&mut pool, &s.global, next_slot, plan, s.gain);
                 in_flight.push_back(round);
                 next_slot += span;
+            }
+            // The checkpoint's fsync overlaps the rounds just shipped; its
+            // event still precedes theirs.
+            if let Some(cp) = checkpoint.take() {
+                self.write_checkpoint(cp, observers);
+            }
+            for round in in_flight.range(shipped..) {
+                round.announce(observers);
             }
             let Some(front) = in_flight.front() else {
                 break;
@@ -1306,11 +1355,17 @@ impl Orchestrator {
                 self.gossip_exchange(&mut s, &shared, &mut gossip_state, feedback, observers);
             }
             memo.prune(&s.corpus);
-            if self.snapshot_every > 0 && rounds.is_multiple_of(self.snapshot_every) {
+            if self.snapshot_path.is_some()
+                && self.snapshot_every > 0
+                && rounds.is_multiple_of(self.snapshot_every)
+            {
                 let pending = in_flight.front().map(|f| f.pending(&s.global));
-                self.write_checkpoint(&s, pending, true, observers);
+                checkpoint = self.encode_checkpoint(&self.snapshot_of(&s, pending), true);
             }
             halted = s.stats.iterations >= halt;
+        }
+        if let Some(cp) = checkpoint {
+            self.write_checkpoint(cp, observers);
         }
 
         // Stop the workers: closing their channels ends their loops, and
@@ -1329,10 +1384,12 @@ impl Orchestrator {
             debug_assert_eq!(shared.points(), s.global.points(), "both unions must agree");
         }
         let pending = in_flight.front().map(|f| f.pending(&s.global));
+        let snapshot = self.snapshot_of(&s, pending);
         // Always leave a final checkpoint behind: a halted run's snapshot
         // is exactly what `--resume` continues from.
-        self.write_checkpoint(&s, pending.clone(), false, observers);
-        let snapshot = self.snapshot_of(&s, pending);
+        if let Some(cp) = self.encode_checkpoint(&snapshot, false) {
+            self.write_checkpoint(cp, observers);
+        }
 
         let makespan_nanos = model.makespan();
         let workers = (0..self.workers)
@@ -1436,25 +1493,17 @@ impl Orchestrator {
         plan
     }
 
-    /// Announces a planned round and ships its claim queue to every
-    /// thread, with the view delta each thread still lacks.
-    fn dispatch(
+    /// Ships a planned round's claim queue to every thread, with the view
+    /// delta each thread still lacks. Observers hear of it through
+    /// [`InFlight::announce`].
+    fn ship(
         &self,
         pool: &mut Pool,
         log: &CoverageLog,
         first_slot: usize,
         slots: Vec<PlannedSlot>,
         gain: GainAverage,
-        observers: &mut [Box<dyn CampaignObserver>],
     ) -> InFlight {
-        let round_ev = RoundStarted {
-            first_slot,
-            slots: slots.len(),
-            gain_threshold_samples: gain.samples,
-        };
-        for obs in observers.iter_mut() {
-            obs.round_started(&round_ev);
-        }
         let queue = Arc::new(StealQueue {
             slots,
             next: AtomicUsize::new(0),

@@ -12,8 +12,9 @@
 //!
 //! Events and when they fire:
 //!
-//! * [`CampaignObserver::round_started`] — after a round is planned,
-//!   before any work is dispatched;
+//! * [`CampaignObserver::round_started`] — after a round is planned and
+//!   shipped, before any of its slots commits (workers may already be
+//!   running it);
 //! * [`CampaignObserver::slot_committed`] — once per iteration, in
 //!   global slot order, after the outcome folded into campaign state;
 //! * [`CampaignObserver::coverage_gained`] — after a committed slot
@@ -21,7 +22,9 @@
 //! * [`CampaignObserver::bug_found`] — once per *newly deduplicated*
 //!   bug report (re-discoveries of a known dedup key stay silent);
 //! * [`CampaignObserver::snapshot_written`] — after a checkpoint landed
-//!   on disk (atomic write-rename already done);
+//!   on disk (atomic write-rename already done). A periodic checkpoint
+//!   holds the state of its round boundary but lands while the next
+//!   round runs, before that round's `round_started`;
 //! * [`CampaignObserver::campaign_finished`] — once, with the final
 //!   [`ExecutorReport`].
 //!
@@ -50,7 +53,8 @@ use crate::executor::ExecutorReport;
 use crate::gen::WindowType;
 use crate::report::BugReport;
 
-/// A round was planned and is about to be dispatched.
+/// A round was planned and shipped to the workers; none of its slots
+/// has committed yet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RoundStarted {
     /// First global iteration slot of the round. Continues across a

@@ -250,9 +250,11 @@ impl SimBackend for ProcBackend {
             m.pool_respawns_total.add(total - seen);
         }
         match reply {
-            Ok(bytes) => decode_run_response(&bytes).map_err(|e| BackendError::Worker {
-                detail: format!("undecodable reply: {e}"),
-            })?,
+            Ok(bytes) => {
+                decode_run_response(&bytes, max_cycles).map_err(|e| BackendError::Worker {
+                    detail: format!("undecodable reply: {e}"),
+                })?
+            }
             Err(e) => Err(BackendError::Worker {
                 detail: e.to_string(),
             }),

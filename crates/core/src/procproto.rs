@@ -38,6 +38,11 @@
 //! [`DecodeError::InvalidTag`]; a worker encodes a cause or role its
 //! table lacks as `u8::MAX`, so such a reply fails the run instead of
 //! being misread.
+//!
+//! A reply's taint log travels as its runs of equal consecutive censuses,
+//! `(cycles, census)`, as [`TaintLog`] stores it. The parent refuses a log
+//! that spans more cycles than the request's budget, which no backend
+//! exceeds, so a short reply cannot make it store billions of cycles.
 
 use dejavuzz_ift::{Census, IftMode, Module, SinkReport, TaintLog};
 use dejavuzz_isa::asm::Program;
@@ -56,8 +61,9 @@ use crate::gen::TransientPlan;
 /// rides in every [`TransientPlan`] crossing the pipe; v3:
 /// [`BackendError`] gained `InvalidMemory` (tag 3); v4: modules, causes
 /// and roles travel as one-byte tags, and a reply no longer leads its
-/// taint log with a module-name dictionary.
-pub const PROTO_VERSION: u32 = 4;
+/// taint log with a module-name dictionary; v5: the taint log travels as
+/// `(cycles, census)` runs of equal consecutive censuses.
+pub const PROTO_VERSION: u32 = 5;
 
 /// The handshake request: who the embedder is and what it wants served.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -412,8 +418,9 @@ fn encode_outcome(enc: &mut Encoder, out: &RunOutcome) {
     for e in out.trace.events() {
         encode_rob_event(enc, e);
     }
-    enc.usize(out.taint_log.len());
-    for (_, census) in out.taint_log.iter() {
+    enc.usize(out.taint_log.runs().count());
+    for (cycles, census) in out.taint_log.runs() {
+        enc.usize(cycles);
         encode_census(enc, census);
     }
     enc.usize(out.sinks.len());
@@ -436,18 +443,32 @@ fn encode_outcome(enc: &mut Encoder, out: &RunOutcome) {
     enc.usize(out.packets_run);
 }
 
-fn decode_outcome(dec: &mut Decoder<'_>) -> Result<RunOutcome, DecodeError> {
+/// Decodes a reply's outcome. Its taint log may span at most
+/// `max_cycles` cycles, the request's budget: a few bytes of runs could
+/// otherwise claim billions.
+fn decode_outcome(dec: &mut Decoder<'_>, max_cycles: u64) -> Result<RunOutcome, DecodeError> {
     let n = dec.len_prefix("RunOutcome.trace", 8)?;
     let mut trace = Trace::new();
     for _ in 0..n {
         trace.push(decode_rob_event(dec)?);
     }
-    let n = dec.len_prefix("RunOutcome.taint_log", 8)?;
+    // A run is its cycle count and its census's module count.
+    let n = dec.len_prefix("RunOutcome.taint_log", 16)?;
     let mut taint_log = TaintLog::new();
     let mut census = Census::new();
+    let mut logged = 0u64;
     for _ in 0..n {
+        let cycles = dec.usize()?;
+        logged = logged.saturating_add(cycles as u64);
+        if logged > max_cycles {
+            return Err(DecodeError::LengthOverflow {
+                what: "RunOutcome.taint_log cycles",
+                len: logged,
+                limit: max_cycles,
+            });
+        }
         decode_census(dec, &mut census)?;
-        taint_log.push_ref(&census);
+        taint_log.push_run(cycles, &census);
     }
     let n = dec.len_prefix("RunOutcome.sinks", 8)?;
     let mut sinks = Vec::with_capacity(n);
@@ -546,11 +567,14 @@ pub fn encode_run_response(res: &Result<RunOutcome, BackendError>) -> Vec<u8> {
     enc.into_bytes()
 }
 
-/// Decodes a run reply.
-pub fn decode_run_response(bytes: &[u8]) -> Result<Result<RunOutcome, BackendError>, DecodeError> {
+/// Decodes the reply to a run request with a `max_cycles` budget.
+pub fn decode_run_response(
+    bytes: &[u8],
+    max_cycles: u64,
+) -> Result<Result<RunOutcome, BackendError>, DecodeError> {
     let mut dec = Decoder::new(bytes);
     let res = match dec.u8()? {
-        0 => Ok(decode_outcome(&mut dec)?),
+        0 => Ok(decode_outcome(&mut dec, max_cycles)?),
         1 => Err(decode_backend_error(&mut dec)?),
         tag => {
             return Err(DecodeError::InvalidTag {
@@ -693,7 +717,7 @@ mod tests {
             total_cycles: (128, 130),
             packets_run: 2,
         };
-        let decoded = decode_run_response(&encode_run_response(&Ok(out.clone())))
+        let decoded = decode_run_response(&encode_run_response(&Ok(out.clone())), 128)
             .unwrap()
             .unwrap();
         assert_eq!(decoded.trace.events(), out.trace.events());
@@ -707,6 +731,34 @@ mod tests {
         assert_eq!(decoded.total_cycles, out.total_cycles);
         assert_eq!(decoded.packets_run, out.packets_run);
         let _: Option<WindowInfo> = decoded.window();
+    }
+
+    /// A taint log crosses as runs and decodes to the same cycles, up to
+    /// the request's budget and not one cycle past it.
+    #[test]
+    fn taint_log_runs_round_trip_within_the_budget() {
+        let mut taint_log = TaintLog::new();
+        let mut census = Census::new();
+        for (cycles, tainted) in [(3, 0), (1, 2), (4, 1), (2, 0)] {
+            census.clear();
+            census.report_counts(Module::Rob, tainted, 16);
+            taint_log.push_run(cycles, &census);
+        }
+        let reply = encode_run_response(&Ok(RunOutcome {
+            taint_log: taint_log.clone(),
+            ..RunOutcome::default()
+        }));
+        let decoded = decode_run_response(&reply, 10).unwrap().unwrap();
+        assert!(decoded.taint_log.iter().eq(taint_log.iter()));
+        assert_eq!(decoded.taint_log.runs().count(), 4);
+        assert!(matches!(
+            decode_run_response(&reply, 9),
+            Err(DecodeError::LengthOverflow {
+                what: "RunOutcome.taint_log cycles",
+                len: 10,
+                limit: 9
+            })
+        ));
     }
 
     #[test]
@@ -723,7 +775,7 @@ mod tests {
                 detail: "worker exited (signal: 6)".into(),
             },
         ] {
-            let decoded = decode_run_response(&encode_run_response(&Err(err.clone()))).unwrap();
+            let decoded = decode_run_response(&encode_run_response(&Err(err.clone())), 0).unwrap();
             assert_eq!(decoded.unwrap_err(), err);
         }
     }
@@ -749,7 +801,7 @@ mod tests {
             ..RunOutcome::default()
         }));
         assert!(matches!(
-            decode_run_response(&reply),
+            decode_run_response(&reply, 0),
             Err(DecodeError::InvalidTag {
                 what: "trap cause",
                 tag: 255
@@ -761,7 +813,7 @@ mod tests {
             inputs: 4,
         }));
         assert!(matches!(
-            decode_run_response(&reply),
+            decode_run_response(&reply, 0),
             Err(DecodeError::InvalidTag {
                 what: "NetlistIo role",
                 tag: 255
@@ -771,7 +823,7 @@ mod tests {
 
     #[test]
     fn garbage_fails_structurally() {
-        assert!(decode_run_response(&[9, 9, 9]).is_err());
+        assert!(decode_run_response(&[9, 9, 9], 0).is_err());
         assert!(decode_hello_ack(&[]).is_err());
     }
 }

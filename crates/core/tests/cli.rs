@@ -66,6 +66,96 @@ fn assert_resume_matches_uninterrupted(name: &str, args: &[&str]) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Runs `dejavuzz-merge` in `dir` on `args`, returning its exit code,
+/// stdout and stderr.
+fn merge(dir: &Path, args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_dejavuzz-merge"))
+        .current_dir(dir)
+        .args(args)
+        .output()
+        .expect("spawn dejavuzz-merge");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// Parses one JSON value (RFC 8259) at the start of `s`, returning the
+/// rest, or `None` if `s` does not start with one.
+fn json_value(s: &str) -> Option<&str> {
+    let s = s.trim_start();
+    match s.chars().next()? {
+        '{' => json_seq(&s[1..], '}', |s| {
+            let s = json_string(s.trim_start())?;
+            json_value(s.trim_start().strip_prefix(':')?)
+        }),
+        '[' => json_seq(&s[1..], ']', json_value),
+        '"' => json_string(s),
+        't' => s.strip_prefix("true"),
+        'f' => s.strip_prefix("false"),
+        'n' => s.strip_prefix("null"),
+        _ => json_number(s),
+    }
+}
+
+/// The comma-separated `item`s of an object or array up to `close`.
+fn json_seq(s: &str, close: char, item: impl Fn(&str) -> Option<&str>) -> Option<&str> {
+    let mut s = s.trim_start();
+    if let Some(rest) = s.strip_prefix(close) {
+        return Some(rest);
+    }
+    loop {
+        s = item(s)?.trim_start();
+        match s.strip_prefix(',') {
+            Some(rest) => s = rest,
+            None => return s.strip_prefix(close),
+        }
+    }
+}
+
+fn json_string(s: &str) -> Option<&str> {
+    let body = s.strip_prefix('"')?;
+    let mut chars = body.char_indices();
+    while let Some((i, c)) = chars.next() {
+        match c {
+            '"' => return Some(&body[i + 1..]),
+            '\\' => match chars.next()?.1 {
+                'u' => {
+                    for _ in 0..4 {
+                        chars.next().filter(|(_, h)| h.is_ascii_hexdigit())?;
+                    }
+                }
+                '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' => {}
+                _ => return None,
+            },
+            c if c < ' ' => return None,
+            _ => {}
+        }
+    }
+    None
+}
+
+fn json_number(s: &str) -> Option<&str> {
+    fn digits(s: &str) -> Option<&str> {
+        let rest = s.trim_start_matches(|c: char| c.is_ascii_digit());
+        (rest.len() < s.len()).then_some(rest)
+    }
+    let s = s.strip_prefix('-').unwrap_or(s);
+    let s = match s.strip_prefix('0') {
+        Some(rest) => rest,
+        None => digits(s)?,
+    };
+    let s = match s.strip_prefix('.') {
+        Some(rest) => digits(rest)?,
+        None => s,
+    };
+    match s.strip_prefix(['e', 'E']) {
+        Some(rest) => digits(rest.strip_prefix(['+', '-']).unwrap_or(rest)),
+        None => Some(s),
+    }
+}
+
 /// Two work-stealing runs print identical reports despite claim racing.
 #[test]
 fn steal_report_is_deterministic() {
@@ -101,6 +191,119 @@ fn steal_resume_report_equals_uninterrupted_run() {
             "favoured",
         ],
     );
+}
+
+/// The default campaign (barriered work stealing, energy policy), halted
+/// with a checkpoint every round, resumes to the uninterrupted report.
+#[test]
+fn default_resume_report_equals_uninterrupted_run() {
+    assert_resume_matches_uninterrupted("default-resume", &["--workers", "2", "--seed", "7"]);
+}
+
+/// `dejavuzz-merge` over two shard snapshots reports the exact union of
+/// their coverage.
+#[test]
+fn shard_merge_reports_the_exact_union() {
+    let dir = scratch("shard-merge");
+    for (shard, seed) in [("0", "1"), ("1", "2")] {
+        let snap = format!("shard{shard}.snap");
+        let args = ["--iters", "8", "--workers", "2", "--seed", seed];
+        report(
+            &dir,
+            &[&args[..], &["--shard", shard, "--snapshot", &snap]].concat(),
+        );
+    }
+    let (code, stdout, stderr) = merge(&dir, &["shard0.snap", "shard1.snap"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(
+        stdout.contains("(exact union; per-shard counts sum to"),
+        "{stdout}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A truncated snapshot is a structured decode error, exit 2, for both
+/// `dejavuzz-merge` and `--resume`; so are a malformed `--iters` and a
+/// `--snapshot` with its value missing.
+#[test]
+fn truncated_snapshots_and_malformed_flags_exit_two() {
+    let dir = scratch("truncated");
+    report(&dir, &["--iters", "2", "--snapshot", "full.snap"]);
+    let full = std::fs::read(dir.join("full.snap")).unwrap();
+    std::fs::write(dir.join("truncated.snap"), &full[..100]).unwrap();
+    let (merge_code, _, merge_err) = merge(&dir, &["truncated.snap"]);
+    let truncated = dir.join("truncated.snap");
+    let resume = fuzz(&["--resume", truncated.to_str().unwrap(), "--iters", "2"]);
+    for (bin, code, stderr, context) in [
+        ("merge", merge_code, merge_err, "cannot load truncated.snap"),
+        ("resume", resume.0, resume.2, "cannot resume from "),
+    ] {
+        assert_eq!(code, Some(2), "{bin}: {stderr}");
+        assert!(
+            stderr.contains(context) && stderr.contains("decode failed: unexpected end of input"),
+            "{bin}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
+    }
+    let (code, _, stderr) = fuzz(&["--iters", "notanumber"]);
+    assert_eq!(code, Some(2));
+    assert!(
+        stderr.contains("invalid value \"notanumber\" for --iters"),
+        "stderr: {stderr}"
+    );
+    let (code, _, stderr) = fuzz(&["--snapshot", "--halt-after", "5"]);
+    assert_eq!(code, Some(2));
+    assert!(
+        stderr.contains("--snapshot requires a value"),
+        "stderr: {stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--telemetry json` prints the same bytes run over run, one valid JSON
+/// object per line.
+#[test]
+fn json_telemetry_is_deterministic_and_valid() {
+    let args = [
+        "--iters",
+        "10",
+        "--workers",
+        "2",
+        "--seed",
+        "5",
+        "--telemetry",
+        "json",
+    ];
+    let (code, a, stderr) = fuzz(&args);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert_eq!(a, fuzz(&args).1, "telemetry bytes are deterministic");
+    assert!(!a.is_empty(), "telemetry must not be empty");
+    for line in a.lines() {
+        assert!(
+            line.starts_with('{') && json_value(line).is_some_and(|rest| rest.is_empty()),
+            "not one JSON object: {line}"
+        );
+    }
+}
+
+/// The JSON check above accepts what the telemetry prints and refuses
+/// what a broken serialiser could.
+#[test]
+fn json_check_refuses_malformed_objects() {
+    let one = |s| json_value(s).is_some_and(str::is_empty);
+    assert!(one(r#"{"a":[1,-2.5e3,true,null],"b":{"c":"\u00e9\n"}}"#));
+    for bad in [
+        r#"{"a":}"#,
+        r#"{"a":1,}"#,
+        r#"{"a" 1}"#,
+        r#"{"a":01}"#,
+        r#"{"a":NaN}"#,
+        r#"{"a":"\x"}"#,
+        r#"{"a":"unterminated}"#,
+        r#"{"a":1}}"#,
+    ] {
+        assert!(!one(bad), "{bad}");
+    }
 }
 
 /// Periodic checkpoints rotate into numbered siblings pruned to
@@ -319,17 +522,10 @@ fn old_snapshot_versions_exit_two_naming_the_version() {
     let path = dir.join("v6.snap");
     std::fs::write(&path, old).unwrap();
     let path = path.to_str().unwrap();
-    let merge = Command::new(env!("CARGO_BIN_EXE_dejavuzz-merge"))
-        .arg(path)
-        .output()
-        .expect("spawn dejavuzz-merge");
+    let merged = merge(&dir, &[path]);
     let resume = fuzz(&["--resume", path, "--iters", "2"]);
     for (bin, code, stderr) in [
-        (
-            "merge",
-            merge.status.code(),
-            String::from_utf8_lossy(&merge.stderr).into_owned(),
-        ),
+        ("merge", merged.0, merged.2),
         ("resume", resume.0, resume.2),
     ] {
         assert_eq!(code, Some(2), "{bin}: {stderr}");

@@ -150,21 +150,30 @@ impl TaintLog {
         if self.runs.last() != Some(&census) {
             self.runs.push(census);
         }
-        self.push_last_run();
+        self.cycles.push(self.last_run());
     }
 
     /// Appends a copy of `census` for the next cycle, cloning it only when
     /// it differs from the previous cycle's census.
     pub fn push_ref(&mut self, census: &Census) {
+        self.push_run(1, census);
+    }
+
+    /// Appends `cycles` cycles of `census` (none for 0), cloning it only
+    /// when it differs from the previous cycle's census.
+    pub fn push_run(&mut self, cycles: usize, census: &Census) {
+        if cycles == 0 {
+            return;
+        }
         if self.runs.last() != Some(census) {
             self.runs.push(census.clone());
         }
-        self.push_last_run();
+        self.cycles
+            .extend(std::iter::repeat_n(self.last_run(), cycles));
     }
 
-    fn push_last_run(&mut self) {
-        let run = u32::try_from(self.runs.len() - 1).expect("fewer than 2^32 taint-log runs");
-        self.cycles.push(run);
+    fn last_run(&self) -> u32 {
+        u32::try_from(self.runs.len() - 1).expect("fewer than 2^32 taint-log runs")
     }
 
     /// Number of recorded cycles.
@@ -188,6 +197,16 @@ impl TaintLog {
             .iter()
             .map(|&run| &self.runs[run as usize])
             .enumerate()
+    }
+
+    /// Iterates over the runs of equal consecutive censuses as (cycles,
+    /// census), in cycle order: every run spans at least one cycle, and
+    /// consecutive runs differ. [`TaintLog::push_run`] rebuilds the log
+    /// from them.
+    pub fn runs(&self) -> impl Iterator<Item = (usize, &Census)> {
+        self.cycles
+            .chunk_by(|a, b| a == b)
+            .map(|cycles| (cycles.len(), &self.runs[cycles[0] as usize]))
     }
 
     /// Every distinct coverage point of the log, in the order a cycle-by-

@@ -196,7 +196,6 @@ pub struct SwapMem {
     secret_policy: SecretPolicy,
     secret_len: usize,
     icache_flush_pending: bool,
-    swap_log: Vec<String>,
     /// Per [`PAGE`]-byte page: whether it may have been written since it
     /// was last zeroed. A page not marked is zero in all three planes.
     written: Vec<bool>,
@@ -216,7 +215,6 @@ impl SwapMem {
             secret_policy: SecretPolicy::default(),
             secret_len: 0,
             icache_flush_pending: false,
-            swap_log: Vec::new(),
             written: vec![false; layout.size.div_ceil(PAGE)],
         }
     }
@@ -231,7 +229,6 @@ impl SwapMem {
         self.secret_policy = SecretPolicy::default();
         self.secret_len = 0;
         self.icache_flush_pending = false;
-        self.swap_log.clear();
     }
 
     /// Marks the pages holding the `len` bytes at offset `off` written.
@@ -370,16 +367,14 @@ impl SwapMem {
 
     /// The swap-runtime trap handler: called by the DUT model when a
     /// sequence-terminating trap reaches commit. Swaps in the next packet
-    /// (or reports completion) and requests an icache flush.
-    pub fn handle_trap(&mut self, cause: Exception) -> TrapAction {
-        self.swap_log
-            .push(format!("trap {} -> swap", cause.mnemonic()));
+    /// (or reports completion) and requests an icache flush; every cause
+    /// ends the running sequence alike.
+    pub fn handle_trap(&mut self, _cause: Exception) -> TrapAction {
         self.swap_in_next()
     }
 
     fn swap_in_next(&mut self) -> TrapAction {
         if self.next_packet >= self.schedule.len() {
-            self.swap_log.push("schedule exhausted".into());
             return TrapAction::Done;
         }
         let index = self.next_packet;
@@ -403,10 +398,7 @@ impl SwapMem {
         {
             let end = self.layout.secret + self.secret_len.max(8) as u64;
             self.set_perms(self.layout.secret, end, Perms::NONE);
-            self.swap_log.push("secret permissions revoked".into());
         }
-        self.swap_log
-            .push(format!("swapped in packet {index} ({})", packet.name));
         let entry = packet.entry;
         self.schedule = schedule;
         TrapAction::NextPacket { entry, index }
@@ -417,11 +409,6 @@ impl SwapMem {
     /// [`TrapAction::NextPacket`] and flushes its instruction cache.
     pub fn take_icache_flush(&mut self) -> bool {
         std::mem::take(&mut self.icache_flush_pending)
-    }
-
-    /// The runtime's swap log (diagnostics).
-    pub fn swap_log(&self) -> &[String] {
-        &self.swap_log
     }
 
     /// Index of the packet that will be swapped in next.

@@ -118,6 +118,8 @@ struct RobEntry {
     result: TWord,
     store: Option<PendingStore>,
     redirect: Option<Redirect>,
+    /// What a squash at this entry restores: taken only for entries that
+    /// redirect (mispredicts, disambiguation) or trap.
     snapshot: Option<Box<Snapshot>>,
 }
 
@@ -797,9 +799,6 @@ impl Core {
         let policy = self.policy;
         let issue_at = self.cycle.max(self.src_ready(instr));
         let next_pc = pc.add(TWord::lit(4));
-        // Pre-execution snapshot: used for exception/disambiguation
-        // recovery (state *without* this instruction's effects).
-        let pre_snapshot = self.snapshot();
         // Taint the result stream if the fetched words diverge (transient
         // PC divergence fetched different code per variant).
         let instr_taint = if word.is_tainted() { u64::MAX } else { 0 };
@@ -1106,12 +1105,14 @@ impl Core {
                 self.pc = next_pc;
             }
         }
-        // Faulting entries restore *pre-execution* state at the trap: the
-        // squash undoes any speculatively forwarded destination write
-        // (Meltdown data never becomes architectural).
+        // Faulting entries restore *pre-execution* state at the trap. A
+        // faulting load took its snapshot before its forwarded write; a
+        // faulting store, ecall, ebreak or illegal instruction writes no
+        // register, ready time or RAS slot, so its snapshot taken now still
+        // holds the state from before it executed.
         if entry.exception.is_some() {
             if entry.snapshot.is_none() {
-                entry.snapshot = Some(pre_snapshot);
+                entry.snapshot = Some(self.snapshot());
             }
             // The writeback-to-commit flush depth: younger instructions
             // keep executing transiently until the trap sequence fires.
@@ -1260,6 +1261,9 @@ impl Core {
         entry.done_at = done_at;
         if let Some(e) = arch_fault {
             entry.exception = Some(e);
+            // Taken before the forwarded write below, so the trap's squash
+            // undoes it (Meltdown data never becomes architectural).
+            entry.snapshot = Some(self.snapshot());
         }
         if got_data {
             if is_fp {
@@ -1277,19 +1281,12 @@ impl Core {
                 target: entry.pc, // refetch the load itself
                 taken: None,
             });
-            // Recovery restores pre-load state, so the reload sees the
-            // forwarded store.
-            entry.snapshot = Some(self.snapshot_for_disamb());
+            // Taken after the load's own register write, so it replaces a
+            // fault's pre-write snapshot: the squash restores the stale
+            // value the load read, and the refetched load then overwrites
+            // it with the forwarded store.
+            entry.snapshot = Some(self.snapshot());
         }
-    }
-
-    /// Disambiguation recovery snapshot: pre-state *without* the load's own
-    /// register write. Taken before `exec_load` mutated anything is not
-    /// possible at this call site, so reconstruct by re-checkpointing the
-    /// caller-provided pre-state. (The caller passes the pre-snapshot via
-    /// `snapshot_pre` for exceptions; disambiguation uses the same trick.)
-    fn snapshot_for_disamb(&self) -> Box<Snapshot> {
-        self.snapshot()
     }
 
     fn exec_store(
@@ -1591,6 +1588,7 @@ fn ranges_overlap(a: u64, asz: u64, b: u64, bsz: u64) -> bool {
 mod tests {
     use dejavuzz_isa::asm::ProgramBuilder;
     use dejavuzz_isa::instr::{BranchOp, StoreOp};
+    use dejavuzz_isa::sim::Perms;
     use dejavuzz_swapmem::{PacketKind, SecretPolicy, SwapPacket, DEFAULT_LAYOUT};
 
     use super::*;
@@ -1690,5 +1688,165 @@ mod tests {
             rob_fallbacks > 0 && lsu_fallbacks > 0,
             "{rob_fallbacks} {lsu_fallbacks}"
         );
+    }
+
+    /// Both register files and their ready times: what a trap's recovery
+    /// snapshot restores apart from the RAS.
+    type RegState = ([TWord; 32], [TWord; 32], [u64; 32], [u64; 32]);
+
+    fn reg_state(core: &Core) -> RegState {
+        (core.regs, core.fregs, core.reg_ready, core.freg_ready)
+    }
+
+    /// A one-packet schedule: set-up writes, then `trapping`, then younger
+    /// instructions that write both register files while the trap waits
+    /// to commit. With `no_exec`, the trapping instruction's word may not
+    /// be fetched.
+    fn trap_mem(trapping: Instr, no_exec: bool) -> SwapMem {
+        let l = DEFAULT_LAYOUT;
+        let mut b = ProgramBuilder::new(l.swappable);
+        b.label_at("secret", l.secret);
+        b.label_at("data", l.data);
+        b.label_at("unmapped", l.base + l.size as u64);
+        b.la(Reg::T0, "secret");
+        b.la(Reg::T1, "data");
+        b.la(Reg::T2, "unmapped");
+        b.push(Instr::addi(Reg::A0, Reg::ZERO, 11));
+        b.push(Instr::FmvDX {
+            rd: Reg(1),
+            rs1: Reg::A0,
+        });
+        let at = b.here();
+        b.push(trapping);
+        b.push(Instr::addi(Reg::A0, Reg::A0, 100));
+        b.push(Instr::addi(Reg::A1, Reg::ZERO, 22));
+        b.push(Instr::FmvDX {
+            rd: Reg(2),
+            rs1: Reg::A1,
+        });
+        b.nops(8);
+        b.push(Instr::Ecall);
+        let mut mem = SwapMem::new(l);
+        mem.plant_secret(&[0x5A; 8]);
+        if no_exec {
+            mem.set_perms(at, at + 4, Perms::RW);
+        }
+        let packet = SwapPacket::new("trap", PacketKind::Transient, b.assemble());
+        mem.set_schedule(vec![packet]);
+        mem
+    }
+
+    /// Steps a copy of `core` one cycle with fetch cut to its first
+    /// `width` instructions, and returns the copy's register state.
+    fn replay(core: &Core, mem: &SwapMem, width: usize) -> RegState {
+        let (mut core, mut mem) = (core.clone(), mem.clone());
+        core.cfg.fetch_width = width;
+        core.step(&mut mem);
+        reg_state(&core)
+    }
+
+    /// One packet per exception the core raises, on both cores and in
+    /// every IFT mode: when the packet's trap has committed, the register
+    /// files and ready times equal their values just before the trapping
+    /// instruction executed, so the younger instructions' writes (and a
+    /// faulting load's forwarded write) are undone. The secret is
+    /// protected before the packet runs, so loads and stores of it raise
+    /// page faults; Meltdown forwarding hands the faulting data to the
+    /// load's destination unless the case turns it off.
+    #[test]
+    fn traps_restore_the_state_before_the_trapping_instruction() {
+        let store = |rs1, offset| Instr::Store {
+            op: StoreOp::Sd,
+            rs2: Reg::A0,
+            rs1,
+            offset,
+        };
+        // (expected cause, trapping instruction, forwarding on, the
+        // trapping instruction itself writes a register, fetch forbidden)
+        let cases = [
+            (
+                "load-misalign",
+                Instr::ld(Reg::A0, Reg::T1, 1),
+                true,
+                true,
+                false,
+            ),
+            (
+                "load-access-fault",
+                Instr::ld(Reg::A0, Reg::T2, 0),
+                true,
+                false,
+                false,
+            ),
+            (
+                "load-page-fault",
+                Instr::ld(Reg::A0, Reg::T0, 0),
+                true,
+                true,
+                false,
+            ),
+            (
+                "load-page-fault",
+                Instr::ld(Reg::A0, Reg::T0, 0),
+                false,
+                false,
+                false,
+            ),
+            ("store-misalign", store(Reg::T1, 1), true, false, false),
+            ("store-access-fault", store(Reg::T2, 0), true, false, false),
+            ("store-page-fault", store(Reg::T0, 0), true, false, false),
+            (
+                "fetch-access-fault",
+                Instr::addi(Reg::A0, Reg::ZERO, 7),
+                true,
+                false,
+                true,
+            ),
+            ("ecall", Instr::Ecall, true, false, false),
+            ("ebreak", Instr::Ebreak, true, false, false),
+            ("illegal-instruction", Instr::Illegal(0), true, false, false),
+        ];
+        let mut causes: Vec<_> = cases.iter().map(|c| c.0).collect();
+        causes.dedup();
+        assert_eq!(causes.len(), 10, "one case per exception kind");
+        for mut cfg in [boom_small(), xiangshan_minimal()] {
+            for (cause, trapping, forward, forwards, no_exec) in cases {
+                cfg.bugs.meltdown_forward = forward;
+                let mem0 = trap_mem(trapping, no_exec);
+                for mode in IftMode::ALL {
+                    let what = format!("{} {cause} forward={forward} {mode:?}", cfg.name);
+                    let (mut core, mut mem) = (Core::new(cfg, mode), mem0.clone());
+                    core.start(&mut mem);
+                    let mut before_trap = reg_state(&core);
+                    while !core.done && core.cycle < 2_000 {
+                        before_trap = reg_state(&core);
+                        core.step(&mut mem);
+                    }
+                    assert!(core.done, "{what}: no trap");
+                    let i = (0..core.rob.len())
+                        .find(|&i| core.rob[i].committed && core.rob[i].exception.is_some())
+                        .expect("the trapping entry");
+                    let trap = core.rob[i].exception.expect("checked above");
+                    assert_eq!(trap.mnemonic(), cause, "{what}");
+                    let enq_cycle = core.trace.events().iter().find_map(|e| match *e {
+                        RobEvent::Enq { cycle, idx, .. } if idx == i => Some(cycle),
+                        _ => None,
+                    });
+                    // Run again to the trapping entry's fetch cycle, then
+                    // replay that cycle up to and through the entry.
+                    let (mut again, mut mem) = (Core::new(cfg, mode), mem0.clone());
+                    again.start(&mut mem);
+                    while again.cycle < enq_cycle.expect("enqueued") {
+                        again.step(&mut mem);
+                    }
+                    let k = i - again.rob.len();
+                    let before = replay(&again, &mem, k);
+                    let after = replay(&again, &mem, k + 1);
+                    assert!(reg_state(&core) == before, "{what}: restored state");
+                    assert!(before_trap != before, "{what}: no younger write to undo");
+                    assert_eq!(after != before, forwards, "{what}: trapping write");
+                }
+            }
+        }
     }
 }

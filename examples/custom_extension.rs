@@ -145,48 +145,44 @@ fn campaign() -> CampaignBuilder {
 
 /// A timing-free campaign digest: identical digests mean identical
 /// campaigns (coverage curve included).
-fn digest(report: &ExecutorReport) {
+fn digest(report: &ExecutorReport) -> String {
+    use std::fmt::Write;
+
     let stats = &report.stats;
-    println!("iterations:      {}", stats.iterations);
-    println!("coverage points: {}", stats.coverage());
-    println!("coverage curve:  {:?}", stats.coverage_curve);
-    println!(
+    let mut out = String::new();
+    let _ = writeln!(out, "iterations:      {}", stats.iterations);
+    let _ = writeln!(out, "coverage points: {}", stats.coverage());
+    let _ = writeln!(out, "coverage curve:  {:?}", stats.coverage_curve);
+    let _ = writeln!(
+        out,
         "corpus:          retained {} evicted {}",
         report.corpus_retained, report.corpus_evicted
     );
     for w in &report.workers {
-        println!(
+        let _ = writeln!(
+            out,
             "worker #{}:       {} iterations, {} points",
             w.worker,
             w.iterations,
             w.observed.points()
         );
     }
-    println!("bugs ({}):", stats.bugs.len());
+    let _ = writeln!(out, "bugs ({}):", stats.bugs.len());
     for b in &stats.bugs {
-        println!("  {b}");
+        let _ = writeln!(out, "  {b}");
     }
+    out
 }
 
-fn main() {
+/// Runs the campaign in `mode` (`full` or `resume`, see the module docs)
+/// and returns its digest; `None` for any other mode.
+pub fn run(mode: &str) -> Option<String> {
     const TOTAL: usize = 24;
-    let args: Vec<String> = std::env::args().collect();
-    let mode = args
-        .iter()
-        .position(|a| a == "--mode")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("full")
-        .to_string();
-
-    match mode.as_str() {
-        "full" => {
-            let report = campaign()
-                .build()
-                .expect("extensions registered")
-                .run(TOTAL);
-            digest(&report);
-        }
+    let report = match mode {
+        "full" => campaign()
+            .build()
+            .expect("extensions registered")
+            .run(TOTAL),
         "resume" => {
             let path = std::env::temp_dir().join(format!(
                 "dejavuzz-custom-extension-{}.snap",
@@ -215,10 +211,24 @@ fn main() {
                 .expect("same extensions registered on resume")
                 .run(TOTAL);
             let _ = std::fs::remove_file(&path);
-            digest(&report);
+            report
         }
-        other => {
-            eprintln!("custom_extension: unknown --mode {other:?} (expected full|resume)");
+        _ => return None,
+    };
+    Some(digest(&report))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let mode = args
+        .iter()
+        .position(|a| a == "--mode")
+        .and_then(|i| args.get(i + 1))
+        .map_or("full", String::as_str);
+    match run(mode) {
+        Some(digest) => print!("{digest}"),
+        None => {
+            eprintln!("custom_extension: unknown --mode {mode:?} (expected full|resume)");
             std::process::exit(2);
         }
     }

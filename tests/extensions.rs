@@ -19,6 +19,12 @@ use dejavuzz::snapshot::CampaignSnapshot;
 use dejavuzz::Seed;
 use dejavuzz_uarch::boom_small;
 
+/// The `custom_extension` example, compiled in so its two modes can be
+/// compared here; its `main` only runs as the example.
+#[path = "../examples/custom_extension.rs"]
+#[allow(dead_code)]
+mod custom_extension;
+
 /// A stateful custom scheduler: rounds alternate between full span and a
 /// single batch, keyed off a round counter that MUST survive the
 /// snapshot (a resume that reset it would plan different spans and
@@ -235,4 +241,15 @@ fn resuming_unregistered_extensions_fails_structurally() {
         .build()
         .unwrap_err();
     assert!(matches!(err, BuildError::Resume(_)), "{err:?}");
+}
+
+/// The `custom_extension` example's `resume` mode (halt after 9, write
+/// a snapshot file, resume it with fresh registrations) prints the same
+/// digest as its uninterrupted `full` mode.
+#[test]
+fn custom_extension_example_resume_prints_the_full_digest() {
+    let full = custom_extension::run("full").expect("a known mode");
+    assert!(full.contains("iterations:      24"), "{full}");
+    assert_eq!(custom_extension::run("resume").as_ref(), Some(&full));
+    assert_eq!(custom_extension::run("bogus"), None);
 }

@@ -230,11 +230,8 @@ fn assert_wellformed_json(line: &str) {
     assert_eq!(depth, 0, "unbalanced braces in {line}");
 }
 
-/// The `--telemetry json` contract: one JSON object per line, every line
-/// well-formed, and the rendered bytes deterministic per
-/// `(seed, workers)`.
-#[test]
-fn json_lines_telemetry_is_wellformed_and_byte_deterministic() {
+/// The JSON-lines telemetry of `builder`'s campaign over `iterations`.
+fn json_lines(builder: CampaignBuilder, iterations: usize) -> String {
     // The observer owns its sink, so capture bytes through a shared Vec.
     #[derive(Clone, Default)]
     struct Shared(Arc<Mutex<Vec<u8>>>);
@@ -247,29 +244,37 @@ fn json_lines_telemetry_is_wellformed_and_byte_deterministic() {
             Ok(())
         }
     }
-    let capture = || {
-        let shared = Shared::default();
-        let mut observers: Vec<Box<dyn CampaignObserver>> =
-            vec![Box::new(JsonLinesObserver::new(shared.clone()))];
-        campaign(2, 7)
-            .build()
-            .unwrap()
-            .run_observed(12, &mut observers);
-        let bytes = shared.0.lock().unwrap().clone();
-        String::from_utf8(bytes).expect("telemetry is UTF-8")
-    };
-    let a = capture();
-    let b = capture();
+    let shared = Shared::default();
+    let mut observers: Vec<Box<dyn CampaignObserver>> =
+        vec![Box::new(JsonLinesObserver::new(shared.clone()))];
+    builder
+        .build()
+        .unwrap()
+        .run_observed(iterations, &mut observers);
+    let bytes = shared.0.lock().unwrap().clone();
+    String::from_utf8(bytes).expect("telemetry is UTF-8")
+}
+
+/// The event kind a JSON-lines telemetry line leads with.
+fn kind(line: &str) -> &str {
+    line.strip_prefix("{\"event\":\"")
+        .and_then(|r| r.split('"').next())
+        .expect("every line leads with its event kind")
+}
+
+/// The `--telemetry json` contract: one JSON object per line, every line
+/// well-formed, and the rendered bytes deterministic per
+/// `(seed, workers)`.
+#[test]
+fn json_lines_telemetry_is_wellformed_and_byte_deterministic() {
+    let a = json_lines(campaign(2, 7), 12);
+    let b = json_lines(campaign(2, 7), 12);
     assert_eq!(a, b, "telemetry bytes are deterministic");
     assert!(!a.is_empty());
     let mut kinds = std::collections::BTreeSet::new();
     for line in a.lines() {
         assert_wellformed_json(line);
-        let kind = line
-            .strip_prefix("{\"event\":\"")
-            .and_then(|r| r.split('"').next())
-            .expect("every line leads with its event kind");
-        kinds.insert(kind.to_string());
+        kinds.insert(kind(line).to_string());
     }
     for expected in [
         "round_started",
@@ -286,4 +291,48 @@ fn json_lines_telemetry_is_wellformed_and_byte_deterministic() {
             .starts_with("{\"event\":\"campaign_finished\""),
         "the stream ends with the finale"
     );
+}
+
+/// A periodic checkpoint lands while the next round runs, but its event
+/// keeps its place: in a snapshotting campaign's JSON telemetry,
+/// barriered and pipelined, each periodic `snapshot_written` directly
+/// follows the commit of its boundary's last slot, so it precedes the
+/// `round_started` of the round shipped at that boundary.
+#[test]
+fn snapshot_written_precedes_the_next_round_started() {
+    // 2 workers x batch 4 = 8 slots per round; three rounds.
+    const TOTAL: usize = 24;
+    for pipelined in [false, true] {
+        let path = std::env::temp_dir().join(format!(
+            "dejavuzz-observer-order-{pipelined}-{}.snap",
+            std::process::id()
+        ));
+        let builder = campaign(2, 7)
+            .pipelined(pipelined)
+            .snapshot_path(&path)
+            .snapshot_every(1);
+        let text = json_lines(builder, TOTAL);
+        std::fs::remove_file(&path).unwrap();
+        let order: Vec<&str> = text
+            .lines()
+            .filter(|l| !l.contains("\"periodic\":false"))
+            .map(kind)
+            .filter(|k| ["round_started", "slot_committed", "snapshot_written"].contains(k))
+            .collect();
+        let (mut periodic, mut then_round) = (0, 0);
+        for (i, k) in order.iter().enumerate() {
+            if *k != "snapshot_written" {
+                continue;
+            }
+            periodic += 1;
+            assert_eq!(
+                order[i - 1],
+                "slot_committed",
+                "pipelined {pipelined}: {order:?}"
+            );
+            then_round += usize::from(order.get(i + 1) == Some(&"round_started"));
+        }
+        assert_eq!(periodic, TOTAL / 8, "pipelined {pipelined}: one per round");
+        assert!(then_round > 0, "pipelined {pipelined}: {order:?}");
+    }
 }

@@ -409,3 +409,45 @@ fn halt_at_or_below_the_start_point() {
         }
     }
 }
+
+/// A periodic checkpoint holds the state of its own round boundary,
+/// although it is written while the next round runs. With a checkpoint
+/// every round and a rotation trail long enough to keep them all, each
+/// rotated checkpoint of an uninterrupted run is byte-identical to the
+/// final checkpoint of a run halted after the same iteration count,
+/// barriered and pipelined. A checkpoint captured after the next round
+/// was planned would carry that plan's scheduler, corpus and stream
+/// draws, and differ.
+#[test]
+fn periodic_checkpoints_equal_halted_final_checkpoints() {
+    // 2 workers x batch 4 = 8 slots per round; four rounds in the budget.
+    const TOTAL: usize = 32;
+    let dir = std::env::temp_dir().join(format!("dejavuzz-periodic-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for pipelined in [false, true] {
+        let orch = campaign(FuzzerOptions::default(), 2, 0x5EED).pipelined(pipelined);
+        let trail = dir.join(format!("trail-{pipelined}.snap"));
+        orch.clone()
+            .snapshot_path(&trail)
+            .snapshot_every(1)
+            .snapshot_keep(TOTAL)
+            .build()
+            .unwrap()
+            .run(TOTAL);
+        for completed in (8..=TOTAL).step_by(8) {
+            let halted = dir.join(format!("halted-{pipelined}-{completed}.snap"));
+            orch.clone()
+                .snapshot_path(&halted)
+                .halt_after(completed)
+                .build()
+                .unwrap()
+                .run(TOTAL);
+            let rotated = dejavuzz_persist::rotated_path(&trail, completed as u64);
+            assert!(
+                std::fs::read(rotated).unwrap() == std::fs::read(&halted).unwrap(),
+                "pipelined {pipelined}: checkpoint at {completed} iterations"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

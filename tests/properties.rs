@@ -381,9 +381,10 @@ proptest! {
     /// plain per-cycle `Vec<Census>` does. Sequences repeat the previous
     /// census in runs, bring back earlier ones, report zero counts and
     /// include empty censuses; some use one module only, and the empty
-    /// log is among them. Cycles are pushed by value or by reference at
-    /// random, and clones (`clone`, and `clone_from` into a log that held
-    /// other cycles) must answer alike.
+    /// log is among them. Cycles are pushed by value, by reference or as
+    /// runs of 0–2 cycles at random. Clones (`clone`, and `clone_from`
+    /// into a log that held other cycles) and a log rebuilt from the
+    /// runs it reports must answer alike.
     #[test]
     fn change_coded_log_equals_per_cycle_log(draws in any::<u64>(), cycles in 0usize..40) {
         use dejavuzz::rand::rngs::StdRng;
@@ -409,12 +410,22 @@ proptest! {
                 3 if !model.is_empty() => census = model[rng.gen_range(0..model.len())].clone(),
                 _ => census = fresh_census(&mut rng),
             }
-            model.push(census.clone());
-            if rng.gen() {
-                log.push(census.clone());
-            } else {
-                log.push_ref(&census);
-            }
+            let n = match rng.gen_range(0..3) {
+                0 => {
+                    log.push(census.clone());
+                    1
+                }
+                1 => {
+                    log.push_ref(&census);
+                    1
+                }
+                _ => {
+                    let n = rng.gen_range(0..3);
+                    log.push_run(n, &census);
+                    n
+                }
+            };
+            model.extend(std::iter::repeat_n(census.clone(), n));
         }
 
         let sums: Vec<usize> = model.iter().map(Census::taint_sum).collect();
@@ -442,9 +453,21 @@ proptest! {
             assert_eq!(log.peak_taint(), sums.iter().copied().max().unwrap_or(0));
             assert_eq!(log.final_taint(), sums.last().copied().unwrap_or(0));
             assert_eq!(log.distinct_points(), points);
+            let runs: Vec<(usize, &Census)> = log.runs().collect();
+            assert!(runs.iter().all(|&(n, _)| n > 0));
+            assert!(runs.windows(2).all(|w| w[0].1 != w[1].1));
+            assert!(runs
+                .iter()
+                .flat_map(|&(n, census)| std::iter::repeat_n(census, n))
+                .eq(model.iter()));
         };
         check(&log);
         check(&log.clone());
+        let mut rebuilt = TaintLog::new();
+        for (n, census) in log.runs() {
+            rebuilt.push_run(n, census);
+        }
+        check(&rebuilt);
         let mut other = TaintLog::new();
         for _ in 0..rng.gen_range(0..8) {
             other.push(fresh_census(&mut rng));
@@ -786,8 +809,9 @@ proptest! {
         let _ = CampaignSnapshot::from_bytes(&seal(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &payload));
         let payload = edited(&fixtures.gossip[HEADER_LEN..]);
         let _ = GossipFrame::from_bytes(&seal(GOSSIP_MAGIC, GOSSIP_VERSION, &payload));
+        let max_cycles = decode_run_request(&fixtures.request).unwrap().max_cycles;
         let _ = decode_run_request(&edited(&fixtures.request));
-        let _ = decode_run_response(&edited(&fixtures.reply));
+        let _ = decode_run_response(&edited(&fixtures.reply), max_cycles);
     }
 }
 
@@ -808,7 +832,9 @@ fn overwritten(bytes: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
 /// unknown module, and process-pool replies carrying an unknown module
 /// and an unknown squash cause each fail with a structured error, and
 /// once the errors are dropped this thread's live heap is back within
-/// 64 KiB of where it started.
+/// 64 KiB of where it started. So does a reply whose taint log claims a
+/// run of 2^32 cycles, past its request's budget: it fails before any
+/// cycle is stored.
 #[test]
 fn decoding_unknown_names_leaves_nothing_live() {
     use dejavuzz::backend::RunOutcome;
@@ -854,7 +880,11 @@ fn decoding_unknown_names_leaves_nothing_live() {
         ..RunOutcome::default()
     }));
     let at = module_reply.windows(8).position(|w| w == mark).unwrap();
+    let mut long_reply = module_reply.clone();
     module_reply[at - 1] = 0xEE;
+    // The run's cycle count leads its census: the module count and the
+    // module tag stand between it and the tainted count.
+    long_reply[at - 17..at - 9].copy_from_slice(&(1u64 << 32).to_le_bytes());
     let mut trace = Trace::new();
     trace.push(RobEvent::Squash {
         cycle: 1,
@@ -883,12 +913,24 @@ fn decoding_unknown_names_leaves_nothing_live() {
             matches!(err, DecodeError::InvalidValue { what: "Module", .. }),
             "{err}"
         );
-        let err = decode_run_response(&module_reply).unwrap_err();
+        let err = decode_run_response(&module_reply, 1).unwrap_err();
         assert!(
             matches!(err, DecodeError::InvalidTag { what: "Module", .. }),
             "{err}"
         );
-        let err = decode_run_response(&cause_reply).unwrap_err();
+        let err = decode_run_response(&long_reply, 20_000).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DecodeError::LengthOverflow {
+                    what: "RunOutcome.taint_log cycles",
+                    len: 0x1_0000_0000,
+                    limit: 20_000
+                }
+            ),
+            "{err}"
+        );
+        let err = decode_run_response(&cause_reply, 0).unwrap_err();
         assert!(
             matches!(
                 err,
