@@ -222,6 +222,97 @@ fn shard_merge_reports_the_exact_union() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A halted `netlist:small` campaign with scenario families active,
+/// checkpointed every round, resumes (adopting the snapshot's families)
+/// to the uninterrupted report and writes a byte-identical final
+/// snapshot.
+#[test]
+fn netlist_scenario_resume_equals_uninterrupted_run() {
+    let dir = scratch("netlist-scenario-resume");
+    let args = [
+        "--backend",
+        "netlist:small",
+        "--iters",
+        "24",
+        "--workers",
+        "2",
+        "--seed",
+        "7",
+        "--scenarios",
+        "zenbleed,nested-spec:depth=4",
+    ];
+    let full = report(&dir, &[&args[..], &["--snapshot", "full.snap"]].concat());
+    let halted = ["--snapshot", "half.snap", "--snapshot-every", "1"];
+    report(
+        &dir,
+        &[&args[..], &halted, &["--halt-after", "12"]].concat(),
+    );
+    let resumed = report(
+        &dir,
+        &[
+            "--backend",
+            "netlist:small",
+            "--resume",
+            "half.snap",
+            "--iters",
+            "24",
+            "--snapshot",
+            "resumed.snap",
+        ],
+    );
+    assert_eq!(full, resumed, "resumed report differs");
+    let read = |name: &str| std::fs::read(dir.join(name)).unwrap();
+    assert!(
+        read("full.snap") == read("resumed.snap"),
+        "resumed snapshot differs from the uninterrupted run's"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A run with no `--scenarios` prints the same report twice and no
+/// per-family `scenario:` row.
+#[test]
+fn default_report_is_deterministic_without_scenario_rows() {
+    let dir = std::env::temp_dir();
+    let args = ["--iters", "12", "--workers", "2", "--seed", "5"];
+    let first = report(&dir, &args);
+    assert_eq!(first, report(&dir, &args));
+    assert!(!first.contains("scenario:"), "{first}");
+}
+
+/// `dejavuzz-merge` over shards that ran different scenario families
+/// breaks the merged report down per family, in text and in JSON.
+#[test]
+fn shard_merge_reports_every_family() {
+    let dir = scratch("family-merge");
+    for (shard, seed, family) in [("0", "3", "zenbleed"), ("1", "9", "double-fetch")] {
+        let snap = format!("shard{shard}.snap");
+        let args = [
+            "--backend",
+            "netlist:small",
+            "--iters",
+            "32",
+            "--seed",
+            seed,
+        ];
+        let scenario = ["--shard", shard, "--scenarios", family, "--snapshot", &snap];
+        report(&dir, &[&args[..], &scenario].concat());
+    }
+    let (code, stdout, stderr) = merge(&dir, &["shard0.snap", "shard1.snap"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    let families = stdout
+        .split_once("\nfamilies:\n")
+        .and_then(|(_, rest)| rest.split("\n\n").next())
+        .unwrap_or_else(|| panic!("no families: section in {stdout}"));
+    for family in ["zenbleed", "double-fetch"] {
+        assert!(families.contains(family), "{family} missing: {stdout}");
+    }
+    let (code, json, stderr) = merge(&dir, &["--json", "shard0.snap", "shard1.snap"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(json.contains("\"families\":["), "{json}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A truncated snapshot is a structured decode error, exit 2, for both
 /// `dejavuzz-merge` and `--resume`; so are a malformed `--iters` and a
 /// `--snapshot` with its value missing.
@@ -702,7 +793,8 @@ fn unknown_scenario_family_exits_two_naming_the_family() {
 }
 
 /// A malformed scenario parameter is an exit-2 error naming the item,
-/// the family and the expected shape.
+/// the family and the expected shape; an out-of-range one names the
+/// range.
 #[test]
 fn malformed_scenario_param_exits_two_naming_the_item() {
     let (code, _, stderr) = fuzz(&["--scenarios", "zenbleed:zero_idiom=x", "--iters", "1"]);
@@ -712,6 +804,12 @@ fn malformed_scenario_param_exits_two_naming_the_item() {
             "invalid scenario spec \"zenbleed:zero_idiom=x\": malformed parameter \
              \"zero_idiom=x\" for scenario family \"zenbleed\" (expected name=integer)"
         ),
+        "stderr: {stderr}"
+    );
+    let (code, _, stderr) = fuzz(&["--scenarios", "zenbleed:zero_idiom=9", "--iters", "1"]);
+    assert_eq!(code, Some(2));
+    assert!(
+        stderr.contains("must be in [0, 2], got 9"),
         "stderr: {stderr}"
     );
 }

@@ -83,7 +83,8 @@ fn scenarios_off_is_byte_identical_to_default() {
 }
 
 /// Every shipped template family draws, triggers and accumulates
-/// per-family window stats on the small synthesised netlist.
+/// per-family window stats on the small synthesised netlist, and reports
+/// a bug whose window carries the family's own Table-5 class.
 #[test]
 fn each_builtin_family_reaches_nonzero_stats_on_netlist_small() {
     for spec in ALL_FAMILIES {
@@ -93,6 +94,16 @@ fn each_builtin_family_reaches_nonzero_stats_on_netlist_small() {
             family_attempts(&report.stats, family) > 0,
             "{family}: expected nonzero per-family attempts in {:?}",
             report.stats.windows.keys().collect::<Vec<_>>()
+        );
+        let classes: Vec<_> = report
+            .stats
+            .bugs
+            .iter()
+            .map(|b| b.window_type.table5_class())
+            .collect();
+        assert!(
+            classes.contains(&family),
+            "{family}: expected a bug via a {family} window, got {classes:?}"
         );
     }
 }

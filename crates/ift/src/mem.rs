@@ -12,11 +12,16 @@ use crate::tword::TWord;
 /// * write: `(Wen ? Wdata_t : mem_t[addr]) | {WIDTH{Wen_diff | (addr_diff & Wen)}}`
 ///
 /// Under CellIFT the `*_diff` gates are replaced by "the signal is tainted".
+///
+/// The number of tainted slots is kept current by every store, so
+/// [`TMem::tainted_slots`] is a read, not a scan of the taint plane.
 #[derive(Debug, PartialEq, Eq)]
 pub struct TMem {
     a: Vec<u64>,
     b: Vec<u64>,
     t: Vec<u64>,
+    /// Slots with a non-zero taint word.
+    tainted: usize,
 }
 
 impl Clone for TMem {
@@ -25,6 +30,7 @@ impl Clone for TMem {
             a: self.a.clone(),
             b: self.b.clone(),
             t: self.t.clone(),
+            tainted: self.tainted,
         }
     }
 
@@ -35,6 +41,7 @@ impl Clone for TMem {
         self.a.clone_from(&source.a);
         self.b.clone_from(&source.b);
         self.t.clone_from(&source.t);
+        self.tainted = source.tainted;
     }
 }
 
@@ -45,6 +52,7 @@ impl TMem {
             a: vec![0; len],
             b: vec![0; len],
             t: vec![0; len],
+            tainted: 0,
         }
     }
 
@@ -72,7 +80,14 @@ impl TMem {
     pub fn poke(&mut self, idx: usize, w: TWord) {
         self.a[idx] = w.a;
         self.b[idx] = w.b;
-        self.t[idx] = w.t;
+        self.set_taint(idx, w.t);
+    }
+
+    /// Stores a slot's taint word, keeping the tainted-slot count.
+    fn set_taint(&mut self, idx: usize, t: u64) {
+        let slot = &mut self.t[idx];
+        self.tainted = self.tainted + usize::from(t != 0) - usize::from(*slot != 0);
+        *slot = t;
     }
 
     /// Zeroes every slot in both value planes and the taint plane,
@@ -81,16 +96,24 @@ impl TMem {
         self.a.fill(0);
         self.b.fill(0);
         self.t.fill(0);
+        self.tainted = 0;
     }
 
     /// Clears every taint bit, leaving values intact.
     pub fn clear_taint(&mut self) {
-        self.t.iter_mut().for_each(|t| *t = 0);
+        self.t.fill(0);
+        self.tainted = 0;
     }
 
-    /// Number of slots with at least one taint bit set.
+    /// Number of slots with at least one taint bit set. Debug builds
+    /// check the kept count against a scan of the taint plane.
     pub fn tainted_slots(&self) -> usize {
-        self.t.iter().filter(|&&t| t != 0).count()
+        debug_assert_eq!(
+            self.tainted,
+            self.t.iter().filter(|&&t| t != 0).count(),
+            "kept tainted-slot count"
+        );
+        self.tainted
     }
 
     /// Iterates over the taint plane.
@@ -138,12 +161,12 @@ impl TMem {
         }
         // Wen ? Wdata_t : mem_t[addr], applied to each plane's slot.
         if wen.a != 0 {
-            self.t[ia] = data.t;
+            self.set_taint(ia, data.t);
         }
         if wen.b != 0 && ib != ia {
-            self.t[ib] = data.t;
+            self.set_taint(ib, data.t);
         } else if wen.b != 0 {
-            self.t[ib] |= data.t;
+            self.set_taint(ib, self.t[ib] | data.t);
         }
         let wen_gate = match policy.mode() {
             IftMode::CellIft => wen.is_tainted(),
@@ -160,8 +183,8 @@ impl TMem {
             // {WIDTH{Wen_diff | (addr_diff & Wen)}} over both touched slots:
             // the variants disagree on *which* slot (or whether a slot) got
             // the data, so both candidate slots become secret-dependent.
-            self.t[ia] = u64::MAX;
-            self.t[ib] = u64::MAX;
+            self.set_taint(ia, u64::MAX);
+            self.set_taint(ib, u64::MAX);
         }
     }
 }

@@ -13,14 +13,36 @@
 //!   lowers it. The combinational cells become a flat op tape with dense
 //!   `u32` operands; the cells are already in SSA order, so the tape runs
 //!   front to back with no levelization. The connected registers become a
-//!   `(q, d, en, module)` list and the write ports a `(mem, wen, addr,
-//!   data)` list. Every phase runs one loop monomorphised per IFT mode, so
-//!   the policy's mode checks fold away instead of running per cell.
+//!   `(q, d, en, module, register)` list and the write ports a `(mem,
+//!   wen, addr, data)` list. Every phase runs one loop monomorphised per
+//!   IFT mode, so the policy's mode checks fold away instead of running
+//!   per cell.
 //! * **Census.** Register modules get dense ids in first-seen order. The
-//!   clock edge computes all next states into a reused buffer, then
-//!   commits them, adjusting a module's tainted-register count whenever
+//!   clock edge computes the next states it must, then commits the ones
+//!   that changed, adjusting a module's tainted-register count whenever
 //!   one of its registers gains or loses taint. [`NetlistSim::census`]
-//!   reads those counts, then scans each memory's taint plane.
+//!   reads those counts and each memory's kept tainted-slot count.
+//! * **Activity.** An op or register edge whose inputs did not change
+//!   would compute what it already holds, so the simulator skips it. The
+//!   tape is cut into blocks of 64 consecutive ops, and compiling records
+//!   who reads what: per block, its ops that a later block or a register
+//!   edge reads; per such op, register, input port and memory, the blocks
+//!   and edges that read it (an enabled register's edge reads its own
+//!   `q`). A change marks those readers: an input set to a new value, a
+//!   committed register that changed, a memory written through an enable
+//!   that is non-zero or tainted, [`NetlistSim::mem_poke`],
+//!   [`NetlistSim::taint_reg`] (which also marks the register's own
+//!   edge), and a block whose run changed one of its read ops. An
+//!   evaluation runs the marked blocks in one forward sweep, since every
+//!   reader is later on the tape, and a clock edge computes the marked
+//!   edges. When most of the design changes, the marks cost more than
+//!   they skip, so an evaluation runs a full pass, with no marks, when
+//!   [`NetlistSim::reset`] or [`NetlistSim::restore`] came before it, when
+//!   more than half of the blocks are marked, or when the last clock edge
+//!   changed more than an eighth of the registers (that edge then marks
+//!   nothing). The clock edge after a full pass computes every register.
+//!   Debug builds re-run a full pass after every gated evaluation, and
+//!   recompute every unmarked edge, and assert that nothing differs.
 //! * **Reset.** [`NetlistSim::reset`] restores the initial state in place
 //!   (registers at their init values, all other signals, memories and
 //!   inputs zero, cycle 0) in any mode, so one compiled simulator serves
@@ -43,6 +65,28 @@ use dejavuzz_ift::{Census, IftMode, Module, Policy, SinkReport, TMem, TWord};
 
 use crate::ir::{CellKind, Netlist, NetlistError, SignalId};
 
+/// Tape ops per activity block: the unit a gated evaluation runs or skips.
+/// Gating single ops makes the op dispatch unpredictable, which costs more
+/// per evaluated op than the skipping saves.
+const BLOCK: usize = 64;
+
+/// An evaluation that starts with more than `1 / FULL_BLOCKS` of the
+/// blocks marked runs a full pass instead, without the bookkeeping. On
+/// `netlist:boom` a threshold of 1/4, or none, measured slower than 1/2;
+/// EXPERIMENTS.md (Backends) has the measurements behind both constants.
+const FULL_BLOCKS: usize = 2;
+
+/// A clock edge that commits more than `1 / BUSY_EDGE` of the registers
+/// marks nothing and sends the next evaluation to a full pass. Such edges
+/// come after a reset and on almost every cycle of `netlist:small`; their
+/// marks cost more than they skip (without this rule `netlist:boom` ran
+/// at about half the speed).
+const BUSY_EDGE: usize = 8;
+
+/// The tape position of a register, which is not on the tape. Every real
+/// position is below it, since a netlist has at most `u32::MAX` cells.
+const OFF_TAPE: u32 = u32::MAX;
+
 /// One combinational cell, lowered: the operands are dense signal
 /// indices, in [`CellKind`]'s order. The tape pairs each op with the
 /// signal it drives.
@@ -64,13 +108,35 @@ enum Op {
     MemRead(u32, u32),
 }
 
-/// A connected register: its output `q`, next-state inputs and module id.
+impl Op {
+    /// The signals the op reads (an input port or a memory is not a
+    /// signal).
+    fn operands(self) -> impl Iterator<Item = u32> {
+        let (signals, n) = match self {
+            Op::Const(..) | Op::Input(_) => ([0; 3], 0),
+            Op::Not(a) | Op::MemRead(_, a) => ([a, 0, 0], 1),
+            Op::And(a, b)
+            | Op::Or(a, b)
+            | Op::Xor(a, b)
+            | Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Eq(a, b)
+            | Op::Lt(a, b) => ([a, b, 0], 2),
+            Op::Mux(s, t, e) => ([s, t, e], 3),
+        };
+        signals.into_iter().take(n)
+    }
+}
+
+/// A connected register: its output `q`, next-state inputs, module id and
+/// index in [`Program::regs`].
 #[derive(Clone, Copy, Debug)]
 struct RegEdge {
     q: u32,
     d: u32,
     en: Option<u32>,
     module: u32,
+    reg: u32,
 }
 
 /// A memory write port.
@@ -80,6 +146,154 @@ struct WritePort {
     wen: u32,
     addr: u32,
     data: u32,
+}
+
+/// Who reads what, for activity gating.
+///
+/// A *watch* is a value that a block or a register edge reads from
+/// outside the block that computes it: an exported op (one that a later
+/// block or an edge reads), a register, an input port or a memory. Each
+/// watch lists its readers as *mark targets*: block `b` is target `b`,
+/// and register edge `e` is target `edge_base + e`, so blocks and edges
+/// share one bitmap of marks. Watch ids are the exported ops in tape
+/// order, then the registers in [`Program::regs`] order, then the input
+/// ports, then the memories.
+#[derive(Clone, Debug, Default)]
+struct Fanout {
+    /// Blocks on the tape.
+    blocks: usize,
+    /// The first edge target: `blocks` rounded up to whole mark words.
+    edge_base: usize,
+    /// The signals of the exported ops, in tape order.
+    exports: Vec<u32>,
+    /// Block `b` drives exports `export_start[b]..export_start[b + 1]`.
+    export_start: Vec<u32>,
+    /// The first register, input and memory watch ids.
+    reg_base: usize,
+    input_base: usize,
+    mem_base: usize,
+    /// Watch `w` is read by `readers[reader_start[w]..reader_start[w + 1]]`.
+    reader_start: Vec<u32>,
+    readers: Vec<u32>,
+}
+
+impl Fanout {
+    /// Tabulates the readers of every watch of a compiled program, with a
+    /// counting pass and a filling pass over the same reads. `pos` holds
+    /// each combinational cell's tape position, and [`OFF_TAPE`] for each
+    /// register.
+    fn build(netlist: &Netlist, p: &Program, pos: &[u32]) -> Fanout {
+        const UNWATCHED: u32 = u32::MAX;
+        let blocks = p.tape.len().div_ceil(BLOCK);
+        let mut f = Fanout {
+            blocks,
+            edge_base: blocks.next_multiple_of(64),
+            ..Fanout::default()
+        };
+
+        // Export every op read across a block boundary or by an edge.
+        let mut watch = vec![UNWATCHED; netlist.cells.len()];
+        for (i, &(_, op)) in p.tape.iter().enumerate() {
+            for s in op.operands() {
+                let at = pos[s as usize];
+                if at != OFF_TAPE && at as usize / BLOCK != i / BLOCK {
+                    watch[s as usize] = 0;
+                }
+            }
+        }
+        for e in &p.edges {
+            for s in std::iter::once(e.d).chain(e.en) {
+                if pos[s as usize] != OFF_TAPE {
+                    watch[s as usize] = 0;
+                }
+            }
+        }
+        f.export_start.reserve(blocks + 1);
+        for (i, &(dst, _)) in p.tape.iter().enumerate() {
+            if i % BLOCK == 0 {
+                f.export_start.push(f.exports.len() as u32);
+            }
+            if watch[dst as usize] != UNWATCHED {
+                watch[dst as usize] = f.exports.len() as u32;
+                f.exports.push(dst);
+            }
+        }
+        f.export_start.push(f.exports.len() as u32);
+        f.reg_base = f.exports.len();
+        for (r, &q) in p.regs.iter().enumerate() {
+            watch[q as usize] = (f.reg_base + r) as u32;
+        }
+        f.input_base = f.reg_base + p.regs.len();
+        f.mem_base = f.input_base + p.inputs;
+        let watches = f.mem_base + netlist.mems.len();
+
+        let mut count = vec![0u32; watches + 1];
+        let mut last = vec![u32::MAX; watches];
+        f.reads(p, pos, &watch, |w, target| {
+            if last[w] != target {
+                last[w] = target;
+                count[w + 1] += 1;
+            }
+        });
+        drop(last);
+        for w in 0..watches {
+            count[w + 1] += count[w];
+        }
+        let mut fill = count.clone();
+        let mut readers = vec![0u32; count[watches] as usize];
+        f.reads(p, pos, &watch, |w, target| {
+            let at = fill[w] as usize;
+            if at == count[w] as usize || readers[at - 1] != target {
+                readers[at] = target;
+                fill[w] += 1;
+            }
+        });
+        f.reader_start = count;
+        f.readers = readers;
+        f
+    }
+
+    /// Calls `each(watch, target)` for every read of a watch: blocks in
+    /// tape order, then edges in order. A watch's targets therefore arrive
+    /// sorted, so a repeated read is always the target just seen.
+    fn reads(&self, p: &Program, pos: &[u32], watch: &[u32], mut each: impl FnMut(usize, u32)) {
+        for (i, &(_, op)) in p.tape.iter().enumerate() {
+            let b = i / BLOCK;
+            match op {
+                Op::Input(port) => each(self.input_base + port as usize, b as u32),
+                Op::MemRead(mem, _) => each(self.mem_base + mem as usize, b as u32),
+                _ => {}
+            }
+            for s in op.operands() {
+                let at = pos[s as usize];
+                if at == OFF_TAPE || at as usize / BLOCK != b {
+                    each(watch[s as usize] as usize, b as u32);
+                }
+            }
+        }
+        for (e, r) in p.edges.iter().enumerate() {
+            let target = (self.edge_base + e) as u32;
+            each(watch[r.d as usize] as usize, target);
+            if let Some(en) = r.en {
+                each(watch[en as usize] as usize, target);
+                each(self.reg_base + r.reg as usize, target);
+            }
+        }
+    }
+
+    /// Marks every reader of watch `w`.
+    #[inline]
+    fn mark(&self, marks: &mut [u64], w: usize) {
+        let readers = self.reader_start[w] as usize..self.reader_start[w + 1] as usize;
+        for &t in &self.readers[readers] {
+            marks[t as usize / 64] |= 1 << (t % 64);
+        }
+    }
+
+    /// The words of the mark bitmap that hold blocks.
+    fn block_words(&self) -> usize {
+        self.edge_base / 64
+    }
 }
 
 /// Everything [`NetlistSim`] precomputes from a validated netlist.
@@ -100,6 +314,7 @@ struct Program {
     totals: Vec<usize>,
     /// Input ports the netlist declares.
     inputs: usize,
+    fanout: Fanout,
 }
 
 impl Program {
@@ -112,6 +327,8 @@ impl Program {
             ..Program::default()
         };
         let mut module_ids: HashMap<Module, u32> = HashMap::new();
+        // Each combinational cell's tape position.
+        let mut pos = Vec::with_capacity(netlist.cells.len());
         for (i, cell) in netlist.cells.iter().enumerate() {
             let dst = ix(i);
             let op = match cell.kind {
@@ -138,6 +355,8 @@ impl Program {
                         (p.modules.len() - 1) as u32
                     });
                     p.totals[module as usize] += 1;
+                    let reg = p.regs.len() as u32;
+                    pos.push(OFF_TAPE);
                     p.regs.push(dst);
                     if init != 0 {
                         p.inits.push((dst, init));
@@ -148,11 +367,13 @@ impl Program {
                             d: ix(d),
                             en: en.map(ix),
                             module,
+                            reg,
                         });
                     }
                     continue; // a register holds Q through the comb phase
                 }
             };
+            pos.push(p.tape.len() as u32);
             p.tape.push((dst, op));
         }
         p.writes = netlist
@@ -169,6 +390,7 @@ impl Program {
                 })
             })
             .collect();
+        p.fanout = Fanout::build(netlist, &p, &pos);
         p
     }
 }
@@ -185,6 +407,38 @@ trait Regime {
             w.untainted()
         } else {
             w
+        }
+    }
+
+    /// A register edge's next state.
+    #[inline(always)]
+    fn next(v: &[TWord], r: &RegEdge) -> TWord {
+        let d = v[r.d as usize];
+        match r.en {
+            Some(en) => Self::POLICY.reg_en(v[en as usize], d, v[r.q as usize]),
+            None => Self::data(d),
+        }
+    }
+
+    /// Runs `ops` in order, each reading the values the ops before it left.
+    fn run(ops: &[(u32, Op)], v: &mut [TWord], inputs: &[TWord], mems: &[TMem]) {
+        let p = Self::POLICY;
+        for &(dst, op) in ops {
+            let x = |i: u32| v[i as usize];
+            v[dst as usize] = match op {
+                Op::Const(lo, hi) => TWord::lit((hi as u64) << 32 | lo as u64),
+                Op::Input(port) => inputs[port as usize],
+                Op::And(a, b) => Self::data(x(a).and(x(b))),
+                Op::Or(a, b) => Self::data(x(a).or(x(b))),
+                Op::Xor(a, b) => Self::data(x(a).xor(x(b))),
+                Op::Not(a) => Self::data(x(a).not()),
+                Op::Add(a, b) => Self::data(x(a).add(x(b))),
+                Op::Sub(a, b) => Self::data(x(a).sub(x(b))),
+                Op::Eq(a, b) => p.eq(x(a), x(b)),
+                Op::Lt(a, b) => p.lt(x(a), x(b)),
+                Op::Mux(sel, then_v, else_v) => p.mux(x(sel), x(then_v), x(else_v)),
+                Op::MemRead(mem, addr) => mems[mem as usize].read(p, x(addr)),
+            };
         }
     }
 }
@@ -239,13 +493,22 @@ pub struct NetlistSim {
     program: Program,
     policy: Policy,
     values: Vec<TWord>,
-    /// The clock edge's next-state buffer, one slot per [`RegEdge`].
-    next: Vec<TWord>,
     /// Tainted registers per module, kept current by every register write.
     tainted: Vec<usize>,
     mems: Vec<TMem>,
     inputs: Vec<TWord>,
     cycle: u64,
+    /// One bit per [`Fanout`] mark target: the blocks the next evaluation
+    /// must run, then the edges the next clock edge must compute.
+    marks: Vec<u64>,
+    /// The next evaluation runs every op and marks every edge: set by
+    /// [`NetlistSim::reset`], [`NetlistSim::restore`] and a busy clock
+    /// edge, whose changes left no marks.
+    full: bool,
+    /// The clock edge's changed registers: edge index and next state.
+    changed: Vec<(u32, TWord)>,
+    /// A running block's exported values from before it ran.
+    before: Vec<TWord>,
 }
 
 impl NetlistSim {
@@ -266,12 +529,16 @@ impl NetlistSim {
     pub fn try_new(netlist: Netlist, mode: IftMode) -> Result<Self, NetlistError> {
         netlist.validate()?;
         let program = Program::compile(&netlist);
+        let targets = program.fanout.edge_base + program.edges.len();
         let mut sim = NetlistSim {
             values: vec![TWord::lit(0); netlist.cells.len()],
-            next: Vec::with_capacity(program.edges.len()),
             tainted: vec![0; program.modules.len()],
             mems: netlist.mems.iter().map(|m| TMem::new(m.words)).collect(),
             inputs: vec![TWord::lit(0); program.inputs],
+            marks: vec![0; targets.div_ceil(64)],
+            full: true,
+            changed: Vec::new(),
+            before: Vec::with_capacity(BLOCK),
             netlist,
             program,
             policy: Policy::new(mode),
@@ -284,7 +551,8 @@ impl NetlistSim {
     /// Restores the state [`NetlistSim::try_new`] starts from, in place
     /// and in `mode`: registers at their initial values, every other
     /// signal, memory slot and input zero, cycle 0. The compiled program
-    /// is kept, so a simulator serves any number of runs.
+    /// is kept, so a simulator serves any number of runs. The next
+    /// evaluation runs every op.
     pub fn reset(&mut self, mode: IftMode) {
         self.policy = Policy::new(mode);
         self.values.fill(TWord::lit(0));
@@ -296,6 +564,7 @@ impl NetlistSim {
         self.inputs.clear();
         self.inputs.resize(self.program.inputs, TWord::lit(0));
         self.cycle = 0;
+        self.full = true;
     }
 
     /// Copies the sequential state into `state`, overwriting it in place:
@@ -317,7 +586,9 @@ impl NetlistSim {
     /// the same netlist. Combinational signals are stale until the next
     /// [`NetlistSim::eval_comb`] or [`NetlistSim::step`] recomputes them
     /// from the restored state, so evaluate at least once before reading
-    /// a signal, an output or [`NetlistSim::sink_reports`].
+    /// a signal, an output or [`NetlistSim::sink_reports`]. That
+    /// evaluation runs every op, and the clock edge after it computes
+    /// every register: nothing records what a restore changed.
     ///
     /// # Panics
     ///
@@ -340,6 +611,7 @@ impl NetlistSim {
         self.inputs.clone_from(&state.inputs);
         self.cycle = state.cycle;
         self.policy = Policy::new(state.mode);
+        self.full = true;
     }
 
     /// The simulated netlist.
@@ -367,7 +639,13 @@ impl NetlistSim {
         if index >= self.inputs.len() {
             self.inputs.resize(index + 1, TWord::lit(0));
         }
-        self.inputs[index] = v;
+        if self.inputs[index] != v {
+            self.inputs[index] = v;
+            if index < self.program.inputs {
+                let f = &self.program.fanout;
+                f.mark(&mut self.marks, f.input_base + index);
+            }
+        }
     }
 
     /// Reads the current value of a signal.
@@ -427,6 +705,8 @@ impl NetlistSim {
     /// Testbench store to a memory slot (image loading, secret planting).
     pub fn mem_poke(&mut self, mem: usize, idx: usize, w: TWord) {
         self.mems[mem].poke(idx, w);
+        let f = &self.program.fanout;
+        f.mark(&mut self.marks, f.mem_base + mem);
     }
 
     /// Directly taints a register (marks it as holding sensitive data).
@@ -436,11 +716,25 @@ impl NetlistSim {
             cell.kind.is_sequential(),
             "taint_reg target must be a register"
         );
-        if !self.values[sig].is_tainted() {
+        let old = self.values[sig];
+        if !old.is_tainted() {
             let module = self.program.modules.iter().position(|m| *m == cell.module);
             self.tainted[module.expect("every register has a module id")] += 1;
         }
-        self.values[sig] = self.values[sig].fully_tainted();
+        self.values[sig] = old.fully_tainted();
+        // Its readers, and its own edge: the edge's last next state no
+        // longer equals `q`, whether or not the edge reads `q`.
+        let p = &self.program;
+        let f = &p.fanout;
+        let reg = p.regs.binary_search(&(sig as u32));
+        f.mark(
+            &mut self.marks,
+            f.reg_base + reg.expect("every register is listed"),
+        );
+        if let Ok(e) = p.edges.binary_search_by_key(&(sig as u32), |r| r.q) {
+            let t = f.edge_base + e;
+            self.marks[t / 64] |= 1 << (t % 64);
+        }
     }
 
     /// Evaluates combinational logic, then advances the clock one edge.
@@ -458,60 +752,168 @@ impl NetlistSim {
     /// same-cycle outputs).
     pub fn eval_comb(&mut self) {
         match self.policy.mode() {
-            IftMode::Base => self.run_tape::<BaseRegime>(),
-            IftMode::CellIft => self.run_tape::<CellIftRegime>(),
-            IftMode::DiffIft => self.run_tape::<DiffIftRegime>(),
+            IftMode::Base => self.eval::<BaseRegime>(),
+            IftMode::CellIft => self.eval::<CellIftRegime>(),
+            IftMode::DiffIft => self.eval::<DiffIftRegime>(),
         }
     }
 
-    fn run_tape<R: Regime>(&mut self) {
-        let p = R::POLICY;
-        let v = &mut self.values;
-        for &(dst, op) in &self.program.tape {
-            let x = |i: u32| v[i as usize];
-            v[dst as usize] = match op {
-                Op::Const(lo, hi) => TWord::lit((hi as u64) << 32 | lo as u64),
-                Op::Input(port) => self.inputs[port as usize],
-                Op::And(a, b) => R::data(x(a).and(x(b))),
-                Op::Or(a, b) => R::data(x(a).or(x(b))),
-                Op::Xor(a, b) => R::data(x(a).xor(x(b))),
-                Op::Not(a) => R::data(x(a).not()),
-                Op::Add(a, b) => R::data(x(a).add(x(b))),
-                Op::Sub(a, b) => R::data(x(a).sub(x(b))),
-                Op::Eq(a, b) => p.eq(x(a), x(b)),
-                Op::Lt(a, b) => p.lt(x(a), x(b)),
-                Op::Mux(sel, then_v, else_v) => p.mux(x(sel), x(then_v), x(else_v)),
-                Op::MemRead(mem, addr) => self.mems[mem as usize].read(p, x(addr)),
-            };
+    /// Runs the whole tape, or, when few blocks are marked, only the
+    /// marked blocks and those their changes mark in turn. Every reader
+    /// of an op is later on the tape, so one forward sweep settles all.
+    /// A full pass records no changes, so it marks every edge.
+    fn eval<R: Regime>(&mut self) {
+        let f = &self.program.fanout;
+        let (block_words, edge_words) = self.marks.split_at_mut(f.block_words());
+        let marked: u32 = block_words.iter().map(|w| w.count_ones()).sum();
+        if self.full || marked as usize * FULL_BLOCKS > f.blocks {
+            R::run(
+                &self.program.tape,
+                &mut self.values,
+                &self.inputs,
+                &self.mems,
+            );
+            block_words.fill(0);
+            edge_words.fill(!0);
+            let spare = edge_words.len() * 64 - self.program.edges.len();
+            if let Some(last) = edge_words.last_mut() {
+                *last >>= spare;
+            }
+            self.full = false;
+            return;
+        }
+        let mut word = 0;
+        while let Some(b) = self.pop_marked_block(&mut word) {
+            self.run_block::<R>(b);
+        }
+        #[cfg(debug_assertions)]
+        self.assert_settled::<R>();
+    }
+
+    /// Unmarks and returns the first marked block in or after mark word
+    /// `*word`, advancing `*word` past the words it finds empty.
+    fn pop_marked_block(&mut self, word: &mut usize) -> Option<usize> {
+        while *word < self.program.fanout.block_words() {
+            let bits = self.marks[*word];
+            if bits != 0 {
+                self.marks[*word] = bits & (bits - 1);
+                return Some(*word * 64 + bits.trailing_zeros() as usize);
+            }
+            *word += 1;
+        }
+        None
+    }
+
+    /// Runs block `b`, marking the readers of each exported op whose value
+    /// the run changed.
+    fn run_block<R: Regime>(&mut self, b: usize) {
+        let NetlistSim {
+            program,
+            values,
+            inputs,
+            mems,
+            marks,
+            before,
+            ..
+        } = self;
+        let f = &program.fanout;
+        let exports = f.export_start[b] as usize..f.export_start[b + 1] as usize;
+        before.clear();
+        before.extend(
+            f.exports[exports.clone()]
+                .iter()
+                .map(|&s| values[s as usize]),
+        );
+        let ops = b * BLOCK..((b + 1) * BLOCK).min(program.tape.len());
+        R::run(&program.tape[ops], values, inputs, mems);
+        for ((w, &s), &old) in exports.clone().zip(&f.exports[exports]).zip(before.iter()) {
+            if values[s as usize] != old {
+                f.mark(marks, w);
+            }
         }
     }
 
-    /// Registers: compute all next states, then commit (no intra-cycle
-    /// ordering artefacts), keeping the census counts current. Write ports
-    /// then see the committed register values.
+    /// Debug builds check every gated evaluation against a full pass.
+    #[cfg(debug_assertions)]
+    fn assert_settled<R: Regime>(&mut self) {
+        let gated = self.values.clone();
+        R::run(
+            &self.program.tape,
+            &mut self.values,
+            &self.inputs,
+            &self.mems,
+        );
+        if let Some(s) = (0..gated.len()).find(|&s| gated[s] != self.values[s]) {
+            panic!(
+                "gated evaluation left signal {s} at {:?}; a full pass computes {:?}",
+                gated[s], self.values[s]
+            );
+        }
+    }
+
+    /// Registers: compute the next states of the marked edges, then commit
+    /// those that changed, keeping the census counts current and marking
+    /// each changed register's readers. An unmarked edge has the `d`, `en` and `q` of its last
+    /// computation, which left `q` equal to its next state. Write ports
+    /// then see the committed register values; a write whose enable is
+    /// zero and untainted changes nothing in any mode and is skipped.
     fn clock_edge<R: Regime>(&mut self) {
-        let p = R::POLICY;
-        let v = &mut self.values;
-        self.next.clear();
-        for r in &self.program.edges {
-            let d = v[r.d as usize];
-            self.next.push(match r.en {
-                Some(en) => p.reg_en(v[en as usize], d, v[r.q as usize]),
-                None => R::data(d),
-            });
+        let NetlistSim {
+            program,
+            values: v,
+            tainted,
+            mems,
+            marks,
+            full,
+            changed,
+            ..
+        } = self;
+        let f = &program.fanout;
+        let edge_words = &mut marks[f.block_words()..];
+        #[cfg(debug_assertions)]
+        let marked = edge_words.to_vec();
+        changed.clear();
+        for (k, word) in edge_words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let e = k * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let r = &program.edges[e];
+                let nv = R::next(v, r);
+                if nv != v[r.q as usize] {
+                    changed.push((e as u32, nv));
+                }
+            }
         }
-        for (r, &nv) in self.program.edges.iter().zip(&self.next) {
+        #[cfg(debug_assertions)]
+        for (e, r) in program.edges.iter().enumerate() {
+            if (marked[e / 64] >> (e % 64)) & 1 == 0 {
+                assert_eq!(R::next(v, r), v[r.q as usize], "unmarked edge {e} changes");
+            }
+        }
+        let quiet = changed.len() * BUSY_EDGE <= program.edges.len();
+        for &(e, nv) in changed.iter() {
+            let r = &program.edges[e as usize];
             let q = &mut v[r.q as usize];
             match (q.is_tainted(), nv.is_tainted()) {
-                (false, true) => self.tainted[r.module as usize] += 1,
-                (true, false) => self.tainted[r.module as usize] -= 1,
+                (false, true) => tainted[r.module as usize] += 1,
+                (true, false) => tainted[r.module as usize] -= 1,
                 _ => {}
             }
             *q = nv;
+            if quiet {
+                f.mark(marks, f.reg_base + r.reg as usize);
+            }
         }
-        for w in &self.program.writes {
-            let (wen, addr, data) = (v[w.wen as usize], v[w.addr as usize], v[w.data as usize]);
-            self.mems[w.mem as usize].write(p, wen, addr, data);
+        *full |= !quiet;
+        for w in &program.writes {
+            let wen = v[w.wen as usize];
+            if wen.a == 0 && wen.b == 0 && !wen.is_tainted() {
+                continue;
+            }
+            let (addr, data) = (v[w.addr as usize], v[w.data as usize]);
+            mems[w.mem as usize].write(R::POLICY, wen, addr, data);
+            f.mark(marks, f.mem_base + w.mem as usize);
         }
     }
 
@@ -542,6 +944,9 @@ impl NetlistSim {
         let mut out = Vec::new();
         for (mi, m) in self.netlist.mems.iter().enumerate() {
             let mem = &self.mems[mi];
+            if mem.tainted_slots() == 0 {
+                continue;
+            }
             for idx in 0..mem.len() {
                 let t = mem.peek(idx).t;
                 if t == 0 {
@@ -842,6 +1247,66 @@ mod tests {
         assert_eq!(sim.census(), census);
         sim.eval_comb();
         assert_eq!(sim.signal(data), TWord::secret(5, 6), "inputs are restored");
+    }
+
+    /// Runs the marked blocks the way a gated evaluation does, returning
+    /// them in the order they ran.
+    fn sweep(sim: &mut NetlistSim) -> Vec<usize> {
+        let mut ran = Vec::new();
+        let mut word = 0;
+        while let Some(b) = sim.pop_marked_block(&mut word) {
+            sim.run_block::<DiffIftRegime>(b);
+            ran.push(b);
+        }
+        ran
+    }
+
+    /// Two independent cones, each exactly two blocks of a chain from one
+    /// input to one register: a new value on one cone's input marks and
+    /// runs only that cone's blocks and edge.
+    #[test]
+    fn a_changed_input_runs_only_its_cone() {
+        let mut b = NetlistBuilder::new();
+        let regs = [b.reg(0), b.reg(0)];
+        let mut outs = Vec::new();
+        for port in 0..2 {
+            let mut v = b.input(port);
+            let one = b.constant(1);
+            for _ in 2..2 * BLOCK {
+                v = b.add(v, one);
+            }
+            outs.push(v);
+        }
+        for (&r, &v) in regs.iter().zip(&outs) {
+            b.connect_reg(r, v, None);
+        }
+        let mut sim = NetlistSim::new(b.finish(), IftMode::DiffIft);
+        let chain = 2 * BLOCK as u64 - 2;
+        let edge = |sim: &NetlistSim, e: usize| {
+            let t = sim.program.fanout.edge_base + e;
+            (sim.marks[t / 64] >> (t % 64)) & 1 == 1
+        };
+        for (port, blocks) in [(0, [0, 1]), (1, [2, 3])] {
+            // An edge that changes a register is busy enough to send the
+            // next evaluation to a full pass; the one after changes none.
+            sim.step();
+            sim.step();
+            assert!(!sim.full);
+            sim.set_input(port, TWord::lit(5));
+            assert_eq!(sweep(&mut sim), blocks, "input {port}");
+            assert_eq!(sim.signal(outs[port]), TWord::lit(5 + chain));
+            assert_eq!(
+                sim.signal(outs[1 - port]).a,
+                if port == 0 { chain } else { 5 + chain }
+            );
+            assert!(edge(&sim, port) && !edge(&sim, 1 - port), "input {port}");
+            sim.set_input(port, TWord::lit(5));
+            assert_eq!(
+                sweep(&mut sim),
+                [0usize; 0],
+                "an unchanged value marks nothing"
+            );
+        }
     }
 
     #[test]

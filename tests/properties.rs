@@ -201,6 +201,61 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A memory's kept tainted-slot count equals a scan of its taint plane
+    /// after every store: random writes in all three modes (enables zero,
+    /// non-zero, tainted or differing between the planes; addresses equal
+    /// or diverged), pokes, resets, taint clearing and copies. This holds
+    /// in release builds too, where the scan `tainted_slots` runs in a
+    /// debug build is compiled out.
+    #[test]
+    fn tmem_tainted_count_equals_scan(draws in any::<u64>(), ops in 1usize..200) {
+        use dejavuzz::rand::rngs::StdRng;
+        use dejavuzz::rand::{Rng, SeedableRng};
+
+        fn word(rng: &mut StdRng, range: u64) -> TWord {
+            let a = rng.gen_range(0..range);
+            match rng.gen_range(0..4) {
+                0 | 1 => TWord::lit(a),
+                2 => TWord::secret(a, rng.gen_range(0..range)),
+                _ => TWord::with_taint(a, rng.gen_range(0..range), rng.gen::<u64>() & 3),
+            }
+        }
+        fn scan(m: &TMem) -> usize {
+            m.taints().filter(|&t| t != 0).count()
+        }
+
+        let mut rng = StdRng::seed_from_u64(draws);
+        let mut m = TMem::new(8);
+        let mut other = TMem::new(8);
+        // A CellIFT write through a zero but tainted enable changes no
+        // value, yet taints the addressed slot.
+        let cell = Policy::new(IftMode::CellIft);
+        m.write(cell, TWord::with_taint(0, 0, 1), TWord::lit(3), TWord::lit(5));
+        prop_assert_eq!(m.tainted_slots(), 1);
+        prop_assert_eq!(scan(&m), 1);
+        for _ in 0..ops {
+            let policy = Policy::new(IftMode::ALL[rng.gen_range(0..3)]);
+            match rng.gen_range(0..12) {
+                0..=5 => {
+                    let (wen, addr, data) = (word(&mut rng, 2), word(&mut rng, 12), word(&mut rng, 4));
+                    m.write(policy, wen, addr, data);
+                }
+                6 | 7 => m.poke(rng.gen_range(0..8), word(&mut rng, 4)),
+                8 => other.poke(rng.gen_range(0..8), word(&mut rng, 4)),
+                9 => m.clone_from(&other),
+                10 => m.clear_taint(),
+                _ => m.reset(),
+            }
+            prop_assert_eq!(m.tainted_slots(), scan(&m));
+            prop_assert_eq!(m.clone().tainted_slots(), scan(&m));
+            prop_assert_eq!(other.tainted_slots(), scan(&other));
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Any secret pair produces identical *architectural* results in both
@@ -948,4 +1003,196 @@ fn decoding_unknown_names_leaves_nothing_live() {
     decode(100_000);
     let grown = live_heap() - start;
     assert!(grown <= 64 << 10, "decoding left {grown} bytes live");
+}
+
+/// A random netlist for [`gated_evaluation_equals_full_evaluation`]: every
+/// combinational cell kind over earlier signals and registers, registers
+/// with and without an enable (some fed by other registers, some never
+/// connected), and several small memories, some with a write port or a
+/// liveness mask. Returns the netlist, its input ports, registers and
+/// memory sizes.
+fn random_netlist(
+    rng: &mut dejavuzz::rand::rngs::StdRng,
+) -> (dejavuzz_rtl::ir::Netlist, usize, Vec<usize>, Vec<usize>) {
+    use dejavuzz::rand::Rng;
+    use dejavuzz_rtl::builder::NetlistBuilder;
+
+    // Mostly recent signals, so chains run deep and cross blocks.
+    fn pick(rng: &mut dejavuzz::rand::rngs::StdRng, sigs: &[usize]) -> usize {
+        if rng.gen_bool(0.5) {
+            sigs[sigs.len() - 1 - rng.gen_range(0..sigs.len().min(6))]
+        } else {
+            sigs[rng.gen_range(0..sigs.len())]
+        }
+    }
+
+    const MODULES: [Module; 3] = [Module::Rob, Module::Lsu, Module::Dcache];
+    let mut b = NetlistBuilder::new();
+    let inputs = rng.gen_range(1..5);
+    let mut regs = Vec::new();
+    for _ in 0..rng.gen_range(1..40) {
+        b.module(MODULES[rng.gen_range(0..3)]);
+        regs.push(b.reg(rng.gen_range(0..3)));
+    }
+    let words: Vec<usize> = (0..rng.gen_range(1..4))
+        .map(|_| rng.gen_range(1..9))
+        .collect();
+    let mems: Vec<_> = (0..words.len())
+        .map(|k| b.mem(words[k], format!("m{k}")))
+        .collect();
+    let mut sigs = regs.clone();
+    for port in 0..inputs {
+        sigs.push(b.input(port));
+    }
+    for _ in 0..rng.gen_range(16..400) {
+        let (x, y, z) = (pick(rng, &sigs), pick(rng, &sigs), pick(rng, &sigs));
+        let s = match rng.gen_range(0..13) {
+            0 => b.constant(rng.gen_range(0..3)),
+            1 => b.input(rng.gen_range(0..inputs)),
+            2 => b.and(x, y),
+            3 => b.or(x, y),
+            4 => b.xor(x, y),
+            5 => b.not(x),
+            6 => b.add(x, y),
+            7 => b.sub(x, y),
+            8 => b.eq(x, y),
+            9 => b.lt(x, y),
+            10 => b.mux(x, y, z),
+            _ => b.mem_read(mems[rng.gen_range(0..mems.len())], x),
+        };
+        sigs.push(s);
+    }
+    for &r in &regs {
+        match rng.gen_range(0..6) {
+            0 => {}
+            1 => {
+                let from = regs[rng.gen_range(0..regs.len())];
+                b.connect_reg(r, from, None);
+            }
+            2 | 3 => {
+                let d = pick(rng, &sigs);
+                b.connect_reg(r, d, None);
+            }
+            _ => {
+                let (d, en) = (pick(rng, &sigs), pick(rng, &sigs));
+                b.connect_reg(r, d, Some(en));
+            }
+        }
+    }
+    for (&m, &n) in mems.iter().zip(&words) {
+        if rng.gen_bool(0.7) {
+            let (wen, addr, data) = (pick(rng, &sigs), pick(rng, &sigs), pick(rng, &sigs));
+            b.connect_mem_write(m, wen, addr, data);
+        }
+        if rng.gen_bool(0.5) {
+            let live = (0..rng.gen_range(0..n + 1))
+                .map(|_| pick(rng, &sigs))
+                .collect();
+            b.liveness_mask(m, live);
+        }
+    }
+    (b.finish(), inputs, regs, words)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Activity gating is exact. A simulator that skips unmarked blocks
+    /// and edges is driven by a random call sequence on a random netlist,
+    /// in every IFT mode: inputs that are tainted or differ between the
+    /// planes (and inputs rewritten with the value they hold),
+    /// `taint_reg`, `mem_poke`, `eval_comb` twice without a step, `save`
+    /// and `restore` mid-run, and `reset` into another mode. Before every
+    /// evaluation the reference saves its state and restores it into a
+    /// copy of a simulator that has never evaluated, so it runs every op
+    /// and every edge whatever `restore` records. Every signal, the
+    /// census, every memory slot and the sink reports must be equal after
+    /// every call.
+    #[test]
+    fn gated_evaluation_equals_full_evaluation(draws in any::<u64>(), calls in 1usize..160) {
+        use dejavuzz::rand::rngs::StdRng;
+        use dejavuzz::rand::{Rng, SeedableRng};
+        use dejavuzz_rtl::{NetlistSim, SimState};
+
+        fn word(rng: &mut StdRng) -> TWord {
+            let a = rng.gen_range(0..4u64);
+            match rng.gen_range(0..6) {
+                0..=2 => TWord::lit(a),
+                3 => TWord::secret(a, rng.gen_range(0..4u64)),
+                4 => TWord::with_taint(a, a, 1),
+                _ => TWord::with_taint(a, rng.gen_range(0..4u64), 0),
+            }
+        }
+
+        let mut rng = StdRng::seed_from_u64(draws);
+        let (netlist, inputs, regs, words) = random_netlist(&mut rng);
+        let mode = IftMode::ALL[rng.gen_range(0..3)];
+        let mut sim = NetlistSim::new(netlist.clone(), mode);
+        let pristine = sim.clone();
+        let mut reference = sim.clone();
+        let mut scratch = SimState::default();
+        let mut in_full = |reference: &mut NetlistSim| {
+            reference.save(&mut scratch);
+            reference.clone_from(&pristine);
+            reference.restore(&scratch);
+        };
+        let (mut saved, mut ref_saved) = (SimState::default(), SimState::default());
+        let mut have_saved = false;
+        for call in 0..calls {
+            match rng.gen_range(0..20) {
+                0..=4 => {
+                    let port = rng.gen_range(0..inputs);
+                    let w = word(&mut rng);
+                    sim.set_input(port, w);
+                    reference.set_input(port, w);
+                }
+                5 => {
+                    let r = regs[rng.gen_range(0..regs.len())];
+                    sim.taint_reg(r);
+                    reference.taint_reg(r);
+                }
+                6 => {
+                    let m = rng.gen_range(0..words.len());
+                    let (idx, w) = (rng.gen_range(0..words[m]), word(&mut rng));
+                    sim.mem_poke(m, idx, w);
+                    reference.mem_poke(m, idx, w);
+                }
+                7 | 8 => {
+                    sim.eval_comb();
+                    in_full(&mut reference);
+                    reference.eval_comb();
+                }
+                9 => {
+                    sim.save(&mut saved);
+                    reference.save(&mut ref_saved);
+                    have_saved = true;
+                }
+                10 if have_saved => {
+                    sim.restore(&saved);
+                    reference.restore(&ref_saved);
+                }
+                11 => {
+                    let mode = IftMode::ALL[rng.gen_range(0..3)];
+                    sim.reset(mode);
+                    reference.reset(mode);
+                }
+                _ => {
+                    sim.step();
+                    in_full(&mut reference);
+                    reference.step();
+                }
+            }
+            prop_assert_eq!((sim.cycle(), sim.mode()), (reference.cycle(), reference.mode()));
+            for s in 0..netlist.cell_count() {
+                prop_assert_eq!(sim.signal(s), reference.signal(s), "signal {} after call {}", s, call);
+            }
+            prop_assert_eq!(sim.census(), reference.census(), "census after call {}", call);
+            for (m, &n) in words.iter().enumerate() {
+                for idx in 0..n {
+                    prop_assert_eq!(sim.mem_peek(m, idx), reference.mem_peek(m, idx));
+                }
+            }
+            prop_assert_eq!(sim.sink_reports(), reference.sink_reports(), "sinks after call {}", call);
+        }
+    }
 }
