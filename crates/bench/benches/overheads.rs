@@ -1,9 +1,14 @@
 //! Criterion micro-benchmarks backing Table 4's per-mode costs: attack
-//! simulation under Base / CellIFT / diffIFT, instrumentation passes, and
-//! a short single-worker campaign end to end.
+//! simulation under Base / CellIFT / diffIFT, instrumentation passes, the
+//! `SimBackend` dispatch seam, and a short single-worker campaign end to
+//! end. Campaign throughput is campbench's (`campbench/`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use dejavuzz::backend::{BackendSpec, BehaviouralBackend, SimBackend};
 use dejavuzz::builder::CampaignBuilder;
+use dejavuzz::gen::WindowType;
+use dejavuzz::phases::{phase1, PhaseOptions};
+use dejavuzz::Seed;
 use dejavuzz_ift::IftMode;
 use dejavuzz_rtl::examples::{synthetic_core, CoreScale};
 use dejavuzz_rtl::instrument;
@@ -40,13 +45,32 @@ fn instrument_passes(c: &mut Criterion) {
     g.finish();
 }
 
+/// The `SimBackend` seam: one phase-1 workload statically dispatched on
+/// `BehaviouralBackend` and dyn-dispatched through `Box<dyn SimBackend>`,
+/// as a pool worker runs it. One virtual call per simulation should be
+/// noise against the simulation (under 2% on the behavioural path).
+fn backend_dispatch(c: &mut Criterion) {
+    let mut g = c.benchmark_group("backends");
+    let seed = Seed::new(WindowType::BranchMispredict, 7);
+    let opts = PhaseOptions::default();
+    g.bench_function("phase1_behavioural_static", |b| {
+        let mut backend = BehaviouralBackend::new(boom_small());
+        b.iter(|| phase1(&mut backend, &seed, &opts).unwrap())
+    });
+    g.bench_function("phase1_behavioural_dyn", |b| {
+        let mut backend: Box<dyn SimBackend> = BackendSpec::default().build();
+        b.iter(|| phase1(backend.as_mut(), &seed, &opts).unwrap())
+    });
+    g.finish();
+}
+
 /// Eight iterations of a prebuilt single-worker campaign per sample: the
 /// run spawns its worker thread and simulator, so per-iteration cost is
 /// the sample over 8.
 fn fuzz_iteration(c: &mut Criterion) {
     c.bench_function("fuzz_iteration", |b| {
         let orch = CampaignBuilder::new()
-            .backend(dejavuzz::BackendSpec::behavioural(boom_small()))
+            .backend(BackendSpec::behavioural(boom_small()))
             .seed(1)
             .build()
             .expect("a valid bench configuration");
@@ -57,6 +81,6 @@ fn fuzz_iteration(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = sim_modes, instrument_passes, fuzz_iteration
+    targets = sim_modes, instrument_passes, backend_dispatch, fuzz_iteration
 }
 criterion_main!(benches);

@@ -1,5 +1,6 @@
-//! The benchmark harness: one function per paper table/figure, shared by
-//! the `table*`/`figure*` binaries and the Criterion benches.
+//! The benchmark harness: one function per paper table/figure, behind
+//! the `table*`/`figure*` binaries. Campaign throughput is campbench's
+//! (`campbench/`), and the Criterion micro-benchmarks are in `benches/`.
 //!
 //! Each function regenerates the *rows/series the paper reports*; absolute
 //! numbers differ (our substrate is a behavioural simulator, not VCS on an
@@ -13,7 +14,6 @@ use dejavuzz::builder::CampaignBuilder;
 use dejavuzz::campaign::{CampaignStats, FuzzerOptions};
 use dejavuzz::executor::ExecutorReport;
 use dejavuzz::gen::WindowType;
-use dejavuzz::observer::json_str;
 use dejavuzz_ift::{CoverageMatrix, IftMode, Module};
 use dejavuzz_specdoctor::{SpecDoctor, SpecDoctorOptions};
 use dejavuzz_uarch::core::Core;
@@ -514,150 +514,6 @@ pub fn table5(iterations: usize) -> String {
     out
 }
 
-/// End-to-end executor throughput: runs `iterations` pipeline iterations
-/// on a `workers`-sized shared-corpus pool and returns `(wall-clock,
-/// seeds/sec)`. Backs the `throughput` Criterion bench and the scaling
-/// rows of EXPERIMENTS.md.
-pub fn throughput(workers: usize, iterations: usize, seed: u64) -> (Duration, f64) {
-    throughput_with(
-        &dejavuzz::BackendSpec::behavioural(boom_small()),
-        workers,
-        iterations,
-        seed,
-    )
-}
-
-/// [`throughput`], generalised over the simulation backend — the
-/// behavioural-vs-netlist comparison rows of EXPERIMENTS.md come from
-/// here (and the `backends` binary).
-pub fn throughput_with(
-    backend: &dejavuzz::BackendSpec,
-    workers: usize,
-    iterations: usize,
-    seed: u64,
-) -> (Duration, f64) {
-    let start = Instant::now();
-    let report = campaign(
-        backend.clone(),
-        FuzzerOptions::default(),
-        workers,
-        iterations,
-        seed,
-    );
-    let elapsed = start.elapsed();
-    assert_eq!(report.stats.iterations, iterations);
-    (elapsed, iterations as f64 / elapsed.as_secs_f64().max(1e-9))
-}
-
-/// One throughput measurement: wall-clock plus the modelled
-/// dedicated-core makespan (see
-/// [`dejavuzz::ExecutorReport::modelled_makespan_nanos`] — on an
-/// oversubscribed CI host the wall clock cannot show barrier idling, so
-/// the model is the machine-independent comparison number).
-#[derive(Clone, Debug)]
-pub struct ThroughputSample {
-    /// Backend label ([`dejavuzz::BackendSpec::label`]).
-    pub backend: String,
-    /// Worker count.
-    pub workers: usize,
-    /// Total iterations executed.
-    pub iterations: usize,
-    /// Wall-clock of the run.
-    pub wall: Duration,
-    /// Iterations per wall-clock second.
-    pub seeds_per_sec: f64,
-    /// Modelled makespan on `workers` dedicated cores.
-    pub modelled_makespan: Duration,
-    /// Iterations per modelled-makespan second.
-    pub modelled_seeds_per_sec: f64,
-    /// Sum of per-iteration busy time across workers.
-    pub busy: Duration,
-    /// Whether the campaign ran the cross-round pipeline (emitted as
-    /// `pipeline_lag` 1, barriered rounds as 0).
-    pub pipelined: bool,
-    /// Modelled worker-time the pool spent idle at round barriers
-    /// (`workers x makespan - busy`) — the number pipelining attacks.
-    pub barrier_idle_nanos: u64,
-    /// Time spent building per-slot coverage views (the overlay-vs-clone
-    /// comparison number: overlays keep this flat as coverage grows).
-    pub view_setup_nanos: u64,
-}
-
-/// Runs one campaign on the given backend, barriered or pipelined, and
-/// measures it.
-pub fn throughput_sample(
-    backend: &dejavuzz::BackendSpec,
-    workers: usize,
-    iterations: usize,
-    seed: u64,
-    pipelined: bool,
-) -> ThroughputSample {
-    let start = Instant::now();
-    let report = dejavuzz::CampaignBuilder::new()
-        .backend(backend.clone())
-        .workers(workers)
-        .seed(seed)
-        .pipelined(pipelined)
-        .build()
-        .expect("a valid bench configuration")
-        .run(iterations);
-    let wall = start.elapsed();
-    assert_eq!(report.stats.iterations, iterations);
-    let modelled = Duration::from_nanos(report.modelled_makespan_nanos);
-    ThroughputSample {
-        backend: backend.label(),
-        workers,
-        iterations,
-        wall,
-        seeds_per_sec: iterations as f64 / wall.as_secs_f64().max(1e-9),
-        modelled_makespan: modelled,
-        modelled_seeds_per_sec: iterations as f64 / modelled.as_secs_f64().max(1e-9),
-        busy: Duration::from_nanos(report.busy_nanos),
-        pipelined,
-        barrier_idle_nanos: report.barrier_idle_nanos,
-        view_setup_nanos: report.view_setup_nanos,
-    }
-}
-
-/// Renders samples as the machine-readable `BENCH_throughput.json`
-/// document CI uploads, so the perf trajectory is diffable across PRs.
-/// Hand-rolled JSON — the build environment has no serde.
-pub fn throughput_json(samples: &[ThroughputSample]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"host_parallelism\": {},\n",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    ));
-    out.push_str("  \"samples\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"backend\": {}, \"scheduler\": {}, \"workers\": {}, \
-             \"iterations\": {}, \"pipeline_lag\": {}, \"wall_seconds\": {:.6}, \
-             \"seeds_per_sec\": {:.2}, \
-             \"modelled_makespan_seconds\": {:.6}, \"modelled_seeds_per_sec\": {:.2}, \
-             \"busy_seconds\": {:.6}, \"barrier_idle_nanos\": {}, \
-             \"view_setup_nanos\": {}}}{}\n",
-            json_str(&s.backend),
-            json_str(&dejavuzz::SchedulerSpec::default().label()),
-            s.workers,
-            s.iterations,
-            u8::from(s.pipelined),
-            s.wall.as_secs_f64(),
-            s.seeds_per_sec,
-            s.modelled_makespan.as_secs_f64(),
-            s.modelled_seeds_per_sec,
-            s.busy.as_secs_f64(),
-            s.barrier_idle_nanos,
-            s.view_setup_nanos,
-            if i + 1 < samples.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// One fleet run: per-shard final report plus the owned event stream.
 fn run_fleet(
     shards: usize,
@@ -798,23 +654,6 @@ pub fn fleet_gossip(iterations: usize, gossip_every: usize, trials: u64) -> Stri
     out
 }
 
-/// Parses a `--backend <value>` argument into a [`dejavuzz::BackendSpec`]
-/// (behavioural SmallBOOM when absent), exiting with a usage message on
-/// an unknown value — shared by the bench binaries.
-pub fn backend_arg(args: &[String]) -> dejavuzz::BackendSpec {
-    let Some(flag) = args.iter().position(|a| a == "--backend") else {
-        return dejavuzz::BackendSpec::default();
-    };
-    let value = args.get(flag + 1).map(String::as_str).unwrap_or("");
-    match dejavuzz::BackendSpec::parse(value, boom_small()) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("--backend: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// Parses a `--flag value` style argument with a default.
 pub fn arg_or(args: &[String], flag: &str, default: usize) -> usize {
     args.iter()
@@ -863,36 +702,6 @@ mod tests {
         assert!(t.contains("Compile"));
         assert!(t.contains("Simulation"));
         assert!(t.contains("Spectre-RSB"));
-    }
-
-    #[test]
-    fn throughput_measures_a_real_run() {
-        let (elapsed, seeds_per_sec) = throughput(2, 8, 5);
-        assert!(elapsed.as_nanos() > 0);
-        assert!(seeds_per_sec > 0.0);
-    }
-
-    #[test]
-    fn throughput_runs_on_the_netlist_backend() {
-        use dejavuzz_rtl::examples::SMALL_SCALE;
-        let spec = dejavuzz::BackendSpec::netlist(SMALL_SCALE);
-        let (elapsed, seeds_per_sec) = throughput_with(&spec, 1, 6, 5);
-        assert!(elapsed.as_nanos() > 0);
-        assert!(seeds_per_sec > 0.0);
-    }
-
-    #[test]
-    fn backend_arg_defaults_and_parses() {
-        let none: Vec<String> = vec!["bin".into()];
-        assert_eq!(backend_arg(&none), dejavuzz::BackendSpec::default());
-        let some: Vec<String> = ["bin", "--backend", "netlist:small"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(
-            backend_arg(&some),
-            dejavuzz::BackendSpec::netlist(dejavuzz_rtl::examples::SMALL_SCALE)
-        );
     }
 
     #[test]

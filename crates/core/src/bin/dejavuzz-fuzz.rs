@@ -341,8 +341,9 @@ fn main() {
     // a MultiLink. Connection failures are configuration errors (exit 2);
     // a peer dying *mid-run* only warns and the campaign continues solo.
     // Gossip chatter goes to stderr: a no-peer run's stdout (and its
-    // snapshots) stay byte-identical to a run without these flags — the
-    // CI fleet smoke diffs exactly that.
+    // snapshots) stay byte-identical to a run without these flags —
+    // `solo_gossip_every_warns_and_leaves_stdout_untouched` diffs exactly
+    // that.
     let gossip_link = match &peers {
         Some(specs) => {
             let mut links: Vec<Box<dyn GossipLink>> = Vec::new();

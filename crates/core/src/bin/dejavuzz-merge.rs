@@ -11,8 +11,8 @@
 //! cargo run --release -p dejavuzz --bin dejavuzz-merge -- shard0.snap shard1.snap
 //! ```
 
-use dejavuzz::observer::json_str;
 use dejavuzz::snapshot::{merge_snapshots, CampaignSnapshot};
+use dejavuzz_telemetry::json_string;
 
 /// Per-family rollup of the merged window stats: the Table-5 class of
 /// each window type (which for scenario windows is the scenario family
@@ -122,11 +122,11 @@ fn main() {
                     "{{\"shard\":{},\"path\":{},\"iterations\":{},\"points\":{},\
                      \"bugs\":{},\"backend\":{},\"seed\":{},\"workers\":{}}}",
                     s.shard_id,
-                    json_str(p),
+                    json_string(p),
                     s.stats.iterations,
                     s.coverage.points(),
                     s.stats.bugs.len(),
-                    json_str(&s.backend),
+                    json_string(&s.backend),
                     s.seed,
                     s.workers
                 )
@@ -147,7 +147,7 @@ fn main() {
                 format!(
                     "{{\"window\":{},\"triggered\":{},\"attempted\":{},\
                      \"mean_to\":{},\"mean_eto\":{}}}",
-                    json_str(wt.name()),
+                    json_string(wt.name()),
                     ws.triggered,
                     ws.attempted,
                     num(ws.mean_to()),
@@ -160,7 +160,7 @@ fn main() {
             .map(|(fam, (triggered, attempted, bugs))| {
                 format!(
                     "{{\"family\":{},\"triggered\":{},\"attempted\":{},\"bugs\":{}}}",
-                    json_str(fam),
+                    json_string(fam),
                     triggered,
                     attempted,
                     bugs
@@ -170,7 +170,7 @@ fn main() {
         let bugs: Vec<String> = stats
             .bugs
             .iter()
-            .map(|b| json_str(&b.to_string()))
+            .map(|b| json_string(&b.to_string()))
             .collect();
         println!(
             "{{\"shards\":[{}],\"merged\":{{\"iterations\":{},\"failed_runs\":{},\

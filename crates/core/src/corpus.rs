@@ -150,18 +150,16 @@ impl Corpus {
 
     /// Rebuilds a corpus from snapshot state, entry order preserved
     /// (scheduling iterates entries in order, so order is part of the
-    /// resume-equivalence contract). `energy` is the persisted scheduling
-    /// mass; `None` (old snapshots that predate the cache) falls back to
-    /// a fresh scan.
+    /// resume-equivalence contract). The energy cache starts as a fresh
+    /// scan; a snapshot then sets its persisted scheduling mass.
     pub(crate) fn restore(
         entries: Vec<CorpusEntry>,
         capacity: usize,
         exploit_probability: f64,
         retained: usize,
         evicted: usize,
-        energy: Option<f64>,
     ) -> Self {
-        let energy = energy.unwrap_or_else(|| entries.iter().map(|e| e.energy()).sum());
+        let energy = entries.iter().map(|e| e.energy()).sum();
         Corpus {
             entries,
             capacity: capacity.max(1),

@@ -273,7 +273,7 @@ impl MakespanModel {
 /// One three-phase pipeline iteration, as a [`Worker`] runs it for a
 /// slot. Dyn-dispatched on the backend: one virtual call per
 /// *simulation*, noise against the simulation itself (measured by the
-/// `backends` Criterion group). Every simulation goes through the
+/// `overheads` bench's `backends` group). Every simulation goes through the
 /// campaign's [`LineageMemo`], which answers the ones a corpus pick
 /// repeats without calling a replayable backend.
 #[allow(clippy::too_many_arguments)] // the iteration's full context, spelled out
@@ -679,9 +679,10 @@ pub struct ExecutorReport {
     /// makespan of greedy slot claiming over the measured per-slot costs,
     /// with round k's slots gated on round k-1's modelled finish when
     /// barriered and on round k-2's when pipelined.
-    /// Machine-load-independent — this is the number `throughput_json`
-    /// compares, since on an oversubscribed host the wall clock cannot
-    /// show barrier idling.
+    /// Machine-load-independent: on an oversubscribed host the wall clock
+    /// cannot show barrier idling. For the same slot costs the pipelined
+    /// makespan never exceeds the barriered one
+    /// (`pipelined_makespan_never_exceeds_barriered`).
     pub modelled_makespan_nanos: u64,
     /// Modelled core-idle time: `workers x modelled_makespan - busy`.
     /// Under barriered rounds this is dominated by workers waiting at the
@@ -1569,11 +1570,15 @@ mod tests {
         assert_eq!(r.workers.len(), 2);
     }
 
-    /// Folds a table of per-round slot costs on 2 cores.
-    fn modelled(depth: usize, rounds: &[&[u64]]) -> u64 {
-        let mut model = MakespanModel::new(2, depth);
+    /// Folds per-round slot costs on `workers` cores.
+    fn modelled<'a>(
+        workers: usize,
+        depth: usize,
+        rounds: impl IntoIterator<Item = &'a [u64]>,
+    ) -> u64 {
+        let mut model = MakespanModel::new(workers, depth);
         for round in rounds {
-            for &cost in *round {
+            for &cost in round {
                 model.slot(cost);
             }
             model.end_round();
@@ -1593,8 +1598,49 @@ mod tests {
             &[3, 3, 8],
             &[1, 12],
         ];
-        assert_eq!(modelled(0, &stolen), 14 + 11 + 10 + 11 + 12);
-        assert_eq!(modelled(1, &stolen), 43);
+        assert_eq!(modelled(2, 0, stolen), 14 + 11 + 10 + 11 + 12);
+        assert_eq!(modelled(2, 1, stolen), 43);
+    }
+
+    /// Pipelining only removes barrier waits: over seeded random cost
+    /// sequences cut into rounds of `workers x batch` slots (the last
+    /// round may be short), the depth-1 makespan never exceeds the
+    /// depth-0 one. A case's costs are all zero, uniform, or heavy-tailed
+    /// (log-uniform up to 2^30, a quarter of them zero).
+    #[test]
+    fn pipelined_makespan_never_exceeds_barriered() {
+        use rand::Rng;
+
+        let mut rng = StdRng::seed_from_u64(0x6D61_6B65_7370_616E);
+        for case in 0..10_000 {
+            let workers = rng.gen_range(1..9usize);
+            let batch = rng.gen_range(1..7usize);
+            let regime = rng.gen_range(0..3u8);
+            let slots = rng.gen_range(1..301usize);
+            let costs: Vec<u64> = (0..slots)
+                .map(|_| match regime {
+                    0 => 0,
+                    1 => rng.gen_range(0..1_000u64),
+                    _ => {
+                        let bits = rng.gen_range(0..31u32);
+                        let cost = rng.gen_range(0..(1u64 << bits) + 1);
+                        if rng.gen_range(0..4u8) == 0 {
+                            0
+                        } else {
+                            cost
+                        }
+                    }
+                })
+                .collect();
+            let round = workers * batch;
+            let barriered = modelled(workers, 0, costs.chunks(round));
+            let pipelined = modelled(workers, 1, costs.chunks(round));
+            assert!(
+                pipelined <= barriered,
+                "case {case}: {workers} workers x batch {batch}, {slots} slots: \
+                 pipelined {pipelined} > barriered {barriered}"
+            );
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!   for every point of coverage that did not come from a committed slot.
 //! * **Zero peers is byte-identical to no gossip** — a link that never
 //!   delivers frames leaves stdout, telemetry and snapshots untouched
-//!   (diffed by CI's `fleet-smoke`).
+//!   (`tests/fleet.rs`; for an ignored `--gossip-every`, the CLI test
+//!   `solo_gossip_every_warns_and_leaves_stdout_untouched`).
 //!
 //! Transport is pluggable through [`GossipLink`]: `dejavuzz-fleet`
 //! provides an in-process broadcast bus for `dejavuzz-serve`'s co-owned
@@ -124,7 +125,7 @@ pub fn shared_link(link: impl GossipLink + 'static) -> SharedGossipLink {
 /// A link with no peers: publishes into the void, never delivers. The
 /// zero-peer reference point — a campaign gossiping through a `NullLink`
 /// is byte-identical to one not gossiping at all (asserted by
-/// `tests/fleet.rs` and the CI `fleet-smoke` diff).
+/// `tests/fleet.rs`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NullLink;
 

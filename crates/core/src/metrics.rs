@@ -209,8 +209,8 @@ pub fn registry_json() -> String {
 }
 
 /// Folds a finished run's [`crate::ExecutorReport`] timing fields into
-/// the registry, so `/metrics` and `throughput_json` report from the
-/// same source of truth (the report's accumulators). Accumulating
+/// the registry, so `/metrics` and the report read the same source of
+/// truth (the report's accumulators). Accumulating
 /// (`Gauge::add`) rather than last-write-wins: shards of a
 /// `dejavuzz-serve` fleet share one process registry and their totals
 /// should sum.

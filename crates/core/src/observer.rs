@@ -35,9 +35,10 @@
 //!
 //! Two built-ins cover the CLI's needs: [`TextObserver`] reimplements
 //! the historical `dejavuzz-fuzz` stdout report (byte-identical for the
-//! default run — CI diffs it), and [`JsonLinesObserver`] emits one JSON
-//! object per event for `dejavuzz-fuzz --telemetry json` (and any
-//! embedder that wants machine-readable progress without scraping).
+//! default run, pinned by `crates/core/tests/cli.rs`), and
+//! [`JsonLinesObserver`] emits one JSON object per event for
+//! `dejavuzz-fuzz --telemetry json` (and any embedder that wants
+//! machine-readable progress without scraping).
 //! Wall-clock only appears in [`CampaignFinished::elapsed`] and is
 //! deliberately *excluded* from the JSON stream, so telemetry is
 //! byte-deterministic per `(seed, workers)`.
@@ -47,6 +48,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use dejavuzz_ift::CoveragePoint;
+use dejavuzz_telemetry::json_string;
 
 use crate::campaign::CampaignStats;
 use crate::executor::ExecutorReport;
@@ -238,11 +240,15 @@ pub enum CampaignEvent {
     PeerDeltaImported(PeerDeltaImported),
     /// See [`SeedImported`].
     SeedImported(SeedImported),
-    /// See [`CampaignFinished`] — its report's stats and corpus counts,
-    /// without the wall-clock.
+    /// See [`CampaignFinished`] — its report's stats, exact coverage and
+    /// corpus counts, without the wall-clock.
     CampaignFinished {
         /// The final campaign stats.
         stats: CampaignStats,
+        /// The final coverage union, `report.coverage.points()`. A gossip
+        /// import at the last round boundary raises it without committing
+        /// a slot, so it can exceed the coverage curve's last value.
+        coverage_points: usize,
         /// Seeds the corpus retained.
         corpus_retained: usize,
         /// Seeds the corpus evicted for capacity.
@@ -299,6 +305,7 @@ impl<S: EventSink> CampaignObserver for S {
     fn campaign_finished(&mut self, ev: &CampaignFinished<'_>) {
         self.event(CampaignEvent::CampaignFinished {
             stats: ev.report.stats.clone(),
+            coverage_points: ev.report.coverage.points(),
             corpus_retained: ev.report.corpus_retained,
             corpus_evicted: ev.report.corpus_evicted,
         });
@@ -377,7 +384,11 @@ impl<W: Write> CampaignObserver for TextObserver<W> {
         }
         let _ = writeln!(out, "simulations:      {}", stats.sim_runs);
         let _ = writeln!(out, "simulated cycles: {}", stats.sim_cycles);
-        let _ = writeln!(out, "coverage points:  {} (exact union)", stats.coverage());
+        let _ = writeln!(
+            out,
+            "coverage points:  {} (exact union)",
+            report.coverage.points()
+        );
         let _ = writeln!(
             out,
             "corpus retained:  {} (evicted {})",
@@ -414,35 +425,11 @@ impl<W: Write> CampaignObserver for TextObserver<W> {
     }
 }
 
-/// Escapes a string into a JSON string literal (hand-rolled — the build
-/// environment has no serde). Public so every JSON producer in the
-/// workspace (this observer, the bench harness's `BENCH_throughput.json`
-/// writer) shares one set of escape rules.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Machine-readable telemetry: one JSON object per event, one event per
 /// line (`dejavuzz-fuzz --telemetry json`). The stream contains no
 /// wall-clock, so its bytes are deterministic per `(seed, workers,
-/// batch, scheduler, policy)` — asserted by `tests/observer.rs` and the
-/// CI telemetry smoke.
+/// batch, scheduler, policy)` — asserted by `tests/observer.rs` and
+/// `crates/core/tests/cli.rs`'s `json_telemetry_is_deterministic_and_valid`.
 pub struct JsonLinesObserver<W: Write> {
     out: W,
 }
@@ -482,7 +469,7 @@ impl CampaignEvent {
             ),
             CampaignEvent::SlotCommitted(ev) => {
                 let error = match &ev.error {
-                    Some(e) => json_str(e),
+                    Some(e) => json_string(e),
                     None => "null".to_string(),
                 };
                 format!(
@@ -491,7 +478,7 @@ impl CampaignEvent {
                      \"fresh_points\":{},\"total_points\":{},\"error\":{}}}",
                     ev.slot,
                     ev.stream,
-                    json_str(ev.window_type.name()),
+                    json_string(ev.window_type.name()),
                     ev.triggered,
                     ev.to,
                     ev.eto,
@@ -516,10 +503,10 @@ impl CampaignEvent {
                 "{{\"event\":\"bug_found\",\"slot\":{},\"core\":{},\"attack\":{},\
                  \"window_class\":{},\"component\":{},\"iteration\":{}}}",
                 ev.slot,
-                json_str(&ev.bug.core),
-                json_str(ev.bug.attack.name()),
-                json_str(ev.bug.window_type.table5_class()),
-                json_str(ev.bug.component()),
+                json_string(&ev.bug.core),
+                json_string(ev.bug.attack.name()),
+                json_string(ev.bug.window_type.table5_class()),
+                json_string(ev.bug.component()),
                 ev.bug.iteration
             ),
             CampaignEvent::SnapshotWritten {
@@ -528,7 +515,7 @@ impl CampaignEvent {
                 periodic,
             } => format!(
                 "{{\"event\":\"snapshot_written\",\"path\":{},\"iterations\":{},\"periodic\":{}}}",
-                json_str(&path.display().to_string()),
+                json_string(&path.display().to_string()),
                 iterations,
                 periodic
             ),
@@ -547,12 +534,13 @@ impl CampaignEvent {
                  \"entropy\":{},\"gain\":{}}}",
                 ev.from_shard,
                 ev.boundary,
-                json_str(ev.window_type.name()),
+                json_string(ev.window_type.name()),
                 ev.entropy,
                 ev.gain
             ),
             CampaignEvent::CampaignFinished {
                 stats,
+                coverage_points,
                 corpus_retained,
                 corpus_evicted,
             } => format!(
@@ -562,7 +550,7 @@ impl CampaignEvent {
                 stats.iterations,
                 stats.sim_runs,
                 stats.sim_cycles,
-                stats.coverage(),
+                coverage_points,
                 corpus_retained,
                 corpus_evicted,
                 stats.failed_runs,
@@ -582,11 +570,11 @@ mod tests {
 
     #[test]
     fn json_strings_escape_control_and_quote_characters() {
-        assert_eq!(json_str("plain"), "\"plain\"");
-        assert_eq!(json_str("a\"b"), "\"a\\\"b\"");
-        assert_eq!(json_str("a\\b"), "\"a\\\\b\"");
-        assert_eq!(json_str("a\nb\tc"), "\"a\\nb\\tc\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
+        assert_eq!(json_string("plain"), "\"plain\"");
+        assert_eq!(json_string("a\"b"), "\"a\\\"b\"");
+        assert_eq!(json_string("a\\b"), "\"a\\\\b\"");
+        assert_eq!(json_string("a\nb\tc"), "\"a\\nb\\tc\"");
+        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

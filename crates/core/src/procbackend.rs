@@ -50,7 +50,7 @@ pub const RESPAWN_ENV: &str = "DEJAVUZZ_SIMD_RESPAWN";
 
 /// Crash injection: abort the worker process instead of answering its
 /// N-th run request (per process spawn). For the crash-isolation tests
-/// and CI smoke — a real worker never reads this in anger.
+/// — a real worker never reads this in anger.
 pub const ABORT_AFTER_ENV: &str = "DEJAVUZZ_SIMD_ABORT_AFTER";
 
 /// Crash injection modifier: disarm [`ABORT_AFTER_ENV`] when the worker

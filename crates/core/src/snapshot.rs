@@ -145,7 +145,11 @@ impl Persist for Corpus {
         enc.f64(self.exploit_probability());
         enc.usize(self.retained());
         enc.usize(self.evicted());
-        self.entries().to_vec().encode(enc);
+        // `Vec<CorpusEntry>`'s encoding, without cloning the entries.
+        enc.usize(self.entries().len());
+        for entry in self.entries() {
+            entry.encode(enc);
+        }
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -163,7 +167,7 @@ impl Persist for Corpus {
         // The energy cache travels as a separate snapshot field; a fresh
         // scan here keeps bare round trips correct.
         Ok(Corpus::restore(
-            entries, capacity, exploit, retained, evicted, None,
+            entries, capacity, exploit, retained, evicted,
         ))
     }
 }

@@ -9,7 +9,13 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn fuzz(args: &[&str]) -> (Option<i32>, String, String) {
+    fuzz_in(Path::new("."), args)
+}
+
+/// [`fuzz`], run in `dir`.
+fn fuzz_in(dir: &Path, args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_dejavuzz-fuzz"))
+        .current_dir(dir)
         .args(args)
         .output()
         .expect("spawn dejavuzz-fuzz");
@@ -24,18 +30,9 @@ fn fuzz(args: &[&str]) -> (Option<i32>, String, String) {
 /// the wall-clock lines (`elapsed`, `throughput`): the stream the
 /// determinism contracts are stated over. The run must succeed.
 fn report(dir: &Path, args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_dejavuzz-fuzz"))
-        .current_dir(dir)
-        .args(args)
-        .output()
-        .expect("spawn dejavuzz-fuzz");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "{args:?}: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8_lossy(&out.stdout)
+    let (code, stdout, stderr) = fuzz_in(dir, args);
+    assert_eq!(code, Some(0), "{args:?}: {stderr}");
+    stdout
         .lines()
         .filter(|l| !l.contains("elapsed") && !l.contains("throughput"))
         .collect::<Vec<_>>()
@@ -134,6 +131,34 @@ fn json_string(s: &str) -> Option<&str> {
         }
     }
     None
+}
+
+/// The members of the JSON object `s` as `(key, raw value)` pairs, in
+/// document order, or `None` unless `s` is exactly one object. Keys are
+/// returned as written, without their quotes.
+fn json_members(s: &str) -> Option<Vec<(&str, &str)>> {
+    let mut s = s.trim_start().strip_prefix('{')?.trim_start();
+    let mut members = Vec::new();
+    if !s.starts_with('}') {
+        loop {
+            let rest = json_string(s)?;
+            let key = &s[1..s.len() - rest.len() - 1];
+            let value = rest.trim_start().strip_prefix(':')?.trim_start();
+            let rest = json_value(value)?;
+            members.push((key, &value[..value.len() - rest.len()]));
+            s = rest.trim_start();
+            match s.strip_prefix(',') {
+                Some(rest) => s = rest.trim_start(),
+                None => break,
+            }
+        }
+    }
+    s.strip_prefix('}')?.trim().is_empty().then_some(members)
+}
+
+/// The raw value of member `key` of a [`json_members`] list.
+fn member<'a>(members: &[(&str, &'a str)], key: &str) -> Option<&'a str> {
+    members.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
 }
 
 fn json_number(s: &str) -> Option<&str> {
@@ -683,14 +708,27 @@ fn unreachable_peer_exits_two() {
 }
 
 /// `--gossip-every` without `--peers` warns on stderr and changes
-/// nothing: the JSON telemetry on stdout is byte-identical to a run
-/// without the flag.
+/// nothing: the JSON telemetry on stdout and the snapshot are
+/// byte-identical to a run without the flag.
 #[test]
 fn solo_gossip_every_warns_and_leaves_stdout_untouched() {
-    let plain = fuzz(&["--iters", "2", "--telemetry", "json"]);
-    let solo = fuzz(&["--iters", "2", "--telemetry", "json", "--gossip-every", "3"]);
-    assert_eq!(plain.0, Some(0));
-    assert_eq!(solo.0, Some(0));
+    let args = [
+        "--iters",
+        "10",
+        "--workers",
+        "2",
+        "--seed",
+        "5",
+        "--telemetry",
+        "json",
+        "--snapshot",
+        "camp.snap",
+    ];
+    let (plain_dir, solo_dir) = (scratch("solo-plain"), scratch("solo-gossip"));
+    let plain = fuzz_in(&plain_dir, &args);
+    let solo = fuzz_in(&solo_dir, &[&args[..], &["--gossip-every", "3"]].concat());
+    assert_eq!(plain.0, Some(0), "stderr: {}", plain.2);
+    assert_eq!(solo.0, Some(0), "stderr: {}", solo.2);
     assert!(
         solo.2
             .contains("warning: --gossip-every 3 ignored; no --peers given"),
@@ -701,6 +739,13 @@ fn solo_gossip_every_warns_and_leaves_stdout_untouched() {
         plain.1, solo.1,
         "stdout telemetry is byte-identical with and without the ignored flag"
     );
+    let snapshot = |dir: &Path| std::fs::read(dir.join("camp.snap")).unwrap();
+    assert!(
+        snapshot(&plain_dir) == snapshot(&solo_dir),
+        "the snapshot is byte-identical with and without the ignored flag"
+    );
+    let _ = std::fs::remove_dir_all(&plain_dir);
+    let _ = std::fs::remove_dir_all(&solo_dir);
 }
 
 /// `--metrics-out` followed by another flag is a missing value, not a
@@ -718,21 +763,15 @@ fn metrics_out_requires_a_value() {
 /// `--metrics-out` writes a JSON metrics dump at campaign end without
 /// perturbing campaign output: stdout is byte-identical to a run
 /// without the flag, the dump announces itself on stderr only, and the
-/// file holds the registry's three top-level sections.
+/// file holds exactly the registry's three top-level sections, with one
+/// committed iteration and one timed slot per slot.
 #[test]
 fn metrics_out_writes_json_and_leaves_stdout_untouched() {
-    let dir = std::env::temp_dir().join(format!("djvz-cli-metrics-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("metrics");
     let path = dir.join("metrics.json");
-    let plain = fuzz(&["--iters", "2", "--telemetry", "json"]);
-    let dumped = fuzz(&[
-        "--iters",
-        "2",
-        "--telemetry",
-        "json",
-        "--metrics-out",
-        path.to_str().unwrap(),
-    ]);
+    let args = ["--iters", "10", "--workers", "2", "--telemetry", "json"];
+    let plain = fuzz(&args);
+    let dumped = fuzz(&[&args[..], &["--metrics-out", path.to_str().unwrap()]].concat());
     assert_eq!(plain.0, Some(0));
     assert_eq!(dumped.0, Some(0), "stderr: {}", dumped.2);
     assert_eq!(
@@ -745,13 +784,23 @@ fn metrics_out_writes_json_and_leaves_stdout_untouched() {
         dumped.2
     );
     let json = std::fs::read_to_string(&path).unwrap();
-    assert!(json.starts_with("{\"counters\":{"), "dump: {json}");
-    assert!(json.contains("\"gauges\":{"), "dump: {json}");
-    assert!(json.contains("\"histograms\":{"), "dump: {json}");
-    assert!(
-        json.contains("\"dejavuzz_iterations_total\":2"),
-        "2 iters x 1 worker = 2 committed slots recorded: {json}"
+    let doc = json_members(&json).unwrap_or_else(|| panic!("one JSON object: {json}"));
+    let sections: Vec<&str> = doc.iter().map(|(k, _)| *k).collect();
+    assert_eq!(
+        sections,
+        ["counters", "gauges", "histograms"],
+        "dump: {json}"
     );
+    let section = |name| json_members(member(&doc, name).unwrap()).unwrap();
+    assert_eq!(
+        member(&section("counters"), "dejavuzz_iterations_total"),
+        Some("20"),
+        "10 iters x 2 workers = 20 committed slots recorded: {json}"
+    );
+    let slot_run = member(&section("histograms"), "dejavuzz_slot_run_nanos")
+        .and_then(json_members)
+        .unwrap_or_else(|| panic!("a slot-run histogram: {json}"));
+    assert_eq!(member(&slot_run, "count"), Some("20"), "dump: {json}");
     assert!(json.ends_with("}\n"), "newline-terminated object");
     let _ = std::fs::remove_dir_all(&dir);
 }

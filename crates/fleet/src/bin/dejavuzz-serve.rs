@@ -187,7 +187,7 @@ fn main() {
             eprintln!(
                 "dejavuzz-serve: shard {shard} finished: {} iterations, {} points, {} bug(s)",
                 report.stats.iterations,
-                report.stats.coverage(),
+                report.coverage.points(),
                 report.stats.bugs.len()
             );
         });

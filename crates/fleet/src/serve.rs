@@ -49,9 +49,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dejavuzz::gossip::{GossipLink, UnixGossipLink};
-use dejavuzz::observer::json_str;
 use dejavuzz_ift::CoverageMatrix;
-use dejavuzz_telemetry::CoverageSeries;
+use dejavuzz_telemetry::{json_string, CoverageSeries};
 
 use crate::gossip::Bus;
 use crate::transport::CampaignEvent;
@@ -134,14 +133,13 @@ impl FleetState {
                 status.points = e.total_points;
             }
             CampaignEvent::SeedImported(_) => status.seed_imports += 1,
-            CampaignEvent::CampaignFinished { stats, .. } => {
+            CampaignEvent::CampaignFinished {
+                stats,
+                coverage_points,
+                ..
+            } => {
                 status.iterations = stats.iterations;
-                // The finish summary reports the coverage *curve*'s last
-                // value, which a gossip import at the final round boundary
-                // postdates (imports raise the global union without
-                // committing a slot) — never let the summary walk an
-                // already-counted import back.
-                status.points = status.points.max(stats.coverage());
+                status.points = *coverage_points;
                 status.bugs = stats.bugs.len();
                 status.finished = true;
             }
@@ -237,7 +235,7 @@ impl FleetState {
             Some(ring) => ring.iter().cloned().collect::<Vec<_>>().join("\n"),
             None => format!(
                 "{{\"error\":{}}}",
-                json_str(&format!("unknown shard {shard}"))
+                json_string(&format!("unknown shard {shard}"))
             ),
         }
     }
@@ -257,7 +255,7 @@ impl FleetState {
             ),
             None => format!(
                 "{{\"error\":{}}}",
-                json_str(&format!("unknown shard {shard}"))
+                json_string(&format!("unknown shard {shard}"))
             ),
         }
     }
@@ -443,7 +441,7 @@ fn handle_connection(
             let _ = writeln!(
                 stream,
                 "{{\"error\":{}}}",
-                json_str(&format!("bad gossip handshake {line:?}"))
+                json_string(&format!("bad gossip handshake {line:?}"))
             );
         }
         return;
@@ -466,18 +464,21 @@ fn handle_connection(
                     .lock()
                     .expect("fleet state poisoned")
                     .render_telemetry(shard),
-                Err(_) => format!("{{\"error\":{}}}", json_str("telemetry needs a shard id")),
+                Err(_) => format!(
+                    "{{\"error\":{}}}",
+                    json_string("telemetry needs a shard id")
+                ),
             },
             Some(("series", shard)) => match shard.trim().parse::<u32>() {
                 Ok(shard) => state
                     .lock()
                     .expect("fleet state poisoned")
                     .render_series(shard),
-                Err(_) => format!("{{\"error\":{}}}", json_str("series needs a shard id")),
+                Err(_) => format!("{{\"error\":{}}}", json_string("series needs a shard id")),
             },
             _ => format!(
                 "{{\"error\":{}}}",
-                json_str(&format!(
+                json_string(&format!(
                     "unknown request {line:?} (expected status|shards|coverage|metrics|\
                      telemetry <shard>|series <shard>|shutdown|gossip <shard>)"
                 ))
@@ -521,7 +522,9 @@ mod tests {
         CoveragePoint { module, index }
     }
 
-    fn finished(iterations: usize, coverage: usize, bugs: usize) -> CampaignEvent {
+    /// A finish summary whose coverage curve ends at `curve` and whose
+    /// exact union is `coverage`.
+    fn finished(iterations: usize, curve: usize, coverage: usize, bugs: usize) -> CampaignEvent {
         let bug = BugReport {
             core: "BOOM".into(),
             attack: AttackType::Spectre,
@@ -534,10 +537,11 @@ mod tests {
         CampaignEvent::CampaignFinished {
             stats: CampaignStats {
                 iterations,
-                coverage_curve: vec![coverage],
+                coverage_curve: vec![curve],
                 bugs: vec![bug; bugs],
                 ..CampaignStats::default()
             },
+            coverage_points: coverage,
             corpus_retained: 3,
             corpus_evicted: 0,
         }
@@ -606,7 +610,7 @@ mod tests {
         let s = &state.shards()[&0];
         assert_eq!((s.iterations, s.points, s.peer_imports), (4, 7, 1));
         assert!(!s.finished);
-        state.apply(0, &finished(8, 9, 2));
+        state.apply(0, &finished(8, 9, 9, 2));
         let s = &state.shards()[&0];
         assert!(s.finished);
         assert_eq!((s.iterations, s.points, s.bugs), (8, 9, 2));
@@ -617,9 +621,8 @@ mod tests {
     }
 
     /// A gossip import at the *final* round boundary postdates the
-    /// coverage curve, so the finish summary's `coverage_points` can be
-    /// stale — neither the shard total nor the series may walk the
-    /// import back.
+    /// coverage curve, so the curve's last value is stale; the shard
+    /// total and the series end on the finish summary's exact union.
     #[test]
     fn stale_finish_summary_never_regresses_points_or_series() {
         let mut state = FleetState::new();
@@ -635,11 +638,16 @@ mod tests {
                 total_points: 7,
             }),
         );
-        state.apply(
-            0,
-            &finished(4, 5, 0), // the curve's last value, pre-import
-        );
+        // The curve ends at 5, before the import; the union is 7.
+        state.apply(0, &finished(4, 5, 7, 0));
         assert_eq!(state.shards()[&0].points, 7, "import is not walked back");
+        // The summary alone sets the exact union, not the curve's value.
+        state.apply(1, &finished(4, 5, 7, 0));
+        assert_eq!(
+            state.shards()[&1].points,
+            7,
+            "the exact union, not the curve"
+        );
         assert!(
             state.render_series(0).contains("\"points\":[[4,7],[4,7]]"),
             "series ends on the import total: {}",

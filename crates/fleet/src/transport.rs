@@ -292,6 +292,7 @@ mod tests {
                 coverage_curve: vec![21],
                 ..CampaignStats::default()
             },
+            coverage_points: 21,
             corpus_retained: 5,
             corpus_evicted: 1,
         };

@@ -26,7 +26,8 @@
 //! Wall-clock readings therefore never enter campaign state — a run with
 //! metrics recording on, off ([`set_recording`]), or scraped mid-run
 //! from another thread is byte-identical to any other (asserted by
-//! `tests/metrics.rs` and the CI metrics smoke).
+//! `tests/metrics.rs` and by `crates/core/tests/cli.rs`'s
+//! `metrics_out_writes_json_and_leaves_stdout_untouched`).
 //!
 //! [Prometheus text exposition]:
 //! https://prometheus.io/docs/instrumenting/exposition_formats/
@@ -38,7 +39,7 @@ mod registry;
 mod series;
 
 pub use instruments::{Counter, Gauge, Histogram, Timer, HISTOGRAM_BUCKETS};
-pub use registry::{InstrumentKind, Registry};
+pub use registry::{json_string, InstrumentKind, Registry};
 pub use series::CoverageSeries;
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -305,9 +305,10 @@ fn escape_help(help: &str) -> String {
     help.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
-/// A minimal JSON string encoder for metric names (this crate is
-/// dependency-free, so it cannot borrow `dejavuzz`'s escaper).
-fn json_string(s: &str) -> String {
+/// Escapes a string into a JSON string literal (hand-rolled: the build
+/// environment has no serde). The workspace's one escaper: metric names
+/// here, and every JSON document `dejavuzz` and `dejavuzz-fleet` write.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for ch in s.chars() {

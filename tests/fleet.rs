@@ -11,6 +11,9 @@
 //!   equals the committed-slot count at that moment, a multiple of the
 //!   gossip cadence in slots) and never inside a round; exports carry
 //!   disjoint deltas drawn only from the shard's own discoveries.
+//! * **Exact finish summary** — an import at the final round boundary
+//!   counts in `campaign_finished.coverage_points` and the text report's
+//!   "exact union" line, although no slot commits after it.
 //! * **Zero-peer identity** — a campaign gossiping through a
 //!   [`NullLink`] emits byte-for-byte the event stream (and final
 //!   report) of a campaign with no gossip configured, across random
@@ -247,6 +250,88 @@ fn imports_fire_exactly_at_round_boundaries() {
             "favoured exports are capped"
         );
     }
+}
+
+/// A write sink several owners can read back after the run.
+#[derive(Clone, Default)]
+struct Shared(Arc<Mutex<Vec<u8>>>);
+
+impl std::io::Write for Shared {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A peer point imported at the *last* round boundary raises the union
+/// without committing a slot, so the coverage curve ends one point
+/// short. The finish summary's `coverage_points` and the text report's
+/// "exact union" line must still print the union.
+#[test]
+fn final_boundary_import_counts_in_the_finish_summary() {
+    let frame = |delta: Vec<CoveragePoint>| GossipFrame {
+        shard: 99,
+        iterations: 8,
+        delta,
+        favoured: Vec::new(),
+    };
+    let late = CoveragePoint {
+        module: Module::Top,
+        index: 1,
+    };
+    let link = ScriptedLink {
+        // 2 workers x batch 4 over 16 iterations: two boundaries, and
+        // only the second (final) one delivers a point.
+        pending: vec![frame(Vec::new()), frame(vec![late])],
+        published: Arc::default(),
+    };
+    let (observer, events) = ChannelObserver::channel(4096);
+    let text = Shared::default();
+    let mut observers: Vec<Box<dyn CampaignObserver>> = vec![
+        Box::new(observer),
+        Box::new(dejavuzz::observer::TextObserver::new(text.clone())),
+    ];
+    let (report, _) = base(0x1A7E)
+        .workers(2)
+        .batch(4)
+        .gossip_every(1)
+        .gossip(shared_link(link))
+        .build()
+        .expect("valid configuration")
+        .run_observed(16, &mut observers);
+    drop(observers);
+    let events: Vec<CampaignEvent> = events.iter().collect();
+
+    let union = report.coverage.points();
+    let last_import = events
+        .iter()
+        .rev()
+        .find_map(|e| match e {
+            CampaignEvent::PeerDeltaImported(ev) => Some(*ev),
+            _ => None,
+        })
+        .expect("the final boundary imported");
+    assert_eq!((last_import.boundary, last_import.fresh_points), (16, 1));
+    assert_eq!(
+        report.stats.coverage() + 1,
+        union,
+        "the curve misses the import"
+    );
+
+    let finish = events.last().expect("a finish event").to_json();
+    assert!(
+        finish.contains(&format!("\"coverage_points\":{union},")),
+        "finish summary: {finish}"
+    );
+    let text = String::from_utf8(text.0.lock().unwrap().clone()).unwrap();
+    assert!(
+        text.contains(&format!("coverage points:  {union} (exact union)\n")),
+        "text report: {text}"
+    );
 }
 
 /// Strips wall-clock-free event streams down to comparable form (they
