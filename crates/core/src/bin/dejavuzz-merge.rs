@@ -3,8 +3,8 @@
 //!
 //! Each machine runs `dejavuzz-fuzz --shard N --seed <distinct> --snapshot
 //! shardN.snap`; this tool merges the snapshot files: coverage is the
-//! **exact union** of per-shard observations (`SharedCoverage` semantics,
-//! never a pointwise sum), bug reports deduplicate by `dedup_key()`, and
+//! **exact union** of per-shard observations (distinct points, never a
+//! pointwise sum), bug reports deduplicate by `dedup_key()`, and
 //! plain counters (iterations, simulations, cycles) sum.
 //!
 //! ```sh

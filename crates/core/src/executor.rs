@@ -16,20 +16,19 @@
 //!    decides between a retained corpus seed and fresh exploration, and
 //!    fresh seeds are drawn from the slot's logical stream. The round
 //!    ships to every worker thread as one shared claim queue, together
-//!    with the round-start gain threshold and the coverage points
-//!    discovered globally since that thread's last round.
-//! 2. Each worker folds the broadcast delta into its local *view* of the
-//!    global coverage, then claims slots until the queue drains, running
-//!    the three-phase pipeline for each against a private overlay of the
-//!    round-start view. Every observation fans out through
-//!    [`RecordingCoverage`]: into the slot's `observed` matrix (for the
-//!    exactness invariant) and — when fresh against the view — into the
-//!    outcome's recorded delta and the live [`SharedCoverage`] union
-//!    (concurrent, lock-striped, exact). Mutation-gain feedback reads
-//!    only the view, so worker decisions never race on shared state. The
+//!    with the round-start gain threshold and the round's *view*: one
+//!    frozen copy of the committed coverage union, which every thread
+//!    reads.
+//! 2. Each worker claims slots until the queue drains, running the
+//!    three-phase pipeline for each. A slot folds every observation
+//!    through one [`RecordingCoverage`], which keeps the slot's distinct
+//!    points (for the exactness invariant) and, when the round view lacks
+//!    a point, records it as fresh and commits it to the live
+//!    [`SharedCoverage`] union. Mutation-gain feedback reads only the
+//!    view, so worker decisions never race on shared state. The
 //!    *canonical* union is the orchestrator's deterministic replay below;
-//!    the shared union is the live, lock-free-readable view of the same
-//!    set and a runtime cross-check that the two accounting paths agree.
+//!    the shared union is a concurrent copy of the same set and a runtime
+//!    cross-check that the two accounting paths agree.
 //! 3. Workers send one reply per slot the moment it finishes. The
 //!    orchestrator commits outcomes in global slot order: stats, the
 //!    per-iteration exact coverage curve, bug dedup, gain-threshold
@@ -88,13 +87,13 @@
 //!
 //! # Checkpointing and resume
 //!
-//! Workers keep no campaign state beyond their coverage view, so the
-//! campaign serialises at any round boundary into a
-//! [`CampaignSnapshot`]: corpus, global coverage, gain threshold,
-//! scheduler RNG position and per-stream `(RNG position, iteration
-//! count, observed matrix)`. At a round boundary each worker's coverage
-//! view coincides with the global union (the round-start delta broadcast
-//! converges them), so restoring `view = global` is exact, and a run
+//! Workers keep no campaign state between rounds, so the campaign
+//! serialises at any round boundary into a [`CampaignSnapshot`]: corpus,
+//! global coverage, gain threshold, scheduler RNG position and
+//! per-stream `(RNG position, iteration count, observed matrix)`. Every
+//! round's view is the committed union at its dispatch, so the next
+//! round's view is the snapshot's coverage (a pipelined snapshot's pending
+//! round ran against that coverage minus its `view_behind`), and a run
 //! resumed via [`crate::builder::CampaignBuilder::resume`] replays the
 //! remaining rounds **bit-identically** to one that never stopped — same
 //! curve, same bugs, same corpus, same per-stream accounting (asserted
@@ -120,8 +119,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dejavuzz_ift::{
-    CoverageLog, CoverageMatrix, CoveragePoint, CoverageView, IftMode, OverlayCoverage,
-    RecordingCoverage, SharedCoverage,
+    CoverageLog, CoverageMatrix, CoveragePoint, IftMode, RecordingCoverage, SharedCoverage,
 };
 
 use crate::backend::{BackendSpec, SimBackend};
@@ -175,8 +173,8 @@ struct IterationOutcome {
     /// Wall-clock the iteration took, for scheduling models and
     /// throughput reporting only — never fed back into decisions.
     pub elapsed_nanos: u64,
-    /// Wall-clock spent building this slot's coverage view (the overlay
-    /// construction). Reporting only, like `elapsed_nanos`.
+    /// Wall-clock spent building this slot's coverage sink. Reporting
+    /// only, like `elapsed_nanos`.
     pub view_setup_nanos: u64,
     /// The executed seed (after window mutations).
     pub seed: Seed,
@@ -193,7 +191,7 @@ struct IterationOutcome {
     pub gains: Vec<f64>,
     /// Coverage gain of the selected attempt (corpus retention energy).
     pub final_gain: usize,
-    /// Points fresh against the worker's view, in observation order.
+    /// Points fresh against the round view, in observation order.
     pub fresh_points: Vec<CoveragePoint>,
     /// The slot's distinct observed points: what the orchestrator folds
     /// into its stream's `observed` matrix (which snapshots persist).
@@ -275,16 +273,14 @@ impl MakespanModel {
 /// *simulation*, noise against the simulation itself (measured by the
 /// `overheads` bench's `backends` group). Every simulation goes through the
 /// campaign's [`LineageMemo`], which answers the ones a corpus pick
-/// repeats without calling a replayable backend.
-#[allow(clippy::too_many_arguments)] // the iteration's full context, spelled out
-fn run_iteration<V: CoverageView>(
+/// repeats without calling a replayable backend. The caller moves the
+/// sink's point lists into the outcome.
+fn run_iteration(
     backend: &mut dyn SimBackend,
     opts: &FuzzerOptions,
     slot: usize,
     planned: &Seed,
-    view: &mut V,
-    observed: &mut CoverageMatrix,
-    shared: &SharedCoverage,
+    coverage: &mut RecordingCoverage<'_>,
     gain: &mut GainAverage,
     memo: &LineageMemo,
 ) -> IterationOutcome {
@@ -341,18 +337,11 @@ fn run_iteration<V: CoverageView>(
     let pick = seed.mutation > 0;
     let mut last = None;
     for attempt in 0..=opts.mutation_attempts {
-        let mut sink = RecordingCoverage {
-            view: &mut *view,
-            recorded: &mut out.fresh_points,
-            observed: &mut *observed,
-            observed_recorded: &mut out.observed_fresh,
-            shared,
-        };
         let answer = memo.phase2(
             backend,
             &seed,
             &p1,
-            &mut sink,
+            coverage,
             &opts.phases,
             pick,
             &mut out.replays,
@@ -476,8 +465,9 @@ fn commit_outcome(
     }
     let mut global_fresh = Vec::new();
     for p in &o.fresh_points {
-        // The log behind `global` doubles as the broadcast/gossip delta
-        // source: every globally fresh point lands there in commit order.
+        // The log behind `global` is the delta source of the gossip
+        // export and of `view_behind`: every globally fresh point lands
+        // there in commit order.
         if s.global.insert(*p) {
             global_fresh.push(*p);
         }
@@ -549,8 +539,9 @@ struct StealRound {
     /// Round-start global gain threshold (per-slot frozen).
     avg: f64,
     samples: usize,
-    /// Globally fresh points discovered since this worker's last round.
-    delta: Vec<CoveragePoint>,
+    /// The committed union at the round's dispatch, which every slot of
+    /// the round judges freshness against.
+    view: Arc<CoverageMatrix>,
 }
 
 /// One slot's result, sent the moment the slot finishes, so the
@@ -573,12 +564,11 @@ pub struct WorkerSummary {
     pub observed: CoverageMatrix,
 }
 
-/// A pipeline worker thread: owns its simulator backend and its
-/// deterministic view of the global coverage.
+/// A pipeline worker thread: owns its simulator backend and keeps no
+/// campaign state from one round to the next.
 struct Worker {
     backend: Box<dyn SimBackend>,
     opts: FuzzerOptions,
-    view: CoverageMatrix,
     shared: Arc<SharedCoverage>,
     /// The campaign's lineage memo, shared by every worker.
     memo: Arc<LineageMemo>,
@@ -596,37 +586,26 @@ impl Worker {
     }
 
     /// One round: claim pre-drawn slots from the shared queue until it
-    /// drains. Every slot runs against a private view of the round-start
-    /// state and a per-slot gain threshold, so its outcome is independent
+    /// drains. Every slot runs against the frozen round view, its own
+    /// sink and a per-slot gain threshold, so its outcome is independent
     /// of what any concurrent slot — on this worker or another — is doing
     /// (see the `scheduler` module docs for the determinism argument).
     /// False once the orchestrator hung up (the worker then stops
     /// claiming).
-    ///
-    /// The round-start view is frozen once into an `Arc` base and each
-    /// slot gets an [`OverlayCoverage`] over it, costing O(points that
-    /// slot finds) instead of a full matrix clone. The freeze is free:
-    /// `mem::take` out, `Arc::try_unwrap` back in (no slot view outlives
-    /// the loop).
     fn run_round(&mut self, round: StealRound, tx: &mpsc::Sender<SlotReply>) -> bool {
-        for p in &round.delta {
-            self.view.insert(*p);
-        }
-        let base = Arc::new(std::mem::take(&mut self.view));
         loop {
             let claim = round.queue.next.fetch_add(1, Ordering::Relaxed);
             let Some(item) = round.queue.slots.get(claim) else {
-                break;
+                return true;
             };
+            // The sink starts empty per slot: its `observed` list is the
+            // slot's full distinct point set, which the orchestrator
+            // replays into the *logical* stream's matrix (physical claim
+            // attribution is timing-dependent and must not leak into any
+            // persisted or reported state).
             let setup = Instant::now();
-            let mut slot_view = OverlayCoverage::new(Arc::clone(&base));
+            let mut sink = RecordingCoverage::new(&round.view, &self.shared);
             let view_setup_nanos = setup.elapsed().as_nanos() as u64;
-            // A fresh per-slot observed matrix: `observed_fresh` then
-            // carries the slot's full distinct point set, which the
-            // orchestrator replays into the *logical* stream's matrix
-            // (physical claim attribution is timing-dependent and must
-            // not leak into any persisted or reported state).
-            let mut slot_observed = CoverageMatrix::new();
             let mut gain = GainAverage {
                 avg: round.avg,
                 samples: round.samples,
@@ -637,21 +616,19 @@ impl Worker {
                 &self.opts,
                 item.slot,
                 &item.seed,
-                &mut slot_view,
-                &mut slot_observed,
-                &self.shared,
+                &mut sink,
                 &mut gain,
                 &self.memo,
             );
             out.stream = item.stream;
             out.elapsed_nanos = start.elapsed().as_nanos() as u64;
             out.view_setup_nanos = view_setup_nanos;
+            out.fresh_points = sink.fresh;
+            out.observed_fresh = sink.observed;
             if tx.send(Box::new(out)).is_err() {
                 return false;
             }
         }
-        self.view = Arc::try_unwrap(base).unwrap_or_else(|a| (*a).clone());
-        true
     }
 }
 
@@ -662,9 +639,12 @@ pub struct ExecutorReport {
     pub stats: CampaignStats,
     /// The final global coverage (union of all observations).
     pub coverage: CoverageMatrix,
-    /// Final point count of the concurrent [`SharedCoverage`] — always
-    /// equal to `coverage.points()`; reported separately so tests can
-    /// assert the two accounting paths agree.
+    /// Final point count of the concurrent [`SharedCoverage`], reported
+    /// separately so tests can assert the two accounting paths agree. It
+    /// equals `coverage.points()` when the run committed every round it
+    /// dispatched. A halted pipelined run can read more: the in-flight
+    /// round the halt discards has already committed its fresh points to
+    /// the shared union, and how many depends on thread timing.
     pub shared_points: usize,
     /// Per-stream accounting.
     pub workers: Vec<WorkerSummary>,
@@ -689,9 +669,9 @@ pub struct ExecutorReport {
     /// round barrier for the straggler slot; the cross-round pipeline
     /// exists to drive it towards zero.
     pub barrier_idle_nanos: u64,
-    /// Total wall-clock spent constructing per-slot coverage views (the
-    /// overlay setup). With the two-level view this stays O(points
-    /// found), independent of total coverage-space size.
+    /// Total wall-clock spent constructing per-slot coverage sinks. A
+    /// sink starts empty over the shared round view, so this is
+    /// independent of the coverage size.
     pub view_setup_nanos: u64,
 }
 
@@ -724,26 +704,6 @@ struct Pool {
     to_workers: Vec<mpsc::Sender<StealRound>>,
     from_rx: mpsc::Receiver<SlotReply>,
     handles: Vec<thread::JoinHandle<()>>,
-    /// Per-thread cursors into the global discovery log: how much of it
-    /// each thread's coverage view has been sent.
-    synced: Vec<usize>,
-}
-
-impl Pool {
-    /// Sends `worker` a round built around the discovery-log points its
-    /// view still lacks, marking them sent.
-    fn ship(
-        &mut self,
-        worker: usize,
-        log: &CoverageLog,
-        round: impl FnOnce(Vec<CoveragePoint>) -> StealRound,
-    ) {
-        let delta = log.delta_since(self.synced[worker]).to_vec();
-        self.synced[worker] = log.watermark();
-        self.to_workers[worker]
-            .send(round(delta))
-            .expect("worker hung up mid-run");
-    }
 }
 
 /// One dispatched round, not yet fully committed.
@@ -1138,9 +1098,8 @@ impl Orchestrator {
             link.publish(&frame);
             link.drain()
         };
-        // Import at the boundary: the next round's view broadcasts pick
-        // the fresh points up through the discovery log, so worker views
-        // still equal the global union at every round boundary.
+        // Import at the boundary: the next round's view is cloned from the
+        // union, imports included.
         for f in frames {
             if f.shard == self.shard_id {
                 continue; // self-echo from a loopback topology
@@ -1184,6 +1143,7 @@ impl Orchestrator {
                 }
             }
         }
+        metrics.coverage_points.set(s.global.points() as u64);
     }
 
     /// Runs the pool until `iterations` total campaign iterations have
@@ -1241,21 +1201,8 @@ impl Orchestrator {
             shared.observe_point(*p);
         }
 
-        // At a round boundary every worker's view equals the global union
-        // (see the module docs), so seeding the views with it restores
-        // the exact mid-campaign state. A pending round was dispatched
-        // before the last commits, so its views lack the points committed
-        // after its dispatch (`view_behind`).
-        let mut view = Cow::Borrowed(s.global.matrix());
-        if let Some(p) = &resumed_pending {
-            let view = view.to_mut();
-            for point in &p.view_behind {
-                view.remove(point);
-            }
-        }
         let memo = Arc::new(LineageMemo::default());
-        let mut pool = self.spawn_pool(&view, &shared, &memo);
-        drop(view);
+        let pool = self.spawn_pool(&shared, &memo);
 
         let mut in_flight: VecDeque<InFlight> = VecDeque::new();
         let mut next_slot = start;
@@ -1263,22 +1210,25 @@ impl Orchestrator {
             debug_assert_eq!(p.first_slot, next_slot, "pending resumes at the frontier");
             next_slot += p.slots.len();
             // Re-dispatch verbatim: same pre-drawn slots, same
-            // dispatch-time threshold. The restored log is still empty,
-            // so the round ships with no view delta; replaying
-            // `view_behind` afterwards hands those points to the next
-            // round's broadcast, as the uninterrupted run did.
+            // dispatch-time threshold, and the view it was dispatched
+            // with: the restored union minus the points committed after
+            // its dispatch (`view_behind`, which decoding checked are all
+            // in the union).
             let gain = GainAverage {
                 avg: p.avg,
                 samples: p.samples,
             };
-            let round = self.ship(&mut pool, &s.global, p.first_slot, p.slots, gain);
+            let mut view = s.global.matrix().clone();
+            for point in &p.view_behind {
+                view.remove(point);
+            }
+            let round = self.ship(&pool, &s.global, view, p.first_slot, p.slots, gain);
             round.announce(observers);
             in_flight.push_back(round);
-            s.global.replay(&p.view_behind);
         }
         let mut gossip_state = GossipState {
-            // Replayed points were already published before the halt;
-            // start the export cursor past them.
+            // The restored union is not in the seeded log, so exports
+            // start with what is committed from here on.
             published: s.global.watermark(),
             imported: HashSet::new(),
         };
@@ -1307,7 +1257,8 @@ impl Orchestrator {
                     .scheduler
                     .round_span(self.workers, self.batch, iterations - next_slot);
                 let plan = self.plan(&mut s, next_slot..next_slot + span);
-                let round = self.ship(&mut pool, &s.global, next_slot, plan, s.gain);
+                let view = s.global.matrix().clone();
+                let round = self.ship(&pool, &s.global, view, next_slot, plan, s.gain);
                 in_flight.push_back(round);
                 next_slot += span;
             }
@@ -1423,13 +1374,8 @@ impl Orchestrator {
         (report, snapshot)
     }
 
-    /// Spawns the run's worker threads, every view seeded with `view`.
-    fn spawn_pool(
-        &self,
-        view: &CoverageMatrix,
-        shared: &Arc<SharedCoverage>,
-        memo: &Arc<LineageMemo>,
-    ) -> Pool {
+    /// Spawns the run's worker threads.
+    fn spawn_pool(&self, shared: &Arc<SharedCoverage>, memo: &Arc<LineageMemo>) -> Pool {
         let (from_tx, from_rx) = mpsc::channel();
         let physical = self.physical_workers();
         let mut to_workers = Vec::with_capacity(physical);
@@ -1439,7 +1385,6 @@ impl Orchestrator {
             let worker = Worker {
                 backend: self.build_backend(),
                 opts: self.opts,
-                view: view.clone(),
                 shared: Arc::clone(shared),
                 memo: Arc::clone(memo),
             };
@@ -1451,10 +1396,6 @@ impl Orchestrator {
             to_workers,
             from_rx,
             handles,
-            // On resume the log starts empty (`CoverageLog::seeded`):
-            // every view already holds the restored union, so only
-            // post-resume points need broadcasting.
-            synced: vec![0; physical],
         }
     }
 
@@ -1494,13 +1435,13 @@ impl Orchestrator {
         plan
     }
 
-    /// Ships a planned round's claim queue to every thread, with the view
-    /// delta each thread still lacks. Observers hear of it through
-    /// [`InFlight::announce`].
+    /// Ships a planned round's claim queue and its frozen `view` to every
+    /// thread. Observers hear of it through [`InFlight::announce`].
     fn ship(
         &self,
-        pool: &mut Pool,
+        pool: &Pool,
         log: &CoverageLog,
+        view: CoverageMatrix,
         first_slot: usize,
         slots: Vec<PlannedSlot>,
         gain: GainAverage,
@@ -1509,13 +1450,15 @@ impl Orchestrator {
             slots,
             next: AtomicUsize::new(0),
         });
-        for w in 0..pool.to_workers.len() {
-            pool.ship(w, log, |delta| StealRound {
+        let view = Arc::new(view);
+        for to_worker in &pool.to_workers {
+            let round = StealRound {
                 queue: Arc::clone(&queue),
                 avg: gain.avg,
                 samples: gain.samples,
-                delta,
-            });
+                view: Arc::clone(&view),
+            };
+            to_worker.send(round).expect("worker hung up mid-run");
         }
         InFlight {
             first_slot,
@@ -1560,6 +1503,31 @@ mod tests {
         assert!(r.stats.coverage_curve.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(r.stats.coverage(), r.coverage.points());
         assert_eq!(r.coverage.points(), r.shared_points);
+    }
+
+    /// The shared union equals the committed one when every dispatched
+    /// round committed. A halted pipelined run discards its in-flight
+    /// round, whose slots may already have committed fresh points to the
+    /// shared union, so it can only read more.
+    #[test]
+    fn shared_points_equal_a_completed_run_and_bound_a_halted_one() {
+        for pipelined in [false, true] {
+            let b = CampaignBuilder::new()
+                .backend(boom())
+                .workers(2)
+                .seed(0)
+                .pipelined(pipelined);
+            let done = b.clone().build().unwrap().run(32);
+            assert_eq!(done.shared_points, done.coverage.points());
+            let (halted, snap) = b.halt_after(8).build().unwrap().run_snapshotting(32);
+            assert_eq!(halted.stats.iterations, 8);
+            assert_eq!(snap.pending.is_some(), pipelined);
+            if pipelined {
+                assert!(halted.shared_points >= halted.coverage.points());
+            } else {
+                assert_eq!(halted.shared_points, halted.coverage.points());
+            }
+        }
     }
 
     #[test]
@@ -1668,6 +1636,7 @@ mod tests {
         let pick = triggering(&mut b, &opts.phases).mutate();
         let memo = LineageMemo::default();
         let shared = SharedCoverage::default();
+        let view = CoverageMatrix::new();
         let mut replays = Vec::new();
         for (slot, avg) in [1e9, 1e9, 0.0, 0.0].into_iter().enumerate() {
             b.calls = 0;
@@ -1680,9 +1649,7 @@ mod tests {
                 &opts,
                 slot,
                 &pick,
-                &mut CoverageMatrix::new(),
-                &mut CoverageMatrix::new(),
-                &shared,
+                &mut RecordingCoverage::new(&view, &shared),
                 &mut gain,
                 &memo,
             );

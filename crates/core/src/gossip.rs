@@ -14,11 +14,11 @@
 //! Three contracts keep a gossiping campaign as analysable as a solo
 //! one:
 //!
-//! * **Imports happen only at round boundaries** — the one seam where
-//!   every worker's coverage view equals the global union, so imported
-//!   points ride the existing round-start delta broadcast and determinism
-//!   *within* the shard is untouched (peer timing decides only *which*
-//!   boundary a frame lands at).
+//! * **Imports happen only at round boundaries** — the one seam between
+//!   committing a round and cloning the union into the next round's
+//!   view, so imported points reach the workers with that view and
+//!   determinism *within* the shard is untouched (peer timing decides
+//!   only *which* boundary a frame lands at).
 //! * **Every import is an explicit observer event**
 //!   ([`crate::observer::PeerDeltaImported`],
 //!   [`crate::observer::SeedImported`]) — the telemetry stream accounts

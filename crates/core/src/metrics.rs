@@ -28,7 +28,7 @@ pub struct CoreMetrics {
     /// Per-slot backend run time (the worker's measured `elapsed_nanos`,
     /// observed at commit — no extra clock read).
     pub slot_run_nanos: Arc<Histogram>,
-    /// Per-slot overlay view construction time (steal rounds only).
+    /// Per-slot coverage sink construction time.
     pub view_setup_nanos: Arc<Histogram>,
     /// DIFT taint-census time in phase 2: digesting a simulated run's
     /// taint log into its distinct points and folding them into the
@@ -110,7 +110,7 @@ pub fn handles() -> &'static CoreMetrics {
             ),
             view_setup_nanos: r.histogram(
                 "dejavuzz_view_setup_nanos",
-                "Per-slot overlay coverage view setup time in nanoseconds",
+                "Per-slot coverage sink setup time in nanoseconds",
             ),
             census_nanos: r.histogram(
                 "dejavuzz_census_nanos",

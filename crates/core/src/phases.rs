@@ -222,10 +222,9 @@ pub struct Phase2Result {
 /// Phase 2: transient execution exploration (§4.2) for one window body.
 ///
 /// Generic over the coverage sink so the same code path serves a private
-/// [`dejavuzz_ift::CoverageMatrix`], the concurrent
-/// [`dejavuzz_ift::SharedCoverage`] union, or the executor's
-/// [`dejavuzz_ift::RecordingCoverage`] fan-out — and over the simulation
-/// backend, so the behavioural cores and the netlist simulator share one
+/// [`dejavuzz_ift::CoverageMatrix`] or a campaign slot's
+/// [`dejavuzz_ift::RecordingCoverage`] — and over the simulation backend,
+/// so the behavioural cores and the netlist simulator share one
 /// exploration path.
 pub fn phase2<B: SimBackend + ?Sized, C: TaintCoverage + ?Sized>(
     backend: &mut B,

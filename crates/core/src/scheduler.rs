@@ -31,9 +31,9 @@
 //!    order — corpus picks from the scheduler RNG via the
 //!    [`SeedPolicy`], fresh seeds from the RNG of the slot's logical
 //!    *stream* (`batch` consecutive slots share a stream);
-//! 2. the round-start coverage view (every worker's view equals the
-//!    committed global union at a round boundary) — each slot runs
-//!    against a private overlay, so no slot sees a concurrent slot's
+//! 2. the round's coverage view, one frozen copy of the committed global
+//!    union shipped with the round — each slot judges freshness against
+//!    it with its own sink, so no slot sees a concurrent slot's
 //!    observations;
 //! 3. the round-start gain threshold — each slot folds only its own
 //!    mutation-attempt gains.
@@ -49,7 +49,7 @@
 //! last slot *commits* — while round k+1's stragglers are still running
 //! — instead of idling every worker at a barrier. The price is an
 //! explicit, deterministic **feedback lag** of one round: a pipelined
-//! round is planned from (and its view broadcasts carry) the committed
+//! round is planned from (and its view copies) the committed
 //! coverage/corpus/threshold state as of one round behind the frontier.
 //! Both schedules are the executor's one commit loop: it keeps one round
 //! in flight ahead of the round it commits when the campaign is

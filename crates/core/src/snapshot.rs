@@ -3,10 +3,10 @@
 //! never stopped, plus the cross-machine shard merge.
 //!
 //! A [`CampaignSnapshot`] is taken at a *round boundary* of the executor,
-//! where every worker's deterministic coverage view coincides with the
-//! global union (the round-start delta broadcast guarantees it — see the
-//! executor module docs). That alignment is what makes the restored state
-//! small and the resume *exact*: the snapshot stores one global coverage
+//! where the next round's coverage view is the global union (every round
+//! ships a frozen copy of the committed union — see the executor module
+//! docs). That is what makes the restored state small and the resume
+//! *exact*: the snapshot stores one global coverage
 //! matrix, the corpus, the running gain threshold, the scheduler RNG
 //! position and per-stream `(rng position, iteration count, observed
 //! matrix)` triples — and a resumed run replays the remaining rounds
@@ -42,7 +42,7 @@
 //! [`merge_snapshots`] is the multi-machine story: shards run
 //! independently with disjoint seeds, snapshot locally, and merge into
 //! one report whose coverage is the **exact union** of per-shard
-//! observations (`SharedCoverage` semantics — never a pointwise sum) and
+//! observations (distinct points, never a pointwise sum) and
 //! whose bug list deduplicates by [`BugReport::dedup_key`].
 
 use std::path::Path;
@@ -471,11 +471,11 @@ impl Persist for PlannedSlot {
 }
 
 /// A pipelined round that was dispatched but not fully committed when the
-/// checkpoint landed: its pre-drawn plan, the gain threshold
-/// it was dispatched with, and the coverage points committed *after* its
-/// dispatch (`view_behind`) — the delta the resumed orchestrator replays
-/// into the broadcast log so worker views and the next plan see exactly
-/// the state the uninterrupted run saw.
+/// checkpoint landed: its pre-drawn plan, the gain threshold it was
+/// dispatched with, and the coverage points committed *after* its dispatch
+/// (`view_behind`). The resumed orchestrator ships the round the snapshot's
+/// coverage minus `view_behind`, the view the uninterrupted run shipped it,
+/// so every point in `view_behind` must be in the coverage.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PendingRound {
     /// First global slot index of the round (always the snapshot's
@@ -704,6 +704,21 @@ impl Persist for CampaignSnapshot {
             }
             check_plan(&p.slots, p.first_slot, snap.workers)
                 .map_err(|detail| invalid("CampaignSnapshot::pending", detail))?;
+            // The round's view is the coverage minus `view_behind`, so a
+            // point the coverage lacks names a view no run ever had.
+            if let Some(point) = p
+                .view_behind
+                .iter()
+                .find(|point| !snap.coverage.contains_point(point))
+            {
+                return Err(invalid(
+                    "CampaignSnapshot::pending",
+                    format!(
+                        "view_behind names {}/{}, which the coverage lacks",
+                        point.module, point.index
+                    ),
+                ));
+            }
         }
         Ok(snap)
     }
@@ -782,8 +797,8 @@ pub struct MergeReport {
     /// tightest after-the-fact lower bound — see
     /// [`CampaignStats::merge`]).
     pub stats: CampaignStats,
-    /// The **exact union** of per-shard coverage (`SharedCoverage`
-    /// semantics): distinct points, never a pointwise sum.
+    /// The **exact union** of per-shard coverage: distinct points, never
+    /// a pointwise sum.
     pub coverage: CoverageMatrix,
     /// Sum of per-shard point counts — the figure a naive merge would
     /// have (over-)reported; kept so reports can show the delta.
@@ -1055,6 +1070,10 @@ mod tests {
         let mut snap = sample_snapshot();
         snap.pipelined = true;
         snap.pending = Some(sample_pending(snap.completed));
+        snap.coverage.insert(dejavuzz_ift::CoveragePoint {
+            module: Module::Lsu,
+            index: 3,
+        });
         let decoded = CampaignSnapshot::from_bytes(&snap.to_bytes()).unwrap();
         assert_eq!(decoded, snap, "pipelining and pending round survive");
     }
@@ -1088,6 +1107,23 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// A pending round's view is the coverage minus its `view_behind`, so
+    /// each of those points must be in the coverage: a point outside it
+    /// would sit in no union the resumed run keeps.
+    #[test]
+    fn pending_round_behind_points_outside_the_coverage_fail_decode() {
+        let mut snap = sample_snapshot();
+        snap.pipelined = true;
+        snap.pending = Some(sample_pending(snap.completed));
+        assert_eq!(
+            CampaignSnapshot::from_bytes(&snap.to_bytes()),
+            Err(DecodeError::InvalidValue {
+                what: "CampaignSnapshot::pending",
+                detail: "view_behind names lsu/3, which the coverage lacks".into(),
+            })
+        );
     }
 
     /// A pending round that skips a slot number would hang the resumed

@@ -13,7 +13,6 @@
 //! does not matter, only how many slots do).
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use crate::census::{Census, TaintLog};
 use crate::module::Module;
@@ -28,11 +27,10 @@ pub struct CoveragePoint {
 }
 
 /// Anything that can accumulate taint-coverage observations: the plain
-/// [`CoverageMatrix`], the concurrent [`crate::SharedCoverage`] (through a
-/// shared reference), or composition wrappers like
-/// [`crate::RecordingCoverage`]. Phase 2 of the fuzzing pipeline is generic
-/// over this trait, so the same code path runs on a plain matrix or on the
-/// executor's fan-out.
+/// [`CoverageMatrix`] or the executor's per-slot
+/// [`crate::RecordingCoverage`]. Phase 2 of the fuzzing pipeline is
+/// generic over this trait, so the same code path runs on a plain matrix
+/// or on a campaign slot.
 pub trait TaintCoverage {
     /// Observes one coverage point; true if it was new.
     fn observe_point(&mut self, point: CoveragePoint) -> bool;
@@ -58,19 +56,6 @@ pub trait TaintCoverage {
     }
 }
 
-/// A mutable destination for individual coverage points: the plain
-/// [`CoverageMatrix`] or the two-level [`OverlayCoverage`]. The executor's
-/// iteration pipeline is generic over this trait so a work-stealing slot
-/// can run against a cheap base+overlay pair instead of cloning the whole
-/// round-start matrix.
-pub trait CoverageView {
-    /// Inserts one point; true if it was fresh against this view.
-    fn insert_point(&mut self, point: CoveragePoint) -> bool;
-
-    /// True if the view already holds `point`.
-    fn contains_point(&self, point: &CoveragePoint) -> bool;
-}
-
 /// The accumulated taint coverage of a fuzzing campaign.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CoverageMatrix {
@@ -83,9 +68,7 @@ impl CoverageMatrix {
         CoverageMatrix::default()
     }
 
-    /// Inserts one point directly; true if it was new. This is the primitive
-    /// the pipeline's coverage wrappers build on when they route points
-    /// between a worker-local view and the shared union.
+    /// Inserts one point directly; true if it was new.
     pub fn insert(&mut self, point: CoveragePoint) -> bool {
         self.points.insert(point)
     }
@@ -127,20 +110,15 @@ impl CoverageMatrix {
         self.points.contains(&CoveragePoint { module, index })
     }
 
-    /// How many new points a census *would* add, without committing them.
-    pub fn gain(&self, census: &Census) -> usize {
-        census.points().filter(|p| !self.points.contains(p)).count()
-    }
-
     /// Merges another matrix into this one (multi-threaded campaigns).
     pub fn merge(&mut self, other: &CoverageMatrix) {
         self.points.extend(other.points.iter().copied());
     }
 
-    /// Removes one point; true if it was present. Used when reconstructing
-    /// a mid-pipeline resume state: the snapshot's coverage minus the
-    /// points committed after the pending round was planned gives each
-    /// worker's dispatch-time view.
+    /// Removes one point; true if it was present. Used when resuming
+    /// mid-pipeline: the snapshot's coverage minus the points committed
+    /// after the pending round's dispatch is the view that round ran
+    /// against.
     pub fn remove(&mut self, point: &CoveragePoint) -> bool {
         self.points.remove(point)
     }
@@ -169,33 +147,21 @@ impl TaintCoverage for CoverageMatrix {
     }
 }
 
-impl CoverageView for CoverageMatrix {
-    fn insert_point(&mut self, point: CoveragePoint) -> bool {
-        self.insert(point)
-    }
-
-    fn contains_point(&self, point: &CoveragePoint) -> bool {
-        CoverageMatrix::contains_point(self, point)
-    }
-}
-
-/// A coverage union with an append-only discovery log: the delta-since-
-/// watermark primitive behind every incremental coverage exchange in the
-/// workspace.
+/// A coverage union with an append-only discovery log: the campaign's
+/// committed union, plus "every point it gained since a cursor", in
+/// discovery order.
 ///
-/// The executor's round-start view broadcasts and the fleet gossip
-/// protocol both need the same thing: "every point the union gained since
-/// the last time *this consumer* looked", in discovery order, without
-/// re-shipping the whole matrix. A [`CoverageLog`] is a
-/// [`CoverageMatrix`] plus the ordered log of points inserted *through*
-/// it; consumers hold a [`CoverageLog::watermark`] cursor and read
-/// [`CoverageLog::delta_since`] — each delta is O(points gained), never
-/// O(coverage space).
+/// The executor reads deltas from it twice: the gossip export publishes
+/// the points gained since the last exchange, and a checkpoint records
+/// the points committed since the in-flight round's dispatch (its
+/// `view_behind`). A consumer holds a [`CoverageLog::watermark`] cursor
+/// and reads [`CoverageLog::delta_since`]; each delta is O(points
+/// gained), never O(coverage space).
 ///
 /// Points present at construction ([`CoverageLog::seeded`], the
-/// snapshot-resume path) are deliberately *not* in the log: a restored
-/// consumer's view already holds them, so only post-restore discoveries
-/// need broadcasting — exactly the executor's resume contract.
+/// snapshot-resume path) are deliberately *not* in the log: they were
+/// committed before the snapshot, so only post-restore discoveries
+/// appear in a delta.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CoverageLog {
     matrix: CoverageMatrix,
@@ -227,20 +193,6 @@ impl CoverageLog {
         fresh
     }
 
-    /// Re-appends already-present points to the log without touching the
-    /// matrix. This is the mid-pipeline resume splice: points committed
-    /// after an in-flight round was dispatched are in the restored union
-    /// but still owed to consumers whose cursors predate them.
-    pub fn replay(&mut self, points: &[CoveragePoint]) {
-        for p in points {
-            debug_assert!(
-                self.matrix.contains_point(p),
-                "replay is for points the union already holds"
-            );
-            self.log.push(*p);
-        }
-    }
-
     /// The current log position. A consumer that stores this and later
     /// calls [`CoverageLog::delta_since`] with it sees exactly the points
     /// inserted in between, in discovery order.
@@ -248,8 +200,7 @@ impl CoverageLog {
         self.log.len()
     }
 
-    /// Every point inserted (or [`CoverageLog::replay`]ed) since
-    /// `watermark`, in order.
+    /// Every point inserted since `watermark`, in order.
     pub fn delta_since(&self, watermark: usize) -> &[CoveragePoint] {
         &self.log[watermark.min(self.log.len())..]
     }
@@ -277,69 +228,6 @@ impl CoverageLog {
     /// Iterates the union in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = &CoveragePoint> {
         self.matrix.iter()
-    }
-}
-
-impl CoverageView for CoverageLog {
-    fn insert_point(&mut self, point: CoveragePoint) -> bool {
-        self.insert(point)
-    }
-
-    fn contains_point(&self, point: &CoveragePoint) -> bool {
-        CoverageLog::contains_point(self, point)
-    }
-}
-
-/// A two-level coverage view: a frozen, `Arc`-shared round-start base plus
-/// a small private overlay holding only the points this slot discovered.
-///
-/// Work-stealing slots used to clone the worker's entire `CoverageMatrix`
-/// per slot, an O(coverage-space) setup cost that dominates once coverage
-/// reaches netlist scale. An overlay costs O(points found this slot):
-/// lookups consult the shared base first, inserts land in the overlay only
-/// when the base does not already hold the point.
-#[derive(Clone, Debug)]
-pub struct OverlayCoverage {
-    base: Arc<CoverageMatrix>,
-    overlay: CoverageMatrix,
-}
-
-impl OverlayCoverage {
-    /// A fresh overlay over a frozen base.
-    pub fn new(base: Arc<CoverageMatrix>) -> Self {
-        OverlayCoverage {
-            base,
-            overlay: CoverageMatrix::new(),
-        }
-    }
-
-    /// Points found through this view that the base did not already hold.
-    pub fn overlay(&self) -> &CoverageMatrix {
-        &self.overlay
-    }
-
-    /// Total distinct points visible through the view (base + overlay).
-    pub fn points(&self) -> usize {
-        self.base.points() + self.overlay.points()
-    }
-}
-
-impl CoverageView for OverlayCoverage {
-    fn insert_point(&mut self, point: CoveragePoint) -> bool {
-        if self.base.contains_point(&point) {
-            return false;
-        }
-        self.overlay.insert(point)
-    }
-
-    fn contains_point(&self, point: &CoveragePoint) -> bool {
-        self.base.contains_point(point) || self.overlay.contains_point(point)
-    }
-}
-
-impl TaintCoverage for OverlayCoverage {
-    fn observe_point(&mut self, point: CoveragePoint) -> bool {
-        self.insert_point(point)
     }
 }
 
@@ -391,18 +279,8 @@ mod tests {
         // hence the same coverage point — the paper's redundancy filter.
         let mut m = CoverageMatrix::new();
         m.observe(&census(&[(Module::Dcache, 1)])); // slot 0 tainted
-        let gain = m.gain(&census(&[(Module::Dcache, 1)])); // slot 7 tainted
+        let gain = m.observe(&census(&[(Module::Dcache, 1)])); // slot 7 tainted
         assert_eq!(gain, 0);
-    }
-
-    #[test]
-    fn gain_previews_without_commit() {
-        let mut m = CoverageMatrix::new();
-        let c = census(&[(Module::Rob, 3), (Module::Lsu, 1)]);
-        assert_eq!(m.gain(&c), 2);
-        assert_eq!(m.points(), 0, "gain must not mutate");
-        m.observe(&c);
-        assert_eq!(m.gain(&c), 0);
     }
 
     #[test]
@@ -518,68 +396,9 @@ mod tests {
     }
 
     #[test]
-    fn replay_reappends_without_reinserting() {
-        let mut base = CoverageMatrix::new();
-        base.insert(pt(Module::Rob, 3));
-        base.insert(pt(Module::Lsu, 1));
-        let mut log = CoverageLog::seeded(base);
-        log.replay(&[pt(Module::Lsu, 1)]);
-        assert_eq!(log.points(), 2, "replay never grows the union");
-        assert_eq!(log.delta_since(0), &[pt(Module::Lsu, 1)]);
-        assert_eq!(log.watermark(), 1);
-    }
-
-    #[test]
     fn delta_since_a_future_watermark_is_empty() {
         let mut log = CoverageLog::new();
         log.insert(pt(Module::Rob, 3));
         assert!(log.delta_since(99).is_empty());
-    }
-
-    #[test]
-    fn overlay_filters_points_the_base_already_holds() {
-        let mut base = CoverageMatrix::new();
-        base.observe(&census(&[(Module::Rob, 3)]));
-        let mut view = OverlayCoverage::new(Arc::new(base));
-
-        // A base point is not fresh and never lands in the overlay.
-        assert_eq!(view.observe(&census(&[(Module::Rob, 3)])), 0);
-        assert_eq!(view.overlay().points(), 0);
-
-        // A genuinely new point is fresh exactly once.
-        assert_eq!(view.observe(&census(&[(Module::Lsu, 1)])), 1);
-        assert_eq!(view.observe(&census(&[(Module::Lsu, 1)])), 0);
-        assert_eq!(view.overlay().points(), 1);
-        assert!(view.overlay().contains(Module::Lsu, 1));
-
-        // The combined view sees both levels.
-        assert!(view.contains_point(&CoveragePoint {
-            module: Module::Rob,
-            index: 3
-        }));
-        assert!(view.contains_point(&CoveragePoint {
-            module: Module::Lsu,
-            index: 1
-        }));
-        assert_eq!(view.points(), 2);
-    }
-
-    #[test]
-    fn overlay_matches_a_full_clone_observation_for_observation() {
-        // The overlay replaces steal-mode's per-slot full-view clone; the
-        // freshness verdicts must be identical to observing into the clone.
-        let mut start = CoverageMatrix::new();
-        start.observe(&census(&[(Module::Rob, 1), (Module::Rob, 2)]));
-        let rounds = [
-            census(&[(Module::Rob, 1), (Module::Lsu, 4)]),
-            census(&[(Module::Rob, 2), (Module::Lsu, 4), (Module::Dcache, 7)]),
-        ];
-
-        let mut cloned = start.clone();
-        let mut overlaid = OverlayCoverage::new(Arc::new(start));
-        for c in &rounds {
-            assert_eq!(cloned.observe(c), overlaid.observe(c));
-        }
-        assert_eq!(cloned.points(), overlaid.points());
     }
 }

@@ -31,6 +31,9 @@
 //!   taint sum (Figure 6's y-axis),
 //! * [`coverage::CoverageMatrix`] — the taint coverage matrix: one bitmap
 //!   slot per (module, tainted-register-count) tuple (§4.2.2),
+//! * [`shared::SharedCoverage`] — the exact union a campaign's parallel
+//!   workers commit to, and [`shared::RecordingCoverage`], the sink one
+//!   campaign slot folds its observations through,
 //! * [`liveness`] — taint liveness annotations binding buffer arrays to
 //!   their state registers, and the exploitability filter of §4.3.2.
 //!
@@ -65,9 +68,7 @@ pub mod shared;
 pub mod tword;
 
 pub use census::{Census, ModuleCensus, TaintLog};
-pub use coverage::{
-    CoverageLog, CoverageMatrix, CoveragePoint, CoverageView, OverlayCoverage, TaintCoverage,
-};
+pub use coverage::{CoverageLog, CoverageMatrix, CoveragePoint, TaintCoverage};
 pub use liveness::{LivenessMask, SinkReport};
 pub use mem::TMem;
 pub use module::Module;

@@ -268,11 +268,6 @@ impl IsaSim {
         self.pc
     }
 
-    /// Redirects the PC (trap vector entry, swap continuation, …).
-    pub fn set_pc(&mut self, pc: u64) {
-        self.pc = pc;
-    }
-
     /// Reads an integer register (x0 is always 0).
     pub fn reg(&self, r: Reg) -> u64 {
         self.regs[r.index()]

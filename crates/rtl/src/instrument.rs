@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use dejavuzz_ift::IftMode;
 
 use crate::builder::NetlistBuilder;
-use crate::ir::{CellKind, MemId, Netlist, SignalId};
+use crate::ir::{CellKind, Netlist, SignalId};
 
 /// Statistics of an instrumentation run (feeds the Table 4 compile rows).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -207,12 +207,6 @@ fn flatten_memories(netlist: &Netlist) -> Netlist {
         b.output(name.clone(), map[*sig]);
     }
     b.finish()
-}
-
-/// Remaps memory ids after flattening (none remain); kept for callers that
-/// want to assert the invariant.
-pub fn mems_after_flatten(_mem: MemId) -> Option<MemId> {
-    None
 }
 
 #[cfg(test)]

@@ -292,14 +292,6 @@ impl SwapMem {
         }
     }
 
-    /// Replaces the secret pair without touching anything else — the
-    /// paper's cheap false-negative mitigation ("by leveraging the
-    /// dedicated region […] DejaVuzz can directly load different secret
-    /// pairs to mitigate false negatives without regenerating the input").
-    pub fn reload_secret(&mut self, secret: &[u8]) {
-        self.plant_secret(secret);
-    }
-
     /// Writes plain (untainted, plane-identical) bytes, e.g. mutable
     /// operands in the dedicated region or data-region contents.
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) {
@@ -409,11 +401,6 @@ impl SwapMem {
     /// [`TrapAction::NextPacket`] and flushes its instruction cache.
     pub fn take_icache_flush(&mut self) -> bool {
         std::mem::take(&mut self.icache_flush_pending)
-    }
-
-    /// Index of the packet that will be swapped in next.
-    pub fn upcoming_packet(&self) -> usize {
-        self.next_packet
     }
 
     fn perms_at(&self, addr: u64) -> Perms {

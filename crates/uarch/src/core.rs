@@ -107,7 +107,6 @@ struct PendingStore {
 #[derive(Clone, Debug)]
 struct RobEntry {
     pc: TWord,
-    instr: Instr,
     packet: usize,
     unit: Unit,
     done_at: u64,
@@ -678,7 +677,7 @@ impl Core {
                 Ok(w) => w,
                 Err(e) => {
                     // Fetch fault: enqueue a faulting placeholder.
-                    self.enqueue_exception(pc, Instr::Illegal(0), e);
+                    self.enqueue_exception(pc, e);
                     self.pc = pc.add(TWord::lit(4));
                     continue;
                 }
@@ -701,11 +700,10 @@ impl Core {
         })
     }
 
-    fn enqueue_exception(&mut self, pc: TWord, instr: Instr, e: Exception) {
+    fn enqueue_exception(&mut self, pc: TWord, e: Exception) {
         let snapshot = Some(self.snapshot());
         self.push_entry(RobEntry {
             pc,
-            instr,
             packet: self.packet,
             unit: Unit::Sys,
             done_at: self.cycle + self.cfg.exception_commit_delay,
@@ -805,7 +803,6 @@ impl Core {
 
         let mut entry = RobEntry {
             pc,
-            instr,
             packet: self.packet,
             unit: Unit::Alu,
             done_at: issue_at + 1,
@@ -1398,35 +1395,6 @@ impl Core {
         self.dcache.census(c);
         self.lfb.census(c);
         self.tlb.census(c);
-    }
-
-    /// Disassembles the reorder buffer for bug reports and debugging:
-    /// one line per entry with its lifecycle state.
-    pub fn rob_disassembly(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for (i, e) in self.rob.iter().enumerate() {
-            let state = if e.squashed {
-                "squashed"
-            } else if e.committed {
-                "committed"
-            } else {
-                "in-flight"
-            };
-            let _ = writeln!(
-                out,
-                "[{i:>4}] {:#010x} {:<28} {:<9} done@{} pkt{}{}",
-                e.pc.a,
-                e.instr.to_string(),
-                state,
-                e.done_at,
-                e.packet,
-                e.exception
-                    .map(|x| format!(" !{}", x.mnemonic()))
-                    .unwrap_or_default(),
-            );
-        }
-        out
     }
 
     /// Final tainted-sink sweep with liveness annotations (§4.3.2).

@@ -638,11 +638,13 @@ proptest! {
     /// Folding a taint log's distinct points, as the executor's run
     /// digests do, has exactly the effect of folding the log census by
     /// census. The log repeats whole censuses, reports zero counts,
-    /// reorders and drops modules, and brings points back cycles later;
-    /// both folds start from the same partly populated view and observed
-    /// matrix, and must agree on the fresh count, the `recorded` and
-    /// `observed_recorded` sequences and the view, observed and shared
-    /// sets.
+    /// reorders and drops modules, and brings points back cycles later.
+    /// Both folds run through a slot's sink over the same partly populated
+    /// round view and a shared union that holds more than the view. Both
+    /// must equal the fan-out the sink replaced, written out here as the
+    /// reference: the round view plus a per-slot overlay, and a separate
+    /// observed set, folded census by census. All three agree on the
+    /// fresh count, the fresh and observed sequences and the shared set.
     #[test]
     fn digest_fold_equals_census_fold(draws in any::<u64>(), cycles in 0usize..48) {
         use dejavuzz::rand::rngs::StdRng;
@@ -671,47 +673,57 @@ proptest! {
             }
             log.push(prev.clone());
         }
-        let start: Vec<CoveragePoint> = (0..rng.gen_range(0..6))
-            .map(|_| CoveragePoint {
-                module: MODULES[rng.gen_range(0..4)],
-                index: rng.gen_range(1..4),
-            })
-            .collect();
+        let point = |rng: &mut StdRng| CoveragePoint {
+            module: MODULES[rng.gen_range(0..4)],
+            index: rng.gen_range(1..4),
+        };
+        let mut view = CoverageMatrix::new();
+        for _ in 0..rng.gen_range(0..6) {
+            view.insert(point(&mut rng));
+        }
+        // The shared union holds the round view plus whatever other slots
+        // committed since the round's dispatch; freshness must not read
+        // those.
+        let mut live = view.clone();
+        for _ in 0..rng.gen_range(0..4) {
+            live.insert(point(&mut rng));
+        }
+        let seeded = || {
+            let shared = SharedCoverage::default();
+            for p in live.iter() {
+                shared.observe_point(*p);
+            }
+            shared
+        };
 
         let fold = |by_digest: bool| {
-            let mut view = CoverageMatrix::new();
-            let mut observed = CoverageMatrix::new();
-            for (i, p) in start.iter().enumerate() {
-                if i % 2 == 0 {
-                    view.insert(*p);
-                } else {
-                    observed.insert(*p);
-                }
-            }
-            let shared = SharedCoverage::default();
-            let (mut recorded, mut observed_recorded) = (Vec::new(), Vec::new());
-            let mut sink = RecordingCoverage {
-                view: &mut view,
-                recorded: &mut recorded,
-                observed: &mut observed,
-                observed_recorded: &mut observed_recorded,
-                shared: &shared,
-            };
+            let shared = seeded();
+            let mut sink = RecordingCoverage::new(&view, &shared);
             let fresh = if by_digest {
                 sink.observe_points(&log.distinct_points())
             } else {
                 sink.observe_log(&log)
             };
-            (
-                fresh,
-                recorded,
-                observed_recorded,
-                view.sorted_points(),
-                observed.sorted_points(),
-                shared.snapshot().sorted_points(),
-            )
+            (fresh, sink.fresh, sink.observed, shared.snapshot().sorted_points())
         };
-        prop_assert_eq!(fold(true), fold(false));
+        let reference = {
+            let shared = seeded();
+            let (mut overlay, mut observed) = (CoverageMatrix::new(), CoverageMatrix::new());
+            let (mut fresh, mut recorded, mut observed_recorded) = (0, Vec::new(), Vec::new());
+            for p in log.iter().flat_map(|(_, c)| c.points()) {
+                if observed.insert(p) {
+                    observed_recorded.push(p);
+                }
+                if !view.contains_point(&p) && overlay.insert(p) {
+                    shared.observe_point(p);
+                    recorded.push(p);
+                    fresh += 1;
+                }
+            }
+            (fresh, recorded, observed_recorded, shared.snapshot().sorted_points())
+        };
+        prop_assert_eq!(fold(true), reference.clone());
+        prop_assert_eq!(fold(false), reference);
     }
 }
 
