@@ -238,14 +238,15 @@ pub trait SimBackend: Send + fmt::Debug {
 /// `dejavuzz-uarch`, exactly as the phases called them before the seam
 /// existed.
 ///
-/// The backend builds its swap memory on its first run and resets and
-/// reloads that one memory before every later run, which leaves each
-/// run's answer exactly what a fresh [`build_mem`] gives.
+/// The backend builds its swap memory and its core on its first run and
+/// resets them before every later one (the memory reloaded, the core in
+/// the run's mode), which leaves each run's answer exactly what a fresh
+/// [`build_mem`] and [`Core::new`] give.
 #[derive(Clone)]
 pub struct BehaviouralBackend {
     cfg: CoreConfig,
-    /// The memory of the last run, if any ran.
-    mem: Option<SwapMem>,
+    /// The memory and core of the last run, if any ran.
+    sim: Option<(SwapMem, Core)>,
 }
 
 impl fmt::Debug for BehaviouralBackend {
@@ -258,9 +259,9 @@ impl fmt::Debug for BehaviouralBackend {
 
 impl BehaviouralBackend {
     /// A backend over one core configuration. Construction does no work:
-    /// the swap memory is built on the first run.
+    /// the swap memory and the core are built on the first run.
     pub fn new(cfg: CoreConfig) -> Self {
-        BehaviouralBackend { cfg, mem: None }
+        BehaviouralBackend { cfg, sim: None }
     }
 
     /// The wrapped core configuration.
@@ -268,18 +269,27 @@ impl BehaviouralBackend {
         &self.cfg
     }
 
-    /// The memory for a run of `schedule`: built on the first run, reset
-    /// and reloaded on every later one.
-    fn reload(&mut self, plan: &TransientPlan, schedule: &[SwapPacket]) -> &mut SwapMem {
-        let mem = match self.mem.take() {
-            Some(mut mem) => {
-                mem.reset();
-                load_mem(&mut mem, plan, schedule, &DEFAULT_SECRET);
-                mem
+    /// The memory and core for a run of `schedule` in `mode`: built on
+    /// the first run, reset (the memory reloaded) on every later one.
+    fn reload(
+        &mut self,
+        plan: &TransientPlan,
+        schedule: &[SwapPacket],
+        mode: IftMode,
+    ) -> (&mut SwapMem, &mut Core) {
+        match &mut self.sim {
+            Some((mem, core)) => {
+                mem.reset_with_schedule(schedule);
+                load_mem(mem, plan, &DEFAULT_SECRET);
+                core.reset(mode);
             }
-            None => build_mem(plan, schedule, &DEFAULT_SECRET),
-        };
-        self.mem.insert(mem)
+            None => {
+                let mem = build_mem(plan, schedule, &DEFAULT_SECRET);
+                self.sim = Some((mem, Core::new(self.cfg, mode)));
+            }
+        }
+        let (mem, core) = self.sim.as_mut().expect("built above");
+        (mem, core)
     }
 }
 
@@ -307,9 +317,8 @@ impl SimBackend for BehaviouralBackend {
         mode: IftMode,
         max_cycles: u64,
     ) -> Result<RunOutcome, BackendError> {
-        let cfg = self.cfg;
-        let mem = self.reload(plan, schedule);
-        Ok(Core::new(cfg, mode).run(mem, max_cycles).into())
+        let (mem, core) = self.reload(plan, schedule, mode);
+        Ok(core.run(mem, max_cycles).into())
     }
 }
 
@@ -1106,8 +1115,9 @@ mod tests {
     }
 
     /// After runs of every window type, each with a full window body that
-    /// stores, the backend's reloaded memory is exactly the memory
-    /// `build_mem` builds for the next request.
+    /// stores, in every IFT mode, the backend's reloaded memory is exactly
+    /// the memory `build_mem` builds for the next request, and its reset
+    /// core a new core in the next request's mode.
     #[test]
     fn behavioural_backend_reloads_a_fresh_memory() {
         let requests: Vec<(TransientPlan, Vec<SwapPacket>)> = WindowType::ALL
@@ -1122,13 +1132,17 @@ mod tests {
             })
             .collect();
         let mut backend = BehaviouralBackend::new(boom_small());
+        let mode = |i: usize| IftMode::ALL[i % IftMode::ALL.len()];
         for (i, (plan, schedule)) in requests.iter().enumerate() {
-            backend
-                .run(plan, schedule, IftMode::DiffIft, 20_000)
-                .unwrap();
+            backend.run(plan, schedule, mode(i), 20_000).unwrap();
             let (plan, schedule) = &requests[(i + 1) % requests.len()];
             let fresh = build_mem(plan, schedule, &DEFAULT_SECRET);
-            assert!(*backend.reload(plan, schedule) == fresh, "after run {i}");
+            let (mem, core) = backend.reload(plan, schedule, mode(i + 1));
+            assert!(*mem == fresh, "memory after run {i}");
+            assert!(
+                *core == Core::new(boom_small(), mode(i + 1)),
+                "core after run {i}"
+            );
         }
     }
 

@@ -513,13 +513,14 @@ pub const COND_SLOT: u64 = 0xE100;
 /// operand setup, §4.1.1).
 pub const COND_PTR: u64 = 0xE200;
 
-/// Data-region initialisation every generated stimulus needs.
-pub fn data_init() -> Vec<(u64, Vec<u8>)> {
-    vec![
-        (DISAMB_SLOT, DEFAULT_LAYOUT.secret.to_le_bytes().to_vec()),
-        (DISAMB_DUMMY, vec![0u8; 8]),
-        (COND_SLOT, vec![0u8; 8]),
-        (COND_PTR, COND_SLOT.to_le_bytes().to_vec()),
+/// Data-region initialisation every generated stimulus needs: one
+/// doubleword per address.
+pub fn data_init() -> [(u64, [u8; 8]); 4] {
+    [
+        (DISAMB_SLOT, DEFAULT_LAYOUT.secret.to_le_bytes()),
+        (DISAMB_DUMMY, [0; 8]),
+        (COND_SLOT, [0; 8]),
+        (COND_PTR, COND_SLOT.to_le_bytes()),
     ]
 }
 

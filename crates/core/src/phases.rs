@@ -54,24 +54,21 @@ pub const DEFAULT_SECRET: [u8; 8] = [0x5A, 0xC3, 0x01, 0xFE, 0x77, 0x88, 0x10, 0
 /// Builds a ready-to-run [`SwapMem`] for a plan + schedule.
 pub fn build_mem(plan: &TransientPlan, schedule: &[SwapPacket], secret: &[u8]) -> SwapMem {
     let mut mem = SwapMem::new(DEFAULT_LAYOUT);
-    load_mem(&mut mem, plan, schedule, secret);
+    mem.set_schedule(schedule.to_vec());
+    load_mem(&mut mem, plan, secret);
     mem
 }
 
-/// Loads a plan + schedule into a fresh or freshly [`SwapMem::reset`]
-/// memory of the default layout, making it what [`build_mem`] returns.
-pub(crate) fn load_mem(
-    mem: &mut SwapMem,
-    plan: &TransientPlan,
-    schedule: &[SwapPacket],
-    secret: &[u8],
-) {
+/// Loads a plan's data and secret into a memory of the default layout
+/// that is new apart from its schedule (fresh, or reset with
+/// [`SwapMem::reset_with_schedule`]), making it what [`build_mem`]
+/// returns.
+pub(crate) fn load_mem(mem: &mut SwapMem, plan: &TransientPlan, secret: &[u8]) {
     for (addr, bytes) in gen::data_init() {
         mem.write_bytes(addr, &bytes);
     }
     mem.plant_secret(secret);
     mem.set_secret_policy(plan.secret_policy);
-    mem.set_schedule(schedule.to_vec());
 }
 
 /// Runs one simulation of a schedule on the given backend.
@@ -363,17 +360,17 @@ pub fn phase3<B: SimBackend + ?Sized>(
     let last = schedule.len() - 1;
     schedule[last] = sanitized_pkt;
     let sanitized = simulate(backend, &p1.plan, &schedule, opts.mode, opts.max_cycles)?;
-    let sanitized_tainted: std::collections::HashSet<(Module, String, usize)> = sanitized
+    let sanitized_tainted: std::collections::HashSet<(Module, &str, usize)> = sanitized
         .sinks
         .iter()
-        .map(|s| (s.module, s.array.clone(), s.index))
+        .map(|s| (s.module, s.array.as_str(), s.index))
         .collect();
 
     // Step 3.2 tainted sink liveness analysis.
     let mut rejected_residue = 0;
     let mut rejected_sanitized = 0;
     for sink in &p2.run.sinks {
-        if sanitized_tainted.contains(&(sink.module, sink.array.clone(), sink.index)) {
+        if sanitized_tainted.contains(&(sink.module, sink.array.as_str(), sink.index)) {
             rejected_sanitized += 1;
             continue;
         }

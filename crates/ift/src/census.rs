@@ -130,7 +130,7 @@ impl Census {
 /// [`TaintLog::taint_increased_in`]) look at each run once.
 /// [`TaintLog::push_ref`] lets a simulator fill one reused [`Census`] per
 /// cycle and have it cloned only when it differs from the last cycle's.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TaintLog {
     /// Each run of equal consecutive censuses, once, in cycle order.
     /// Consecutive runs differ.

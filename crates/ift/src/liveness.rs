@@ -79,19 +79,19 @@ impl SinkReport {
 /// liveness bit. The two iterators are zipped, so a mismatched length simply
 /// truncates to the shorter one (mirroring a hardware vector width
 /// mismatch, which the annotation interface forbids but a sweep tolerates).
+/// Only a tainted slot allocates, for its report's array name.
 pub fn sweep_sinks(
     module: Module,
-    array: impl Into<String>,
+    array: &str,
     taints: impl IntoIterator<Item = u64>,
     live: impl IntoIterator<Item = bool>,
     out: &mut Vec<SinkReport>,
 ) {
-    let array = array.into();
     for (index, (taint, live)) in taints.into_iter().zip(live).enumerate() {
         if taint != 0 {
             out.push(SinkReport {
                 module,
-                array: array.clone(),
+                array: array.to_owned(),
                 index,
                 taint,
                 live,

@@ -7,12 +7,27 @@ use crate::encode::encode;
 use crate::instr::{Instr, Reg};
 
 /// An assembled program: a base address plus 32-bit instruction words.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
+#[derive(Debug, PartialEq, Eq, Default)]
 pub struct Program {
     /// Address of the first word.
     pub base: u64,
     /// Encoded instruction words, contiguous from `base`.
     pub words: Vec<u32>,
+}
+
+impl Clone for Program {
+    fn clone(&self) -> Self {
+        Program {
+            base: self.base,
+            words: self.words.clone(),
+        }
+    }
+
+    /// Copies `source` into this program's word buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.base = source.base;
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl Program {

@@ -534,28 +534,22 @@ impl Instr {
         }
     }
 
-    /// Integer source registers read by this instruction.
-    pub fn sources(self) -> Vec<Reg> {
-        let mut v = Vec::with_capacity(2);
-        match self {
+    /// Integer source registers read by this instruction, `x0` excluded,
+    /// in operand order.
+    pub fn sources(self) -> impl Iterator<Item = Reg> {
+        let regs = match self {
             Instr::Jalr { rs1, .. }
             | Instr::Load { rs1, .. }
             | Instr::OpImm { rs1, .. }
             | Instr::FLoad { rs1, .. }
-            | Instr::FmvDX { rs1, .. } => v.push(rs1),
-            Instr::Branch { rs1, rs2, .. } | Instr::Op { rs1, rs2, .. } => {
-                v.push(rs1);
-                v.push(rs2);
-            }
-            Instr::Store { rs1, rs2, .. } => {
-                v.push(rs1);
-                v.push(rs2);
-            }
-            Instr::FStore { rs1, .. } => v.push(rs1),
-            _ => {}
-        }
-        v.retain(|r| *r != Reg::ZERO);
-        v
+            | Instr::FmvDX { rs1, .. }
+            | Instr::FStore { rs1, .. } => [rs1, Reg::ZERO],
+            Instr::Branch { rs1, rs2, .. }
+            | Instr::Op { rs1, rs2, .. }
+            | Instr::Store { rs1, rs2, .. } => [rs1, rs2],
+            _ => [Reg::ZERO; 2],
+        };
+        regs.into_iter().filter(|&r| r != Reg::ZERO)
     }
 }
 
@@ -799,7 +793,16 @@ mod tests {
             rs1: Reg::ZERO,
             rs2: Reg::A1,
         };
-        assert_eq!(i.sources(), vec![Reg::A1]);
+        assert_eq!(i.sources().collect::<Vec<_>>(), [Reg::A1]);
+        let store = Instr::Store {
+            op: StoreOp::Sd,
+            rs2: Reg::A2,
+            rs1: Reg::A3,
+            offset: 8,
+        };
+        assert_eq!(store.sources().collect::<Vec<_>>(), [Reg::A3, Reg::A2]);
+        assert_eq!(Instr::NOP.sources().count(), 0);
+        assert_eq!(Instr::Ecall.sources().count(), 0);
     }
 
     #[test]

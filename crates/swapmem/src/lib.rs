@@ -32,6 +32,8 @@
 //! pages and clears everything else `SwapMem::new` sets, so one memory can
 //! serve run after run without reallocating or re-zeroing its planes, and
 //! a packet swap zeroes only the written pages of the swappable region.
+//! [`SwapMem::reset_with_schedule`] also copies the next schedule into the
+//! buffers of the last one.
 
 pub mod migrate;
 
@@ -116,7 +118,7 @@ pub enum PacketKind {
 }
 
 /// One swappable instruction sequence.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct SwapPacket {
     /// Diagnostic name (e.g. `"trigger_train_0"`).
     pub name: String,
@@ -127,6 +129,25 @@ pub struct SwapPacket {
     pub program: Program,
     /// Entry PC the DUT is redirected to after the swap.
     pub entry: u64,
+}
+
+impl Clone for SwapPacket {
+    fn clone(&self) -> Self {
+        SwapPacket {
+            name: self.name.clone(),
+            kind: self.kind,
+            program: self.program.clone(),
+            entry: self.entry,
+        }
+    }
+
+    /// Copies `source` into this packet's name and word buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.name.clone_from(&source.name);
+        self.kind = source.kind;
+        self.program.clone_from(&source.program);
+        self.entry = source.entry;
+    }
 }
 
 impl SwapPacket {
@@ -229,6 +250,17 @@ impl SwapMem {
         self.secret_policy = SecretPolicy::default();
         self.secret_len = 0;
         self.icache_flush_pending = false;
+    }
+
+    /// [`SwapMem::reset`], then [`SwapMem::set_schedule`] with a copy of
+    /// `packets` made in the buffers of the schedule the reset cleared
+    /// (each packet is `clone_from` its source), so a memory reused run
+    /// after run does not reallocate its schedule.
+    pub fn reset_with_schedule(&mut self, packets: &[SwapPacket]) {
+        let mut schedule = std::mem::take(&mut self.schedule);
+        self.reset();
+        packets.clone_into(&mut schedule);
+        self.set_schedule(schedule);
     }
 
     /// Marks the pages holding the `len` bytes at offset `off` written.
@@ -894,6 +926,23 @@ mod tests {
             scribble(&mut m);
             scribble(&mut fresh);
             assert!(m == fresh, "{l:?}");
+            // Resetting with a schedule shorter or longer than the one it
+            // replaces equals a new memory given that schedule.
+            let schedule: Vec<SwapPacket> = ["a", "a longer name", "b"]
+                .iter()
+                .enumerate()
+                .map(|(i, name)| {
+                    let base = l.swappable + 0x100 * i as u64;
+                    packet(name, PacketKind::Transient, base, &[Instr::NOP; 3][..i])
+                })
+                .collect();
+            for n in [1, 3] {
+                scribble(&mut m);
+                m.reset_with_schedule(&schedule[..n]);
+                let mut fresh = SwapMem::new(l);
+                fresh.set_schedule(schedule[..n].to_vec());
+                assert!(m == fresh, "{l:?} {n}");
+            }
         }
     }
 

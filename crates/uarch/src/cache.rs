@@ -42,7 +42,7 @@ impl Probe {
 
 /// A direct-mapped cache directory (tags only; data lives in the backing
 /// store). Used for both the I-cache and the D-cache.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cache {
     module: Module,
     /// Per-line tag, per plane (`None` = invalid).
@@ -167,17 +167,21 @@ impl Cache {
     }
 
     /// Per-line validity (plane union) — the line liveness vector.
-    pub fn valid_vec(&self) -> Vec<bool> {
+    pub fn valid(&self) -> impl Iterator<Item = bool> + '_ {
         self.tags_a
             .iter()
             .zip(&self.tags_b)
             .map(|(a, b)| a.is_some() || b.is_some())
-            .collect()
     }
 
     /// Per-line data taints.
     pub fn taints(&self) -> impl Iterator<Item = u64> + '_ {
         self.line_taint.iter().copied()
+    }
+
+    /// Lines whose data is tainted: the kept census count.
+    pub fn tainted(&self) -> usize {
+        self.tainted
     }
 
     /// Number of lines resident in plane 1 but not plane 2 or vice versa —
@@ -215,7 +219,7 @@ impl Cache {
 }
 
 /// One miss-status holding register plus its line-fill-buffer slot.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Mshr {
     /// MSHR state register: high while the refill is in flight.
     valid: bool,
@@ -232,7 +236,7 @@ struct Mshr {
 /// "Once the cache line refill is completed, MSHR switches its state
 /// register to invalid to indicate that the data in the LFB is outdated
 /// instead of clearing the LFB" (§3.1).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LineFillBuffer {
     entries: Vec<Mshr>,
     next: usize,
@@ -285,13 +289,18 @@ impl LineFillBuffer {
 
     /// The `mshr_valid_vec` liveness signal of the paper's annotation
     /// listing.
-    pub fn mshr_valid_vec(&self) -> Vec<bool> {
-        self.entries.iter().map(|e| e.valid).collect()
+    pub fn mshr_valid(&self) -> impl Iterator<Item = bool> + '_ {
+        self.entries.iter().map(|e| e.valid)
     }
 
     /// Per-slot fill-data taints.
     pub fn taints(&self) -> impl Iterator<Item = u64> + '_ {
         self.entries.iter().map(|e| e.data.t)
+    }
+
+    /// Slots whose fill data is tainted: the kept census count.
+    pub fn tainted(&self) -> usize {
+        self.tainted
     }
 
     /// Per-slot fill-data values of one variant (hash-oracle input).
@@ -325,7 +334,7 @@ impl LineFillBuffer {
 
 /// A single-level TLB directory (page-granular [`Cache`] with its own
 /// census name) plus a second-level TLB behind it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Tlb {
     l1: Cache,
     l2: Cache,
@@ -365,13 +374,13 @@ impl Tlb {
     }
 
     /// Per-entry liveness of the L1 TLB.
-    pub fn valid_vec(&self) -> Vec<bool> {
-        self.l1.valid_vec()
+    pub fn valid(&self) -> impl Iterator<Item = bool> + '_ {
+        self.l1.valid()
     }
 
     /// Per-entry liveness of the L2 TLB.
-    pub fn l2_valid_vec(&self) -> Vec<bool> {
-        self.l2.valid_vec()
+    pub fn l2_valid(&self) -> impl Iterator<Item = bool> + '_ {
+        self.l2.valid()
     }
 
     /// L1 entry taints.
@@ -382,6 +391,16 @@ impl Tlb {
     /// L2 entry taints.
     pub fn l2_taints(&self) -> impl Iterator<Item = u64> + '_ {
         self.l2.taints()
+    }
+
+    /// Tainted L1 entries: the kept census count.
+    pub fn tainted(&self) -> usize {
+        self.l1.tainted()
+    }
+
+    /// Tainted L2 entries: the kept census count.
+    pub fn l2_tainted(&self) -> usize {
+        self.l2.tainted()
     }
 
     /// Clears both levels.
@@ -452,7 +471,7 @@ mod tests {
         let mut c = cache();
         c.access(TWord::lit(0x8000), 0xFF);
         c.flush();
-        assert!(c.valid_vec().iter().all(|&v| !v));
+        assert!(c.valid().all(|v| !v));
         assert_eq!(
             c.taints().filter(|&t| t != 0).count(),
             1,
@@ -475,14 +494,14 @@ mod tests {
     fn lfb_keeps_stale_data_after_mshr_retires() {
         let mut lfb = LineFillBuffer::new(4);
         lfb.allocate(0x8000, TWord::secret(0xAA, 0x55), 10);
-        assert!(lfb.mshr_valid_vec()[0]);
+        assert_eq!(lfb.mshr_valid().next(), Some(true));
         assert!(
             lfb.forward(0x8010, 64).is_some(),
             "in-flight data forwards within the line"
         );
         lfb.tick(10);
         assert!(
-            !lfb.mshr_valid_vec()[0],
+            lfb.mshr_valid().next() == Some(false),
             "MSHR state register flips to invalid"
         );
         assert!(

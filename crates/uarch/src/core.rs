@@ -19,6 +19,7 @@
 //! skew traces back to secret-dependent microarchitectural divergence —
 //! which is precisely what Phase 3's constant-time analysis looks for.
 
+use dejavuzz_ift::liveness::sweep_sinks;
 use dejavuzz_ift::{Census, IftMode, Module, Policy, SinkReport, TWord, TaintLog};
 use dejavuzz_isa::instr::{AluOp, Instr, Reg};
 use dejavuzz_isa::{decode, Exception};
@@ -73,7 +74,7 @@ impl RedirectKind {
 }
 
 /// A scheduled control-flow correction.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Redirect {
     kind: RedirectKind,
     resolve_at: u64,
@@ -84,7 +85,7 @@ struct Redirect {
 }
 
 /// Snapshot for squash recovery.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct Snapshot {
     regs: [TWord; 32],
     fregs: [TWord; 32],
@@ -93,8 +94,24 @@ struct Snapshot {
     ras: RasCheckpoint,
 }
 
+/// Recovery snapshots no RoB entry holds, kept to be overwritten by the
+/// next ones taken. Storage, not state: equality ignores it, as `Vec`
+/// equality ignores capacity. Boxed because snapshots move between here
+/// and RoB entries, which then copies a pointer, not 2 KB.
+#[derive(Clone, Debug, Default)]
+#[allow(clippy::vec_box)]
+struct SpareSnapshots(Vec<Box<Snapshot>>);
+
+impl PartialEq for SpareSnapshots {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for SpareSnapshots {}
+
 /// A pending (uncommitted) store carried by a RoB entry.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct PendingStore {
     addr: TWord,
     size: u64,
@@ -103,8 +120,18 @@ struct PendingStore {
     resolve_at: u64,
 }
 
+/// What a RoB entry still has to do besides writing its result: a store
+/// applies at commit, a redirect squashes at resolve. No entry has both,
+/// since only loads and control transfers redirect.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Effect {
+    None,
+    Store(PendingStore),
+    Redirect(Redirect),
+}
+
 /// One reorder-buffer entry (append-only per run; `head` walks forward).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct RobEntry {
     pc: TWord,
     packet: usize,
@@ -115,10 +142,10 @@ struct RobEntry {
     committed: bool,
     /// Destination result (census/sink inspection).
     result: TWord,
-    store: Option<PendingStore>,
-    redirect: Option<Redirect>,
+    effect: Effect,
     /// What a squash at this entry restores: taken only for entries that
-    /// redirect (mispredicts, disambiguation) or trap.
+    /// redirect (mispredicts, disambiguation) or trap, and handed back to
+    /// the core's spares when restored or when the entry is squashed.
     snapshot: Option<Box<Snapshot>>,
 }
 
@@ -128,9 +155,25 @@ impl RobEntry {
         !self.squashed && !self.committed
     }
 
+    /// The store this entry applies at commit, if it is one.
+    fn store(&self) -> Option<PendingStore> {
+        match self.effect {
+            Effect::Store(st) => Some(st),
+            _ => None,
+        }
+    }
+
+    /// The redirect this entry has yet to resolve, if any.
+    fn redirect(&self) -> Option<Redirect> {
+        match self.effect {
+            Effect::Redirect(r) => Some(r),
+            _ => None,
+        }
+    }
+
     /// A store's address and data taint; `None` for any other entry.
     fn store_taint(&self) -> Option<u64> {
-        self.store.map(|s| s.data.t | s.addr.t)
+        self.store().map(|s| s.data.t | s.addr.t)
     }
 }
 
@@ -200,7 +243,7 @@ pub enum EndReason {
 }
 
 /// Everything a fuzzing phase needs to know about one simulation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunResult {
     /// RoB IO events.
     pub trace: Trace,
@@ -250,14 +293,18 @@ impl RunResult {
 }
 
 /// Per-plane busy-until bookkeeping for a contended port.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct PortState {
     busy_a: u64,
     busy_b: i64, // in plane-2 virtual time
 }
 
 /// The core model.
-#[derive(Clone, Debug)]
+///
+/// A core runs one schedule; [`Core::reset`] returns a used core to the
+/// state [`Core::new`] builds, so one core can serve run after run
+/// without reallocating its tables, its RoB or its recovery snapshots.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Core {
     cfg: CoreConfig,
     policy: Policy,
@@ -282,6 +329,8 @@ pub struct Core {
     freg_ready: [u64; 32],
 
     rob: Vec<RobEntry>,
+    /// Recovery snapshots released by restores and squashes.
+    spare_snapshots: SpareSnapshots,
     head: usize,
     /// Counts over `rob`'s in-flight entries, all of which sit at or
     /// after `head`.
@@ -346,6 +395,7 @@ impl Core {
             reg_ready: [0; 32],
             freg_ready: [0; 32],
             rob: Vec::new(),
+            spare_snapshots: SpareSnapshots::default(),
             head: 0,
             in_flight: InFlight::default(),
             packet: 0,
@@ -361,6 +411,79 @@ impl Core {
             cfg,
             done: false,
         }
+    }
+
+    /// Returns a used core to exactly the state [`Core::new`] builds for
+    /// its configuration and `mode`, keeping its allocations: the tables,
+    /// the RoB's capacity and the recovery snapshots, which go back to the
+    /// spares.
+    pub fn reset(&mut self, mode: IftMode) {
+        // Every field is named, so a new one does not compile until it is
+        // restored here.
+        let Core {
+            cfg: _,
+            policy,
+            pc,
+            cycle,
+            skew_b,
+            fetch_stall_until,
+            bht,
+            btb,
+            ras,
+            loopp,
+            icache,
+            dcache,
+            lfb,
+            tlb,
+            regs,
+            fregs,
+            reg_ready,
+            freg_ready,
+            rob,
+            spare_snapshots,
+            head,
+            in_flight,
+            packet,
+            fpu_port,
+            lsu_port,
+            wb_port,
+            trace,
+            taint_log,
+            census,
+            timing_events,
+            jump_resolved_this_cycle,
+            cellift_exploded,
+            done,
+        } = self;
+        *policy = Policy::new(mode);
+        *pc = TWord::lit(0);
+        (*cycle, *skew_b, *fetch_stall_until) = (0, 0, 0);
+        bht.reset();
+        btb.reset();
+        ras.reset();
+        loopp.reset();
+        icache.reset();
+        dcache.reset();
+        lfb.reset();
+        tlb.reset();
+        *regs = [TWord::lit(0); 32];
+        *fregs = [TWord::lit(0); 32];
+        *reg_ready = [0; 32];
+        *freg_ready = [0; 32];
+        spare_snapshots
+            .0
+            .extend(rob.drain(..).filter_map(|e| e.snapshot));
+        (*head, *packet) = (0, 0);
+        *in_flight = InFlight::default();
+        *fpu_port = PortState::default();
+        *lsu_port = PortState::default();
+        *wb_port = PortState::default();
+        *trace = Trace::new();
+        *taint_log = TaintLog::new();
+        census.clear();
+        timing_events.clear();
+        *jump_resolved_this_cycle = None;
+        (*cellift_exploded, *done) = (false, false);
     }
 
     /// The configuration in force.
@@ -379,8 +502,9 @@ impl Core {
     }
 
     /// Runs the swap schedule already installed in `mem` to completion (or
-    /// until `max_cycles`), consuming the core.
-    pub fn run(mut self, mem: &mut SwapMem, max_cycles: u64) -> RunResult {
+    /// until `max_cycles`). The core is then used: [`Core::reset`] readies
+    /// it for another run.
+    pub fn run(&mut self, mem: &mut SwapMem, max_cycles: u64) -> RunResult {
         self.start(mem);
         while !self.done && self.cycle < max_cycles {
             self.step(mem);
@@ -402,17 +526,17 @@ impl Core {
         self.pc = TWord::lit(entry);
     }
 
-    fn finish(self, end: EndReason) -> RunResult {
+    fn finish(&mut self, end: EndReason) -> RunResult {
         let sinks = self.sink_reports();
         let uarch_hash = (
             self.hash_timing_components(0),
             self.hash_timing_components(1),
         );
         RunResult {
-            trace: self.trace,
-            taint_log: self.taint_log,
+            trace: std::mem::take(&mut self.trace),
+            taint_log: std::mem::take(&mut self.taint_log),
             sinks,
-            timing_events: self.timing_events,
+            timing_events: std::mem::take(&mut self.timing_events),
             total_cycles: (self.cycle, (self.cycle as i64 + self.skew_b).max(0) as u64),
             uarch_hash,
             end,
@@ -484,7 +608,7 @@ impl Core {
             if e.squashed || e.committed {
                 continue;
             }
-            if let Some(r) = &e.redirect {
+            if let Some(r) = e.redirect() {
                 if r.resolve_at <= self.cycle {
                     idx = Some(i);
                     break;
@@ -492,7 +616,7 @@ impl Core {
             }
         }
         let Some(i) = idx else { return };
-        let redirect = self.rob[i].redirect.clone().expect("checked above");
+        let redirect = self.rob[i].redirect().expect("checked above");
         let pc = self.rob[i].pc;
         // Train predictors with the resolved outcome.
         match redirect.kind {
@@ -514,12 +638,13 @@ impl Core {
         // re-fetched and re-executed once the conflicting store resolved.
         let include_self = redirect.kind == RedirectKind::Disambiguation;
         self.squash_after(i, redirect.target, include_self, redirect.kind.mnemonic());
-        self.rob[i].redirect = None;
+        self.rob[i].effect = Effect::None;
     }
 
     /// Squashes every in-flight entry younger than `i` (and `i` itself when
     /// `include_self`), restores the snapshot attached to entry `i`, and
-    /// redirects fetch to `target`.
+    /// redirects fetch to `target`. The restored snapshot and those of the
+    /// squashed entries go back to the spares.
     fn squash_after(&mut self, i: usize, target: TWord, include_self: bool, cause: &'static str) {
         let start = if include_self { i } else { i + 1 };
         let snap = self.rob[i].snapshot.take();
@@ -530,6 +655,7 @@ impl Core {
             if e.in_flight() {
                 self.in_flight.leave(e);
                 e.squashed = true;
+                self.spare_snapshots.0.extend(e.snapshot.take());
                 e.result = e.result.taint_union(TWord::lit(0)); // keep as-is
                 killed_taint |= e.result.t;
                 killed += 1;
@@ -557,6 +683,7 @@ impl Core {
             self.reg_ready = snap.reg_ready;
             self.freg_ready = snap.freg_ready;
             self.ras.restore(&snap.ras);
+            self.spare_snapshots.0.push(snap);
         }
         self.pc = target;
         // B4 Spectre-Refetch: the fetch port stays occupied by the transient
@@ -589,7 +716,7 @@ impl Core {
                 return;
             }
             // An unresolved redirect blocks its own and younger commits.
-            if self.rob[i].redirect.is_some() {
+            if self.rob[i].redirect().is_some() {
                 return;
             }
             if let Some(e) = self.rob[i].exception {
@@ -597,7 +724,7 @@ impl Core {
                 return;
             }
             // Apply the architectural store.
-            if let Some(st) = self.rob[i].store {
+            if let Some(st) = self.rob[i].store() {
                 // Committed stores cannot fault here: faults were detected
                 // at execute and recorded as exceptions.
                 let _ = mem.store_t(st.addr, st.size, st.data);
@@ -690,18 +817,21 @@ impl Core {
         }
     }
 
-    fn snapshot(&self) -> Box<Snapshot> {
-        Box::new(Snapshot {
-            regs: self.regs,
-            fregs: self.fregs,
-            reg_ready: self.reg_ready,
-            freg_ready: self.freg_ready,
-            ras: self.ras.checkpoint(),
-        })
+    /// Takes a recovery snapshot into `slot`, overwriting in place the one
+    /// it holds, else a spare; only when neither exists is one allocated.
+    fn snapshot_into(&mut self, slot: &mut Option<Box<Snapshot>>) {
+        let spares = &mut self.spare_snapshots.0;
+        let snap = slot.get_or_insert_with(|| spares.pop().unwrap_or_default());
+        snap.regs = self.regs;
+        snap.fregs = self.fregs;
+        snap.reg_ready = self.reg_ready;
+        snap.freg_ready = self.freg_ready;
+        self.ras.checkpoint_into(&mut snap.ras);
     }
 
     fn enqueue_exception(&mut self, pc: TWord, e: Exception) {
-        let snapshot = Some(self.snapshot());
+        let mut snapshot = None;
+        self.snapshot_into(&mut snapshot);
         self.push_entry(RobEntry {
             pc,
             packet: self.packet,
@@ -711,8 +841,7 @@ impl Core {
             squashed: false,
             committed: false,
             result: TWord::lit(0),
-            store: None,
-            redirect: None,
+            effect: Effect::None,
             snapshot,
         });
     }
@@ -810,8 +939,7 @@ impl Core {
             squashed: false,
             committed: false,
             result: TWord::lit(0),
-            store: None,
-            redirect: None,
+            effect: Effect::None,
             snapshot: None,
         };
 
@@ -997,13 +1125,13 @@ impl Core {
                 if pred_a != actual_a {
                     // Mispredict: fetch continues down the predicted path,
                     // squash at resolve.
-                    entry.redirect = Some(Redirect {
+                    entry.effect = Effect::Redirect(Redirect {
                         kind: RedirectKind::Branch,
                         resolve_at,
                         target: actual_target,
                         taken: Some(taken),
                     });
-                    entry.snapshot = Some(self.snapshot());
+                    self.snapshot_into(&mut entry.snapshot);
                     self.pc = if pred_a { target_taken } else { next_pc };
                 } else {
                     // Correct prediction: train immediately (speculative
@@ -1050,7 +1178,7 @@ impl Core {
                         self.pc = p.taint_union(target);
                     }
                     Some(p) => {
-                        entry.redirect = Some(Redirect {
+                        entry.effect = Effect::Redirect(Redirect {
                             kind: if is_ret {
                                 RedirectKind::Return
                             } else {
@@ -1060,13 +1188,13 @@ impl Core {
                             target,
                             taken: None,
                         });
-                        entry.snapshot = Some(self.snapshot());
+                        self.snapshot_into(&mut entry.snapshot);
                         self.pc = p; // fetch down the wrong path
                     }
                     None => {
                         // No prediction: the frontend stalls until resolve
                         // (modelled as a redirect from a bubble path).
-                        entry.redirect = Some(Redirect {
+                        entry.effect = Effect::Redirect(Redirect {
                             kind: if is_ret {
                                 RedirectKind::Return
                             } else {
@@ -1076,7 +1204,7 @@ impl Core {
                             target,
                             taken: None,
                         });
-                        entry.snapshot = Some(self.snapshot());
+                        self.snapshot_into(&mut entry.snapshot);
                         self.fetch_stall_until = resolve_at;
                         self.pc = next_pc;
                     }
@@ -1109,7 +1237,7 @@ impl Core {
         // holds the state from before it executed.
         if entry.exception.is_some() {
             if entry.snapshot.is_none() {
-                entry.snapshot = Some(self.snapshot());
+                self.snapshot_into(&mut entry.snapshot);
             }
             // The writeback-to-commit flush depth: younger instructions
             // keep executing transiently until the trap sequence fires.
@@ -1152,7 +1280,7 @@ impl Core {
             if e.squashed || e.committed {
                 continue;
             }
-            let Some(st) = e.store else { continue };
+            let Some(st) = e.store() else { continue };
             let overlap = ranges_overlap(st.addr.a, st.size, addr.a, op.size());
             if !overlap {
                 continue;
@@ -1260,7 +1388,7 @@ impl Core {
             entry.exception = Some(e);
             // Taken before the forwarded write below, so the trap's squash
             // undoes it (Meltdown data never becomes architectural).
-            entry.snapshot = Some(self.snapshot());
+            self.snapshot_into(&mut entry.snapshot);
         }
         if got_data {
             if is_fp {
@@ -1272,7 +1400,7 @@ impl Core {
             entry.result = value;
         }
         if let Some(store_resolve) = disamb_conflict {
-            entry.redirect = Some(Redirect {
+            entry.effect = Effect::Redirect(Redirect {
                 kind: RedirectKind::Disambiguation,
                 resolve_at: store_resolve,
                 target: entry.pc, // refetch the load itself
@@ -1282,7 +1410,7 @@ impl Core {
             // fault's pre-write snapshot: the squash restores the stale
             // value the load read, and the refetched load then overwrites
             // it with the forwarded store.
-            entry.snapshot = Some(self.snapshot());
+            self.snapshot_into(&mut entry.snapshot);
         }
     }
 
@@ -1311,7 +1439,7 @@ impl Core {
         entry.done_at = resolve_at;
         entry.exception = fault;
         if fault.is_none() {
-            entry.store = Some(PendingStore {
+            entry.effect = Effect::Store(PendingStore {
                 addr,
                 size,
                 data,
@@ -1399,81 +1527,89 @@ impl Core {
 
     /// Final tainted-sink sweep with liveness annotations (§4.3.2).
     pub fn sink_reports(&self) -> Vec<SinkReport> {
-        use dejavuzz_ift::liveness::sweep_sinks;
         let mut out = Vec::new();
-        sweep_sinks(
+        sweep_kept(
             Module::Lfb,
             "lb",
+            self.lfb.tainted(),
             self.lfb.taints(),
-            self.lfb.mshr_valid_vec(),
+            self.lfb.mshr_valid(),
             &mut out,
         );
-        sweep_sinks(
+        sweep_kept(
             Module::Dcache,
             "data_array",
+            self.dcache.tainted(),
             self.dcache.taints(),
-            self.dcache.valid_vec(),
+            self.dcache.valid(),
             &mut out,
         );
-        sweep_sinks(
+        sweep_kept(
             Module::Icache,
             "data_array",
+            self.icache.tainted(),
             self.icache.taints(),
-            self.icache.valid_vec(),
+            self.icache.valid(),
             &mut out,
         );
-        sweep_sinks(
+        sweep_kept(
             Module::Ras,
             "stack",
+            self.ras.tainted(),
             self.ras.taints(),
-            self.ras.in_stack_vec(),
+            self.ras.in_stack(),
             &mut out,
         );
-        sweep_sinks(
+        sweep_kept(
             Module::Btb,
             "targets",
+            self.btb.tainted(),
             self.btb.taints(),
-            self.btb.valid_vec(),
+            self.btb.valid(),
             &mut out,
         );
-        sweep_sinks(
+        sweep_kept(
             Module::Bht,
             "counters",
+            self.bht.tainted(),
             self.bht.taints(),
-            self.bht.trained_vec(),
+            self.bht.trained(),
             &mut out,
         );
-        sweep_sinks(
+        sweep_kept(
             Module::Loop,
             "entries",
+            self.loopp.tainted(),
             self.loopp.taints(),
-            self.loopp.conf_vec(),
+            self.loopp.confident(),
             &mut out,
         );
-        sweep_sinks(
+        sweep_kept(
             Module::Tlb,
             "entries",
+            self.tlb.tainted(),
             self.tlb.taints(),
-            self.tlb.valid_vec(),
+            self.tlb.valid(),
             &mut out,
         );
-        sweep_sinks(
+        sweep_kept(
             Module::L2tlb,
             "entries",
+            self.tlb.l2_tainted(),
             self.tlb.l2_taints(),
-            self.tlb.l2_valid_vec(),
+            self.tlb.l2_valid(),
             &mut out,
         );
         // RoB residue: squashed tainted results are dead; in-flight tainted
         // results are live. ("54 cases are misclassified due to residual
         // invalid taints in physical registers or RoB" without liveness.)
-        let rob_taints: Vec<u64> = self.rob.iter().map(|e| e.result.t).collect();
-        let rob_live: Vec<bool> = self
-            .rob
-            .iter()
-            .map(|e| !e.squashed && !e.committed)
-            .collect();
-        sweep_sinks(Module::Rob, "results", rob_taints, rob_live, &mut out);
+        sweep_sinks(
+            Module::Rob,
+            "results",
+            self.rob.iter().map(|e| e.result.t),
+            self.rob.iter().map(RobEntry::in_flight),
+            &mut out,
+        );
         // Architectural register file: always live.
         sweep_sinks(
             Module::Regfile,
@@ -1483,6 +1619,21 @@ impl Core {
             &mut out,
         );
         out
+    }
+}
+
+/// Sweeps a structure's sink array unless its kept count of tainted
+/// entries, `tainted`, says there is nothing to report.
+fn sweep_kept(
+    module: Module,
+    array: &str,
+    tainted: usize,
+    taints: impl Iterator<Item = u64>,
+    live: impl Iterator<Item = bool>,
+    out: &mut Vec<SinkReport>,
+) {
+    if tainted != 0 {
+        sweep_sinks(module, array, taints, live, out);
     }
 }
 
@@ -1656,6 +1807,40 @@ mod tests {
             rob_fallbacks > 0 && lsu_fallbacks > 0,
             "{rob_fallbacks} {lsu_fallbacks}"
         );
+    }
+
+    /// One core serving every attack benchmark and the pressure packet,
+    /// on both cores, in every IFT mode, run to completion and cut short
+    /// by `max_cycles`: each `reset` leaves it equal to a new core in the
+    /// next run's mode, field by field, and each run answers exactly as a
+    /// new core's does. The runs include CellIFT's taint explosion and
+    /// cut-short runs whose RoB still holds recovery snapshots.
+    #[test]
+    fn reset_equals_new() {
+        let (mut exploded, mut cut_with_snapshots) = (false, false);
+        for cfg in [boom_small(), xiangshan_minimal()] {
+            let mems = attacks::all()
+                .into_iter()
+                .map(|case| (case.name, case.build_mem(&[0x5A])))
+                .chain([("pressure", pressure_mem())]);
+            let mut core = Core::new(cfg, IftMode::Base);
+            for (name, mem) in mems {
+                for mode in IftMode::ALL {
+                    for max_cycles in [20_000, 40, 150] {
+                        let what = format!("{} {name} {mode:?} {max_cycles}", cfg.name);
+                        core.reset(mode);
+                        assert!(core == Core::new(cfg, mode), "{what}: reset core");
+                        let used = core.run(&mut mem.clone(), max_cycles);
+                        let fresh = Core::new(cfg, mode).run(&mut mem.clone(), max_cycles);
+                        assert!(used == fresh, "{what}: run");
+                        exploded |= core.cellift_exploded;
+                        cut_with_snapshots |= used.end == EndReason::CycleLimit
+                            && core.rob.iter().any(|e| e.snapshot.is_some());
+                    }
+                }
+            }
+        }
+        assert!(exploded && cut_with_snapshots);
     }
 
     /// Both register files and their ready times: what a trap's recovery

@@ -14,7 +14,7 @@ use dejavuzz_ift::{Census, Module, Policy, TWord};
 use crate::cache::{recount, scan};
 
 /// A bimodal branch history table of 2-bit saturating counters.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Bht {
     counters: Vec<TWord>,
     /// Counters with a tainted value.
@@ -66,13 +66,18 @@ impl Bht {
 
     /// Whether a counter is away from its reset value (the "trained"
     /// liveness signal).
-    pub fn trained_vec(&self) -> Vec<bool> {
-        self.counters.iter().map(|c| c.a != 1 || c.b != 1).collect()
+    pub fn trained(&self) -> impl Iterator<Item = bool> + '_ {
+        self.counters.iter().map(|c| c.a != 1 || c.b != 1)
     }
 
     /// Taints of all counters (census/sinks).
     pub fn taints(&self) -> impl Iterator<Item = u64> + '_ {
         self.counters.iter().map(|c| c.t)
+    }
+
+    /// Counters with a tainted value: the kept census count.
+    pub fn tainted(&self) -> usize {
+        self.tainted
     }
 
     /// Resets every counter (new fuzzing iteration).
@@ -89,7 +94,7 @@ impl Bht {
 }
 
 /// A direct-mapped branch target buffer.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Btb {
     tags: Vec<Option<u64>>,
     targets: Vec<TWord>,
@@ -127,13 +132,18 @@ impl Btb {
     }
 
     /// Per-entry validity (liveness vector).
-    pub fn valid_vec(&self) -> Vec<bool> {
-        self.tags.iter().map(Option::is_some).collect()
+    pub fn valid(&self) -> impl Iterator<Item = bool> + '_ {
+        self.tags.iter().map(Option::is_some)
     }
 
     /// Per-entry target taints.
     pub fn taints(&self) -> impl Iterator<Item = u64> + '_ {
         self.targets.iter().map(|t| t.t)
+    }
+
+    /// Entries with a tainted target: the kept census count.
+    pub fn tainted(&self) -> usize {
+        self.tainted
     }
 
     /// Per-entry targets (sink values).
@@ -161,7 +171,7 @@ impl Btb {
 /// the TOS pointer and the *top* entry; deeper entries overwritten by
 /// transient calls are not restored (`full` = false). The XiangShan-like
 /// model checkpoints the full stack.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RasCheckpoint {
     tos: usize,
     top_entry: TWord,
@@ -169,7 +179,7 @@ pub struct RasCheckpoint {
 }
 
 /// The return address stack.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Ras {
     stack: Vec<TWord>,
     tos: usize, // number of live entries; top is stack[tos-1]
@@ -219,14 +229,26 @@ impl Ras {
 
     /// Takes a speculation checkpoint.
     pub fn checkpoint(&self) -> RasCheckpoint {
-        RasCheckpoint {
-            tos: self.tos,
-            top_entry: if self.tos > 0 {
-                self.stack[self.tos - 1]
-            } else {
-                TWord::lit(0)
-            },
-            full_stack: self.full_restore.then(|| self.stack.clone()),
+        let mut cp = RasCheckpoint::default();
+        self.checkpoint_into(&mut cp);
+        cp
+    }
+
+    /// Takes a speculation checkpoint into `cp`, overwriting it in place:
+    /// a full-stack copy reuses the buffer of the checkpoint it replaces.
+    pub fn checkpoint_into(&self, cp: &mut RasCheckpoint) {
+        cp.tos = self.tos;
+        cp.top_entry = if self.tos > 0 {
+            self.stack[self.tos - 1]
+        } else {
+            TWord::lit(0)
+        };
+        if self.full_restore {
+            cp.full_stack
+                .get_or_insert_with(Vec::new)
+                .clone_from(&self.stack);
+        } else {
+            cp.full_stack = None;
         }
     }
 
@@ -250,13 +272,19 @@ impl Ras {
 
     /// In-stack liveness vector: entries below TOS will be consumed by
     /// future returns.
-    pub fn in_stack_vec(&self) -> Vec<bool> {
-        (0..self.stack.len()).map(|i| i < self.tos).collect()
+    pub fn in_stack(&self) -> impl Iterator<Item = bool> {
+        let tos = self.tos;
+        (0..self.stack.len()).map(move |i| i < tos)
     }
 
     /// Per-slot taints.
     pub fn taints(&self) -> impl Iterator<Item = u64> + '_ {
         self.stack.iter().map(|e| e.t)
+    }
+
+    /// Slots with a tainted value: the kept census count.
+    pub fn tainted(&self) -> usize {
+        self.tainted
     }
 
     /// Raw slots (sink inspection).
@@ -279,7 +307,7 @@ impl Ras {
 }
 
 /// One loop-predictor entry.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct LoopEntry {
     tag: Option<u64>,
     /// Learned trip count (two-plane: a secret could skew it transiently).
@@ -302,7 +330,7 @@ impl LoopEntry {
 /// iteration. Training it takes *much longer* than training the bimodal
 /// table — the paper's "Training Preference" discussion (§7) notes the
 /// reduction strategy therefore prefers the cheaper predictor.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LoopPredictor {
     entries: Vec<LoopEntry>,
     /// Entries whose limit or count is tainted.
@@ -364,13 +392,18 @@ impl LoopPredictor {
     }
 
     /// Confidence-based liveness vector.
-    pub fn conf_vec(&self) -> Vec<bool> {
-        self.entries.iter().map(|e| e.conf > 0).collect()
+    pub fn confident(&self) -> impl Iterator<Item = bool> + '_ {
+        self.entries.iter().map(|e| e.conf > 0)
     }
 
     /// Per-entry taints (limit or count tainted).
     pub fn taints(&self) -> impl Iterator<Item = u64> + '_ {
         self.entries.iter().map(LoopEntry::taint)
+    }
+
+    /// Entries whose limit or count is tainted: the kept census count.
+    pub fn tainted(&self) -> usize {
+        self.tainted
     }
 
     /// Clears the table.
@@ -473,11 +506,11 @@ mod tests {
     #[test]
     fn bht_trained_vec_tracks_reset_state() {
         let mut bht = Bht::new(4);
-        assert!(bht.trained_vec().iter().all(|&t| !t));
+        assert!(bht.trained().all(|t| !t));
         bht.update(DIFF, 0x0, TWord::lit(1));
-        assert!(bht.trained_vec()[0]);
+        assert_eq!(bht.trained().next(), Some(true));
         bht.reset();
-        assert!(!bht.trained_vec()[0]);
+        assert_eq!(bht.trained().next(), Some(false));
     }
 
     #[test]
@@ -495,7 +528,7 @@ mod tests {
         let mut btb = Btb::new(8);
         btb.update(0x1010, TWord::secret(0x2000, 0x3000));
         assert_eq!(btb.taints().filter(|&t| t != 0).count(), 1);
-        assert!(btb.valid_vec()[btb.index(0x1010)]);
+        assert_eq!(btb.valid().nth(btb.index(0x1010)), Some(true));
     }
 
     #[test]
@@ -543,7 +576,7 @@ mod tests {
         );
         assert!(ras.slots()[1].is_tainted());
         assert!(
-            ras.in_stack_vec()[1],
+            ras.in_stack().nth(1) == Some(true),
             "corrupted entry is live -> exploitable"
         );
     }
@@ -587,7 +620,7 @@ mod tests {
             lp.predict(pc).is_some(),
             "consistent trips build confidence"
         );
-        assert!(lp.conf_vec()[lp.index(pc)]);
+        assert_eq!(lp.confident().nth(lp.index(pc)), Some(true));
     }
 
     #[test]

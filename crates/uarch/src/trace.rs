@@ -127,7 +127,7 @@ impl WindowInfo {
 }
 
 /// The full RoB IO trace of one simulation.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
     events: Vec<RobEvent>,
 }

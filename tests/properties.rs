@@ -398,11 +398,12 @@ proptest! {
 
     /// One behavioural backend serving a random sequence of runs gives
     /// each run exactly a fresh backend's outcome: the swap memory it
-    /// resets and reloads carries nothing from one run into the next.
-    /// The exploding CellIFT request runs at a random point of every
-    /// sequence, so CellIFT's exploded census is covered too.
+    /// resets and reloads, and the core it resets, carry nothing from one
+    /// run into the next. The exploding CellIFT request runs at a random
+    /// point of every sequence, so CellIFT's exploded census is covered
+    /// too.
     #[test]
-    fn behavioural_backend_reuse_matches_fresh_backends(draws in any::<u64>(), runs in 3usize..8) {
+    fn behavioural_backend_reuse_matches_fresh_backends(draws in any::<u64>(), runs in 3usize..16) {
         use dejavuzz::backend::{BehaviouralBackend, SimBackend};
         use dejavuzz::gen::{Seed, WindowType};
         use dejavuzz::rand::rngs::StdRng;
