@@ -514,146 +514,6 @@ pub fn table5(iterations: usize) -> String {
     out
 }
 
-/// One fleet run: per-shard final report plus the owned event stream.
-fn run_fleet(
-    shards: usize,
-    gossiping: bool,
-    gossip_every: usize,
-    iterations: usize,
-    seed_base: u64,
-) -> Vec<(
-    dejavuzz::ExecutorReport,
-    Vec<dejavuzz_fleet::transport::CampaignEvent>,
-)> {
-    use dejavuzz::observer::CampaignObserver;
-    use dejavuzz_fleet::transport::ChannelObserver;
-
-    let mut links: Vec<Option<dejavuzz::SharedGossipLink>> = if gossiping {
-        dejavuzz_fleet::gossip::mesh(shards)
-            .into_iter()
-            .map(Some)
-            .collect()
-    } else {
-        (0..shards).map(|_| None).collect()
-    };
-    let mut handles = Vec::new();
-    for (shard, slot) in links.iter_mut().enumerate() {
-        let link = slot.take();
-        let mut builder = dejavuzz::builder::CampaignBuilder::new()
-            .backend(dejavuzz::BackendSpec::behavioural(boom_small()))
-            .seed(seed_base + shard as u64)
-            .shard_id(shard as u32);
-        if let Some(link) = link {
-            builder = builder.gossip(link).gossip_every(gossip_every);
-        }
-        handles.push(std::thread::spawn(move || {
-            let (observer, events) = ChannelObserver::channel(4096);
-            let mut observers: Vec<Box<dyn CampaignObserver>> = vec![Box::new(observer)];
-            let (report, _) = builder
-                .build()
-                .expect("valid fleet configuration")
-                .run_observed(iterations, &mut observers);
-            drop(observers);
-            (report, events.iter().collect())
-        }));
-    }
-    handles.into_iter().map(|h| h.join().unwrap()).collect()
-}
-
-/// Fleet & gossip: iterations-to-coverage for isolated vs gossiping
-/// shard fleets. For each fleet size the target is that mode's final
-/// fleet-wide union; each shard's "iterations to X%" is the earliest
-/// committed-iteration count at which its running coverage (commits
-/// *plus* boundary imports) reached X% of the target. Isolated shards
-/// typically never reach the high percentiles — their own coverage is a
-/// strict subset of the union — which is exactly the gap gossip closes.
-pub fn fleet_gossip(iterations: usize, gossip_every: usize, trials: u64) -> String {
-    use dejavuzz_fleet::transport::CampaignEvent;
-
-    const THRESHOLDS: [usize; 3] = [50, 75, 90];
-    let mut out = format!(
-        "Fleet & gossip: iterations to reach X% of the fleet union\n\
-         ({iterations} iters/shard, gossip every {gossip_every} round(s), \
-         {trials} trial(s), BOOM)\n\n\
-         {:<7} {:<9} {:>6} {:>9} {:>9} {:>9}\n",
-        "shards", "mode", "union", "50%", "75%", "90%"
-    );
-    for shards in [2usize, 4] {
-        for gossiping in [false, true] {
-            let mut union_total = 0usize;
-            // reached[t] collects, over every (shard, trial), the
-            // iterations that shard needed to reach THRESHOLDS[t].
-            let mut reached: [Vec<usize>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-            let mut samples = 0usize;
-            for trial in 0..trials {
-                let fleet = run_fleet(
-                    shards,
-                    gossiping,
-                    gossip_every,
-                    iterations,
-                    9000 + 100 * trial,
-                );
-                let union = {
-                    let mut u = CoverageMatrix::new();
-                    for (report, _) in &fleet {
-                        u.merge(&report.coverage);
-                    }
-                    u.points()
-                };
-                union_total += union;
-                samples += shards;
-                for (_, events) in &fleet {
-                    let mut committed = 0usize;
-                    let mut hit = [None::<usize>; 3];
-                    for ev in events {
-                        let total = match ev {
-                            CampaignEvent::SlotCommitted(e) => {
-                                committed += 1;
-                                e.total_points
-                            }
-                            CampaignEvent::PeerDeltaImported(e) => e.total_points,
-                            _ => continue,
-                        };
-                        for (t, pct) in THRESHOLDS.iter().enumerate() {
-                            if hit[t].is_none() && total * 100 >= union * pct {
-                                hit[t] = Some(committed);
-                            }
-                        }
-                    }
-                    for (t, h) in hit.iter().enumerate() {
-                        if let Some(iters) = h {
-                            reached[t].push(*iters);
-                        }
-                    }
-                }
-            }
-            let cell = |t: usize| -> String {
-                let r = &reached[t];
-                if r.is_empty() {
-                    "-".to_string()
-                } else {
-                    let mean = r.iter().sum::<usize>() as f64 / r.len() as f64;
-                    if r.len() == samples {
-                        format!("{mean:.0}")
-                    } else {
-                        format!("{mean:.0} ({}/{samples})", r.len())
-                    }
-                }
-            };
-            out.push_str(&format!(
-                "{:<7} {:<9} {:>6.0} {:>9} {:>9} {:>9}\n",
-                shards,
-                if gossiping { "gossip" } else { "isolated" },
-                union_total as f64 / trials as f64,
-                cell(0),
-                cell(1),
-                cell(2),
-            ));
-        }
-    }
-    out
-}
-
 /// Parses a `--flag value` style argument with a default.
 pub fn arg_or(args: &[String], flag: &str, default: usize) -> usize {
     args.iter()

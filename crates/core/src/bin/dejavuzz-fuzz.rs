@@ -23,7 +23,6 @@
 use dejavuzz::backend::BackendSpec;
 use dejavuzz::builder::CampaignBuilder;
 use dejavuzz::campaign::FuzzerOptions;
-use dejavuzz::gossip::{shared_link, GossipLink, MultiLink, UnixGossipLink};
 use dejavuzz::observer::{CampaignObserver, JsonLinesObserver, TextObserver};
 use dejavuzz::scheduler::{PolicySpec, SchedulerSpec};
 use dejavuzz::snapshot::CampaignSnapshot;
@@ -55,8 +54,57 @@ fn arg<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
     opt_arg(args, flag).unwrap_or(default)
 }
 
+/// Every flag `main` reads that takes a value.
+const VALUE_FLAGS: &[&str] = &[
+    "--core",
+    "--backend",
+    "--iters",
+    "--workers",
+    "--seed",
+    "--variant",
+    "--scheduler",
+    "--policy",
+    "--scenarios",
+    "--batch",
+    "--pipeline-lag",
+    "--snapshot",
+    "--snapshot-every",
+    "--snapshot-keep",
+    "--halt-after",
+    "--resume",
+    "--shard",
+    "--telemetry",
+    "--metrics-out",
+];
+
+/// Every flag `main` reads that takes none.
+const SWITCHES: &[&str] = &["--help", "-h", "--list-extensions"];
+
+/// Exits 2 on the first argument `main` does not read: an unknown flag,
+/// or a word that is not the value of the flag before it. A typo must
+/// never run the default (`--sead 5` would otherwise fuzz seed 42). A
+/// value flag followed by another flag has no value; `opt_arg` reports
+/// that.
+fn check_args(args: &[String]) {
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if VALUE_FLAGS.contains(&a) {
+            let has_value = args.get(i + 1).is_some_and(|v| !v.starts_with("--"));
+            i += 1 + usize::from(has_value);
+        } else if SWITCHES.contains(&a) {
+            i += 1;
+        } else if a.starts_with("--") {
+            die(format_args!("unknown flag {a:?}"));
+        } else {
+            die(format_args!("unexpected argument {a:?}"));
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_args(&args[1..]);
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
             "dejavuzz-fuzz — transient-execution-bug fuzzing campaign\n\n\
@@ -71,7 +119,6 @@ fn main() {
              \u{20}                        crash fails one run, never the campaign\n\
              --iters N               iterations per worker (default 50)\n\
              --workers N             pipeline workers sharing one corpus (default 1)\n\
-             --threads N             alias for --workers (historical name)\n\
              --seed N                RNG seed (default 42)\n\
              --variant full|star|minus|noliveness\n\n\
              scheduling (see EXPERIMENTS.md \"Schedulers & seed policies\"):\n\
@@ -117,23 +164,11 @@ fn main() {
              \u{20}                        uninterrupted run bit-identically\n\
              --shard N               tag snapshots with a shard id for dejavuzz-merge\n\
              \u{20}                        (default 0)\n\n\
-             fleet gossip (see EXPERIMENTS.md \"Fleet & gossip\"):\n\
-             --peers SPEC[,SPEC]     gossip peers, each unix:PATH — a Unix socket\n\
-             \u{20}                        served by dejavuzz-serve (or another fleet\n\
-             \u{20}                        host). At every gossip boundary the campaign\n\
-             \u{20}                        publishes its coverage delta + favoured seeds\n\
-             \u{20}                        and imports queued peer frames as explicit\n\
-             \u{20}                        peer_delta_imported / seed_imported events\n\
-             --gossip-every N        rounds between gossip exchanges (default 1 when\n\
-             \u{20}                        --peers is given; without --peers a warning is\n\
-             \u{20}                        printed and the run is byte-identical to one\n\
-             \u{20}                        without gossip)\n\n\
              telemetry (see EXPERIMENTS.md \"Embedding & telemetry\"):\n\
              --telemetry text|json   text = the classic campaign report (default);\n\
              \u{20}                        json = one JSON object per campaign event\n\
              \u{20}                        (round_started, slot_committed, coverage_gained,\n\
-             \u{20}                        bug_found, snapshot_written, peer_delta_imported,\n\
-             \u{20}                        seed_imported, campaign_finished) —\n\
+             \u{20}                        bug_found, snapshot_written, campaign_finished) —\n\
              \u{20}                        byte-deterministic per (seed, workers)\n\
              --metrics-out PATH      write a JSON dump of the process metrics registry\n\
              \u{20}                        (counters, gauges, log-bucketed latency\n\
@@ -141,8 +176,8 @@ fn main() {
              \u{20}                        at campaign end. Metrics live off the commit\n\
              \u{20}                        path: campaign stdout, results and snapshots\n\
              \u{20}                        are byte-identical with or without this flag\n\n\
-             Flag values that fail to parse are an error (exit 2), never a\n\
-             silent fallback to the default.\n"
+             Flag values that fail to parse, unknown flags and stray arguments\n\
+             are an error (exit 2), never a silent fallback to the default.\n"
         );
         return;
     }
@@ -201,7 +236,7 @@ fn main() {
         )),
     };
     let iters = arg(&args, "--iters", 50usize);
-    let mut workers = arg(&args, "--workers", arg(&args, "--threads", 1usize)).max(1);
+    let mut workers = arg(&args, "--workers", 1usize).max(1);
     let mut seed = arg(&args, "--seed", 42u64);
     let batch = arg(&args, "--batch", 4usize);
     let scheduler = match SchedulerSpec::parse(&arg::<String>(&args, "--scheduler", "steal".into()))
@@ -232,8 +267,6 @@ fn main() {
     // Any positive lag is the one-round pipeline.
     let pipelined = arg(&args, "--pipeline-lag", 0usize) > 0;
     let shard = arg(&args, "--shard", 0u32);
-    let gossip_every = opt_arg::<usize>(&args, "--gossip-every");
-    let peers = opt_arg::<String>(&args, "--peers");
     let snapshot_path = opt_arg::<String>(&args, "--snapshot");
     let snapshot_every = arg(&args, "--snapshot-every", 0usize);
     let snapshot_keep = arg(&args, "--snapshot-keep", 0usize);
@@ -337,44 +370,6 @@ fn main() {
         eprintln!("dejavuzz-fuzz: scenarios {}", scenarios.join(","));
     }
 
-    // Fleet wiring: one UnixGossipLink per peer spec, fanned out through
-    // a MultiLink. Connection failures are configuration errors (exit 2);
-    // a peer dying *mid-run* only warns and the campaign continues solo.
-    // Gossip chatter goes to stderr: a no-peer run's stdout (and its
-    // snapshots) stay byte-identical to a run without these flags —
-    // `solo_gossip_every_warns_and_leaves_stdout_untouched` diffs exactly
-    // that.
-    let gossip_link = match &peers {
-        Some(specs) => {
-            let mut links: Vec<Box<dyn GossipLink>> = Vec::new();
-            for spec in specs.split(',') {
-                let Some(path) = spec.strip_prefix("unix:") else {
-                    die(format_args!(
-                        "unknown peer spec {spec:?} (expected unix:PATH)"
-                    ));
-                };
-                match UnixGossipLink::connect(std::path::Path::new(path), shard) {
-                    Ok(link) => links.push(Box::new(link)),
-                    Err(e) => die(format_args!("cannot connect to peer {spec:?}: {e}")),
-                }
-            }
-            eprintln!(
-                "dejavuzz-fuzz: shard {shard} gossiping every {} round(s) with {} peer(s)",
-                gossip_every.unwrap_or(1),
-                links.len()
-            );
-            Some(shared_link(MultiLink::new(links)))
-        }
-        None => {
-            if let Some(every) = gossip_every {
-                eprintln!(
-                    "dejavuzz-fuzz: warning: --gossip-every {every} ignored; no --peers given"
-                );
-            }
-            None
-        }
-    };
-
     let mut builder = CampaignBuilder::new()
         .backend(backend.clone())
         .options(opts)
@@ -396,9 +391,6 @@ fn main() {
     }
     if let Some(snap) = resume {
         builder = builder.resume(snap);
-    }
-    if let Some(link) = gossip_link {
-        builder = builder.gossip(link).gossip_every(gossip_every.unwrap_or(1));
     }
     let orch = match builder.build() {
         Ok(orch) => orch,

@@ -53,7 +53,6 @@ use std::path::PathBuf;
 use crate::backend::{BackendSpec, SimBackend};
 use crate::campaign::FuzzerOptions;
 use crate::executor::Orchestrator;
-use crate::gossip::SharedGossipLink;
 use crate::registry;
 use crate::scheduler::{PolicySpec, Scheduler, SchedulerSpec, SeedPolicy};
 use crate::snapshot::{CampaignSnapshot, ResumeError};
@@ -92,17 +91,6 @@ pub enum BuildError {
     UnknownBackend {
         /// The unresolvable id.
         id: String,
-    },
-    /// A gossip link was attached ([`CampaignBuilder::gossip`]) without a
-    /// positive exchange cadence ([`CampaignBuilder::gossip_every`]) — a
-    /// link the campaign would never publish on or drain is a
-    /// misconfiguration, not a silent no-op.
-    GossipLinkWithoutInterval,
-    /// A gossip cadence was set without attaching a link — the campaign
-    /// would silently skip every scheduled exchange.
-    GossipIntervalWithoutLink {
-        /// The configured cadence, in rounds.
-        every: usize,
     },
     /// A supplied extension id is unusable (empty, non-ASCII, contains
     /// `:`), wrapping the registry's diagnosis.
@@ -148,15 +136,6 @@ impl fmt::Display for BuildError {
             }
             BuildError::UnknownBackend { id } => {
                 write!(f, "no backend extension registered under id {id:?}")
-            }
-            BuildError::GossipLinkWithoutInterval => {
-                write!(f, "a gossip link requires gossip_every of at least 1 round")
-            }
-            BuildError::GossipIntervalWithoutLink { every } => {
-                write!(
-                    f,
-                    "gossip_every of {every} rounds set, but no gossip link attached"
-                )
             }
             BuildError::InvalidExtensionId(e) => write!(f, "{e}"),
             BuildError::ProcPool { spec, detail } => {
@@ -230,8 +209,6 @@ pub struct CampaignBuilder {
     snapshot_keep: usize,
     halt_after: Option<usize>,
     resume: Option<Box<CampaignSnapshot>>,
-    gossip_every: usize,
-    gossip: Option<SharedGossipLink>,
     scenarios: Vec<String>,
     /// An id supplied through a `*_ctor` convenience that failed registry
     /// validation; surfaced as a [`BuildError`] at build time so the
@@ -239,9 +216,8 @@ pub struct CampaignBuilder {
     bad_id: Option<registry::RegistryError>,
 }
 
-// Manual: the gossip link is a `dyn` trait object with no `Debug` bound
-// (links wrap sockets); everything a failing configuration needs to name
-// is here.
+// Manual: a resume snapshot would print its whole corpus and coverage;
+// everything a failing configuration needs to name is here.
 impl fmt::Debug for CampaignBuilder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CampaignBuilder")
@@ -254,8 +230,6 @@ impl fmt::Debug for CampaignBuilder {
             .field("policy", &self.policy)
             .field("shard_id", &self.shard_id)
             .field("scenarios", &self.scenarios)
-            .field("gossip_every", &self.gossip_every)
-            .field("gossip", &self.gossip.as_ref().map(|_| "<link>"))
             .finish_non_exhaustive()
     }
 }
@@ -282,8 +256,6 @@ impl CampaignBuilder {
             snapshot_keep: 0,
             halt_after: None,
             resume: None,
-            gossip_every: 0,
-            gossip: None,
             scenarios: Vec::new(),
             bad_id: None,
         }
@@ -481,32 +453,6 @@ impl CampaignBuilder {
         self
     }
 
-    /// Exchanges gossip frames with fleet peers every `rounds` round
-    /// boundaries (default 0 = never). At each boundary the campaign
-    /// publishes its coverage delta plus its favoured corpus entries on
-    /// the attached [`CampaignBuilder::gossip`] link and imports every
-    /// queued peer frame, firing one
-    /// [`crate::observer::PeerDeltaImported`] /
-    /// [`crate::observer::SeedImported`] event per import. A positive
-    /// cadence without a link (or a link without a cadence) is a
-    /// [`BuildError`] — gossip is never a silent half-configuration.
-    pub fn gossip_every(mut self, rounds: usize) -> Self {
-        self.gossip_every = rounds;
-        self
-    }
-
-    /// Attaches the gossip link this campaign publishes on and drains
-    /// peer frames from — an in-process [`crate::gossip::GossipLink`]
-    /// (the fleet bus) or a socket-backed one
-    /// ([`crate::gossip::UnixGossipLink`] behind
-    /// [`crate::gossip::shared_link`]). Requires
-    /// [`CampaignBuilder::gossip_every`] `>= 1`. Campaigns without a
-    /// link are byte-identical to builds that never heard of gossip.
-    pub fn gossip(mut self, link: SharedGossipLink) -> Self {
-        self.gossip = Some(link);
-        self
-    }
-
     /// Enables scenario-template window families on top of the eight
     /// built-in [`crate::gen::WindowType`]s. Each spec names a family
     /// registered in [`crate::scenarios`] (`dejavuzz-scenarios`),
@@ -591,14 +537,6 @@ impl CampaignBuilder {
                 value: self.corpus_exploit,
             });
         }
-        if self.gossip.is_some() && self.gossip_every == 0 {
-            return Err(BuildError::GossipLinkWithoutInterval);
-        }
-        if self.gossip.is_none() && self.gossip_every > 0 {
-            return Err(BuildError::GossipIntervalWithoutLink {
-                every: self.gossip_every,
-            });
-        }
         // Resolve every extension id now: a campaign must never discover
         // an unregistered extension mid-run. The resolved constructors
         // are captured in the orchestrator, so a later re-registration
@@ -660,8 +598,6 @@ impl CampaignBuilder {
             snapshot_keep: self.snapshot_keep,
             halt_after: self.halt_after,
             resume: self.resume,
-            gossip_every: self.gossip_every,
-            gossip: self.gossip,
             scenario_specs,
             scenarios,
         })
@@ -760,34 +696,6 @@ mod tests {
         assert!(snap.pipelined);
         let orch = base().resume(snap).build().unwrap();
         assert!(orch.pipelined, "snapshot setting overrides the default");
-    }
-
-    /// Gossip is all-or-nothing: a link without a cadence (and a cadence
-    /// without a link) are structured errors with pinned messages.
-    #[test]
-    fn half_configured_gossip_is_a_build_error() {
-        let err = base()
-            .gossip(crate::gossip::shared_link(crate::gossip::NullLink))
-            .build()
-            .unwrap_err();
-        assert_eq!(err, BuildError::GossipLinkWithoutInterval);
-        assert_eq!(
-            err.to_string(),
-            "a gossip link requires gossip_every of at least 1 round"
-        );
-
-        let err = base().gossip_every(3).build().unwrap_err();
-        assert_eq!(err, BuildError::GossipIntervalWithoutLink { every: 3 });
-        assert_eq!(
-            err.to_string(),
-            "gossip_every of 3 rounds set, but no gossip link attached"
-        );
-
-        assert!(base()
-            .gossip_every(2)
-            .gossip(crate::gossip::shared_link(crate::gossip::NullLink))
-            .build()
-            .is_ok());
     }
 
     #[test]

@@ -57,7 +57,7 @@
 //! `pipelined` campaign runs (the next round is already dispatched while
 //! the current one's stragglers finish; see the [`crate::scheduler`]
 //! docs for its feedback lag). The moment a round's last slot commits,
-//! its boundary runs: gossip, checkpoint capture, halt check, then the
+//! its boundary runs: checkpoint capture, halt check, then the
 //! next round is planned and shipped. Only then is the captured
 //! checkpoint written, so its fsync overlaps the round the workers are
 //! already running; observers still hear `snapshot_written` before that
@@ -105,7 +105,7 @@
 //! the next round boundary, emulating a planned interruption.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::ops::Range;
 use std::path::PathBuf;
@@ -124,13 +124,12 @@ use dejavuzz_ift::{
 
 use crate::backend::{BackendSpec, SimBackend};
 use crate::campaign::{CampaignStats, FuzzerOptions};
-use crate::corpus::{Corpus, CorpusEntry};
+use crate::corpus::Corpus;
 use crate::gen::{Seed, WindowType};
-use crate::gossip::{GossipFrame, SharedGossipLink, FAVOURED_PER_FRAME};
 use crate::memo::{LineageMemo, Replays};
 use crate::observer::{
-    BugFound, CampaignFinished, CampaignObserver, CoverageGained, PeerDeltaImported, RoundStarted,
-    SeedImported, SlotCommitted, SnapshotWritten,
+    BugFound, CampaignFinished, CampaignObserver, CoverageGained, RoundStarted, SlotCommitted,
+    SnapshotWritten,
 };
 use crate::registry::{BackendCtor, PolicyCtor, SchedulerCtor};
 use crate::scheduler::{
@@ -465,9 +464,8 @@ fn commit_outcome(
     }
     let mut global_fresh = Vec::new();
     for p in &o.fresh_points {
-        // The log behind `global` is the delta source of the gossip
-        // export and of `view_behind`: every globally fresh point lands
-        // there in commit order.
+        // The log behind `global` is the delta source of `view_behind`:
+        // every globally fresh point lands there in commit order.
         if s.global.insert(*p) {
             global_fresh.push(*p);
         }
@@ -690,15 +688,6 @@ struct Session {
     worker_observed: Vec<CoverageMatrix>,
 }
 
-/// Per-run gossip bookkeeping: the cursor into the global discovery log
-/// up to which this shard has already published, plus the set of points
-/// that arrived *from* peers — exported deltas filter those out, so a
-/// point never echoes back to the mesh that delivered it.
-struct GossipState {
-    published: usize,
-    imported: HashSet<CoveragePoint>,
-}
-
 /// One run's worker threads and their channels.
 struct Pool {
     to_workers: Vec<mpsc::Sender<StealRound>>,
@@ -794,13 +783,6 @@ pub struct Orchestrator {
     pub(crate) snapshot_keep: usize,
     pub(crate) halt_after: Option<usize>,
     pub(crate) resume: Option<Box<CampaignSnapshot>>,
-    /// Gossip exchange cadence in rounds (0 = no gossip). Set together
-    /// with `gossip` by the builder, never independently.
-    pub(crate) gossip_every: usize,
-    /// The link this shard publishes frames on and drains peer frames
-    /// from at gossip boundaries. `None` runs byte-identically to a
-    /// build without the fleet layer.
-    pub(crate) gossip: Option<SharedGossipLink>,
 }
 
 impl fmt::Debug for Orchestrator {
@@ -1039,113 +1021,6 @@ impl Orchestrator {
         }
     }
 
-    /// One gossip exchange at a round boundary: publish this shard's
-    /// coverage delta (filtered of points that themselves arrived from
-    /// peers) plus its top-energy corpus entries, then import every
-    /// queued peer frame — points into the global union (and the live
-    /// shared union, so the cross-check invariant holds), seeds into the
-    /// corpus — firing one [`PeerDeltaImported`] per frame and one
-    /// [`SeedImported`] per accepted seed. Every cross-shard import is
-    /// therefore an explicit, logged observer event at a deterministic
-    /// commit point; with no link configured this is never called and
-    /// the campaign is byte-identical to a build without gossip.
-    fn gossip_exchange(
-        &self,
-        s: &mut Session,
-        shared: &SharedCoverage,
-        gst: &mut GossipState,
-        feedback: bool,
-        observers: &mut [Box<dyn CampaignObserver>],
-    ) {
-        let Some(link) = &self.gossip else {
-            return;
-        };
-        let metrics = crate::metrics::handles();
-        let _exchange_span = dejavuzz_telemetry::Timer::start(&metrics.gossip_exchange_nanos);
-        // Export first: the frame carries exactly what this shard itself
-        // discovered since the last exchange, in discovery order.
-        let delta: Vec<CoveragePoint> = s
-            .global
-            .delta_since(gst.published)
-            .iter()
-            .filter(|p| !gst.imported.contains(p))
-            .copied()
-            .collect();
-        gst.published = s.global.watermark();
-        // The favoured corpus slice: highest current energy wins; the
-        // sort is stable over the corpus's deterministic retention order,
-        // so ties break identically run over run.
-        let mut ranked: Vec<&CorpusEntry> = s.corpus.entries().iter().collect();
-        ranked.sort_by(|a, b| {
-            b.energy()
-                .partial_cmp(&a.energy())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let favoured: Vec<CorpusEntry> = ranked
-            .into_iter()
-            .take(FAVOURED_PER_FRAME)
-            .cloned()
-            .collect();
-        metrics.gossip_points_out_total.add(delta.len() as u64);
-        let frame = GossipFrame {
-            shard: self.shard_id,
-            iterations: s.stats.iterations,
-            delta,
-            favoured,
-        };
-        let frames = {
-            let mut link = link.lock().expect("gossip link poisoned");
-            link.publish(&frame);
-            link.drain()
-        };
-        // Import at the boundary: the next round's view is cloned from the
-        // union, imports included.
-        for f in frames {
-            if f.shard == self.shard_id {
-                continue; // self-echo from a loopback topology
-            }
-            let mut fresh = 0usize;
-            for p in &f.delta {
-                if s.global.insert(*p) {
-                    fresh += 1;
-                    shared.observe_point(*p);
-                    gst.imported.insert(*p);
-                }
-            }
-            metrics.gossip_frames_in_total.inc();
-            metrics.gossip_points_in_total.add(fresh as u64);
-            let ev = PeerDeltaImported {
-                from_shard: f.shard,
-                peer_iterations: f.iterations,
-                boundary: s.stats.iterations,
-                points: f.delta.len(),
-                fresh_points: fresh,
-                total_points: s.global.points(),
-            };
-            for obs in observers.iter_mut() {
-                obs.peer_delta_imported(&ev);
-            }
-            // Seeds are coverage feedback: the DejaVuzz⁻ ablation must
-            // not smuggle peer guidance in through the side door.
-            if feedback {
-                for e in &f.favoured {
-                    s.corpus.record(&e.seed, e.gain);
-                    let sev = SeedImported {
-                        from_shard: f.shard,
-                        boundary: s.stats.iterations,
-                        window_type: e.seed.window_type,
-                        entropy: e.seed.entropy,
-                        gain: e.gain,
-                    };
-                    for obs in observers.iter_mut() {
-                        obs.seed_imported(&sev);
-                    }
-                }
-            }
-        }
-        metrics.coverage_points.set(s.global.points() as u64);
-    }
-
     /// Runs the pool until `iterations` total campaign iterations have
     /// completed (on resumed runs that *includes* the snapshot's
     /// iterations), returning the report. See the module docs for the
@@ -1226,12 +1101,6 @@ impl Orchestrator {
             round.announce(observers);
             in_flight.push_back(round);
         }
-        let mut gossip_state = GossipState {
-            // The restored union is not in the seeded log, so exports
-            // start with what is committed from here on.
-            published: s.global.watermark(),
-            imported: HashSet::new(),
-        };
         let metrics = crate::metrics::handles();
         let halt = self.halt_after.unwrap_or(usize::MAX);
         let feedback = self.opts.coverage_feedback;
@@ -1303,9 +1172,6 @@ impl Orchestrator {
             in_flight.pop_front();
             model.end_round();
             rounds += 1;
-            if self.gossip_every > 0 && rounds.is_multiple_of(self.gossip_every) {
-                self.gossip_exchange(&mut s, &shared, &mut gossip_state, feedback, observers);
-            }
             memo.prune(&s.corpus);
             if self.snapshot_path.is_some()
                 && self.snapshot_every > 0

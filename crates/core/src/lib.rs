@@ -181,7 +181,6 @@ pub mod campaign;
 pub mod corpus;
 pub mod executor;
 pub mod gen;
-pub mod gossip;
 mod memo;
 pub mod metrics;
 pub mod observer;
@@ -201,10 +200,9 @@ pub use campaign::{CampaignStats, FuzzerOptions};
 pub use corpus::Corpus;
 pub use executor::{ExecutorReport, Orchestrator, WorkerSummary};
 pub use gen::{Seed, TransientPlan, WindowType};
-pub use gossip::{GossipFrame, GossipLink, MultiLink, NullLink, SharedGossipLink};
 pub use observer::{
-    BugFound, CampaignFinished, CampaignObserver, CoverageGained, JsonLinesObserver,
-    PeerDeltaImported, RoundStarted, SeedImported, SlotCommitted, SnapshotWritten, TextObserver,
+    BugFound, CampaignFinished, CampaignObserver, CoverageGained, JsonLinesObserver, RoundStarted,
+    SlotCommitted, SnapshotWritten, TextObserver,
 };
 pub use procbackend::ProcBackend;
 pub use registry::{BackendCtor, PolicyCtor, RegistryError, SchedulerCtor};

@@ -8,7 +8,7 @@
 //! identity contract `tests/metrics.rs` pins. Durations already measured
 //! for the report (slot elapsed, view setup) are *re-used* here rather
 //! than re-measured; the extra instruments (plan, census, stall,
-//! snapshot, gossip) read the clock only when recording is on.
+//! snapshot) read the clock only when recording is on.
 //!
 //! Handles resolve lazily through a `OnceLock` so the first instrumented
 //! operation pays the registration walk and every later one is a field
@@ -45,15 +45,6 @@ pub struct CoreMetrics {
     pub snapshot_write_nanos: Arc<Histogram>,
     /// Checkpoints written.
     pub snapshots_total: Arc<Counter>,
-    /// One full gossip exchange (publish + drain under the link lock,
-    /// plus importing the drained frames).
-    pub gossip_exchange_nanos: Arc<Histogram>,
-    /// Peer frames imported (self-echoes excluded).
-    pub gossip_frames_in_total: Arc<Counter>,
-    /// Coverage points published to peers.
-    pub gossip_points_out_total: Arc<Counter>,
-    /// Globally fresh coverage points imported from peers.
-    pub gossip_points_in_total: Arc<Counter>,
     /// Slots committed whose window was a scenario-template family
     /// ([`crate::gen::WindowType::Scenario`]).
     pub scenario_slots_total: Arc<Counter>,
@@ -75,7 +66,7 @@ pub struct CoreMetrics {
     pub coverage_points: Arc<Gauge>,
     /// Sum of per-slot backend run time across completed runs — the
     /// `ExecutorReport::busy_nanos` fold, accumulated per run so a
-    /// multi-shard process reports fleet totals.
+    /// process that runs several campaigns reports their total.
     pub busy_nanos: Arc<Gauge>,
     /// `ExecutorReport::barrier_idle_nanos`, accumulated per run.
     pub barrier_idle_nanos: Arc<Gauge>,
@@ -129,22 +120,6 @@ pub fn handles() -> &'static CoreMetrics {
                 "Campaign checkpoint serialisation and write time in nanoseconds",
             ),
             snapshots_total: r.counter("dejavuzz_snapshots_total", "Checkpoints written"),
-            gossip_exchange_nanos: r.histogram(
-                "dejavuzz_gossip_exchange_nanos",
-                "One gossip publish+drain+import exchange in nanoseconds",
-            ),
-            gossip_frames_in_total: r.counter(
-                "dejavuzz_gossip_frames_in_total",
-                "Peer gossip frames imported (self-echoes excluded)",
-            ),
-            gossip_points_out_total: r.counter(
-                "dejavuzz_gossip_points_out_total",
-                "Coverage points published to gossip peers",
-            ),
-            gossip_points_in_total: r.counter(
-                "dejavuzz_gossip_points_in_total",
-                "Globally fresh coverage points imported from gossip peers",
-            ),
             scenario_slots_total: r.counter(
                 "dejavuzz_scenario_slots_total",
                 "Slots committed under a scenario-template window family",
@@ -211,9 +186,8 @@ pub fn registry_json() -> String {
 /// Folds a finished run's [`crate::ExecutorReport`] timing fields into
 /// the registry, so `/metrics` and the report read the same source of
 /// truth (the report's accumulators). Accumulating
-/// (`Gauge::add`) rather than last-write-wins: shards of a
-/// `dejavuzz-serve` fleet share one process registry and their totals
-/// should sum.
+/// (`Gauge::add`) rather than last-write-wins: every campaign a process
+/// runs shares its one registry, so the totals sum over the campaigns.
 pub fn record_report(report: &crate::ExecutorReport) {
     let m = handles();
     m.busy_nanos.add(report.busy_nanos);

@@ -28,11 +28,6 @@
 //! * [`CampaignObserver::campaign_finished`] — once, with the final
 //!   [`ExecutorReport`].
 //!
-//! [`CampaignEvent`] is the owned form of every event, and an
-//! [`EventSink`] consumes events in that form: a blanket impl makes every
-//! sink an observer, and [`CampaignEvent::to_json`] is the one JSON
-//! serialiser (of [`JsonLinesObserver`] and of the fleet transport).
-//!
 //! Two built-ins cover the CLI's needs: [`TextObserver`] reimplements
 //! the historical `dejavuzz-fuzz` stdout report (byte-identical for the
 //! default run, pinned by `crates/core/tests/cli.rs`), and
@@ -44,13 +39,11 @@
 //! byte-deterministic per `(seed, workers)`.
 
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
-use dejavuzz_ift::CoveragePoint;
 use dejavuzz_telemetry::json_string;
 
-use crate::campaign::CampaignStats;
 use crate::executor::ExecutorReport;
 use crate::gen::WindowType;
 use crate::report::BugReport;
@@ -129,47 +122,6 @@ pub struct SnapshotWritten<'a> {
     pub periodic: bool,
 }
 
-/// A gossiping peer's coverage delta was imported at a round boundary.
-///
-/// Cross-shard imports are the one way coverage can grow outside a
-/// [`SlotCommitted`] commit, so every import is an explicit event: a
-/// gossiping campaign's coverage trajectory stays fully auditable from
-/// its telemetry stream alone (fired between the final commit of a round
-/// and the next [`RoundStarted`] — asserted by `tests/fleet.rs`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PeerDeltaImported {
-    /// Shard id of the exporting peer.
-    pub from_shard: u32,
-    /// Iterations the peer had committed when it exported the frame.
-    pub peer_iterations: usize,
-    /// Local iterations committed when the import was applied (the round
-    /// boundary).
-    pub boundary: usize,
-    /// Points carried by the frame's delta.
-    pub points: usize,
-    /// Points that were new to this shard's union.
-    pub fresh_points: usize,
-    /// Global coverage after folding the delta in.
-    pub total_points: usize,
-}
-
-/// A gossiping peer's favoured corpus entry was offered to the corpus at
-/// a round boundary (same auditability contract as
-/// [`PeerDeltaImported`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SeedImported {
-    /// Shard id of the exporting peer.
-    pub from_shard: u32,
-    /// Local iterations committed when the import was applied.
-    pub boundary: usize,
-    /// The imported seed's transient-window category.
-    pub window_type: WindowType,
-    /// The imported seed's entropy (its lineage key, with the window).
-    pub entropy: u64,
-    /// The coverage gain the peer retained the seed with.
-    pub gain: usize,
-}
-
 /// The campaign completed.
 #[derive(Clone, Copy, Debug)]
 pub struct CampaignFinished<'a> {
@@ -196,120 +148,8 @@ pub trait CampaignObserver {
     fn bug_found(&mut self, _ev: &BugFound) {}
     /// See [`SnapshotWritten`].
     fn snapshot_written(&mut self, _ev: &SnapshotWritten<'_>) {}
-    /// See [`PeerDeltaImported`].
-    fn peer_delta_imported(&mut self, _ev: &PeerDeltaImported) {}
-    /// See [`SeedImported`].
-    fn seed_imported(&mut self, _ev: &SeedImported) {}
     /// See [`CampaignFinished`].
     fn campaign_finished(&mut self, _ev: &CampaignFinished<'_>) {}
-}
-
-/// An owned campaign event: every [`CampaignObserver`] callback's
-/// payload, detached from the executor's borrows so it can cross
-/// threads or be serialised later. The borrowed-slice events
-/// ([`CoverageGained`], [`SnapshotWritten`], [`CampaignFinished`]) are
-/// flattened to owned fields; the already-owned event structs embed
-/// directly.
-#[derive(Clone, Debug, PartialEq)]
-pub enum CampaignEvent {
-    /// See [`RoundStarted`].
-    RoundStarted(RoundStarted),
-    /// See [`SlotCommitted`].
-    SlotCommitted(SlotCommitted),
-    /// See [`CoverageGained`] — with the fresh points owned.
-    CoverageGained {
-        /// The contributing slot.
-        slot: usize,
-        /// The newly covered points, in commit order.
-        points: Vec<CoveragePoint>,
-        /// Global coverage after folding them in.
-        total_points: usize,
-    },
-    /// See [`BugFound`].
-    BugFound(BugFound),
-    /// See [`SnapshotWritten`] — with the path owned.
-    SnapshotWritten {
-        /// Where the checkpoint was written.
-        path: PathBuf,
-        /// Iterations completed at the checkpoint.
-        iterations: usize,
-        /// Periodic mid-run checkpoint or the end-of-run one.
-        periodic: bool,
-    },
-    /// See [`PeerDeltaImported`].
-    PeerDeltaImported(PeerDeltaImported),
-    /// See [`SeedImported`].
-    SeedImported(SeedImported),
-    /// See [`CampaignFinished`] — its report's stats, exact coverage and
-    /// corpus counts, without the wall-clock.
-    CampaignFinished {
-        /// The final campaign stats.
-        stats: CampaignStats,
-        /// The final coverage union, `report.coverage.points()`. A gossip
-        /// import at the last round boundary raises it without committing
-        /// a slot, so it can exceed the coverage curve's last value.
-        coverage_points: usize,
-        /// Seeds the corpus retained.
-        corpus_retained: usize,
-        /// Seeds the corpus evicted for capacity.
-        corpus_evicted: usize,
-    },
-}
-
-/// A consumer of owned [`CampaignEvent`]s. Every sink is a
-/// [`CampaignObserver`]: the blanket impl below turns each borrowed
-/// event into one owned event, so a sink implements one method where an
-/// observer implements eight.
-pub trait EventSink {
-    /// Consumes one event.
-    fn event(&mut self, ev: CampaignEvent);
-}
-
-impl<S: EventSink> CampaignObserver for S {
-    fn round_started(&mut self, ev: &RoundStarted) {
-        self.event(CampaignEvent::RoundStarted(*ev));
-    }
-
-    fn slot_committed(&mut self, ev: &SlotCommitted) {
-        self.event(CampaignEvent::SlotCommitted(ev.clone()));
-    }
-
-    fn coverage_gained(&mut self, ev: &CoverageGained<'_>) {
-        self.event(CampaignEvent::CoverageGained {
-            slot: ev.slot,
-            points: ev.points.to_vec(),
-            total_points: ev.total_points,
-        });
-    }
-
-    fn bug_found(&mut self, ev: &BugFound) {
-        self.event(CampaignEvent::BugFound(ev.clone()));
-    }
-
-    fn snapshot_written(&mut self, ev: &SnapshotWritten<'_>) {
-        self.event(CampaignEvent::SnapshotWritten {
-            path: ev.path.to_path_buf(),
-            iterations: ev.iterations,
-            periodic: ev.periodic,
-        });
-    }
-
-    fn peer_delta_imported(&mut self, ev: &PeerDeltaImported) {
-        self.event(CampaignEvent::PeerDeltaImported(*ev));
-    }
-
-    fn seed_imported(&mut self, ev: &SeedImported) {
-        self.event(CampaignEvent::SeedImported(*ev));
-    }
-
-    fn campaign_finished(&mut self, ev: &CampaignFinished<'_>) {
-        self.event(CampaignEvent::CampaignFinished {
-            stats: ev.report.stats.clone(),
-            coverage_points: ev.report.coverage.points(),
-            corpus_retained: ev.report.corpus_retained,
-            corpus_evicted: ev.report.corpus_evicted,
-        });
-    }
 }
 
 /// The historical `dejavuzz-fuzz` stdout report as an observer: an
@@ -428,8 +268,9 @@ impl<W: Write> CampaignObserver for TextObserver<W> {
 /// Machine-readable telemetry: one JSON object per event, one event per
 /// line (`dejavuzz-fuzz --telemetry json`). The stream contains no
 /// wall-clock, so its bytes are deterministic per `(seed, workers,
-/// batch, scheduler, policy)` — asserted by `tests/observer.rs` and
-/// `crates/core/tests/cli.rs`'s `json_telemetry_is_deterministic_and_valid`.
+/// batch, scheduler, policy)` — asserted by `tests/observer.rs` (which
+/// also pins one campaign's bytes) and `crates/core/tests/cli.rs`'s
+/// `json_telemetry_is_deterministic_and_valid`.
 pub struct JsonLinesObserver<W: Write> {
     out: W,
 }
@@ -448,119 +289,98 @@ impl<W: Write> JsonLinesObserver<W> {
     }
 }
 
-impl<W: Write> EventSink for JsonLinesObserver<W> {
-    fn event(&mut self, ev: CampaignEvent) {
-        let _ = writeln!(self.out, "{}", ev.to_json());
-        if matches!(ev, CampaignEvent::CampaignFinished { .. }) {
-            let _ = self.out.flush();
-        }
+impl<W: Write> CampaignObserver for JsonLinesObserver<W> {
+    fn round_started(&mut self, ev: &RoundStarted) {
+        let _ = writeln!(
+            self.out,
+            "{{\"event\":\"round_started\",\"first_slot\":{},\"slots\":{},\"gain_samples\":{}}}",
+            ev.first_slot, ev.slots, ev.gain_threshold_samples
+        );
     }
-}
 
-impl CampaignEvent {
-    /// The event as one JSON object, without a newline: the line
-    /// [`JsonLinesObserver`] writes, and the one serialiser of every
-    /// JSON event stream.
-    pub fn to_json(&self) -> String {
-        match self {
-            CampaignEvent::RoundStarted(ev) => format!(
-                "{{\"event\":\"round_started\",\"first_slot\":{},\"slots\":{},\"gain_samples\":{}}}",
-                ev.first_slot, ev.slots, ev.gain_threshold_samples
-            ),
-            CampaignEvent::SlotCommitted(ev) => {
-                let error = match &ev.error {
-                    Some(e) => json_string(e),
-                    None => "null".to_string(),
-                };
-                format!(
-                    "{{\"event\":\"slot_committed\",\"slot\":{},\"stream\":{},\"window\":{},\
-                     \"triggered\":{},\"to\":{},\"eto\":{},\"sim_runs\":{},\"final_gain\":{},\
-                     \"fresh_points\":{},\"total_points\":{},\"error\":{}}}",
-                    ev.slot,
-                    ev.stream,
-                    json_string(ev.window_type.name()),
-                    ev.triggered,
-                    ev.to,
-                    ev.eto,
-                    ev.sim_runs,
-                    ev.final_gain,
-                    ev.fresh_points,
-                    ev.total_points,
-                    error
-                )
-            }
-            CampaignEvent::CoverageGained {
-                slot,
-                points,
-                total_points,
-            } => format!(
-                "{{\"event\":\"coverage_gained\",\"slot\":{},\"gained\":{},\"total_points\":{}}}",
-                slot,
-                points.len(),
-                total_points
-            ),
-            CampaignEvent::BugFound(ev) => format!(
-                "{{\"event\":\"bug_found\",\"slot\":{},\"core\":{},\"attack\":{},\
-                 \"window_class\":{},\"component\":{},\"iteration\":{}}}",
-                ev.slot,
-                json_string(&ev.bug.core),
-                json_string(ev.bug.attack.name()),
-                json_string(ev.bug.window_type.table5_class()),
-                json_string(ev.bug.component()),
-                ev.bug.iteration
-            ),
-            CampaignEvent::SnapshotWritten {
-                path,
-                iterations,
-                periodic,
-            } => format!(
-                "{{\"event\":\"snapshot_written\",\"path\":{},\"iterations\":{},\"periodic\":{}}}",
-                json_string(&path.display().to_string()),
-                iterations,
-                periodic
-            ),
-            CampaignEvent::PeerDeltaImported(ev) => format!(
-                "{{\"event\":\"peer_delta_imported\",\"from_shard\":{},\"peer_iterations\":{},\
-                 \"boundary\":{},\"points\":{},\"fresh_points\":{},\"total_points\":{}}}",
-                ev.from_shard,
-                ev.peer_iterations,
-                ev.boundary,
-                ev.points,
-                ev.fresh_points,
-                ev.total_points
-            ),
-            CampaignEvent::SeedImported(ev) => format!(
-                "{{\"event\":\"seed_imported\",\"from_shard\":{},\"boundary\":{},\"window\":{},\
-                 \"entropy\":{},\"gain\":{}}}",
-                ev.from_shard,
-                ev.boundary,
-                json_string(ev.window_type.name()),
-                ev.entropy,
-                ev.gain
-            ),
-            CampaignEvent::CampaignFinished {
-                stats,
-                coverage_points,
-                corpus_retained,
-                corpus_evicted,
-            } => format!(
-                "{{\"event\":\"campaign_finished\",\"iterations\":{},\"sim_runs\":{},\
-                 \"sim_cycles\":{},\"coverage_points\":{},\"corpus_retained\":{},\
-                 \"corpus_evicted\":{},\"failed_runs\":{},\"bugs\":{},\"first_bug\":{}}}",
-                stats.iterations,
-                stats.sim_runs,
-                stats.sim_cycles,
-                coverage_points,
-                corpus_retained,
-                corpus_evicted,
-                stats.failed_runs,
-                stats.bugs.len(),
-                match stats.first_bug_iteration {
-                    Some(i) => i.to_string(),
-                    None => "null".to_string(),
-                }
-            ),
-        }
+    fn slot_committed(&mut self, ev: &SlotCommitted) {
+        let error = match &ev.error {
+            Some(e) => json_string(e),
+            None => "null".to_string(),
+        };
+        let _ = writeln!(
+            self.out,
+            "{{\"event\":\"slot_committed\",\"slot\":{},\"stream\":{},\"window\":{},\
+             \"triggered\":{},\"to\":{},\"eto\":{},\"sim_runs\":{},\"final_gain\":{},\
+             \"fresh_points\":{},\"total_points\":{},\"error\":{}}}",
+            ev.slot,
+            ev.stream,
+            json_string(ev.window_type.name()),
+            ev.triggered,
+            ev.to,
+            ev.eto,
+            ev.sim_runs,
+            ev.final_gain,
+            ev.fresh_points,
+            ev.total_points,
+            error
+        );
+    }
+
+    fn coverage_gained(&mut self, ev: &CoverageGained<'_>) {
+        let _ = writeln!(
+            self.out,
+            "{{\"event\":\"coverage_gained\",\"slot\":{},\"gained\":{},\"total_points\":{}}}",
+            ev.slot,
+            ev.points.len(),
+            ev.total_points
+        );
+    }
+
+    fn bug_found(&mut self, ev: &BugFound) {
+        let _ = writeln!(
+            self.out,
+            "{{\"event\":\"bug_found\",\"slot\":{},\"core\":{},\"attack\":{},\
+             \"window_class\":{},\"component\":{},\"iteration\":{}}}",
+            ev.slot,
+            json_string(&ev.bug.core),
+            json_string(ev.bug.attack.name()),
+            json_string(ev.bug.window_type.table5_class()),
+            json_string(ev.bug.component()),
+            ev.bug.iteration
+        );
+    }
+
+    fn snapshot_written(&mut self, ev: &SnapshotWritten<'_>) {
+        let _ = writeln!(
+            self.out,
+            "{{\"event\":\"snapshot_written\",\"path\":{},\"iterations\":{},\"periodic\":{}}}",
+            json_string(&ev.path.display().to_string()),
+            ev.iterations,
+            ev.periodic
+        );
+    }
+
+    /// The finale reports the final union, `report.coverage.points()`,
+    /// like the text report's `coverage points` line.
+    fn campaign_finished(&mut self, ev: &CampaignFinished<'_>) {
+        let report = ev.report;
+        let stats = &report.stats;
+        let first_bug = match stats.first_bug_iteration {
+            Some(i) => i.to_string(),
+            None => "null".to_string(),
+        };
+        let _ = writeln!(
+            self.out,
+            "{{\"event\":\"campaign_finished\",\"iterations\":{},\"sim_runs\":{},\
+             \"sim_cycles\":{},\"coverage_points\":{},\"corpus_retained\":{},\
+             \"corpus_evicted\":{},\"failed_runs\":{},\"bugs\":{},\"first_bug\":{}}}",
+            stats.iterations,
+            stats.sim_runs,
+            stats.sim_cycles,
+            report.coverage.points(),
+            report.corpus_retained,
+            report.corpus_evicted,
+            stats.failed_runs,
+            stats.bugs.len(),
+            first_bug
+        );
+        let _ = self.out.flush();
     }
 }
 
@@ -575,6 +395,70 @@ mod tests {
         assert_eq!(json_string("a\\b"), "\"a\\\\b\"");
         assert_eq!(json_string("a\nb\tc"), "\"a\\nb\\tc\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    }
+
+    /// The two JSON shapes the pinned stream of `tests/observer.rs` (a
+    /// bug-finding campaign without backend errors) does not reach: a
+    /// failed slot's error string and a finale with no bug.
+    #[test]
+    fn json_lines_render_a_slot_error_and_a_null_first_bug() {
+        use crate::campaign::CampaignStats;
+        use crate::gen::WindowType;
+        use dejavuzz_ift::{CoverageMatrix, CoveragePoint, Module};
+
+        let mut coverage = CoverageMatrix::new();
+        for index in 0..2 {
+            coverage.insert(CoveragePoint {
+                module: Module::Rob,
+                index,
+            });
+        }
+        let report = ExecutorReport {
+            stats: CampaignStats {
+                iterations: 16,
+                sim_runs: 64,
+                sim_cycles: 4096,
+                coverage_curve: vec![2],
+                ..CampaignStats::default()
+            },
+            coverage,
+            shared_points: 2,
+            workers: Vec::new(),
+            corpus_retained: 5,
+            corpus_evicted: 1,
+            busy_nanos: 0,
+            modelled_makespan_nanos: 0,
+            barrier_idle_nanos: 0,
+            view_setup_nanos: 0,
+        };
+        let mut obs = JsonLinesObserver::new(Vec::new());
+        obs.slot_committed(&SlotCommitted {
+            slot: 0,
+            stream: 1,
+            window_type: WindowType::ALL[0],
+            triggered: true,
+            to: 5,
+            eto: 2,
+            sim_runs: 4,
+            final_gain: 3,
+            fresh_points: 2,
+            total_points: 2,
+            error: Some("i/o \"late\"".into()),
+        });
+        obs.campaign_finished(&CampaignFinished {
+            report: &report,
+            elapsed: Duration::ZERO,
+        });
+        assert_eq!(
+            String::from_utf8(obs.out).unwrap(),
+            "{\"event\":\"slot_committed\",\"slot\":0,\"stream\":1,\
+             \"window\":\"Load/Store Access Fault\",\"triggered\":true,\"to\":5,\"eto\":2,\
+             \"sim_runs\":4,\"final_gain\":3,\"fresh_points\":2,\"total_points\":2,\
+             \"error\":\"i/o \\\"late\\\"\"}\n\
+             {\"event\":\"campaign_finished\",\"iterations\":16,\"sim_runs\":64,\
+             \"sim_cycles\":4096,\"coverage_points\":2,\"corpus_retained\":5,\
+             \"corpus_evicted\":1,\"failed_runs\":0,\"bugs\":0,\"first_bug\":null}\n"
+        );
     }
 
     #[test]

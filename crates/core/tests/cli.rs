@@ -654,98 +654,27 @@ fn old_snapshot_versions_exit_two_naming_the_version() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A malformed `--gossip-every` value is an exit-2 error naming both the
-/// value and the flag.
+/// Every argument `main` does not read exits 2 before anything runs:
+/// the removed `--peers`, `--gossip-every` and `--threads` flags, a
+/// misspelt flag and a stray word each name themselves on stderr and
+/// print nothing on stdout, so a typo never runs the defaults.
 #[test]
-fn malformed_gossip_every_exits_two_naming_the_flag() {
-    let (code, _, stderr) = fuzz(&["--gossip-every", "abc"]);
-    assert_eq!(code, Some(2));
-    assert!(
-        stderr.contains("invalid value \"abc\" for --gossip-every"),
-        "stderr names value and flag: {stderr}"
-    );
-}
-
-/// `--peers` followed by another flag is a missing value, not a value.
-#[test]
-fn peers_requires_a_value() {
-    let (code, _, stderr) = fuzz(&["--peers", "--iters", "1"]);
-    assert_eq!(code, Some(2));
-    assert!(
-        stderr.contains("--peers requires a value"),
-        "stderr: {stderr}"
-    );
-}
-
-/// A peer spec without the `unix:` scheme is refused with the spec named
-/// verbatim — never treated as a path.
-#[test]
-fn unknown_peer_spec_exits_two() {
-    let (code, _, stderr) = fuzz(&["--peers", "tcp:127.0.0.1:9", "--iters", "1"]);
-    assert_eq!(code, Some(2));
-    assert!(
-        stderr.contains("unknown peer spec \"tcp:127.0.0.1:9\" (expected unix:PATH)"),
-        "stderr: {stderr}"
-    );
-}
-
-/// A peer socket that cannot be dialled is a configuration error at
-/// startup (exit 2 naming the spec) — only a peer dying *mid-run*
-/// degrades to a solo campaign.
-#[test]
-fn unreachable_peer_exits_two() {
-    let (code, _, stderr) = fuzz(&[
-        "--peers",
-        "unix:/nonexistent/djvz-fleet.sock",
-        "--iters",
-        "1",
-    ]);
-    assert_eq!(code, Some(2));
-    assert!(
-        stderr.contains("cannot connect to peer \"unix:/nonexistent/djvz-fleet.sock\""),
-        "stderr: {stderr}"
-    );
-}
-
-/// `--gossip-every` without `--peers` warns on stderr and changes
-/// nothing: the JSON telemetry on stdout and the snapshot are
-/// byte-identical to a run without the flag.
-#[test]
-fn solo_gossip_every_warns_and_leaves_stdout_untouched() {
-    let args = [
-        "--iters",
-        "10",
-        "--workers",
-        "2",
-        "--seed",
-        "5",
-        "--telemetry",
-        "json",
-        "--snapshot",
-        "camp.snap",
-    ];
-    let (plain_dir, solo_dir) = (scratch("solo-plain"), scratch("solo-gossip"));
-    let plain = fuzz_in(&plain_dir, &args);
-    let solo = fuzz_in(&solo_dir, &[&args[..], &["--gossip-every", "3"]].concat());
-    assert_eq!(plain.0, Some(0), "stderr: {}", plain.2);
-    assert_eq!(solo.0, Some(0), "stderr: {}", solo.2);
-    assert!(
-        solo.2
-            .contains("warning: --gossip-every 3 ignored; no --peers given"),
-        "stderr: {}",
-        solo.2
-    );
-    assert_eq!(
-        plain.1, solo.1,
-        "stdout telemetry is byte-identical with and without the ignored flag"
-    );
-    let snapshot = |dir: &Path| std::fs::read(dir.join("camp.snap")).unwrap();
-    assert!(
-        snapshot(&plain_dir) == snapshot(&solo_dir),
-        "the snapshot is byte-identical with and without the ignored flag"
-    );
-    let _ = std::fs::remove_dir_all(&plain_dir);
-    let _ = std::fs::remove_dir_all(&solo_dir);
+fn unknown_flags_and_stray_arguments_exit_two_naming_the_token() {
+    for (args, token, why) in [
+        (&["--peers", "unix:/x"][..], "--peers", "unknown flag"),
+        (&["--gossip-every", "1"], "--gossip-every", "unknown flag"),
+        (&["--threads", "2"], "--threads", "unknown flag"),
+        (&["--iterz", "3", "--iters", "2"], "--iterz", "unknown flag"),
+        (&["--iters", "2", "stray"], "stray", "unexpected argument"),
+    ] {
+        let (code, stdout, stderr) = fuzz(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{why} \"{token}\"")),
+            "{args:?}: {stderr}"
+        );
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+    }
 }
 
 /// `--metrics-out` followed by another flag is a missing value, not a

@@ -151,12 +151,11 @@ impl TaintCoverage for CoverageMatrix {
 /// committed union, plus "every point it gained since a cursor", in
 /// discovery order.
 ///
-/// The executor reads deltas from it twice: the gossip export publishes
-/// the points gained since the last exchange, and a checkpoint records
-/// the points committed since the in-flight round's dispatch (its
-/// `view_behind`). A consumer holds a [`CoverageLog::watermark`] cursor
-/// and reads [`CoverageLog::delta_since`]; each delta is O(points
-/// gained), never O(coverage space).
+/// The executor reads one delta from it: a checkpoint records the points
+/// committed since the in-flight round's dispatch (its `view_behind`).
+/// A consumer holds a [`CoverageLog::watermark`] cursor and reads
+/// [`CoverageLog::delta_since`]; each delta is O(points gained), never
+/// O(coverage space).
 ///
 /// Points present at construction ([`CoverageLog::seeded`], the
 /// snapshot-resume path) are deliberately *not* in the log: they were

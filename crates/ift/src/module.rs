@@ -5,9 +5,9 @@
 //! backend reports it.
 //!
 //! Adding a module is one `Variant = "name"` line in the list below, in
-//! name order, and bumps no format version: snapshots and gossip frames
-//! store names, not variant positions. Only the procsim pipe sends
-//! positions, and a pool's parent and workers are one build.
+//! name order, and bumps no format version: snapshots store names, not
+//! variant positions. Only the procsim pipe sends positions, and a
+//! pool's parent and workers are one build.
 
 use std::fmt;
 

@@ -20,20 +20,10 @@ use crate::codec::{DecodeError, Decoder, Encoder};
 /// checksum (8). A complete frame is `HEADER_LEN + payload_len` bytes.
 pub const HEADER_LEN: usize = 28;
 
-/// Frame kind for fleet gossip: the periodic coverage-delta +
-/// favoured-corpus exchange between running shards (`dejavuzz::gossip`).
-/// Distinct from the snapshot magic so a gossip frame fed to the
-/// snapshot decoder (or vice versa) fails loudly with
-/// [`DecodeError::BadMagic`] instead of misparsing.
-pub const GOSSIP_MAGIC: [u8; 8] = *b"DJVZGOSP";
-
-/// Gossip frame payload version: the only one this build reads.
-pub const GOSSIP_VERSION: u32 = 1;
-
 /// Upper bound on one frame (header + payload) a stream reader accepts:
-/// the worker-process RPC stream and gossip links. Their frames are far
-/// smaller; a larger declared length is a corrupt or hostile length
-/// field, and rejecting it beats allocating, or waiting for, its body.
+/// the worker-process RPC stream. Its frames are far smaller; a larger
+/// declared length is a corrupt or hostile length field, and rejecting
+/// it beats allocating, or waiting for, its body.
 pub const MAX_FRAME: usize = 256 << 20;
 
 /// Stream reassembly: the total size of the frame starting at `bytes[0]`,

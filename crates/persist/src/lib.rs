@@ -26,9 +26,7 @@ pub mod frame;
 pub mod io;
 
 pub use codec::{DecodeError, Decoder, Encoder, Persist};
-pub use frame::{
-    fnv1a64, framed_len, open, seal, GOSSIP_MAGIC, GOSSIP_VERSION, HEADER_LEN, MAX_FRAME,
-};
+pub use frame::{fnv1a64, framed_len, open, seal, HEADER_LEN, MAX_FRAME};
 pub use io::{load_bytes, prune_rotated, rotated_path, save_atomic, LoadError};
 
 /// Encodes a value to a bare (unframed) byte buffer.

@@ -39,9 +39,9 @@ pub use pool::{Pool, PoolOptions};
 
 use std::fmt;
 
-/// Frame magic for the worker protocol. Distinct from the snapshot and
-/// gossip magics so a frame fed to the wrong decoder fails loudly with
-/// `BadMagic` instead of misparsing.
+/// Frame magic for the worker protocol. Distinct from the snapshot magic
+/// so a frame fed to the wrong decoder fails loudly with `BadMagic`
+/// instead of misparsing.
 pub const PROC_MAGIC: [u8; 8] = *b"DJVZPROC";
 
 /// Version of the frame envelope this build speaks.

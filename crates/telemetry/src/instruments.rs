@@ -56,8 +56,8 @@ impl Counter {
 }
 
 /// A last-write-wins atomic gauge, with an accumulate mode ([`Gauge::add`])
-/// for per-run totals that several shards in one process contribute to
-/// (e.g. busy nanoseconds across a `dejavuzz-serve` fleet).
+/// for per-run totals that several campaigns in one process contribute to
+/// (e.g. busy nanoseconds summed over every run).
 #[derive(Debug, Default)]
 pub struct Gauge {
     value: AtomicU64,
@@ -78,8 +78,8 @@ impl Gauge {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    /// Accumulates `n` into the gauge, saturating. Used for fleet-wide
-    /// totals where each shard's run adds its share.
+    /// Accumulates `n` into the gauge, saturating. Used for process-wide
+    /// totals where each campaign run adds its share.
     #[inline]
     pub fn add(&self, n: u64) {
         if !recording() {

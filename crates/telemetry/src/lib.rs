@@ -1,4 +1,4 @@
-//! `dejavuzz-telemetry` — fleet-wide metrics for the campaign engine.
+//! `dejavuzz-telemetry` — process-wide metrics for the campaign engine.
 //!
 //! The engine's headline claims are observability claims: coverage-over-
 //! time curves (the paper's Figures 6–7) and per-phase throughput tables
@@ -10,13 +10,9 @@
 //!   instruments. Histograms are log₂-bucketed (values land in the
 //!   bucket of their bit width), sized for nanosecond latencies.
 //! * [`Registry`] — a process-global named instrument table
-//!   ([`global()`]) rendering [Prometheus text exposition]
-//!   ([`Registry::render_prometheus`]) and a JSON dump
-//!   ([`Registry::render_json`], the `dejavuzz-fuzz --metrics-out`
-//!   format).
-//! * [`CoverageSeries`] — a fixed-budget downsampled series that halves
-//!   its resolution as it fills, powering `dejavuzz-serve`'s
-//!   coverage-over-time `series <shard>` query.
+//!   ([`global()`]) rendering a JSON dump ([`Registry::render_json`], the
+//!   `dejavuzz-fuzz --metrics-out` format) and [Prometheus text
+//!   exposition] ([`Registry::render_prometheus`]).
 //!
 //! # The determinism contract
 //!
@@ -36,11 +32,9 @@
 
 mod instruments;
 mod registry;
-mod series;
 
 pub use instruments::{Counter, Gauge, Histogram, Timer, HISTOGRAM_BUCKETS};
 pub use registry::{json_string, InstrumentKind, Registry};
-pub use series::CoverageSeries;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -66,10 +60,10 @@ pub fn recording() -> bool {
 }
 
 /// The process-global registry every DejaVuzz subsystem registers its
-/// instruments in: the executor's phase spans, the gossip layer's
-/// exchange counters, the fleet transport's fan-out lag. One registry
-/// per process keeps `dejavuzz-serve metrics` a single exposition pass
-/// over everything its shards did.
+/// instruments in: the executor's spans and counters, the phase
+/// pipeline's census timer, the worker pool's RPC instruments. One
+/// registry per process keeps a `--metrics-out` dump a single pass over
+/// everything the campaign did.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)

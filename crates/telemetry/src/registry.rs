@@ -307,7 +307,7 @@ fn escape_help(help: &str) -> String {
 
 /// Escapes a string into a JSON string literal (hand-rolled: the build
 /// environment has no serde). The workspace's one escaper: metric names
-/// here, and every JSON document `dejavuzz` and `dejavuzz-fleet` write.
+/// here, and every JSON document `dejavuzz` writes.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

@@ -15,10 +15,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use dejavuzz::backend::BackendSpec;
 use dejavuzz::builder::CampaignBuilder;
-use dejavuzz::gossip::{shared_link, GossipFrame, GossipLink};
 use dejavuzz::observer::{CampaignObserver, JsonLinesObserver};
 use dejavuzz::scheduler::SchedulerSpec;
-use dejavuzz_ift::{CoveragePoint, Module};
 use dejavuzz_uarch::boom_small;
 use proptest::prelude::*;
 
@@ -183,61 +181,6 @@ fn stealing_campaign_replays_repeated_runs() {
     );
     assert!(replayed > 0, "no repeated run was replayed");
     assert!(replayed < report.stats.sim_runs as u64);
-}
-
-/// The coverage gauge follows the union through a gossip import at the
-/// last round boundary, although no slot commits after that import.
-#[test]
-fn coverage_gauge_counts_a_final_boundary_import() {
-    /// Delivers one scripted frame per exchange.
-    struct ScriptedLink(Vec<GossipFrame>);
-    impl GossipLink for ScriptedLink {
-        fn publish(&mut self, _: &GossipFrame) {}
-        fn drain(&mut self) -> Vec<GossipFrame> {
-            if self.0.is_empty() {
-                Vec::new()
-            } else {
-                vec![self.0.remove(0)]
-            }
-        }
-    }
-
-    let _serial = recording_serial();
-    let _restore = RecordingGuard;
-    dejavuzz_telemetry::set_recording(true);
-    let frame = |delta: Vec<CoveragePoint>| GossipFrame {
-        shard: 99,
-        iterations: 8,
-        delta,
-        favoured: Vec::new(),
-    };
-    let late = CoveragePoint {
-        module: Module::Top,
-        index: 1,
-    };
-    // 2 workers x batch 4 over 16 iterations: two boundaries, and only
-    // the second (final) one delivers a point.
-    let link = ScriptedLink(vec![frame(Vec::new()), frame(vec![late])]);
-    let report = CampaignBuilder::new()
-        .backend(BackendSpec::behavioural(boom_small()))
-        .seed(0x1A7E)
-        .workers(2)
-        .batch(4)
-        .gossip_every(1)
-        .gossip(shared_link(link))
-        .build()
-        .unwrap()
-        .run(16);
-    let union = report.coverage.points();
-    assert_eq!(
-        report.stats.coverage() + 1,
-        union,
-        "the final boundary imported a fresh point"
-    );
-    assert_eq!(
-        dejavuzz::metrics::handles().coverage_points.get(),
-        union as u64
-    );
 }
 
 proptest! {

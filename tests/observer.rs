@@ -293,6 +293,36 @@ fn json_lines_telemetry_is_wellformed_and_byte_deterministic() {
     );
 }
 
+/// The `--telemetry json` bytes are pinned, not only compared with
+/// themselves: the stream of a campaign that finds bugs and writes
+/// periodic checkpoints hashes to a recorded digest, with the checkpoint
+/// path (a per-process temp file) replaced by a placeholder first. A
+/// serialiser change that moves one byte of any event kind fails here.
+#[test]
+fn json_lines_telemetry_bytes_are_pinned() {
+    let path = std::env::temp_dir().join(format!(
+        "dejavuzz-observer-pinned-{}.snap",
+        std::process::id()
+    ));
+    let builder = campaign(2, 7).snapshot_path(&path).snapshot_every(1);
+    let text = json_lines(builder, 24);
+    std::fs::remove_file(&path).unwrap();
+    let text = text.replace(&path.display().to_string(), "<snapshot>");
+    for expected in ["bug_found", "snapshot_written", "coverage_gained"] {
+        assert!(
+            text.lines().any(|l| kind(l) == expected),
+            "the pinned stream carries {expected}"
+        );
+    }
+    assert!(text.contains("\"path\":\"<snapshot>\",\"iterations\":8,\"periodic\":true"));
+    assert_eq!(text.lines().count(), 67, "line count");
+    assert_eq!(
+        dejavuzz_persist::frame::fnv1a64(text.as_bytes()),
+        0x86ef_f875_dfa6_8139,
+        "telemetry digest"
+    );
+}
+
 /// A periodic checkpoint lands while the next round runs, but its event
 /// keeps its place: in a snapshotting campaign's JSON telemetry,
 /// barriered and pipelined, each periodic `snapshot_written` directly

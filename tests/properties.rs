@@ -732,8 +732,6 @@ proptest! {
 struct DecoderFixtures {
     /// A halted pipelined campaign's snapshot, framed.
     snapshot: Vec<u8>,
-    /// One of its gossip frames, framed.
-    gossip: Vec<u8>,
     /// A process-pool run request for a trained, full-body window.
     request: Vec<u8>,
     /// The behavioural BOOM's reply to it: a multi-cycle taint log that
@@ -746,39 +744,23 @@ struct DecoderFixtures {
 /// field the decoder checks: policy state, scenario specs, corpus,
 /// coverage, per-stream states and the pending round.
 fn decoder_fixtures() -> &'static DecoderFixtures {
-    use std::sync::{Arc, Mutex, OnceLock};
+    use std::sync::OnceLock;
 
     use dejavuzz::backend::{BehaviouralBackend, SimBackend};
     use dejavuzz::builder::CampaignBuilder;
     use dejavuzz::gen::{self, Seed, WindowFill, WindowType};
-    use dejavuzz::gossip::{shared_link, GossipFrame, GossipLink};
     use dejavuzz::procproto::{encode_run_request, encode_run_response, RunRequest};
     use dejavuzz::scheduler::{PolicySpec, PolicyState};
     use dejavuzz_uarch::boom_small;
 
-    /// Keeps every published frame and delivers none, which leaves the
-    /// campaign exactly as it runs without gossip.
-    struct Capture(Arc<Mutex<Vec<GossipFrame>>>);
-    impl GossipLink for Capture {
-        fn publish(&mut self, frame: &GossipFrame) {
-            self.0.lock().unwrap().push(frame.clone());
-        }
-        fn drain(&mut self) -> Vec<GossipFrame> {
-            Vec::new()
-        }
-    }
-
     static FIXTURES: OnceLock<DecoderFixtures> = OnceLock::new();
     FIXTURES.get_or_init(|| {
-        let published = Arc::new(Mutex::new(Vec::new()));
         let (_, snap) = CampaignBuilder::new()
             .workers(2)
             .seed(0xF022)
             .seed_policy(PolicySpec::FavouredQuota)
             .scenarios(&["zenbleed"])
             .pipelined(true)
-            .gossip(shared_link(Capture(Arc::clone(&published))))
-            .gossip_every(1)
             .halt_after(16)
             .build()
             .unwrap()
@@ -787,14 +769,6 @@ fn decoder_fixtures() -> &'static DecoderFixtures {
         assert!(!snap.scenarios.is_empty());
         assert!(matches!(&snap.policy_state, PolicyState::Favoured { favours, .. } if !favours.is_empty()));
         assert!(!snap.corpus.is_empty() && snap.coverage.points() > 0);
-        let frame = published
-            .lock()
-            .unwrap()
-            .iter()
-            .rev()
-            .find(|f| !f.delta.is_empty() && !f.favoured.is_empty())
-            .cloned()
-            .expect("a frame with a delta and favoured seeds");
 
         let seed = Seed::new(WindowType::BranchMispredict, 1);
         let plan = gen::plan(&seed);
@@ -819,7 +793,6 @@ fn decoder_fixtures() -> &'static DecoderFixtures {
         assert!(!out.sinks.is_empty() && !out.trace.events().is_empty());
         DecoderFixtures {
             snapshot: snap.to_bytes(),
-            gossip: frame.to_bytes(),
             request: encode_run_request(&request),
             reply: encode_run_response(&reply),
         }
@@ -851,18 +824,17 @@ fn mutate_payload(payload: &mut Vec<u8>, rng: &mut dejavuzz::rand::rngs::StdRng)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
 
-    /// Random edits of real payloads: a snapshot's and a gossip frame's,
-    /// re-sealed with a valid checksum so the payload decoders run, and a
-    /// process-pool run request and run reply, whose frames the pool
-    /// checksums before these decoders see them. Decoding returns, with a
-    /// value or a structured error, and never panics.
+    /// Random edits of real payloads: a snapshot's, re-sealed with a
+    /// valid checksum so the payload decoder runs, and a process-pool run
+    /// request and run reply, whose frames the pool checksums before
+    /// these decoders see them. Decoding returns, with a value or a
+    /// structured error, and never panics.
     #[test]
     fn mutated_payloads_never_panic_the_decoders(draws in any::<u64>(), edits in 1usize..6) {
-        use dejavuzz::gossip::GossipFrame;
         use dejavuzz::procproto::{decode_run_request, decode_run_response};
         use dejavuzz::rand::SeedableRng;
         use dejavuzz::snapshot::{CampaignSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-        use dejavuzz_persist::{seal, GOSSIP_MAGIC, GOSSIP_VERSION, HEADER_LEN};
+        use dejavuzz_persist::{seal, HEADER_LEN};
 
         let fixtures = decoder_fixtures();
         let mut rng = dejavuzz::rand::rngs::StdRng::seed_from_u64(draws);
@@ -875,8 +847,6 @@ proptest! {
         };
         let payload = edited(&fixtures.snapshot[HEADER_LEN..]);
         let _ = CampaignSnapshot::from_bytes(&seal(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &payload));
-        let payload = edited(&fixtures.gossip[HEADER_LEN..]);
-        let _ = GossipFrame::from_bytes(&seal(GOSSIP_MAGIC, GOSSIP_VERSION, &payload));
         let max_cycles = decode_run_request(&fixtures.request).unwrap().max_cycles;
         let _ = decode_run_request(&edited(&fixtures.request));
         let _ = decode_run_response(&edited(&fixtures.reply), max_cycles);
@@ -895,9 +865,9 @@ fn overwritten(bytes: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Hostile names cost nothing that outlives their decode: 100,000 gossip
-/// frames that each name a distinct unknown module, a snapshot naming an
-/// unknown module, and process-pool replies carrying an unknown module
+/// Hostile names cost nothing that outlives their decode: 100,000
+/// coverage matrices, decoded with the codec snapshots use, that each
+/// name a distinct unknown module, a snapshot naming an unknown module, and process-pool replies carrying an unknown module
 /// and an unknown squash cause each fail with a structured error, and
 /// once the errors are dropped this thread's live heap is back within
 /// 64 KiB of where it started. So does a reply whose taint log claims a
@@ -906,28 +876,19 @@ fn overwritten(bytes: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
 #[test]
 fn decoding_unknown_names_leaves_nothing_live() {
     use dejavuzz::backend::RunOutcome;
-    use dejavuzz::gossip::GossipFrame;
     use dejavuzz::procproto::{decode_run_response, encode_run_response};
     use dejavuzz::snapshot::{CampaignSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-    use dejavuzz_ift::{Census, CoveragePoint, TaintLog};
-    use dejavuzz_persist::{seal, DecodeError, GOSSIP_MAGIC, GOSSIP_VERSION, HEADER_LEN};
+    use dejavuzz_ift::{Census, CoverageMatrix, CoveragePoint, TaintLog};
+    use dejavuzz_persist::{seal, DecodeError, HEADER_LEN};
     use dejavuzz_uarch::trace::{RobEvent, Trace};
 
-    let frame = GossipFrame {
-        shard: 1,
-        iterations: 1,
-        delta: vec![CoveragePoint {
-            module: Module::Regfile,
-            index: 1,
-        }],
-        favoured: Vec::new(),
-    }
-    .to_bytes();
-    let gossip = |i: usize| {
-        let name = format!("m{i:06}");
-        let payload = overwritten(&frame[HEADER_LEN..], b"regfile", name.as_bytes());
-        seal(GOSSIP_MAGIC, GOSSIP_VERSION, &payload)
-    };
+    let mut known = CoverageMatrix::new();
+    known.insert(CoveragePoint {
+        module: Module::Regfile,
+        index: 1,
+    });
+    let known = dejavuzz_persist::to_bytes(&known);
+    let matrix = |i: usize| overwritten(&known, b"regfile", format!("m{i:06}").as_bytes());
     let payload = &decoder_fixtures().snapshot[HEADER_LEN..];
     let snapshot = seal(
         SNAPSHOT_MAGIC,
@@ -968,9 +929,9 @@ fn decoding_unknown_names_leaves_nothing_live() {
     let at = cause_reply.windows(8).position(|w| w == mark).unwrap();
     cause_reply[at + 8] = 0xEE;
 
-    let decode = |frames: usize| {
-        for i in 0..frames {
-            let err = GossipFrame::from_bytes(&gossip(i)).unwrap_err();
+    let decode = |names: usize| {
+        for i in 0..names {
+            let err = dejavuzz_persist::from_bytes::<CoverageMatrix>(&matrix(i)).unwrap_err();
             assert!(
                 matches!(err, DecodeError::InvalidValue { what: "Module", .. }),
                 "{err}"
