@@ -81,24 +81,29 @@ const VALUE_FLAGS: &[&str] = &[
 const SWITCHES: &[&str] = &["--help", "-h", "--list-extensions"];
 
 /// Exits 2 on the first argument `main` does not read: an unknown flag,
-/// or a word that is not the value of the flag before it. A typo must
-/// never run the default (`--sead 5` would otherwise fuzz seed 42). A
-/// value flag followed by another flag has no value; `opt_arg` reports
-/// that.
+/// a repeated one, or a word that is not the value of the flag before it.
+/// A typo must never run the default (`--sead 5` would otherwise fuzz seed
+/// 42), and an appended override must never be dropped for the first
+/// value (`--iters 1 --iters 3` would otherwise run 1). A value flag
+/// followed by another flag has no value; `opt_arg` reports that.
 fn check_args(args: &[String]) {
+    let mut seen: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
-        if VALUE_FLAGS.contains(&a) {
-            let has_value = args.get(i + 1).is_some_and(|v| !v.starts_with("--"));
-            i += 1 + usize::from(has_value);
-        } else if SWITCHES.contains(&a) {
-            i += 1;
-        } else if a.starts_with("--") {
-            die(format_args!("unknown flag {a:?}"));
-        } else {
+        let takes_value = VALUE_FLAGS.contains(&a);
+        if !takes_value && !SWITCHES.contains(&a) {
+            if a.starts_with("--") {
+                die(format_args!("unknown flag {a:?}"));
+            }
             die(format_args!("unexpected argument {a:?}"));
         }
+        if seen.contains(&a) {
+            die(format_args!("repeated flag {a:?}"));
+        }
+        seen.push(a);
+        let has_value = takes_value && args.get(i + 1).is_some_and(|v| !v.starts_with("--"));
+        i += 1 + usize::from(has_value);
     }
 }
 
@@ -151,11 +156,12 @@ fn main() {
              checkpointing & sharding (see EXPERIMENTS.md):\n\
              --snapshot PATH         write campaign checkpoints to PATH (atomic\n\
              \u{20}                        write-rename; always written at run end)\n\
-             --snapshot-every N      also checkpoint every N scheduler rounds (0 = off)\n\
+             --snapshot-every N      also checkpoint every N scheduler rounds (0 = off;\n\
+             \u{20}                        needs --snapshot)\n\
              --snapshot-keep N       rotate periodic checkpoints into PATH.<iters>\n\
              \u{20}                        siblings, pruning all but the newest N (0 =\n\
              \u{20}                        overwrite one file; the end-of-run checkpoint\n\
-             \u{20}                        always lands on PATH itself)\n\
+             \u{20}                        always lands on PATH itself; needs --snapshot)\n\
              --halt-after N          stop gracefully at the first round boundary with\n\
              \u{20}                        >= N iterations done (pairs with --snapshot to\n\
              \u{20}                        emulate an interruption; resume finishes the run)\n\
@@ -176,8 +182,8 @@ fn main() {
              \u{20}                        at campaign end. Metrics live off the commit\n\
              \u{20}                        path: campaign stdout, results and snapshots\n\
              \u{20}                        are byte-identical with or without this flag\n\n\
-             Flag values that fail to parse, unknown flags and stray arguments\n\
-             are an error (exit 2), never a silent fallback to the default.\n"
+             Flag values that fail to parse, unknown or repeated flags and stray\n\
+             arguments are an error (exit 2), never a silent fallback to the default.\n"
         );
         return;
     }
@@ -270,6 +276,14 @@ fn main() {
     let snapshot_path = opt_arg::<String>(&args, "--snapshot");
     let snapshot_every = arg(&args, "--snapshot-every", 0usize);
     let snapshot_keep = arg(&args, "--snapshot-keep", 0usize);
+    // A checkpoint cadence with nowhere to write would run without one.
+    if snapshot_path.is_none() {
+        for flag in ["--snapshot-every", "--snapshot-keep"] {
+            if args.iter().any(|a| a == flag) {
+                die(format_args!("{flag} requires --snapshot PATH"));
+            }
+        }
+    }
     let halt_after = opt_arg::<usize>(&args, "--halt-after");
     let resume_path = opt_arg::<String>(&args, "--resume");
     let metrics_out = opt_arg::<String>(&args, "--metrics-out");

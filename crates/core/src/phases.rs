@@ -148,15 +148,15 @@ pub(crate) fn phase1_kept<B: SimBackend + ?Sized>(
     let triggered = triggers(&schedule, &mut sim_runs)?;
     if triggered && opts.training_reduction {
         // Step 1.2 training reduction: remove one packet at a time and
-        // re-simulate; discard packets whose removal keeps the window.
+        // re-simulate; discard packets whose removal keeps the window,
+        // and put back the others.
         let mut i = 0;
         while i + 1 < schedule.len() {
-            let mut trial = schedule.clone();
-            trial.remove(i);
-            if triggers(&trial, &mut sim_runs)? {
-                schedule = trial;
+            let packet = schedule.remove(i);
+            if triggers(&schedule, &mut sim_runs)? {
                 kept.remove(i);
             } else {
+                schedule.insert(i, packet);
                 i += 1;
             }
         }

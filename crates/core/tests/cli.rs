@@ -677,6 +677,82 @@ fn unknown_flags_and_stray_arguments_exit_two_naming_the_token() {
     }
 }
 
+/// A flag given twice exits 2 naming it, with or without a value: an
+/// override appended to a base command must never run the base value.
+#[test]
+fn repeated_flags_exit_two_naming_the_flag() {
+    for (args, flag) in [
+        (&["--iters", "1", "--iters", "3"][..], "--iters"),
+        (&["--seed", "1", "--iters", "2", "--seed", "2"], "--seed"),
+        (&["--snapshot", "--snapshot", "a.snap"], "--snapshot"),
+        (
+            &["--list-extensions", "--list-extensions"],
+            "--list-extensions",
+        ),
+    ] {
+        let (code, stdout, stderr) = fuzz(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("repeated flag \"{flag}\"")),
+            "{args:?}: {stderr}"
+        );
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+    }
+}
+
+/// A checkpoint cadence without `--snapshot` exits 2 naming the flag,
+/// on a fresh campaign and on a resumed one alike, and writes nothing:
+/// it never runs on without the checkpoints it asks for.
+#[test]
+fn snapshot_cadence_without_a_path_exits_two_naming_the_flag() {
+    let dir = scratch("cadence");
+    report(&dir, &["--iters", "2", "--snapshot", "camp.snap"]);
+    for (args, flag) in [
+        (
+            &["--iters", "2", "--snapshot-every", "1"][..],
+            "--snapshot-every",
+        ),
+        (&["--snapshot-keep", "2", "--iters", "2"], "--snapshot-keep"),
+        (
+            &[
+                "--resume",
+                "camp.snap",
+                "--iters",
+                "4",
+                "--snapshot-every",
+                "1",
+            ],
+            "--snapshot-every",
+        ),
+        (
+            &[
+                "--snapshot-keep",
+                "1",
+                "--resume",
+                "camp.snap",
+                "--iters",
+                "4",
+            ],
+            "--snapshot-keep",
+        ),
+    ] {
+        let (code, stdout, stderr) = fuzz_in(&dir, args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} requires --snapshot PATH")),
+            "{args:?}: {stderr}"
+        );
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+    }
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["camp.snap"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `--metrics-out` followed by another flag is a missing value, not a
 /// value: the dump must never land in a file literally named "--iters".
 #[test]

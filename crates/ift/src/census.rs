@@ -129,7 +129,9 @@ impl Census {
 /// [`TaintLog::distinct_points`], the sum comparisons of
 /// [`TaintLog::taint_increased_in`]) look at each run once.
 /// [`TaintLog::push_ref`] lets a simulator fill one reused [`Census`] per
-/// cycle and have it cloned only when it differs from the last cycle's.
+/// cycle and have it cloned only when it differs from the last cycle's;
+/// a simulator that knows nothing changed logs the cycle with
+/// [`TaintLog::repeat_last`] without building its census at all.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TaintLog {
     /// Each run of equal consecutive censuses, once, in cycle order.
@@ -172,8 +174,36 @@ impl TaintLog {
             .extend(std::iter::repeat_n(self.last_run(), cycles));
     }
 
+    /// Appends one more cycle of the last cycle's census: what
+    /// [`TaintLog::push_ref`] stores for a census equal to it, without
+    /// comparing one.
+    ///
+    /// # Panics
+    ///
+    /// If the log is empty.
+    pub fn repeat_last(&mut self) {
+        let run = *self.cycles.last().expect("a logged cycle to repeat");
+        self.cycles.push(run);
+    }
+
     fn last_run(&self) -> u32 {
         u32::try_from(self.runs.len() - 1).expect("fewer than 2^32 taint-log runs")
+    }
+
+    /// An empty log with room for as many runs and cycles as this one
+    /// holds: a simulator handing this log back starts its next one at
+    /// about the size it will need instead of regrowing it from empty.
+    pub fn empty_like(&self) -> TaintLog {
+        TaintLog {
+            runs: Vec::with_capacity(self.runs.len()),
+            cycles: Vec::with_capacity(self.cycles.len()),
+        }
+    }
+
+    /// Forgets every cycle, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.runs.clear();
+        self.cycles.clear();
     }
 
     /// Number of recorded cycles.
@@ -369,6 +399,28 @@ mod tests {
             ]
         );
         assert!(TaintLog::new().distinct_points().is_empty());
+    }
+
+    #[test]
+    fn repeat_last_equals_pushing_the_last_census_again() {
+        let (mut pushed, mut repeated) = (TaintLog::new(), TaintLog::new());
+        for s in [0usize, 4, 4, 4, 9] {
+            let c = census(&[(Module::Rob, s, 10)]);
+            pushed.push_ref(&c);
+            match repeated.cycle(repeated.len().wrapping_sub(1)) {
+                Some(last) if *last == c => repeated.repeat_last(),
+                _ => repeated.push_ref(&c),
+            }
+        }
+        assert_eq!(repeated, pushed);
+        assert_eq!(
+            repeated.runs().map(|(n, _)| n).collect::<Vec<_>>(),
+            [1, 3, 1]
+        );
+        let mut cleared = repeated.clone();
+        cleared.clear();
+        assert_eq!(cleared, TaintLog::new());
+        assert_eq!(repeated.empty_like(), TaintLog::new());
     }
 
     #[test]

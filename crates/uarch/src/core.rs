@@ -25,7 +25,7 @@ use dejavuzz_isa::instr::{AluOp, Instr, Reg};
 use dejavuzz_isa::{decode, Exception};
 use dejavuzz_swapmem::{SwapMem, TrapAction};
 
-use crate::cache::{Cache, LineFillBuffer, Tlb};
+use crate::cache::{recount, scan, Cache, LineFillBuffer, Tlb};
 use crate::config::CoreConfig;
 use crate::predict::{Bht, Btb, LoopPredictor, Ras, RasCheckpoint};
 use crate::trace::{RobEvent, Trace, WindowInfo};
@@ -84,11 +84,46 @@ struct Redirect {
     taken: Option<TWord>,
 }
 
+/// A register file and its count of tainted registers, kept current at
+/// every write so the census never scans the file.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct RegFile {
+    regs: [TWord; 32],
+    tainted: usize,
+}
+
+impl RegFile {
+    fn set(&mut self, i: usize, v: TWord) {
+        self.tainted = recount(self.tainted, self.regs[i].t, v.t);
+        self.regs[i] = v;
+    }
+
+    /// CellIFT's taint explosion: every register fully tainted.
+    fn taint_all(&mut self) {
+        for r in &mut self.regs {
+            *r = r.fully_tainted();
+        }
+        self.tainted = self.regs.len();
+    }
+
+    fn taints(&self) -> impl Iterator<Item = u64> + '_ {
+        self.regs.iter().map(|r| r.t)
+    }
+}
+
+impl std::ops::Index<usize> for RegFile {
+    type Output = TWord;
+
+    fn index(&self, i: usize) -> &TWord {
+        &self.regs[i]
+    }
+}
+
 /// Snapshot for squash recovery.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct Snapshot {
-    regs: [TWord; 32],
-    fregs: [TWord; 32],
+    regs: RegFile,
+    fregs: RegFile,
     reg_ready: [u64; 32],
     freg_ready: [u64; 32],
     ras: RasCheckpoint,
@@ -144,8 +179,10 @@ struct RobEntry {
     result: TWord,
     effect: Effect,
     /// What a squash at this entry restores: taken only for entries that
-    /// redirect (mispredicts, disambiguation) or trap, and handed back to
-    /// the core's spares when restored or when the entry is squashed.
+    /// redirect (mispredicts, disambiguation) or can trap (they raise an
+    /// exception and no older in-flight entry squashes them first), and
+    /// handed back to the core's spares when restored or when the entry is
+    /// squashed.
     snapshot: Option<Box<Snapshot>>,
 }
 
@@ -175,18 +212,27 @@ impl RobEntry {
     fn store_taint(&self) -> Option<u64> {
         self.store().map(|s| s.data.t | s.addr.t)
     }
+
+    /// Whether this entry, while in flight, is sure to squash every
+    /// younger one: an unresolved redirect squashes them when it resolves,
+    /// an exception when it traps, and commit cannot pass either first.
+    fn squashes_younger(&self) -> bool {
+        self.exception.is_some() || self.redirect().is_some()
+    }
 }
 
 /// Counts over the in-flight RoB entries, kept current where entries
 /// enter and leave flight so neither the fetch stage nor the census has
 /// to scan the RoB for them: the entries, those with a tainted result,
-/// the stores and those with a tainted address or data.
+/// the stores, those with a tainted address or data, and those that will
+/// squash every younger entry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct InFlight {
     entries: usize,
     tainted: usize,
     stores: usize,
     tainted_stores: usize,
+    squashing: usize,
 }
 
 impl InFlight {
@@ -203,6 +249,7 @@ impl InFlight {
     fn enter(&mut self, e: &RobEntry) {
         self.entries += 1;
         self.tainted += usize::from(e.result.t != 0);
+        self.squashing += usize::from(e.squashes_younger());
         if let Some(t) = e.store_taint() {
             self.stores += 1;
             self.tainted_stores += usize::from(t != 0);
@@ -213,12 +260,17 @@ impl InFlight {
     fn leave(&mut self, e: &RobEntry) {
         self.entries -= 1;
         self.tainted -= usize::from(e.result.t != 0);
+        self.squashing -= usize::from(e.squashes_younger());
         if let Some(t) = e.store_taint() {
             self.stores -= 1;
             self.tainted_stores -= usize::from(t != 0);
         }
     }
 }
+
+/// The tainted count of every module a census reports, in report order
+/// (see [`Core::taint_counts`]).
+type TaintCounts = [usize; 14];
 
 /// A divergent-latency observation on a contended resource.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -323,8 +375,8 @@ pub struct Core {
     lfb: LineFillBuffer,
     tlb: Tlb,
 
-    regs: [TWord; 32],
-    fregs: [TWord; 32],
+    regs: RegFile,
+    fregs: RegFile,
     reg_ready: [u64; 32],
     freg_ready: [u64; 32],
 
@@ -343,8 +395,11 @@ pub struct Core {
 
     trace: Trace,
     taint_log: TaintLog,
-    /// The census buffer every cycle refills before logging it.
+    /// The census buffer a cycle refills before logging it.
     census: Census,
+    /// The counts of the census a diffIFT cycle last logged: a cycle
+    /// whose counts equal them logs a repeat of that census.
+    logged: TaintCounts,
     timing_events: Vec<TimingEvent>,
     /// Indirect-jump correction that resolved this cycle (B3 race input).
     jump_resolved_this_cycle: Option<TWord>,
@@ -390,8 +445,8 @@ impl Core {
                 cfg.page_bytes,
                 cfg.tlb_miss_latency,
             ),
-            regs: [TWord::lit(0); 32],
-            fregs: [TWord::lit(0); 32],
+            regs: RegFile::default(),
+            fregs: RegFile::default(),
             reg_ready: [0; 32],
             freg_ready: [0; 32],
             rob: Vec::new(),
@@ -405,6 +460,7 @@ impl Core {
             trace: Trace::new(),
             taint_log: TaintLog::new(),
             census: Census::new(),
+            logged: TaintCounts::default(),
             timing_events: Vec::new(),
             jump_resolved_this_cycle: None,
             cellift_exploded: false,
@@ -415,8 +471,8 @@ impl Core {
 
     /// Returns a used core to exactly the state [`Core::new`] builds for
     /// its configuration and `mode`, keeping its allocations: the tables,
-    /// the RoB's capacity and the recovery snapshots, which go back to the
-    /// spares.
+    /// the RoB's capacity, the recovery snapshots, which go back to the
+    /// spares, and the trace and taint-log buffers.
     pub fn reset(&mut self, mode: IftMode) {
         // Every field is named, so a new one does not compile until it is
         // restored here.
@@ -450,6 +506,7 @@ impl Core {
             trace,
             taint_log,
             census,
+            logged,
             timing_events,
             jump_resolved_this_cycle,
             cellift_exploded,
@@ -466,8 +523,8 @@ impl Core {
         dcache.reset();
         lfb.reset();
         tlb.reset();
-        *regs = [TWord::lit(0); 32];
-        *fregs = [TWord::lit(0); 32];
+        *regs = RegFile::default();
+        *fregs = RegFile::default();
         *reg_ready = [0; 32];
         *freg_ready = [0; 32];
         spare_snapshots
@@ -478,9 +535,10 @@ impl Core {
         *fpu_port = PortState::default();
         *lsu_port = PortState::default();
         *wb_port = PortState::default();
-        *trace = Trace::new();
-        *taint_log = TaintLog::new();
+        trace.clear();
+        taint_log.clear();
         census.clear();
+        *logged = TaintCounts::default();
         timing_events.clear();
         *jump_resolved_this_cycle = None;
         (*cellift_exploded, *done) = (false, false);
@@ -532,9 +590,11 @@ impl Core {
             self.hash_timing_components(0),
             self.hash_timing_components(1),
         );
+        // The next run starts its trace and log at this run's size.
+        let (trace, taint_log) = (self.trace.empty_like(), self.taint_log.empty_like());
         RunResult {
-            trace: std::mem::take(&mut self.trace),
-            taint_log: std::mem::take(&mut self.taint_log),
+            trace: std::mem::replace(&mut self.trace, trace),
+            taint_log: std::mem::replace(&mut self.taint_log, taint_log),
             sinks,
             timing_events: std::mem::take(&mut self.timing_events),
             total_cycles: (self.cycle, (self.cycle as i64 + self.skew_b).max(0) as u64),
@@ -576,26 +636,54 @@ impl Core {
         if !self.done {
             self.fetch(mem);
         }
-        if self.policy.mode().tracks_taint() {
+        match self.policy.mode() {
+            IftMode::Base => {}
+            IftMode::DiffIft => {
+                // The census changes only when a count does, so a cycle
+                // that moves none repeats the last one unbuilt.
+                let counts = self.taint_counts();
+                if counts == self.logged && !self.taint_log.is_empty() {
+                    self.taint_log.repeat_last();
+                } else {
+                    self.log_census();
+                    self.logged = counts;
+                }
+            }
+            IftMode::CellIft => self.log_census(),
+        }
+        debug_assert_eq!(self.regs.tainted, scan(self.regs.taints()), "regfile");
+        debug_assert_eq!(self.fregs.tainted, scan(self.fregs.taints()), "fpregfile");
+        if cfg!(debug_assertions) && self.policy.mode().tracks_taint() {
+            // Debug builds check every logged cycle against a census
+            // rebuilt now, whose counts are themselves checked by scans.
             let mut census = std::mem::take(&mut self.census);
             self.census_into(&mut census);
-            if self.policy.mode() == IftMode::CellIft {
-                // CellIFT instruments at the cell (bit) level: its shadow
-                // circuit evaluates 64 shadow bits per word register every
-                // cycle. Pay that cost honestly so Table 4's simulation
-                // rows keep the paper's shape.
-                let mut bit_work = 0u64;
-                for m in census.modules() {
-                    for _ in 0..(m.total * 64) {
-                        bit_work = bit_work.wrapping_add(0x9E37_79B9).rotate_left(7);
-                    }
-                }
-                std::hint::black_box(bit_work);
-            }
-            self.taint_log.push_ref(&census);
+            let logged = self.taint_log.cycle(self.taint_log.len() - 1);
+            assert_eq!(logged, Some(&census), "census at cycle {}", self.cycle);
             self.census = census;
         }
         self.cycle += 1;
+    }
+
+    /// Builds this cycle's census and logs it.
+    fn log_census(&mut self) {
+        let mut census = std::mem::take(&mut self.census);
+        self.census_into(&mut census);
+        if self.policy.mode() == IftMode::CellIft {
+            // CellIFT instruments at the cell (bit) level: its shadow
+            // circuit evaluates 64 shadow bits per word register every
+            // cycle. Pay that cost honestly so Table 4's simulation
+            // rows keep the paper's shape.
+            let mut bit_work = 0u64;
+            for m in census.modules() {
+                for _ in 0..(m.total * 64) {
+                    bit_work = bit_work.wrapping_add(0x9E37_79B9).rotate_left(7);
+                }
+            }
+            std::hint::black_box(bit_work);
+        }
+        self.taint_log.push_ref(&census);
+        self.census = census;
     }
 
     // ---- resolve ----
@@ -638,7 +726,14 @@ impl Core {
         // re-fetched and re-executed once the conflicting store resolved.
         let include_self = redirect.kind == RedirectKind::Disambiguation;
         self.squash_after(i, redirect.target, include_self, redirect.kind.mnemonic());
-        self.rob[i].effect = Effect::None;
+        if include_self {
+            self.rob[i].effect = Effect::None;
+        } else {
+            // The entry stays in flight with its redirect resolved.
+            self.in_flight.leave(&self.rob[i]);
+            self.rob[i].effect = Effect::None;
+            self.in_flight.enter(&self.rob[i]);
+        }
     }
 
     /// Squashes every in-flight entry younger than `i` (and `i` itself when
@@ -647,7 +742,10 @@ impl Core {
     /// squashed entries go back to the spares.
     fn squash_after(&mut self, i: usize, target: TWord, include_self: bool, cause: &'static str) {
         let start = if include_self { i } else { i + 1 };
-        let snap = self.rob[i].snapshot.take();
+        let snap = self.rob[i]
+            .snapshot
+            .take()
+            .expect("a squashing entry holds the snapshot it restores");
         let mut killed = 0;
         let mut killed_taint = 0u64;
         for j in start..self.rob.len() {
@@ -669,22 +767,19 @@ impl Core {
         // identically (the structural squash is plane-shared).
         if self.policy.mode() == IftMode::CellIft && killed_taint != 0 {
             self.cellift_exploded = true;
-            for r in self.regs.iter_mut().chain(self.fregs.iter_mut()) {
-                *r = r.fully_tainted();
-            }
+            self.regs.taint_all();
+            self.fregs.taint_all();
             for e in &mut self.rob {
                 e.result = e.result.fully_tainted();
             }
             self.in_flight = InFlight::scan(&self.rob[self.head..]);
         }
-        if let Some(snap) = snap {
-            self.regs = snap.regs;
-            self.fregs = snap.fregs;
-            self.reg_ready = snap.reg_ready;
-            self.freg_ready = snap.freg_ready;
-            self.ras.restore(&snap.ras);
-            self.spare_snapshots.0.push(snap);
-        }
+        self.regs = snap.regs;
+        self.fregs = snap.fregs;
+        self.reg_ready = snap.reg_ready;
+        self.freg_ready = snap.freg_ready;
+        self.ras.restore(&snap.ras);
+        self.spare_snapshots.0.push(snap);
         self.pc = target;
         // B4 Spectre-Refetch: the fetch port stays occupied by the transient
         // icache miss unless the design cancels outstanding fetches.
@@ -829,9 +924,19 @@ impl Core {
         self.ras.checkpoint_into(&mut snap.ras);
     }
 
+    /// Takes the snapshot a trap at the entry being enqueued restores,
+    /// unless an older in-flight entry squashes every younger one: that
+    /// entry squashes this one before it can reach commit and trap, so its
+    /// snapshot could never be restored.
+    fn trap_snapshot_into(&mut self, slot: &mut Option<Box<Snapshot>>) {
+        if self.in_flight.squashing == 0 {
+            self.snapshot_into(slot);
+        }
+    }
+
     fn enqueue_exception(&mut self, pc: TWord, e: Exception) {
         let mut snapshot = None;
-        self.snapshot_into(&mut snapshot);
+        self.trap_snapshot_into(&mut snapshot);
         self.push_entry(RobEntry {
             pc,
             packet: self.packet,
@@ -898,9 +1003,14 @@ impl Core {
 
     fn set_reg(&mut self, r: Reg, v: TWord, ready: u64) {
         if r != Reg::ZERO {
-            self.regs[r.index()] = v;
+            self.regs.set(r.index(), v);
             self.reg_ready[r.index()] = ready;
         }
+    }
+
+    fn set_freg(&mut self, r: Reg, v: TWord, ready: u64) {
+        self.fregs.set(r.index(), v);
+        self.freg_ready[r.index()] = ready;
     }
 
     fn src_ready(&self, instr: Instr) -> u64 {
@@ -1033,15 +1143,13 @@ impl Core {
                 }
                 entry.unit = Unit::Fpu;
                 entry.done_at = issue_at + wait_a + occ;
-                self.fregs[rd.index()] = v;
-                self.freg_ready[rd.index()] = entry.done_at;
+                self.set_freg(rd, v, entry.done_at);
                 entry.result = v;
                 self.pc = next_pc;
             }
             Instr::FmvDX { rd, rs1 } => {
                 let v = self.reg(rs1);
-                self.fregs[rd.index()] = v;
-                self.freg_ready[rd.index()] = issue_at + 1;
+                self.set_freg(rd, v, issue_at + 1);
                 entry.result = v;
                 self.pc = next_pc;
             }
@@ -1237,7 +1345,7 @@ impl Core {
         // holds the state from before it executed.
         if entry.exception.is_some() {
             if entry.snapshot.is_none() {
-                self.snapshot_into(&mut entry.snapshot);
+                self.trap_snapshot_into(&mut entry.snapshot);
             }
             // The writeback-to-commit flush depth: younger instructions
             // keep executing transiently until the trap sequence fires.
@@ -1388,12 +1496,11 @@ impl Core {
             entry.exception = Some(e);
             // Taken before the forwarded write below, so the trap's squash
             // undoes it (Meltdown data never becomes architectural).
-            self.snapshot_into(&mut entry.snapshot);
+            self.trap_snapshot_into(&mut entry.snapshot);
         }
         if got_data {
             if is_fp {
-                self.fregs[rd.index()] = value;
-                self.freg_ready[rd.index()] = done_at;
+                self.set_freg(rd, value, done_at);
             } else {
                 self.set_reg(rd, value, done_at);
             }
@@ -1460,9 +1567,8 @@ impl Core {
         c
     }
 
-    /// Refills `c` with this cycle's census. The register files are
-    /// scanned; every other module reports a count kept current as it is
-    /// written.
+    /// Refills `c` with this cycle's census. Every module reports a count
+    /// kept current as it is written.
     fn census_into(&self, c: &mut Census) {
         c.clear();
         if self.cellift_exploded {
@@ -1489,32 +1595,11 @@ impl Core {
             }
             return;
         }
-        c.report(Module::Frontend, [self.pc.t]);
-        c.report(Module::Regfile, self.regs.iter().map(|r| r.t));
-        c.report(Module::Fpregfile, self.fregs.iter().map(|r| r.t));
-        // In-flight RoB results in the first `rob_entries` slots from the
-        // head; retired/squashed slots report as clean (the hardware reuses
-        // them, our append-only list models the occupancy window). The
-        // store queue reports its oldest `sq_entries` in-flight stores.
-        // Every in-flight entry sits at or after the head, so the kept
-        // counts answer unless squashed entries push some past the RoB
-        // window or more stores are in flight than the queue shows.
-        let window = &self.rob[self.head.min(self.rob.len())..];
-        let (rob, sq) = (self.cfg.rob_entries, self.cfg.sq_entries);
-        let tainted = if window.len() <= rob {
-            self.in_flight.tainted
-        } else {
-            rob_census(window, rob)
-        };
-        debug_assert_eq!(tainted, rob_census(window, rob), "rob count");
-        c.report_counts(Module::Rob, tainted, rob);
-        let tainted = if self.in_flight.stores <= sq {
-            self.in_flight.tainted_stores
-        } else {
-            lsu_census(window, sq)
-        };
-        debug_assert_eq!(tainted, lsu_census(window, sq), "lsu count");
-        c.report_counts(Module::Lsu, tainted, sq);
+        c.report_counts(Module::Frontend, self.frontend_tainted(), 1);
+        c.report_counts(Module::Regfile, self.regs.tainted, 32);
+        c.report_counts(Module::Fpregfile, self.fregs.tainted, 32);
+        c.report_counts(Module::Rob, self.rob_tainted(), self.cfg.rob_entries);
+        c.report_counts(Module::Lsu, self.lsu_tainted(), self.cfg.sq_entries);
         self.bht.census(c);
         self.btb.census(c);
         self.ras.census(c);
@@ -1523,6 +1608,65 @@ impl Core {
         self.dcache.census(c);
         self.lfb.census(c);
         self.tlb.census(c);
+    }
+
+    /// Every count [`Core::census_into`] reports outside CellIFT's
+    /// explosion. A module's register total is fixed by the
+    /// configuration, so the census changes only when one of these does.
+    fn taint_counts(&self) -> TaintCounts {
+        [
+            self.frontend_tainted(),
+            self.regs.tainted,
+            self.fregs.tainted,
+            self.rob_tainted(),
+            self.lsu_tainted(),
+            self.bht.tainted(),
+            self.btb.tainted(),
+            self.ras.tainted(),
+            self.loopp.tainted(),
+            self.icache.tainted(),
+            self.dcache.tainted(),
+            self.lfb.tainted(),
+            self.tlb.tainted(),
+            self.tlb.l2_tainted(),
+        ]
+    }
+
+    /// The frontend's one register is the PC.
+    fn frontend_tainted(&self) -> usize {
+        usize::from(self.pc.t != 0)
+    }
+
+    /// In-flight RoB results in the first `rob_entries` slots from the
+    /// head; retired/squashed slots report as clean (the hardware reuses
+    /// them, our append-only list models the occupancy window). Every
+    /// in-flight entry sits at or after the head, so the kept count
+    /// answers unless squashed entries push some past the window.
+    fn rob_tainted(&self) -> usize {
+        let window = &self.rob[self.head.min(self.rob.len())..];
+        let rob = self.cfg.rob_entries;
+        let tainted = if window.len() <= rob {
+            self.in_flight.tainted
+        } else {
+            rob_census(window, rob)
+        };
+        debug_assert_eq!(tainted, rob_census(window, rob), "rob count");
+        tainted
+    }
+
+    /// Tainted stores among the oldest `sq_entries` in flight: the kept
+    /// count answers unless more stores are in flight than the queue
+    /// shows.
+    fn lsu_tainted(&self) -> usize {
+        let window = &self.rob[self.head.min(self.rob.len())..];
+        let sq = self.cfg.sq_entries;
+        let tainted = if self.in_flight.stores <= sq {
+            self.in_flight.tainted_stores
+        } else {
+            lsu_census(window, sq)
+        };
+        debug_assert_eq!(tainted, lsu_census(window, sq), "lsu count");
+        tainted
     }
 
     /// Final tainted-sink sweep with liveness annotations (§4.3.2).
@@ -1614,7 +1758,7 @@ impl Core {
         sweep_sinks(
             Module::Regfile,
             "regs",
-            self.regs.iter().map(|r| r.t),
+            self.regs.taints(),
             std::iter::repeat_n(true, 32),
             &mut out,
         );
@@ -1768,11 +1912,13 @@ mod tests {
     /// packet, on both cores and in every IFT mode, the kept in-flight
     /// counts equal a scan of the RoB, and the census reports what the RoB
     /// and store-queue scans count, on the kept-count path and on the
-    /// fallback scans alike. Unlike the census's debug assertions, this
-    /// check also runs in a release build.
+    /// fallback scans alike. An in-flight entry that raises an exception
+    /// without redirecting holds a recovery snapshot exactly when no older
+    /// in-flight entry will squash it first. Unlike the census's debug
+    /// assertions, this check also runs in a release build.
     #[test]
     fn in_flight_counts_equal_scans() {
-        let (mut rob_fallbacks, mut lsu_fallbacks) = (0, 0);
+        let (mut rob_fallbacks, mut lsu_fallbacks, mut elided) = (0, 0, 0);
         for cfg in [boom_small(), xiangshan_minimal()] {
             let runs = attacks::all()
                 .into_iter()
@@ -1788,6 +1934,14 @@ mod tests {
                         let window = &core.rob[core.head..];
                         let what = format!("{name} {mode:?} cycle {}", core.cycle);
                         assert_eq!(core.in_flight, InFlight::scan(window), "{what}");
+                        let mut older_squashes = false;
+                        for e in window.iter().filter(|e| e.in_flight()) {
+                            if e.exception.is_some() && e.redirect().is_none() {
+                                assert_eq!(e.snapshot.is_some(), !older_squashes, "{what}");
+                                elided += usize::from(older_squashes);
+                            }
+                            older_squashes |= e.squashes_younger();
+                        }
                         if core.cellift_exploded {
                             continue;
                         }
@@ -1804,9 +1958,50 @@ mod tests {
             }
         }
         assert!(
-            rob_fallbacks > 0 && lsu_fallbacks > 0,
-            "{rob_fallbacks} {lsu_fallbacks}"
+            rob_fallbacks > 0 && lsu_fallbacks > 0 && elided > 0,
+            "{rob_fallbacks} {lsu_fallbacks} {elided}"
         );
+    }
+
+    /// Every attack benchmark and the pressure packet, on both cores,
+    /// under diffIFT and CellIFT, run to completion and cut at 40 and 150
+    /// cycles: the taint log a run hands back equals the one a reference
+    /// loop builds by calling `Core::census` after every cycle, so each
+    /// diffIFT cycle that logs a repeat logs the census it would have
+    /// built, and the kept register counts equal a scan of the register
+    /// files. Unlike the debug checks in `step`, this also runs in a
+    /// release build.
+    #[test]
+    fn census_on_change_equals_census_every_cycle() {
+        let mut repeats = 0;
+        for cfg in [boom_small(), xiangshan_minimal()] {
+            let mems = attacks::all()
+                .into_iter()
+                .map(|case| (case.name, case.build_mem(&[0x5A])))
+                .chain([("pressure", pressure_mem())]);
+            for (name, mem) in mems {
+                for mode in [IftMode::DiffIft, IftMode::CellIft] {
+                    for max_cycles in [20_000, 40, 150] {
+                        let what = format!("{} {name} {mode:?} {max_cycles}", cfg.name);
+                        let run = Core::new(cfg, mode).run(&mut mem.clone(), max_cycles);
+                        let (mut core, mut mem) = (Core::new(cfg, mode), mem.clone());
+                        let mut reference = TaintLog::new();
+                        core.start(&mut mem);
+                        while !core.done && core.cycle < max_cycles {
+                            core.step(&mut mem);
+                            reference.push(core.census(&mem));
+                            assert_eq!(core.regs.tainted, scan(core.regs.taints()), "{what}");
+                            assert_eq!(core.fregs.tainted, scan(core.fregs.taints()), "{what}");
+                        }
+                        assert!(run.taint_log == reference, "{what}");
+                        if mode == IftMode::DiffIft {
+                            repeats += reference.len() - reference.runs().count();
+                        }
+                    }
+                }
+            }
+        }
+        assert!(repeats > 0);
     }
 
     /// One core serving every attack benchmark and the pressure packet,
@@ -1845,7 +2040,7 @@ mod tests {
 
     /// Both register files and their ready times: what a trap's recovery
     /// snapshot restores apart from the RAS.
-    type RegState = ([TWord; 32], [TWord; 32], [u64; 32], [u64; 32]);
+    type RegState = (RegFile, RegFile, [u64; 32], [u64; 32]);
 
     fn reg_state(core: &Core) -> RegState {
         (core.regs, core.fregs, core.reg_ready, core.freg_ready)

@@ -138,6 +138,20 @@ impl Trace {
         Trace::default()
     }
 
+    /// An empty trace with room for as many events as this one holds: a
+    /// core handing this trace back starts its next one at about the size
+    /// it will need instead of regrowing it from empty.
+    pub fn empty_like(&self) -> Self {
+        Trace {
+            events: Vec::with_capacity(self.events.len()),
+        }
+    }
+
+    /// Forgets every event, keeping the buffer.
+    pub fn clear(&mut self) {
+        self.events.clear();
+    }
+
     /// Appends an event.
     pub fn push(&mut self, e: RobEvent) {
         self.events.push(e);

@@ -437,10 +437,11 @@ proptest! {
     /// plain per-cycle `Vec<Census>` does. Sequences repeat the previous
     /// census in runs, bring back earlier ones, report zero counts and
     /// include empty censuses; some use one module only, and the empty
-    /// log is among them. Cycles are pushed by value, by reference or as
-    /// runs of 0–2 cycles at random. Clones (`clone`, and `clone_from`
-    /// into a log that held other cycles) and a log rebuilt from the
-    /// runs it reports must answer alike.
+    /// log is among them. Cycles are pushed by value, by reference, as a
+    /// repeat of the last cycle or as runs of 0–2 cycles at random. Clones
+    /// (`clone`, and `clone_from` into a log that held other cycles) and a
+    /// log rebuilt from the runs it reports must answer alike, and a
+    /// cleared log and an `empty_like` one equal a new log.
     #[test]
     fn change_coded_log_equals_per_cycle_log(draws in any::<u64>(), cycles in 0usize..40) {
         use dejavuzz::rand::rngs::StdRng;
@@ -466,13 +467,18 @@ proptest! {
                 3 if !model.is_empty() => census = model[rng.gen_range(0..model.len())].clone(),
                 _ => census = fresh_census(&mut rng),
             }
-            let n = match rng.gen_range(0..3) {
+            let n = match rng.gen_range(0..4) {
                 0 => {
                     log.push(census.clone());
                     1
                 }
                 1 => {
                     log.push_ref(&census);
+                    1
+                }
+                2 if !model.is_empty() => {
+                    census = model[model.len() - 1].clone();
+                    log.repeat_last();
                     1
                 }
                 _ => {
@@ -530,6 +536,9 @@ proptest! {
         }
         other.clone_from(&log);
         check(&other);
+        prop_assert_eq!(log.empty_like(), TaintLog::new());
+        other.clear();
+        prop_assert_eq!(other, TaintLog::new());
     }
 }
 
