@@ -30,6 +30,7 @@
 
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 use dejavuzz_ift::{Census, IftMode, SinkReport, TWord, TaintLog};
 use dejavuzz_isa::decode;
@@ -879,16 +880,40 @@ pub enum BackendSpec {
     /// DIFT-instrumented compiled netlist simulator over a synthetic core
     /// scale.
     Netlist(CoreScale),
-    /// A registered extension backend, by id (labelled `ext:<id>`); see
-    /// [`crate::registry::register_backend`]. Snapshots echo the label,
-    /// so a campaign run on a custom backend can only be resumed by a
-    /// process that registered the same id.
-    Extension(String),
+    /// A custom backend supplied through
+    /// [`crate::builder::CampaignBuilder::backend_ctor`], labelled
+    /// `ext:<id>`. Snapshots echo the label, so a campaign run on a custom
+    /// backend resumes only under a builder given a constructor with the
+    /// same id.
+    Extension {
+        /// The id the label and snapshots carry.
+        id: String,
+        /// Builds one simulator per worker thread.
+        ctor: BackendCtor,
+    },
     /// A crash-isolated pool of `dejavuzz-simd` worker processes, each
     /// serving the *inner* backend over the framed stdio protocol of
     /// [`crate::procproto`]. Labelled `proc:<inner>:<M>`, so snapshots
     /// echo the pool geometry.
     Proc(ProcSpec),
+}
+
+/// A custom backend's constructor ([`BackendSpec::Extension`]). All
+/// constructors compare equal: an extension spec is identified by its
+/// id.
+#[derive(Clone)]
+pub struct BackendCtor(pub(crate) Arc<dyn Fn() -> Box<dyn SimBackend> + Send + Sync>);
+
+impl fmt::Debug for BackendCtor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("BackendCtor")
+    }
+}
+
+impl PartialEq for BackendCtor {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 /// Configuration of a [`BackendSpec::Proc`] worker pool.
@@ -925,15 +950,10 @@ impl BackendSpec {
         BackendSpec::Netlist(scale)
     }
 
-    /// A spec naming a registered extension backend.
-    pub fn extension(id: impl Into<String>) -> Self {
-        BackendSpec::Extension(id.into())
-    }
-
     /// Parses a `--backend` CLI value: `behavioural` (using
-    /// `behavioural_cfg`), `netlist[:small|boom|xiangshan]`, `ext:<id>`
-    /// for a registered extension backend, or `proc:<inner>:<M>` for a
-    /// worker-process pool of `M` processes each serving `<inner>`.
+    /// `behavioural_cfg`), `netlist[:small|boom|xiangshan]`, or
+    /// `proc:<inner>:<M>` for a worker-process pool of `M` processes each
+    /// serving `<inner>`.
     pub fn parse(s: &str, behavioural_cfg: CoreConfig) -> Result<Self, String> {
         if let Some(rest) = s.strip_prefix("proc:") {
             let Some((inner_arg, pool_str)) = rest.rsplit_once(':') else {
@@ -968,19 +988,9 @@ impl BackendSpec {
                 Some(other) => Err(format!(
                     "unknown netlist scale {other:?} (expected small|boom|xiangshan)"
                 )),
-                None => match s.strip_prefix("ext:") {
-                    // Validate against the registry's id rules here, so
-                    // a structurally unregistrable id (whitespace,
-                    // embedded ':') is diagnosed as invalid rather than
-                    // later as "not registered".
-                    Some(id) => match crate::registry::validate_id(id) {
-                        Ok(()) => Ok(BackendSpec::Extension(id.to_string())),
-                        Err(e) => Err(e.to_string()),
-                    },
-                    None => Err(format!(
-                        "unknown backend {s:?} (expected behavioural, netlist:<scale>, ext:<id> or proc:<inner>:<M>)"
-                    )),
-                },
+                None => Err(format!(
+                    "unknown backend {s:?} (expected behavioural, netlist:<scale> or proc:<inner>:<M>)"
+                )),
             },
         }
     }
@@ -992,36 +1002,30 @@ impl BackendSpec {
         match self {
             BackendSpec::Behavioural(cfg) => format!("behavioural:{}", cfg.name),
             BackendSpec::Netlist(scale) => format!("netlist:{}", scale.name),
-            BackendSpec::Extension(id) => format!("ext:{id}"),
+            BackendSpec::Extension { id, .. } => format!("ext:{id}"),
             BackendSpec::Proc(spec) => format!("proc:{}:{}", spec.inner_arg, spec.pool),
         }
     }
 
     /// Builds a fresh backend instance (one per worker thread).
-    /// Extensions resolve through the global [`crate::registry`]; the
-    /// fallible form is [`BackendSpec::try_build`], which the
-    /// [`crate::builder::CampaignBuilder`] uses to validate the
-    /// configuration before any campaign work starts.
     ///
     /// # Panics
     ///
-    /// Panics if this is an [`BackendSpec::Extension`] whose id is not
-    /// registered — go through [`crate::builder::CampaignBuilder`] for a
-    /// structured [`crate::builder::BuildError`] instead.
+    /// Panics if this is a [`BackendSpec::Proc`] whose pool cannot start
+    /// — go through [`crate::builder::CampaignBuilder`] (or
+    /// [`BackendSpec::try_build`]) for a structured
+    /// [`crate::builder::BuildError`] instead.
     pub fn build(&self) -> Box<dyn SimBackend> {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`BackendSpec::build`], with unresolvable extensions reported as
-    /// a [`crate::builder::BuildError::UnknownBackend`].
+    /// [`BackendSpec::build`], with a pool that cannot start reported as
+    /// a [`crate::builder::BuildError::ProcPool`].
     pub fn try_build(&self) -> Result<Box<dyn SimBackend>, crate::builder::BuildError> {
         match self {
             BackendSpec::Behavioural(cfg) => Ok(Box::new(BehaviouralBackend::new(*cfg))),
             BackendSpec::Netlist(scale) => Ok(Box::new(NetlistBackend::synthetic(*scale))),
-            BackendSpec::Extension(id) => match crate::registry::backend_ctor(id) {
-                Some(ctor) => Ok(ctor()),
-                None => Err(crate::builder::BuildError::UnknownBackend { id: id.clone() }),
-            },
+            BackendSpec::Extension { ctor, .. } => Ok((ctor.0)()),
             // Direct embedding path: a dedicated pool owned by this one
             // backend value. Campaigns built through the
             // `CampaignBuilder` instead spawn one pool at `build()` and
@@ -1355,22 +1359,18 @@ mod tests {
         );
         assert!(BackendSpec::parse("netlist:huge", cfg).is_err());
         assert!(BackendSpec::parse("verilator", cfg).is_err());
-        assert_eq!(
-            BackendSpec::parse("ext:my-sim", cfg).unwrap(),
-            BackendSpec::extension("my-sim")
-        );
-        assert!(BackendSpec::parse("ext:", cfg).is_err(), "empty id");
-        assert!(
-            BackendSpec::parse("ext:has space", cfg)
-                .unwrap_err()
-                .contains("invalid extension id"),
-            "unregistrable ids are diagnosed at parse time"
-        );
-        assert_eq!(BackendSpec::extension("my-sim").label(), "ext:my-sim");
-        assert!(matches!(
-            BackendSpec::extension("never-registered-backend").try_build(),
-            Err(crate::builder::BuildError::UnknownBackend { .. })
-        ));
+        for bad in ["ext:my-sim", "proc:ext:my-sim:2"] {
+            assert_eq!(
+                BackendSpec::parse(bad, cfg).unwrap_err(),
+                "unknown backend \"ext:my-sim\" (expected behavioural, netlist:<scale> or proc:<inner>:<M>)"
+            );
+        }
+        let ext = BackendSpec::Extension {
+            id: "my-sim".into(),
+            ctor: BackendCtor(Arc::new(|| BackendSpec::default().build())),
+        };
+        assert_eq!(ext.label(), "ext:my-sim");
+        assert_eq!(ext.build().name(), "behavioural");
         assert_eq!(BackendSpec::default().build().name(), "behavioural");
         assert_eq!(BackendSpec::netlist(BOOM_SCALE).build().dut_name(), "BOOM");
         assert_eq!(

@@ -127,11 +127,10 @@ fn main() {
              --seed N                RNG seed (default 42)\n\
              --variant full|star|minus|noliveness\n\n\
              scheduling (see EXPERIMENTS.md \"Schedulers & seed policies\"):\n\
-             --scheduler steal|ext:<id>\n\
-             \u{20}                        steal (default) = idle workers claim pre-drawn\n\
-             \u{20}                        slots from a shared queue — deterministic per\n\
-             \u{20}                        (seed, workers, batch) regardless of\n\
-             \u{20}                        interleaving; ext:<id> = a registered extension\n\
+             --scheduler steal       idle workers claim pre-drawn slots from a shared\n\
+             \u{20}                        queue — deterministic per (seed, workers, batch)\n\
+             \u{20}                        regardless of interleaving (the default and only\n\
+             \u{20}                        scheduler)\n\
              --policy energy|favoured\n\
              \u{20}                        corpus pick policy: energy-decay roulette\n\
              \u{20}                        (default) or AFL-style favoured culling with\n\
@@ -191,20 +190,20 @@ fn main() {
         // One line per selectable implementation, grouped; scenario
         // families carry their description and parameter space. The
         // format is pinned by tests/cli.rs — machine-grepable, stable.
-        println!("schedulers:");
-        for e in dejavuzz::registry::list_schedulers() {
-            println!("  {}", e.id);
-        }
-        println!("seed policies:");
-        for e in dejavuzz::registry::list_seed_policies() {
-            println!("  {}", e.id);
-        }
+        println!("schedulers:\n  steal");
+        println!("seed policies:\n  energy\n  favoured");
         println!("backends:");
-        for e in dejavuzz::registry::list_backends() {
-            println!("  {}", e.id);
+        for b in [
+            "behavioural",
+            "netlist:small",
+            "netlist:boom",
+            "netlist:xiangshan",
+            "proc:<inner>:<M>",
+        ] {
+            println!("  {b}");
         }
         println!("scenarios:");
-        for t in dejavuzz::registry::list_scenarios() {
+        for t in dejavuzz::scenarios::list_templates() {
             let params: Vec<String> = t
                 .params
                 .iter()
@@ -242,7 +241,7 @@ fn main() {
         )),
     };
     let iters = arg(&args, "--iters", 50usize);
-    let mut workers = arg(&args, "--workers", 1usize).max(1);
+    let mut workers = arg(&args, "--workers", 1usize);
     let mut seed = arg(&args, "--seed", 42u64);
     let batch = arg(&args, "--batch", 4usize);
     let scheduler = match SchedulerSpec::parse(&arg::<String>(&args, "--scheduler", "steal".into()))
@@ -321,20 +320,12 @@ fn main() {
 
     // Scheduling chatter goes to stderr like the persistence notes, so
     // the default run's stdout stays byte-identical across flags. A
-    // resumed campaign adopts the snapshot's scheduler/policy (already
-    // reported by the resume note above) — announcing the flag values
-    // here would claim a configuration the run does not use, so instead
-    // warn when explicit flags are being overridden.
+    // resumed campaign adopts the snapshot's policy (already reported by
+    // the resume note above) — announcing the flag values here would
+    // claim a configuration the run does not use, so instead warn when
+    // explicit flags are being overridden.
     if let Some(snap) = &resume {
         let explicit = |flag: &str| opt_arg::<String>(&args, flag).is_some();
-        if explicit("--scheduler") && scheduler != snap.scheduler {
-            eprintln!(
-                "dejavuzz-fuzz: warning: --scheduler {} ignored; resume adopts the \
-                 snapshot's scheduler ({})",
-                scheduler.label(),
-                snap.scheduler.label()
-            );
-        }
         if explicit("--policy") && policy != snap.policy {
             eprintln!(
                 "dejavuzz-fuzz: warning: --policy {} ignored; resume adopts the \
@@ -369,8 +360,7 @@ fn main() {
                 }
             );
         }
-    } else if scheduler != SchedulerSpec::default() || policy != PolicySpec::default() || pipelined
-    {
+    } else if policy != PolicySpec::default() || pipelined {
         let lag_note = if pipelined { ", pipeline lag 1" } else { "" };
         eprintln!(
             "dejavuzz-fuzz: scheduler {}, seed policy {}{lag_note}",
@@ -383,6 +373,11 @@ fn main() {
     if resume.is_none() && !scenarios.is_empty() {
         eprintln!("dejavuzz-fuzz: scenarios {}", scenarios.join(","));
     }
+    let Some(total) = iters.checked_mul(workers) else {
+        die(format_args!(
+            "--iters {iters} x --workers {workers} overflows the iteration count"
+        ));
+    };
 
     let mut builder = CampaignBuilder::new()
         .backend(backend.clone())
@@ -424,7 +419,7 @@ fn main() {
              shared corpus, seed {seed}\n"
         )))],
     };
-    let (report, _) = orch.run_observed(iters * workers, &mut observers);
+    let (report, _) = orch.run_observed(total, &mut observers);
     let stats = &report.stats;
     // Report what is actually on disk, not what we hoped to write: a
     // failed checkpoint (disk full, unwritable path) already warned on

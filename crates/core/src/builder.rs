@@ -10,16 +10,11 @@
 //! [`crate::executor::Orchestrator`] only ever runs configurations that
 //! already passed validation.
 //!
-//! Beyond the built-in selector enums ([`BackendSpec`],
-//! [`SchedulerSpec`], [`PolicySpec`]), the builder accepts *custom
-//! implementations* as constructor trait objects
-//! ([`CampaignBuilder::scheduler_ctor`],
-//! [`CampaignBuilder::seed_policy_ctor`],
-//! [`CampaignBuilder::backend_ctor`]) — each call registers the
-//! constructor in the process-global [`crate::registry`] under the given
-//! id and selects it, so the campaign's snapshots can persist the id and
-//! a later `--resume` (same process or a fresh one that re-registers the
-//! id) rehydrates the custom implementation, state blob included.
+//! Beyond the built-in backends ([`BackendSpec`]), the builder accepts a
+//! custom [`SimBackend`] as a constructor
+//! ([`CampaignBuilder::backend_ctor`]) under an id: the campaign's
+//! snapshots echo the id, and a resume continues them under a builder
+//! given a constructor with the same id.
 //!
 //! # Embedding example
 //!
@@ -50,11 +45,10 @@
 use std::fmt;
 use std::path::PathBuf;
 
-use crate::backend::{BackendSpec, SimBackend};
+use crate::backend::{BackendCtor, BackendSpec, SimBackend};
 use crate::campaign::FuzzerOptions;
 use crate::executor::Orchestrator;
-use crate::registry;
-use crate::scheduler::{PolicySpec, Scheduler, SchedulerSpec, SeedPolicy};
+use crate::scheduler::{PolicySpec, SchedulerSpec};
 use crate::snapshot::{CampaignSnapshot, ResumeError};
 
 /// Why [`CampaignBuilder::build`] refused a configuration. Every variant
@@ -74,27 +68,6 @@ pub enum BuildError {
     ZeroBatch,
     /// The corpus must be able to hold at least one seed.
     ZeroCorpusCapacity,
-    /// The configuration names a scheduler extension id with no
-    /// registered constructor.
-    UnknownScheduler {
-        /// The unresolvable id.
-        id: String,
-    },
-    /// The configuration names a seed-policy extension id with no
-    /// registered constructor.
-    UnknownSeedPolicy {
-        /// The unresolvable id.
-        id: String,
-    },
-    /// The configuration names a backend extension id with no registered
-    /// constructor.
-    UnknownBackend {
-        /// The unresolvable id.
-        id: String,
-    },
-    /// A supplied extension id is unusable (empty, non-ASCII, contains
-    /// `:`), wrapping the registry's diagnosis.
-    InvalidExtensionId(registry::RegistryError),
     /// A `proc:<inner>:<M>` backend's worker pool could not be started:
     /// missing `dejavuzz-simd` binary, spawn failure, or the workers
     /// refused the configuration at handshake.
@@ -128,16 +101,6 @@ impl fmt::Display for BuildError {
             BuildError::ZeroWorkers => write!(f, "workers must be at least 1"),
             BuildError::ZeroBatch => write!(f, "batch size must be at least 1"),
             BuildError::ZeroCorpusCapacity => write!(f, "corpus capacity must be at least 1"),
-            BuildError::UnknownScheduler { id } => {
-                write!(f, "no scheduler extension registered under id {id:?}")
-            }
-            BuildError::UnknownSeedPolicy { id } => {
-                write!(f, "no seed-policy extension registered under id {id:?}")
-            }
-            BuildError::UnknownBackend { id } => {
-                write!(f, "no backend extension registered under id {id:?}")
-            }
-            BuildError::InvalidExtensionId(e) => write!(f, "{e}"),
             BuildError::ProcPool { spec, detail } => {
                 write!(f, "cannot start worker pool for backend {spec:?}: {detail}")
             }
@@ -154,12 +117,6 @@ impl std::error::Error for BuildError {}
 impl From<ResumeError> for BuildError {
     fn from(e: ResumeError) -> Self {
         BuildError::Resume(e)
-    }
-}
-
-impl From<registry::RegistryError> for BuildError {
-    fn from(e: registry::RegistryError) -> Self {
-        BuildError::InvalidExtensionId(e)
     }
 }
 
@@ -199,7 +156,6 @@ pub struct CampaignBuilder {
     seed: u64,
     batch: Option<usize>,
     pipelined: bool,
-    scheduler: SchedulerSpec,
     policy: PolicySpec,
     corpus_capacity: usize,
     corpus_exploit: f64,
@@ -210,10 +166,6 @@ pub struct CampaignBuilder {
     halt_after: Option<usize>,
     resume: Option<Box<CampaignSnapshot>>,
     scenarios: Vec<String>,
-    /// An id supplied through a `*_ctor` convenience that failed registry
-    /// validation; surfaced as a [`BuildError`] at build time so the
-    /// convenience methods stay chainable.
-    bad_id: Option<registry::RegistryError>,
 }
 
 // Manual: a resume snapshot would print its whole corpus and coverage;
@@ -226,7 +178,6 @@ impl fmt::Debug for CampaignBuilder {
             .field("seed", &self.seed)
             .field("batch", &self.batch)
             .field("pipelined", &self.pipelined)
-            .field("scheduler", &self.scheduler)
             .field("policy", &self.policy)
             .field("shard_id", &self.shard_id)
             .field("scenarios", &self.scenarios)
@@ -246,7 +197,6 @@ impl CampaignBuilder {
             seed: 0,
             batch: None,
             pipelined: false,
-            scheduler: SchedulerSpec::default(),
             policy: PolicySpec::default(),
             corpus_capacity: crate::corpus::DEFAULT_CAPACITY,
             corpus_exploit: crate::corpus::EXPLOIT_PROBABILITY,
@@ -257,7 +207,6 @@ impl CampaignBuilder {
             halt_after: None,
             resume: None,
             scenarios: Vec::new(),
-            bad_id: None,
         }
     }
 
@@ -268,21 +217,20 @@ impl CampaignBuilder {
         self
     }
 
-    /// Supplies a custom [`SimBackend`] as a constructor trait object:
-    /// registers `ctor` in the global [`crate::registry`] under `id` and
-    /// selects [`BackendSpec::Extension`]`(id)`. The constructor runs
-    /// once per worker thread. Snapshots echo the label `ext:<id>`, so
-    /// resuming requires the same id to be registered again.
+    /// Supplies a custom [`SimBackend`] as a constructor trait object,
+    /// selecting [`BackendSpec::Extension`] with `id` and `ctor`. The
+    /// constructor runs once per worker thread. Snapshots echo the label
+    /// `ext:<id>`, so resuming needs a builder given a constructor with
+    /// the same id.
     pub fn backend_ctor(
         mut self,
         id: &str,
         ctor: impl Fn() -> Box<dyn SimBackend> + Send + Sync + 'static,
     ) -> Self {
-        if let Err(e) = registry::register_backend(id, ctor) {
-            self.bad_id = Some(e);
-            return self;
-        }
-        self.backend = BackendSpec::Extension(id.to_string());
+        self.backend = BackendSpec::Extension {
+            id: id.to_string(),
+            ctor: BackendCtor(std::sync::Arc::new(ctor)),
+        };
         self
     }
 
@@ -328,57 +276,16 @@ impl CampaignBuilder {
         self
     }
 
-    /// Selects the slot scheduler (default
-    /// [`SchedulerSpec::WorkStealing`]). Pass
-    /// [`SchedulerSpec::Extension`] for an implementation registered with
-    /// [`crate::registry::register_scheduler`].
-    pub fn scheduler(mut self, scheduler: SchedulerSpec) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Supplies a custom [`Scheduler`] as a constructor trait object:
-    /// registers `ctor` under `id` and selects
-    /// [`SchedulerSpec::Extension`]`(id)`. The constructor receives
-    /// `Some(blob)` when rehydrating the scheduler's
-    /// [`Scheduler::state`] from a snapshot, `None` for a fresh campaign.
-    pub fn scheduler_ctor(
-        mut self,
-        id: &str,
-        ctor: impl Fn(Option<&[u8]>) -> Box<dyn Scheduler> + Send + Sync + 'static,
-    ) -> Self {
-        if let Err(e) = registry::register_scheduler(id, ctor) {
-            self.bad_id = Some(e);
-            return self;
-        }
-        self.scheduler = SchedulerSpec::Extension(id.to_string());
+    /// Selects the slot scheduler. [`SchedulerSpec::WorkStealing`] is
+    /// the only one, so every campaign already runs it.
+    pub fn scheduler(self, _scheduler: SchedulerSpec) -> Self {
         self
     }
 
     /// Selects the corpus seed policy (default
-    /// [`PolicySpec::EnergyDecay`]). Pass [`PolicySpec::Extension`] for
-    /// an implementation registered with
-    /// [`crate::registry::register_seed_policy`].
+    /// [`PolicySpec::EnergyDecay`]).
     pub fn seed_policy(mut self, policy: PolicySpec) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Supplies a custom [`SeedPolicy`] as a constructor trait object:
-    /// registers `ctor` under `id` and selects
-    /// [`PolicySpec::Extension`]`(id)`. The constructor receives the raw
-    /// blob of a persisted
-    /// [`crate::scheduler::PolicyState::Opaque`] on resume.
-    pub fn seed_policy_ctor(
-        mut self,
-        id: &str,
-        ctor: impl Fn(Option<&[u8]>) -> Box<dyn SeedPolicy> + Send + Sync + 'static,
-    ) -> Self {
-        if let Err(e) = registry::register_seed_policy(id, ctor) {
-            self.bad_id = Some(e);
-            return self;
-        }
-        self.policy = PolicySpec::Extension(id.to_string());
         self
     }
 
@@ -474,14 +381,12 @@ impl CampaignBuilder {
     /// that was never interrupted.
     ///
     /// The snapshot's geometry (`workers`, `seed`, `batch`, `shard_id`)
-    /// and its scheduling configuration (scheduler, seed policy, their
-    /// persisted state) are *adopted* — they are part of the campaign's
-    /// replay identity. The backend label and campaign options must match
-    /// this builder's; mismatches are a [`BuildError::Resume`]. Snapshots
-    /// naming extension ids additionally require those ids to be
-    /// registered ([`BuildError::UnknownScheduler`] and friends
-    /// otherwise) — that is how user-supplied implementations round-trip
-    /// through persistence.
+    /// and its seed policy (with the policy's persisted state) are
+    /// *adopted* — they are part of the campaign's replay identity. The
+    /// backend label and campaign options must match this builder's;
+    /// mismatches are a [`BuildError::Resume`]. A snapshot of a
+    /// [`CampaignBuilder::backend_ctor`] campaign therefore resumes only
+    /// under a constructor with the same id.
     pub fn resume(mut self, snapshot: CampaignSnapshot) -> Self {
         self.resume = Some(Box::new(snapshot));
         self
@@ -493,13 +398,8 @@ impl CampaignBuilder {
     /// surfaces here as a [`BuildError`], before a single worker thread
     /// or simulator instance exists.
     pub fn build(mut self) -> Result<Orchestrator, BuildError> {
-        if let Some(e) = self.bad_id.take() {
-            return Err(e.into());
-        }
         // Resume adoption first: the snapshot's replay identity overrides
-        // whatever the builder was configured with, and the adopted
-        // selectors are what the extension-resolution checks below must
-        // see.
+        // whatever the builder was configured with.
         if let Some(snap) = &self.resume {
             let current = self.backend.label();
             if snap.backend != current {
@@ -516,7 +416,6 @@ impl CampaignBuilder {
             self.seed = snap.seed;
             self.batch = Some(snap.batch);
             self.shard_id = snap.shard_id;
-            self.scheduler = snap.scheduler.clone();
             self.policy = snap.policy.clone();
             self.pipelined = snap.pipelined;
             self.scenarios = snap.scenarios.clone();
@@ -537,31 +436,6 @@ impl CampaignBuilder {
                 value: self.corpus_exploit,
             });
         }
-        // Resolve every extension id now: a campaign must never discover
-        // an unregistered extension mid-run. The resolved constructors
-        // are captured in the orchestrator, so a later re-registration
-        // (or none) cannot change a built campaign.
-        let backend_ctor = match &self.backend {
-            BackendSpec::Extension(id) => Some(
-                registry::backend_ctor(id)
-                    .ok_or_else(|| BuildError::UnknownBackend { id: id.clone() })?,
-            ),
-            _ => None,
-        };
-        let scheduler_ctor = match &self.scheduler {
-            SchedulerSpec::Extension(id) => Some(
-                registry::scheduler_ctor(id)
-                    .ok_or_else(|| BuildError::UnknownScheduler { id: id.clone() })?,
-            ),
-            _ => None,
-        };
-        let policy_ctor = match &self.policy {
-            PolicySpec::Extension(id) => Some(
-                registry::seed_policy_ctor(id)
-                    .ok_or_else(|| BuildError::UnknownSeedPolicy { id: id.clone() })?,
-            ),
-            _ => None,
-        };
         // Spawn (and handshake) the worker-process pool last, after all
         // cheap validation: every other misconfiguration is reported
         // without ever forking. The one pool is shared by every executor
@@ -579,17 +453,13 @@ impl CampaignBuilder {
         };
         Ok(Orchestrator {
             backend: self.backend,
-            backend_ctor,
             proc,
             opts: self.opts,
             workers: self.workers,
             seed: self.seed,
             batch,
             pipelined: self.pipelined,
-            scheduler: self.scheduler,
-            scheduler_ctor,
             policy: self.policy,
-            policy_ctor,
             corpus_capacity: self.corpus_capacity,
             corpus_exploit: self.corpus_exploit,
             shard_id: self.shard_id,
@@ -607,7 +477,6 @@ impl CampaignBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::WorkStealing;
     use dejavuzz_uarch::boom_small;
 
     fn base() -> CampaignBuilder {
@@ -654,34 +523,6 @@ mod tests {
         assert_eq!(err.to_string(), "corpus capacity must be at least 1");
     }
 
-    #[test]
-    fn unknown_extensions_are_build_errors_with_pinned_messages() {
-        let err = base()
-            .scheduler(SchedulerSpec::Extension("nope-sched".into()))
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "no scheduler extension registered under id \"nope-sched\""
-        );
-        let err = base()
-            .seed_policy(PolicySpec::Extension("nope-pol".into()))
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "no seed-policy extension registered under id \"nope-pol\""
-        );
-        let err = base()
-            .backend(BackendSpec::Extension("nope-be".into()))
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "no backend extension registered under id \"nope-be\""
-        );
-    }
-
     /// Pipelining is replay identity, so a resume adopts the snapshot's
     /// setting over whatever the builder was configured with.
     #[test]
@@ -696,16 +537,6 @@ mod tests {
         assert!(snap.pipelined);
         let orch = base().resume(snap).build().unwrap();
         assert!(orch.pipelined, "snapshot setting overrides the default");
-    }
-
-    #[test]
-    fn bad_ctor_ids_surface_at_build_not_registration() {
-        let err = base()
-            .scheduler_ctor("bad id", |_| Box::new(WorkStealing))
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, BuildError::InvalidExtensionId(_)));
-        assert!(err.to_string().contains("invalid extension id"));
     }
 
     #[test]

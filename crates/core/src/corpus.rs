@@ -219,9 +219,8 @@ impl Corpus {
         self.energy = energy;
     }
 
-    /// The retained entries, for inspection (and for [`crate::scheduler::
-    /// SeedPolicy`] implementations that pick by their own weighting —
-    /// pair with [`Corpus::schedule_entry`]).
+    /// The retained entries, for inspection (and for seed policies that
+    /// pick by their own weighting — pair with [`Corpus::schedule_entry`]).
     pub fn entries(&self) -> &[CorpusEntry] {
         &self.entries
     }
@@ -261,9 +260,9 @@ impl Corpus {
     /// which keeps the trigger configuration and moves the window one
     /// mutation on. The result depends only on the entry's seed, so every
     /// pick of an entry returns the same seed until [`Corpus::record`]
-    /// replaces the entry. This is the primitive custom
-    /// [`crate::scheduler::SeedPolicy`] implementations build on after
-    /// making their own pick over [`Corpus::entries`].
+    /// replaces the entry. This is the primitive the favoured-quota
+    /// policy ([`crate::scheduler::PolicySpec::FavouredQuota`]) builds on
+    /// after making its own pick over [`Corpus::entries`].
     ///
     /// # Panics
     ///

@@ -8,9 +8,8 @@
 //! running-average mutation-gain threshold and the exact global coverage;
 //! `Worker` threads own the simulators. Work flows in *rounds* of
 //! pre-drawn slots — see the [`crate::scheduler`] module for the
-//! [`crate::scheduler::Scheduler`] trait (the built-in deterministic work
-//! stealing, or an extension) and the [`crate::scheduler::SeedPolicy`]
-//! trait (energy decay vs. favoured-quota corpus picks):
+//! deterministic work stealing that plans them and the seed policies
+//! (energy decay vs. favoured-quota corpus picks):
 //!
 //! 1. The orchestrator plans a round: for each slot the seed policy
 //!    decides between a retained corpus seed and fresh exploration, and
@@ -77,8 +76,7 @@
 //! An [`Orchestrator`] is built exclusively by
 //! [`crate::builder::CampaignBuilder`], which validates the whole
 //! configuration up front (one structured
-//! [`crate::builder::BuildError`], no scattered panics) and resolves any
-//! extension-registry ids into captured constructors. The orchestrator
+//! [`crate::builder::BuildError`], no scattered panics). The orchestrator
 //! itself only *runs* campaigns: [`Orchestrator::run`],
 //! [`Orchestrator::run_snapshotting`], and
 //! [`Orchestrator::run_observed`] — the latter streaming the typed
@@ -131,10 +129,9 @@ use crate::observer::{
     BugFound, CampaignFinished, CampaignObserver, CoverageGained, RoundStarted, SlotCommitted,
     SnapshotWritten,
 };
-use crate::registry::{BackendCtor, PolicyCtor, SchedulerCtor};
 use crate::scheduler::{
-    check_plan, PlanCtx, PlannedSlot, PolicySpec, PolicyState, Scheduler, SchedulerSpec,
-    SeedPolicy, SlotFeedback,
+    plan_round, PlanCtx, PlannedSlot, PolicySpec, PolicyState, SchedulerSpec, SeedPolicy,
+    SlotFeedback,
 };
 use crate::snapshot::{CampaignSnapshot, PendingRound, WorkerState};
 
@@ -677,8 +674,7 @@ pub struct ExecutorReport {
 /// [`CampaignSnapshot`] captures and a resume restores.
 struct Session {
     corpus: Corpus,
-    scheduler: Box<dyn Scheduler>,
-    policy: Box<dyn SeedPolicy>,
+    policy: SeedPolicy,
     sched_rng: StdRng,
     gain: GainAverage,
     global: CoverageLog,
@@ -751,12 +747,11 @@ struct Checkpoint {
 /// protocol and the determinism/resume contracts.
 ///
 /// Cloneable: the persistence tests re-run one configuration with
-/// different halt points by cloning the orchestrator (captured extension
-/// constructors are shared, not re-resolved).
+/// different halt points by cloning the orchestrator (a custom backend's
+/// constructor is shared).
 #[derive(Clone)]
 pub struct Orchestrator {
     pub(crate) backend: BackendSpec,
-    pub(crate) backend_ctor: Option<BackendCtor>,
     /// The worker-process pool a `proc:<inner>:<M>` backend's threads
     /// share, spawned (and handshaked) once by the builder. `None` for
     /// in-process backends.
@@ -766,10 +761,7 @@ pub struct Orchestrator {
     pub(crate) seed: u64,
     pub(crate) batch: usize,
     pub(crate) pipelined: bool,
-    pub(crate) scheduler: SchedulerSpec,
-    pub(crate) scheduler_ctor: Option<SchedulerCtor>,
     pub(crate) policy: PolicySpec,
-    pub(crate) policy_ctor: Option<PolicyCtor>,
     pub(crate) corpus_capacity: usize,
     pub(crate) corpus_exploit: f64,
     pub(crate) shard_id: u32,
@@ -793,7 +785,6 @@ impl fmt::Debug for Orchestrator {
             .field("seed", &self.seed)
             .field("batch", &self.batch)
             .field("pipelined", &self.pipelined)
-            .field("scheduler", &self.scheduler)
             .field("policy", &self.policy)
             .field("shard_id", &self.shard_id)
             .finish_non_exhaustive()
@@ -810,17 +801,13 @@ impl Orchestrator {
         z ^ (z >> 31)
     }
 
-    /// One simulator instance (one per worker thread), through the
-    /// captured extension constructor when the spec names one. For proc
+    /// One simulator instance (one per worker thread). For proc
     /// backends every instance is a cheap handle onto the one shared
     /// worker-process pool — `BackendSpec::build` would spawn a fresh
     /// pool per thread.
     fn build_backend(&self) -> Box<dyn SimBackend> {
-        if let Some(shared) = &self.proc {
-            return Box::new(crate::procbackend::ProcBackend::from_shared(shared.clone()));
-        }
-        match &self.backend_ctor {
-            Some(ctor) => ctor(),
+        match &self.proc {
+            Some(shared) => Box::new(crate::procbackend::ProcBackend::from_shared(shared.clone())),
             None => self.backend.build(),
         }
     }
@@ -837,41 +824,12 @@ impl Orchestrator {
         }
     }
 
-    /// A fresh scheduler instance, rehydrating extension state on resume.
-    fn build_scheduler(&self, state: Option<&[u8]>) -> Box<dyn Scheduler> {
-        match &self.scheduler_ctor {
-            Some(ctor) => ctor(state),
-            None => self
-                .scheduler
-                .build(state)
-                .expect("built-in scheduler specs build infallibly"),
-        }
-    }
-
-    /// A fresh policy instance, rehydrating persisted state on resume.
-    fn build_policy(&self, state: Option<&PolicyState>) -> Box<dyn SeedPolicy> {
-        match &self.policy_ctor {
-            Some(ctor) => {
-                let blob = match state {
-                    Some(PolicyState::Opaque(b)) => Some(b.as_slice()),
-                    _ => None,
-                };
-                ctor(blob)
-            }
-            None => self
-                .policy
-                .build(state)
-                .expect("built-in policy specs build infallibly"),
-        }
-    }
-
     /// Fresh session state, or the snapshot's if this is a resume.
     fn session(&self) -> (Session, usize) {
         if let Some(snap) = &self.resume {
             let s = Session {
                 corpus: snap.corpus.clone(),
-                scheduler: self.build_scheduler(Some(&snap.scheduler_state)),
-                policy: self.build_policy(Some(&snap.policy_state)),
+                policy: SeedPolicy::new(&self.policy, &snap.policy_state),
                 sched_rng: StdRng::from_raw_state(snap.sched_rng),
                 gain: GainAverage {
                     avg: snap.gain_avg,
@@ -900,8 +858,7 @@ impl Orchestrator {
             };
             let s = Session {
                 corpus: Corpus::new(self.corpus_capacity).with_exploit_probability(exploit),
-                scheduler: self.build_scheduler(None),
-                policy: self.build_policy(None),
+                policy: SeedPolicy::new(&self.policy, &PolicyState::Stateless),
                 sched_rng: StdRng::seed_from_u64(self.stream_seed(0)),
                 gain: GainAverage::default(),
                 global: CoverageLog::new(),
@@ -931,8 +888,7 @@ impl Orchestrator {
             pipelined: self.pipelined,
             pending,
             scenarios: self.scenario_specs.clone(),
-            scheduler: self.scheduler.clone(),
-            scheduler_state: s.scheduler.state(),
+            scheduler: SchedulerSpec::WorkStealing,
             policy: self.policy.clone(),
             policy_state: s.policy.state(),
             opts: self.opts,
@@ -1122,9 +1078,7 @@ impl Orchestrator {
             // Keep `depth` rounds in flight ahead of the one committing.
             let shipped = in_flight.len();
             while in_flight.len() <= depth && next_slot < iterations {
-                let span = s
-                    .scheduler
-                    .round_span(self.workers, self.batch, iterations - next_slot);
+                let span = (iterations - next_slot).min(self.workers * self.batch);
                 let plan = self.plan(&mut s, next_slot..next_slot + span);
                 let view = s.global.matrix().clone();
                 let round = self.ship(&pool, &s.global, view, next_slot, plan, s.gain);
@@ -1266,39 +1220,17 @@ impl Orchestrator {
     }
 
     /// Plans the round over `slots` from the committed session state.
-    /// A plan that is not exactly the range, in order, on the pool's
-    /// streams is a scheduler bug: committing it would wait forever for
-    /// a missing slot or index past the stream accounting.
     fn plan(&self, s: &mut Session, slots: Range<usize>) -> Vec<PlannedSlot> {
         let _plan_span = dejavuzz_telemetry::Timer::start(&crate::metrics::handles().plan_nanos);
-        // Disjoint field borrows: the scheduler plans over the rest of
-        // the session state.
-        let Session {
-            scheduler,
-            corpus,
-            policy,
-            sched_rng,
-            worker_rngs,
-            ..
-        } = s;
         let mut ctx = PlanCtx {
-            corpus,
-            policy: policy.as_mut(),
-            sched_rng,
-            worker_rngs,
-            workers: self.workers,
+            corpus: &mut s.corpus,
+            policy: &mut s.policy,
+            sched_rng: &mut s.sched_rng,
+            worker_rngs: &mut s.worker_rngs,
             batch: self.batch,
             scenarios: &self.scenarios,
         };
-        let plan = scheduler.plan_round(slots.clone(), &mut ctx);
-        if let Err(e) = check_plan(&plan, slots.start, self.workers) {
-            panic!(
-                "scheduler {} planned an invalid round: {e}",
-                scheduler.name()
-            );
-        }
-        assert_eq!(plan.len(), slots.len(), "a plan must cover its whole round");
-        plan
+        plan_round(slots, &mut ctx)
     }
 
     /// Ships a planned round's claim queue and its frozen `view` to every
@@ -1563,6 +1495,6 @@ mod tests {
             .unwrap();
         let dbg = format!("{orch:?}");
         assert!(dbg.contains("behavioural:BOOM"), "{dbg}");
-        assert!(dbg.contains("WorkStealing"), "{dbg}");
+        assert!(dbg.contains("EnergyDecay"), "{dbg}");
     }
 }

@@ -29,10 +29,9 @@
 //! * [`corpus::Corpus`] — interesting-seed retention with energy-based
 //!   scheduling (a pick keeps the entry's trigger configuration and runs
 //!   the next window mutation; energy decays per reschedule),
-//! * [`scheduler`] — the pluggable scheduling layer: a
-//!   [`scheduler::Scheduler`] pre-draws each round's slots into a claim
-//!   queue (the built-in deterministic work stealing, or an extension),
-//!   and a [`scheduler::SeedPolicy`] decides which corpus entry each slot
+//! * [`scheduler`] — campaign scheduling: deterministic work stealing
+//!   pre-draws each round's slots into a claim queue, and the seed policy
+//!   ([`scheduler::PolicySpec`]) decides which corpus entry each slot
 //!   mutates (energy decay, or AFL-style favoured culling with
 //!   per-window-type quotas),
 //! * [`executor`] — the shared-corpus worker pool: an `Orchestrator`
@@ -65,19 +64,14 @@
 //!   chainable value configures backend, geometry, scheduling,
 //!   checkpointing and resume, and `build()` validates everything up
 //!   front into one structured [`builder::BuildError`] (no scattered
-//!   panics, no silent clamping);
+//!   panics, no silent clamping); a custom [`backend::SimBackend`] plugs
+//!   in as a constructor ([`builder::CampaignBuilder::backend_ctor`]);
 //! * [`observer::CampaignObserver`] — a typed event stream
 //!   (`round_started`, `slot_committed`, `coverage_gained`, `bug_found`,
 //!   `snapshot_written`, `campaign_finished`) invoked at the executor's
 //!   deterministic commit points; [`observer::TextObserver`] is the CLI's
 //!   historical stdout report, [`observer::JsonLinesObserver`] powers
 //!   `dejavuzz-fuzz --telemetry json`;
-//! * [`registry`] — named registration of custom
-//!   scheduler/seed-policy/backend constructors, so user-supplied
-//!   implementations are selectable by id *and* survive
-//!   snapshot→resume (the snapshot persists the id plus an opaque state
-//!   blob); [`registry::list_schedulers`] and friends enumerate
-//!   everything selectable (`dejavuzz-fuzz --list-extensions`);
 //! * [`scenarios`] (the `dejavuzz-scenarios` crate) — templated
 //!   attack-experiment window families: a
 //!   [`scenarios::ScenarioTemplate`] contributes a parameterised
@@ -165,9 +159,9 @@
 
 /// The (vendored) `rand` crate, re-exported because trait signatures in
 /// the embedding API name its types (`StdRng` in
-/// [`scheduler::SeedPolicy::schedule`]): custom implementations outside
-/// this workspace must be able to spell them without depending on the
-/// vendored crate directly.
+/// [`scenarios::ScenarioTemplate::access_block`]): custom implementations
+/// outside this workspace must be able to spell them without depending
+/// on the vendored crate directly.
 pub use rand;
 
 /// The scenario-template library (the `dejavuzz-scenarios` crate),
@@ -187,7 +181,6 @@ pub mod observer;
 pub mod phases;
 pub mod procbackend;
 pub mod procproto;
-pub mod registry;
 pub mod report;
 pub mod scheduler;
 pub mod snapshot;
@@ -205,10 +198,6 @@ pub use observer::{
     SlotCommitted, SnapshotWritten, TextObserver,
 };
 pub use procbackend::ProcBackend;
-pub use registry::{BackendCtor, PolicyCtor, RegistryError, SchedulerCtor};
 pub use report::{AttackType, BugReport, LeakChannel};
-pub use scheduler::{
-    EnergyDecay, FavouredQuota, PolicySpec, PolicyState, Scheduler, SchedulerSpec, SeedPolicy,
-    SlotFeedback, WorkStealing,
-};
+pub use scheduler::{PolicySpec, PolicyState, SchedulerSpec};
 pub use snapshot::{merge_snapshots, CampaignSnapshot, MergeReport, ResumeError, WorkerState};

@@ -91,85 +91,28 @@ pub fn handles() -> &'static CoreMetrics {
     HANDLES.get_or_init(|| {
         let r = global();
         CoreMetrics {
-            plan_nanos: r.histogram(
-                "dejavuzz_plan_nanos",
-                "Round planning (and pre-draw) time in nanoseconds",
-            ),
-            slot_run_nanos: r.histogram(
-                "dejavuzz_slot_run_nanos",
-                "Per-slot backend run time in nanoseconds",
-            ),
-            view_setup_nanos: r.histogram(
-                "dejavuzz_view_setup_nanos",
-                "Per-slot coverage sink setup time in nanoseconds",
-            ),
-            census_nanos: r.histogram(
-                "dejavuzz_census_nanos",
-                "DIFT taint census (digest and coverage fold of one phase-2 run) time in nanoseconds",
-            ),
-            commit_stall_nanos: r.histogram(
-                "dejavuzz_commit_stall_nanos",
-                "Commit loop blocked waiting for the next contiguous slot (the barrier wait when barriered), nanoseconds",
-            ),
-            commit_queue_depth: r.gauge(
-                "dejavuzz_commit_queue_depth",
-                "Outcomes buffered ahead of the contiguous commit prefix",
-            ),
-            snapshot_write_nanos: r.histogram(
-                "dejavuzz_snapshot_write_nanos",
-                "Campaign checkpoint serialisation and write time in nanoseconds",
-            ),
-            snapshots_total: r.counter("dejavuzz_snapshots_total", "Checkpoints written"),
-            scenario_slots_total: r.counter(
-                "dejavuzz_scenario_slots_total",
-                "Slots committed under a scenario-template window family",
-            ),
-            iterations_total: r.counter("dejavuzz_iterations_total", "Slots committed"),
-            sim_runs_total: r.counter(
-                "dejavuzz_sim_runs_total",
-                "Simulations consumed by committed slots, replays included",
-            ),
-            sim_replays_total: ["1", "2", "3"].map(|phase| {
-                r.labelled_counter(
-                    "dejavuzz_sim_replays_total",
-                    "Consumed simulations answered from the lineage memo instead of the backend, by phase",
-                    "phase",
-                    phase,
-                )
-            }),
-            coverage_points: r.gauge(
-                "dejavuzz_coverage_points",
-                "Global coverage points (last committing run wins)",
-            ),
-            busy_nanos: r.gauge(
-                "dejavuzz_busy_nanos",
-                "Sum of per-slot backend run time across completed runs, nanoseconds",
-            ),
-            barrier_idle_nanos: r.gauge(
-                "dejavuzz_barrier_idle_nanos",
-                "Modelled worker idle time at round barriers across completed runs, nanoseconds",
-            ),
-            report_view_setup_nanos: r.gauge(
-                "dejavuzz_report_view_setup_nanos",
-                "Per-slot view setup time across completed runs, nanoseconds",
-            ),
-            modelled_makespan_nanos: r.gauge(
-                "dejavuzz_modelled_makespan_nanos",
-                "Modelled campaign makespan across completed runs, nanoseconds",
-            ),
-            runs_total: r.counter("dejavuzz_runs_total", "Campaign runs completed"),
-            pool_rpc_nanos: r.histogram(
-                "dejavuzz_pool_rpc_nanos",
-                "Worker-pool RPC round trip time in nanoseconds",
-            ),
-            pool_in_flight: r.gauge(
-                "dejavuzz_pool_in_flight",
-                "Worker-pool RPCs issued and not yet answered",
-            ),
-            pool_respawns_total: r.counter(
-                "dejavuzz_pool_respawns_total",
-                "Worker processes respawned after a crash or protocol error",
-            ),
+            plan_nanos: r.histogram("dejavuzz_plan_nanos"),
+            slot_run_nanos: r.histogram("dejavuzz_slot_run_nanos"),
+            view_setup_nanos: r.histogram("dejavuzz_view_setup_nanos"),
+            census_nanos: r.histogram("dejavuzz_census_nanos"),
+            commit_stall_nanos: r.histogram("dejavuzz_commit_stall_nanos"),
+            commit_queue_depth: r.gauge("dejavuzz_commit_queue_depth"),
+            snapshot_write_nanos: r.histogram("dejavuzz_snapshot_write_nanos"),
+            snapshots_total: r.counter("dejavuzz_snapshots_total"),
+            scenario_slots_total: r.counter("dejavuzz_scenario_slots_total"),
+            iterations_total: r.counter("dejavuzz_iterations_total"),
+            sim_runs_total: r.counter("dejavuzz_sim_runs_total"),
+            sim_replays_total: ["1", "2", "3"]
+                .map(|phase| r.labelled_counter("dejavuzz_sim_replays_total", "phase", phase)),
+            coverage_points: r.gauge("dejavuzz_coverage_points"),
+            busy_nanos: r.gauge("dejavuzz_busy_nanos"),
+            barrier_idle_nanos: r.gauge("dejavuzz_barrier_idle_nanos"),
+            report_view_setup_nanos: r.gauge("dejavuzz_report_view_setup_nanos"),
+            modelled_makespan_nanos: r.gauge("dejavuzz_modelled_makespan_nanos"),
+            runs_total: r.counter("dejavuzz_runs_total"),
+            pool_rpc_nanos: r.histogram("dejavuzz_pool_rpc_nanos"),
+            pool_in_flight: r.gauge("dejavuzz_pool_in_flight"),
+            pool_respawns_total: r.counter("dejavuzz_pool_respawns_total"),
         }
     })
 }
@@ -184,8 +127,8 @@ pub fn registry_json() -> String {
 }
 
 /// Folds a finished run's [`crate::ExecutorReport`] timing fields into
-/// the registry, so `/metrics` and the report read the same source of
-/// truth (the report's accumulators). Accumulating
+/// the registry, so the `--metrics-out` dump and the report read the
+/// same source of truth (the report's accumulators). Accumulating
 /// (`Gauge::add`) rather than last-write-wins: every campaign a process
 /// runs shares its one registry, so the totals sum over the campaigns.
 pub fn record_report(report: &crate::ExecutorReport) {
@@ -207,11 +150,12 @@ mod tests {
         let a = handles();
         let b = handles();
         assert!(std::ptr::eq(a, b));
-        let text = global().render_prometheus();
-        assert!(text.contains("# TYPE dejavuzz_plan_nanos histogram"));
-        assert!(text.contains("# TYPE dejavuzz_iterations_total counter"));
-        assert!(text.contains("# TYPE dejavuzz_busy_nanos gauge"));
-        assert!(text.contains("# TYPE dejavuzz_sim_replays_total counter"));
-        assert!(text.contains("dejavuzz_sim_replays_total{phase=\"3\"} "));
+        let json = registry_json();
+        let (counters, rest) = json.split_once("\"gauges\":{").expect("gauges");
+        let (gauges, histograms) = rest.split_once("\"histograms\":{").expect("histograms");
+        assert!(counters.contains("\"dejavuzz_iterations_total\":"));
+        assert!(counters.contains("\"dejavuzz_sim_replays_total{phase=\\\"3\\\"}\":"));
+        assert!(gauges.contains("\"dejavuzz_busy_nanos\":"));
+        assert!(histograms.contains("\"dejavuzz_plan_nanos\":{\"count\":"));
     }
 }

@@ -116,8 +116,8 @@ impl ProcShared {
 /// refusal or DUT mismatch), which the builder wraps in
 /// `BuildError::ProcPool`.
 pub fn spawn_shared(spec: &ProcSpec) -> Result<ProcShared, String> {
-    // The DUT is this process's own: an extension resolves through its
-    // registry, as it does in-process.
+    // The DUT is this process's own: an extension's constructor builds
+    // one to ask, as it would in-process.
     let dut = match &*spec.inner {
         BackendSpec::Behavioural(cfg) => cfg.name,
         BackendSpec::Netlist(scale) => scale.name,
@@ -373,9 +373,6 @@ fn handshake(frame: &[u8]) -> Result<(HelloAck, Box<dyn SimBackend>), String> {
         return Err("proc pools do not nest".to_string());
     }
     let spec = BackendSpec::parse(&hello.inner, cfg)?;
-    // try_build resolves extensions against *this* process's registry —
-    // a stock worker has none registered, so `proc:ext:<id>:M` is
-    // refused here with the registry's own diagnosis.
     let backend = spec.try_build().map_err(|e| e.to_string())?;
     Ok((
         HelloAck {

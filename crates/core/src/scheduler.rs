@@ -1,36 +1,26 @@
-//! Pluggable campaign scheduling: which pre-drawn slots a round holds
-//! ([`Scheduler`]), and which corpus entry each slot mutates
-//! ([`SeedPolicy`]).
-//!
-//! # Why a scheduling layer
-//!
-//! The executor's round protocol used to hardwire both decisions: fixed
-//! per-worker batches (a slow seed — e.g. a long mispredict
-//! training-reduction loop — idled every sibling at the round barrier)
-//! and bare energy-decay corpus picks. This module keeps them behind two
-//! traits so the planning strategy and the corpus cross-pollination
-//! policy evolve independently of the executor's transport.
+//! Campaign scheduling: which pre-drawn slots a round holds, and which
+//! corpus entry each slot mutates.
 //!
 //! # Rounds are queues of pre-drawn slots
 //!
-//! [`WorkStealing`], the one built-in scheduler, fully pre-draws every
-//! slot of a round at planning time (corpus picks and fresh seeds
-//! alike), so slots are mutually independent: idle workers claim the
-//! next unclaimed slot from a shared queue instead of idling behind a
-//! slow sibling. Results are committed in slot order, so the final
-//! coverage, corpus, bug list and coverage curve are deterministic for
-//! fixed `(seed, workers, batch)` **regardless of steal interleaving** —
-//! which physical thread ran a slot can never change what the slot
-//! computed. Extensions plan through the same [`PlannedSlot`] queue.
+//! Work stealing ([`SchedulerSpec::WorkStealing`], the one scheduler)
+//! fully pre-draws every slot of a round at planning time (corpus picks
+//! and fresh seeds alike), so slots are mutually independent: idle
+//! workers claim the next unclaimed slot from a shared queue instead of
+//! idling behind a slow sibling. Results are committed in slot order, so
+//! the final coverage, corpus, bug list and coverage curve are
+//! deterministic for fixed `(seed, workers, batch)` **regardless of
+//! steal interleaving** — which physical thread ran a slot can never
+//! change what the slot computed.
 //!
 //! # Work-stealing determinism, precisely
 //!
 //! A stolen slot's computation reads only state frozen at round start:
 //!
-//! 1. its seed, pre-drawn by [`WorkStealing::plan_round`] in global slot
-//!    order — corpus picks from the scheduler RNG via the
-//!    [`SeedPolicy`], fresh seeds from the RNG of the slot's logical
-//!    *stream* (`batch` consecutive slots share a stream);
+//! 1. its seed, pre-drawn in global slot order — corpus picks from the
+//!    scheduler RNG via the seed policy, fresh seeds from the RNG of the
+//!    slot's logical *stream* (`batch` consecutive slots share a
+//!    stream);
 //! 2. the round's coverage view, one frozen copy of the committed global
 //!    union shipped with the round — each slot judges freshness against
 //!    it with its own sink, so no slot sees a concurrent slot's
@@ -57,19 +47,19 @@
 //!
 //! # Seed policies
 //!
-//! * [`EnergyDecay`] — the extracted legacy behaviour: energy-weighted
-//!   roulette over retained entries, energy decaying per reschedule
+//! * [`PolicySpec::EnergyDecay`] — energy-weighted roulette over
+//!   retained entries, energy decaying per reschedule
 //!   ([`Corpus::schedule`]).
-//! * [`FavouredQuota`] — AFL-style favoured-entry culling: the
-//!   cheapest seed (smallest post-reduction training overhead) covering
-//!   each coverage point is *favoured*; non-favoured entries keep only
-//!   [`FAVOURED_CULL`] of their scheduling weight. Picks are additionally
-//!   subject to per-[`WindowType`] quotas — the represented window type
-//!   with the fewest picks so far is served first — so cheap
+//! * [`PolicySpec::FavouredQuota`] — AFL-style favoured-entry culling:
+//!   the cheapest seed (smallest post-reduction training overhead)
+//!   covering each coverage point is *favoured*; non-favoured entries
+//!   keep only [`FAVOURED_CULL`] of their scheduling weight. Picks are
+//!   additionally subject to per-[`WindowType`] quotas — the represented
+//!   window type with the fewest picks so far is served first — so cheap
 //!   branch-mispredict lineages cannot starve exception windows.
 //!
 //! Policy state that influences scheduling (the favours map, the quota
-//! counters) is captured by [`SeedPolicy::state`] and persisted inside
+//! counters) is captured as a [`PolicyState`] and persisted inside
 //! campaign snapshots, so resumed campaigns replay policy decisions
 //! bit-identically.
 
@@ -81,13 +71,12 @@ use rand::Rng;
 
 use dejavuzz_ift::CoveragePoint;
 
-use crate::builder::BuildError;
 use crate::corpus::Corpus;
 use crate::gen::{Seed, WindowType};
 
 /// Weight multiplier for non-favoured corpus entries under
-/// [`FavouredQuota`]: favoured entries keep their full energy,
-/// non-favoured entries are culled to a quarter of theirs.
+/// [`PolicySpec::FavouredQuota`]: favoured entries keep their full
+/// energy, non-favoured entries are culled to a quarter of theirs.
 pub const FAVOURED_CULL: f64 = 0.25;
 
 /// One fully pre-drawn iteration slot of a round: any worker may claim
@@ -110,7 +99,8 @@ pub struct PlannedSlot {
 /// streams: numbered exactly `first_slot..first_slot + slots.len()`, in
 /// order, each on a stream below `workers`. The commit loop waits for
 /// every slot number in turn and indexes its stream accounting by
-/// `stream`, so any other plan would hang or panic it.
+/// `stream`, so a decoded pending round that is anything else would hang
+/// or panic it.
 pub(crate) fn check_plan(
     slots: &[PlannedSlot],
     first_slot: usize,
@@ -139,21 +129,19 @@ pub(crate) fn check_plan(
     Ok(())
 }
 
-/// Everything a scheduler consults while planning a round. All
-/// randomness flows through the scheduler RNG and the per-stream RNGs,
-/// so planning is deterministic and snapshot-restorable.
-pub struct PlanCtx<'a> {
+/// Everything planning a round consults. All randomness flows through
+/// the scheduler RNG and the per-stream RNGs, so planning is
+/// deterministic and snapshot-restorable.
+pub(crate) struct PlanCtx<'a> {
     /// The shared seed corpus.
     pub corpus: &'a mut Corpus,
     /// The seed policy deciding corpus picks.
-    pub policy: &'a mut dyn SeedPolicy,
+    pub policy: &'a mut SeedPolicy,
     /// The central scheduling RNG stream.
     pub sched_rng: &'a mut StdRng,
     /// Raw per-stream RNG positions: plans draw fresh seeds from these
     /// and advance them.
     pub worker_rngs: &'a mut [[u64; 4]],
-    /// Pool size.
-    pub workers: usize,
     /// Slots per stream per round.
     pub batch: usize,
     /// Active scenario-instance indices (sorted by canonical spec,
@@ -163,135 +151,57 @@ pub struct PlanCtx<'a> {
     pub scenarios: &'a [u16],
 }
 
-/// How each round's iteration slots are pre-drawn. Implementations must
-/// be deterministic: a plan may depend only on the [`PlanCtx`] state,
-/// never on wall-clock or thread timing.
-///
-/// Custom implementations plug in through the extension registry
-/// ([`crate::registry::register_scheduler`] or
-/// [`crate::builder::CampaignBuilder::scheduler_ctor`]) and are selected
-/// by [`SchedulerSpec::Extension`]. A stateful custom scheduler persists
-/// whatever influences future plans through [`Scheduler::state`]; the
-/// blob is stored in campaign snapshots and handed back to the
-/// registered constructor on resume, so custom scheduling replays
-/// bit-identically across a halt/resume boundary.
-pub trait Scheduler: std::fmt::Debug + Send {
-    /// Human-readable scheduler name.
-    fn name(&self) -> &'static str;
-
-    /// Number of slots the next round spans, given the pool geometry and
-    /// the remaining iteration budget.
-    fn round_span(&self, workers: usize, batch: usize, remaining: usize) -> usize {
-        remaining.min(workers * batch)
+/// Plans one work-stealing round over `slots`, drawing each slot's seed
+/// in global slot order: the policy's corpus pick, or a fresh seed from
+/// the slot's stream. The plan lists every slot of the range once, in
+/// order, slot `pos` of the round on stream `pos / batch`.
+pub(crate) fn plan_round(slots: Range<usize>, ctx: &mut PlanCtx<'_>) -> Vec<PlannedSlot> {
+    let mut queue = Vec::with_capacity(slots.len());
+    for (pos, slot) in slots.enumerate() {
+        // Contiguous-chunk stream mapping: `batch` consecutive slots
+        // draw their fresh entropy from one stream.
+        let stream = pos / ctx.batch;
+        let seed = match ctx.policy.schedule(ctx.corpus, ctx.sched_rng) {
+            Some(seed) => seed,
+            None => {
+                // Fresh seeds are drawn here and nowhere else.
+                let mut rng = StdRng::from_raw_state(ctx.worker_rngs[stream]);
+                let window_type = crate::gen::draw_window_type(&mut rng, ctx.scenarios);
+                let seed = Seed::new(window_type, rng.gen());
+                ctx.worker_rngs[stream] = rng.state();
+                seed
+            }
+        };
+        queue.push(PlannedSlot { slot, stream, seed });
     }
-
-    /// Plans one round over `slots`, drawing per-slot scheduling
-    /// decisions in global slot order. The plan lists every slot of the
-    /// range exactly once, in order, each on a stream below
-    /// `ctx.workers`.
-    fn plan_round(&mut self, slots: Range<usize>, ctx: &mut PlanCtx<'_>) -> Vec<PlannedSlot>;
-
-    /// The scheduler's persistable state: an opaque blob the snapshot
-    /// stores and the extension constructor restores on resume. Stateless
-    /// schedulers (the built-in included) return an empty blob.
-    fn state(&self) -> Vec<u8> {
-        Vec::new()
-    }
-}
-
-/// The deterministic work-stealing scheduler (see the module docs).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WorkStealing;
-
-impl Scheduler for WorkStealing {
-    fn name(&self) -> &'static str {
-        "work-stealing"
-    }
-
-    fn plan_round(&mut self, slots: Range<usize>, ctx: &mut PlanCtx<'_>) -> Vec<PlannedSlot> {
-        let mut queue = Vec::with_capacity(slots.len());
-        for (pos, slot) in slots.enumerate() {
-            // Contiguous-chunk stream mapping: `batch` consecutive slots
-            // draw their fresh entropy from one stream.
-            let stream = pos / ctx.batch;
-            let seed = match ctx.policy.schedule(ctx.corpus, ctx.sched_rng) {
-                Some(seed) => seed,
-                None => {
-                    // Fresh seeds are drawn here and nowhere else.
-                    let mut rng = StdRng::from_raw_state(ctx.worker_rngs[stream]);
-                    let window_type = crate::gen::draw_window_type(&mut rng, ctx.scenarios);
-                    let seed = Seed::new(window_type, rng.gen());
-                    ctx.worker_rngs[stream] = rng.state();
-                    seed
-                }
-            };
-            queue.push(PlannedSlot { slot, stream, seed });
-        }
-        queue
-    }
+    queue
 }
 
 /// Cloneable scheduler selector — the configuration-level handle the
 /// [`crate::executor::Orchestrator`] stores and campaign snapshots
 /// persist (resume adopts the snapshot's scheduler: it is part of the
 /// campaign's replay identity, like its seed and worker count).
-///
-/// [`SchedulerSpec::Extension`] names a custom implementation registered
-/// with [`crate::registry::register_scheduler`] (or supplied directly via
-/// [`crate::builder::CampaignBuilder::scheduler_ctor`]); snapshots
-/// persist the id, so a resumed campaign rebuilds the same custom
-/// scheduler — provided the resuming process registered it too.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum SchedulerSpec {
-    /// [`WorkStealing`] (the default).
+    /// Deterministic work stealing (see the module docs), the default
+    /// and only scheduler.
     #[default]
     WorkStealing,
-    /// A registered extension, by id (labelled `ext:<id>`).
-    Extension(String),
 }
 
 impl SchedulerSpec {
-    /// Parses a CLI-style scheduler name (`steal`, or `ext:<id>` for a
-    /// registered extension). Extension ids are
-    /// validated here against the registry's id rules, so a structurally
-    /// unregistrable id (empty, whitespace, embedded `:`) is diagnosed
-    /// as invalid rather than later as "not registered".
+    /// Parses a CLI-style scheduler name (`steal`).
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "steal" | "work-stealing" => Ok(SchedulerSpec::WorkStealing),
-            other => match other.strip_prefix("ext:") {
-                Some(id) => match crate::registry::validate_id(id) {
-                    Ok(()) => Ok(SchedulerSpec::Extension(id.to_string())),
-                    Err(e) => Err(e.to_string()),
-                },
-                None => Err(format!(
-                    "unknown scheduler {other:?} (expected steal|ext:<id>)"
-                )),
-            },
+            other => Err(format!("unknown scheduler {other:?} (expected steal)")),
         }
     }
 
-    /// Short CLI-facing label (`steal`, `ext:<id>`).
-    pub fn label(&self) -> String {
+    /// Short CLI-facing label (`steal`).
+    pub fn label(&self) -> &'static str {
         match self {
-            SchedulerSpec::WorkStealing => "steal".into(),
-            SchedulerSpec::Extension(id) => format!("ext:{id}"),
-        }
-    }
-
-    /// Builds the scheduler instance, restoring the opaque extension
-    /// state blob when resuming. Extensions resolve through the global
-    /// [`crate::registry`]; an unregistered id is a
-    /// [`BuildError::UnknownScheduler`] (the
-    /// [`crate::builder::CampaignBuilder`] reports this at build time,
-    /// before any campaign work starts).
-    pub fn build(&self, state: Option<&[u8]>) -> Result<Box<dyn Scheduler>, BuildError> {
-        match self {
-            SchedulerSpec::WorkStealing => Ok(Box::new(WorkStealing)),
-            SchedulerSpec::Extension(id) => match crate::registry::scheduler_ctor(id) {
-                Some(ctor) => Ok(ctor(state)),
-                None => Err(BuildError::UnknownScheduler { id: id.clone() }),
-            },
+            SchedulerSpec::WorkStealing => "steal",
         }
     }
 }
@@ -300,7 +210,7 @@ impl SchedulerSpec {
 /// its selected-attempt coverage gain, the points it contributed to the
 /// *global* union (deduplicated, in commit order), and a cost proxy for
 /// favoured-entry selection.
-pub struct SlotFeedback<'a> {
+pub(crate) struct SlotFeedback<'a> {
     /// The executed seed (post-mutation).
     pub seed: &'a Seed,
     /// Its window category.
@@ -315,8 +225,8 @@ pub struct SlotFeedback<'a> {
     pub cost: u64,
 }
 
-/// Opaque-but-persistable scheduling state of a [`SeedPolicy`]: whatever
-/// beyond the corpus itself influences future picks. Stored in
+/// The persistable scheduling state of a seed policy: whatever beyond
+/// the corpus itself influences future picks. Stored in
 /// [`crate::snapshot::CampaignSnapshot`] so resumed campaigns replay
 /// policy decisions bit-identically.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -324,18 +234,14 @@ pub enum PolicyState {
     /// The policy keeps no state outside the corpus.
     #[default]
     Stateless,
-    /// [`FavouredQuota`] state: the favours map (canonically sorted by
-    /// coverage point) and the per-window-type pick counters.
+    /// [`PolicySpec::FavouredQuota`] state: the favours map (canonically
+    /// sorted by coverage point) and the per-window-type pick counters.
     Favoured {
         /// `(point, favoured lineage)` pairs, sorted by point.
         favours: Vec<(CoveragePoint, Favour)>,
         /// `(window type, picks so far)` pairs, sorted by type.
         picks: Vec<(WindowType, usize)>,
     },
-    /// A custom policy's state: an opaque blob only the registered
-    /// extension constructor can interpret. Persisted verbatim in
-    /// snapshots and handed back on resume.
-    Opaque(Vec<u8>),
 }
 
 /// The favoured lineage for one coverage point: the cheapest seed that
@@ -346,55 +252,65 @@ pub struct Favour {
     pub window_type: WindowType,
     /// Lineage entropy (trigger configuration identity).
     pub entropy: u64,
-    /// The cost ([`SlotFeedback::cost`]) at which the point was covered.
+    /// The post-reduction training overhead at which the point was
+    /// covered.
     pub cost: u64,
 }
 
-/// Which corpus entry each slot mutates. Implementations draw all
-/// randomness from the caller-supplied RNG and must be deterministic for
-/// a fixed `(corpus, state, RNG)` triple.
-pub trait SeedPolicy: std::fmt::Debug + Send {
-    /// Human-readable policy name.
-    fn name(&self) -> &'static str;
+/// A campaign's live seed policy: which corpus entry each slot mutates.
+/// Draws all randomness from the caller-supplied RNG, so it is
+/// deterministic for a fixed `(corpus, state, RNG)` triple.
+#[derive(Debug)]
+pub(crate) enum SeedPolicy {
+    /// Energy-weighted roulette with per-reschedule decay, gain-keyed
+    /// retention (see [`Corpus`]).
+    EnergyDecay,
+    /// Favoured culling with per-window-type quotas.
+    FavouredQuota(FavouredQuota),
+}
+
+impl SeedPolicy {
+    /// The policy `spec` selects, restoring persisted `state` (a fresh
+    /// campaign passes [`PolicyState::Stateless`]).
+    pub(crate) fn new(spec: &PolicySpec, state: &PolicyState) -> Self {
+        match spec {
+            PolicySpec::EnergyDecay => SeedPolicy::EnergyDecay,
+            PolicySpec::FavouredQuota => {
+                SeedPolicy::FavouredQuota(FavouredQuota::from_state(state))
+            }
+        }
+    }
 
     /// Draws the next slot's seed, or `None` for fresh exploration.
-    fn schedule(&mut self, corpus: &mut Corpus, rng: &mut StdRng) -> Option<Seed>;
+    pub(crate) fn schedule(&mut self, corpus: &mut Corpus, rng: &mut StdRng) -> Option<Seed> {
+        match self {
+            SeedPolicy::EnergyDecay => corpus.schedule(rng),
+            SeedPolicy::FavouredQuota(f) => f.schedule(corpus, rng),
+        }
+    }
 
     /// Folds one committed slot's feedback into the corpus (retention)
     /// and the policy's own state.
-    fn record(&mut self, corpus: &mut Corpus, feedback: &SlotFeedback<'_>);
+    pub(crate) fn record(&mut self, corpus: &mut Corpus, feedback: &SlotFeedback<'_>) {
+        match self {
+            SeedPolicy::EnergyDecay => corpus.record(feedback.seed, feedback.gain),
+            SeedPolicy::FavouredQuota(f) => f.record(corpus, feedback),
+        }
+    }
 
     /// Captures the policy's persistable state for a campaign snapshot.
-    fn state(&self) -> PolicyState;
-}
-
-/// The extracted legacy policy: energy-weighted roulette with
-/// per-reschedule decay, gain-keyed retention (see [`Corpus`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EnergyDecay;
-
-impl SeedPolicy for EnergyDecay {
-    fn name(&self) -> &'static str {
-        "energy-decay"
-    }
-
-    fn schedule(&mut self, corpus: &mut Corpus, rng: &mut StdRng) -> Option<Seed> {
-        corpus.schedule(rng)
-    }
-
-    fn record(&mut self, corpus: &mut Corpus, feedback: &SlotFeedback<'_>) {
-        corpus.record(feedback.seed, feedback.gain);
-    }
-
-    fn state(&self) -> PolicyState {
-        PolicyState::Stateless
+    pub(crate) fn state(&self) -> PolicyState {
+        match self {
+            SeedPolicy::EnergyDecay => PolicyState::Stateless,
+            SeedPolicy::FavouredQuota(f) => f.state(),
+        }
     }
 }
 
 /// AFL-style favoured-entry culling with per-window-type quotas (see the
 /// module docs).
 #[derive(Clone, Debug, Default)]
-pub struct FavouredQuota {
+pub(crate) struct FavouredQuota {
     /// Per coverage point: the cheapest lineage that covered it.
     favours: BTreeMap<CoveragePoint, Favour>,
     /// How many points favour each lineage — the incrementally
@@ -408,8 +324,8 @@ pub struct FavouredQuota {
 
 impl FavouredQuota {
     /// Rebuilds the policy from persisted state ([`PolicyState::Favoured`];
-    /// any other state restores an empty policy).
-    pub fn from_state(state: &PolicyState) -> Self {
+    /// [`PolicyState::Stateless`] restores an empty policy).
+    fn from_state(state: &PolicyState) -> Self {
         match state {
             PolicyState::Favoured { favours, picks } => {
                 let mut lineages: BTreeMap<(WindowType, u64), usize> = BTreeMap::new();
@@ -422,7 +338,7 @@ impl FavouredQuota {
                     picks: picks.iter().copied().collect(),
                 }
             }
-            PolicyState::Stateless | PolicyState::Opaque(_) => FavouredQuota::default(),
+            PolicyState::Stateless => FavouredQuota::default(),
         }
     }
 
@@ -448,12 +364,6 @@ impl FavouredQuota {
             }
             None => {}
         }
-    }
-}
-
-impl SeedPolicy for FavouredQuota {
-    fn name(&self) -> &'static str {
-        "favoured-quota"
     }
 
     fn schedule(&mut self, corpus: &mut Corpus, rng: &mut StdRng) -> Option<Seed> {
@@ -548,66 +458,30 @@ impl SeedPolicy for FavouredQuota {
 /// Cloneable seed-policy selector, mirroring [`SchedulerSpec`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum PolicySpec {
-    /// [`EnergyDecay`] (the default).
+    /// Energy-decay roulette (the default).
     #[default]
     EnergyDecay,
-    /// [`FavouredQuota`].
+    /// Favoured culling with per-window-type quotas.
     FavouredQuota,
-    /// A registered extension, by id (labelled `ext:<id>`); see
-    /// [`crate::registry::register_seed_policy`].
-    Extension(String),
 }
 
 impl PolicySpec {
-    /// Parses a CLI-style policy name (`energy`, `favoured`, or
-    /// `ext:<id>` for a registered extension; ids are validated against
-    /// the registry's id rules, as in [`SchedulerSpec::parse`]).
+    /// Parses a CLI-style policy name (`energy` or `favoured`).
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "energy" | "energy-decay" => Ok(PolicySpec::EnergyDecay),
             "favoured" | "favored" | "favoured-quota" => Ok(PolicySpec::FavouredQuota),
-            other => match other.strip_prefix("ext:") {
-                Some(id) => match crate::registry::validate_id(id) {
-                    Ok(()) => Ok(PolicySpec::Extension(id.to_string())),
-                    Err(e) => Err(e.to_string()),
-                },
-                None => Err(format!(
-                    "unknown seed policy {other:?} (expected energy|favoured|ext:<id>)"
-                )),
-            },
+            other => Err(format!(
+                "unknown seed policy {other:?} (expected energy|favoured)"
+            )),
         }
     }
 
-    /// Short CLI-facing label (`energy`, `favoured`, `ext:<id>`).
-    pub fn label(&self) -> String {
+    /// Short CLI-facing label (`energy`, `favoured`).
+    pub fn label(&self) -> &'static str {
         match self {
-            PolicySpec::EnergyDecay => "energy".into(),
-            PolicySpec::FavouredQuota => "favoured".into(),
-            PolicySpec::Extension(id) => format!("ext:{id}"),
-        }
-    }
-
-    /// Builds the policy, restoring persisted state when given.
-    /// Extensions resolve through the global [`crate::registry`] and
-    /// receive the raw blob of a [`PolicyState::Opaque`]; an unregistered
-    /// id is a [`BuildError::UnknownSeedPolicy`].
-    pub fn build(&self, state: Option<&PolicyState>) -> Result<Box<dyn SeedPolicy>, BuildError> {
-        match self {
-            PolicySpec::EnergyDecay => Ok(Box::new(EnergyDecay)),
-            PolicySpec::FavouredQuota => Ok(Box::new(match state {
-                Some(s) => FavouredQuota::from_state(s),
-                None => FavouredQuota::default(),
-            })),
-            PolicySpec::Extension(id) => match crate::registry::seed_policy_ctor(id) {
-                Some(ctor) => {
-                    let blob = match state {
-                        Some(PolicyState::Opaque(b)) => Some(b.as_slice()),
-                        _ => None,
-                    };
-                    Ok(ctor(blob))
-                }
-                None => Err(BuildError::UnknownSeedPolicy { id: id.clone() }),
-            },
+            PolicySpec::EnergyDecay => "energy",
+            PolicySpec::FavouredQuota => "favoured",
         }
     }
 }
@@ -635,26 +509,13 @@ mod tests {
         );
         assert!(SchedulerSpec::parse("fifo").is_err());
         assert_eq!(
-            SchedulerSpec::parse("ext:my-sched").unwrap(),
-            SchedulerSpec::Extension("my-sched".into())
-        );
-        assert!(SchedulerSpec::parse("ext:").is_err(), "empty id rejected");
-        assert!(
-            SchedulerSpec::parse("ext:a:b")
-                .unwrap_err()
-                .contains("invalid extension id"),
-            "unregistrable ids are diagnosed at parse time"
+            SchedulerSpec::parse("ext:x").unwrap_err(),
+            "unknown scheduler \"ext:x\" (expected steal)"
         );
         assert_eq!(
-            SchedulerSpec::Extension("my-sched".into()).label(),
-            "ext:my-sched"
+            PolicySpec::parse("ext:x").unwrap_err(),
+            "unknown seed policy \"ext:x\" (expected energy|favoured)"
         );
-        assert_eq!(
-            PolicySpec::parse("ext:my-pol").unwrap(),
-            PolicySpec::Extension("my-pol".into())
-        );
-        assert!(PolicySpec::parse("ext:").is_err());
-        assert_eq!(PolicySpec::Extension("my-pol".into()).label(), "ext:my-pol");
         assert_eq!(SchedulerSpec::WorkStealing.label(), "steal");
         assert_eq!(
             PolicySpec::parse("energy").unwrap(),
@@ -677,7 +538,7 @@ mod tests {
             (WindowType::MemPageFault, 2, 9),
         ]);
         let mut legacy_corpus = policy_corpus.clone();
-        let mut policy = EnergyDecay;
+        let mut policy = SeedPolicy::EnergyDecay;
         let mut ra = StdRng::seed_from_u64(11);
         let mut rb = StdRng::seed_from_u64(11);
         for _ in 0..200 {
@@ -693,7 +554,7 @@ mod tests {
     #[test]
     fn work_stealing_predraws_fresh_seeds_from_the_owning_stream() {
         let mut corpus = Corpus::new(8); // empty: every slot is fresh
-        let mut policy = EnergyDecay;
+        let mut policy = SeedPolicy::EnergyDecay;
         let mut sched_rng = StdRng::seed_from_u64(3);
         let stream0 = StdRng::seed_from_u64(100).state();
         let stream1 = StdRng::seed_from_u64(200).state();
@@ -703,11 +564,10 @@ mod tests {
             policy: &mut policy,
             sched_rng: &mut sched_rng,
             worker_rngs: &mut worker_rngs,
-            workers: 2,
             batch: 2,
             scenarios: &[],
         };
-        let queue = WorkStealing.plan_round(0..4, &mut ctx);
+        let queue = plan_round(0..4, &mut ctx);
         assert_eq!(queue.len(), 4);
         assert_eq!(
             queue.iter().map(|s| s.stream).collect::<Vec<_>>(),
@@ -834,7 +694,7 @@ mod tests {
         let restored = FavouredQuota::from_state(&state);
         assert_eq!(restored.state(), state, "state survives the round trip");
         assert_eq!(
-            EnergyDecay.state(),
+            SeedPolicy::EnergyDecay.state(),
             PolicyState::Stateless,
             "the stateless policy stays stateless"
         );

@@ -176,17 +176,12 @@ impl Persist for SchedulerSpec {
     fn encode(&self, enc: &mut Encoder) {
         match self {
             SchedulerSpec::WorkStealing => enc.u32(0),
-            SchedulerSpec::Extension(id) => {
-                enc.u32(1);
-                enc.str(id);
-            }
         }
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         match dec.u32()? {
             0 => Ok(SchedulerSpec::WorkStealing),
-            1 => Ok(SchedulerSpec::Extension(dec.string()?)),
             tag => Err(DecodeError::InvalidTag {
                 what: "SchedulerSpec",
                 tag,
@@ -200,10 +195,6 @@ impl Persist for PolicySpec {
         match self {
             PolicySpec::EnergyDecay => enc.u32(0),
             PolicySpec::FavouredQuota => enc.u32(1),
-            PolicySpec::Extension(id) => {
-                enc.u32(2);
-                enc.str(id);
-            }
         }
     }
 
@@ -211,7 +202,6 @@ impl Persist for PolicySpec {
         match dec.u32()? {
             0 => Ok(PolicySpec::EnergyDecay),
             1 => Ok(PolicySpec::FavouredQuota),
-            2 => Ok(PolicySpec::Extension(dec.string()?)),
             tag => Err(DecodeError::InvalidTag {
                 what: "PolicySpec",
                 tag,
@@ -245,10 +235,6 @@ impl Persist for PolicyState {
                 favours.encode(enc);
                 picks.encode(enc);
             }
-            PolicyState::Opaque(blob) => {
-                enc.u32(2);
-                enc.bytes(blob);
-            }
         }
     }
 
@@ -259,7 +245,6 @@ impl Persist for PolicyState {
                 favours: Vec::<(dejavuzz_ift::CoveragePoint, Favour)>::decode(dec)?,
                 picks: Vec::<(WindowType, usize)>::decode(dec)?,
             }),
-            2 => Ok(PolicyState::Opaque(dec.bytes()?.to_vec())),
             tag => Err(DecodeError::InvalidTag {
                 what: "PolicyState",
                 tag,
@@ -538,15 +523,10 @@ pub struct CampaignSnapshot {
     /// fails the build if a named family is not registered). Empty for
     /// campaigns that never enabled scenarios.
     pub scenarios: Vec<String>,
-    /// Slot scheduler the campaign ran (and must resume) with — part of
-    /// its replay identity; resume adopts it. Extension ids require the
-    /// resuming process to have registered the same id
-    /// ([`crate::registry`]).
+    /// Slot scheduler the campaign ran with. The wire format follows it
+    /// with a scheduler state blob, always empty: work stealing keeps no
+    /// state.
     pub scheduler: SchedulerSpec,
-    /// The scheduler's opaque state blob ([`crate::scheduler::
-    /// Scheduler::state`]); empty for the stateless built-in, handed
-    /// back to the extension constructor on resume.
-    pub scheduler_state: Vec<u8>,
     /// Corpus seed policy — likewise adopted on resume.
     pub policy: PolicySpec,
     /// The policy's scheduling state beyond the corpus itself (favoured
@@ -594,7 +574,7 @@ impl Persist for CampaignSnapshot {
         enc.bool(self.pipelined);
         self.scenarios.encode(enc);
         self.scheduler.encode(enc);
-        enc.bytes(&self.scheduler_state);
+        enc.bytes(&[]);
         self.policy.encode(enc);
         self.policy_state.encode(enc);
         self.opts.encode(enc);
@@ -620,8 +600,20 @@ impl Persist for CampaignSnapshot {
             batch: dec.usize()?,
             pipelined: dec.bool()?,
             scenarios: Vec::<String>::decode(dec)?,
-            scheduler: SchedulerSpec::decode(dec)?,
-            scheduler_state: dec.bytes()?.to_vec(),
+            scheduler: {
+                let scheduler = SchedulerSpec::decode(dec)?;
+                let state = dec.bytes()?;
+                if !state.is_empty() {
+                    return Err(invalid(
+                        "CampaignSnapshot::scheduler",
+                        format!(
+                            "a {}-byte state blob for a stateless scheduler",
+                            state.len()
+                        ),
+                    ));
+                }
+                scheduler
+            },
             policy: PolicySpec::decode(dec)?,
             policy_state: PolicyState::decode(dec)?,
             opts: FuzzerOptions::decode(dec)?,
@@ -938,7 +930,6 @@ mod tests {
             seed: 42,
             batch: 4,
             scheduler: SchedulerSpec::WorkStealing,
-            scheduler_state: vec![0xA5, 0x5A],
             policy: PolicySpec::FavouredQuota,
             policy_state: PolicyState::Favoured {
                 favours: vec![(
@@ -1213,43 +1204,82 @@ mod tests {
 
     #[test]
     fn scheduling_specs_and_state_round_trip() {
-        for spec in [
-            SchedulerSpec::WorkStealing,
-            SchedulerSpec::Extension("my-sched".into()),
-        ] {
-            let bytes = dejavuzz_persist::to_bytes(&spec);
-            assert_eq!(
-                dejavuzz_persist::from_bytes::<SchedulerSpec>(&bytes).unwrap(),
-                spec
-            );
-        }
-        for spec in [
-            PolicySpec::EnergyDecay,
-            PolicySpec::FavouredQuota,
-            PolicySpec::Extension("my-pol".into()),
-        ] {
+        let bytes = dejavuzz_persist::to_bytes(&SchedulerSpec::WorkStealing);
+        assert_eq!(
+            dejavuzz_persist::from_bytes::<SchedulerSpec>(&bytes).unwrap(),
+            SchedulerSpec::WorkStealing
+        );
+        for spec in [PolicySpec::EnergyDecay, PolicySpec::FavouredQuota] {
             let bytes = dejavuzz_persist::to_bytes(&spec);
             assert_eq!(
                 dejavuzz_persist::from_bytes::<PolicySpec>(&bytes).unwrap(),
                 spec
             );
         }
-        for state in [
-            sample_snapshot().policy_state,
-            PolicyState::Opaque(vec![7, 0, 7]),
-            PolicyState::Opaque(Vec::new()),
-        ] {
+        for state in [sample_snapshot().policy_state, PolicyState::Stateless] {
             let bytes = dejavuzz_persist::to_bytes(&state);
             assert_eq!(
                 dejavuzz_persist::from_bytes::<PolicyState>(&bytes).unwrap(),
                 state
             );
         }
-        // Unknown tags fail structurally, never panic.
-        let bad = dejavuzz_persist::to_bytes(&9u32);
-        assert!(dejavuzz_persist::from_bytes::<SchedulerSpec>(&bad).is_err());
-        assert!(dejavuzz_persist::from_bytes::<PolicySpec>(&bad).is_err());
-        assert!(dejavuzz_persist::from_bytes::<PolicyState>(&bad).is_err());
+        // Unknown tags fail structurally, never panic, and so do the tags
+        // v7 once gave extension schedulers and policies (an id) and
+        // opaque policy state (a blob).
+        let tagged = |tag: u32| {
+            let mut enc = Encoder::new();
+            enc.u32(tag);
+            enc.str("x");
+            enc.into_bytes()
+        };
+        let invalid = |what, tag| Some(DecodeError::InvalidTag { what, tag });
+        for tag in [1, 9] {
+            assert_eq!(
+                dejavuzz_persist::from_bytes::<SchedulerSpec>(&tagged(tag)).err(),
+                invalid("SchedulerSpec", tag)
+            );
+        }
+        for tag in [2, 9] {
+            assert_eq!(
+                dejavuzz_persist::from_bytes::<PolicySpec>(&tagged(tag)).err(),
+                invalid("PolicySpec", tag)
+            );
+            assert_eq!(
+                dejavuzz_persist::from_bytes::<PolicyState>(&tagged(tag)).err(),
+                invalid("PolicyState", tag)
+            );
+        }
+    }
+
+    /// v7 keeps a scheduler state blob after the scheduler tag: it is
+    /// written empty, and decode refuses a snapshot whose blob is not.
+    #[test]
+    fn a_non_empty_scheduler_blob_fails_decode() {
+        let snap = sample_snapshot();
+        let mut enc = Encoder::new();
+        enc.u32(snap.shard_id);
+        enc.str(&snap.backend);
+        enc.usize(snap.workers);
+        enc.u64(snap.seed);
+        enc.usize(snap.batch);
+        enc.bool(snap.pipelined);
+        snap.scenarios.encode(&mut enc);
+        snap.scheduler.encode(&mut enc);
+        let honest = dejavuzz_persist::to_bytes(&snap);
+        let at = enc.into_bytes().len();
+        // The empty blob is a zero length; splice in a two-byte one.
+        assert_eq!(honest[at..at + 8], [0; 8]);
+        let mut forged = honest[..at].to_vec();
+        forged.extend_from_slice(&2u64.to_le_bytes());
+        forged.extend_from_slice(&[0xA5, 0x5A]);
+        forged.extend_from_slice(&honest[at + 8..]);
+        assert_eq!(
+            dejavuzz_persist::from_bytes::<CampaignSnapshot>(&forged),
+            Err(DecodeError::InvalidValue {
+                what: "CampaignSnapshot::scheduler",
+                detail: "a 2-byte state blob for a stateless scheduler".into(),
+            })
+        );
     }
 
     #[test]

@@ -621,8 +621,62 @@ fn round_scheduler_is_a_parse_error() {
     let (code, _, stderr) = fuzz(&["--scheduler", "round", "--iters", "1"]);
     assert_eq!(code, Some(2));
     assert!(
-        stderr.contains("unknown scheduler \"round\" (expected steal|ext:<id>)"),
+        stderr.contains("unknown scheduler \"round\" (expected steal)"),
         "stderr: {stderr}"
+    );
+}
+
+/// No scheduler, seed policy or backend is spelled `ext:<id>`: each such
+/// value is a parse error naming it, reported before any campaign is
+/// built.
+#[test]
+fn extension_spellings_exit_two_naming_the_value() {
+    for (flag, value, message) in [
+        (
+            "--scheduler",
+            "ext:x",
+            "unknown scheduler \"ext:x\" (expected steal)",
+        ),
+        (
+            "--policy",
+            "ext:x",
+            "unknown seed policy \"ext:x\" (expected energy|favoured)",
+        ),
+        ("--backend", "ext:x", "unknown backend \"ext:x\""),
+        ("--backend", "proc:ext:x:2", "unknown backend \"ext:x\""),
+    ] {
+        let (code, stdout, stderr) = fuzz(&[flag, value, "--iters", "1"]);
+        assert_eq!(code, Some(2), "{flag} {value}: {stderr}");
+        assert!(stdout.is_empty(), "{flag} {value}: {stdout}");
+        assert!(
+            stderr.starts_with(&format!("dejavuzz-fuzz: {message}")),
+            "{flag} {value}: {stderr}"
+        );
+    }
+}
+
+/// Zero workers is the builder's `ZeroWorkers` error, never a silent
+/// single worker, and a budget whose `--iters` x `--workers` overflows
+/// exits 2 naming both flags instead of running a wrapped count.
+#[test]
+fn zero_workers_and_an_overflowing_budget_exit_two() {
+    let (code, stdout, stderr) = fuzz(&["--workers", "0", "--iters", "1"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.starts_with("dejavuzz-fuzz: workers must be at least 1\n"),
+        "{stderr}"
+    );
+
+    let (code, stdout, stderr) = fuzz(&["--iters", "9223372036854775808", "--workers", "2"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.starts_with(
+            "dejavuzz-fuzz: --iters 9223372036854775808 x --workers 2 overflows the \
+             iteration count\n"
+        ),
+        "{stderr}"
     );
 }
 

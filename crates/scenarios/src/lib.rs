@@ -11,9 +11,9 @@
 //!
 //! Two process-global tables underpin the wiring:
 //!
-//! * the **template registry** — family id → template, in the same style
-//!   as `dejavuzz::registry` ([`register_template`], [`list_templates`]);
-//!   the four built-in families below are pre-registered.
+//! * the **template registry** — family id → template
+//!   ([`register_template`], [`list_templates`]); the four built-in
+//!   families below are pre-registered.
 //! * the **instance intern table** — every *parameterized* instance the
 //!   process has seen (`family:param=val`), interned to a dense `u16` so
 //!   the engine's `WindowType` stays `Copy` ([`intern_spec`] and the

@@ -10,8 +10,8 @@ use std::time::Instant;
 
 use crate::recording;
 
-/// A monotonically increasing atomic counter. Rendered to Prometheus as
-/// a `counter` family; by convention names end in `_total`.
+/// A monotonically increasing atomic counter; by convention names end in
+/// `_total`.
 #[derive(Debug, Default)]
 pub struct Counter {
     value: AtomicU64,
@@ -149,8 +149,8 @@ impl Histogram {
         (u64::BITS - v.leading_zeros()) as usize
     }
 
-    /// The inclusive upper bound of bucket `i` (the Prometheus `le`
-    /// label): `2^i - 1`, with the last bucket's bound being `u64::MAX`.
+    /// The inclusive upper bound of bucket `i`: `2^i - 1`, with the last
+    /// bucket's bound being `u64::MAX`.
     pub fn bucket_bound(i: usize) -> u64 {
         debug_assert!(i < HISTOGRAM_BUCKETS);
         if i >= 64 {
@@ -191,8 +191,7 @@ impl Histogram {
     }
 
     /// The highest bucket index with a nonzero count, if any sample has
-    /// been observed. Rendering stops here (plus `+Inf`) to keep the
-    /// exposition short.
+    /// been observed. The JSON dump stops here to keep it short.
     pub fn highest_nonzero_bucket(&self) -> Option<usize> {
         (0..HISTOGRAM_BUCKETS)
             .rev()

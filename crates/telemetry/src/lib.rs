@@ -11,8 +11,7 @@
 //!   bucket of their bit width), sized for nanosecond latencies.
 //! * [`Registry`] — a process-global named instrument table
 //!   ([`global()`]) rendering a JSON dump ([`Registry::render_json`], the
-//!   `dejavuzz-fuzz --metrics-out` format) and [Prometheus text
-//!   exposition] ([`Registry::render_prometheus`]).
+//!   `dejavuzz-fuzz --metrics-out` format).
 //!
 //! # The determinism contract
 //!
@@ -24,9 +23,6 @@
 //! from another thread is byte-identical to any other (asserted by
 //! `tests/metrics.rs` and by `crates/core/tests/cli.rs`'s
 //! `metrics_out_writes_json_and_leaves_stdout_untouched`).
-//!
-//! [Prometheus text exposition]:
-//! https://prometheus.io/docs/instrumenting/exposition_formats/
 
 #![warn(missing_docs)]
 
@@ -34,7 +30,7 @@ mod instruments;
 mod registry;
 
 pub use instruments::{Counter, Gauge, Histogram, Timer, HISTOGRAM_BUCKETS};
-pub use registry::{json_string, InstrumentKind, Registry};
+pub use registry::{json_string, Registry};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -99,8 +95,8 @@ mod tests {
     #[test]
     fn global_registry_is_one_instance() {
         let _serial = recording_test_lock();
-        let a = global().counter("test_global_total", "a test counter");
-        let b = global().counter("test_global_total", "a test counter");
+        let a = global().counter("test_global_total");
+        let b = global().counter("test_global_total");
         a.inc();
         assert_eq!(b.get(), 1, "same name resolves to the same instrument");
     }

@@ -11,18 +11,23 @@
 //!   with the per-cell interpreter the compiled simulator replaced,
 //! * a misconfigured backend or an invalid netlist must fail its runs,
 //!   not the campaign,
+//! * a campaign on a `backend_ctor` backend resumes bit-identically under
+//!   a constructor with the same id, and under no other,
 //! * every in-tree backend is replayable: a run answers as a pure
 //!   function of its request, the contract the executor's lineage memo
 //!   replays on.
 
-use dejavuzz::backend::{BackendError, BackendSpec, NetlistBackend, NetlistIo, SimBackend};
-use dejavuzz::builder::CampaignBuilder;
+use dejavuzz::backend::{
+    BackendError, BackendSpec, BehaviouralBackend, NetlistBackend, NetlistIo, SimBackend,
+};
+use dejavuzz::builder::{BuildError, CampaignBuilder};
 use dejavuzz::campaign::CampaignStats;
 use dejavuzz::executor::ExecutorReport;
 use dejavuzz::gen::{self, WindowFill, WindowType};
 use dejavuzz::phases::{phase1, phase2, PhaseOptions};
 use dejavuzz::rand::rngs::StdRng;
 use dejavuzz::rand::{Rng, SeedableRng};
+use dejavuzz::snapshot::{CampaignSnapshot, ResumeError};
 use dejavuzz::{Seed, TransientPlan};
 use dejavuzz_ift::{CoverageMatrix, IftMode};
 use dejavuzz_rtl::examples::{synthetic_core, BOOM_SCALE, SMALL_SCALE};
@@ -41,16 +46,13 @@ fn run(backend: BackendSpec, workers: usize, iterations: usize, seed: u64) -> Ex
         .run(iterations)
 }
 
-/// A single-worker campaign (seed 3) over backend instances from `ctor`,
-/// registered under `id`: ids are process-global and tests run
-/// concurrently, so every caller passes its own.
+/// A single-worker campaign (seed 3) over backend instances from `ctor`.
 fn run_instances(
-    id: &str,
     ctor: impl Fn() -> Box<dyn SimBackend> + Send + Sync + 'static,
     iterations: usize,
 ) -> CampaignStats {
     CampaignBuilder::new()
-        .backend_ctor(id, ctor)
+        .backend_ctor("broken", ctor)
         .seed(3)
         .build()
         .unwrap()
@@ -174,7 +176,7 @@ fn misconfigured_backend_fails_runs_not_the_campaign() {
             io,
         )) as Box<_>
     };
-    let stats = run_instances("misconfigured-io", broken, 6);
+    let stats = run_instances(broken, 6);
     assert_eq!(stats.iterations, 6, "the campaign keeps running");
     assert_eq!(stats.failed_runs, 6, "every run failed cleanly");
     assert!(stats.bugs.is_empty());
@@ -230,7 +232,7 @@ fn invalid_netlists_fail_runs_not_the_campaign() {
             BackendError::InvalidMemory { mem: 3 },
         ),
     ];
-    for (i, (netlist, expected)) in cases.into_iter().enumerate() {
+    for (netlist, expected) in cases {
         let mut backend = NetlistBackend::new("broken", netlist.clone(), io.clone());
         let seed = Seed::new(WindowType::MemPageFault, 1);
         let err = phase1(&mut backend, &seed, &PhaseOptions::default()).unwrap_err();
@@ -239,12 +241,76 @@ fn invalid_netlists_fail_runs_not_the_campaign() {
         let io = io.clone();
         let broken =
             move || Box::new(NetlistBackend::new("broken", netlist.clone(), io.clone())) as Box<_>;
-        let stats = run_instances(&format!("invalid-netlist-{i}"), broken, 4);
+        let stats = run_instances(broken, 4);
         assert_eq!(
             stats.iterations, 4,
             "{expected}: the campaign keeps running"
         );
         assert_eq!(stats.failed_runs, 4, "{expected}: every run failed cleanly");
+    }
+}
+
+/// A campaign on a `backend_ctor` backend, halted and resumed through
+/// the snapshot bytes under a constructor with the same id, replays
+/// bit-identically to the uninterrupted run. A resume whose builder has
+/// no constructor, or one under another id, is refused at build time.
+#[test]
+fn backend_ctor_campaigns_resume_bit_identically() {
+    const TOTAL: usize = 24;
+    let campaign = |id: &str| {
+        CampaignBuilder::new()
+            .backend_ctor(id, || Box::new(BehaviouralBackend::new(boom_small())))
+            .workers(2)
+            .seed(0xCAFE)
+    };
+    let full = campaign("boom-ctor").build().unwrap().run(TOTAL);
+    assert!(full.stats.coverage() > 0, "the campaign actually fuzzes");
+    // Rounds span 8 slots: the halts land at 8 and 16 iterations.
+    for halt in [1, 9] {
+        let (partial, snap) = campaign("boom-ctor")
+            .halt_after(halt)
+            .build()
+            .unwrap()
+            .run_snapshotting(TOTAL);
+        assert!(partial.stats.iterations < TOTAL, "halt {halt} interrupts");
+        assert_eq!(snap.backend, "ext:boom-ctor");
+        let snap = CampaignSnapshot::from_bytes(&snap.to_bytes()).unwrap();
+        let resumed = campaign("boom-ctor")
+            .resume(snap)
+            .build()
+            .unwrap()
+            .run(TOTAL);
+        assert_eq!(full.stats, resumed.stats, "halt {halt}");
+        assert_eq!(
+            full.coverage.sorted_points(),
+            resumed.coverage.sorted_points()
+        );
+        assert_eq!(
+            (full.corpus_retained, full.corpus_evicted),
+            (resumed.corpus_retained, resumed.corpus_evicted)
+        );
+        for (a, b) in full.workers.iter().zip(&resumed.workers) {
+            assert_eq!(a.iterations, b.iterations, "worker {}", a.worker);
+            assert_eq!(a.observed.sorted_points(), b.observed.sorted_points());
+        }
+    }
+
+    let (_, snap) = campaign("boom-ctor")
+        .halt_after(1)
+        .build()
+        .unwrap()
+        .run_snapshotting(TOTAL);
+    for (builder, current) in [
+        (CampaignBuilder::new(), "behavioural:BOOM"),
+        (campaign("other-id"), "ext:other-id"),
+    ] {
+        assert_eq!(
+            builder.resume(snap.clone()).build().unwrap_err(),
+            BuildError::Resume(ResumeError::BackendMismatch {
+                snapshot: "ext:boom-ctor".into(),
+                current: current.into(),
+            })
+        );
     }
 }
 
