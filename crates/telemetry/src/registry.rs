@@ -230,15 +230,27 @@ mod tests {
         r.gauge("depth").set(9);
         let h = r.histogram("lat_nanos");
         h.observe(2);
-        let _ = r.histogram("empty_nanos");
         let json = r.render_json();
         assert_eq!(
             json,
             "{\"counters\":{\"iters_total\":4},\
              \"gauges\":{\"depth\":9},\
-             \"histograms\":{\"empty_nanos\":{\"count\":0,\"sum\":0,\"buckets\":[]},\
-             \"lat_nanos\":{\"count\":1,\"sum\":2,\
+             \"histograms\":{\"lat_nanos\":{\"count\":1,\"sum\":2,\
              \"buckets\":[[0,0],[1,0],[3,1]]}}}"
+        );
+    }
+
+    /// A histogram that never observed a value dumps zero count and sum
+    /// and no buckets.
+    #[test]
+    fn json_dump_empty_histogram_has_no_buckets() {
+        let _serial = recording_test_lock();
+        let r = Registry::new();
+        let _ = r.histogram("empty_nanos");
+        assert_eq!(
+            r.render_json(),
+            "{\"counters\":{},\"gauges\":{},\
+             \"histograms\":{\"empty_nanos\":{\"count\":0,\"sum\":0,\"buckets\":[]}}}"
         );
     }
 

@@ -250,24 +250,60 @@ fn invalid_netlists_fail_runs_not_the_campaign() {
     }
 }
 
+/// A two-worker campaign on the behavioural BOOM core, built by a
+/// `backend_ctor` constructor under `id`.
+fn ctor_campaign(id: &str, seed: u64) -> CampaignBuilder {
+    CampaignBuilder::new()
+        .backend_ctor(id, || Box::new(BehaviouralBackend::new(boom_small())))
+        .workers(2)
+        .seed(seed)
+}
+
+fn assert_reports_identical(a: &ExecutorReport, b: &ExecutorReport) {
+    assert_eq!(a.stats, b.stats, "stats (curve, windows, bugs, counters)");
+    assert_eq!(a.coverage.sorted_points(), b.coverage.sorted_points());
+    assert_eq!(
+        (a.corpus_retained, a.corpus_evicted),
+        (b.corpus_retained, b.corpus_evicted)
+    );
+    for (wa, wb) in a.workers.iter().zip(&b.workers) {
+        assert_eq!(wa.iterations, wb.iterations, "worker {}", wa.worker);
+        assert_eq!(wa.observed.sorted_points(), wb.observed.sorted_points());
+    }
+}
+
+/// A campaign on a `backend_ctor` backend is deterministic, and its
+/// snapshot names the backend `ext:<id>`.
+#[test]
+fn backend_ctor_campaign_is_deterministic_and_snapshots_its_id() {
+    let a = ctor_campaign("boom-ctor", 0xE57).build().unwrap().run(20);
+    let b = ctor_campaign("boom-ctor", 0xE57).build().unwrap().run(20);
+    assert_reports_identical(&a, &b);
+    assert!(a.stats.coverage() > 0, "the campaign actually fuzzes");
+
+    let (c, snap) = ctor_campaign("boom-ctor", 0xE57)
+        .build()
+        .unwrap()
+        .run_snapshotting(20);
+    assert_reports_identical(&a, &c);
+    assert_eq!(snap.backend, "ext:boom-ctor");
+    assert_eq!(snap.completed, 20);
+}
+
 /// A campaign on a `backend_ctor` backend, halted and resumed through
 /// the snapshot bytes under a constructor with the same id, replays
-/// bit-identically to the uninterrupted run. A resume whose builder has
-/// no constructor, or one under another id, is refused at build time.
+/// bit-identically to the uninterrupted run.
 #[test]
 fn backend_ctor_campaigns_resume_bit_identically() {
     const TOTAL: usize = 24;
-    let campaign = |id: &str| {
-        CampaignBuilder::new()
-            .backend_ctor(id, || Box::new(BehaviouralBackend::new(boom_small())))
-            .workers(2)
-            .seed(0xCAFE)
-    };
-    let full = campaign("boom-ctor").build().unwrap().run(TOTAL);
+    let full = ctor_campaign("boom-ctor", 0xCAFE)
+        .build()
+        .unwrap()
+        .run(TOTAL);
     assert!(full.stats.coverage() > 0, "the campaign actually fuzzes");
     // Rounds span 8 slots: the halts land at 8 and 16 iterations.
     for halt in [1, 9] {
-        let (partial, snap) = campaign("boom-ctor")
+        let (partial, snap) = ctor_campaign("boom-ctor", 0xCAFE)
             .halt_after(halt)
             .build()
             .unwrap()
@@ -275,34 +311,27 @@ fn backend_ctor_campaigns_resume_bit_identically() {
         assert!(partial.stats.iterations < TOTAL, "halt {halt} interrupts");
         assert_eq!(snap.backend, "ext:boom-ctor");
         let snap = CampaignSnapshot::from_bytes(&snap.to_bytes()).unwrap();
-        let resumed = campaign("boom-ctor")
+        let resumed = ctor_campaign("boom-ctor", 0xCAFE)
             .resume(snap)
             .build()
             .unwrap()
             .run(TOTAL);
-        assert_eq!(full.stats, resumed.stats, "halt {halt}");
-        assert_eq!(
-            full.coverage.sorted_points(),
-            resumed.coverage.sorted_points()
-        );
-        assert_eq!(
-            (full.corpus_retained, full.corpus_evicted),
-            (resumed.corpus_retained, resumed.corpus_evicted)
-        );
-        for (a, b) in full.workers.iter().zip(&resumed.workers) {
-            assert_eq!(a.iterations, b.iterations, "worker {}", a.worker);
-            assert_eq!(a.observed.sorted_points(), b.observed.sorted_points());
-        }
+        assert_reports_identical(&full, &resumed);
     }
+}
 
-    let (_, snap) = campaign("boom-ctor")
+/// A `backend_ctor` snapshot resumed by a builder with no constructor,
+/// or with one under another id, is refused at build time.
+#[test]
+fn backend_ctor_resume_under_no_or_another_id_is_a_backend_mismatch() {
+    let (_, snap) = ctor_campaign("boom-ctor", 0x0FF)
         .halt_after(1)
         .build()
         .unwrap()
-        .run_snapshotting(TOTAL);
+        .run_snapshotting(24);
     for (builder, current) in [
         (CampaignBuilder::new(), "behavioural:BOOM"),
-        (campaign("other-id"), "ext:other-id"),
+        (ctor_campaign("other-id", 0x0FF), "ext:other-id"),
     ] {
         assert_eq!(
             builder.resume(snap.clone()).build().unwrap_err(),
